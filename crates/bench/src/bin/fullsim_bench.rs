@@ -1,6 +1,6 @@
 //! Full-simulator throughput benchmark (std-only, offline).
 //!
-//! Two figures of merit, written to `BENCH.json`:
+//! Three figures of merit, written to `BENCH.json`:
 //!
 //! * `fullsim_hotspot` — simulated cycles per wall-clock second of a
 //!   single-threaded baseline run on the hotspot synthetic workload
@@ -8,12 +8,6 @@
 //! * `figure6_matrix` — completed runs per wall-clock second over the
 //!   Figure 6 matrix (all apps × configs, default `--scale 0.25`),
 //!   i.e. what a full evaluation sweep costs.
-//! * `thread_scaling_tN` — the hotspot run again under the epoch
-//!   scheduler at N ∈ {1, 2, 4, available_parallelism} worker threads
-//!   (`--sim-threads`), so BENCH.json records how intra-simulation
-//!   parallelism scales on this machine. The meta block stamps
-//!   `available_parallelism`: on a single-core host the parallel rows
-//!   measure scheduler overhead, not speedup.
 //! * `sparse_mesh_16x16` — one FFT baseline+proposal cell pair on the
 //!   16×16 mesh the sparse directory unlocks (the full-map
 //!   organisation cannot build this machine at all), so BENCH.json
@@ -22,8 +16,7 @@
 //! Usage:
 //!   fullsim_bench [--trials N] [--warmup N] [--scale F] [--seed N]
 //!                 [--out PATH] [--app NAME]... [--skip-matrix]
-//!                 [--skip-scaling] [--skip-mesh] [--jobs N] [--sim-threads N]
-//!                 [--profile]
+//!                 [--skip-mesh] [--jobs N] [--profile]
 //!
 //! `--profile` runs one extra (unmeasured) hotspot pass with the
 //! engine's per-phase wall-clock attribution enabled and prints the
@@ -40,6 +33,7 @@ use tcmp_core::experiment::{run_matrix_jobs, RunSpec};
 use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::sim::{CmpSimulator, SimConfig};
 use wire_model::wires::VlWidth;
+use workloads::profile::AppProfile;
 use workloads::synthetic;
 
 struct BenchOptions {
@@ -49,14 +43,12 @@ struct BenchOptions {
     scale: f64,
     seed: u64,
     out: String,
-    apps: Vec<String>,
+    /// Matrix application filter (empty = all apps).
+    apps: Vec<AppProfile>,
     skip_matrix: bool,
-    skip_scaling: bool,
     skip_mesh: bool,
     /// Matrix worker-thread cap (`None` = all cores).
     jobs: Option<usize>,
-    /// Scheduler threads for the hotspot benchmark (`None` = serial).
-    sim_threads: Option<usize>,
     /// Run one extra profiled hotspot pass and print the per-phase
     /// wall-clock attribution to stderr.
     profile: bool,
@@ -72,10 +64,8 @@ impl Default for BenchOptions {
             out: "BENCH.json".to_string(),
             apps: Vec::new(),
             skip_matrix: false,
-            skip_scaling: false,
             skip_mesh: false,
             jobs: None,
-            sim_threads: None,
             profile: false,
         }
     }
@@ -84,8 +74,8 @@ impl Default for BenchOptions {
 fn usage<T>() -> T {
     eprintln!(
         "usage: fullsim_bench [--trials N] [--warmup N] [--scale F] [--seed N] \
-         [--out PATH] [--app NAME]... [--skip-matrix] [--skip-scaling] \
-         [--skip-mesh] [--jobs N] [--sim-threads N] [--profile]"
+         [--out PATH] [--app NAME]... [--skip-matrix] [--skip-mesh] [--jobs N] \
+         [--profile]"
     );
     std::process::exit(2)
 }
@@ -120,9 +110,15 @@ fn parse_args() -> BenchOptions {
                     .unwrap_or_else(usage)
             }
             "--out" => o.out = args.next().unwrap_or_else(usage),
-            "--app" => o.apps.push(args.next().unwrap_or_else(usage)),
+            "--app" => {
+                let name = args.next().unwrap_or_else(usage);
+                let Some(app) = workloads::apps::app_by_name(&name) else {
+                    eprintln!("unknown app {name}");
+                    usage()
+                };
+                o.apps.push(app);
+            }
             "--skip-matrix" => o.skip_matrix = true,
-            "--skip-scaling" => o.skip_scaling = true,
             "--skip-mesh" => o.skip_mesh = true,
             "--jobs" => {
                 let n: usize = args
@@ -134,17 +130,6 @@ fn parse_args() -> BenchOptions {
                     usage()
                 }
                 o.jobs = Some(n);
-            }
-            "--sim-threads" => {
-                let n: usize = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(usage);
-                if n == 0 {
-                    eprintln!("--sim-threads must be >= 1");
-                    usage()
-                }
-                o.sim_threads = Some(n);
             }
             "--profile" => o.profile = true,
             "--help" | "-h" => usage(),
@@ -161,15 +146,11 @@ fn parse_args() -> BenchOptions {
     o
 }
 
-/// One full baseline simulation of the hotspot synthetic workload with
-/// `threads` scheduler workers; returns simulated cycles (the work
-/// figure for cycles/sec). Results are bit-identical for every thread
-/// count, so every row measures the same work.
-fn hotspot_run(seed: u64, threads: usize) -> f64 {
+/// One full baseline simulation of the hotspot synthetic workload;
+/// returns simulated cycles (the work figure for cycles/sec).
+fn hotspot_run(seed: u64) -> f64 {
     let app = synthetic::hotspot(20_000, 64);
-    let mut cfg = SimConfig::baseline();
-    cfg.sim_threads = Some(threads);
-    let mut sim = CmpSimulator::new(cfg, &app, seed, 1.0);
+    let mut sim = CmpSimulator::new(SimConfig::baseline(), &app, seed, 1.0);
     let r = sim.run().expect("hotspot benchmark run completes");
     r.cycles as f64
 }
@@ -207,18 +188,6 @@ fn sparse_mesh_run(seed: u64) -> f64 {
     total as f64
 }
 
-/// The thread counts the scaling benchmark sweeps: 1/2/4 plus whatever
-/// this machine actually has, deduplicated and sorted.
-fn scaling_thread_counts() -> Vec<usize> {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut counts = vec![1, 2, 4, cores];
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
 /// One pass over the Figure 6 matrix; returns the number of runs (the
 /// work figure for runs/sec).
 fn matrix_pass(opts: &BenchOptions) -> f64 {
@@ -227,12 +196,7 @@ fn matrix_pass(opts: &BenchOptions) -> f64 {
     let apps = if opts.apps.is_empty() {
         workloads::apps::all_apps()
     } else {
-        opts.apps
-            .iter()
-            .map(|name| {
-                workloads::apps::app_by_name(name).unwrap_or_else(|| panic!("unknown app {name}"))
-            })
-            .collect()
+        opts.apps.clone()
     };
     let mut specs = Vec::new();
     for app in &apps {
@@ -254,12 +218,10 @@ fn matrix_pass(opts: &BenchOptions) -> f64 {
 
 /// One profiled hotspot run (not part of any measured series); prints
 /// the engine's per-phase attribution to stderr.
-fn profile_pass(seed: u64, threads: usize) {
+fn profile_pass(seed: u64) {
     eprintln!("profile pass: one hotspot run with phase attribution...");
     let app = synthetic::hotspot(20_000, 64);
-    let mut cfg = SimConfig::baseline();
-    cfg.sim_threads = Some(threads);
-    let mut sim = CmpSimulator::new(cfg, &app, seed, 1.0);
+    let mut sim = CmpSimulator::new(SimConfig::baseline(), &app, seed, 1.0);
     sim.enable_profiling();
     sim.run().expect("profiled hotspot run completes");
     let report = sim.phase_profile().expect("profiling was enabled").report();
@@ -271,7 +233,7 @@ fn main() {
     let mut stats: Vec<BenchStats> = Vec::new();
 
     if opts.profile {
-        profile_pass(opts.seed, opts.sim_threads.unwrap_or(1));
+        profile_pass(opts.seed);
     }
 
     eprintln!(
@@ -279,40 +241,18 @@ fn main() {
         opts.warmup, opts.trials
     );
     let seed = opts.seed;
-    let hotspot_threads = opts.sim_threads.unwrap_or(1);
     stats.push(measure(
         "fullsim_hotspot",
         "simulated_cycles_per_sec",
         opts.warmup,
         opts.trials,
-        || hotspot_run(seed, hotspot_threads),
+        || hotspot_run(seed),
     ));
     let h = stats.last().expect("just pushed");
     eprintln!(
         "  median {:.3e} cycles/s (p10 {:.3e}, p90 {:.3e})",
         h.median, h.p10, h.p90
     );
-
-    if !opts.skip_scaling {
-        for t in scaling_thread_counts() {
-            eprintln!(
-                "thread_scaling_t{t}: {} warmup + {} trials...",
-                opts.warmup, opts.trials
-            );
-            stats.push(measure(
-                &format!("thread_scaling_t{t}"),
-                "simulated_cycles_per_sec",
-                opts.warmup,
-                opts.trials,
-                || hotspot_run(seed, t),
-            ));
-            let s = stats.last().expect("just pushed");
-            eprintln!(
-                "  median {:.3e} cycles/s (p10 {:.3e}, p90 {:.3e})",
-                s.median, s.p10, s.p90
-            );
-        }
-    }
 
     if !opts.skip_mesh {
         eprintln!(
@@ -357,7 +297,6 @@ fn main() {
         ("trials", opts.trials.to_string()),
         ("matrix_scale", opts.scale.to_string()),
         ("seed", opts.seed.to_string()),
-        ("hotspot_sim_threads", hotspot_threads.to_string()),
         (
             "available_parallelism",
             std::thread::available_parallelism()

@@ -37,9 +37,6 @@ pub struct Options {
     pub retries: u32,
     /// Per-cell wall-clock deadline in seconds (`--deadline SECS`).
     pub deadline_s: Option<u64>,
-    /// Scheduler threads inside each simulation (`--sim-threads N`);
-    /// `None` = serial. Results are bit-identical for every value.
-    pub sim_threads: Option<usize>,
     /// Submit the sweep to a running `tcmp-serve` daemon at this Unix
     /// socket instead of simulating locally (`--submit SOCKET`). The
     /// daemon owns the worker pool, the journal, and the result CSVs.
@@ -69,7 +66,6 @@ impl Default for Options {
             resume: None,
             retries: 0,
             deadline_s: None,
-            sim_threads: None,
             submit: None,
             attach: None,
             directory: None,
@@ -141,13 +137,6 @@ impl Options {
                             .map_err(|_| "--deadline needs whole seconds".to_string())?,
                     );
                 }
-                "--sim-threads" => {
-                    o.sim_threads = Some(
-                        value(&mut args, "--sim-threads", "a count")?
-                            .parse()
-                            .map_err(|_| "--sim-threads needs an unsigned integer".to_string())?,
-                    );
-                }
                 "--submit" => {
                     o.submit = Some(PathBuf::from(value(
                         &mut args,
@@ -188,9 +177,6 @@ impl Options {
         }
         if self.jobs == Some(0) {
             return Err("--jobs must be >= 1".to_string());
-        }
-        if self.sim_threads == Some(0) {
-            return Err("--sim-threads must be >= 1".to_string());
         }
         if self.deadline_s == Some(0) {
             return Err("--deadline must be >= 1 second".to_string());
@@ -274,7 +260,6 @@ impl Options {
         RunPolicy {
             retries: self.retries,
             wall_deadline: self.deadline_s.map(Duration::from_secs),
-            sim_threads: self.sim_threads,
             ..RunPolicy::default()
         }
     }
@@ -324,7 +309,7 @@ fn check_parent_exists(path: &Path, flag: &str) -> Result<(), String> {
 fn usage<T>() -> T {
     eprintln!(
         "usage: <bin> [--scale F] [--app NAME]... [--seed N] [--csv PATH] [--no-perfect] \
-         [--jobs N] [--sim-threads N] [--directory full-map|sparse|sparse:N] [--side N]... \
+         [--jobs N] [--directory full-map|sparse|sparse:N] [--side N]... \
          [--out DIR | --resume DIR] [--retries N] [--deadline SECS] \
          [--submit SOCKET [--attach ID]]"
     );
@@ -343,12 +328,6 @@ mod tests {
     fn rejects_zero_jobs_and_bad_numbers() {
         assert!(parse(&["--jobs", "0"]).unwrap_err().contains("--jobs"));
         assert!(parse(&["--jobs", "x"]).unwrap_err().contains("--jobs"));
-        assert!(parse(&["--sim-threads", "0"])
-            .unwrap_err()
-            .contains("--sim-threads"));
-        assert!(parse(&["--sim-threads", "x"])
-            .unwrap_err()
-            .contains("--sim-threads"));
         assert!(parse(&["--scale", "-1"]).unwrap_err().contains("--scale"));
         assert!(parse(&["--scale"]).unwrap_err().contains("--scale"));
         assert!(parse(&["--deadline", "0"])
@@ -440,8 +419,6 @@ mod tests {
             "3",
             "--deadline",
             "60",
-            "--sim-threads",
-            "4",
             "--out",
             out.to_str().unwrap(),
         ])
@@ -449,13 +426,11 @@ mod tests {
         assert_eq!(o.scale, 0.05);
         assert_eq!(o.retries, 3);
         assert_eq!(o.deadline_s, Some(60));
-        assert_eq!(o.sim_threads, Some(4));
         let (d, resuming) = o.campaign_dir().unwrap();
         assert_eq!(d, out.as_path());
         assert!(!resuming);
         let p = o.policy();
         assert_eq!(p.retries, 3);
         assert_eq!(p.wall_deadline, Some(Duration::from_secs(60)));
-        assert_eq!(p.sim_threads, Some(4));
     }
 }

@@ -2,6 +2,8 @@
 //! common run-matrix driver used by the Figure 6/7 binaries, and the
 //! self-contained benchmark harness behind `fullsim_bench`.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod harness;
 pub mod matrix;

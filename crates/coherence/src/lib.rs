@@ -40,6 +40,8 @@
 //! `tcmp-core` wires them to the flit-level NoC; the tests here drive them
 //! directly, message by message.
 
+#![forbid(unsafe_code)]
+
 pub mod cache;
 pub mod directory;
 pub mod error;

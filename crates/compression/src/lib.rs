@@ -35,6 +35,8 @@
 //! bytes 65 536 lines = 4 MB — which is what makes 2-byte configurations
 //! reach the paper's ~98 % coverage on megabyte-scale working sets.
 
+#![forbid(unsafe_code)]
+
 pub mod cacti_lite;
 pub mod coverage;
 pub mod dbrc;

@@ -57,14 +57,7 @@ impl<'a> TilePorts<'a> {
 
     /// Route a controller's whole side-effect vector.
     pub fn route(&mut self, outs: OutVec) {
-        self.route_slice(&outs);
-    }
-
-    /// Route a slice of side effects — the epoch scheduler's merge path,
-    /// which replays effects collected on worker threads in deterministic
-    /// order (`Outgoing` is `Copy`, so the slice is not consumed).
-    pub fn route_slice(&mut self, outs: &[Outgoing]) {
-        for &o in outs {
+        for &o in &outs {
             match o {
                 Outgoing::Send { dst, msg, delay } => self.send(dst, msg, delay),
                 Outgoing::MemRead { line } => self.mem_read(line),

@@ -428,16 +428,6 @@ fn engine_snapshot_round_trips_mid_run() {
 
 #[test]
 fn env_knob_parsing_accepted_forms() {
-    // TCMP_SIM_THREADS: a positive integer or nothing.
-    assert_eq!(parse_sim_threads(""), Ok(None));
-    assert_eq!(parse_sim_threads("  "), Ok(None));
-    assert_eq!(parse_sim_threads("1"), Ok(Some(1)));
-    assert_eq!(parse_sim_threads(" 8 "), Ok(Some(8)));
-    for bad in ["0", "-2", "two", "1.5", "8,"] {
-        let err = parse_sim_threads(bad).expect_err(bad);
-        assert!(err.contains("TCMP_SIM_THREADS"), "warning names the knob");
-        assert!(err.contains("accepted"), "warning documents accepted forms");
-    }
     // TCMP_SANITIZE: 0/empty off, 1 on, anything else malformed.
     assert_eq!(parse_sanitize(""), Ok(false));
     assert_eq!(parse_sanitize("0"), Ok(false));

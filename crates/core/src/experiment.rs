@@ -7,7 +7,7 @@
 //! the perfect-compression bound.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use addr_compression::CompressionScheme;
@@ -184,56 +184,29 @@ pub fn run_matrix(cmp: &CmpConfig, specs: &[RunSpec]) -> Result<Vec<SimResult>, 
     run_matrix_jobs(cmp, specs, None)
 }
 
-/// One-shot flag for the oversubscription warning: a campaign that maps
-/// many matrices would otherwise repeat it per sweep.
-static OVERSUBSCRIPTION_WARNED: AtomicBool = AtomicBool::new(false);
-
-/// Size a matrix worker pool so that `jobs × sim-threads-per-run` does
-/// not exceed the machine: each run may itself spawn
-/// [`SimConfig::sim_threads`] scheduler workers, and oversubscribing a
-/// small host turns a parallel sweep into a context-switch storm. The
-/// combined cap is `available_parallelism / per_run`; an explicit `jobs`
-/// request above it is capped with a single warning on stderr.
-pub(crate) fn matrix_worker_threads(
-    jobs: Option<usize>,
-    per_run: Option<usize>,
-    pending: usize,
-) -> usize {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-    let per_run = per_run
-        .or_else(crate::engine::sim_threads_from_env)
-        .unwrap_or(1)
-        .max(1);
-    let want = jobs.unwrap_or(cores).max(1);
-    if per_run <= 1 {
-        // Serial runs: an explicit jobs request is honoured verbatim
-        // (tests deliberately run more workers than cores).
-        return want.min(pending.max(1));
-    }
-    let cap = (cores / per_run).max(1);
-    if want > cap && !OVERSUBSCRIPTION_WARNED.swap(true, Ordering::Relaxed) {
-        eprintln!(
-            "warning: {want} matrix job(s) x {per_run} sim thread(s) per run \
-             oversubscribes {cores} core(s); capping jobs at {cap}"
-        );
-    }
-    want.min(cap).min(pending.max(1))
+/// Size a matrix worker pool: `jobs` workers (`None` = all available
+/// cores), never more than there are cells left to run. An explicit
+/// request is honoured verbatim — tests deliberately run more workers
+/// than cores.
+pub(crate) fn matrix_worker_threads(jobs: Option<usize>, pending: usize) -> usize {
+    let want = jobs.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
+    want.max(1).min(pending.max(1))
 }
 
 /// [`run_matrix`] with an explicit cap on worker threads (`None` = all
 /// available cores). `Some(1)` runs the matrix sequentially on the
 /// calling thread's schedule — useful for benchmarking and for keeping
-/// memory bounded on small machines. When runs themselves are parallel
-/// (`TCMP_SIM_THREADS`), the pool shrinks so jobs × sim-threads stays
-/// within the machine (see [`matrix_worker_threads`]).
+/// memory bounded on small machines.
 pub fn run_matrix_jobs(
     cmp: &CmpConfig,
     specs: &[RunSpec],
     jobs: Option<usize>,
 ) -> Result<Vec<SimResult>, MatrixError> {
-    let threads = matrix_worker_threads(jobs, None, specs.len());
+    let threads = matrix_worker_threads(jobs, specs.len());
     let next = AtomicUsize::new(0);
     let results: Mutex<Vec<Option<Result<SimResult, SimError>>>> =
         Mutex::new((0..specs.len()).map(|_| None).collect());

@@ -31,6 +31,8 @@
 //!   cold-start prefix skip it, with load-time digest verification
 //!   quarantining torn or corrupted checkpoints.
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod engine;
 pub mod experiment;

@@ -69,20 +69,6 @@ impl CmpSimulator {
         self.engine.now()
     }
 
-    /// Worker threads the scheduler actually runs with (1 = serial).
-    /// Requested via [`SimConfig::sim_threads`]; the engine clamps to the
-    /// tile count and falls back to serial when a fault campaign is
-    /// enabled. Results are bit-identical for every value.
-    pub fn sim_threads(&self) -> usize {
-        self.engine.sim_threads()
-    }
-
-    /// The parallel scheduler's conservative cross-tile lookahead in
-    /// cycles (`None` when stepping serially).
-    pub fn epoch_lookahead(&self) -> Option<Cycle> {
-        self.engine.epoch_lookahead()
-    }
-
     /// Turn on per-phase wall-clock attribution (also enabled by
     /// `TCMP_PROFILE=1`). Read the result with
     /// [`CmpSimulator::phase_profile`]. Profiling never changes a

@@ -20,6 +20,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod core;
 pub mod sync;
 pub mod trace;

@@ -37,9 +37,9 @@ impl TraceOp {
 }
 
 /// A streaming producer of trace operations. Generators implement this to
-/// avoid materialising multi-million-op traces. `Send` because the epoch
-/// scheduler steps cores (and therefore pulls from their op sources) on
-/// worker threads.
+/// avoid materialising multi-million-op traces. `Send` because machine
+/// snapshots (which hold each core's op source) are shared between the
+/// campaign service's worker threads through its checkpoint cache.
 pub trait OpSource: Send {
     /// The next operation, or `None` when the stream ends.
     fn next_op(&mut self) -> Option<TraceOp>;

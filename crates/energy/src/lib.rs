@@ -12,6 +12,8 @@
 //!   interconnect and compression hardware, with the link-level and
 //!   full-CMP **Energy-Delay² Product** used throughout Section 5.
 
+#![forbid(unsafe_code)]
+
 pub mod breakdown;
 pub mod core_power;
 

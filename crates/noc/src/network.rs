@@ -114,51 +114,6 @@ impl<P> Noc<P> {
         Ok(())
     }
 
-    /// Inject one cycle's worth of messages in order, draining `msgs` —
-    /// the batched ingress path the epoch merge uses. Runs of consecutive
-    /// messages sharing a (src, dst, channel) triple (the common shape
-    /// after a merge, where one tile's traffic to one peer sits adjacent)
-    /// are handed to the sub-network as a single run. Equivalent to
-    /// calling [`Noc::inject`] per message; all channels are validated up
-    /// front, so on error nothing has been injected and the offending
-    /// message's index is reported.
-    pub fn inject_batch(
-        &mut self,
-        now: Cycle,
-        msgs: &mut Vec<Message<P>>,
-    ) -> Result<(), (usize, ChannelUnavailable)> {
-        for (i, m) in msgs.iter().enumerate() {
-            if self.channel_map[m.channel.index()].is_none() {
-                return Err((i, ChannelUnavailable { channel: m.channel }));
-            }
-        }
-        self.injected.add(msgs.len() as u64);
-        // Pre-compute (run length, subnet) over shared-(src, dst, channel)
-        // runs, then drain the vector through them.
-        let mut i = 0;
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        while i < msgs.len() {
-            let (src, dst, ch) = (msgs[i].src, msgs[i].dst, msgs[i].channel);
-            let mut j = i + 1;
-            while j < msgs.len()
-                && msgs[j].src == src
-                && msgs[j].dst == dst
-                && msgs[j].channel == ch
-            {
-                j += 1;
-            }
-            let idx = self.channel_map[ch.index()].expect("validated above");
-            runs.push((j - i, idx));
-            i = j;
-        }
-        let mut it = msgs.drain(..);
-        for (len, idx) in runs {
-            let src = it.as_slice()[0].src;
-            self.subnets[idx].inject_run(now, src, len, &mut it);
-        }
-        Ok(())
-    }
-
     /// Park a message until `release_at`, then inject it (fault-injection
     /// delay hook). The message is already compressed/sized, so holding it
     /// here — rather than at the sender — leaves codec state untouched.
@@ -204,10 +159,7 @@ impl<P> Noc<P> {
     }
 
     /// Re-inject fault-held messages whose release cycle has arrived.
-    /// Called by [`Noc::tick_into`]; the parallel scheduler calls it
-    /// separately before ticking sub-networks on worker threads (held
-    /// release mutates shared injection state, so it stays serial).
-    pub fn release_held(&mut self, now: Cycle) {
+    fn release_held(&mut self, now: Cycle) {
         if self.held.is_empty() {
             return;
         }
@@ -220,15 +172,6 @@ impl<P> Noc<P> {
                 i += 1;
             }
         }
-    }
-
-    /// Split borrow for the parallel tick: the sub-networks (each advanced
-    /// independently on its own accumulators) plus the shared read-only
-    /// router energy model. Call [`Noc::release_held`] first and drain
-    /// each sub-network in index order afterwards to reproduce
-    /// [`Noc::tick_into`] exactly.
-    pub fn subnets_mut(&mut self) -> (&mut [SubNet<P>], &RouterEnergyModel) {
-        (&mut self.subnets, &self.energy_model)
     }
 
     /// True when no message is anywhere in the network.
@@ -283,8 +226,7 @@ impl<P> Noc<P> {
     }
 
     /// Dynamic energy accumulated so far: the per-sub-network accumulators
-    /// summed in fixed sub-network order, so the result is bit-identical
-    /// for any number of simulation threads.
+    /// summed in fixed sub-network order.
     pub fn energy(&self) -> NocEnergy {
         let mut total = NocEnergy::default();
         for s in &self.subnets {
@@ -482,57 +424,6 @@ mod tests {
             delivered[0].injected_at >= 25,
             "latency accounting starts at release, not at hold"
         );
-    }
-
-    #[test]
-    fn batch_injection_matches_per_message_injection() {
-        let cfg = CmpConfig::default();
-        let mk =
-            || -> Noc<u32> { Noc::new(cfg.mesh, NocConfig::baseline(&cfg.network, cfg.clock_hz)) };
-        let batch = vec![
-            msg(0, 5, 67, ChannelKind::B),
-            msg(0, 5, 11, ChannelKind::B), // same (src, dst): one run
-            msg(3, 5, 67, ChannelKind::B),
-            msg(9, 2, 11, ChannelKind::B),
-        ];
-        let log = |noc: &mut Noc<u32>| -> Vec<(usize, usize, Cycle)> {
-            let mut out = Vec::new();
-            for now in 0..500 {
-                for d in noc.tick(now) {
-                    out.push((d.message.src.index(), d.message.dst.index(), d.delivered_at));
-                }
-                if noc.is_idle() {
-                    break;
-                }
-            }
-            out
-        };
-        let mut one_by_one = mk();
-        for m in batch.clone() {
-            one_by_one.inject(0, m).unwrap();
-        }
-        let mut batched = mk();
-        let mut msgs = batch;
-        batched.inject_batch(0, &mut msgs).unwrap();
-        assert!(msgs.is_empty(), "batch is drained");
-        assert_eq!(batched.stats().injected.get(), 4);
-        assert_eq!(log(&mut batched), log(&mut one_by_one));
-    }
-
-    #[test]
-    fn batch_injection_validates_before_injecting_anything() {
-        let cfg = CmpConfig::default();
-        let mut noc: Noc<u32> = Noc::new(cfg.mesh, NocConfig::baseline(&cfg.network, cfg.clock_hz));
-        let mut msgs = vec![
-            msg(0, 1, 67, ChannelKind::B),
-            msg(0, 1, 4, ChannelKind::Vl), // not configured
-        ];
-        let (i, err) = noc.inject_batch(0, &mut msgs).unwrap_err();
-        assert_eq!(i, 1);
-        assert_eq!(err.channel, ChannelKind::Vl);
-        assert_eq!(msgs.len(), 2, "nothing consumed on error");
-        assert!(noc.is_idle(), "nothing injected on error");
-        assert_eq!(noc.stats().injected.get(), 0);
     }
 
     #[test]

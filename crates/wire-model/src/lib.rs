@@ -19,6 +19,8 @@
 //! Section 4.3 (75-byte B-Wire link → 34 bytes of B-Wires + 3–5 bytes of
 //! VL-Wires).
 
+#![forbid(unsafe_code)]
+
 pub mod link;
 pub mod rc;
 pub mod repeater;

@@ -21,6 +21,8 @@
 //! interpreted by the streaming [`generator::TraceGen`]. Traces are
 //! deterministic given (application, core, seed).
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod generator;
 pub mod profile;

@@ -143,30 +143,3 @@ fn snapshot_transplant_across_directories_is_refused() {
     while heir.step().expect("heir runs after the refusal") {}
     heir.finish();
 }
-
-/// The checkpoint carries the simulated machine, not the execution
-/// strategy: a serial-donor snapshot must replay bit-identically in
-/// engines stepping with 2 and 8 epoch-scheduler threads
-/// ([`SimConfig::sim_threads`]), and vice versa.
-#[test]
-fn snapshot_round_trips_across_thread_counts() {
-    let app = apps::fft();
-
-    let mut donor = CmpSimulator::new(proposal_cfg(), &app, SEED, SCALE);
-    let (snap, straight) = run_with_checkpoint(&mut donor, 400);
-
-    for threads in [2usize, 8] {
-        let mut cfg = proposal_cfg();
-        cfg.sim_threads = Some(threads);
-        let mut heir = CmpSimulator::new(cfg, &app, SEED, SCALE);
-        assert_eq!(heir.sim_threads(), threads, "parallel heir engine");
-        heir.restore(&snap);
-        while heir.step().expect("parallel replay completes") {}
-        let replay = heir.finish();
-        assert_identical(
-            &straight,
-            &replay,
-            &format!("serial checkpoint into {threads}-thread engine"),
-        );
-    }
-}
