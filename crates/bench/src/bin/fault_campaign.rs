@@ -508,7 +508,7 @@ fn main() {
         args.scale
     };
     let mut table = TableBuilder::new(
-        &format!(
+        format!(
             "Fault campaigns — proposal configuration (16-entry DBRC, 4B VL, {} directory)",
             args.directory.label()
         ),
@@ -525,13 +525,13 @@ fn main() {
 
     // Run the per-app campaigns, sequentially or on a small worker pool;
     // results land in per-app slots so the table order is stable either way.
-    let rows: Vec<Option<(Vec<String>, Tally)>> = if args.jobs <= 1 {
+    type AppRow = Option<(Vec<String>, Tally)>;
+    let rows: Vec<AppRow> = if args.jobs <= 1 {
         apps.iter()
             .map(|app| Some(run_app_campaigns(app, &args, scale)))
             .collect()
     } else {
-        let slots: Mutex<Vec<Option<(Vec<String>, Tally)>>> =
-            Mutex::new(apps.iter().map(|_| None).collect());
+        let slots: Mutex<Vec<AppRow>> = Mutex::new(apps.iter().map(|_| None).collect());
         let next = AtomicUsize::new(0);
         let workers = args.jobs.min(apps.len().max(1));
         std::thread::scope(|scope| {

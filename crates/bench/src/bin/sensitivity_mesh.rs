@@ -36,7 +36,7 @@ fn main() {
     };
 
     let mut t = TableBuilder::new(
-        &format!(
+        format!(
             "Sensitivity — mesh size (proposal vs baseline, 4-entry DBRC 2B LO, {} directory)",
             directory.label()
         ),

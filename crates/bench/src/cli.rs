@@ -172,7 +172,7 @@ impl Options {
     }
 
     fn validate(&self) -> Result<(), String> {
-        if !(self.scale > 0.0) {
+        if self.scale.is_nan() || self.scale <= 0.0 {
             return Err("--scale must be positive".to_string());
         }
         if self.jobs == Some(0) {

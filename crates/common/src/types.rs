@@ -110,6 +110,13 @@ impl MessageClass {
         MessageClass::PartialReply,
     ];
 
+    /// Position of this class in [`MessageClass::ALL`]: the dense index
+    /// of per-class tables and the persisted tag.
+    #[inline]
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Whether the message sits on the critical path of an L1 miss
     /// (Section 4.2). Replacements and revision-style coherence replies are
     /// the non-critical ones.
@@ -239,11 +246,7 @@ impl crate::persist::Persist for TileId {
 
 impl crate::persist::Persist for MessageClass {
     fn save(&self, w: &mut crate::persist::ByteWriter) {
-        let tag = MessageClass::ALL
-            .iter()
-            .position(|c| c == self)
-            .unwrap_or(0) as u8;
-        w.u8(tag);
+        w.u8(self.index() as u8);
     }
     fn load(r: &mut crate::persist::ByteReader) -> Result<Self, crate::persist::PersistError> {
         let tag = r.u8()? as usize;
@@ -298,6 +301,13 @@ mod tests {
         assert!(!MessageClass::Revision.is_critical());
         assert!(!MessageClass::ReplacementData.is_critical());
         assert!(!MessageClass::ReplacementNoData.is_critical());
+    }
+
+    #[test]
+    fn class_index_is_the_position_in_all() {
+        for (i, class) in MessageClass::ALL.into_iter().enumerate() {
+            assert_eq!(class.index(), i, "{class:?}");
+        }
     }
 
     #[test]

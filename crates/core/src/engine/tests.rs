@@ -285,7 +285,7 @@ fn sanitizer_sweeps_are_neutral_on_a_clean_run() {
 fn desync_faults_are_detected_and_recovered() {
     let app = synthetic::hotspot(1_500, 64);
     let mut cfg = compressed_cfg();
-    cfg.faults = FaultConfig::desync_only(0xDE57_AC, 0.02, 50);
+    cfg.faults = FaultConfig::desync_only(0x00DE_57AC, 0.02, 50);
     let r = run_app(&app, cfg, 1.0);
     assert!(r.fault_stats.desyncs.get() > 0, "campaign must fire");
     assert!(r.resync.desyncs_detected > 0, "tags must catch divergence");

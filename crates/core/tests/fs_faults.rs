@@ -248,7 +248,8 @@ fn hand_corrupted_files_are_quarantined_on_load_and_on_scan() {
     let good = warm_snapshot(&cfg);
     let path_of = |root: &PathBuf| root.join(format!("{}-{:016x}.ckpt", key.0, key.1));
 
-    let corruptions: &[(&str, fn(&mut Vec<u8>))] = &[
+    type Corruption = (&'static str, fn(&mut Vec<u8>));
+    let corruptions: &[Corruption] = &[
         ("truncate", |b| b.truncate(b.len() / 2)),
         ("bitrot", |b| {
             let mid = b.len() / 2;
@@ -344,7 +345,7 @@ fn quarantine_is_pruned_oldest_first_under_its_bounds() {
     let mut sorted = kept.clone();
     sorted.sort();
     assert!(
-        sorted[0] > "q00000003".to_string(),
+        sorted[0].as_str() > "q00000003",
         "the survivors are the newest artifacts: {sorted:?}"
     );
 }

@@ -70,10 +70,11 @@ impl<P> Noc<P> {
     /// Build the network for `config` on `mesh`.
     pub fn new(mesh: MeshShape, config: NocConfig) -> Self {
         config.validate().expect("valid NoC config");
+        let energy_model = RouterEnergyModel::default();
         let subnets: Vec<SubNet<P>> = config
             .channels
             .iter()
-            .map(|spec| SubNet::new(*spec, mesh, config.clock_hz))
+            .map(|spec| SubNet::new(*spec, mesh, config.clock_hz, &energy_model))
             .collect();
         let mut channel_map = [None; CHANNEL_KINDS];
         for (i, spec) in config.channels.iter().enumerate() {
@@ -85,7 +86,7 @@ impl<P> Noc<P> {
             subnets,
             channel_map,
             held: std::collections::VecDeque::new(),
-            energy_model: RouterEnergyModel::default(),
+            energy_model,
             injected: Counter::default(),
         }
     }
@@ -153,7 +154,7 @@ impl<P> Noc<P> {
             if !subnet.has_work(now) {
                 continue;
             }
-            subnet.tick(now, &self.energy_model);
+            subnet.tick(now);
             subnet.drain_delivered_into(out);
         }
     }

@@ -326,7 +326,7 @@ cmp_common::impl_persist!(BufferedFlit { flit, arrived });
 /// restored ring layout (`head = 0`) is behaviourally identical even
 /// when the captured ring was mid-wrap. The stored VC count doubles as
 /// a shape check — a checkpoint from a differently-shaped network
-/// refuses to load.
+/// refuses to load — and every stored index or count is range-checked.
 impl PersistState for RouterArray {
     fn save_state(&self, w: &mut ByteWriter) {
         w.usize(self.len.len());
@@ -363,9 +363,24 @@ impl PersistState for RouterArray {
                 self.buf[f * self.depth + i] = Persist::load(r)?;
             }
             self.route[f] = Persist::load(r)?;
-            self.out_vc[f] = r.u8()?;
-            self.owner[f] = Persist::load(r)?;
-            self.credits[f] = r.usize()?;
+            // `out_vc`, `owner` and `credits` steer unchecked indexing
+            // and the credit protocol: a value no run could have
+            // produced must be refused here, not trusted there.
+            let out_vc = r.u8()?;
+            if out_vc != NO_OUT && out_vc as usize >= self.nvc {
+                return Err(r.err("allocated output VC out of range"));
+            }
+            self.out_vc[f] = out_vc;
+            let owner: Option<(u8, u8)> = Persist::load(r)?;
+            if owner.is_some_and(|(p, v)| p as usize >= PORTS || v as usize >= self.nvc) {
+                return Err(r.err("output VC owner out of range"));
+            }
+            self.owner[f] = owner;
+            let credits = r.usize()?;
+            if (f / self.nvc) % PORTS != LOCAL && credits > self.depth {
+                return Err(r.err("link-port credit count out of range"));
+            }
+            self.credits[f] = credits;
         }
         let rr: Vec<u32> = Persist::load(r)?;
         if rr.len() != self.rr.len() {
@@ -489,5 +504,52 @@ mod tests {
         let mut wrong = RouterArray::new(3, 2, 3);
         let mut rd = ByteReader::new(&bytes);
         assert!(wrong.load_state(&mut rd).is_err());
+    }
+
+    /// Save `patched` (a valid router array with one field set to a
+    /// value no run produces) and load it into a fresh array of the same
+    /// geometry: the error message, never a panic.
+    fn load_error(patched: &RouterArray) -> String {
+        let mut w = ByteWriter::new();
+        patched.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut fresh = RouterArray::new(2, 2, 3);
+        fresh
+            .load_state(&mut ByteReader::new(&bytes))
+            .expect_err("out-of-range field must be refused")
+            .to_string()
+    }
+
+    #[test]
+    fn out_of_range_out_vc_is_refused() {
+        let mut r = RouterArray::new(2, 2, 3);
+        r.set_out_vc(r.vc_index(1, 0, 1), 2); // only VCs 0 and 1 exist
+        let err = load_error(&r);
+        assert!(err.contains("output VC out of range"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_owner_is_refused() {
+        for owner in [(PORTS, 0), (0, 2)] {
+            let mut r = RouterArray::new(2, 2, 3);
+            r.set_owner(r.vc_index(0, 3, 0), Some(owner));
+            let err = load_error(&r);
+            assert!(err.contains("owner out of range"), "{owner:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn link_port_credits_beyond_the_buffer_depth_are_refused() {
+        let mut r = RouterArray::new(2, 2, 3);
+        r.add_credit(r.vc_index(0, 1, 0)); // 4 credits for 3 slots
+        let err = load_error(&r);
+        assert!(err.contains("credit count out of range"), "{err}");
+        // the local port's effectively infinite pool is legal
+        let mut w = ByteWriter::new();
+        RouterArray::new(2, 2, 3).save_state(&mut w);
+        let bytes = w.into_bytes();
+        RouterArray::new(2, 2, 3)
+            .load_state(&mut ByteReader::new(&bytes))
+            .expect("pristine array loads");
     }
 }

@@ -44,16 +44,9 @@ impl NocStats {
         Self::default()
     }
 
-    fn class_index(class: MessageClass) -> usize {
-        MessageClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("class in ALL")
-    }
-
     /// Record a delivered message.
     pub fn record_delivery(&mut self, class: MessageClass, wire_bytes: usize, latency: Cycle) {
-        let s = &mut self.per_class[Self::class_index(class)];
+        let s = &mut self.per_class[class.index()];
         s.count.inc();
         s.bytes.add(wire_bytes as u64);
         s.latency.record(latency);
@@ -82,7 +75,7 @@ impl NocStats {
 
     /// Accounting for one class.
     pub fn class(&self, class: MessageClass) -> &ClassStats {
-        &self.per_class[Self::class_index(class)]
+        &self.per_class[class.index()]
     }
 
     /// Total delivered messages.

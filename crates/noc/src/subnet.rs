@@ -18,6 +18,7 @@ use std::collections::VecDeque;
 
 use cmp_common::geometry::{Direction, MeshShape};
 use cmp_common::types::{Cycle, MessageClass, TileId};
+use cmp_common::units::Joules;
 
 use crate::config::ChannelSpec;
 use crate::energy::{NocEnergy, RouterEnergyModel};
@@ -96,28 +97,40 @@ pub struct SubNet<P> {
     /// `neighbors[tile][Direction::index()]` for the four link ports;
     /// `u32::MAX` at a mesh edge.
     neighbors: Vec<[u32; 4]>,
+    /// Input port of each flat input VC (`flat = port·nvc + vc`): the
+    /// allocator's `flat / nvc` without a runtime divide.
+    flat_port: [u8; 32],
+    /// Dynamic router energy of a flit by its byte count
+    /// (`RouterEnergyModel::flit_energy`, tabulated for
+    /// `0..=width_bytes` so the grant path indexes instead of
+    /// multiplying; same function, same `f64`s).
+    router_energy_by_bytes: Vec<Joules>,
+    /// Dynamic link energy of a flit by its byte count
+    /// (`Channel::dyn_energy_for_bytes(bytes, 0.5)`, tabulated likewise).
+    link_energy_by_bytes: Vec<Joules>,
     // --- activity tracking derived from the state above (rebuilt on
     // restore, never persisted) ---
-    /// Bitmap of routers holding any buffered flit (bit = tile id);
-    /// the iteration-order-preserving form of scanning
-    /// `flits_buffered` for non-zero entries.
-    router_occupied: Vec<u64>,
     /// Bitmap of tiles whose NI has injection work queued or in
     /// progress (bit = tile id).
     inj_active: Vec<u64>,
-    /// Per-router cycle before which the allocation scan provably
-    /// finds no eligible head flit (every buffered flit still in its
-    /// router pipeline). 0 = unknown, scan. Skipping a router while
-    /// `now < next_ready` changes no state, so behaviour is
-    /// bit-identical to the full scan.
-    next_ready: Vec<Cycle>,
     /// Bitmap of *armed* input VCs per router (bit = port·nvc + vc):
     /// non-empty, head flit out of the router pipeline, route cached.
     /// Maintained incrementally — armed on head maturation (directly or
-    /// via `mature_ring`), re-evaluated on every head pop — so the
-    /// allocation scan never probes buffers or compares arrival stamps;
-    /// armed ⟺ the old per-cycle gather would find the VC eligible.
+    /// via `mature_ring`), re-evaluated on every head pop — so switch
+    /// allocation never probes buffers or compares arrival stamps.
     vc_armed: Vec<u32>,
+    /// Request word per output port, `req[tile·PORTS + out]`: the armed
+    /// input VCs (bit = port·nvc + vc) whose cached route is `out`.
+    /// `vc_armed` split by route — set where a VC is armed, cleared
+    /// where its armed bit is — so an output port arbitrates over one
+    /// word and nothing is gathered per cycle.
+    req: Vec<u32>,
+    /// Bitmap of routers switch allocation must visit (bit = tile id):
+    /// set when a VC is armed and when a 0→1 credit return reaches a
+    /// router with a request for that output, cleared when a visit
+    /// grants nothing or leaves nothing armed. A router off the bitmap
+    /// cannot grant: its state only changes through those two events.
+    router_ready: Vec<u64>,
     /// Head-maturation calendar: slot `cycle % len` holds the
     /// (tile, flat VC) pairs whose head flit leaves the router pipeline
     /// at `cycle`. Length `pipeline_wait + 1`, so every pending
@@ -126,15 +139,9 @@ pub struct SubNet<P> {
     /// are never stale.
     mature_ring: Vec<Vec<(u32, u32)>>,
     /// False after a state restore until [`SubNet::tick`] has rebuilt
-    /// `vc_armed` and `mature_ring` (they depend on the clock, which
-    /// `load_state` does not see).
+    /// `vc_armed`, `req`, `router_ready` and `mature_ring` (they depend
+    /// on the clock, which `load_state` does not see).
     eligibility_fresh: bool,
-    /// Switch-allocation scratch, hoisted out of the per-tick loop:
-    /// per output port, the eligible (in_port, in_vc) requesters in
-    /// ascending flat order. Bucketing at gather time lets each output
-    /// arbitrate over exactly its own requesters instead of rescanning
-    /// one combined list per port.
-    requesters_scratch: [Vec<(u8, u8)>; PORTS],
     /// Flits in flight on links. Constant link latency makes this FIFO by
     /// arrival time.
     wire: VecDeque<WireFlit>,
@@ -161,8 +168,9 @@ pub struct SubNet<P> {
 }
 
 impl<P> SubNet<P> {
-    /// Build the sub-network for `spec` on `mesh`.
-    pub fn new(spec: ChannelSpec, mesh: MeshShape, clock_hz: f64) -> Self {
+    /// Build the sub-network for `spec` on `mesh`; `rem` is the router
+    /// energy model its per-flit energy table is computed from.
+    pub fn new(spec: ChannelSpec, mesh: MeshShape, clock_hz: f64, rem: &RouterEnergyModel) -> Self {
         let pipeline_cycles = spec.router_pipeline_cycles;
         assert!(pipeline_cycles >= 1, "router needs at least one stage");
         let link_cycles = spec.channel.timing(clock_hz).cycles;
@@ -189,6 +197,11 @@ impl<P> SubNet<P> {
             })
             .collect();
         let bitmap_words = tiles.div_ceil(64);
+        let mut flat_port = [0u8; 32];
+        for (flat, port) in flat_port.iter_mut().enumerate() {
+            *port = (flat / spec.virtual_channels) as u8;
+        }
+        let flit_sizes = 0..=spec.channel.width_bytes;
         SubNet {
             spec,
             mesh,
@@ -199,13 +212,17 @@ impl<P> SubNet<P> {
             vc_occupied: vec![0; tiles],
             coords,
             neighbors,
-            router_occupied: vec![0; bitmap_words],
+            flat_port,
+            router_energy_by_bytes: flit_sizes.clone().map(|b| rem.flit_energy(b)).collect(),
+            link_energy_by_bytes: flit_sizes
+                .map(|b| spec.channel.dyn_energy_for_bytes(b, 0.5))
+                .collect(),
             inj_active: vec![0; bitmap_words],
-            next_ready: vec![0; tiles],
             vc_armed: vec![0; tiles],
+            req: vec![0; tiles * PORTS],
+            router_ready: vec![0; bitmap_words],
             mature_ring: vec![Vec::new(); pipeline_cycles as usize],
             eligibility_fresh: true,
-            requesters_scratch: Default::default(),
             wire: VecDeque::new(),
             inj_queues: (0..tiles).map(|_| VecDeque::new()).collect(),
             inj_progress: vec![None; tiles],
@@ -280,24 +297,30 @@ impl<P> SubNet<P> {
     }
 
     /// Arm input VC `fvc` of `tile`: its head flit has cleared the
-    /// router pipeline and may arbitrate from cycle `now` on. Computes
+    /// router pipeline and may arbitrate from this cycle on. Computes
     /// the route on first need (wormhole: cached until the tail
-    /// departs) and wakes the router.
-    fn arm_vc(&mut self, tile: usize, fvc: usize, now: Cycle) {
+    /// departs), files the request with that output port and readies
+    /// the router.
+    fn arm_vc(&mut self, tile: usize, fvc: usize) {
         let f = self.routers.vc_index(tile, 0, 0) + fvc;
-        if self.routers.route(f).is_none() {
-            let msg = self
-                .routers
-                .front(f)
-                .expect("armed VC holds flits")
-                .flit
-                .msg;
-            let entry = self.slab[msg as usize].as_ref().expect("live");
-            let d = self.route_dir(tile, entry.dst.index());
-            self.routers.set_route(f, d);
-        }
+        let out_dir = match self.routers.route(f) {
+            Some(d) => d,
+            None => {
+                let msg = self
+                    .routers
+                    .front(f)
+                    .expect("armed VC holds flits")
+                    .flit
+                    .msg;
+                let entry = self.slab[msg as usize].as_ref().expect("live");
+                let d = self.route_dir(tile, entry.dst.index());
+                self.routers.set_route(f, d);
+                d
+            }
+        };
         self.vc_armed[tile] |= 1 << fvc;
-        self.next_ready[tile] = self.next_ready[tile].min(now);
+        self.req[tile * PORTS + out_dir.index()] |= 1 << fvc;
+        set_bit(&mut self.router_ready, tile);
     }
 
     /// A freshly-exposed head flit of `(tile, fvc)` matures at `at`:
@@ -305,7 +328,7 @@ impl<P> SubNet<P> {
     /// maturation ring.
     fn schedule_head(&mut self, tile: usize, fvc: usize, at: Cycle, now: Cycle) {
         if at <= now {
-            self.arm_vc(tile, fvc, now);
+            self.arm_vc(tile, fvc);
         } else {
             debug_assert!(at - now < self.mature_ring.len() as u64);
             let slot = (at % self.mature_ring.len() as u64) as usize;
@@ -321,21 +344,25 @@ impl<P> SubNet<P> {
         }
         let mut due = std::mem::take(&mut self.mature_ring[slot]);
         for &(tile, fvc) in &due {
-            self.arm_vc(tile as usize, fvc as usize, now);
+            self.arm_vc(tile as usize, fvc as usize);
         }
         due.clear();
         self.mature_ring[slot] = due;
     }
 
-    /// Rebuild `vc_armed` and `mature_ring` from the buffered flits —
-    /// the clock-dependent part of a state restore, run on the first
-    /// tick after `load_state`.
+    /// Rebuild `vc_armed`, `req`, `router_ready` and `mature_ring` from
+    /// the buffered flits — the clock-dependent part of a state
+    /// restore, run on the first tick after `load_state`. Every router
+    /// with an armed VC comes back ready; one that was parked grantless
+    /// is visited once more, grants nothing again and parks.
     fn rebuild_eligibility(&mut self, now: Cycle) {
         self.eligibility_fresh = true;
         for ring in &mut self.mature_ring {
             ring.clear();
         }
         self.vc_armed.fill(0);
+        self.req.fill(0);
+        self.router_ready.fill(0);
         for tile in 0..self.mesh.tiles() {
             let mut occ = self.vc_occupied[tile];
             while occ != 0 {
@@ -364,14 +391,14 @@ impl<P> SubNet<P> {
     // saturated 4x4 hotspot ran ~4 % slower and the sparse 16x16 mesh
     // ~2.5 % slower (interleaved pairs, 10 of 11 and 6 of 6).
     #[inline(never)]
-    pub fn tick(&mut self, now: Cycle, rem: &RouterEnergyModel) {
+    pub fn tick(&mut self, now: Cycle) {
         if !self.eligibility_fresh {
             self.rebuild_eligibility(now);
         }
         self.deliver_wire_arrivals(now);
         self.inject_flits(now);
         self.drain_matured(now);
-        self.switch_traversal(now, rem);
+        self.switch_traversal(now);
         debug_assert_eq!(
             self.buffered_total,
             self.flits_buffered.iter().map(|&n| n as u64).sum::<u64>()
@@ -381,6 +408,39 @@ impl<P> SubNet<P> {
             self.inj_queues.iter().map(|q| q.len()).sum::<usize>()
                 + self.inj_progress.iter().filter(|p| p.is_some()).count()
         );
+        debug_assert!(self.masks_consistent());
+    }
+
+    /// Whether the event-kept masks agree with the state they are
+    /// derived from (debug builds check this after every tick): per
+    /// tile the request words partition `vc_armed` by cached route, and
+    /// a router that is armed yet off the ready bitmap has nothing it
+    /// could grant — its last visit granted nothing and no event since
+    /// changed that.
+    fn masks_consistent(&self) -> bool {
+        let nvc = self.spec.virtual_channels;
+        (0..self.mesh.tiles()).all(|tile| {
+            let base_tile = self.routers.vc_index(tile, 0, 0);
+            let words = &self.req[tile * PORTS..(tile + 1) * PORTS];
+            let ready = self.router_ready[tile >> 6] & (1 << (tile & 63)) != 0;
+            let mut union = 0u32;
+            let mut filed_by_route = true;
+            let mut grantable = false;
+            for (out_idx, &word) in words.iter().enumerate() {
+                union |= word;
+                let mut bits = word;
+                while bits != 0 {
+                    let fin = base_tile + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    filed_by_route &=
+                        self.routers.route(fin).map(Direction::index) == Some(out_idx);
+                    grantable |= self
+                        .grantable_out_vc(fin, base_tile + out_idx * nvc, nvc)
+                        .is_some();
+                }
+            }
+            union == self.vc_armed[tile] && filed_by_route && (ready || !grantable)
+        })
     }
 
     /// Phase (a): link arrivals land in downstream input buffers.
@@ -396,7 +456,6 @@ impl<P> SubNet<P> {
             self.buffered_total += 1;
             let fvc = wf.dst_port * self.spec.virtual_channels + wf.vc;
             self.vc_occupied[wf.dst_tile] |= 1 << fvc;
-            set_bit(&mut self.router_occupied, wf.dst_tile);
             // Only a newly-exposed *head* changes what the switch can
             // do: a push onto a non-empty VC leaves every head flit —
             // hence every arbitration outcome — untouched.
@@ -471,7 +530,6 @@ impl<P> SubNet<P> {
         self.buffered_total += 1;
         let fvc = LOCAL * self.spec.virtual_channels + p.vc;
         self.vc_occupied[tile] |= 1 << fvc;
-        set_bit(&mut self.router_occupied, tile);
         if self.routers.vc_len(f) == 1 {
             self.schedule_head(tile, fvc, now + self.pipeline_wait, now);
         }
@@ -487,254 +545,208 @@ impl<P> SubNet<P> {
         }
     }
 
-    /// Phase (c): switch allocation and traversal at every router
-    /// holding flits, in ascending tile order (the `router_occupied`
-    /// bitmap iterates exactly the tiles the full scan would visit).
-    /// Routers whose buffered flits are all still inside the router
-    /// pipeline are skipped via `next_ready` — provably no-op cycles.
-    fn switch_traversal(&mut self, now: Cycle, rem: &RouterEnergyModel) {
-        let nvc = self.spec.virtual_channels;
-        let candidates = PORTS * nvc;
-        for w in 0..self.router_occupied.len() {
-            let mut word = self.router_occupied[w];
-            while word != 0 {
-                let tile = (w << 6) + word.trailing_zeros() as usize;
-                word &= word - 1;
-                if now < self.next_ready[tile] {
-                    continue;
+    /// Phase (c): switch allocation and traversal at every router on
+    /// the `router_ready` bitmap, in ascending tile order. The word is
+    /// re-read after each router: a credit return that readies a
+    /// higher-indexed router of the same word must still act this
+    /// cycle, as it would under a scan of every router.
+    fn switch_traversal(&mut self, now: Cycle) {
+        for w in 0..self.router_ready.len() {
+            let mut visited = 0u64;
+            loop {
+                let word = self.router_ready[w] & !visited;
+                if word == 0 {
+                    break;
                 }
-                self.traverse_router(now, rem, tile, nvc, candidates);
+                let bit = word.trailing_zeros();
+                visited = u64::MAX >> (63 - bit);
+                self.traverse_router(now, (w << 6) + bit as usize);
             }
         }
     }
 
+    /// The output VC of group `fout` that input VC `fin` may send its
+    /// head flit to right now: the one its message already holds, or
+    /// for a head flit the first free one — provided a downstream
+    /// buffer slot (credit) is left.
+    #[inline]
+    fn grantable_out_vc(&self, fin: usize, fout: usize, nvc: usize) -> Option<usize> {
+        let ovc = match self.routers.out_vc(fin) {
+            Some(v) => v,
+            None => (0..nvc).find(|&v| self.routers.owner(fout + v).is_none())?,
+        };
+        (self.routers.credits(fout + ovc) != 0).then_some(ovc)
+    }
+
     /// Switch allocation and traversal at one router (see
     /// [`SubNet::switch_traversal`]).
-    fn traverse_router(
-        &mut self,
-        now: Cycle,
-        rem: &RouterEnergyModel,
-        tile: usize,
-        nvc: usize,
-        candidates: usize,
-    ) {
+    fn traverse_router(&mut self, now: Cycle, tile: usize) {
+        let nvc = self.spec.virtual_channels;
+        let candidates = PORTS * nvc;
         // Flat index of this tile's (port 0, VC 0); every input or
         // output VC of the tile is `base_tile + port·nvc + vc`.
         let base_tile = self.routers.vc_index(tile, 0, 0);
-        // Output directions some eligible flit wants (bit = port index).
-        let mut wanted = 0u8;
-        {
-            // --- gather eligible head flits once per router ---
-            // `vc_armed` already encodes eligibility (non-empty, head
-            // out of the pipeline, route cached — see the field doc), so
-            // the gather is a pure bit scan: no front-flit loads, no
-            // maturity compares. Per-port submasks keep the ascending
-            // flat order of a plain scan while avoiding `/ nvc`,`% nvc`
-            // divides (`nvc` is runtime config, so the compiler cannot
-            // strength-reduce them). Requesters land in their output
-            // port's bucket, in ascending flat order — the order the
-            // combined-list scan would visit them in.
-            let armed = self.vc_armed[tile];
-            if armed == 0 {
-                // Nothing eligible: park until an event (maturation-ring
-                // drain, wire arrival, injection, 0→1 credit return)
-                // arms a VC and lowers `next_ready` again.
-                self.next_ready[tile] = Cycle::MAX;
-                return;
+        let port_vcs = (1u32 << nvc) - 1;
+        // Input VCs of every input port granted so far this cycle (one
+        // flit per input port per cycle).
+        let mut used_inputs = 0u32;
+        for out_dir in Direction::ALL {
+            let out_idx = out_dir.index();
+            let requests = self.req[tile * PORTS + out_idx] & !used_inputs;
+            if requests == 0 {
+                continue; // no eligible flit heads this way
             }
-            let mut requesters = std::mem::take(&mut self.requesters_scratch);
-            for bucket in &mut requesters {
-                bucket.clear();
-            }
-            for in_port in 0..PORTS {
-                let mut sub = (armed >> (in_port * nvc)) & ((1u32 << nvc) - 1);
-                while sub != 0 {
-                    let in_vc = sub.trailing_zeros() as usize;
-                    sub &= sub - 1;
-                    let f = base_tile + in_port * nvc + in_vc;
-                    let out_dir = self.routers.route(f).expect("armed VC has a cached route");
-                    wanted |= 1 << out_dir.index();
-                    requesters[out_dir.index()].push((in_port as u8, in_vc as u8));
+            let downstream = if out_idx == LOCAL {
+                None
+            } else {
+                match self.neighbors[tile][out_idx] {
+                    u32::MAX => continue, // mesh edge: no such link
+                    n => Some(TileId::from(n as usize)),
                 }
-            }
-            self.requesters_scratch = requesters;
-        }
-        let mut grants = 0u32;
-        {
-            let mut input_used = [false; PORTS];
-            for out_dir in Direction::ALL {
-                let out_idx = out_dir.index();
-                if wanted & (1 << out_idx) == 0 {
-                    continue; // no eligible flit heads this way
-                }
-                let downstream = if out_idx == LOCAL {
-                    None
-                } else {
-                    match self.neighbors[tile][out_idx] {
-                        u32::MAX => continue, // mesh edge: no such link
-                        n => Some(TileId::from(n as usize)),
-                    }
-                };
+            };
 
-                // --- round-robin selection among this port's requests ---
-                let start = self.routers.rr(tile, out_idx);
-                let fout = base_tile + out_idx * nvc; // output VC group base
-                let mut grant: Option<(usize, usize, usize)> = None; // (in_port, in_vc, out_vc)
-                let mut best_key = usize::MAX;
-                for &(in_port, in_vc) in &self.requesters_scratch[out_idx] {
-                    let (in_port, in_vc) = (in_port as usize, in_vc as usize);
-                    if input_used[in_port] {
-                        continue;
+            // --- round-robin selection among this port's requests ---
+            // The first request at or after the pointer that can be
+            // granted, wrapping to the ones below it.
+            let below_start = (1u32 << self.routers.rr(tile, out_idx)) - 1;
+            let fout = base_tile + out_idx * nvc; // output VC group base
+            let mut grant: Option<(usize, usize)> = None; // (input flat VC, out_vc)
+            'scan: for mut half in [requests & !below_start, requests & below_start] {
+                while half != 0 {
+                    let fvc = half.trailing_zeros() as usize;
+                    half &= half - 1;
+                    if let Some(ovc) = self.grantable_out_vc(base_tile + fvc, fout, nvc) {
+                        grant = Some((fvc, ovc));
+                        break 'scan;
                     }
-                    let flat = in_port * nvc + in_vc;
-                    // `(flat + candidates - start) % candidates` without
-                    // the runtime divide: both terms are < candidates.
-                    let mut key = flat + candidates - start;
-                    if key >= candidates {
-                        key -= candidates;
-                    }
-                    if key >= best_key {
-                        continue;
-                    }
-                    let ovc = match self.routers.out_vc(base_tile + flat) {
-                        Some(v) => v,
-                        None => {
-                            // head flit: allocate the first free output VC
-                            match (0..nvc).find(|&v| self.routers.owner(fout + v).is_none()) {
-                                Some(v) => v,
-                                None => continue,
-                            }
-                        }
-                    };
-                    if self.routers.credits(fout + ovc) == 0 {
-                        continue;
-                    }
-                    grant = Some((in_port, in_vc, ovc));
-                    best_key = key;
                 }
+            }
 
-                // --- apply the grant ---
-                let Some((in_port, in_vc, ovc)) = grant else {
-                    continue;
-                };
-                let next_rr = in_port * nvc + in_vc + 1;
-                self.routers.set_rr(
-                    tile,
-                    out_idx,
-                    if next_rr == candidates { 0 } else { next_rr },
-                );
-                input_used[in_port] = true;
-                grants += 1;
-                let fin = base_tile + in_port * nvc + in_vc;
-                if self.routers.out_vc(fin).is_none() {
-                    self.routers.set_out_vc(fin, ovc);
-                }
-                let bf = self.routers.pop_after_traversal(fin);
-                // Re-derive the popped VC's armed bit from its new head:
-                // emptied → disarm; same-message head still mature →
-                // stays armed (route untouched); otherwise disarm and
-                // reschedule (immediately if the new head is already
-                // mature — a tail pop resets the route, so re-arming
-                // recomputes it for the next message).
-                let fvc = in_port * nvc + in_vc;
-                if self.routers.vc_len(fin) == 0 {
-                    self.vc_occupied[tile] &= !(1 << fvc);
+            // --- apply the grant ---
+            let Some((fvc, ovc)) = grant else {
+                continue;
+            };
+            let in_port = self.flat_port[fvc] as usize;
+            let in_vc = fvc - in_port * nvc;
+            let next_rr = fvc + 1;
+            self.routers.set_rr(
+                tile,
+                out_idx,
+                if next_rr == candidates { 0 } else { next_rr },
+            );
+            used_inputs |= port_vcs << (in_port * nvc);
+            let fin = base_tile + fvc;
+            if self.routers.out_vc(fin).is_none() {
+                self.routers.set_out_vc(fin, ovc);
+            }
+            let bf = self.routers.pop_after_traversal(fin);
+            // Re-derive the popped VC's armed bit from its new head:
+            // emptied → disarm; same-message head still mature →
+            // stays armed (route untouched); otherwise disarm and
+            // reschedule (immediately if the new head is already
+            // mature — a tail pop resets the route, so re-arming
+            // recomputes it for the next message). The request bit
+            // goes with the armed bit, and it sits in this output's
+            // word: the granted output is the popped VC's route.
+            if self.routers.vc_len(fin) == 0 {
+                self.vc_occupied[tile] &= !(1 << fvc);
+                self.vc_armed[tile] &= !(1 << fvc);
+                self.req[tile * PORTS + out_idx] &= !(1 << fvc);
+            } else {
+                let head_ready =
+                    self.routers.front(fin).expect("non-empty").arrived + self.pipeline_wait;
+                if bf.flit.tail || head_ready > now {
                     self.vc_armed[tile] &= !(1 << fvc);
-                } else {
-                    let head_ready =
-                        self.routers.front(fin).expect("non-empty").arrived + self.pipeline_wait;
-                    if bf.flit.tail || head_ready > now {
-                        self.vc_armed[tile] &= !(1 << fvc);
-                        self.schedule_head(tile, fvc, head_ready, now);
-                    }
+                    self.req[tile * PORTS + out_idx] &= !(1 << fvc);
+                    self.schedule_head(tile, fvc, head_ready, now);
                 }
-                self.flits_buffered[tile] -= 1;
-                self.buffered_total -= 1;
-                if self.flits_buffered[tile] == 0 {
-                    clear_bit(&mut self.router_occupied, tile);
-                }
-                let flit = bf.flit;
-                let (wire_bytes, flits_total) = {
-                    let e = self.slab[flit.msg as usize].as_ref().expect("live");
-                    (e.wire_bytes, e.flits_total)
-                };
-                debug_assert!(flit.seq < flits_total);
-                let bytes = self.flit_bytes(wire_bytes, flit.seq);
-                self.energy.router_dynamic += rem.flit_energy(bytes);
+            }
+            self.flits_buffered[tile] -= 1;
+            self.buffered_total -= 1;
+            let flit = bf.flit;
+            let (wire_bytes, flits_total) = {
+                let e = self.slab[flit.msg as usize].as_ref().expect("live");
+                (e.wire_bytes, e.flits_total)
+            };
+            debug_assert!(flit.seq < flits_total);
+            let bytes = self.flit_bytes(wire_bytes, flit.seq);
+            self.energy.router_dynamic += self.router_energy_by_bytes[bytes];
 
-                // return the credit upstream (the flit freed a buffer slot)
-                if in_port != LOCAL {
-                    let upstream = self.neighbors[tile][in_port] as usize;
-                    debug_assert_ne!(upstream, u32::MAX as usize, "flit from a real neighbor");
-                    let up_out = OPPOSITE[in_port];
-                    let fu = self.routers.vc_index(upstream, up_out, in_vc);
-                    // A 0→1 credit transition can unblock a parked
-                    // upstream router: wake it (`now`, not `now + 1`,
-                    // so a later-indexed upstream still acts this very
-                    // cycle, exactly like the full scan). A return onto
-                    // a non-empty credit pool cannot change any
-                    // arbitration outcome, so no wake is needed.
-                    if self.routers.credits(fu) == 0 {
-                        self.next_ready[upstream] = self.next_ready[upstream].min(now);
-                    }
-                    self.routers.add_credit(fu);
+            // return the credit upstream (the flit freed a buffer slot)
+            if in_port != LOCAL {
+                let upstream = self.neighbors[tile][in_port] as usize;
+                debug_assert_ne!(upstream, u32::MAX as usize, "flit from a real neighbor");
+                let up_out = OPPOSITE[in_port];
+                let fu = self.routers.vc_index(upstream, up_out, in_vc);
+                // A 0→1 credit transition can unblock a parked upstream
+                // router, and only through a request for that output:
+                // ready it (a later-indexed upstream still acts this
+                // very cycle, exactly like the full scan). A return
+                // onto a non-empty credit pool cannot change any
+                // arbitration outcome.
+                if self.routers.credits(fu) == 0 && self.req[upstream * PORTS + up_out] != 0 {
+                    set_bit(&mut self.router_ready, upstream);
                 }
+                self.routers.add_credit(fu);
+            }
 
-                if out_idx == LOCAL {
-                    // Ejection.
-                    if flit.is_head() {
-                        self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
-                    }
-                    if flit.tail {
-                        self.routers.set_owner(fout + ovc, None);
-                    }
-                    let entry = self.slab[flit.msg as usize].as_mut().expect("live");
-                    entry.flits_ejected += 1;
-                    if flit.tail {
-                        debug_assert_eq!(entry.flits_ejected, entry.flits_total);
-                        let message = entry.msg.take().expect("payload present");
-                        let injected_at = entry.injected_at;
-                        let msg_bytes = entry.wire_bytes;
-                        self.stats
-                            .record_delivery(message.class, msg_bytes, now - injected_at);
-                        self.slab[flit.msg as usize] = None;
-                        self.free_slots.push(flit.msg);
-                        self.live_msgs -= 1;
-                        self.delivered.push(Delivered {
-                            message,
-                            injected_at,
-                            delivered_at: now,
-                        });
-                    }
-                } else {
-                    // Link traversal towards `downstream`.
-                    if flit.is_head() {
-                        self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
-                    }
-                    self.routers.spend_credit(fout + ovc);
-                    if flit.tail {
-                        self.routers.set_owner(fout + ovc, None);
-                    }
-                    let downstream = downstream.expect("non-local grant has a neighbor");
-                    self.link_flits[tile][out_idx] += 1;
-                    self.wire.push_back(WireFlit {
-                        flit,
-                        arrival: now + self.link_cycles,
-                        dst_tile: downstream.index(),
-                        dst_port: OPPOSITE[out_idx],
-                        vc: ovc,
+            if out_idx == LOCAL {
+                // Ejection.
+                if flit.is_head() {
+                    self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
+                }
+                if flit.tail {
+                    self.routers.set_owner(fout + ovc, None);
+                }
+                let entry = self.slab[flit.msg as usize].as_mut().expect("live");
+                entry.flits_ejected += 1;
+                if flit.tail {
+                    debug_assert_eq!(entry.flits_ejected, entry.flits_total);
+                    let message = entry.msg.take().expect("payload present");
+                    let injected_at = entry.injected_at;
+                    let msg_bytes = entry.wire_bytes;
+                    self.stats
+                        .record_delivery(message.class, msg_bytes, now - injected_at);
+                    self.slab[flit.msg as usize] = None;
+                    self.free_slots.push(flit.msg);
+                    self.live_msgs -= 1;
+                    self.delivered.push(Delivered {
+                        message,
+                        injected_at,
+                        delivered_at: now,
                     });
-                    self.energy.link_dynamic += self.spec.channel.dyn_energy_for_bytes(bytes, 0.5);
-                    self.stats.record_flit_hop(self.spec.kind);
                 }
+            } else {
+                // Link traversal towards `downstream`.
+                if flit.is_head() {
+                    self.routers.set_owner(fout + ovc, Some((in_port, in_vc)));
+                }
+                self.routers.spend_credit(fout + ovc);
+                if flit.tail {
+                    self.routers.set_owner(fout + ovc, None);
+                }
+                let downstream = downstream.expect("non-local grant has a neighbor");
+                self.link_flits[tile][out_idx] += 1;
+                self.wire.push_back(WireFlit {
+                    flit,
+                    arrival: now + self.link_cycles,
+                    dst_tile: downstream.index(),
+                    dst_port: OPPOSITE[out_idx],
+                    vc: ovc,
+                });
+                self.energy.link_dynamic += self.link_energy_by_bytes[bytes];
+                self.stats.record_flit_hop(self.spec.kind);
             }
         }
         // A round with grants can enable more work next cycle (freed
-        // ownership, advancing wormholes): revisit. A grantless round
-        // changed nothing in this router, so it parks until an event —
-        // maturation-ring drain, wire arrival, NI injection, downstream
-        // credit return — lowers `next_ready` again.
-        self.next_ready[tile] = if grants > 0 { now } else { Cycle::MAX };
+        // ownership, advancing wormholes): stay ready while anything is
+        // armed. A grantless round changed nothing in this router, so
+        // it parks until an event — a VC armed by the maturation ring,
+        // a wire arrival or an injection, or a 0→1 credit return —
+        // readies it again.
+        if used_inputs == 0 || self.vc_armed[tile] == 0 {
+            clear_bit(&mut self.router_ready, tile);
+        }
     }
 
     /// Dynamic energy burned in this sub-network so far.
@@ -901,7 +913,8 @@ cmp_common::impl_persist!(InjProgress { slot, vc, next_seq });
 /// — router buffers, wire flits, injection queues, the in-flight slab and
 /// the accumulators — is checkpointed. Per-tile vectors load through the
 /// slice helpers, so bytes from a different mesh shape are a structured
-/// error, never a silently resized machine.
+/// error, never a silently resized machine; stored tile, port and VC
+/// indices are range-checked for the same reason.
 impl<P: Persist> PersistState for SubNet<P> {
     fn save_state(&self, w: &mut ByteWriter) {
         self.routers.save_state(w);
@@ -936,7 +949,33 @@ impl<P: Persist> PersistState for SubNet<P> {
             return Err(r.err("VC occupancy bitmap count does not match machine shape"));
         }
         self.vc_occupied = vc_occupied;
+        // The occupancy bitmap and per-tile counts steer the eligibility
+        // rebuild and the allocator: they must describe the rings just
+        // loaded, exactly.
+        let nvc = self.spec.virtual_channels;
+        for tile in 0..tiles {
+            let base_tile = self.routers.vc_index(tile, 0, 0);
+            let (mut occupied, mut buffered) = (0u32, 0usize);
+            for fvc in 0..PORTS * nvc {
+                let len = self.routers.vc_len(base_tile + fvc);
+                occupied |= u32::from(len > 0) << fvc;
+                buffered += len;
+            }
+            if self.vc_occupied[tile] != occupied {
+                return Err(r.err("VC occupancy bitmap disagrees with buffered flits"));
+            }
+            if self.flits_buffered[tile] as usize != buffered {
+                return Err(r.err("per-tile flit count disagrees with buffered flits"));
+            }
+        }
         self.wire = Persist::load(r)?;
+        if self
+            .wire
+            .iter()
+            .any(|wf| wf.dst_tile >= tiles || wf.dst_port >= LOCAL || wf.vc >= nvc)
+        {
+            return Err(r.err("wire flit destination out of range"));
+        }
         let nq = r.len_prefix()?;
         if nq != tiles {
             return Err(r.err("injection queue count does not match machine shape"));
@@ -947,6 +986,9 @@ impl<P: Persist> PersistState for SubNet<P> {
         let inj_progress: Vec<Option<InjProgress>> = Persist::load(r)?;
         if inj_progress.len() != tiles {
             return Err(r.err("injection progress count does not match machine shape"));
+        }
+        if inj_progress.iter().flatten().any(|p| p.vc >= nvc) {
+            return Err(r.err("injection VC out of range"));
         }
         self.inj_progress = inj_progress;
         let link_flits: Vec<[u64; 4]> = Persist::load(r)?;
@@ -973,19 +1015,14 @@ impl<P: Persist> PersistState for SubNet<P> {
         {
             return Err(r.err("inject-pending counter disagrees with queues"));
         }
-        // Activity caches are derived, not persisted: rebuild them from
-        // the restored occupancy state (next_ready = 0 means "scan", so
-        // a conservative reset is always safe). Eligibility depends on
-        // the clock, which this layer does not know — defer it to the
-        // first tick (see `rebuild_eligibility`).
-        self.router_occupied.fill(0);
+        // Activity caches are derived, not persisted: rebuild the
+        // injection bitmap from the restored queues. Eligibility (armed
+        // VCs, request words, ready routers) depends on the clock,
+        // which this layer does not know — defer it to the first tick
+        // (see `rebuild_eligibility`).
         self.inj_active.fill(0);
-        self.next_ready.fill(0);
         self.eligibility_fresh = false;
         for tile in 0..self.mesh.tiles() {
-            if self.flits_buffered[tile] > 0 {
-                set_bit(&mut self.router_occupied, tile);
-            }
             if self.inj_progress[tile].is_some() || !self.inj_queues[tile].is_empty() {
                 set_bit(&mut self.inj_active, tile);
             }
@@ -1014,6 +1051,10 @@ mod tests {
         }
     }
 
+    fn subnet(spec: ChannelSpec, mesh: MeshShape) -> SubNet<u64> {
+        SubNet::new(spec, mesh, CLOCK, &RouterEnergyModel::default())
+    }
+
     fn msg(src: usize, dst: usize, bytes: usize) -> Message<u64> {
         Message {
             src: TileId::from(src),
@@ -1026,10 +1067,9 @@ mod tests {
     }
 
     fn run_until_delivered(net: &mut SubNet<u64>, limit: Cycle) -> Vec<Delivered<u64>> {
-        let rem = RouterEnergyModel::default();
         let mut out = Vec::new();
         for now in 0..limit {
-            net.tick(now, &rem);
+            net.tick(now);
             out.extend(net.drain_delivered());
             if net.is_idle() {
                 break;
@@ -1047,7 +1087,7 @@ mod tests {
     #[test]
     fn single_hop_zero_load_latency() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(75), mesh, CLOCK);
+        let mut net = subnet(b_spec(75), mesh);
         assert_eq!(net.link_cycles(), 2);
         net.inject(0, msg(0, 1, 11));
         let d = run_until_delivered(&mut net, 100);
@@ -1058,7 +1098,7 @@ mod tests {
     #[test]
     fn corner_to_corner_latency() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(75), mesh, CLOCK);
+        let mut net = subnet(b_spec(75), mesh);
         net.inject(0, msg(0, 15, 11)); // 6 hops
         let d = run_until_delivered(&mut net, 200);
         assert_eq!(d.len(), 1);
@@ -1068,7 +1108,7 @@ mod tests {
     #[test]
     fn multi_flit_serialisation_adds_tail_cycles() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(34), mesh, CLOCK);
+        let mut net = subnet(b_spec(34), mesh);
         net.inject(0, msg(0, 3, 67)); // 2 flits on a 34-byte channel
         let d = run_until_delivered(&mut net, 200);
         assert_eq!(d.len(), 1);
@@ -1086,7 +1126,7 @@ mod tests {
             vc_buffer_flits: 4,
             router_pipeline_cycles: 3,
         };
-        let mut vl_net = SubNet::new(vl, mesh, CLOCK);
+        let mut vl_net = subnet(vl, mesh);
         assert_eq!(vl_net.link_cycles(), 1);
         let mut m = msg(0, 15, 4);
         m.channel = ChannelKind::Vl;
@@ -1100,7 +1140,7 @@ mod tests {
     #[test]
     fn contention_serialises_on_shared_link() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(75), mesh, CLOCK);
+        let mut net = subnet(b_spec(75), mesh);
         // Two tiles (0 and 4) both send to tile 1; the 0->1 and 4->0->..
         // paths share no link, so use senders 0 and 1 -> 3 sharing 2->3.
         net.inject(0, msg(0, 3, 75));
@@ -1114,9 +1154,8 @@ mod tests {
     #[test]
     fn heavy_random_traffic_all_delivered() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(34), mesh, CLOCK);
+        let mut net = subnet(b_spec(34), mesh);
         let mut injected = 0u64;
-        let rem = RouterEnergyModel::default();
         let mut delivered = 0u64;
         let mut rng = cmp_common::rng::SimRng::new(123);
         for now in 0..20_000u64 {
@@ -1131,7 +1170,7 @@ mod tests {
                     }
                 }
             }
-            net.tick(now, &rem);
+            net.tick(now);
             delivered += net.drain_delivered().len() as u64;
             if now >= 5_000 && net.is_idle() {
                 break;
@@ -1148,10 +1187,9 @@ mod tests {
     fn determinism_same_seed_same_schedule() {
         let run = || {
             let mesh = MeshShape::square(4);
-            let mut net = SubNet::new(b_spec(34), mesh, CLOCK);
+            let mut net = subnet(b_spec(34), mesh);
             let mut rng = cmp_common::rng::SimRng::new(7);
             let mut log = Vec::new();
-            let rem = RouterEnergyModel::default();
             for now in 0..5_000u64 {
                 if now < 1_000 {
                     for src in 0..16usize {
@@ -1161,7 +1199,7 @@ mod tests {
                         }
                     }
                 }
-                net.tick(now, &rem);
+                net.tick(now);
                 for d in net.drain_delivered() {
                     log.push((d.message.src, d.message.dst, d.delivered_at));
                 }
@@ -1177,14 +1215,13 @@ mod tests {
     #[test]
     fn next_event_cycle_skips_link_flight_time() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(75), mesh, CLOCK);
+        let mut net = subnet(b_spec(75), mesh);
         net.inject(0, msg(0, 15, 11));
-        let rem = RouterEnergyModel::default();
         // run with fast-forward and check the result matches zero-load
         let mut now = 0;
         let mut delivered = Vec::new();
         while !net.is_idle() {
-            net.tick(now, &rem);
+            net.tick(now);
             delivered.extend(net.drain_delivered());
             match net.next_event_cycle(now) {
                 Some(next) => {
@@ -1201,7 +1238,7 @@ mod tests {
     #[test]
     fn link_flit_counters_track_the_xy_path() {
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(75), mesh, CLOCK);
+        let mut net = subnet(b_spec(75), mesh);
         net.inject(0, msg(0, 3, 11)); // pure-east path: 0 -> 1 -> 2 -> 3
         run_until_delivered(&mut net, 100);
         assert_eq!(net.link_flits(0, Direction::East), 1);
@@ -1223,7 +1260,7 @@ mod tests {
             vc_buffer_flits: 1, // minimum legal buffering
             router_pipeline_cycles: 3,
         };
-        let mut net = SubNet::new(spec, mesh, CLOCK);
+        let mut net = subnet(spec, mesh);
         let mut injected = 0u64;
         // every tile floods tile 5 with multi-flit messages
         for src in 0..16usize {
@@ -1252,7 +1289,7 @@ mod tests {
             vc_buffer_flits: 2,
             router_pipeline_cycles: 3,
         };
-        let mut net = SubNet::new(spec, mesh, CLOCK);
+        let mut net = subnet(spec, mesh);
         net.inject(0, msg(0, 3, 67)); // 5 flits
         net.inject(0, msg(1, 3, 67)); // 5 flits, shares links 1->2->3
         let d = run_until_delivered(&mut net, 10_000);
@@ -1268,8 +1305,8 @@ mod tests {
         let mesh = MeshShape::square(4);
         let mut express = b_spec(34);
         express.router_pipeline_cycles = 1;
-        let mut fast = SubNet::new(express, mesh, CLOCK);
-        let mut slow = SubNet::new(b_spec(34), mesh, CLOCK);
+        let mut fast = subnet(express, mesh);
+        let mut slow = subnet(b_spec(34), mesh);
         fast.inject(0, msg(0, 15, 11));
         slow.inject(0, msg(0, 15, 11));
         let df = run_until_delivered(&mut fast, 200);
@@ -1286,8 +1323,7 @@ mod tests {
         // skip work and deadlock), and idle exactly when the scan is.
         run_cases("cached_next_event_brute_force", 12, |rng| {
             let mesh = MeshShape::square(4);
-            let mut net = SubNet::new(b_spec(34), mesh, CLOCK);
-            let rem = RouterEnergyModel::default();
+            let mut net = subnet(b_spec(34), mesh);
             let inject_until = usize_in(rng, 100, 1_200) as u64;
             let rate = 0.05 + rng.f64() * 0.4;
             let mut injected = 0u64;
@@ -1303,7 +1339,7 @@ mod tests {
                         }
                     }
                 }
-                net.tick(now, &rem);
+                net.tick(now);
                 delivered += net.drain_delivered().len() as u64;
                 let cached = net.next_event_cycle(now);
                 let brute = net.next_event_cycle_brute(now);
@@ -1332,8 +1368,7 @@ mod tests {
         // does) must deliver every message despite the skipped cycles.
         run_cases("cached_next_event_drives_clock", 8, |rng| {
             let mesh = MeshShape::square(4);
-            let mut net = SubNet::new(b_spec(34), mesh, CLOCK);
-            let rem = RouterEnergyModel::default();
+            let mut net = subnet(b_spec(34), mesh);
             let n_msgs = usize_in(rng, 1, 60);
             let mut injected = 0u64;
             for _ in 0..n_msgs {
@@ -1346,7 +1381,7 @@ mod tests {
             let mut now = 0;
             let mut delivered = 0u64;
             for _ in 0..1_000_000 {
-                net.tick(now, &rem);
+                net.tick(now);
                 delivered += net.drain_delivered().len() as u64;
                 match net.next_event_cycle(now) {
                     Some(next) => now = next,
@@ -1362,8 +1397,7 @@ mod tests {
     fn mid_flight_checkpoint_resumes_bit_identically() {
         use cmp_common::persist::{ByteReader, ByteWriter, PersistState};
         let mesh = MeshShape::square(4);
-        let mut net = SubNet::new(b_spec(34), mesh, CLOCK);
-        let rem = RouterEnergyModel::default();
+        let mut net = subnet(b_spec(34), mesh);
         let mut rng = cmp_common::rng::SimRng::new(99);
         // Load the network up and advance into the thick of it.
         for now in 0..40u64 {
@@ -1373,13 +1407,13 @@ mod tests {
                     net.inject(now, msg(src, dst, 67));
                 }
             }
-            net.tick(now, &rem);
+            net.tick(now);
         }
         assert!(!net.is_idle(), "checkpoint must capture in-flight traffic");
         let mut w = ByteWriter::new();
         net.save_state(&mut w);
         let bytes = w.into_bytes();
-        let mut resumed: SubNet<u64> = SubNet::new(b_spec(34), mesh, CLOCK);
+        let mut resumed: SubNet<u64> = subnet(b_spec(34), mesh);
         let mut r = ByteReader::new(&bytes);
         resumed.load_state(&mut r).expect("load");
         r.finish().expect("no trailing bytes");
@@ -1388,7 +1422,7 @@ mod tests {
         let drain = |n: &mut SubNet<u64>| {
             let mut log = Vec::new();
             for now in 40..100_000u64 {
-                n.tick(now, &rem);
+                n.tick(now);
                 for d in n.drain_delivered() {
                     log.push((
                         d.message.src,
@@ -1413,32 +1447,131 @@ mod tests {
     fn corrupt_checkpoint_is_a_structured_error() {
         use cmp_common::persist::{ByteReader, ByteWriter, PersistState};
         let mesh = MeshShape::square(4);
-        let mut net: SubNet<u64> = SubNet::new(b_spec(34), mesh, CLOCK);
+        let mut net: SubNet<u64> = subnet(b_spec(34), mesh);
         net.inject(0, msg(0, 3, 67));
-        let rem = RouterEnergyModel::default();
-        net.tick(0, &rem);
+        net.tick(0);
         let mut w = ByteWriter::new();
         net.save_state(&mut w);
         let bytes = w.into_bytes();
         // A checkpoint from a different mesh shape must not load.
-        let mut wrong: SubNet<u64> = SubNet::new(b_spec(34), MeshShape::square(2), CLOCK);
+        let mut wrong: SubNet<u64> = subnet(b_spec(34), MeshShape::square(2));
         let err = wrong
             .load_state(&mut ByteReader::new(&bytes))
             .expect_err("shape mismatch must fail");
         assert!(err.to_string().contains("machine shape"), "{err}");
         // Truncation anywhere must be an error, never a panic.
         for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
-            let mut fresh: SubNet<u64> = SubNet::new(b_spec(34), mesh, CLOCK);
+            let mut fresh: SubNet<u64> = subnet(b_spec(34), mesh);
             assert!(fresh
                 .load_state(&mut ByteReader::new(&bytes[..cut]))
                 .is_err());
         }
     }
 
+    /// A network caught mid-burst: flits on the wire, in buffers and
+    /// mid-injection, so every checkpointed field is populated.
+    fn mid_burst_net() -> SubNet<u64> {
+        let mut net = subnet(b_spec(34), MeshShape::square(4));
+        for src in 0..16 {
+            for hop in [5, 9, 3, 14] {
+                net.inject(0, msg(src, (src + hop) % 16, 67));
+            }
+        }
+        // Eight flits per tile, seven cycles: the last two-flit message
+        // of every tile is half injected.
+        for now in 0..7 {
+            net.tick(now);
+        }
+        assert!(!net.wire.is_empty() && net.buffered_total > 0);
+        assert!(net.inj_progress.iter().any(|p| p.is_some()));
+        net
+    }
+
+    /// Save `patched` (a valid mid-burst state with one field set to a
+    /// value no run produces) and load it into a fresh network: the
+    /// error message, never a panic.
+    fn load_error(patched: &SubNet<u64>) -> String {
+        use cmp_common::persist::{ByteReader, ByteWriter, PersistState};
+        let mut w = ByteWriter::new();
+        patched.save_state(&mut w);
+        let bytes = w.into_bytes();
+        subnet(b_spec(34), MeshShape::square(4))
+            .load_state(&mut ByteReader::new(&bytes))
+            .expect_err("out-of-range field must be refused")
+            .to_string()
+    }
+
+    #[test]
+    fn wire_flit_with_out_of_range_tile_is_refused() {
+        let mut net = mid_burst_net();
+        net.wire[0].dst_tile = 16;
+        let err = load_error(&net);
+        assert!(err.contains("wire flit destination out of range"), "{err}");
+    }
+
+    #[test]
+    fn wire_flit_with_out_of_range_port_is_refused() {
+        let mut net = mid_burst_net();
+        net.wire[0].dst_port = LOCAL; // links end at link ports only
+        let err = load_error(&net);
+        assert!(err.contains("wire flit destination out of range"), "{err}");
+    }
+
+    #[test]
+    fn wire_flit_with_out_of_range_vc_is_refused() {
+        let mut net = mid_burst_net();
+        net.wire[0].vc = 4; // VCs 0..=3 exist
+        let err = load_error(&net);
+        assert!(err.contains("wire flit destination out of range"), "{err}");
+    }
+
+    #[test]
+    fn injection_progress_with_out_of_range_vc_is_refused() {
+        let mut net = mid_burst_net();
+        net.inj_progress
+            .iter_mut()
+            .flatten()
+            .next()
+            .expect("mid-injection")
+            .vc = 4;
+        let err = load_error(&net);
+        assert!(err.contains("injection VC out of range"), "{err}");
+    }
+
+    #[test]
+    fn vc_occupancy_disagreeing_with_the_rings_is_refused() {
+        // a set bit over an empty ring, a clear bit over a full one, and
+        // a bit past the last VC
+        let occupied = mid_burst_net().vc_occupied[0];
+        assert!(occupied != 0 && occupied != (1 << 20) - 1);
+        for patch in [(1u32 << 20) - 1, 0, occupied | 1 << 31] {
+            let mut net = mid_burst_net();
+            net.vc_occupied[0] = patch;
+            let err = load_error(&net);
+            assert!(
+                err.contains("occupancy bitmap disagrees"),
+                "{patch:#x}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_tile_flit_count_disagreeing_with_the_rings_is_refused() {
+        // keep the total right, so only the per-tile check can object
+        let mut net = mid_burst_net();
+        net.flits_buffered[0] += 1;
+        let donor = (1..16)
+            .find(|&t| net.flits_buffered[t] > 0)
+            .expect("another busy tile");
+        net.flits_buffered[donor] -= 1;
+        let err = load_error(&net);
+        assert!(err.contains("per-tile flit count disagrees"), "{err}");
+    }
+
     #[test]
     fn idle_network_reports_idle() {
         let mesh = MeshShape::square(2);
-        let net: SubNet<u64> = SubNet::new(b_spec(75), mesh, CLOCK);
+        let net: SubNet<u64> = subnet(b_spec(75), mesh);
         assert!(net.is_idle());
         assert_eq!(net.next_event_cycle(10), None);
         assert!(!(0..4).any(|t| net.routers().tile_has_flits(t)));

@@ -76,7 +76,7 @@ impl CampaignRequest {
             ("perfect", Json::Bool(self.perfect)),
             ("retries", Json::u64(u64::from(self.retries))),
             ("deadline_s", self.deadline_s.map_or(Json::Null, Json::u64)),
-            ("directory", Json::str(&self.directory.flag_label())),
+            ("directory", Json::str(self.directory.flag_label())),
         ])
     }
 

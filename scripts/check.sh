@@ -10,8 +10,8 @@ cargo fmt --check
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 
-echo "== cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "== cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
