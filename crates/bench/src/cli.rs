@@ -178,6 +178,14 @@ impl Options {
         if self.jobs == Some(0) {
             return Err("--jobs must be >= 1".to_string());
         }
+        if let Some(name) = self
+            .apps
+            .iter()
+            .find(|name| workloads::apps::app_by_name(name).is_none())
+        {
+            let known: Vec<_> = workloads::apps::all_apps().iter().map(|a| a.name).collect();
+            return Err(format!("unknown app {name}; known: {known:?}"));
+        }
         if self.deadline_s == Some(0) {
             return Err("--deadline must be >= 1 second".to_string());
         }
@@ -272,21 +280,15 @@ impl Options {
     }
 
     /// The selected application profiles (all 13 when no filter given).
+    /// Parsing already rejected unknown names; in a hand-built `Options`
+    /// they select nothing.
     pub fn selected_apps(&self) -> Vec<workloads::profile::AppProfile> {
-        let all = workloads::apps::all_apps();
         if self.apps.is_empty() {
-            return all;
+            return workloads::apps::all_apps();
         }
         self.apps
             .iter()
-            .map(|name| {
-                workloads::apps::app_by_name(name).unwrap_or_else(|| {
-                    panic!(
-                        "unknown app {name}; known: {:?}",
-                        all.iter().map(|a| a.name).collect::<Vec<_>>()
-                    )
-                })
-            })
+            .filter_map(|name| workloads::apps::app_by_name(name))
             .collect()
     }
 }
@@ -334,6 +336,17 @@ mod tests {
             .unwrap_err()
             .contains("--deadline"));
         assert!(parse(&["--frobnicate"]).unwrap_err().contains("unknown"));
+    }
+
+    #[test]
+    fn unknown_app_is_rejected_at_parse_time_naming_the_known_ones() {
+        let err = parse(&["--app", "FFT", "--app", "Nope"]).unwrap_err();
+        assert!(err.starts_with("unknown app Nope; known: ["), "{err}");
+        assert!(err.contains("\"MP3D\""), "{err}");
+        let picked = parse(&["--app", "MP3D", "--app", "FFT"]).unwrap();
+        let names: Vec<_> = picked.selected_apps().iter().map(|a| a.name).collect();
+        assert_eq!(names, ["MP3D", "FFT"]);
+        assert_eq!(parse(&[]).unwrap().selected_apps().len(), 13);
     }
 
     #[test]

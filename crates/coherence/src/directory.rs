@@ -27,8 +27,9 @@
 //!   sends in iteration order, so this is part of the determinism
 //!   contract: both representations must produce byte-identical message
 //!   schedules.
-//! * `snapshot_box` deep-copies all state: snapshots restored from it
-//!   must replay bit-identically.
+//! * `load_state` overwrites all state — into a fresh representation
+//!   or one that has since moved on — so a machine restored from
+//!   `save_state` bytes replays bit-identically.
 
 use cmp_common::addrmap::AddrMap;
 use cmp_common::config::{DirectoryConfig, FULL_MAP_MAX_TILES};
@@ -132,10 +133,6 @@ pub enum DirState {
 /// gets an `update(line, Invalid)` when installed and an `evict(line)`
 /// when it leaves the slice.
 pub trait DirectoryRepr: std::fmt::Debug + Send {
-    /// Which configuration built this representation (snapshot
-    /// compatibility tagging).
-    fn config(&self) -> DirectoryConfig;
-
     /// The tracked state of `line` (`Invalid` when untracked).
     fn lookup(&self, line: Addr) -> DirState;
 
@@ -154,23 +151,20 @@ pub trait DirectoryRepr: std::fmt::Debug + Send {
     /// therefore unbounded (full map).
     fn transaction_capacity(&self) -> Option<usize>;
 
-    /// Deep copy for whole-machine snapshots.
-    fn snapshot_box(&self) -> Box<dyn DirectoryRepr + Send>;
-
-    /// Append this representation's tracked entries for an on-disk
-    /// checkpoint. The matching [`DirectoryRepr::load_state`] always
-    /// runs on a freshly built representation of the same configuration.
+    /// Append this representation's tracked entries to a whole-machine
+    /// snapshot. The matching [`DirectoryRepr::load_state`] always runs
+    /// on a representation built from the same configuration.
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter);
 
-    /// Overwrite this representation's tracked entries from bytes.
+    /// Overwrite *all* of this representation's tracked entries from
+    /// snapshot bytes, whatever it held before.
     fn load_state(
         &mut self,
         r: &mut cmp_common::persist::ByteReader,
     ) -> Result<(), cmp_common::persist::PersistError>;
 }
 
-/// Clonable box so components holding a directory can keep deriving
-/// `Clone` for snapshot support.
+/// An owned, dynamically-dispatched directory representation.
 #[derive(Debug)]
 pub struct DirBox(Box<dyn DirectoryRepr + Send>);
 
@@ -178,12 +172,6 @@ impl DirBox {
     /// Box a representation.
     pub fn new(repr: impl DirectoryRepr + 'static) -> Self {
         DirBox(Box::new(repr))
-    }
-}
-
-impl Clone for DirBox {
-    fn clone(&self) -> Self {
-        DirBox(self.0.snapshot_box())
     }
 }
 
@@ -271,10 +259,6 @@ impl FullMapDir {
 }
 
 impl DirectoryRepr for FullMapDir {
-    fn config(&self) -> DirectoryConfig {
-        DirectoryConfig::FullMap
-    }
-
     fn lookup(&self, line: Addr) -> DirState {
         self.entries
             .get(line)
@@ -315,10 +299,6 @@ impl DirectoryRepr for FullMapDir {
 
     fn transaction_capacity(&self) -> Option<usize> {
         None
-    }
-
-    fn snapshot_box(&self) -> Box<dyn DirectoryRepr + Send> {
-        Box::new(self.clone())
     }
 
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
@@ -398,12 +378,6 @@ impl SparseDir {
 }
 
 impl DirectoryRepr for SparseDir {
-    fn config(&self) -> DirectoryConfig {
-        DirectoryConfig::Sparse {
-            dir_mshrs: self.dir_mshrs,
-        }
-    }
-
     fn lookup(&self, line: Addr) -> DirState {
         match self.entries.get(line) {
             None => DirState::Invalid,
@@ -448,10 +422,6 @@ impl DirectoryRepr for SparseDir {
 
     fn transaction_capacity(&self) -> Option<usize> {
         Some(self.dir_mshrs)
-    }
-
-    fn snapshot_box(&self) -> Box<dyn DirectoryRepr + Send> {
-        Box::new(self.clone())
     }
 
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
@@ -552,8 +522,6 @@ mod tests {
         let [full, sparse] = both(16);
         assert_eq!(full.transaction_capacity(), None);
         assert_eq!(sparse.transaction_capacity(), Some(64));
-        assert_eq!(full.config(), DirectoryConfig::FullMap);
-        assert_eq!(sparse.config(), DirectoryConfig::sparse());
     }
 
     #[test]
@@ -568,21 +536,5 @@ mod tests {
     #[should_panic(expected = "full-map directory is limited")]
     fn full_map_refuses_wide_meshes() {
         FullMapDir::new(256);
-    }
-
-    #[test]
-    fn snapshot_box_is_a_deep_copy() {
-        for mut dir in both(16) {
-            dir.update(0x40, DirState::Owned(TileId(2)));
-            let copy = DirBox::new_from(dir.snapshot_box());
-            dir.update(0x40, DirState::Invalid);
-            assert_eq!(copy.lookup(0x40), DirState::Owned(TileId(2)));
-        }
-    }
-
-    impl DirBox {
-        fn new_from(b: Box<dyn DirectoryRepr + Send>) -> Self {
-            DirBox(b)
-        }
     }
 }

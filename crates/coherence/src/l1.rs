@@ -94,7 +94,6 @@ pub struct L1Stats {
 pub const L1_DELAY: u64 = 2;
 
 /// The private-cache controller of one tile.
-#[derive(Clone)]
 pub struct L1Cache {
     tile: TileId,
     tiles: usize,
@@ -113,8 +112,6 @@ pub struct L1Cache {
     stale_partials: Vec<Addr>,
     stats: L1Stats,
 }
-
-cmp_common::impl_snapshot_clone!(L1Cache);
 
 impl cmp_common::persist::Persist for L1State {
     fn save(&self, w: &mut cmp_common::persist::ByteWriter) {

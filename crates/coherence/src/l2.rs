@@ -95,7 +95,6 @@ pub const L2_TAG_DELAY: u64 = 6;
 pub const L2_DATA_DELAY: u64 = 8;
 
 /// One tile's L2 slice + directory controller.
-#[derive(Clone)]
 pub struct L2Slice {
     tile: TileId,
     tiles: usize,
@@ -113,8 +112,6 @@ pub struct L2Slice {
     queued: usize,
     stats: L2Stats,
 }
-
-cmp_common::impl_snapshot_clone!(L2Slice);
 
 cmp_common::impl_persist!(L2Line { dirty });
 
@@ -262,11 +259,6 @@ impl L2Slice {
             queued: 0,
             stats: L2Stats::default(),
         }
-    }
-
-    /// Which directory organisation this slice runs (snapshot tagging).
-    pub fn directory_config(&self) -> DirectoryConfig {
-        self.dir.config()
     }
 
     /// Every line the directory tracks in a non-`Invalid` state, sorted
@@ -1314,10 +1306,6 @@ mod tests {
         assert_eq!(sends(&out), vec![(TileId(3), PKind::DataM)]);
         assert_eq!(s.dir_state(L), Some(DirState::Owned(TileId(3))));
         assert!(s.is_quiescent());
-        assert_eq!(
-            s.directory_config(),
-            DirectoryConfig::Sparse { dir_mshrs: 64 }
-        );
     }
 
     #[test]

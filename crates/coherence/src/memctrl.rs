@@ -18,15 +18,12 @@ pub struct MemRead {
 
 /// Memory controller: constant-latency reads (FIFO by construction),
 /// fire-and-forget writes.
-#[derive(Clone)]
 pub struct MemCtrl {
     latency: Cycle,
     reads: VecDeque<MemRead>,
     pub reads_issued: Counter,
     pub writes_issued: Counter,
 }
-
-cmp_common::impl_snapshot_clone!(MemCtrl);
 
 impl MemCtrl {
     /// Controller with the given access latency in cycles.

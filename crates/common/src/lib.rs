@@ -21,8 +21,9 @@
 //! * [`fsx`] — the fallible filesystem seam every durable write routes
 //!   through: a production backend and a seeded fault backend (torn
 //!   writes, ENOSPC, short reads, bit flips, rename-then-crash).
-//! * [`persist`] — the panic-free binary state codec that turns
-//!   whole-machine checkpoints into disk bytes and back.
+//! * [`persist`] — the panic-free binary state codec: the one
+//!   description of every component's mutable state, behind in-memory
+//!   rewind and on-disk checkpoints alike.
 //! * [`addrmap`] — an open-addressed, insertion-ordered map keyed by
 //!   line address (Fibonacci hashing, deterministic iteration) for the
 //!   transient coherence state on the cycle path.
@@ -32,9 +33,6 @@
 //! * [`journal`] — the durable campaign journal (append-only JSONL of
 //!   cell records, atomic result writes, meta stamping) that makes long
 //!   matrix sweeps crash-resumable.
-//! * [`snapshot`] — the [`Snapshot`] checkpoint/restore trait every
-//!   component implements so the engine can checkpoint a run at cycle N
-//!   and resume it bit-identically.
 //! * [`smallvec`] — an inline-first vector for hot-path message plumbing.
 //! * [`units`] — thin newtypes for the physical quantities that cross crate
 //!   boundaries (picoseconds, watts, square millimetres, joules).
@@ -50,7 +48,6 @@ pub mod persist;
 pub mod randtest;
 pub mod rng;
 pub mod smallvec;
-pub mod snapshot;
 pub mod stats;
 pub mod types;
 pub mod units;
@@ -63,6 +60,5 @@ pub use hash::Fnv64;
 pub use journal::{write_atomic, CampaignMeta, Journal, JournalError, JournalReplay, Json};
 pub use rng::SimRng;
 pub use smallvec::SmallVec;
-pub use snapshot::Snapshot;
 pub use stats::{Counter, Histogram, OnlineStats};
 pub use types::{Addr, Cycle, MessageClass, TileId, CONTROL_BYTES, LINE_BYTES};

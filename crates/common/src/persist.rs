@@ -1,11 +1,14 @@
-//! Panic-free binary state codec for on-disk checkpoints.
+//! Panic-free binary state codec: the one description of captured
+//! machine state.
 //!
-//! The in-memory checkpoint cache clones [`crate::snapshot::Snapshot`]
-//! states; spilling a checkpoint to disk needs real bytes. This module
-//! is the byte layer: a little-endian, length-prefixed encoding with a
-//! bounds-checked reader whose every decode path returns a structured
-//! [`PersistError`] — corrupt or truncated input must *never* panic,
-//! because the disk store's quarantine path runs on exactly that input.
+//! A whole-machine snapshot *is* its encoded bytes — in-memory rewind,
+//! the checkpoint cache's memory tier and its disk tier all hold the
+//! same thing, so a component describes its mutable state exactly once,
+//! here. This module is the byte layer: a little-endian,
+//! length-prefixed encoding with a bounds-checked reader whose every
+//! decode path returns a structured [`PersistError`] — corrupt or
+//! truncated input must *never* panic, because the disk store's
+//! quarantine path runs on exactly that input.
 //!
 //! Two traits split the world:
 //!
@@ -14,14 +17,17 @@
 //! * [`PersistState`] — in-place semantics (`save_state` +
 //!   `load_state(&mut self)`) for composites that mix mutable state
 //!   with immutable configuration or trait objects. A checkpoint is
-//!   only ever loaded into a machine freshly built from the *same*
-//!   configuration (the warm key fingerprints all of it), so the
+//!   only ever loaded into a machine built from the *same*
+//!   configuration (the snapshot header fingerprints it), so the
 //!   immutable parts are reconstructed by the constructor and only the
 //!   mutable state travels through the bytes. This is what lets
 //!   `Box<dyn OpSource>`-style trait objects participate without any
-//!   tagged-constructor registry: the fresh machine already holds an
-//!   object of the right concrete type, and `load_state` overwrites
-//!   its state in place.
+//!   tagged-constructor registry: the machine already holds an object
+//!   of the right concrete type, and `load_state` overwrites its state
+//!   in place. The target is as often a machine that has run on past
+//!   the checkpoint (a rewind) as a fresh one, so `load_state` must be
+//!   *total*: every piece of mutable state is overwritten, nothing is
+//!   merged with what was there.
 //!
 //! Every [`Persist`] type automatically implements [`PersistState`]
 //! (blanket impl), so a type implements exactly one of the two.

@@ -96,10 +96,6 @@ impl AddressCodec for Dbrc {
         self.entries()
     }
 
-    fn snapshot_box(&self) -> Box<dyn AddressCodec + Send> {
-        Box::new(self.clone())
-    }
-
     // entries/low_bytes are configuration; the learned bases, their LRU
     // stamps and the clock are the state.
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {

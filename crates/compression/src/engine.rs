@@ -23,7 +23,7 @@ pub struct CompressedSize {
 }
 
 /// All compression state owned by one tile's network interface.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CompressionEngine {
     scheme: CompressionScheme,
     /// `codecs[stream][lane]`, where a lane is one destination — or, for
@@ -40,8 +40,6 @@ pub struct CompressionEngine {
     desynced: [Vec<bool>; 2],
     stats: CoverageStats,
 }
-
-cmp_common::impl_snapshot_clone!(CompressionEngine);
 
 impl CompressionEngine {
     /// Engine for a machine with `tiles` tiles. A codec is instantiated

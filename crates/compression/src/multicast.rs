@@ -73,10 +73,6 @@ impl AddressCodec for MulticastCodec {
         self.base.entries()
     }
 
-    fn snapshot_box(&self) -> Box<dyn AddressCodec + Send> {
-        Box::new(self.clone())
-    }
-
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
         self.base.save_state(w);
         w.u64(self.shared_hits);

@@ -147,8 +147,8 @@ impl CompressionScheme {
 ///
 /// The seam covers the full codec lifecycle: `encode` on the sender,
 /// `decode` on the receiver mirror, `resync` for the recovery handshake,
-/// `snapshot_box` for whole-machine checkpoints, and `hw_entries` for the
-/// Table 1 cost model. Receiver state mirrors the sender deterministically
+/// `save_state`/`load_state` for whole-machine snapshots, and
+/// `hw_entries` for the Table 1 cost model. Receiver state mirrors the sender deterministically
 /// (the simulator carries the real address in message metadata), so one
 /// state machine per (src, dst, stream) suffices on the hot path.
 pub trait AddressCodec: fmt::Debug + Send {
@@ -173,16 +173,15 @@ pub trait AddressCodec: fmt::Debug + Send {
     /// (each entry stores an 8-byte base; feeds [`crate::hw_cost`]).
     fn hw_entries(&self) -> usize;
 
-    /// Deep copy, for whole-machine snapshots.
-    fn snapshot_box(&self) -> Box<dyn AddressCodec + Send>;
-
-    /// Append this codec's mutable state for an on-disk checkpoint. The
-    /// matching [`AddressCodec::load_state`] always runs on a freshly
-    /// built codec of the same scheme (the warm key fingerprints the
+    /// Append this codec's mutable state to a whole-machine snapshot.
+    /// The matching [`AddressCodec::load_state`] always runs on a codec
+    /// built for the same scheme (the snapshot header fingerprints the
     /// configuration), so no type tag travels with the bytes.
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter);
 
-    /// Overwrite this codec's mutable state from checkpoint bytes.
+    /// Overwrite *all* of this codec's mutable state from snapshot
+    /// bytes: the codec may be fresh or may have run on past the
+    /// snapshot, and must end up identical either way.
     fn load_state(
         &mut self,
         r: &mut cmp_common::persist::ByteReader,
@@ -202,22 +201,12 @@ impl cmp_common::persist::PersistState for CodecBox {
 }
 
 /// An owned, dynamically-dispatched codec.
-///
-/// `Clone` routes through [`AddressCodec::snapshot_box`], which is what
-/// lets [`crate::engine::CompressionEngine`] keep clone-based snapshot
-/// semantics while holding trait objects.
 pub struct CodecBox(Box<dyn AddressCodec + Send>);
 
 impl CodecBox {
     /// Box a concrete codec.
     pub fn new<C: AddressCodec + 'static>(codec: C) -> Self {
         CodecBox(Box::new(codec))
-    }
-}
-
-impl Clone for CodecBox {
-    fn clone(&self) -> Self {
-        CodecBox(self.0.snapshot_box())
     }
 }
 
@@ -256,10 +245,6 @@ impl AddressCodec for NoneCodec {
         0
     }
 
-    fn snapshot_box(&self) -> Box<dyn AddressCodec + Send> {
-        Box::new(*self)
-    }
-
     fn save_state(&self, _w: &mut cmp_common::persist::ByteWriter) {}
 
     fn load_state(
@@ -284,10 +269,6 @@ impl AddressCodec for PerfectCodec {
 
     fn hw_entries(&self) -> usize {
         0
-    }
-
-    fn snapshot_box(&self) -> Box<dyn AddressCodec + Send> {
-        Box::new(*self)
     }
 
     fn save_state(&self, _w: &mut cmp_common::persist::ByteWriter) {}
@@ -435,23 +416,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn snapshot_box_is_a_deep_copy() {
-        let mut orig = CompressionScheme::Dbrc {
-            entries: 4,
-            low_bytes: 1,
-        }
-        .build_codec(CompressionStream::Requests);
-        orig.encode(0x40);
-        let mut copy = CodecBox(orig.snapshot_box());
-        assert!(copy.encode(0x41), "copy must carry the learned base");
-        copy.resync();
-        assert!(
-            orig.encode(0x42),
-            "resyncing the copy must not touch the original"
-        );
     }
 
     #[test]

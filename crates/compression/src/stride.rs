@@ -70,10 +70,6 @@ impl AddressCodec for Stride {
         1
     }
 
-    fn snapshot_box(&self) -> Box<dyn AddressCodec + Send> {
-        Box::new(self.clone())
-    }
-
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
         use cmp_common::persist::Persist;
         self.base.save(w);

@@ -20,11 +20,12 @@
 //!   shapes the prefix) plus the app, seed and scale. Two runs get the
 //!   same checkpoint only if their prefixes are provably the same
 //!   simulation.
-//! * **Verified at load.** [`CheckpointCache::store`] records the
-//!   snapshot's [`MachineSnapshot::digest`]; [`CheckpointCache::load`]
-//!   recomputes it. A mismatch — a torn, bit-rotted or deliberately
-//!   corrupted checkpoint — quarantines the entry (removed, counted in
-//!   [`CacheStats::quarantined`]) and returns
+//! * **Verified at load.** A snapshot carries the checksum of its own
+//!   header and state ([`MachineSnapshot::digest`], recorded at
+//!   capture); [`CheckpointCache::load`] recomputes it in whichever
+//!   tier the checkpoint is found. A mismatch — a torn, bit-rotted or
+//!   deliberately corrupted checkpoint — quarantines the entry
+//!   (removed, counted in [`CacheStats::quarantined`]) and returns
 //!   [`CacheLoad::Quarantined`], so the cell transparently falls back
 //!   to a fresh simulation rather than producing wrong numbers.
 //! * **Bounded.** At most `capacity` checkpoints are held; beyond that
@@ -35,9 +36,12 @@
 //! every in-memory store is written through as a `.ckpt` file whose
 //! name is derived from the warm key, so a restarted service — or a
 //! *different* campaign sharing a cell's configuration — finds the
-//! prefix already simulated. Files carry a header (magic, version,
-//! store sequence, warm cycle, key fingerprint, machine digest, payload
-//! checksum) and are written atomically (temp file → fsync → rename)
+//! prefix already simulated. Both tiers hold the same thing — a
+//! [`MachineSnapshot`], which is its own bytes — so a disk hit is
+//! promoted to memory by moving a value. Files carry a header (magic,
+//! version, store sequence, warm cycle, key fingerprint) in front of
+//! the self-checksummed snapshot and are written atomically (temp file
+//! → fsync → rename)
 //! through the [`cmp_common::fsx`] seam; a file that fails *any* check
 //! at load — torn, truncated, bit-flipped, renamed, from a different
 //! key — is moved to a bounded quarantine directory and the run falls
@@ -50,8 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use cmp_common::fsx::Fs;
-use cmp_common::hash::fnv64;
-use cmp_common::persist::{ByteReader, ByteWriter};
+use cmp_common::persist::{ByteReader, ByteWriter, Persist};
 use cmp_common::types::Cycle;
 
 use crate::engine::MachineSnapshot;
@@ -62,12 +65,12 @@ pub type WarmKey = (String, Cycle);
 
 /// Outcome of a cache lookup.
 pub enum CacheLoad {
-    /// A checkpoint whose digest verified; restore it and go.
+    /// A checkpoint whose checksum verified; restore it and go.
     Hit(Box<MachineSnapshot>),
     /// Nothing cached under this key.
     Miss,
-    /// A checkpoint was cached but failed digest verification: it has
-    /// been removed and counted; the caller must simulate fresh.
+    /// A checkpoint was cached but failed verification: it has been
+    /// removed and counted; the caller must simulate fresh.
     Quarantined,
 }
 
@@ -88,13 +91,8 @@ pub struct CacheStats {
     pub evicted: u64,
 }
 
-struct Entry {
-    snap: MachineSnapshot,
-    digest: u64,
-}
-
 struct Inner {
-    map: HashMap<WarmKey, Entry>,
+    map: HashMap<WarmKey, MachineSnapshot>,
     /// Store order, oldest first (eviction order).
     order: VecDeque<WarmKey>,
     capacity: usize,
@@ -102,8 +100,8 @@ struct Inner {
 }
 
 impl Inner {
-    fn insert_bounded(&mut self, key: WarmKey, entry: Entry) {
-        self.map.insert(key.clone(), entry);
+    fn insert_bounded(&mut self, key: WarmKey, snap: MachineSnapshot) {
+        self.map.insert(key.clone(), snap);
         self.order.push_back(key);
         while self.map.len() > self.capacity {
             // order can hold keys already quarantined away; skip those.
@@ -145,7 +143,7 @@ impl CheckpointCache {
     }
 
     /// A cache backed by `disk`: stores write through, memory misses
-    /// probe the disk via [`CheckpointCache::load_via`].
+    /// probe the disk.
     pub fn with_disk(capacity: usize, disk: DiskStore) -> Self {
         let mut cache = CheckpointCache::new(capacity);
         cache.disk = Some(disk);
@@ -161,111 +159,78 @@ impl CheckpointCache {
         self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Store `snap` under `key`, recording its digest for load-time
-    /// verification. A key already present keeps its existing entry
-    /// (the first simulation of a prefix wins; both are bit-identical
-    /// by construction). Evicts the oldest entry beyond capacity. With
-    /// a disk tier the snapshot is spilled to disk first (write-
-    /// through); a spill failure is counted and logged but never fails
-    /// the store — the memory tier still serves this process.
+    /// Store `snap` under `key`. A key already present keeps its
+    /// existing entry (the first simulation of a prefix wins; both are
+    /// bit-identical by construction). Evicts the oldest entry beyond
+    /// capacity. With a disk tier the snapshot is spilled to disk first
+    /// (write-through); a spill failure is counted and logged but never
+    /// fails the store — the memory tier still serves this process.
     pub fn store(&self, key: WarmKey, snap: MachineSnapshot) {
         if let Some(disk) = &self.disk {
             disk.store(&key, &snap);
         }
-        let digest = snap.digest();
         let mut inner = self.lock();
         if inner.map.contains_key(&key) {
             return;
         }
         inner.stats.stores += 1;
-        inner.insert_bounded(key, Entry { snap, digest });
+        inner.insert_bounded(key, snap);
     }
 
-    /// Look up `key` in the memory tier only, verifying the stored
-    /// checkpoint's digest before handing it out. (The disk tier needs
-    /// a decode template; see [`CheckpointCache::load_via`].)
+    /// Look up `key`, memory tier first, then the disk tier when one is
+    /// attached; a disk hit is promoted into memory for later sharers.
+    /// Whichever tier answers verifies the snapshot's checksum before
+    /// handing it out: a failure in memory removes the entry, any
+    /// disk-side failure (torn, bit-flipped, wrong key, unreadable)
+    /// quarantines the file, and both report
+    /// [`CacheLoad::Quarantined`]. Never panics, never returns
+    /// unverified state.
     pub fn load(&self, key: &WarmKey) -> CacheLoad {
-        let mut inner = self.lock();
-        let Some(entry) = inner.map.get(key) else {
-            inner.stats.misses += 1;
-            return CacheLoad::Miss;
-        };
-        if entry.snap.digest() != entry.digest {
-            inner.map.remove(key);
-            inner.stats.quarantined += 1;
-            return CacheLoad::Quarantined;
-        }
-        let snap = Box::new(entry.snap.clone());
-        inner.stats.hits += 1;
-        CacheLoad::Hit(snap)
-    }
-
-    /// Look up `key` across both tiers. A memory miss with a disk tier
-    /// attached builds a decode template via `template` — a snapshot of
-    /// a freshly constructed machine with this key's exact
-    /// configuration (the warm key fingerprints the full config, so the
-    /// template's shape provably matches the stored bytes) — decodes
-    /// the disk bytes into it, re-verifies the machine digest, and
-    /// promotes the checkpoint into the memory tier for later sharers.
-    /// Every disk-side failure (missing, torn, bit-flipped, wrong key,
-    /// digest mismatch) quarantines the file and reports
-    /// [`CacheLoad::Quarantined`] or [`CacheLoad::Miss`]; it never
-    /// panics and never returns unverified state.
-    pub fn load_via(
-        &self,
-        key: &WarmKey,
-        template: impl FnOnce() -> Box<MachineSnapshot>,
-    ) -> CacheLoad {
         {
             let mut inner = self.lock();
-            if let Some(entry) = inner.map.get(key) {
-                if entry.snap.digest() != entry.digest {
+            if let Some(snap) = inner.map.get(key) {
+                if snap.verify().is_err() {
                     inner.map.remove(key);
                     inner.stats.quarantined += 1;
                     return CacheLoad::Quarantined;
                 }
-                let snap = Box::new(entry.snap.clone());
+                let snap = Box::new(snap.clone());
                 inner.stats.hits += 1;
                 return CacheLoad::Hit(snap);
             }
-            let Some(disk) = &self.disk else {
-                inner.stats.misses += 1;
-                return CacheLoad::Miss;
-            };
-            if !disk.contains(key) {
-                inner.stats.misses += 1;
-                return CacheLoad::Miss;
-            }
         }
-        // Memory miss, disk candidate: decode outside the memory lock
-        // (building the template and decoding the payload are the
-        // expensive part; the disk store has its own lock).
-        let disk = self.disk.as_ref().expect("checked above");
-        let mut snap = template();
-        match disk.load_into(key, &mut snap) {
-            DiskLoad::Hit => {
-                let digest = snap.digest();
-                let mut inner = self.lock();
+        // Reading and checksumming the file happen outside the memory
+        // lock (the disk store has its own).
+        let outcome = match &self.disk {
+            Some(disk) if disk.contains(key) => disk.load(key),
+            _ => CacheLoad::Miss,
+        };
+        let mut inner = self.lock();
+        match &outcome {
+            CacheLoad::Hit(snap) => {
                 inner.stats.hits += 1;
                 if !inner.map.contains_key(key) {
-                    inner.insert_bounded(
-                        key.clone(),
-                        Entry {
-                            snap: (*snap).clone(),
-                            digest,
-                        },
-                    );
+                    inner.insert_bounded(key.clone(), (**snap).clone());
                 }
-                CacheLoad::Hit(snap)
             }
-            DiskLoad::Miss => {
-                self.lock().stats.misses += 1;
-                CacheLoad::Miss
-            }
-            DiskLoad::Quarantined => {
-                self.lock().stats.quarantined += 1;
-                CacheLoad::Quarantined
-            }
+            CacheLoad::Miss => inner.stats.misses += 1,
+            CacheLoad::Quarantined => inner.stats.quarantined += 1,
+        }
+        outcome
+    }
+
+    /// Throw out the checkpoint under `key` in both tiers, counted like
+    /// a load-time quarantine: the caller was handed it as a verified
+    /// hit and it still would not restore
+    /// ([`crate::supervisor::run_supervised_cached`]).
+    pub(crate) fn quarantine(&self, key: &WarmKey, reason: &str) {
+        {
+            let mut inner = self.lock();
+            inner.map.remove(key);
+            inner.stats.quarantined += 1;
+        }
+        if let Some(disk) = self.disk.as_ref().filter(|d| d.contains(key)) {
+            disk.quarantine_key(key, reason);
         }
     }
 
@@ -292,8 +257,8 @@ impl CheckpointCache {
     pub fn fault_corrupt(&self, key: &WarmKey) -> bool {
         let mut inner = self.lock();
         match inner.map.get_mut(key) {
-            Some(entry) => {
-                entry.snap.fault_corrupt();
+            Some(snap) => {
+                snap.fault_corrupt();
                 true
             }
             None => false,
@@ -309,8 +274,10 @@ impl CheckpointCache {
 const MAGIC: u32 = u32::from_le_bytes(*b"TCKP");
 
 /// Bump on any change to the on-disk layout; a version mismatch
-/// quarantines the file rather than guessing at its layout.
-const VERSION: u32 = 1;
+/// quarantines the file rather than guessing at its layout. (1: machine
+/// digest + payload checksum + headerless state; 2: the
+/// self-checksummed [`MachineSnapshot`] encoding.)
+const VERSION: u32 = 2;
 
 /// Sizing and quarantine bounds of one [`DiskStore`].
 #[derive(Clone, Debug)]
@@ -334,11 +301,10 @@ impl Default for DiskConfig {
     }
 }
 
-/// Outcome of a disk probe; on `Hit` the caller's template now holds
-/// the verified snapshot.
+/// Outcome of [`DiskStore::load_into`]; on `Hit` the caller's snapshot
+/// has been replaced by the verified one from disk.
 pub enum DiskLoad {
-    /// Header, payload checksum and machine digest all verified; the
-    /// template holds the decoded snapshot.
+    /// File header and snapshot checksum verified.
     Hit,
     /// No file for this key.
     Miss,
@@ -358,7 +324,7 @@ pub struct DiskCounters {
     /// Spill attempts that failed (torn write, ENOSPC, rename crash);
     /// the run continues from memory, the tmp residue is removed.
     pub store_errors: u64,
-    /// Loads that verified end-to-end and filled a template.
+    /// Loads that verified end-to-end and returned a snapshot.
     pub hits: u64,
     /// Loads that found no file.
     pub misses: u64,
@@ -412,16 +378,19 @@ struct DiskInner {
 /// | store sequence | `u64`       | FIFO eviction order across restarts  |
 /// | warm cycle     | `u64`       | key match (belt)                     |
 /// | key fingerprint| `str`       | key match (braces)                   |
-/// | machine digest | `u64`       | semantic state after decode          |
-/// | payload FNV-64 | `u64`       | every payload byte, before decode    |
-/// | payload        | `bytes`     | `MachineSnapshot::save_bytes`        |
+/// | snapshot       | (to the end)| `MachineSnapshot::save_bytes`: its   |
+/// |                |             | header, its FNV-64, its state        |
 ///
-/// The payload checksum catches arbitrary byte corruption (bit rot,
-/// torn writes, short reads) *before* the decoder runs; the machine
-/// digest catches anything that decodes cleanly but is not the state
-/// that was stored; the decoder itself rejects shape mismatches with
-/// structured errors. A failure at any layer quarantines the file and
-/// the run falls back to a fresh simulation.
+/// The one checksum is the snapshot's own, over its header and every
+/// state byte: it catches arbitrary corruption (bit rot, torn writes,
+/// short reads) at scan and at load, *before* anything is decoded.
+/// Decoding happens where the state is used — in
+/// [`crate::sim::CmpSimulator::try_restore`], which refuses foreign
+/// shapes with structured errors — and the warm-start path then
+/// re-encodes the restored machine and compares, which catches anything
+/// that decodes cleanly but is not the state that was stored. A failure
+/// at any layer quarantines the file and the run falls back to a fresh
+/// simulation.
 pub struct DiskStore {
     fs: Fs,
     root: PathBuf,
@@ -430,31 +399,27 @@ pub struct DiskStore {
     inner: Mutex<DiskInner>,
 }
 
-/// Everything the header pins down about a `.ckpt` file.
-struct Header<'a> {
+/// A parsed, checksum-verified `.ckpt` file.
+struct CkptFile {
     seq: u64,
-    warm_cycle: Cycle,
-    key_fp: String,
-    digest: u64,
-    payload: &'a [u8],
+    key: WarmKey,
+    snap: MachineSnapshot,
 }
 
-fn encode_file(seq: u64, key: &WarmKey, digest: u64, payload: &[u8]) -> Vec<u8> {
+fn encode_file(seq: u64, key: &WarmKey, snap: &MachineSnapshot) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.u32(MAGIC);
     w.u32(VERSION);
     w.u64(seq);
     w.u64(key.1);
     w.str(&key.0);
-    w.u64(digest);
-    w.u64(fnv64(payload));
-    w.bytes(payload);
+    snap.save(&mut w);
     w.into_bytes()
 }
 
 /// Parse and checksum-verify a `.ckpt` file's bytes. Structured errors,
 /// never a panic, whatever the input.
-fn parse_file(bytes: &[u8]) -> Result<Header<'_>, String> {
+fn parse_file(bytes: &[u8]) -> Result<CkptFile, String> {
     let mut r = ByteReader::new(bytes);
     if r.u32().map_err(|e| e.to_string())? != MAGIC {
         return Err("bad magic (not a checkpoint file, or a torn header)".to_string());
@@ -468,19 +433,13 @@ fn parse_file(bytes: &[u8]) -> Result<Header<'_>, String> {
     let seq = r.u64().map_err(|e| e.to_string())?;
     let warm_cycle = r.u64().map_err(|e| e.to_string())?;
     let key_fp = r.string().map_err(|e| e.to_string())?;
-    let digest = r.u64().map_err(|e| e.to_string())?;
-    let stored_fnv = r.u64().map_err(|e| e.to_string())?;
-    let payload = r.bytes().map_err(|e| e.to_string())?;
+    let snap = MachineSnapshot::load(&mut r).map_err(|e| e.to_string())?;
     r.finish().map_err(|e| e.to_string())?;
-    if fnv64(payload) != stored_fnv {
-        return Err("payload checksum mismatch (torn, truncated or bit-rotted)".to_string());
-    }
-    Ok(Header {
+    snap.verify().map_err(|e| e.to_string())?;
+    Ok(CkptFile {
         seq,
-        warm_cycle,
-        key_fp,
-        digest,
-        payload,
+        key: (key_fp, warm_cycle),
+        snap,
     })
 }
 
@@ -490,8 +449,8 @@ fn file_stem(key: &WarmKey) -> String {
 
 impl DiskStore {
     /// Open (or create) a store rooted at `root`. Scans existing
-    /// `.ckpt` files — header and payload checksum only; the machine
-    /// digest is re-verified at each load — rebuilding the index and
+    /// `.ckpt` files — header and checksum, again at each load —
+    /// rebuilding the index and
     /// the FIFO order from their store sequences. Unparseable files are
     /// quarantined immediately; leftover `.tmp` spill residue from a
     /// crashed predecessor is deleted; the byte budget is enforced on
@@ -583,10 +542,7 @@ impl DiskStore {
                 .fs
                 .read(&path)
                 .map_err(|e| format!("reading: {e}"))
-                .and_then(|bytes| {
-                    parse_file(&bytes)
-                        .map(|h| ((h.key_fp, h.warm_cycle), h.seq, bytes.len() as u64))
-                });
+                .and_then(|bytes| parse_file(&bytes).map(|f| (f.key, f.seq, bytes.len() as u64)));
             match verdict {
                 Ok((key, seq, bytes)) => {
                     if self.path_for(&key) != path {
@@ -633,14 +589,13 @@ impl DiskStore {
                 return;
             }
         }
-        let payload = snap.save_bytes();
         let seq = {
             let mut inner = self.lock();
             let seq = inner.next_seq;
             inner.next_seq += 1;
             seq
         };
-        let bytes = encode_file(seq, key, snap.digest(), &payload);
+        let bytes = encode_file(seq, key, snap);
         let path = self.path_for(key);
         let tmp = self.root.join(format!("{}.{}.tmp", file_stem(key), seq));
         let spill = (|| -> io::Result<()> {
@@ -679,16 +634,14 @@ impl DiskStore {
         }
     }
 
-    /// Probe the store for `key`, decoding into `template` — the
-    /// snapshot of a freshly built machine with this key's exact
-    /// configuration. On [`DiskLoad::Hit`] the template holds the
-    /// verified state; on any verification failure the file is
-    /// quarantined first.
-    pub fn load_into(&self, key: &WarmKey, template: &mut MachineSnapshot) -> DiskLoad {
+    /// Probe the store for `key`. A hit has passed the file header,
+    /// the key match and the snapshot's checksum; on any verification
+    /// failure the file is quarantined first.
+    pub(crate) fn load(&self, key: &WarmKey) -> CacheLoad {
         let path = self.path_for(key);
         if !self.lock().index.contains_key(key) {
             self.lock().counters.misses += 1;
-            return DiskLoad::Miss;
+            return CacheLoad::Miss;
         }
         // Reads go through the fault seam: short reads and bit flips
         // land here and must be caught below.
@@ -699,37 +652,44 @@ impl DiskStore {
                 // error.
                 self.forget(key);
                 self.lock().counters.misses += 1;
-                return DiskLoad::Miss;
+                return CacheLoad::Miss;
             }
             Err(e) => {
                 self.quarantine_key(key, &format!("reading: {e}"));
-                return DiskLoad::Quarantined;
+                return CacheLoad::Quarantined;
             }
         };
-        let verdict = parse_file(&bytes).and_then(|h| {
-            if h.key_fp != key.0 || h.warm_cycle != key.1 {
+        let verdict = parse_file(&bytes).and_then(|f| {
+            if f.key != *key {
                 return Err(format!(
                     "header key {}-{:016x} does not match the requested key",
-                    h.key_fp, h.warm_cycle
+                    f.key.0, f.key.1
                 ));
             }
-            template
-                .load_bytes(h.payload)
-                .map_err(|e| format!("payload decode: {e}"))?;
-            if template.digest() != h.digest {
-                return Err("machine digest mismatch after decode".to_string());
-            }
-            Ok(())
+            Ok(f.snap)
         });
         match verdict {
-            Ok(()) => {
+            Ok(snap) => {
                 self.lock().counters.hits += 1;
-                DiskLoad::Hit
+                CacheLoad::Hit(Box::new(snap))
             }
             Err(reason) => {
                 self.quarantine_key(key, &reason);
-                DiskLoad::Quarantined
+                CacheLoad::Quarantined
             }
+        }
+    }
+
+    /// [`DiskStore::load`] for a caller that owns a snapshot to
+    /// overwrite: on [`DiskLoad::Hit`], `out` is the stored snapshot.
+    pub fn load_into(&self, key: &WarmKey, out: &mut MachineSnapshot) -> DiskLoad {
+        match self.load(key) {
+            CacheLoad::Hit(snap) => {
+                *out = *snap;
+                DiskLoad::Hit
+            }
+            CacheLoad::Miss => DiskLoad::Miss,
+            CacheLoad::Quarantined => DiskLoad::Quarantined,
         }
     }
 

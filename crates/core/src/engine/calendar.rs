@@ -56,8 +56,6 @@ pub struct Calendar {
     core_heap: BinaryHeap<Reverse<(Cycle, u32)>>,
 }
 
-cmp_common::impl_snapshot_clone!(Calendar);
-
 impl Calendar {
     /// A calendar for `tiles` cores, all ready at cycle 0.
     pub(crate) fn new(tiles: usize) -> Self {

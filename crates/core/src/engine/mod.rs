@@ -13,9 +13,7 @@
 //! * [`calendar::Calendar`] — the event calendar: delayed protocol
 //!   sends plus the incremental core-readiness index;
 //! * [`ports::TilePorts`] — the typed outbound ports a controller's
-//!   side effects are routed through;
-//! * [`clocked::Clocked`] — the seam every component answers the
-//!   scheduler through (`next_event` / `is_quiescent`).
+//!   side effects are routed through.
 //!
 //! Cross-cutting concerns live in submodules: [`error`] (structured
 //! failures with machine dumps), [`stats`] (end-of-run accounting),
@@ -26,7 +24,6 @@
 //! machinery behind it.
 
 pub mod calendar;
-pub mod clocked;
 pub mod error;
 pub mod faults;
 pub mod ports;
@@ -37,7 +34,6 @@ pub mod tile;
 pub mod watchdog;
 
 pub use calendar::Calendar;
-pub use clocked::Clocked;
 pub use error::{OldestInFlight, SimError, StateDump, TileDump, TileStall};
 pub use ports::TilePorts;
 pub use profile::PhaseProfile;
@@ -702,9 +698,9 @@ impl Engine {
     /// (the scan-per-iteration predecessor walked all cores and slices).
     fn all_done(&self) -> bool {
         self.cores_unfinished == 0
-            && self.noc.is_quiescent()
+            && self.noc.is_idle()
             && self.calendar.delayed_len() == 0
-            && self.mem.is_quiescent()
+            && self.mem.outstanding() == 0
             && self.busy_l2_count == 0
     }
 
@@ -713,10 +709,10 @@ impl Engine {
         if let Some(r) = self.calendar.earliest_ready_core() {
             next = next.min(r);
         }
-        if let Some(n) = Clocked::next_event(&self.noc, self.now) {
+        if let Some(n) = self.noc.next_event_cycle(self.now) {
             next = next.min(n);
         }
-        if let Some(m) = Clocked::next_event(&self.mem, self.now) {
+        if let Some(m) = self.mem.next_ready() {
             next = next.min(m);
         }
         if let Some(d) = self.calendar.next_delayed() {
@@ -897,11 +893,11 @@ impl Engine {
     }
 
     /// Arm (or re-arm) the periodic protocol sanitizer mid-run, with the
-    /// first sweep due immediately. Restoring a [`MachineSnapshot`]
-    /// overwrites the sanitizer with the snapshot's (usually absent)
-    /// state, so forensic replay — rewind a watchdog-aborted cell to its
-    /// last checkpoint and re-step with sweeps on — calls this *after*
-    /// the restore.
+    /// first sweep due immediately. Arming is part of the machine's
+    /// shape, so a [`MachineSnapshot`] taken before arming is refused
+    /// afterwards: forensic replay — rewind a watchdog-aborted cell to
+    /// its last checkpoint and re-step with sweeps on — calls this
+    /// *after* the restore.
     pub fn arm_sanitizer(&mut self, cfg: SanitizerConfig) {
         self.sanitizer = Some(Sanitizer::new(cfg));
         self.next_sweep = self.now;

@@ -1,64 +1,50 @@
 //! Whole-machine checkpointing: capture every mutable component at an
 //! iteration boundary and resume bit-identically.
 //!
-//! A [`MachineSnapshot`] is the composition of the per-component
-//! [`Snapshot`] states — tiles (core + L1 + network interface), L2
-//! banks, NoC, memory controller, barrier, event calendar — plus the
-//! engine's own cached counters and the robustness layer's seeded
-//! state (fault injector RNG, sanitizer sweep count). Restoring into a
-//! simulator built from the same configuration reproduces the exact
-//! machine state, so a restored run's remaining schedule is
-//! bit-identical to the uncheckpointed original: same cycles, same
-//! message counts, same energy.
+//! There is one description of the machine's mutable state — the
+//! [`PersistState`] impl on [`Engine`]: tiles (core + L1 + network
+//! interface), L2 banks, NoC, memory controller, barrier, event
+//! calendar, the engine's cached counters and the robustness layer's
+//! seeded state — and a [`MachineSnapshot`] is that encoding behind a
+//! small header. Rewind, the checkpoint cache and the disk store all
+//! hold the same bytes. Restoring into a simulator built from the same
+//! configuration — fresh, or one that has since run on — reproduces the
+//! exact machine, so the remaining schedule is bit-identical to the
+//! uncheckpointed run's: same cycles, message counts and energy.
 //!
 //! Snapshots are taken between scheduler iterations (the only boundary
 //! the public API exposes), where the scratch buffers are empty by
 //! construction — nothing transient needs to be captured.
 
 use cmp_common::config::DirectoryConfig;
-use cmp_common::fault::FaultInjector;
-use cmp_common::hash::Fnv64;
-use cmp_common::snapshot::Snapshot;
-use cmp_common::types::{Cycle, TileId};
-use coherence::memctrl::MemCtrl;
-use coherence::msg::ProtocolMsg;
-use coherence::sanitizer::Sanitizer;
-use cpu_model::sync::BarrierState;
-use mesh_noc::Noc;
+use cmp_common::hash::{fnv64, Fnv64};
+use cmp_common::persist::{
+    load_state_slice, save_state_slice, ByteReader, ByteWriter, Persist, PersistError, PersistState,
+};
+use cmp_common::types::Cycle;
 
-use super::calendar::Calendar;
-use super::tile::{restore_all, snapshot_all, L2Bank, Tile};
-use super::watchdog::Watchdog;
 use super::Engine;
 
-/// A checkpoint of the whole machine at an iteration boundary.
-///
-/// Opaque by design: the only supported operations are
-/// [`crate::sim::CmpSimulator::snapshot`],
-/// [`crate::sim::CmpSimulator::restore`] and [`MachineSnapshot::cycle`].
+/// A checkpoint of the whole machine at an iteration boundary: a header
+/// saying which machine it fits, the encoded state, and a checksum over
+/// both. Opaque: capture with [`crate::sim::CmpSimulator::snapshot`],
+/// apply with [`crate::sim::CmpSimulator::try_restore`].
 #[derive(Clone)]
 pub struct MachineSnapshot {
-    pub(crate) now: Cycle,
-    pub(crate) tiles: Vec<Tile>,
-    pub(crate) l2s: Vec<L2Bank>,
-    pub(crate) noc: Noc<ProtocolMsg>,
-    pub(crate) mem: MemCtrl,
-    pub(crate) barrier: BarrierState,
-    pub(crate) calendar: Calendar,
-    pub(crate) cores_unfinished: usize,
-    pub(crate) busy_l2_count: usize,
-    pub(crate) injector: Option<FaultInjector>,
-    pub(crate) sanitizer: Option<Sanitizer>,
-    pub(crate) next_sweep: Cycle,
-    pub(crate) watchdog: Option<Watchdog>,
-    pub(crate) iters: u64,
+    now: Cycle,
+    tiles: usize,
+    directory: DirectoryConfig,
+    /// [`Engine::shape_fingerprint`] of the captured machine.
+    shape: u64,
+    /// [`MachineSnapshot::digest`] at capture time.
+    checksum: u64,
+    /// [`Engine::encode_state`] at capture time.
+    pub(crate) state: Vec<u8>,
 }
 
-/// Why a [`MachineSnapshot`] refuses to restore into a simulator: the
-/// snapshot's machine shape must match, including the directory
-/// organisation the L2 slices were captured with — transplanting
-/// sparse-directory state into a full-map machine (or vice versa) would
-/// silently swap the simulator's capacity-metering semantics mid-run.
+/// Why a [`MachineSnapshot`] refuses to restore into a simulator. Every
+/// variant but [`RestoreError::Decode`] is decided from the snapshot's
+/// header and checksum, before the simulator is touched.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RestoreError {
     /// The snapshot captured a machine with a different tile count.
@@ -69,13 +55,38 @@ pub enum RestoreError {
         snapshot: usize,
     },
     /// The snapshot captured L2 slices running a different directory
-    /// representation.
+    /// representation — transplanting sparse-directory state into a
+    /// full-map machine (or vice versa) would silently swap the
+    /// simulator's capacity-metering semantics mid-run.
     DirectoryMismatch {
         /// Organisation the simulator was configured with.
         simulator: DirectoryConfig,
         /// Organisation the snapshot was captured under.
         snapshot: DirectoryConfig,
     },
+    /// Same tile count and directory, but some other structure-defining
+    /// choice differs: cache geometry, latencies, interconnect, codec
+    /// scheme, coverage probes, or which robustness components are
+    /// armed. The two values are the machines' shape fingerprints.
+    ConfigMismatch {
+        /// Fingerprint of the simulator being restored into.
+        simulator: u64,
+        /// Fingerprint recorded in the snapshot.
+        snapshot: u64,
+    },
+    /// The snapshot's header or state changed after capture (bit rot, a
+    /// torn copy, a deliberate test corruption).
+    ChecksumMismatch {
+        /// Checksum recorded at capture.
+        stored: u64,
+        /// Checksum of what the snapshot holds now.
+        computed: u64,
+    },
+    /// Header and checksum verified, yet the state did not decode into
+    /// this machine (a decoder bug, a hash collision). Decoding
+    /// overwrites the machine as it goes, so the simulator is now
+    /// **partly restored and must be rebuilt**.
+    Decode(PersistError),
 }
 
 impl std::fmt::Display for RestoreError {
@@ -99,6 +110,26 @@ impl std::fmt::Display for RestoreError {
                 snapshot.label(),
                 simulator.label()
             ),
+            RestoreError::ConfigMismatch {
+                simulator,
+                snapshot,
+            } => write!(
+                f,
+                "snapshot captured a machine of shape {snapshot:016x} but this simulator \
+                 has shape {simulator:016x}: machine description, interconnect, scheme, \
+                 coverage probes and armed robustness components must all match"
+            ),
+            RestoreError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "snapshot checksum mismatch (stored {stored:016x}, computed \
+                 {computed:016x}): torn, truncated or bit-rotted"
+            ),
+            RestoreError::Decode(e) => {
+                write!(
+                    f,
+                    "{e}; the simulator is partly restored and must be rebuilt"
+                )
+            }
         }
     }
 }
@@ -113,121 +144,133 @@ impl MachineSnapshot {
 
     /// Number of tiles in the captured machine.
     pub fn tiles(&self) -> usize {
-        self.tiles.len()
+        self.tiles
     }
 
     /// Directory organisation the captured L2 slices were running.
     pub fn directory_config(&self) -> DirectoryConfig {
-        self.l2s
-            .first()
-            .map(|b| b.slice.directory_config())
-            .unwrap_or(DirectoryConfig::FullMap)
+        self.directory
     }
 
-    /// Content digest of the captured machine (FNV-1a 64 in a fixed
-    /// field order).
-    ///
-    /// The checkpoint cache records this at store time and recomputes
-    /// it at load time, so a checkpoint that was mutated in between —
-    /// torn, bit-rotted, or deliberately corrupted by a test — is
-    /// detected and quarantined instead of fast-forwarding a cell into
-    /// wrong numbers. The digest walks the schedule-bearing state:
-    /// clocks and cached counters, every core's architectural
-    /// description and retirement stats, L1 MSHR and L2 transaction
-    /// lines, in-flight NoC and calendar event counts, and each
-    /// outstanding memory read. Deterministic across platforms; not
-    /// cryptographic (it guards against corruption, not an adversary).
+    fn save_header(&self, w: &mut ByteWriter) {
+        w.u64(self.now);
+        w.usize(self.tiles);
+        w.str(&self.directory.flag_label());
+        w.u64(self.shape);
+    }
+
+    /// Content digest of the snapshot as it is now: FNV-1a 64 over the
+    /// header and every state byte. Recorded at capture and recomputed
+    /// by whoever is about to trust the state ([`Engine::try_restore`],
+    /// the checkpoint cache, the disk store), so a checkpoint torn,
+    /// bit-rotted or deliberately corrupted in between is refused
+    /// instead of fast-forwarding a cell into wrong numbers. Not
+    /// cryptographic: it guards against corruption, not an adversary.
     pub fn digest(&self) -> u64 {
+        let mut header = ByteWriter::new();
+        self.save_header(&mut header);
         let mut h = Fnv64::new();
-        h.write_u64(self.now);
-        h.write_u64(self.iters);
-        h.write_u64(self.cores_unfinished as u64);
-        h.write_u64(self.busy_l2_count as u64);
-        h.write_u64(self.next_sweep);
-        for t in &self.tiles {
-            h.write_str(&t.core.describe());
-            h.write_u64(t.core.stats().instructions);
-            h.write_u64(t.core.stats().mem_ops);
-            h.write_u64(t.core.ready_at().unwrap_or(Cycle::MAX));
-            h.write_u64(u64::from(t.parked));
-            // MSHRs and the L2 transaction maps iterate in a
-            // deterministic order that survives save/load (dense
-            // vectors and `AddrMap`'s insertion-history order), so the
-            // digest walks them directly — no defensive copy-and-sort.
-            for line in t.l1.mshr_lines() {
-                h.write_u64(line);
-            }
-        }
-        for b in &self.l2s {
-            h.write_u64(u64::from(b.busy));
-            for (line, state) in b.slice.busy_lines() {
-                h.write_u64(line);
-                h.write_str(&state);
-            }
-            for line in b.slice.fill_lines() {
-                h.write_u64(line);
-            }
-            h.write_u64(b.slice.queued_requests() as u64);
-        }
-        h.write_u64(self.noc.live_messages() as u64);
-        h.write_u64(self.noc.held_count() as u64);
-        h.write_u64(self.mem.outstanding() as u64);
-        for r in self.mem.outstanding_reads() {
-            h.write_u64(r.tile.index() as u64);
-            h.write_u64(r.line);
-            h.write_u64(r.ready_at);
-        }
-        h.write_u64(self.calendar.delayed_len() as u64);
-        h.write_u64(self.calendar.next_delayed().unwrap_or(Cycle::MAX));
-        h.write_u64(u64::from(self.barrier.epoch()));
-        h.write_u64(
-            self.injector
-                .as_ref()
-                .map_or(u64::MAX, |i| i.stats().total()),
-        );
+        h.write_bytes(&header.into_bytes());
+        h.write_bytes(&self.state);
         h.finish()
     }
 
-    /// Deliberately perturb the captured state — invent a phantom
-    /// outstanding memory read, the kind of deep machine state a torn
-    /// checkpoint would plausibly lose or duplicate — so the cache's
-    /// load-time verification has something real to catch. Test and
-    /// campaign hook; never called on the clean path.
-    #[doc(hidden)]
-    pub fn fault_corrupt(&mut self) {
-        self.mem.read(self.now, TileId(0), 0xDEAD_C0DE << 6);
+    /// Record the checksum of the header and state as they are now.
+    fn sealed(mut self) -> MachineSnapshot {
+        self.checksum = self.digest();
+        self
     }
 
-    /// Encode the captured machine as bytes (the disk-spill payload).
-    ///
-    /// Only mutable state is written: a matching [`MachineSnapshot::load_bytes`]
-    /// always runs on a *template* snapshot taken from a freshly built
-    /// simulator of the identical configuration (the cache's warm key
-    /// fingerprints the full config), so immutable structure — mesh shape,
-    /// codec schemes, latencies — never hits disk and every
-    /// trait-object component loads its state in place.
+    /// `Ok` when the snapshot still is what was captured.
+    pub(crate) fn verify(&self) -> Result<(), RestoreError> {
+        let computed = self.digest();
+        if computed == self.checksum {
+            Ok(())
+        } else {
+            Err(RestoreError::ChecksumMismatch {
+                stored: self.checksum,
+                computed,
+            })
+        }
+    }
+
+    /// Deliberately perturb the captured state — one flipped bit in the
+    /// middle of the encoding, the kind of damage a torn or rotted
+    /// checkpoint carries — so load-time verification has something
+    /// real to catch. Test and campaign hook; never called on the clean
+    /// path.
+    #[doc(hidden)]
+    pub fn fault_corrupt(&mut self) {
+        let mid = self.state.len() / 2;
+        if let Some(byte) = self.state.get_mut(mid) {
+            *byte ^= 0x10;
+        }
+    }
+
+    /// The snapshot as bytes (header, checksum, state), as the disk
+    /// store writes it. Only mutable state is in there: immutable
+    /// structure — mesh shape, codec schemes, latencies — is rebuilt by
+    /// the target simulator's constructor and pinned by the header's
+    /// shape fingerprint.
     pub fn save_bytes(&self) -> Vec<u8> {
-        use cmp_common::persist::PersistState;
-        let mut w = cmp_common::persist::ByteWriter::new();
-        self.save_state(&mut w);
+        let mut w = ByteWriter::new();
+        self.save(&mut w);
         w.into_bytes()
     }
 
-    /// Overwrite this (template) snapshot from [`MachineSnapshot::save_bytes`]
-    /// output. Corrupt or truncated input — including bytes captured from
-    /// a machine of a different shape or arming — is a structured error,
-    /// never a panic and never a silently inconsistent machine.
-    pub fn load_bytes(&mut self, bytes: &[u8]) -> Result<(), cmp_common::persist::PersistError> {
-        use cmp_common::persist::PersistState;
-        let mut r = cmp_common::persist::ByteReader::new(bytes);
-        self.load_state(&mut r)?;
-        r.finish()
+    /// Replace this snapshot with one parsed from
+    /// [`MachineSnapshot::save_bytes`] output. Truncated input, trailing
+    /// bytes and an unreadable header are structured errors, never a
+    /// panic; the state is adopted as is and checked where it is used
+    /// ([`crate::sim::CmpSimulator::try_restore`]).
+    pub fn load_bytes(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
+        let mut r = ByteReader::new(bytes);
+        let parsed = MachineSnapshot::load(&mut r)?;
+        r.finish()?;
+        *self = parsed;
+        Ok(())
     }
 }
 
-impl cmp_common::persist::PersistState for MachineSnapshot {
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        use cmp_common::persist::{save_state_slice, Persist};
+#[cfg(test)]
+impl MachineSnapshot {
+    /// This snapshot's header over other state bytes, checksummed as if
+    /// it had been captured that way: what a hash collision or a
+    /// decoder bug would look like to the layers above.
+    pub(crate) fn with_state(&self, state: Vec<u8>) -> MachineSnapshot {
+        MachineSnapshot {
+            state,
+            ..self.clone()
+        }
+        .sealed()
+    }
+}
+
+impl Persist for MachineSnapshot {
+    fn save(&self, w: &mut ByteWriter) {
+        self.save_header(w);
+        w.u64(self.checksum);
+        w.bytes(&self.state);
+    }
+    fn load(r: &mut ByteReader) -> Result<Self, PersistError> {
+        let now = r.u64()?;
+        let tiles = r.usize()?;
+        let directory = DirectoryConfig::parse_flag(&r.string()?)
+            .map_err(|_| r.err("unknown directory organisation"))?;
+        Ok(MachineSnapshot {
+            now,
+            tiles,
+            directory,
+            shape: r.u64()?,
+            checksum: r.u64()?,
+            state: r.bytes()?.to_vec(),
+        })
+    }
+}
+
+/// The machine's mutable state, field by field: the only such list.
+impl PersistState for Engine {
+    fn save_state(&self, w: &mut ByteWriter) {
         w.u64(self.now);
         save_state_slice(&self.tiles, w);
         save_state_slice(&self.l2s, w);
@@ -254,11 +297,7 @@ impl cmp_common::persist::PersistState for MachineSnapshot {
         }
         w.u64(self.iters);
     }
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        use cmp_common::persist::{load_state_slice, Persist};
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
         self.now = r.u64()?;
         load_state_slice(&mut self.tiles, r)?;
         load_state_slice(&mut self.l2s, r)?;
@@ -299,69 +338,81 @@ impl cmp_common::persist::PersistState for MachineSnapshot {
 }
 
 impl Engine {
-    /// Restore after checking the snapshot actually fits this machine:
-    /// same tile count and same directory organisation. The structured
-    /// [`RestoreError`] replaces what would otherwise be a silent
-    /// representation transplant.
-    pub fn try_restore(&mut self, state: &MachineSnapshot) -> Result<(), RestoreError> {
-        if state.tiles.len() != self.tiles.len() {
-            return Err(RestoreError::TileCountMismatch {
-                simulator: self.tiles.len(),
-                snapshot: state.tiles.len(),
-            });
-        }
-        let snap_dir = state.directory_config();
-        if snap_dir != self.cfg.cmp.directory {
-            return Err(RestoreError::DirectoryMismatch {
-                simulator: self.cfg.cmp.directory,
-                snapshot: snap_dir,
-            });
-        }
-        self.restore(state);
-        Ok(())
+    /// Fingerprint of everything that fixes the *shape* of the encoded
+    /// state: the machine description, the interconnect, the codec
+    /// scheme, the coverage probes, and which optional robustness
+    /// components are armed. State encoded on a machine of one shape
+    /// decodes only into a machine of the same shape.
+    fn shape_fingerprint(&self) -> u64 {
+        let cfg = &self.cfg;
+        fnv64(
+            format!(
+                "{:?}|{:?}|{:?}|{:?}|injector={} sanitizer={} watchdog={}",
+                cfg.cmp,
+                cfg.interconnect,
+                cfg.scheme,
+                cfg.coverage_probes,
+                self.injector.is_some(),
+                self.sanitizer.is_some(),
+                self.watchdog.is_some(),
+            )
+            .as_bytes(),
+        )
     }
-}
 
-impl Snapshot for Engine {
-    type State = MachineSnapshot;
+    /// The machine's mutable state as bytes.
+    pub(crate) fn encode_state(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        self.save_state(&mut w);
+        w.into_bytes()
+    }
 
-    fn snapshot(&self) -> MachineSnapshot {
+    /// Checkpoint the whole machine at the current iteration boundary.
+    pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             now: self.now,
-            tiles: snapshot_all(&self.tiles),
-            l2s: snapshot_all(&self.l2s),
-            noc: self.noc.snapshot(),
-            mem: self.mem.snapshot(),
-            barrier: self.barrier.snapshot(),
-            calendar: self.calendar.snapshot(),
-            cores_unfinished: self.cores_unfinished,
-            busy_l2_count: self.busy_l2_count,
-            injector: self.injector.clone(),
-            sanitizer: self.sanitizer.clone(),
-            next_sweep: self.next_sweep,
-            watchdog: self.watchdog.clone(),
-            iters: self.iters,
+            tiles: self.tiles.len(),
+            directory: self.cfg.cmp.directory,
+            shape: self.shape_fingerprint(),
+            checksum: 0,
+            state: self.encode_state(),
         }
+        .sealed()
     }
 
-    fn restore(&mut self, state: &MachineSnapshot) {
-        self.now = state.now;
-        restore_all(&mut self.tiles, &state.tiles);
-        restore_all(&mut self.l2s, &state.l2s);
-        self.noc.restore(&state.noc);
-        self.mem.restore(&state.mem);
-        self.barrier.restore(&state.barrier);
-        self.calendar.restore(&state.calendar);
-        self.cores_unfinished = state.cores_unfinished;
-        self.busy_l2_count = state.busy_l2_count;
-        self.injector = state.injector.clone();
-        self.sanitizer = state.sanitizer.clone();
-        self.next_sweep = state.next_sweep;
-        self.watchdog = state.watchdog.clone();
-        self.iters = state.iters;
+    /// Rewind the machine to `snap`. Header (tile count, directory,
+    /// shape fingerprint) and checksum are checked first, and a refusal
+    /// on any of them leaves the machine untouched; only then is the
+    /// state decoded in place ([`RestoreError::Decode`] past that point).
+    pub fn try_restore(&mut self, snap: &MachineSnapshot) -> Result<(), RestoreError> {
+        if snap.tiles != self.tiles.len() {
+            return Err(RestoreError::TileCountMismatch {
+                simulator: self.tiles.len(),
+                snapshot: snap.tiles,
+            });
+        }
+        if snap.directory != self.cfg.cmp.directory {
+            return Err(RestoreError::DirectoryMismatch {
+                simulator: self.cfg.cmp.directory,
+                snapshot: snap.directory,
+            });
+        }
+        let shape = self.shape_fingerprint();
+        if snap.shape != shape {
+            return Err(RestoreError::ConfigMismatch {
+                simulator: shape,
+                snapshot: snap.shape,
+            });
+        }
+        snap.verify()?;
+        let mut r = ByteReader::new(&snap.state);
+        self.load_state(&mut r)
+            .and_then(|()| r.finish())
+            .map_err(RestoreError::Decode)?;
         // Scratch buffers are empty at every iteration boundary; clear
         // them anyway so a restore from any state is self-consistent.
         self.delivered_scratch.clear();
         self.due_scratch.clear();
+        Ok(())
     }
 }

@@ -1,5 +1,5 @@
 use super::*;
-use cmp_common::snapshot::Snapshot;
+use cmp_common::persist::PersistError;
 use cmp_common::types::MessageClass;
 use wire_model::wires::VlWidth;
 use workloads::synthetic;
@@ -413,7 +413,7 @@ fn engine_snapshot_round_trips_mid_run() {
     while engine.step_iteration().expect("clean run") {}
     let first = engine.collect();
 
-    engine.restore(&snap);
+    engine.try_restore(&snap).expect("rewind");
     assert_eq!(engine.now(), snap.cycle());
     while engine.step_iteration().expect("clean run") {}
     let second = engine.collect();
@@ -441,10 +441,10 @@ fn env_knob_parsing_accepted_forms() {
 
 #[test]
 fn byte_encoded_snapshot_resumes_bit_identically() {
-    // The disk-spill round trip: run to a mid-point, encode the machine
-    // as bytes, decode into a *fresh* machine's template snapshot, and
-    // check both finish with identical results — the property the
-    // checkpoint store's warm starts rest on.
+    // The disk-spill round trip: run to a mid-point, take the snapshot's
+    // bytes, parse them back, restore into a *fresh* machine, and check
+    // both finish with identical results — the property the checkpoint
+    // store's warm starts rest on.
     let app = synthetic::hotspot(1_500, 64);
     let cfg = compressed_cfg();
 
@@ -456,15 +456,12 @@ fn byte_encoded_snapshot_resumes_bit_identically() {
     let bytes = snap.save_bytes();
 
     let mut resumed = Engine::new(cfg.clone(), &app, SEED, 1.0);
-    let mut template = resumed.snapshot();
-    template.load_bytes(&bytes).expect("decode");
-    assert_eq!(
-        template.digest(),
-        snap.digest(),
-        "decoded machine digests equal"
-    );
-    assert_eq!(template.cycle(), snap.cycle());
-    resumed.try_restore(&template).expect("restore");
+    let mut parsed = resumed.snapshot();
+    parsed.load_bytes(&bytes).expect("parse");
+    assert_eq!(parsed.digest(), snap.digest(), "parsed snapshot is a copy");
+    assert_eq!(parsed.cycle(), snap.cycle());
+    resumed.try_restore(&parsed).expect("restore");
+    assert_eq!(resumed.encode_state(), snap.state);
 
     let finish = |e: &mut Engine| {
         while e.step_iteration().expect("clean run") {}
@@ -481,39 +478,101 @@ fn byte_encoded_snapshot_resumes_bit_identically() {
     assert!((a.coverage - b.coverage).abs() == 0.0);
 }
 
+/// Damaged snapshot bytes never panic and never restore: each is
+/// refused either by the header parser (`load_bytes`) or by
+/// `try_restore`'s header and checksum checks, and in both cases the
+/// target machine — here one that has run on past the checkpoint — is
+/// left exactly as it was.
 #[test]
 fn corrupt_snapshot_bytes_are_structured_errors_never_panics() {
     let app = synthetic::hotspot(800, 64);
-    let cfg = compressed_cfg();
-    let mut engine = Engine::new(cfg.clone(), &app, SEED, 1.0);
+    let mut engine = Engine::new(compressed_cfg(), &app, SEED, 1.0);
     for _ in 0..100 {
         assert!(engine.step_iteration().expect("clean run"));
     }
-    let bytes = engine.snapshot().save_bytes();
-    let template = || Engine::new(cfg.clone(), &app, SEED, 1.0).snapshot();
-
-    // Truncation at any point must fail cleanly.
-    for cut in [0, 1, 8, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
-        template()
-            .load_bytes(&bytes[..cut])
-            .expect_err("truncated bytes must not load");
+    let snap = engine.snapshot();
+    let bytes = snap.save_bytes();
+    for _ in 0..50 {
+        assert!(engine.step_iteration().expect("clean run"));
     }
-    // Trailing garbage is rejected (finish() catches it).
+    let untouched = engine.encode_state();
+
+    let restore_from = |engine: &mut Engine, bytes: &[u8]| -> Result<(), String> {
+        let mut parsed = snap.clone();
+        parsed.load_bytes(bytes).map_err(|e| e.to_string())?;
+        engine.try_restore(&parsed).map_err(|e| e.to_string())
+    };
+
+    // Truncation at any point, and trailing garbage.
     let mut padded = bytes.clone();
     padded.extend_from_slice(&[0u8; 7]);
-    template()
-        .load_bytes(&padded)
-        .expect_err("trailing bytes must not load");
-    // Single-bit rot must never panic: it either fails to decode or
-    // decodes to a perturbed machine. Rot in non-schedule state (counter
-    // values, energy accumulators) can slip past the machine digest — by
-    // design; catching arbitrary byte corruption is the checkpoint
-    // store's whole-payload checksum's job, exercised in its own tests.
-    for flip_at in (0..bytes.len()).step_by(bytes.len() / 97 + 1) {
+    let cuts = [
+        0,
+        1,
+        8,
+        40,
+        bytes.len() / 3,
+        bytes.len() / 2,
+        bytes.len() - 1,
+    ];
+    let damaged = cuts
+        .iter()
+        .map(|&cut| bytes[..cut].to_vec())
+        .chain([padded]);
+    for (i, bad) in damaged.enumerate() {
+        restore_from(&mut engine, &bad).expect_err("damaged bytes must not restore");
+        assert!(
+            engine.encode_state() == untouched,
+            "case {i} touched the machine"
+        );
+    }
+    // Single-bit rot: every byte of the header region, then a stride
+    // through the state. The checksum covers header and state alike, so
+    // nothing slips through — counters and energy accumulators included.
+    let stride = (64..bytes.len()).step_by(bytes.len() / 97 + 1);
+    for flip_at in (0..64).chain(stride) {
         let mut rotted = bytes.clone();
         rotted[flip_at] ^= 0x10;
-        let _ = template().load_bytes(&rotted);
+        restore_from(&mut engine, &rotted)
+            .expect_err(&format!("rot at byte {flip_at} must not restore"));
+        assert!(
+            engine.encode_state() == untouched,
+            "rot at byte {flip_at} touched the machine"
+        );
     }
+    // The intact bytes still rewind the machine.
+    restore_from(&mut engine, &bytes).expect("intact bytes restore");
+    assert!(engine.encode_state() == snap.state);
+}
+
+/// Past the header and checksum a decode failure is still a structured
+/// error — [`RestoreError::Decode`], the one variant that leaves the
+/// machine partly overwritten — and never a panic.
+#[test]
+fn validly_checksummed_garbage_is_a_structured_decode_error() {
+    let app = synthetic::hotspot(800, 64);
+    let mut engine = Engine::new(compressed_cfg(), &app, SEED, 1.0);
+    for _ in 0..100 {
+        assert!(engine.step_iteration().expect("clean run"));
+    }
+    let good = engine.snapshot();
+    for keep in [0, 8, good.state.len() / 2, good.state.len() - 1] {
+        let bad = good.with_state(good.state[..keep].to_vec());
+        match engine.try_restore(&bad) {
+            Err(RestoreError::Decode(PersistError { .. })) => {}
+            other => panic!("state cut to {keep} bytes: expected Decode, got {other:?}"),
+        }
+    }
+    let mut padded = good.state.clone();
+    padded.push(0);
+    assert!(matches!(
+        engine.try_restore(&good.with_state(padded)),
+        Err(RestoreError::Decode(_))
+    ));
+    // "Must be rebuilt" is the contract; a good snapshot of the same
+    // shape is as good as a rebuild, because decoding is total.
+    engine.try_restore(&good).expect("good snapshot restores");
+    assert!(engine.encode_state() == good.state);
 }
 
 #[test]

@@ -3,23 +3,23 @@
 //!
 //! A [`Tile`] owns everything private to one node of the mesh; an
 //! [`L2Bank`] owns one slice of the shared NUCA L2 plus its cached
-//! busy flag. Both are plain data, so the machine-level snapshot is the
-//! composition of their per-component [`Snapshot`]s.
+//! busy flag. Each describes its mutable state once, as
+//! [`PersistState`]; the machine-level snapshot is the concatenation.
 
 use addr_compression::CompressionEngine;
-use cmp_common::snapshot::Snapshot;
+use cmp_common::persist::{
+    load_state_slice, save_state_slice, ByteReader, ByteWriter, PersistError, PersistState,
+};
 use cmp_common::types::{Addr, Cycle, MessageClass, TileId};
 use coherence::l1::L1Cache;
 use coherence::l2::L2Slice;
 use cpu_model::core::Core;
 
-use super::clocked::Clocked;
 use crate::niface::ResyncTracker;
 
 /// One tile's network interface: the sender-side compression hardware of
 /// the proposal (Section 4.3) plus its resynchronisation bookkeeping and
 /// any passive coverage probes riding the same address stream.
-#[derive(Clone)]
 pub struct NetIface {
     /// The live codec deciding each message's wire size.
     pub(crate) codec: CompressionEngine,
@@ -30,8 +30,6 @@ pub struct NetIface {
     /// subsystem is live).
     pub(crate) tracker: ResyncTracker,
 }
-
-cmp_common::impl_snapshot_clone!(NetIface);
 
 impl NetIface {
     /// Size a remote message on the wire: probes observe the address,
@@ -75,7 +73,6 @@ impl NetIface {
 
 /// One tile: trace-driven core, private L1 controller and the network
 /// interface that compresses its outbound coherence traffic.
-#[derive(Clone)]
 pub struct Tile {
     /// The in-order core consuming this tile's trace.
     pub(crate) core: Core,
@@ -87,29 +84,14 @@ pub struct Tile {
     pub(crate) parked: bool,
 }
 
-cmp_common::impl_snapshot_clone!(Tile);
-
-impl Clocked for Tile {
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        self.core.ready_at()
-    }
-
-    fn is_quiescent(&self) -> bool {
-        self.core.is_done()
-    }
-}
-
 /// One bank of the shared NUCA L2 (home slice + full-map directory),
 /// with its busy flag cached so the engine's completion check stays O(1).
-#[derive(Clone)]
 pub struct L2Bank {
     /// The home-slice controller.
     pub(crate) slice: L2Slice,
     /// Mirror of `!slice.is_quiescent()`, kept by [`L2Bank::sync`].
     pub(crate) busy: bool,
 }
-
-cmp_common::impl_snapshot_clone!(L2Bank);
 
 impl L2Bank {
     /// Re-cache the busy flag after the slice handled work. Returns the
@@ -128,20 +110,6 @@ impl L2Bank {
     }
 }
 
-impl Clocked for L2Bank {
-    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
-        // Banks are reactive: they act only when a message or fill
-        // arrives, so they never bound the fast-forward jump.
-        None
-    }
-
-    fn is_quiescent(&self) -> bool {
-        !self.busy
-    }
-}
-
-use cmp_common::persist::{save_state_slice, ByteReader, ByteWriter, PersistError, PersistState};
-
 impl PersistState for NetIface {
     fn save_state(&self, w: &mut ByteWriter) {
         self.codec.save_state(w);
@@ -150,7 +118,7 @@ impl PersistState for NetIface {
     }
     fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
         self.codec.load_state(r)?;
-        cmp_common::persist::load_state_slice(&mut self.probes, r)?;
+        load_state_slice(&mut self.probes, r)?;
         self.tracker.load_state(r)
     }
 }
@@ -180,22 +148,5 @@ impl PersistState for L2Bank {
         self.slice.load_state(r)?;
         self.busy = r.bool()?;
         Ok(())
-    }
-}
-
-/// Capture a row of components via their per-component snapshots.
-pub(crate) fn snapshot_all<T: Snapshot>(items: &[T]) -> Vec<T::State> {
-    items.iter().map(Snapshot::snapshot).collect()
-}
-
-/// Restore a row of components from their captured states.
-pub(crate) fn restore_all<T: Snapshot>(items: &mut [T], states: &[T::State]) {
-    assert_eq!(
-        items.len(),
-        states.len(),
-        "snapshot shape does not match this machine"
-    );
-    for (item, state) in items.iter_mut().zip(states) {
-        item.restore(state);
     }
 }

@@ -10,9 +10,11 @@
 //!   3–5-byte VL channel on the very-low-latency wires and everything
 //!   else on the (narrowed) B-Wire channel.
 //! * [`engine`] — the simulation machinery: per-tile components
-//!   ([`engine::Tile`], [`engine::L2Bank`]) behind the [`engine::Clocked`]
-//!   seam, the event calendar, typed ports, structured errors and
-//!   whole-machine snapshot/restore.
+//!   ([`engine::Tile`], [`engine::L2Bank`]), the event calendar, typed
+//!   ports, structured errors and whole-machine snapshot/restore — one
+//!   state-capture path: a [`MachineSnapshot`] is the machine's encoded
+//!   state behind a self-checking header, for rewind, cache and disk
+//!   alike.
 //! * [`sim`] — [`sim::CmpSimulator`], the façade over the engine:
 //!   trace-driven cores + L1/L2 MESI coherence + flit-level heterogeneous
 //!   NoC + memory, advanced on one 4 GHz clock with idle fast-forward,
@@ -28,8 +30,9 @@
 //!   matrix runner whose sweeps resume bit-identically after a kill.
 //! * [`checkpoint`] — the content-addressed, self-verifying cache of
 //!   warm-start [`MachineSnapshot`]s that lets campaigns sharing a
-//!   cold-start prefix skip it, with load-time digest verification
-//!   quarantining torn or corrupted checkpoints.
+//!   cold-start prefix skip it, with load-time checksum verification
+//!   quarantining torn or corrupted checkpoints; memory and disk tiers
+//!   hold the same value.
 
 #![forbid(unsafe_code)]
 

@@ -17,7 +17,6 @@
 use addr_compression::CompressionHwCost;
 use cmp_common::config::CmpConfig;
 use cmp_common::fault::FaultStats;
-use cmp_common::snapshot::Snapshot;
 use cmp_common::types::{Addr, Cycle, TileId};
 use cmp_common::units::Joules;
 use coherence::sanitizer::Invariant;
@@ -84,10 +83,11 @@ impl CmpSimulator {
 
     /// Checkpoint the whole machine at the current iteration boundary.
     ///
-    /// Restoring the snapshot — into this simulator or a fresh one built
-    /// from the same configuration, application, seed and scale — resumes
-    /// the run bit-identically: the remaining schedule, message counts
-    /// and energy are exactly those of an uncheckpointed run.
+    /// Restoring the snapshot — into this simulator, however far it has
+    /// run since, or into another one built from the same configuration
+    /// and application — resumes the run bit-identically: the remaining
+    /// schedule, message counts and energy are exactly those of an
+    /// uncheckpointed run.
     pub fn snapshot(&self) -> MachineSnapshot {
         self.engine.snapshot()
     }
@@ -95,7 +95,7 @@ impl CmpSimulator {
     /// Rewind the machine to a previously captured [`MachineSnapshot`].
     ///
     /// The snapshot must come from a simulator with the same
-    /// configuration (panics on a shape mismatch; see
+    /// configuration and must be intact (panics otherwise; see
     /// [`CmpSimulator::try_restore`] for the non-panicking form).
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         self.engine
@@ -103,20 +103,22 @@ impl CmpSimulator {
             .expect("snapshot matches this machine");
     }
 
-    /// Rewind to a snapshot, refusing with a structured error when its
-    /// machine shape — tile count or directory organisation — does not
-    /// match this simulator. On `Err` the simulator is untouched.
+    /// Rewind to a snapshot, refusing with a structured error when it
+    /// does not fit this simulator — tile count, directory
+    /// organisation, any other structure-defining configuration — or
+    /// fails its checksum. On every such `Err` the simulator is
+    /// untouched; [`RestoreError::Decode`] is the exception and says so.
     pub fn try_restore(&mut self, snap: &MachineSnapshot) -> Result<(), RestoreError> {
         self.engine.try_restore(snap)
     }
 
     /// Arm (or re-arm) the periodic protocol sanitizer mid-run, with the
-    /// first sweep due immediately. [`CmpSimulator::restore`] overwrites
-    /// the sanitizer with the snapshot's (usually absent) state, so
-    /// forensic replay of a watchdog-aborted cell — rewind to the last
-    /// checkpoint, then re-step with sweeps on — calls this *after* the
-    /// restore. Sweeps are read-only, so arming cannot change a healthy
-    /// run's outcome.
+    /// first sweep due immediately. Whether a sanitizer is armed is part
+    /// of the machine's shape: snapshots taken before arming no longer
+    /// restore afterwards, so forensic replay of a watchdog-aborted cell
+    /// — rewind to the last checkpoint, then re-step with sweeps on —
+    /// calls this *after* the restore. Sweeps are read-only, so arming
+    /// cannot change a healthy run's outcome.
     pub fn arm_sanitizer(&mut self, cfg: coherence::sanitizer::SanitizerConfig) {
         self.engine.arm_sanitizer(cfg);
     }

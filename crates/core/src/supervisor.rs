@@ -39,6 +39,7 @@ use wire_model::wires::VlWidth;
 use workloads::profile::AppProfile;
 
 use crate::checkpoint::{CacheLoad, CheckpointCache, WarmKey};
+use crate::engine::MachineSnapshot;
 use crate::experiment::{panic_message, RunSpec};
 use crate::niface::{InterconnectChoice, ResyncStats};
 use crate::sim::{ClassCount, CmpSimulator, SimConfig, SimError, SimResult};
@@ -150,9 +151,9 @@ pub enum WarmStart {
     Stored,
     /// Cache hit: the run fast-forwarded from a verified checkpoint.
     Warmed,
-    /// The cached checkpoint failed digest verification: it was
-    /// quarantined and this run simulated fresh (then re-stored a clean
-    /// checkpoint under the same key).
+    /// The cached checkpoint failed verification (or, verified, still
+    /// would not restore): it was quarantined and this run simulated
+    /// fresh (then re-stored a clean checkpoint under the same key).
     Quarantined,
     /// The run completed before reaching the warm point; nothing was
     /// cached.
@@ -203,13 +204,14 @@ pub fn warm_key(cfg: &SimConfig, app: &AppProfile, seed: u64, scale: f64, warm: 
 ///
 /// With `cache = Some((cache, warm_cycles))`, the run first consults
 /// the cache for a checkpoint of its own configuration at the warm
-/// point: a verified hit is restored (fast-forward); a miss — or a
-/// corrupt entry, which is quarantined — simulates the prefix fresh
-/// and stores a checkpoint at the first iteration boundary at or past
-/// `warm_cycles`. Either way the remainder runs under the normal
-/// supervision loop, and because snapshot/restore is bit-identical,
-/// the result is exactly that of an uncached run — the cache can only
-/// change wall-clock time, never numbers.
+/// point: a verified hit is decoded straight into the freshly built
+/// simulator (fast-forward); a miss — or a corrupt entry, which is
+/// quarantined — simulates the prefix fresh and stores a checkpoint at
+/// the first iteration boundary at or past `warm_cycles`. Either way
+/// the remainder runs under the normal supervision loop, and because
+/// snapshot/restore is bit-identical, the result is exactly that of an
+/// uncached run — the cache can only change wall-clock time, never
+/// numbers.
 pub fn run_supervised_cached(
     mut cfg: SimConfig,
     app: &AppProfile,
@@ -226,44 +228,52 @@ pub fn run_supervised_cached(
         return supervise(&mut sim, policy).map(|r| (r, WarmStart::Disabled));
     };
     let key = warm_key(&cfg, app, seed, scale, warm_cycles);
-    let mut sim = CmpSimulator::new(cfg, app, seed, scale);
-    // The freshly built machine IS the decode template for the disk
-    // tier: the warm key fingerprints the full configuration, so its
-    // shape provably matches whatever bytes are stored under this key.
-    let warm = match cache.load_via(&key, || Box::new(sim.snapshot())) {
-        CacheLoad::Hit(snap) => {
-            sim.restore(&snap);
-            WarmStart::Warmed
-        }
-        outcome => {
-            let warm = match outcome {
-                CacheLoad::Quarantined => WarmStart::Quarantined,
-                _ => WarmStart::Stored,
-            };
-            // Simulate the prefix fresh, then checkpoint it for the
-            // next sharer. The supervision loop proper takes over after
-            // the warm point; the prefix is short by construction, so
-            // running it without wall-clock polling is fine.
-            loop {
-                if sim.cycle() >= warm_cycles {
-                    cache.store(key, sim.snapshot());
-                    break;
-                }
-                match sim.step() {
-                    Ok(true) => {}
-                    Ok(false) => return Ok((sim.finish(), WarmStart::Finished)),
-                    Err(error) => {
-                        return Err(SupervisedFailure {
-                            error,
-                            forensics: None,
-                        })
-                    }
-                }
+    let mut sim = CmpSimulator::new(cfg.clone(), app, seed, scale);
+    let warm = match cache.load(&key) {
+        CacheLoad::Hit(snap) => match warm_restore(&mut sim, &snap) {
+            Ok(()) => return supervise(&mut sim, policy).map(|r| (r, WarmStart::Warmed)),
+            Err(reason) => {
+                // A verified hit that still would not restore: throw
+                // the checkpoint out and start over on a machine the
+                // failed decode has not touched.
+                cache.quarantine(&key, &reason);
+                sim = CmpSimulator::new(cfg, app, seed, scale);
+                WarmStart::Quarantined
             }
-            warm
-        }
+        },
+        CacheLoad::Quarantined => WarmStart::Quarantined,
+        CacheLoad::Miss => WarmStart::Stored,
     };
+    // Simulate the prefix fresh, then checkpoint it for the next
+    // sharer. The supervision loop proper takes over after the warm
+    // point; the prefix is short by construction, so running it without
+    // wall-clock polling is fine.
+    while sim.cycle() < warm_cycles {
+        match sim.step() {
+            Ok(true) => {}
+            Ok(false) => return Ok((sim.finish(), WarmStart::Finished)),
+            Err(error) => {
+                return Err(SupervisedFailure {
+                    error,
+                    forensics: None,
+                })
+            }
+        }
+    }
+    cache.store(key, sim.snapshot());
     supervise(&mut sim, policy).map(|r| (r, warm))
+}
+
+/// Decode a cache hit into `sim` and check that it took: a snapshot
+/// that verifies, fits and decodes cleanly yet is not the state that
+/// was stored shows as the restored machine re-encoding to different
+/// bytes. On `Err` the simulator may be partly overwritten.
+fn warm_restore(sim: &mut CmpSimulator, snap: &MachineSnapshot) -> Result<(), String> {
+    sim.try_restore(snap).map_err(|e| e.to_string())?;
+    if sim.engine.encode_state() != snap.state {
+        return Err("the restored machine does not re-encode to the stored state".to_string());
+    }
+    Ok(())
 }
 
 /// [`run_supervised`] for a simulator the caller has already built
@@ -327,7 +337,7 @@ pub fn supervise(
 /// original stall window.
 fn forensic_replay(
     sim: &mut CmpSimulator,
-    snap: &crate::engine::MachineSnapshot,
+    snap: &MachineSnapshot,
     abort_cycle: Cycle,
 ) -> ForensicReport {
     let rewound_to = snap.cycle();
@@ -1053,6 +1063,67 @@ mod tests {
         CmpSimulator::new(cfg, &app, 0xD5A1_F00D, 0.002)
             .run()
             .expect("tiny run completes")
+    }
+
+    /// A checkpoint that passes the cache's checksum and still will not
+    /// restore — here one whose state stops short, as a decoder bug or
+    /// a hash collision would present — is quarantined in both tiers,
+    /// and the cell runs fresh on a rebuilt simulator to exactly the
+    /// uncached result.
+    #[test]
+    fn verified_hit_that_fails_to_restore_is_quarantined_and_rerun_fresh() {
+        use crate::checkpoint::{DiskConfig, DiskStore};
+        use cmp_common::fsx::Fs;
+
+        let cfg = SimConfig::baseline();
+        let app = workloads::apps::fft();
+        let (seed, scale, warm) = (0xD5A1_F00D, 0.002, 20_000);
+        let policy = RunPolicy::default();
+        let cold = run_supervised(cfg.clone(), &app, seed, scale, &policy).expect("cold run");
+
+        let mut sim = CmpSimulator::new(cfg.clone(), &app, seed, scale);
+        while sim.cycle() < warm {
+            assert!(sim.step().expect("prefix steps"));
+        }
+        let good = sim.snapshot();
+        let cut = good.with_state(good.state[..good.state.len() / 2].to_vec());
+
+        let root = std::env::temp_dir().join(format!("tcmp-warm-decode-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let disk = DiskStore::open(Fs::real(), &root, DiskConfig::default()).expect("open");
+        let cache = CheckpointCache::with_disk(2, disk);
+        let key = warm_key(&cfg, &app, seed, scale, warm);
+        cache.store(key.clone(), cut);
+
+        let cached = |expect: WarmStart| {
+            let (r, w) = run_supervised_cached(
+                cfg.clone(),
+                &app,
+                seed,
+                scale,
+                &policy,
+                Some((&cache, warm)),
+            )
+            .expect("cached run");
+            assert_eq!(w, expect);
+            assert_eq!(
+                result_to_json(&r).render(),
+                result_to_json(&cold).render(),
+                "{expect:?} run differs from the cold run"
+            );
+        };
+        cached(WarmStart::Quarantined);
+        assert_eq!(cache.stats().quarantined, 1);
+        let disk = cache.disk().expect("disk tier");
+        assert_eq!(disk.counters().quarantined, 1);
+        assert_eq!(
+            disk.quarantine_usage().0,
+            1,
+            "the file is kept for forensics"
+        );
+        // The fresh run stored a clean checkpoint over the bad one.
+        cached(WarmStart::Warmed);
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// The codec is lossless: encode → render → parse → decode →

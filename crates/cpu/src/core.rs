@@ -60,20 +60,6 @@ pub struct Core {
     stats: CoreStats,
 }
 
-impl Clone for Core {
-    fn clone(&self) -> Self {
-        Core {
-            source: self.source.clone_box(),
-            issue_width: self.issue_width,
-            state: self.state,
-            pending: self.pending,
-            stats: self.stats,
-        }
-    }
-}
-
-cmp_common::impl_snapshot_clone!(Core);
-
 cmp_common::impl_persist!(CoreStats {
     instructions,
     mem_ops,

@@ -14,8 +14,6 @@ pub struct BarrierState {
     epoch: u32,
 }
 
-cmp_common::impl_snapshot_clone!(BarrierState);
-
 /// The participant count is fixed by the machine shape and doubles as a
 /// shape check at load time.
 impl cmp_common::persist::PersistState for BarrierState {

@@ -37,25 +37,23 @@ impl TraceOp {
 }
 
 /// A streaming producer of trace operations. Generators implement this to
-/// avoid materialising multi-million-op traces. `Send` because machine
-/// snapshots (which hold each core's op source) are shared between the
-/// campaign service's worker threads through its checkpoint cache.
+/// avoid materialising multi-million-op traces. `Send` so that a
+/// simulator, which owns each core's op source, can be handed to
+/// another thread like every other component it holds.
 pub trait OpSource: Send {
     /// The next operation, or `None` when the stream ends.
     fn next_op(&mut self) -> Option<TraceOp>;
 
-    /// Clone the source mid-stream, including its exact position and any
-    /// generator state, so a checkpointed core resumes on an identical
-    /// op stream (the snapshot/restore seam for trait objects).
-    fn clone_box(&self) -> Box<dyn OpSource>;
-
     /// Append this source's mutable state (position, generator cursors)
-    /// for an on-disk checkpoint. The matching [`OpSource::load_state`]
-    /// is always called on a freshly built source of the same concrete
-    /// type and configuration, so no type tag travels with the bytes.
+    /// to a whole-machine snapshot, so a restored core resumes on an
+    /// identical op stream. The matching [`OpSource::load_state`] is
+    /// always called on a source of the same concrete type and
+    /// configuration, so no type tag travels with the bytes.
     fn save_state(&self, w: &mut ByteWriter);
 
-    /// Overwrite this source's mutable state from checkpoint bytes.
+    /// Overwrite *all* of this source's mutable state from snapshot
+    /// bytes: the source may be fresh, further along, or (same
+    /// configuration, different seed) on another stream entirely.
     fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError>;
 }
 
@@ -101,7 +99,6 @@ impl Persist for TraceOp {
 }
 
 /// An `OpSource` over a pre-built vector (tests, microbenchmarks).
-#[derive(Clone)]
 pub struct SliceSource {
     ops: std::vec::IntoIter<TraceOp>,
 }
@@ -118,10 +115,6 @@ impl SliceSource {
 impl OpSource for SliceSource {
     fn next_op(&mut self) -> Option<TraceOp> {
         self.ops.next()
-    }
-
-    fn clone_box(&self) -> Box<dyn OpSource> {
-        Box::new(self.clone())
     }
 
     fn save_state(&self, w: &mut ByteWriter) {
@@ -160,14 +153,5 @@ mod tests {
         assert_eq!(s.next_op(), Some(TraceOp::Compute(1)));
         assert_eq!(s.next_op(), Some(TraceOp::Load(2)));
         assert_eq!(s.next_op(), None);
-    }
-
-    #[test]
-    fn clone_box_preserves_stream_position() {
-        let mut s = SliceSource::new(vec![TraceOp::Compute(1), TraceOp::Load(2)]);
-        s.next_op();
-        let mut copy = s.clone_box();
-        assert_eq!(copy.next_op(), Some(TraceOp::Load(2)));
-        assert_eq!(s.next_op(), Some(TraceOp::Load(2)), "original unperturbed");
     }
 }

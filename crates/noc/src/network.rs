@@ -51,21 +51,6 @@ pub struct Noc<P> {
     injected: Counter,
 }
 
-/// Checkpoint/restore: the network's state is plain data (flit queues,
-/// router buffers, in-flight slabs, energy/latency counters), so a clone
-/// captures it exactly and a resumed run replays the same deliveries.
-impl<P: Clone> cmp_common::snapshot::Snapshot for Noc<P> {
-    type State = Noc<P>;
-
-    fn snapshot(&self) -> Self::State {
-        self.clone()
-    }
-
-    fn restore(&mut self, state: &Self::State) {
-        *self = state.clone();
-    }
-}
-
 impl<P> Noc<P> {
     /// Build the network for `config` on `mesh`.
     pub fn new(mesh: MeshShape, config: NocConfig) -> Self {

@@ -19,7 +19,6 @@ use cmp_common::geometry::MeshShape;
 use cmp_common::hash::Fnv64;
 use cmp_common::persist::{ByteReader, ByteWriter, PersistState};
 use cmp_common::rng::SimRng;
-use cmp_common::snapshot::Snapshot;
 use cmp_common::types::{Cycle, MessageClass, TileId};
 use mesh_noc::{ChannelKind, ChannelSpec, Message, Noc, NocConfig};
 use wire_model::link::Channel;
@@ -246,8 +245,7 @@ fn mid_burst_snapshots_resume_to_the_same_hash() {
         drive(&mut noc, &schedule, 0, cut, &mut log);
         assert!(!noc.is_idle(), "cycle {cut} must be mid-burst");
 
-        let mut cloned = sc.build();
-        cloned.restore(&noc.snapshot());
+        let mut cloned = noc.clone();
         let mut cloned_log = log.clone();
         drive(&mut cloned, &schedule, cut, LIMIT, &mut cloned_log);
         assert_eq!(

@@ -20,7 +20,6 @@ struct Cursor {
 }
 
 /// A deterministic, streaming trace generator for one core.
-#[derive(Clone)]
 pub struct TraceGen {
     profile: AppProfile,
     cdf: Vec<f64>,
@@ -196,10 +195,6 @@ impl OpSource for TraceGen {
             self.generate_slot();
         }
         self.pending.pop_front()
-    }
-
-    fn clone_box(&self) -> Box<dyn OpSource> {
-        Box::new(self.clone())
     }
 
     // The profile, cdf, core/cores and totals are configuration; only

@@ -257,4 +257,16 @@ for f in results.exec_time.csv results.link_ed2p.csv; do
 done
 echo "disk-tier smoke: quarantine + resume + warm-start all bit-identical"
 
+echo "== benchmark smoke (traced serve_campaign: state-capture, warm == cold and serve gates)"
+# The cargo check above only shows the frozen benchmark still compiles.
+# Its own gates — snapshot bytes round-trip to the same digest, disk and
+# memory checkpoints load back, 18 warm cells all warmed and equal to
+# their cold runs — need a run, and serve_campaign is the one workload
+# that stores and loads checkpoints end to end.
+bash benchmark/run.sh --workload serve_campaign --seconds 2 --trace 1 \
+    --out "$SMOKE_DIR/bench" >"$SMOKE_DIR/bench.log" 2>&1 || {
+    echo "benchmark smoke: traced serve_campaign failed a gate"
+    tail -n 40 "$SMOKE_DIR/bench.log"; exit 1; }
+echo "benchmark smoke: traced serve_campaign passed its gates"
+
 echo "All checks passed."
