@@ -15,7 +15,6 @@
 //! * `both (perfect)` — the coverage upper bound.
 
 use addr_compression::CompressionScheme;
-use cmp_common::config::CmpConfig;
 use tcmp_core::experiment::{geomean, run_matrix, ConfigSpec, RunSpec};
 use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::report::{fmt_ratio, TableBuilder};
@@ -64,7 +63,9 @@ fn main() {
         },
     ];
 
-    let cmp = CmpConfig::default();
+    let cmp = opts
+        .machine(None)
+        .expect("every --directory the parser accepts fits the default 4x4 mesh");
     let apps = opts.selected_apps();
     let mut specs = Vec::new();
     for app in &apps {

@@ -9,60 +9,13 @@
 //! figure down. With `--submit SOCKET` the sweep runs on a `tcmp-serve`
 //! daemon instead (which journals and renders the same CSVs itself).
 
-use cmp_bench::matrix::{run_figure_matrix, summarize_run};
-use tcmp_core::experiment::normalize_partial;
-use tcmp_core::report::figure_table;
-
 fn main() {
-    let opts = cmp_bench::Options::parse();
-    #[cfg(unix)]
-    if opts.submit.is_some() {
-        std::process::exit(cmp_bench::submit::run_remote(
-            &opts,
-            tcmp_serve::proto::Figure::Fig6,
-        ));
-    }
-    let run = run_figure_matrix(&opts);
-    summarize_run(&run);
-    let results = run.results();
-    let normalized = normalize_partial(&results);
-    for app in &normalized.missing_baseline {
-        eprintln!("no baseline row for {app}: its whole figure row is n/a");
-    }
-
-    type Metric = fn(&tcmp_core::experiment::NormalizedRow) -> f64;
-    let tables: [(&str, &str, Metric); 2] = [
-        (
-            "Figure 6 (top) — normalised execution time",
-            "exec_time.csv",
-            |r| r.exec_time,
-        ),
-        (
-            "Figure 6 (bottom) — normalised link ED2P",
-            "link_ed2p.csv",
-            |r| r.link_ed2p,
-        ),
-    ];
-    for (title, suffix, metric) in tables {
-        let t = figure_table(
-            title,
-            &normalized.rows,
-            &normalized.missing_baseline,
-            metric,
-        );
-        println!("{}", t.to_markdown());
-        if let Some(path) = &opts.csv {
-            let suffixed = format!("{path}.{suffix}");
-            t.write_csv_stamped(&suffixed, &run.stamp())
-                .expect("write csv");
-            eprintln!("wrote {suffixed}");
-        }
-    }
-    println!(
+    std::process::exit(cmp_bench::matrix::run_figure(
+        &cmp_bench::Options::parse(),
+        tcmp_serve::proto::Figure::Fig6,
         "paper landmarks: 4-entry DBRC (2B LO) averages ~0.92 execution time\n\
          (potential ~0.90), ranging from ~0.98-0.99 on Water/LU to ~0.75-0.78\n\
          on MP3D/Unstructured; link ED2P averages ~0.70, down to ~0.35 on the\n\
-         communication-bound applications.\n"
-    );
-    std::process::exit(if run.report.failures.is_empty() { 0 } else { 1 });
+         communication-bound applications.\n",
+    ));
 }

@@ -9,42 +9,12 @@
 //! figure down. With `--submit SOCKET` the sweep runs on a `tcmp-serve`
 //! daemon instead (which journals and renders the same CSVs itself).
 
-use cmp_bench::matrix::{run_figure_matrix, summarize_run};
-use tcmp_core::experiment::normalize_partial;
-use tcmp_core::report::figure_table;
-
 fn main() {
-    let opts = cmp_bench::Options::parse();
-    #[cfg(unix)]
-    if opts.submit.is_some() {
-        std::process::exit(cmp_bench::submit::run_remote(
-            &opts,
-            tcmp_serve::proto::Figure::Fig7,
-        ));
-    }
-    let run = run_figure_matrix(&opts);
-    summarize_run(&run);
-    let results = run.results();
-    let normalized = normalize_partial(&results);
-    for app in &normalized.missing_baseline {
-        eprintln!("no baseline row for {app}: its whole figure row is n/a");
-    }
-
-    let t = figure_table(
-        "Figure 7 — normalised full-CMP ED2P",
-        &normalized.rows,
-        &normalized.missing_baseline,
-        |r| r.chip_ed2p,
-    );
-    println!("{}", t.to_markdown());
-    println!(
+    std::process::exit(cmp_bench::matrix::run_figure(
+        &cmp_bench::Options::parse(),
+        tcmp_serve::proto::Figure::Fig7,
         "paper landmarks: average full-CMP ED2P improves 21% (2-byte Stride)\n\
          to 26% (4-entry DBRC); larger DBRC caches do WORSE at chip level\n\
-         because their area/power overhead outgrows the execution-time gain.\n"
-    );
-    if let Some(path) = &opts.csv {
-        t.write_csv_stamped(path, &run.stamp()).expect("write csv");
-        eprintln!("wrote {path}");
-    }
-    std::process::exit(if run.report.failures.is_empty() { 0 } else { 1 });
+         because their area/power overhead outgrows the execution-time gain.\n",
+    ));
 }

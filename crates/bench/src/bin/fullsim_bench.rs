@@ -29,7 +29,7 @@ use addr_compression::CompressionScheme;
 use cmp_bench::harness::{measure, to_bench_json, BenchStats};
 use cmp_common::config::{CmpConfig, DirectoryConfig};
 use cmp_common::geometry::MeshShape;
-use tcmp_core::experiment::{run_matrix_jobs, RunSpec};
+use tcmp_core::experiment::{figure6_configs, run_matrix_jobs, RunSpec};
 use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::sim::{CmpSimulator, SimConfig};
 use wire_model::wires::VlWidth;
@@ -192,7 +192,7 @@ fn sparse_mesh_run(seed: u64) -> f64 {
 /// work figure for runs/sec).
 fn matrix_pass(opts: &BenchOptions) -> f64 {
     let cmp = CmpConfig::default();
-    let configs = cmp_bench::matrix::figure6_configs(false);
+    let configs = figure6_configs(false);
     let apps = if opts.apps.is_empty() {
         workloads::apps::all_apps()
     } else {

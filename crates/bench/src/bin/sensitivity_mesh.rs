@@ -9,8 +9,6 @@
 //! 16×16 row under a wall deadline.
 
 use addr_compression::CompressionScheme;
-use cmp_common::config::CmpConfig;
-use cmp_common::geometry::MeshShape;
 use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::report::{fmt_ratio, TableBuilder};
 use tcmp_core::sim::{CmpSimulator, SimConfig};
@@ -51,14 +49,9 @@ fn main() {
     );
     for app in &apps {
         for &side in &sides {
-            let cmp = CmpConfig {
-                mesh: MeshShape::square(side),
-                directory,
-                ..CmpConfig::default()
-            };
-            if let Err(e) = cmp.validate() {
-                panic!("{side}x{side} with --directory {}: {e}", directory.label());
-            }
+            let cmp = opts.machine(Some(side)).unwrap_or_else(|e| {
+                panic!("{side}x{side} with --directory {}: {e}", directory.label())
+            });
             let run = |interconnect, scheme| {
                 let mut cfg = SimConfig::new(interconnect, scheme);
                 cfg.cmp = cmp.clone();

@@ -7,10 +7,10 @@
 //! missing directory dies in milliseconds instead.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
-use cmp_common::config::DirectoryConfig;
-use tcmp_core::supervisor::RunPolicy;
+use cmp_common::config::{CmpConfig, DirectoryConfig};
+use cmp_common::geometry::MeshShape;
+use tcmp_serve::proto::{CampaignRequest, Figure};
 
 /// Options shared by every reproduction binary.
 #[derive(Clone, Debug)]
@@ -263,20 +263,33 @@ impl Options {
         }
     }
 
-    /// The supervision policy implied by the flags.
-    pub fn policy(&self) -> RunPolicy {
-        RunPolicy {
+    /// What these flags ask of a figure sweep — the request both
+    /// front doors plan from ([`tcmp_serve::plan::CampaignPlan`]): the
+    /// local run directly, `--submit` by sending it to the daemon.
+    pub fn request(&self, figure: Figure) -> CampaignRequest {
+        CampaignRequest {
+            figure,
+            apps: self.apps.clone(),
+            seed: self.seed,
+            scale: self.scale,
+            perfect: self.perfect,
             retries: self.retries,
-            wall_deadline: self.deadline_s.map(Duration::from_secs),
-            ..RunPolicy::default()
+            deadline_s: self.deadline_s,
+            directory: self.directory_or_default(),
         }
     }
 
     /// The directory organisation to run with, defaulting to the
     /// machine default when `--directory` was not given.
     pub fn directory_or_default(&self) -> DirectoryConfig {
-        self.directory
-            .unwrap_or(cmp_common::config::CmpConfig::default().directory)
+        self.directory.unwrap_or(CmpConfig::default().directory)
+    }
+
+    /// The machine to simulate: Table 4 with `--directory` applied, on
+    /// a `side`×`side` mesh for the binaries that sweep mesh sizes
+    /// (`None` = the default 4×4), validated.
+    pub fn machine(&self, side: Option<u16>) -> Result<CmpConfig, String> {
+        tcmp_serve::plan::machine(self.directory_or_default(), side.map(MeshShape::square))
     }
 
     /// The selected application profiles (all 13 when no filter given).
@@ -321,6 +334,9 @@ fn usage<T>() -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
+    use tcmp_serve::proto::Response;
+    use tcmp_serve::{CampaignPlan, ServeConfig, ServiceHandle};
 
     fn parse(args: &[&str]) -> Result<Options, String> {
         Options::try_parse(args.iter().map(|s| s.to_string()))
@@ -367,7 +383,7 @@ mod tests {
         );
         assert_eq!(
             parse(&[]).unwrap().directory_or_default(),
-            cmp_common::config::CmpConfig::default().directory
+            CmpConfig::default().directory
         );
         let err = parse(&["--directory", "mesi"]).unwrap_err();
         assert!(err.contains("--directory"), "{err}");
@@ -442,8 +458,56 @@ mod tests {
         let (d, resuming) = o.campaign_dir().unwrap();
         assert_eq!(d, out.as_path());
         assert!(!resuming);
-        let p = o.policy();
+        let p = CampaignPlan::new(&o.request(Figure::Fig6))
+            .expect("a parsed command line plans")
+            .policy;
         assert_eq!(p.retries, 3);
         assert_eq!(p.wall_deadline, Some(Duration::from_secs(60)));
+    }
+
+    /// `--directory` reaches the machine a local figure run simulates:
+    /// the request plans onto a sparse machine, its stamp differs from
+    /// the full-map plan's, and it is the stamp the daemon gives the
+    /// same request.
+    #[test]
+    fn directory_flag_reaches_the_planned_machine_and_the_stamp() {
+        let args = ["--scale", "0.002", "--app", "FFT", "--no-perfect"];
+        let full = parse(&args).unwrap();
+        let sparse = parse(&[&args[..], &["--directory", "sparse"]].concat()).unwrap();
+        assert_eq!(
+            sparse.machine(None).unwrap().directory,
+            DirectoryConfig::sparse()
+        );
+        assert_eq!(
+            sparse.machine(Some(16)).unwrap().mesh,
+            MeshShape::square(16)
+        );
+        assert!(full.machine(Some(16)).unwrap_err().contains("full-map"));
+
+        let plan = |o: &Options| CampaignPlan::new(&o.request(Figure::Fig6)).expect("plans");
+        let (full_plan, sparse_plan) = (plan(&full), plan(&sparse));
+        assert_eq!(sparse_plan.cmp.directory, DirectoryConfig::sparse());
+        assert_eq!(sparse_plan.cmp, sparse.machine(None).unwrap());
+        assert_ne!(sparse_plan.stamp(), full_plan.stamp());
+
+        let root = std::env::temp_dir().join(format!("tcmp-cli-stamp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let handle = ServiceHandle::start(ServeConfig {
+            root: root.clone(),
+            // The stamp is fixed at submission; no cell needs to run.
+            cell_limit: Some(0),
+            ..ServeConfig::default()
+        })
+        .expect("start");
+        let id = match handle.service().submit(sparse.request(Figure::Fig6)) {
+            Response::Submitted { campaign, .. } => campaign,
+            other => panic!("expected Submitted, got {other:?}"),
+        };
+        assert_eq!(
+            handle.service().attach(&id).expect("campaign").stamp(),
+            sparse_plan.stamp()
+        );
+        handle.join();
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -1,116 +1,74 @@
-//! The Figure 6/7 run matrix, shared by both reproduction binaries.
+//! The local front door of a figure campaign, shared by both
+//! reproduction binaries.
 //!
-//! With `--out`/`--resume` the matrix runs under the supervisor with a
-//! durable journal: every finished cell is fsynced to
-//! `<dir>/journal.jsonl` before the sweep moves on, so a campaign
-//! killed at any instant resumes with only the unfinished cells
-//! re-run, and the assembled rows are bit-identical to an
+//! The flags become a [`tcmp_serve::proto::CampaignRequest`] and the
+//! request a [`CampaignPlan`] — exactly what `tcmp-serve` does with a
+//! `--submit`ted one — and the plan's cells run under the supervisor.
+//! With `--out`/`--resume` the run is journaled: every finished cell is
+//! fsynced to `<dir>/journal.jsonl` before the sweep moves on, so a
+//! campaign killed at any instant resumes with only the unfinished
+//! cells re-run, and the assembled rows are bit-identical to an
 //! uninterrupted sweep.
 
-use cmp_common::config::CmpConfig;
 use cmp_common::journal::Journal;
-use tcmp_core::experiment::RunSpec;
-use tcmp_core::supervisor::{campaign_meta, run_matrix_supervised, CellFailure, MatrixReport};
+use tcmp_core::experiment::config_label;
+use tcmp_core::supervisor::run_matrix_supervised;
+use tcmp_serve::plan::CampaignPlan;
+use tcmp_serve::proto::Figure;
 
 use crate::cli::Options;
 
-// The configuration list moved into the core crate (the campaign
-// service needs it without depending on the bench binaries); the
-// bench-facing name stays.
-pub use tcmp_core::experiment::figure6_configs;
-
-/// The spec list of the Figure 6/7 sweep for these options, in the
-/// deterministic order every journal and report indexes by.
-pub fn figure_specs(opts: &Options) -> Vec<RunSpec> {
-    let configs = figure6_configs(opts.perfect);
-    let mut specs = Vec::new();
-    for app in opts.selected_apps() {
-        for config in &configs {
-            specs.push(RunSpec {
-                app: app.clone(),
-                config: config.clone(),
-                seed: opts.seed,
-                scale: opts.scale,
-            });
-        }
+/// Run `figure`'s sweep as the options ask — on the daemon named by
+/// `--submit`, else here — print its tables followed by the
+/// `landmarks` text, write the `--csv` files, and return the process
+/// exit code: 0 when every cell completed and every file was written,
+/// 1 otherwise. Cell failures are reported, not fatal: what completed
+/// is rendered and the rest is `n/a`.
+pub fn run_figure(opts: &Options, figure: Figure, landmarks: &str) -> i32 {
+    #[cfg(unix)]
+    if opts.submit.is_some() {
+        return crate::submit::run_remote(opts, figure);
     }
-    specs
+    run_local(opts, figure, landmarks).unwrap_or_else(|why| {
+        eprintln!("{why}");
+        1
+    })
 }
 
-/// Outcome of the Figure 6/7 sweep: the supervised report plus how big
-/// the sweep was, for the binaries' summary lines.
-pub struct MatrixRun {
-    pub report: MatrixReport,
-    /// Cells in the sweep.
-    pub cells: usize,
-    /// Identity stamp of the sweep (build SHA + config fingerprint);
-    /// the binaries stamp it into every CSV they emit.
-    pub meta: cmp_common::journal::CampaignMeta,
-}
-
-impl MatrixRun {
-    /// The provenance line stamped into emitted CSVs.
-    pub fn stamp(&self) -> String {
-        format!(
-            "git_sha={} config_hash={} cells={}",
-            self.meta.git_sha, self.meta.config_hash, self.meta.cells
-        )
+fn run_local(opts: &Options, figure: Figure, landmarks: &str) -> Result<i32, String> {
+    let plan = CampaignPlan::new(&opts.request(figure))
+        .map_err(|reason| format!("cannot plan the sweep: {reason}"))?;
+    let cells = plan.specs.len();
+    eprintln!("running {cells} simulations (scale {})...", opts.scale);
+    let mut journal = opts
+        .campaign_dir()
+        .map(|(dir, resuming)| {
+            if resuming {
+                Journal::resume(dir, &plan.meta)
+            } else {
+                Journal::create(dir, &plan.meta)
+            }
+            .map_err(|e| format!("campaign journal at {}: {e}", dir.display()))
+        })
+        .transpose()?;
+    let replayed = journal.as_ref().map_or(0, |j| j.replay.skippable());
+    if replayed > 0 {
+        eprintln!("journal replays {replayed} finished cell(s); skipping them");
     }
-}
 
-impl MatrixRun {
-    /// The successful rows, in spec order (partial when cells failed).
-    pub fn results(&self) -> Vec<tcmp_core::sim::SimResult> {
-        self.report.completed()
-    }
-}
-
-/// Run the Figure 6/7 matrix for the selected applications under the
-/// options' supervision policy, journaled when `--out`/`--resume`
-/// names a campaign directory. Cell failures are reported, not fatal:
-/// the binaries render what completed and mark the rest `n/a`.
-pub fn run_figure_matrix(opts: &Options) -> MatrixRun {
-    let cmp = CmpConfig::default();
-    let specs = figure_specs(opts);
-    let configs = figure6_configs(opts.perfect);
-    eprintln!(
-        "running {} simulations ({} apps x {} configs, scale {})...",
-        specs.len(),
-        opts.selected_apps().len(),
-        configs.len(),
-        opts.scale
+    let report = run_matrix_supervised(
+        &plan.cmp,
+        &plan.specs,
+        opts.jobs,
+        &plan.policy,
+        journal.as_mut(),
     );
-
-    let meta = campaign_meta(&cmp, &specs);
-    let mut journal = opts.campaign_dir().map(|(dir, resuming)| {
-        let journal = if resuming {
-            Journal::resume(dir, &meta)
-        } else {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                eprintln!("cannot create campaign directory {}: {e}", dir.display());
-                std::process::exit(1);
-            });
-            Journal::create(dir, &meta)
-        }
-        .unwrap_or_else(|e| {
-            eprintln!("campaign journal at {}: {e}", dir.display());
-            std::process::exit(1);
-        });
-        let skippable = journal.replay.skippable();
-        if resuming && skippable > 0 {
-            eprintln!("journal replays {skippable} finished cell(s); skipping them");
-        }
-        journal
-    });
-
-    let policy = opts.policy();
-    let report = run_matrix_supervised(&cmp, &specs, opts.jobs, &policy, journal.as_mut());
-
-    for r in report.results.iter().flatten() {
+    let results = report.completed();
+    for r in &results {
         eprintln!(
             "  {:<14} {:<22} {:>10} cycles, {:>8} msgs",
             r.app,
-            tcmp_core::experiment::config_label(r),
+            config_label(r),
             r.cycles,
             r.network_messages
         );
@@ -124,40 +82,42 @@ pub fn run_figure_matrix(opts: &Options) -> MatrixRun {
             f.error.brief()
         );
     }
-    MatrixRun {
-        cells: specs.len(),
-        report,
-        meta,
+    eprintln!(
+        "{} of {cells} cells completed ({} of them replayed from the journal), {} failed \
+         terminally (their columns render as n/a)",
+        results.len(),
+        report.skipped,
+        report.failures.len()
+    );
+    if results.is_empty() {
+        return Err("no cell completed: nothing to report".to_string());
     }
-}
 
-/// One summary line for a finished sweep; exits the process when
-/// nothing at all completed (there is no figure to render).
-pub fn summarize_run(run: &MatrixRun) {
-    let done = run.report.results.iter().flatten().count();
-    if run.report.skipped > 0 {
+    let mut unwritten = false;
+    for (suffix, table) in plan.render(&results) {
+        println!("{}", table.to_markdown());
+        let Some(csv) = &opts.csv else { continue };
+        // Figure 6 is two tables, so two files named after `--csv`;
+        // Figure 7's one table goes to the path itself.
+        let path = match figure {
+            Figure::Fig6 => format!("{csv}.{suffix}"),
+            Figure::Fig7 => csv.clone(),
+        };
+        match table.write_csv_stamped(&path, &plan.stamp()) {
+            Ok(()) => eprintln!("wrote {path}"),
+            Err(e) => {
+                eprintln!("cannot write {path}: {e}");
+                unwritten = true;
+            }
+        }
+    }
+    println!("{landmarks}");
+    if let (true, Some((dir, _))) = (unwritten, opts.campaign_dir()) {
         eprintln!(
-            "{} of {} cells resumed from the journal",
-            run.report.skipped, run.cells
+            "the rows are safe in the journal: --resume {} --csv PATH renders them again \
+             without re-running a cell",
+            dir.display()
         );
     }
-    if !run.report.failures.is_empty() {
-        eprintln!(
-            "{} of {} cells failed terminally; their columns render as n/a",
-            run.report.failures.len(),
-            run.cells
-        );
-    }
-    if done == 0 {
-        eprintln!("no cell completed: nothing to report");
-        std::process::exit(1);
-    }
-}
-
-/// Failures as `(app, config)` labels, for "n/a" cells in the tables.
-pub fn failed_cells(failures: &[CellFailure]) -> Vec<(String, String)> {
-    failures
-        .iter()
-        .map(|f| (f.app.clone(), f.config.clone()))
-        .collect()
+    Ok(i32::from(unwritten || !report.failures.is_empty()))
 }

@@ -11,7 +11,7 @@
 use std::collections::HashSet;
 
 use tcmp_serve::client::Client;
-use tcmp_serve::proto::{CampaignRequest, Event, Figure, Request, Response};
+use tcmp_serve::proto::{Event, Figure, Request, Response};
 
 use crate::cli::Options;
 
@@ -34,16 +34,7 @@ pub fn run_remote(opts: &Options, figure: Figure) -> i32 {
         Some(id) => Request::Attach {
             campaign: id.clone(),
         },
-        None => Request::Submit(CampaignRequest {
-            figure,
-            apps: opts.apps.clone(),
-            seed: opts.seed,
-            scale: opts.scale,
-            perfect: opts.perfect,
-            retries: opts.retries,
-            deadline_s: opts.deadline_s,
-            directory: opts.directory_or_default(),
-        }),
+        None => Request::Submit(opts.request(figure)),
     };
     let response = match client.request(&request) {
         Ok(r) => r,

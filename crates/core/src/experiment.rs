@@ -6,17 +6,14 @@
 //! full-CMP ED²P (Figure 7), for a set of Stride/DBRC configurations plus
 //! the perfect-compression bound.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
 use addr_compression::CompressionScheme;
 use cmp_common::config::CmpConfig;
 use wire_model::wires::VlWidth;
 use workloads::profile::AppProfile;
 
 use crate::niface::InterconnectChoice;
-use crate::sim::{CmpSimulator, SimConfig, SimError, SimResult};
+use crate::sim::{SimError, SimResult};
+use crate::supervisor::{run_matrix_supervised, RunPolicy};
 
 /// One (interconnect, scheme) configuration of the matrix.
 #[derive(Clone, Debug)]
@@ -151,27 +148,6 @@ impl std::fmt::Display for MatrixError {
 
 impl std::error::Error for MatrixError {}
 
-/// Execute a single run.
-pub fn run_one(cmp: &CmpConfig, spec: &RunSpec) -> Result<SimResult, SimError> {
-    let mut cfg = SimConfig::new(spec.config.interconnect, spec.config.scheme);
-    cfg.cmp = cmp.clone();
-    let mut sim = CmpSimulator::new(cfg, &spec.app, spec.seed, spec.scale);
-    sim.run()
-}
-
-/// Render an unwind payload into the message carried by
-/// [`SimError::Panic`]: panics carry a `&str` or `String` in practice,
-/// anything else gets a placeholder.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Execute the matrix on all available cores, preserving input order.
 ///
 /// A failing run no longer takes the whole matrix down: every spec is
@@ -184,74 +160,37 @@ pub fn run_matrix(cmp: &CmpConfig, specs: &[RunSpec]) -> Result<Vec<SimResult>, 
     run_matrix_jobs(cmp, specs, None)
 }
 
-/// Size a matrix worker pool: `jobs` workers (`None` = all available
-/// cores), never more than there are cells left to run. An explicit
-/// request is honoured verbatim — tests deliberately run more workers
-/// than cores.
-pub(crate) fn matrix_worker_threads(jobs: Option<usize>, pending: usize) -> usize {
-    let want = jobs.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    });
-    want.max(1).min(pending.max(1))
-}
-
 /// [`run_matrix`] with an explicit cap on worker threads (`None` = all
 /// available cores). `Some(1)` runs the matrix sequentially on the
 /// calling thread's schedule — useful for benchmarking and for keeping
 /// memory bounded on small machines.
+///
+/// This is [`run_matrix_supervised`] under the default policy with no
+/// journal, for callers that want all rows or the failure list.
 pub fn run_matrix_jobs(
     cmp: &CmpConfig,
     specs: &[RunSpec],
     jobs: Option<usize>,
 ) -> Result<Vec<SimResult>, MatrixError> {
-    let threads = matrix_worker_threads(jobs, specs.len());
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<Result<SimResult, SimError>>>> =
-        Mutex::new((0..specs.len()).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                // A panicking run must not leave its slot empty or the
-                // mutex poisoned: catch the unwind, convert it into a
-                // structured failure, and keep draining the queue.
-                let r = catch_unwind(AssertUnwindSafe(|| run_one(cmp, &specs[i]))).unwrap_or_else(
-                    |payload| {
-                        Err(SimError::Panic {
-                            message: panic_message(payload),
-                        })
-                    },
-                );
-                results
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())[i] = Some(r);
-            });
-        }
-    });
-    let slots = results
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner());
+    let report = run_matrix_supervised(cmp, specs, jobs, &RunPolicy::default(), None);
+    let mut failed = report.failures.into_iter().peekable();
     let mut ok = Vec::with_capacity(specs.len());
     let mut failures = Vec::new();
-    for (spec, slot) in specs.iter().zip(slots) {
-        // An unfilled slot means the worker died before storing even the
-        // caught panic — report it rather than crashing the collector.
-        let outcome = slot.unwrap_or_else(|| {
-            Err(SimError::Panic {
-                message: "worker exited without reporting a result".to_string(),
-            })
-        });
-        match outcome {
-            Ok(r) => ok.push(r),
-            Err(error) => failures.push(RunFailure {
+    for (i, (spec, slot)) in specs.iter().zip(report.results).enumerate() {
+        match slot {
+            Some(r) => ok.push(r),
+            None => failures.push(RunFailure {
                 app: spec.app.name.to_string(),
                 config: spec.config.label.clone(),
-                error,
+                // An unfilled slot with no failure entry means the
+                // worker died before storing even the caught panic —
+                // report it rather than crashing the collector.
+                error: failed
+                    .next_if(|f| f.index == i)
+                    .map(|f| f.error)
+                    .unwrap_or_else(|| SimError::Panic {
+                        message: "worker exited without reporting a result".to_string(),
+                    }),
             }),
         }
     }
@@ -405,6 +344,7 @@ pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{CmpSimulator, SimConfig};
     use workloads::synthetic;
 
     #[test]

@@ -55,7 +55,7 @@ pub use experiment::{
 pub use niface::{map_channel, InterconnectChoice, ResyncStats, ResyncTracker};
 pub use sim::{CmpSimulator, SimConfig, SimError, SimResult, StateDump, TileDump};
 pub use supervisor::{
-    campaign_meta, cell_key, run_journaled_cell, run_matrix_supervised, run_supervised,
-    run_supervised_cached, supervise, warm_key, CellFailure, CellRun, ForensicReport, MatrixReport,
-    RunPolicy, SupervisedFailure, WarmStart,
+    campaign_meta, cell_key, run_matrix_supervised, run_supervised, run_supervised_cached,
+    supervise, warm_key, CellFailure, ForensicReport, MatrixReport, RunPolicy, SupervisedFailure,
+    SweepState, WarmStart,
 };

@@ -10,20 +10,27 @@
 //!   re-stepped with the protocol sanitizer armed, turning "the
 //!   watchdog fired" into a forensic verdict ([`ForensicReport`]).
 //! * [`run_supervised`] runs one cell under a policy.
-//! * [`run_matrix_supervised`] runs a whole sweep under a policy,
-//!   recording every cell into a durable [`Journal`]; re-running with
-//!   the same journal skips finished cells, so a `SIGKILL`ed campaign
-//!   resumes bit-identically (rows come back through the lossless
-//!   [`result_to_json`]/[`result_from_json`] codec).
+//! * [`SweepState`] is the run state of one sweep — the durable
+//!   [`Journal`] it records into (when it has one) and one outcome slot
+//!   per cell — and the only place a cell is run: journaled, retried,
+//!   panic-isolated. Re-opening it over the same journal skips finished
+//!   cells, so a `SIGKILL`ed campaign resumes bit-identically (rows come
+//!   back through the lossless [`result_to_json`]/[`result_from_json`]
+//!   codec). The campaign service drives it from its long-lived queue.
+//! * [`run_matrix_supervised`] drives a [`SweepState`] from a scoped
+//!   worker pool over one spec list — the only matrix pool there is
+//!   ([`crate::experiment::run_matrix_jobs`] is this with the default
+//!   policy and no journal).
 //! * [`with_retries`]/[`reseed`] are the generic retry ladder, shared
 //!   with the fault-campaign driver: attempt 0 keeps the original seed
 //!   so deterministic results stay deterministic, later attempts
 //!   perturb only the *fault* seed, never the workload trace.
 
-use std::borrow::BorrowMut;
+use std::borrow::{Borrow, BorrowMut};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use addr_compression::CompressionScheme;
@@ -40,7 +47,7 @@ use workloads::profile::AppProfile;
 
 use crate::checkpoint::{CacheLoad, CheckpointCache, WarmKey};
 use crate::engine::MachineSnapshot;
-use crate::experiment::{panic_message, RunSpec};
+use crate::experiment::RunSpec;
 use crate::niface::{InterconnectChoice, ResyncStats};
 use crate::sim::{ClassCount, CmpSimulator, SimConfig, SimError, SimResult};
 
@@ -128,17 +135,13 @@ impl std::error::Error for SupervisedFailure {}
 /// forward-progress abort, optionally rewind and replay with the
 /// sanitizer armed to classify the failure.
 pub fn run_supervised(
-    mut cfg: SimConfig,
+    cfg: SimConfig,
     app: &AppProfile,
     seed: u64,
     scale: f64,
     policy: &RunPolicy,
 ) -> Result<SimResult, SupervisedFailure> {
-    if let Some(budget) = policy.cycle_budget {
-        cfg.max_cycles = cfg.max_cycles.min(budget);
-    }
-    let mut sim = CmpSimulator::new(cfg, app, seed, scale);
-    supervise(&mut sim, policy)
+    run_supervised_cached(cfg, app, seed, scale, policy, None).map(|(result, _)| result)
 }
 
 /// How one supervised run crossed (or didn't) its warm-start point.
@@ -507,126 +510,224 @@ impl MatrixReport {
     }
 }
 
-/// Outcome of one journaled, retried, panic-isolated cell.
-pub struct CellRun {
-    /// The cell's result, or its terminal failure.
-    pub outcome: Result<SimResult, SupervisedFailure>,
-    /// Attempts made (1 = first try succeeded).
-    pub attempts: u32,
-    /// How the successful attempt crossed the warm-start point
-    /// ([`WarmStart::Disabled`] on failure or without a cache).
-    pub warm: WarmStart,
+/// The simulator configuration of attempt `attempt` (0-based) of one
+/// matrix cell. Retries perturb only the fault-injector seed; the
+/// workload trace seed is part of the cell's identity and never
+/// changes.
+fn cell_config(cmp: &CmpConfig, spec: &RunSpec, attempt: u32) -> SimConfig {
+    let mut cfg = SimConfig::new(spec.config.interconnect, spec.config.scheme);
+    cfg.cmp = cmp.clone();
+    cfg.faults.seed = reseed(cfg.faults.seed, attempt);
+    cfg
 }
 
-/// Run one matrix cell exactly as [`run_matrix_supervised`]'s workers
-/// do — per-attempt `start` records, panic isolation, the retry ladder
-/// reseeding only the fault injector, a terminal `finish`/`fail` record
-/// — but callable from any driver that owns its own journal (the
-/// campaign service runs every queued cell through this).
+/// Render an unwind payload into the message carried by
+/// [`SimError::Panic`]: panics carry a `&str` or `String` in practice,
+/// anything else gets a placeholder.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// What became of one cell: its row, or how it failed.
+pub type CellOutcome = Result<SimResult, CellFailure>;
+
+/// The run state of one sweep: its spec list, the journal it records
+/// into (when it has one) and one outcome slot per spec, in spec order.
+/// Both campaign front doors keep their progress here —
+/// [`run_matrix_supervised`] drives it from a scoped pool, the campaign
+/// service from its long-lived queue — so journal replay, how a cell is
+/// run and recorded, and the assembled [`MatrixReport`] exist once.
+/// Cells are named by index into the spec list, nothing else.
 ///
-/// `journal` accepts anything mutex-wrapping a [`Journal`] (owned or
-/// `&mut`). `cache` is consulted only on attempt 0: a retry perturbs
-/// the fault seed, which changes the configuration fingerprint, so
-/// caching retry prefixes would only pollute the cache.
-pub fn run_journaled_cell<J: BorrowMut<Journal>>(
-    cmp: &CmpConfig,
-    spec: &RunSpec,
-    policy: &RunPolicy,
-    journal: Option<&Mutex<J>>,
-    cache: Option<(&CheckpointCache, Cycle)>,
-) -> CellRun {
-    // Qualified so the blanket `impl BorrowMut<T> for T` on the guard
-    // itself cannot shadow the journal view of `J`.
-    fn with_journal<J: BorrowMut<Journal>>(j: &Mutex<J>, f: impl FnOnce(&mut Journal)) {
-        let mut guard = j.lock().unwrap_or_else(|p| p.into_inner());
-        f(BorrowMut::<Journal>::borrow_mut(&mut *guard));
-    }
-    let key = cell_key(spec);
-    let warm_seen = std::cell::Cell::new(WarmStart::Disabled);
-    let attempts_made = std::cell::Cell::new(0u32);
-    let run = |attempt: u32| {
-        attempts_made.set(attempt + 1);
-        if let Some(j) = journal {
-            with_journal(j, |j| {
-                if let Err(e) = j.record_start(&key, attempt + 1) {
-                    eprintln!("journal: start record for cell {key} failed: {e}");
+/// `J` is the journal as the driver holds it: owned, or `&mut`.
+pub struct SweepState<J> {
+    specs: Vec<RunSpec>,
+    journal: Option<Mutex<J>>,
+    /// `None` until the cell has an outcome.
+    slots: Mutex<Vec<Option<CellOutcome>>>,
+    skipped: usize,
+}
+
+impl<J: BorrowMut<Journal>> SweepState<J> {
+    /// Open the run state of `specs`. With a journal, cells whose
+    /// finish records replayed from disk start out filled, their rows
+    /// decoded from the journal; failed and interrupted cells start out
+    /// empty, to be re-attempted. A row that no longer decodes (schema
+    /// drift within one build would be a bug, but be safe) is re-run,
+    /// not trusted.
+    pub fn new(specs: &[RunSpec], journal: Option<J>) -> Self {
+        let mut slots: Vec<Option<CellOutcome>> = specs.iter().map(|_| None).collect();
+        if let Some(j) = &journal {
+            let replay = &Borrow::<Journal>::borrow(j).replay;
+            for (slot, spec) in slots.iter_mut().zip(specs) {
+                let key = cell_key(spec);
+                match replay.completed.get(&key).map(result_from_json) {
+                    Some(Ok(result)) => *slot = Some(Ok(result)),
+                    Some(Err(e)) => {
+                        eprintln!("journal: row for cell {key} no longer decodes ({e}); re-running")
+                    }
+                    None => {}
                 }
-            });
-        }
-        // A panicking cell must not leave its slot empty, the mutex
-        // poisoned, or its journal entry dangling.
-        catch_unwind(AssertUnwindSafe(|| {
-            let mut cfg = SimConfig::new(spec.config.interconnect, spec.config.scheme);
-            cfg.cmp = cmp.clone();
-            // Retries perturb only the fault-injector seed; the
-            // workload trace seed is part of the cell's identity and
-            // never changes.
-            cfg.faults.seed = reseed(cfg.faults.seed, attempt);
-            let cache = if attempt == 0 { cache } else { None };
-            run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, cache).map(
-                |(result, warm)| {
-                    warm_seen.set(warm);
-                    result
-                },
-            )
-        }))
-        .unwrap_or_else(|payload| {
-            Err(SupervisedFailure {
-                error: SimError::Panic {
-                    message: panic_message(payload),
-                },
-                forensics: None,
-            })
-        })
-    };
-    match with_retries(policy.retries, policy.backoff, run) {
-        Ok(result) => {
-            if let Some(j) = journal {
-                with_journal(j, |j| {
-                    // A lost finish record only costs a re-simulation
-                    // on resume — but it must never be lost silently.
-                    if let Err(e) = j.record_finish(&key, result_to_json(&result)) {
-                        eprintln!(
-                            "journal: finish record for cell {key} failed \
-                             (the cell will re-run on resume): {e}"
-                        );
-                    }
-                });
-            }
-            CellRun {
-                outcome: Ok(result),
-                attempts: attempts_made.get(),
-                warm: warm_seen.get(),
             }
         }
-        Err((attempts, failure)) => {
-            if let Some(j) = journal {
-                with_journal(j, |j| {
-                    if let Err(e) = j.record_fail(&key, attempts, &failure.error.brief()) {
-                        eprintln!("journal: fail record for cell {key} failed: {e}");
-                    }
-                });
-            }
-            CellRun {
-                outcome: Err(failure),
-                attempts,
-                warm: WarmStart::Disabled,
+        SweepState {
+            specs: specs.to_vec(),
+            journal: journal.map(Mutex::new),
+            skipped: slots.iter().flatten().count(),
+            slots: Mutex::new(slots),
+        }
+    }
+
+    fn slots(&self) -> MutexGuard<'_, Vec<Option<CellOutcome>>> {
+        self.slots.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// Cells without an outcome yet, ascending.
+    pub fn pending(&self) -> Vec<usize> {
+        let slots = self.slots();
+        (0..slots.len()).filter(|&i| slots[i].is_none()).collect()
+    }
+
+    /// Visit every cell that has an outcome, in spec order. `visit`
+    /// runs with the state locked and must not call back into it.
+    pub fn for_each_outcome(&self, mut visit: impl FnMut(usize, &CellOutcome)) {
+        for (index, slot) in self.slots().iter().enumerate() {
+            if let Some(outcome) = slot {
+                visit(index, outcome);
             }
         }
     }
+
+    /// Append one record about cell `key` to the journal, if there is
+    /// one. A lost record costs at most a re-simulation on resume — but
+    /// it must never be lost silently.
+    fn record(&self, what: &str, key: &str, append: impl FnOnce(&mut Journal) -> io::Result<()>) {
+        let Some(journal) = &self.journal else { return };
+        let mut guard = journal.lock().unwrap_or_else(|p| p.into_inner());
+        // Qualified so the blanket `impl BorrowMut<T> for T` on the
+        // guard itself cannot shadow the journal view of `J`.
+        if let Err(e) = append(BorrowMut::<Journal>::borrow_mut(&mut *guard)) {
+            eprintln!("journal: {what} record for cell {key} failed: {e}");
+        }
+    }
+
+    /// Run cell `index` to its outcome and store it: a `start` record
+    /// per attempt, panic isolation, the retry ladder reseeding only
+    /// the fault injector, a terminal `finish` or `fail` record. `cache`
+    /// is consulted only on attempt 0: a retry perturbs the fault seed,
+    /// which changes the configuration fingerprint, so caching retry
+    /// prefixes would only pollute it.
+    ///
+    /// `on_outcome` is handed the stored outcome, how the cell crossed
+    /// the warm point and how many cells are still without an outcome —
+    /// 0 for exactly one call, the sweep's last. It runs with the state
+    /// locked (so must not call back into it): storing a cell, telling
+    /// anyone and counting it are one step, and whatever the last call
+    /// does comes after every other call has returned.
+    pub fn run_cell<R>(
+        &self,
+        cmp: &CmpConfig,
+        index: usize,
+        policy: &RunPolicy,
+        cache: Option<(&CheckpointCache, Cycle)>,
+        on_outcome: impl FnOnce(&CellOutcome, WarmStart, usize) -> R,
+    ) -> R {
+        let spec = &self.specs[index];
+        let key = cell_key(spec);
+        let attempt = |attempt: u32| {
+            self.record("start", &key, |j| j.record_start(&key, attempt + 1));
+            // A panicking cell must not leave its slot empty, a mutex
+            // poisoned, or its journal entry dangling: it becomes a
+            // failure like any other and is released by a fail record.
+            catch_unwind(AssertUnwindSafe(|| {
+                let cfg = cell_config(cmp, spec, attempt);
+                let cache = if attempt == 0 { cache } else { None };
+                run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, cache)
+            }))
+            .unwrap_or_else(|payload| {
+                Err(SupervisedFailure {
+                    error: SimError::Panic {
+                        message: panic_message(payload),
+                    },
+                    forensics: None,
+                })
+            })
+        };
+        let (warm, outcome) = match with_retries(policy.retries, policy.backoff, attempt) {
+            Ok((result, warm)) => {
+                self.record("finish", &key, |j| {
+                    j.record_finish(&key, result_to_json(&result))
+                });
+                (warm, Ok(result))
+            }
+            Err((attempts, failure)) => {
+                self.record("fail", &key, |j| {
+                    j.record_fail(&key, attempts, &failure.error.brief())
+                });
+                let failure = CellFailure {
+                    index,
+                    app: spec.app.name.to_string(),
+                    config: spec.config.label.clone(),
+                    attempts,
+                    error: failure.error,
+                    forensics: failure.forensics,
+                };
+                (WarmStart::Disabled, Err(failure))
+            }
+        };
+        let mut slots = self.slots();
+        let outstanding = (0..slots.len())
+            .filter(|&i| i != index && slots[i].is_none())
+            .count();
+        on_outcome(slots[index].insert(outcome), warm, outstanding)
+    }
+
+    /// The sweep as it stands: rows and failures in spec order.
+    pub fn into_report(self) -> MatrixReport {
+        let mut report = MatrixReport {
+            skipped: self.skipped,
+            ..MatrixReport::default()
+        };
+        for slot in self.slots.into_inner().unwrap_or_else(|p| p.into_inner()) {
+            match slot.transpose() {
+                Ok(row) => report.results.push(row),
+                Err(failure) => {
+                    report.results.push(None);
+                    report.failures.push(failure);
+                }
+            }
+        }
+        report
+    }
+}
+
+/// Size a matrix worker pool: `jobs` workers (`None` = all available
+/// cores), never more than there are cells left to run. An explicit
+/// request is honoured verbatim — tests deliberately run more workers
+/// than cores.
+fn matrix_worker_threads(jobs: Option<usize>, pending: usize) -> usize {
+    let want = jobs.unwrap_or_else(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    });
+    want.max(1).min(pending.max(1))
 }
 
 /// Execute `specs` on a worker pool under `policy`, recording every
 /// cell into `journal` when one is given.
 ///
 /// With a journal, cells whose finish records replay from disk are
-/// *skipped* and their rows decoded from the journal — so a campaign
-/// killed at any instant (including mid-append: a torn final line is
-/// tolerated) resumes with only the unfinished cells re-run, and the
-/// assembled result set is bit-identical to an uninterrupted sweep.
-/// Failed and interrupted cells are re-attempted; a panicking cell is
-/// converted to [`SimError::Panic`] and *released* with a fail record
-/// rather than left dangling in the journal.
+/// *skipped* — so a campaign killed at any instant (including
+/// mid-append: a torn final line is tolerated) resumes with only the
+/// unfinished cells re-run, and the assembled result set is
+/// bit-identical to an uninterrupted sweep. See [`SweepState`].
 pub fn run_matrix_supervised(
     cmp: &CmpConfig,
     specs: &[RunSpec],
@@ -634,79 +735,22 @@ pub fn run_matrix_supervised(
     policy: &RunPolicy,
     journal: Option<&mut Journal>,
 ) -> MatrixReport {
-    let mut slots: Vec<Option<Result<SimResult, CellFailure>>> =
-        (0..specs.len()).map(|_| None).collect();
-    let mut skipped = 0;
-    let journal = journal.map(Mutex::new);
-
-    // Replay: decode finished cells straight from the journal. A row
-    // that no longer decodes (schema drift within one build would be a
-    // bug, but be safe) is re-run rather than trusted.
-    if let Some(j) = &journal {
-        let replay = j.lock().unwrap_or_else(|p| p.into_inner()).replay.clone();
-        for (i, spec) in specs.iter().enumerate() {
-            if let Some(row) = replay.completed.get(&cell_key(spec)) {
-                if let Ok(result) = result_from_json(row) {
-                    slots[i] = Some(Ok(result));
-                    skipped += 1;
-                }
-            }
-        }
-    }
-
-    let mut pending: Vec<usize> = (0..specs.len()).filter(|&i| slots[i].is_none()).collect();
+    let state = SweepState::new(specs, journal);
+    let mut pending = state.pending();
     if let Some(limit) = policy.cell_limit {
         pending.truncate(limit);
     }
-
-    let threads = crate::experiment::matrix_worker_threads(jobs, pending.len());
     let next = AtomicUsize::new(0);
-    let slots = Mutex::new(slots);
-
     std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                if k >= pending.len() {
-                    break;
+        for _ in 0..matrix_worker_threads(jobs, pending.len()) {
+            scope.spawn(|| {
+                while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    state.run_cell(cmp, i, policy, None, |_, _, _| ());
                 }
-                let i = pending[k];
-                let spec = &specs[i];
-                let cell = run_journaled_cell(cmp, spec, policy, journal.as_ref(), None);
-                let outcome = match cell.outcome {
-                    Ok(result) => Ok(result),
-                    Err(failure) => Err(CellFailure {
-                        index: i,
-                        app: spec.app.name.to_string(),
-                        config: spec.config.label.clone(),
-                        attempts: cell.attempts,
-                        error: failure.error,
-                        forensics: failure.forensics,
-                    }),
-                };
-                slots.lock().unwrap_or_else(|p| p.into_inner())[i] = Some(outcome);
             });
         }
     });
-
-    let mut results = Vec::with_capacity(specs.len());
-    let mut failures = Vec::new();
-    for slot in slots.into_inner().unwrap_or_else(|p| p.into_inner()) {
-        match slot {
-            Some(Ok(r)) => results.push(Some(r)),
-            Some(Err(f)) => {
-                results.push(None);
-                failures.push(f);
-            }
-            None => results.push(None),
-        }
-    }
-    failures.sort_by_key(|f| f.index);
-    MatrixReport {
-        results,
-        failures,
-        skipped,
-    }
+    state.into_report()
 }
 
 // --- SimResult ⇄ JSON codec -------------------------------------------
@@ -1247,6 +1291,50 @@ mod tests {
             SimError::Watchdog { cycle } => assert!(cycle >= 1_000),
             other => panic!("expected the cycle cap, got {other}"),
         }
+    }
+
+    /// A finish record whose row no longer decodes is not trusted: the
+    /// cell counts as unfinished, runs again, and its fresh row is what
+    /// the next resume replays.
+    #[test]
+    fn undecodable_journal_row_is_rerun_not_trusted() {
+        let cmp = CmpConfig::default();
+        let specs = [RunSpec {
+            app: workloads::apps::fft(),
+            config: ConfigSpec::baseline(),
+            seed: 0xD5A1_F00D,
+            scale: 0.002,
+        }];
+        let meta = campaign_meta(&cmp, &specs);
+        let dir = std::env::temp_dir().join(format!("tcmp-undecodable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let stale_row = Json::Obj(vec![("app".to_string(), Json::str("FFT"))]);
+        Journal::create(&dir, &meta)
+            .expect("fresh journal")
+            .record_finish(&cell_key(&specs[0]), stale_row)
+            .expect("append");
+
+        let resume = || {
+            let mut journal = Journal::resume(&dir, &meta).expect("journal resumes");
+            assert_eq!(journal.replay.skippable(), 1, "the record itself is sound");
+            run_matrix_supervised(
+                &cmp,
+                &specs,
+                Some(1),
+                &RunPolicy::default(),
+                Some(&mut journal),
+            )
+        };
+        let rerun = resume();
+        assert_eq!(rerun.skipped, 0, "the stale row must not be replayed");
+        assert!(rerun.is_complete(), "the cell ran again");
+        let replayed = resume();
+        assert_eq!(replayed.skipped, 1, "the fresh row replays");
+        assert_eq!(
+            result_to_json(&replayed.completed()[0]).render(),
+            result_to_json(&rerun.completed()[0]).render()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

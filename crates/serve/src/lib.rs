@@ -24,17 +24,21 @@
 //!   it; checkpoints are digest-verified at load and quarantined on
 //!   corruption, falling back to a fresh simulation.
 //!
-//! [`proto`] defines the wire messages, [`service`] the queue, worker
-//! pool and campaign state, [`daemon`]/[`client`] the Unix-socket
-//! transport (Unix only), and [`wire`] the line framing.
+//! [`proto`] defines the wire messages, [`plan`] what a campaign
+//! request means (machine, cell list, policy, stamp, tables — shared
+//! with the figure binaries' local run), [`service`] the queue, worker
+//! pool and campaigns, [`daemon`]/[`client`] the Unix-socket transport
+//! (Unix only), and [`wire`] the line framing.
 
 #[cfg(unix)]
 pub mod client;
 #[cfg(unix)]
 pub mod daemon;
+pub mod plan;
 pub mod proto;
 pub mod service;
 pub mod wire;
 
+pub use plan::CampaignPlan;
 pub use proto::{CampaignRequest, Event, Figure, RejectReason, Request, Response};
 pub use service::{Campaign, ServeConfig, Service, ServiceHandle};

@@ -28,26 +28,21 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use cmp_common::config::CmpConfig;
 use cmp_common::fsx::Fs;
-use cmp_common::journal::{CampaignMeta, Journal, JournalError, Json};
+use cmp_common::journal::{Journal, JournalError, Json};
 use cmp_common::types::Cycle;
 use tcmp_core::checkpoint::{CheckpointCache, DiskConfig, DiskStore};
-use tcmp_core::experiment::{figure6_configs, normalize_partial, RunSpec};
-use tcmp_core::report::figure_table;
-use tcmp_core::supervisor::{
-    campaign_meta, cell_key, result_from_json, run_journaled_cell, RunPolicy,
-};
+use tcmp_core::supervisor::{cell_key, CellOutcome, SweepState};
+use tcmp_core::SimResult;
 
-use crate::proto::{
-    CacheCounts, CampaignRequest, CampaignStatus, Event, Figure, RejectReason, Response,
-};
+use crate::plan::CampaignPlan;
+use crate::proto::{CacheCounts, CampaignRequest, CampaignStatus, Event, RejectReason, Response};
 
 /// File holding a campaign's request, next to its journal.
 pub const CAMPAIGN_FILE: &str = "campaign.json";
@@ -112,51 +107,69 @@ struct QueueState {
     attempted: usize,
 }
 
-/// One campaign: its immutable definition plus its mutable progress.
+/// One campaign as the service holds it: where it lives and who is
+/// listening. What its request *means* is its [`CampaignPlan`] and how
+/// far it has got is its [`SweepState`] — the same two things the
+/// figure binaries' local run is made of.
 pub struct Campaign {
     pub id: String,
-    pub request: CampaignRequest,
-    /// The machine every cell of this campaign simulates: the service
-    /// defaults with the request's directory organisation applied.
-    cmp: CmpConfig,
-    specs: Vec<RunSpec>,
-    policy: RunPolicy,
+    plan: CampaignPlan,
     dir: PathBuf,
-    meta: CampaignMeta,
     /// The filesystem seam CSVs are finalised through (shared with the
     /// service; fault campaigns arm it via `TCMP_FS_FAULTS`).
     fs: Fs,
-    journal: Mutex<Journal>,
-    /// Completed rows, index-aligned with `specs`.
-    slots: Mutex<Vec<Option<tcmp_core::sim::SimResult>>>,
-    /// Terminal failures: `(index, error)`.
-    failed: Mutex<Vec<(usize, String)>>,
-    /// Cells without an outcome yet; the campaign finalises at 0.
-    remaining: AtomicUsize,
+    /// The journal and one outcome slot per cell.
+    run: SweepState<Journal>,
     finished: AtomicBool,
     subscribers: Mutex<Vec<SyncSender<Event>>>,
 }
 
 impl Campaign {
+    /// Open the campaign whose request is persisted in `dir`: resume
+    /// its journal, rows of finished cells replaying into the run
+    /// state — or start the journal, for a fresh submission and for a
+    /// service killed between `campaign.json` and the journal's first
+    /// byte alike. The plan is fingerprinted into the journal meta, so
+    /// a journal written under a different directory organisation is a
+    /// detected mismatch, not a silent re-run on the wrong machine.
+    fn open(fs: &Fs, id: &str, dir: &Path, plan: CampaignPlan) -> Result<Arc<Campaign>, String> {
+        let journal = match Journal::resume_on(fs, dir, &plan.meta) {
+            Ok(j) => j,
+            Err(JournalError::Missing(_)) => {
+                Journal::create_on(fs, dir, &plan.meta).map_err(|e| e.to_string())?
+            }
+            Err(e) => return Err(e.to_string()),
+        };
+        Ok(Arc::new(Campaign {
+            id: id.to_string(),
+            run: SweepState::new(&plan.specs, Some(journal)),
+            plan,
+            dir: dir.to_path_buf(),
+            fs: fs.clone(),
+            finished: AtomicBool::new(false),
+            subscribers: Mutex::new(Vec::new()),
+        }))
+    }
+
     /// Total cells.
     pub fn cells(&self) -> usize {
-        self.specs.len()
+        self.plan.specs.len()
     }
 
     /// `(completed, failed, finished)` right now.
     pub fn progress(&self) -> (usize, usize, bool) {
-        let done = lock(&self.slots).iter().flatten().count();
-        let failed = lock(&self.failed).len();
+        let (mut done, mut failed) = (0, 0);
+        self.run.for_each_outcome(|_, outcome| match outcome {
+            Ok(_) => done += 1,
+            Err(_) => failed += 1,
+        });
         (done, failed, self.finished.load(Ordering::SeqCst))
     }
 
     /// The provenance line stamped into this campaign's CSVs
     /// (identical to the figure binaries' stamp for the same sweep).
     pub fn stamp(&self) -> String {
-        format!(
-            "git_sha={} config_hash={} cells={}",
-            self.meta.git_sha, self.meta.config_hash, self.meta.cells
-        )
+        self.plan.stamp()
     }
 
     /// Subscribe to this campaign's live events. The channel is
@@ -168,39 +181,49 @@ impl Campaign {
         rx
     }
 
+    /// The terminal event of cell `index` given its outcome; `warm`
+    /// labels how a finished cell crossed the warm point.
+    fn outcome_event(&self, index: usize, outcome: &CellOutcome, warm: &str) -> Event {
+        let campaign = self.id.clone();
+        let cell = cell_key(&self.plan.specs[index]);
+        match outcome {
+            Ok(r) => Event::CellFinish {
+                campaign,
+                index,
+                cell,
+                cycles: r.cycles,
+                warm: warm.to_string(),
+            },
+            Err(f) => Event::CellFail {
+                campaign,
+                index,
+                cell,
+                attempts: f.attempts,
+                error: f.error.brief(),
+            },
+        }
+    }
+
+    fn done_event(&self) -> Event {
+        let (completed, failed, _) = self.progress();
+        Event::CampaignDone {
+            campaign: self.id.clone(),
+            completed,
+            failed,
+        }
+    }
+
     /// Synthetic catch-up events for every cell that already has an
     /// outcome — sent to a re-attaching client before the live stream.
     /// Overlap with live events is possible by design; clients
     /// deduplicate by cell index.
     pub fn catchup(&self) -> Vec<Event> {
         let mut events = Vec::new();
-        for (i, slot) in lock(&self.slots).iter().enumerate() {
-            if let Some(r) = slot {
-                events.push(Event::CellFinish {
-                    campaign: self.id.clone(),
-                    index: i,
-                    cell: cell_key(&self.specs[i]),
-                    cycles: r.cycles,
-                    warm: "journal".to_string(),
-                });
-            }
-        }
-        for (i, error) in lock(&self.failed).iter() {
-            events.push(Event::CellFail {
-                campaign: self.id.clone(),
-                index: *i,
-                cell: cell_key(&self.specs[*i]),
-                attempts: 0,
-                error: error.clone(),
-            });
-        }
+        self.run.for_each_outcome(|index, outcome| {
+            events.push(self.outcome_event(index, outcome, "journal"))
+        });
         if self.finished.load(Ordering::SeqCst) {
-            let (done, failed, _) = self.progress();
-            events.push(Event::CampaignDone {
-                campaign: self.id.clone(),
-                completed: done,
-                failed,
-            });
+            events.push(self.done_event());
         }
         events
     }
@@ -220,37 +243,14 @@ impl Campaign {
     /// a resume that finds everything already done rewrites the same
     /// bytes.
     fn finalize(&self) {
-        let results: Vec<tcmp_core::sim::SimResult> =
-            lock(&self.slots).iter().flatten().cloned().collect();
-        let normalized = normalize_partial(&results);
-        type Metric = fn(&tcmp_core::experiment::NormalizedRow) -> f64;
-        let tables: &[(&str, &str, Metric)] = match self.request.figure {
-            Figure::Fig6 => &[
-                (
-                    "Figure 6 (top) — normalised execution time",
-                    "results.exec_time.csv",
-                    |r| r.exec_time,
-                ),
-                (
-                    "Figure 6 (bottom) — normalised link ED2P",
-                    "results.link_ed2p.csv",
-                    |r| r.link_ed2p,
-                ),
-            ],
-            Figure::Fig7 => &[(
-                "Figure 7 — normalised full-CMP ED2P",
-                "results.chip_ed2p.csv",
-                |r| r.chip_ed2p,
-            )],
-        };
-        for &(title, file, metric) in tables {
-            let t = figure_table(
-                title,
-                &normalized.rows,
-                &normalized.missing_baseline,
-                metric,
-            );
-            if let Err(e) = t.write_csv_stamped_on(&self.fs, self.dir.join(file), &self.stamp()) {
+        let mut results: Vec<SimResult> = Vec::new();
+        self.run
+            .for_each_outcome(|_, outcome| results.extend(outcome.as_ref().ok().cloned()));
+        for (suffix, table) in self.plan.render(&results) {
+            let file = format!("results.{suffix}");
+            if let Err(e) =
+                table.write_csv_stamped_on(&self.fs, self.dir.join(&file), &self.stamp())
+            {
                 eprintln!("campaign {}: writing {file}: {e}", self.id);
             }
         }
@@ -262,7 +262,6 @@ impl Campaign {
 /// Construct via [`ServiceHandle::start`].
 pub struct Service {
     cfg: ServeConfig,
-    cmp: CmpConfig,
     /// Every durable write of the service routes through this seam.
     fs: Fs,
     state: Mutex<QueueState>,
@@ -311,7 +310,6 @@ impl Service {
         };
         let service = Service {
             cache,
-            cmp: CmpConfig::default(),
             fs,
             state: Mutex::new(QueueState {
                 tasks: VecDeque::new(),
@@ -354,30 +352,19 @@ impl Service {
             }
             match self.resume_one(&dir, &id) {
                 Ok(campaign) => {
-                    let remaining = campaign.remaining.load(Ordering::SeqCst);
-                    if remaining == 0 {
+                    let pending = campaign.run.pending();
+                    eprintln!(
+                        "resumed campaign {id}: {} of {} cells already done",
+                        campaign.cells() - pending.len(),
+                        campaign.cells()
+                    );
+                    if pending.is_empty() {
                         // Killed after the last cell but before (or
                         // during) the CSV write: finalise now.
                         campaign.finalize();
                     } else {
-                        let indices: Vec<usize> = {
-                            let slots = lock(&campaign.slots);
-                            (0..slots.len()).filter(|&i| slots[i].is_none()).collect()
-                        };
-                        let mut st = lock(&self.state);
-                        for index in indices {
-                            st.tasks.push_back(CellTask {
-                                campaign: Arc::clone(&campaign),
-                                index,
-                            });
-                        }
-                        self.work.notify_all();
+                        self.enqueue(&campaign, pending, 0);
                     }
-                    eprintln!(
-                        "resumed campaign {id}: {} of {} cells already done",
-                        campaign.cells() - campaign.remaining.load(Ordering::SeqCst),
-                        campaign.cells()
-                    );
                     lock(&self.campaigns).insert(id, campaign);
                 }
                 // Quarantine: an unreadable campaign never stops the
@@ -393,63 +380,37 @@ impl Service {
             .read_to_string(dir.join(CAMPAIGN_FILE))
             .map_err(|e| format!("reading {CAMPAIGN_FILE}: {e}"))?;
         let request = CampaignRequest::from_json(&Json::parse(&text)?)?;
-        let specs = build_specs(&request).map_err(|app| format!("unknown app {app:?}"))?;
-        let cmp = campaign_cmp(&self.cmp, &request)?;
-        // The per-campaign config is fingerprinted into the journal
-        // meta, so a journal written under a different directory
-        // organisation is a detected mismatch, not a silent re-run on
-        // the wrong machine.
-        let meta = campaign_meta(&cmp, &specs);
-        let journal = match Journal::resume_on(&self.fs, dir, &meta) {
-            Ok(j) => j,
-            // Killed between campaign.json and the journal's first
-            // byte: a legitimate fresh campaign.
-            Err(JournalError::Missing(_)) => {
-                Journal::create_on(&self.fs, dir, &meta).map_err(|e| e.to_string())?
-            }
-            Err(e) => return Err(e.to_string()),
-        };
-        let mut slots: Vec<Option<tcmp_core::sim::SimResult>> = vec![None; specs.len()];
-        for (i, spec) in specs.iter().enumerate() {
-            if let Some(row) = journal.replay.completed.get(&cell_key(spec)) {
-                match result_from_json(row) {
-                    Ok(r) => slots[i] = Some(r),
-                    // A row that no longer decodes is re-run, not
-                    // trusted.
-                    Err(e) => eprintln!("campaign {id}: journal row for cell {i}: {e}; re-running"),
-                }
-            }
-        }
-        let remaining = slots.iter().filter(|s| s.is_none()).count();
-        Ok(Arc::new(Campaign {
-            id: id.to_string(),
-            cmp,
-            policy: policy_for(&request),
-            specs,
-            dir: dir.to_path_buf(),
-            meta,
-            fs: self.fs.clone(),
-            journal: Mutex::new(journal),
-            slots: Mutex::new(slots),
-            failed: Mutex::new(Vec::new()),
-            remaining: AtomicUsize::new(remaining),
-            finished: AtomicBool::new(false),
-            subscribers: Mutex::new(Vec::new()),
-            request,
-        }))
+        let plan = CampaignPlan::new(&request).map_err(|reason| reason.to_string())?;
+        Campaign::open(&self.fs, id, dir, plan)
     }
 
-    /// Submit a campaign: admission-check, persist, queue. Returns the
-    /// response the daemon sends back verbatim.
+    /// Queue `cells` of `campaign`, releasing `reserved` admission
+    /// slots in the same critical section.
+    fn enqueue(&self, campaign: &Arc<Campaign>, cells: Vec<usize>, reserved: usize) {
+        let mut st = lock(&self.state);
+        st.reserved -= reserved;
+        st.tasks.extend(cells.into_iter().map(|index| CellTask {
+            campaign: Arc::clone(campaign),
+            index,
+        }));
+        drop(st);
+        self.work.notify_all();
+    }
+
+    /// Submit a campaign: plan, admission-check, persist, queue.
+    /// Returns the response the daemon sends back verbatim.
     pub fn submit(&self, request: CampaignRequest) -> Response {
         if self.draining.load(Ordering::SeqCst) {
             return Response::Rejected(RejectReason::Draining);
         }
-        let specs = match build_specs(&request) {
-            Ok(s) => s,
-            Err(app) => return Response::Rejected(RejectReason::UnknownApp(app)),
+        // Plan before anything is admitted or persisted: a request that
+        // names an unknown app or a machine that does not validate is
+        // refused with nothing left behind.
+        let plan = match CampaignPlan::new(&request) {
+            Ok(plan) => plan,
+            Err(reason) => return Response::Rejected(reason),
         };
-        let requested = specs.len();
+        let requested = plan.specs.len();
         // Admit under the lock (reserving our cells), create the
         // directory and journal outside it, then push. The reservation
         // keeps two concurrent submissions from both fitting under the
@@ -466,28 +427,15 @@ impl Service {
             }
             st.reserved += requested;
         }
-        let unreserve = |n: usize| {
-            lock(&self.state).reserved -= n;
-        };
-        let campaign = match self.create_campaign(request, specs) {
+        let campaign = match self.create_campaign(&request, plan) {
             Ok(c) => c,
             Err(e) => {
-                unreserve(requested);
-                return Response::Rejected(RejectReason::Internal(e.to_string()));
+                lock(&self.state).reserved -= requested;
+                return Response::Rejected(RejectReason::Internal(e));
             }
         };
         lock(&self.campaigns).insert(campaign.id.clone(), Arc::clone(&campaign));
-        {
-            let mut st = lock(&self.state);
-            st.reserved -= requested;
-            for index in 0..requested {
-                st.tasks.push_back(CellTask {
-                    campaign: Arc::clone(&campaign),
-                    index,
-                });
-            }
-        }
-        self.work.notify_all();
+        self.enqueue(&campaign, campaign.run.pending(), requested);
         Response::Submitted {
             campaign: campaign.id.clone(),
             cells: requested,
@@ -497,9 +445,9 @@ impl Service {
 
     fn create_campaign(
         &self,
-        request: CampaignRequest,
-        specs: Vec<RunSpec>,
-    ) -> io::Result<Arc<Campaign>> {
+        request: &CampaignRequest,
+        plan: CampaignPlan,
+    ) -> Result<Arc<Campaign>, String> {
         let id = {
             let mut next = lock(&self.next_id);
             let id = format!("c{:04}", *next);
@@ -507,33 +455,16 @@ impl Service {
             id
         };
         let dir = self.cfg.root.join("campaigns").join(&id);
-        self.fs.create_dir_all(&dir)?;
         // Request first, journal second: a kill in between resumes as
         // a fresh campaign; a kill before the request leaves an empty
         // directory that is quarantined, never half-run.
-        self.fs
-            .write_atomic(dir.join(CAMPAIGN_FILE), request.to_json().render() + "\n")?;
-        let cmp = campaign_cmp(&self.cmp, &request).map_err(io::Error::other)?;
-        let meta = campaign_meta(&cmp, &specs);
-        let journal = Journal::create_on(&self.fs, &dir, &meta)
-            .map_err(|e| io::Error::other(e.to_string()))?;
-        let cells = specs.len();
-        Ok(Arc::new(Campaign {
-            id,
-            cmp,
-            policy: policy_for(&request),
-            specs,
-            dir,
-            meta,
-            fs: self.fs.clone(),
-            journal: Mutex::new(journal),
-            slots: Mutex::new(vec![None; cells]),
-            failed: Mutex::new(Vec::new()),
-            remaining: AtomicUsize::new(cells),
-            finished: AtomicBool::new(false),
-            subscribers: Mutex::new(Vec::new()),
-            request,
-        }))
+        let persist_request = || {
+            self.fs.create_dir_all(&dir)?;
+            self.fs
+                .write_atomic(dir.join(CAMPAIGN_FILE), request.to_json().render() + "\n")
+        };
+        persist_request().map_err(|e| e.to_string())?;
+        Campaign::open(&self.fs, &id, &dir, plan)
     }
 
     /// Look up a campaign for re-attachment.
@@ -632,48 +563,31 @@ impl Service {
     }
 
     fn run_task(&self, task: CellTask) {
-        let c = &task.campaign;
-        let spec = &c.specs[task.index];
-        let key = cell_key(spec);
+        let (c, index) = (&task.campaign, task.index);
         c.emit(Event::CellStart {
             campaign: c.id.clone(),
-            index: task.index,
-            cell: key.clone(),
+            index,
+            cell: cell_key(&c.plan.specs[index]),
         });
         let cache = (self.cfg.warm_cycles > 0).then_some((&self.cache, self.cfg.warm_cycles));
-        let cell = run_journaled_cell(&c.cmp, spec, &c.policy, Some(&c.journal), cache);
-        match cell.outcome {
-            Ok(result) => {
-                let cycles = result.cycles;
-                lock(&c.slots)[task.index] = Some(result);
-                c.emit(Event::CellFinish {
-                    campaign: c.id.clone(),
-                    index: task.index,
-                    cell: key,
-                    cycles,
-                    warm: cell.warm.label().to_string(),
-                });
-            }
-            Err(failure) => {
-                let error = failure.error.brief();
-                lock(&c.failed).push((task.index, error.clone()));
-                c.emit(Event::CellFail {
-                    campaign: c.id.clone(),
-                    index: task.index,
-                    cell: key,
-                    attempts: cell.attempts,
-                    error,
-                });
-            }
-        }
-        if c.remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
+        // The cell's event goes out in the step that stores its outcome:
+        // a client subscribing at any instant finds the cell in the
+        // catch-up or on the live stream, and the worker that stores the
+        // campaign's last outcome emits `CampaignDone` only after every
+        // other cell's event is out.
+        let last = c.run.run_cell(
+            &c.plan.cmp,
+            index,
+            &c.plan.policy,
+            cache,
+            |outcome, warm, outstanding| {
+                c.emit(c.outcome_event(index, outcome, warm.label()));
+                outstanding == 0
+            },
+        );
+        if last {
             c.finalize();
-            let (done, failed, _) = c.progress();
-            c.emit(Event::CampaignDone {
-                campaign: c.id.clone(),
-                completed: done,
-                failed,
-            });
+            c.emit(c.done_event());
         }
     }
 }
@@ -739,53 +653,5 @@ impl ServiceHandle {
             }
             std::thread::sleep(Duration::from_millis(10));
         }
-    }
-}
-
-/// The paper's Figure 6/7 cell list for a request, app-major in the
-/// figure binaries' exact order (the journal and the CSVs index by
-/// it).
-fn build_specs(request: &CampaignRequest) -> Result<Vec<RunSpec>, String> {
-    let apps = if request.apps.is_empty() {
-        workloads::apps::all_apps()
-    } else {
-        request
-            .apps
-            .iter()
-            .map(|name| workloads::apps::app_by_name(name).ok_or_else(|| name.clone()))
-            .collect::<Result<Vec<_>, _>>()?
-    };
-    let configs = figure6_configs(request.perfect);
-    let mut specs = Vec::with_capacity(apps.len() * configs.len());
-    for app in &apps {
-        for config in &configs {
-            specs.push(RunSpec {
-                app: app.clone(),
-                config: config.clone(),
-                seed: request.seed,
-                scale: request.scale,
-            });
-        }
-    }
-    Ok(specs)
-}
-
-/// The machine config a campaign's cells run on: the service defaults
-/// with the request's directory organisation applied, re-validated
-/// against the mesh it will actually drive.
-fn campaign_cmp(base: &CmpConfig, request: &CampaignRequest) -> Result<CmpConfig, String> {
-    let cmp = CmpConfig {
-        directory: request.directory,
-        ..base.clone()
-    };
-    cmp.validate()?;
-    Ok(cmp)
-}
-
-fn policy_for(request: &CampaignRequest) -> RunPolicy {
-    RunPolicy {
-        retries: request.retries,
-        wall_deadline: request.deadline_s.map(Duration::from_secs),
-        ..RunPolicy::default()
     }
 }

@@ -194,6 +194,18 @@ fn overload_drain_and_bad_input_are_structured_rejections() {
         Response::Rejected(RejectReason::UnknownApp(app)) => assert_eq!(app, "NotAnApp"),
         other => panic!("expected UnknownApp, got {other:?}"),
     }
+    // A machine that does not validate is refused before admission, so
+    // it neither burns a campaign id nor leaves a directory for the
+    // next start to quarantine.
+    match service.submit(CampaignRequest {
+        directory: DirectoryConfig::Sparse { dir_mshrs: 0 },
+        ..tiny_request()
+    }) {
+        Response::Rejected(RejectReason::Malformed(why)) => {
+            assert!(why.contains("at least one MSHR"), "{why}")
+        }
+        other => panic!("expected Malformed, got {other:?}"),
+    }
     assert!(
         std::fs::read_dir(root.join("campaigns"))
             .expect("campaigns dir")
@@ -208,6 +220,63 @@ fn overload_drain_and_bad_input_are_structured_rejections() {
         other => panic!("expected Draining, got {other:?}"),
     }
     handle.join();
+}
+
+/// `CampaignDone` is the last word on a campaign: a subscriber has every
+/// cell's terminal event (caught up or live) by the time it arrives, and
+/// nothing follows it — the daemon stops relaying there, so a cell event
+/// emitted later would never reach its client. Starved cells fail fast
+/// and together, and every cell gets a worker, so the workers finish as
+/// close to at once as a test can arrange.
+#[test]
+fn campaign_done_follows_every_cell_event() {
+    let root = scratch_dir("serve-order");
+    let mut cfg = serve_cfg(root.clone());
+    cfg.jobs = CELLS;
+    let handle = ServiceHandle::start(cfg).expect("start");
+    let mut streams = Vec::new();
+    for _ in 0..3 {
+        let id = submit_ok(
+            &handle,
+            CampaignRequest {
+                directory: DirectoryConfig::Sparse { dir_mshrs: 1 },
+                ..tiny_request()
+            },
+        );
+        let campaign = handle.service().attach(&id).expect("attach");
+        // Subscribe, then catch up — the daemon's order.
+        let live = campaign.subscribe();
+        let mut told = HashSet::new();
+        let mut events = campaign.catchup().into_iter();
+        loop {
+            let event = events
+                .next()
+                .unwrap_or_else(|| live.recv_timeout(WAIT).expect("live event"));
+            match event {
+                Event::CellFinish { index, .. } | Event::CellFail { index, .. } => {
+                    told.insert(index);
+                }
+                Event::CampaignDone { .. } => break,
+                Event::CellStart { .. } => {}
+            }
+        }
+        assert_eq!(told.len(), CELLS, "{id}: cells told before campaign_done");
+        streams.push((id, live));
+    }
+    // Every worker has returned: whatever was going to be emitted, was.
+    handle.drain();
+    for (id, live) in streams {
+        // (a second `CampaignDone` is fine: one caught up, one live)
+        let late: Vec<Event> = live
+            .try_iter()
+            .filter(|e| !matches!(e, Event::CampaignDone { .. }))
+            .collect();
+        assert!(
+            late.is_empty(),
+            "{id}: events after campaign_done: {late:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A campaign directory torn by a crash (its journal corrupted

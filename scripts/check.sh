@@ -140,6 +140,24 @@ wait_for 10 test -S "$SOCK_REF" || {
 "$FIG6" "${SUBMIT_ARGS[@]}" --submit "$SOCK_REF" >/dev/null 2>&1 || {
     echo "tcmp-serve smoke: reference campaign failed"
     cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
+# both doors, one meaning: the same flags run locally must write the
+# daemon's CSVs byte for byte — provenance stamp included, so whole
+# files are compared — under full-map (c0001) and under --directory
+# sparse (c0002), which the local door once dropped
+"$FIG6" "${SUBMIT_ARGS[@]}" --directory sparse --submit "$SOCK_REF" >/dev/null 2>&1 || {
+    echo "tcmp-serve smoke: sparse reference campaign failed"
+    cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
+"$FIG6" "${SUBMIT_ARGS[@]}" --csv "$SMOKE_DIR/local-full.csv" >/dev/null 2>&1 &&
+"$FIG6" "${SUBMIT_ARGS[@]}" --directory sparse --csv "$SMOKE_DIR/local-sparse.csv" >/dev/null 2>&1 || {
+    echo "tcmp-serve smoke: the local run of the reference request failed"; exit 1; }
+for suffix in exec_time.csv link_ed2p.csv; do
+    cmp "$SMOKE_DIR/local-full.csv.$suffix" "$SERVE_REF/campaigns/c0001/results.$suffix" &&
+    cmp "$SMOKE_DIR/local-sparse.csv.$suffix" "$SERVE_REF/campaigns/c0002/results.$suffix" || {
+        echo "tcmp-serve smoke: local and daemon $suffix differ for the same request"; exit 1; }
+done
+cmp -s "$SMOKE_DIR/local-full.csv.exec_time.csv" "$SMOKE_DIR/local-sparse.csv.exec_time.csv" && {
+    echo "tcmp-serve smoke: --directory sparse did not reach the stamp"; exit 1; }
+echo "tcmp-serve smoke: local run and daemon wrote identical CSVs (full-map and sparse)"
 kill -TERM "$REF_PID"
 wait "$REF_PID" || {
     echo "tcmp-serve smoke: reference daemon did not drain cleanly (exit $?)"

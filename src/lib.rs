@@ -69,9 +69,9 @@ pub mod prelude {
     pub use tcmp_core::niface::InterconnectChoice;
     pub use tcmp_core::sim::{CmpSimulator, SimConfig, SimError, SimResult, WatchdogConfig};
     pub use tcmp_core::supervisor::{
-        campaign_meta, cell_key, run_journaled_cell, run_matrix_supervised, run_supervised,
-        run_supervised_cached, supervise, warm_key, CellFailure, CellRun, ForensicReport,
-        MatrixReport, RunPolicy, SupervisedFailure, WarmStart,
+        campaign_meta, cell_key, run_matrix_supervised, run_supervised, run_supervised_cached,
+        supervise, warm_key, CellFailure, ForensicReport, MatrixReport, RunPolicy,
+        SupervisedFailure, SweepState, WarmStart,
     };
     pub use wire_model::wires::{VlWidth, WireClass};
     pub use workloads::profile::AppProfile;
