@@ -1,14 +1,12 @@
-//! Shared plumbing for the reproduction binaries: CLI options, the
-//! common run-matrix driver used by the Figure 6/7 binaries, and the
-//! self-contained benchmark harness behind `fullsim_bench`.
+//! Shared plumbing for the reproduction binaries: CLI options and the
+//! common run-matrix driver used by the Figure 6/7 binaries. (Throughput
+//! is measured by the repo benchmark, `benchmark/run.sh`.)
 
 #![forbid(unsafe_code)]
 
 pub mod cli;
-pub mod harness;
 pub mod matrix;
 #[cfg(unix)]
 pub mod submit;
 
 pub use cli::Options;
-pub use harness::{measure, to_bench_json, BenchStats};

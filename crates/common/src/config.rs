@@ -186,6 +186,13 @@ impl DirectoryConfig {
     }
 }
 
+// On the wire a directory is its flag spelling.
+crate::json_as!(
+    DirectoryConfig as String,
+    DirectoryConfig::flag_label,
+    |flag| DirectoryConfig::parse_flag(&flag)
+);
+
 /// Full description of the simulated CMP (paper Table 4 by default).
 #[derive(Clone, Debug, PartialEq)]
 pub struct CmpConfig {

@@ -247,6 +247,14 @@ crate::impl_persist!(FaultStats {
     desyncs,
     mem_replies,
 });
+crate::json_record!(FaultStats {
+    drops,
+    duplicates,
+    delays,
+    corruptions,
+    desyncs,
+    mem_replies,
+});
 
 /// The configuration is immutable (the warm key covers it); only the
 /// decision stream and counters travel through checkpoint bytes.

@@ -19,8 +19,8 @@
 //!   configuration; [`Journal::resume`] refuses to mix results from a
 //!   different code revision or configuration;
 //! * [`write_atomic`] gives every results writer tmp-file-then-rename
-//!   semantics, so a crash mid-write can never leave a torn CSV or
-//!   `BENCH.json` behind.
+//!   semantics, so a crash mid-write can never leave a torn CSV
+//!   behind.
 //!
 //! The journal is generic: cell keys are opaque strings and result rows
 //! are opaque [`Json`] values, so this crate stays dependency-free and
@@ -432,8 +432,10 @@ pub enum JournalError {
         journal: String,
         current: String,
     },
-    /// A non-final record failed to parse (final truncated lines are
-    /// tolerated: they are the expected residue of a kill mid-append).
+    /// A non-final record failed to parse, to verify against its crc
+    /// or to decode as one of the four records (final truncated lines
+    /// are tolerated: they are the expected residue of a kill
+    /// mid-append).
     Corrupt { line: usize, reason: String },
 }
 
@@ -476,7 +478,8 @@ impl From<io::Error> for JournalError {
 /// an interrupted cell. Every record carries a `crc` field (FNV-1a 64
 /// of the record without it), so replay detects a bit-rotted record —
 /// not just a torn one — instead of silently resurrecting a mutated
-/// result row.
+/// result row; once the meta record has one, a record without one is
+/// refused too.
 #[derive(Debug)]
 pub struct Journal {
     file: FsFile,
@@ -512,13 +515,12 @@ impl Journal {
             file,
             replay: JournalReplay::default(),
         };
-        j.append(Json::Obj(vec![
-            ("event".into(), Json::str("meta")),
-            ("version".into(), Json::u64(JOURNAL_VERSION)),
-            ("git_sha".into(), Json::str(&meta.git_sha)),
-            ("config_hash".into(), Json::str(&meta.config_hash)),
-            ("cells".into(), Json::u64(meta.cells as u64)),
-        ]))?;
+        j.append(Record::Meta {
+            version: JOURNAL_VERSION,
+            git_sha: meta.git_sha.clone(),
+            config_hash: meta.config_hash.clone(),
+            cells: meta.cells,
+        })?;
         Ok(j)
     }
 
@@ -544,8 +546,8 @@ impl Journal {
         Ok(Journal { file, replay })
     }
 
-    fn append(&mut self, record: Json) -> io::Result<()> {
-        let mut line = stamp_crc(record).render();
+    fn append(&mut self, record: Record) -> io::Result<()> {
+        let mut line = stamp_crc(record.to_json()).render();
         line.push('\n');
         self.file.write_all(line.as_bytes())?;
         self.file.sync_data()
@@ -553,34 +555,63 @@ impl Journal {
 
     /// Record that `cell` (attempt `attempt`, 1-based) is starting.
     pub fn record_start(&mut self, cell: &str, attempt: u32) -> io::Result<()> {
-        self.append(Json::Obj(vec![
-            ("event".into(), Json::str("start")),
-            ("cell".into(), Json::str(cell)),
-            ("attempt".into(), Json::u64(u64::from(attempt))),
-        ]))
+        self.append(Record::Start {
+            cell: cell.to_string(),
+            attempt,
+        })
     }
 
     /// Record that `cell` finished, with its result row.
     pub fn record_finish(&mut self, cell: &str, row: Json) -> io::Result<()> {
-        self.append(Json::Obj(vec![
-            ("event".into(), Json::str("finish")),
-            ("cell".into(), Json::str(cell)),
-            ("row".into(), row),
-        ]))
+        self.append(Record::Finish {
+            cell: cell.to_string(),
+            row,
+        })
     }
 
     /// Record that `cell` failed terminally after `attempts` tries.
     /// This *releases* the cell: it is no longer "in progress", so a
     /// resumed campaign re-runs it rather than considering it stuck.
     pub fn record_fail(&mut self, cell: &str, attempts: u32, error: &str) -> io::Result<()> {
-        self.append(Json::Obj(vec![
-            ("event".into(), Json::str("fail")),
-            ("cell".into(), Json::str(cell)),
-            ("attempts".into(), Json::u64(u64::from(attempts))),
-            ("error".into(), Json::str(error)),
-        ]))
+        self.append(Record::Fail {
+            cell: cell.to_string(),
+            attempts,
+            error: error.to_string(),
+        })
     }
 }
+
+/// One journal line, before its `crc` is stamped on. Writer and
+/// replayer share this one description of the four records.
+#[derive(Debug, PartialEq)]
+enum Record {
+    Meta {
+        version: u64,
+        git_sha: String,
+        config_hash: String,
+        cells: usize,
+    },
+    Start {
+        cell: String,
+        attempt: u32,
+    },
+    Finish {
+        cell: String,
+        row: Json,
+    },
+    Fail {
+        cell: String,
+        attempts: u32,
+        error: String,
+    },
+}
+
+crate::json_tagged!(Record, "event" {
+    "meta" => Meta { version, git_sha, config_hash, cells },
+    "start" => Start { cell, attempt },
+    "finish" => Finish { cell, row },
+    "fail" => Fail { cell, attempts, error },
+});
 
 /// Append a `crc` field — the [`fingerprint`] of the record rendered
 /// without it — to a record object.
@@ -595,21 +626,21 @@ fn stamp_crc(record: Json) -> Json {
     }
 }
 
-/// Verify and strip a record's `crc` field. Records without one (older
-/// journals) pass through unchecked; a present-but-wrong crc is the
-/// signature of bit rot and returns `Err` with the reason.
-fn check_crc(record: Json) -> Result<Json, String> {
+/// Verify and strip a record's `crc` field, reporting whether it had
+/// one. A present-but-wrong crc is the signature of bit rot and returns
+/// `Err` with the reason.
+fn check_crc(record: Json) -> Result<(Json, bool), String> {
     let Json::Obj(mut fields) = record else {
-        return Ok(record);
+        return Ok((record, false));
     };
     let Some(at) = fields.iter().position(|(k, _)| k == "crc") else {
-        return Ok(Json::Obj(fields));
+        return Ok((Json::Obj(fields), false));
     };
     let (_, crc) = fields.remove(at);
     let stripped = Json::Obj(fields);
     let expected = fingerprint(&stripped.render());
     match crc.as_str() {
-        Some(found) if found == expected => Ok(stripped),
+        Some(found) if found == expected => Ok((stripped, true)),
         _ => Err(format!(
             "record checksum mismatch (expected {expected}, found {})",
             crc.as_str().unwrap_or("<non-string>")
@@ -617,25 +648,39 @@ fn check_crc(record: Json) -> Result<Json, String> {
     }
 }
 
+/// Parse, crc-verify and decode one journal line. The meta record
+/// decides `crc_required`: a journal whose meta record carries a crc was
+/// written by a build that stamps every record, so a later record
+/// without one has lost it to damage and is refused. A journal with no
+/// crc anywhere predates the stamp and still replays.
+fn decode_line(line: &str, crc_required: &mut bool) -> Result<Record, String> {
+    let (record, checked) = check_crc(Json::parse(line)?)?;
+    let record = Record::from_json(&record)?;
+    if matches!(record, Record::Meta { .. }) {
+        *crc_required = checked;
+    } else if *crc_required && !checked {
+        return Err("record carries no crc in a checksummed journal".to_string());
+    }
+    Ok(record)
+}
+
 fn replay_records(text: &str, meta: &CampaignMeta) -> Result<JournalReplay, JournalError> {
     let lines: Vec<&str> = text.lines().collect();
     let mut replay = JournalReplay::default();
     let mut started: Vec<String> = Vec::new();
     let mut saw_meta = false;
+    let mut crc_required = false;
     for (i, line) in lines.iter().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let record = match Json::parse(line).and_then(check_crc) {
+        let record = match decode_line(line, &mut crc_required) {
             Ok(r) => r,
             // A torn final line is the expected residue of a kill
             // mid-append; anything earlier is real corruption. (A crc
             // mismatch on the final line is the same residue: the tail
             // of a torn append can still parse as JSON.)
-            Err(reason) if i + 1 == lines.len() => {
-                let _ = reason;
-                continue;
-            }
+            Err(_) if i + 1 == lines.len() => continue,
             Err(reason) => {
                 return Err(JournalError::Corrupt {
                     line: i + 1,
@@ -643,51 +688,31 @@ fn replay_records(text: &str, meta: &CampaignMeta) -> Result<JournalReplay, Jour
                 })
             }
         };
-        let event = record.get("event").and_then(Json::as_str).unwrap_or("");
-        match event {
-            "meta" => {
+        match record {
+            Record::Meta {
+                version,
+                git_sha,
+                config_hash,
+                ..
+            } => {
                 saw_meta = true;
-                check_meta(&record, "version", &JOURNAL_VERSION.to_string(), |r, k| {
-                    r.get(k).and_then(Json::as_u64).map(|v| v.to_string())
-                })?;
-                check_meta(&record, "git_sha", &meta.git_sha, |r, k| {
-                    r.get(k).and_then(Json::as_str).map(str::to_string)
-                })?;
-                check_meta(&record, "config_hash", &meta.config_hash, |r, k| {
-                    r.get(k).and_then(Json::as_str).map(str::to_string)
-                })?;
+                check_meta("version", version.to_string(), &JOURNAL_VERSION.to_string())?;
+                check_meta("git_sha", git_sha, &meta.git_sha)?;
+                check_meta("config_hash", config_hash, &meta.config_hash)?;
             }
-            "start" => {
-                if let Some(cell) = record.get("cell").and_then(Json::as_str) {
-                    started.push(cell.to_string());
-                }
+            Record::Start { cell, .. } => started.push(cell),
+            Record::Finish { cell, row } => {
+                started.retain(|c| *c != cell);
+                replay.failed.remove(&cell);
+                replay.completed.insert(cell, row);
             }
-            "finish" => {
-                if let (Some(cell), Some(row)) =
-                    (record.get("cell").and_then(Json::as_str), record.get("row"))
-                {
-                    started.retain(|c| c != cell);
-                    replay.failed.remove(cell);
-                    replay.completed.insert(cell.to_string(), row.clone());
-                }
-            }
-            "fail" => {
-                if let Some(cell) = record.get("cell").and_then(Json::as_str) {
-                    started.retain(|c| c != cell);
-                    let attempts = record.get("attempts").and_then(Json::as_u64).unwrap_or(1);
-                    let error = record
-                        .get("error")
-                        .and_then(Json::as_str)
-                        .unwrap_or("unknown")
-                        .to_string();
-                    replay.failed.insert(cell.to_string(), (attempts, error));
-                }
-            }
-            other => {
-                return Err(JournalError::Corrupt {
-                    line: i + 1,
-                    reason: format!("unknown event {other:?}"),
-                })
+            Record::Fail {
+                cell,
+                attempts,
+                error,
+            } => {
+                started.retain(|c| *c != cell);
+                replay.failed.insert(cell, (u64::from(attempts), error));
             }
         }
     }
@@ -708,13 +733,7 @@ fn replay_records(text: &str, meta: &CampaignMeta) -> Result<JournalReplay, Jour
     Ok(replay)
 }
 
-fn check_meta(
-    record: &Json,
-    field: &'static str,
-    current: &str,
-    read: impl Fn(&Json, &str) -> Option<String>,
-) -> Result<(), JournalError> {
-    let journal = read(record, field).unwrap_or_default();
+fn check_meta(field: &'static str, journal: String, current: &str) -> Result<(), JournalError> {
     if journal != current {
         return Err(JournalError::MetaMismatch {
             field,
@@ -1022,6 +1041,144 @@ mod tests {
         }
         assert!(caught, "some flips must be caught as structured corruption");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The four records, byte for byte as the build before the field
+    /// table wrote them (`crc` included), and back.
+    #[test]
+    fn record_bytes_are_pinned() {
+        let records = [
+            (
+                Record::Meta {
+                    version: 1,
+                    git_sha: "abc123".into(),
+                    config_hash: "deadbeef".into(),
+                    cells: 4,
+                },
+                r#"{"event":"meta","version":1,"git_sha":"abc123","config_hash":"deadbeef","cells":4,"crc":"92c8bda5903421ce"}"#,
+            ),
+            (
+                Record::Start {
+                    cell: "FFT|baseline".into(),
+                    attempt: 1,
+                },
+                r#"{"event":"start","cell":"FFT|baseline","attempt":1,"crc":"fb00b0e6ad469b80"}"#,
+            ),
+            (
+                Record::Finish {
+                    cell: "FFT|baseline".into(),
+                    row: Json::Obj(vec![
+                        ("x".into(), Json::u64(7)),
+                        ("y".into(), Json::f64(0.1 + 0.2)),
+                    ]),
+                },
+                r#"{"event":"finish","cell":"FFT|baseline","row":{"x":7,"y":0.30000000000000004},"crc":"8f0f1d9ffc9b7326"}"#,
+            ),
+            (
+                Record::Fail {
+                    cell: "MP3D|baseline".into(),
+                    attempts: 3,
+                    error: "watchdog: no \"progress\"".into(),
+                },
+                r#"{"event":"fail","cell":"MP3D|baseline","attempts":3,"error":"watchdog: no \"progress\"","crc":"ba3a0f75bb049710"}"#,
+            ),
+        ];
+        for (record, line) in records {
+            assert_eq!(stamp_crc(record.to_json()).render(), line);
+            assert_eq!(decode_line(line, &mut false), Ok(record));
+        }
+    }
+
+    /// Rewrite line `n` (1-based) of the journal in `dir`.
+    fn edit_line(dir: &Path, n: usize, edit: impl Fn(&str) -> String) {
+        let path = dir.join(JOURNAL_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        let lines: Vec<String> = text
+            .lines()
+            .enumerate()
+            .map(|(i, l)| if i + 1 == n { edit(l) } else { l.to_string() })
+            .collect();
+        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+    }
+
+    fn strip_crc(line: &str) -> String {
+        let at = line.find(",\"crc\":").expect("record carries a crc");
+        line[..at].to_string() + "}"
+    }
+
+    #[test]
+    fn record_that_lost_its_crc_is_refused_in_a_checksummed_journal() {
+        let dir = tmpdir("lostcrc");
+        let mut j = Journal::create(&dir, &meta()).unwrap();
+        j.record_start("cell-a", 1).unwrap();
+        j.record_finish("cell-a", Json::Obj(vec![("x".into(), Json::u64(1000))]))
+            .unwrap();
+        j.record_start("cell-b", 1).unwrap();
+        drop(j);
+        // Damage that takes out the crc key and a digit of the row: the
+        // forged line is well-formed JSON and a well-formed finish record.
+        edit_line(&dir, 3, |l| strip_crc(l).replace("1000", "2000"));
+        match Journal::resume(&dir, &meta()) {
+            Err(JournalError::Corrupt { line, reason }) => {
+                assert_eq!(line, 3);
+                assert!(reason.contains("crc"), "{reason}");
+            }
+            other => panic!("a crc-less interior record must be refused, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn journal_written_before_the_crc_existed_still_replays() {
+        let dir = tmpdir("precrc");
+        let mut j = Journal::create(&dir, &meta()).unwrap();
+        j.record_start("cell-a", 1).unwrap();
+        j.record_finish("cell-a", Json::Obj(vec![("x".into(), Json::u64(7))]))
+            .unwrap();
+        j.record_start("cell-b", 1).unwrap();
+        j.record_fail("cell-b", 2, "watchdog").unwrap();
+        drop(j);
+        for n in 1..=5 {
+            edit_line(&dir, n, strip_crc);
+        }
+        let j = Journal::resume(&dir, &meta()).unwrap();
+        assert_eq!(
+            j.replay.completed["cell-a"].get("x").unwrap().as_u64(),
+            Some(7)
+        );
+        assert_eq!(j.replay.failed["cell-b"], (2, "watchdog".to_string()));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An interior record that verifies against its crc but is not one
+    /// of the four records is damage like any other, not a line to skip.
+    #[test]
+    fn verified_record_that_does_not_decode_is_refused() {
+        for (forged, names) in [
+            (r#"{"event":"start","attempt":1}"#, "cell"),
+            (r#"{"event":"fail","cell":"cell-a"}"#, "attempts"),
+            (
+                r#"{"event":"start","cell":"cell-a","attempt":4294967296}"#,
+                "attempt",
+            ),
+        ] {
+            let dir = tmpdir("undecodable");
+            let mut j = Journal::create(&dir, &meta()).unwrap();
+            j.record_start("cell-a", 1).unwrap();
+            j.record_start("cell-b", 1).unwrap();
+            drop(j);
+            edit_line(&dir, 2, |_| {
+                stamp_crc(Json::parse(forged).unwrap()).render()
+            });
+            match Journal::resume(&dir, &meta()) {
+                Err(JournalError::Corrupt { line, reason }) => {
+                    assert_eq!(line, 2);
+                    assert!(reason.contains(names), "{reason}");
+                }
+                other => panic!("{forged} must be refused, got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     #[test]

@@ -32,7 +32,11 @@
 //!   load-time verification digests.
 //! * [`journal`] — the durable campaign journal (append-only JSONL of
 //!   cell records, atomic result writes, meta stamping) that makes long
-//!   matrix sweeps crash-resumable.
+//!   matrix sweeps crash-resumable, and the lossless `Json` value it is
+//!   written in.
+//! * [`json`] — the declarative codec layer over that value: wire
+//!   messages, journal records and result rows are each declared once
+//!   as a field table beside their type.
 //! * [`smallvec`] — an inline-first vector for hot-path message plumbing.
 //! * [`units`] — thin newtypes for the physical quantities that cross crate
 //!   boundaries (picoseconds, watts, square millimetres, joules).
@@ -44,6 +48,7 @@ pub mod fsx;
 pub mod geometry;
 pub mod hash;
 pub mod journal;
+pub mod json;
 pub mod persist;
 pub mod randtest;
 pub mod rng;
@@ -58,6 +63,7 @@ pub use fault::{FaultAction, FaultConfig, FaultInjector, FaultPath, FaultStats};
 pub use geometry::{Coord, MeshShape};
 pub use hash::Fnv64;
 pub use journal::{write_atomic, CampaignMeta, Journal, JournalError, JournalReplay, Json};
+pub use json::JsonCodec;
 pub use rng::SimRng;
 pub use smallvec::SmallVec;
 pub use stats::{Counter, Histogram, OnlineStats};

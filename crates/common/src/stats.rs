@@ -275,6 +275,8 @@ impl crate::persist::Persist for Counter {
     }
 }
 
+crate::json_as!(Counter as u64, |c| c.0, |v| Ok(Counter(v)));
+
 impl crate::persist::Persist for OnlineStats {
     fn save(&self, w: &mut crate::persist::ByteWriter) {
         w.u64(self.n);

@@ -208,6 +208,14 @@ impl MessageClass {
     }
 }
 
+// On the wire a class is its label.
+crate::json_as!(MessageClass as String, |c| c.label().to_string(), |label| {
+    MessageClass::ALL
+        .into_iter()
+        .find(|c| c.label() == label)
+        .ok_or_else(|| format!("unknown message class `{label}`"))
+});
+
 /// The two independent address streams that get their own compression
 /// hardware at each tile (Section 3.1: "requests and coherence commands use
 /// their own hardware structures").

@@ -185,6 +185,8 @@ impl crate::persist::Persist for Joules {
     }
 }
 
+crate::json_as!(Joules as f64, |j| j.0, |v| Ok(Joules(v)));
+
 #[cfg(test)]
 mod tests {
     use super::*;

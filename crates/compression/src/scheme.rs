@@ -143,6 +143,14 @@ impl CompressionScheme {
     }
 }
 
+cmp_common::json_tagged!(CompressionScheme, "kind" {
+    "none" => None,
+    "dbrc" => Dbrc { entries, low_bytes },
+    "stride" => Stride { low_bytes },
+    "perfect" => Perfect { low_bytes },
+    "multicast" => Multicast { entries, low_bytes },
+});
+
 /// Behaviour every sender-side codec strategy implements.
 ///
 /// The seam covers the full codec lifecycle: `encode` on the sender,
@@ -284,6 +292,31 @@ impl AddressCodec for PerfectCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scheme_codec_round_trips_every_variant() {
+        for scheme in [
+            CompressionScheme::None,
+            CompressionScheme::Dbrc {
+                entries: 16,
+                low_bytes: 1,
+            },
+            CompressionScheme::Stride { low_bytes: 2 },
+            CompressionScheme::Perfect { low_bytes: 2 },
+            CompressionScheme::Multicast {
+                entries: 4,
+                low_bytes: 2,
+            },
+        ] {
+            let encoded = scheme.to_json().render();
+            let parsed = cmp_common::Json::parse(&encoded).expect("scheme JSON parses");
+            assert_eq!(
+                CompressionScheme::from_json(&parsed).expect("scheme decodes"),
+                scheme,
+                "round trip lost {scheme:?}"
+            );
+        }
+    }
 
     #[test]
     fn compressed_sizes_match_section_4_3() {

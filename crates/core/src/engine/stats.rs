@@ -19,6 +19,13 @@ pub struct ClassCount {
     pub mean_latency: f64,
 }
 
+cmp_common::json_record!(ClassCount {
+    class,
+    count,
+    bytes,
+    mean_latency,
+});
+
 /// The outcome of one run.
 #[derive(Clone, Debug)]
 pub struct SimResult {
@@ -64,6 +71,57 @@ pub struct SimResult {
     pub resync: ResyncStats,
     /// Sanitizer sweeps that ran (0 when the sanitizer is off).
     pub sanitizer_sweeps: u64,
+}
+
+// Lossless both ways: integers are decimal u64 tokens and floats use
+// Rust's shortest round-trip repr, which `Json` keeps as raw number
+// tokens — so a row decoded from the journal compares (and renders into
+// CSVs) bit-identically to the in-process original.
+cmp_common::json_record!(SimResult {
+    app,
+    scheme,
+    interconnect,
+    cycles,
+    time_s,
+    energy,
+    coverage,
+    messages,
+    network_messages,
+    instructions,
+    l1_miss_rate,
+    critical_latency,
+    probe_coverages via probe_rows,
+    mem_stall_cycles,
+    barrier_stall_cycles,
+    mem_reads,
+    l2_recalls,
+    fault_stats,
+    resync,
+    sanitizer_sweeps,
+});
+
+/// `SimResult::probe_coverages` as an array of `{"scheme","coverage"}`
+/// rows: a tuple of two foreign types cannot carry a codec impl here.
+mod probe_rows {
+    use addr_compression::CompressionScheme;
+    use cmp_common::journal::Json;
+    use cmp_common::json::JsonCodec;
+
+    struct Row {
+        scheme: CompressionScheme,
+        coverage: f64,
+    }
+    cmp_common::json_record!(Row { scheme, coverage });
+
+    pub fn to_json(rows: &[(CompressionScheme, f64)]) -> Json {
+        let row = |&(scheme, coverage): &(_, _)| Row { scheme, coverage }.to_json();
+        Json::Arr(rows.iter().map(row).collect())
+    }
+
+    pub fn from_json(j: &Json) -> Result<Vec<(CompressionScheme, f64)>, String> {
+        let rows = Vec::<Row>::from_json(j)?;
+        Ok(rows.into_iter().map(|r| (r.scheme, r.coverage)).collect())
+    }
 }
 
 impl SimResult {

@@ -67,6 +67,12 @@ impl InterconnectChoice {
     }
 }
 
+cmp_common::json_tagged!(InterconnectChoice, "kind" {
+    "baseline" => Baseline,
+    "heterogeneous" => Heterogeneous(vl_bytes),
+    "reply_partitioning" => ReplyPartitioning,
+});
+
 /// Map a message to a physical channel.
 ///
 /// * Baseline: everything on the B-Wires.
@@ -204,6 +210,11 @@ impl ResyncTracker {
 }
 
 cmp_common::impl_persist!(ResyncStats {
+    desyncs_detected,
+    resyncs_completed,
+    fallback_msgs,
+});
+cmp_common::json_record!(ResyncStats {
     desyncs_detected,
     resyncs_completed,
     fallback_msgs,

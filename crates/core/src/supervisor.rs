@@ -33,23 +33,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use addr_compression::CompressionScheme;
 use cmp_common::config::CmpConfig;
-use cmp_common::fault::FaultStats;
 use cmp_common::journal::{fingerprint, CampaignMeta, Journal, Json};
-use cmp_common::stats::Counter;
-use cmp_common::types::{Cycle, MessageClass};
-use cmp_common::units::Joules;
+use cmp_common::types::Cycle;
 use coherence::sanitizer::SanitizerConfig;
-use energy_model::breakdown::EnergyBreakdown;
-use wire_model::wires::VlWidth;
 use workloads::profile::AppProfile;
 
 use crate::checkpoint::{CacheLoad, CheckpointCache, WarmKey};
 use crate::engine::MachineSnapshot;
 use crate::experiment::RunSpec;
-use crate::niface::{InterconnectChoice, ResyncStats};
-use crate::sim::{ClassCount, CmpSimulator, SimConfig, SimError, SimResult};
+use crate::sim::{CmpSimulator, SimConfig, SimError, SimResult};
 
 /// How often the supervisor polls the wall clock and the snapshot
 /// schedule, in scheduler iterations. `Instant::now` is tens of
@@ -753,347 +746,24 @@ pub fn run_matrix_supervised(
     state.into_report()
 }
 
-// --- SimResult ⇄ JSON codec -------------------------------------------
-//
-// Lossless both ways: integers are written as decimal u64 tokens and
-// floats via Rust's shortest round-trip repr, which `Json` stores as
-// raw number tokens — so a row decoded from the journal compares (and
-// renders into CSVs) bit-identically to the in-process original.
-
-fn joules_json(j: Joules) -> Json {
-    Json::f64(j.value())
-}
-
-fn scheme_to_json(s: CompressionScheme) -> Json {
-    let obj = |kind: &str, rest: Vec<(String, Json)>| {
-        let mut fields = vec![("kind".to_string(), Json::str(kind))];
-        fields.extend(rest);
-        Json::Obj(fields)
-    };
-    match s {
-        CompressionScheme::None => obj("none", vec![]),
-        CompressionScheme::Dbrc { entries, low_bytes } => obj(
-            "dbrc",
-            vec![
-                ("entries".to_string(), Json::u64(entries as u64)),
-                ("low_bytes".to_string(), Json::u64(low_bytes as u64)),
-            ],
-        ),
-        CompressionScheme::Stride { low_bytes } => obj(
-            "stride",
-            vec![("low_bytes".to_string(), Json::u64(low_bytes as u64))],
-        ),
-        CompressionScheme::Perfect { low_bytes } => obj(
-            "perfect",
-            vec![("low_bytes".to_string(), Json::u64(low_bytes as u64))],
-        ),
-        CompressionScheme::Multicast { entries, low_bytes } => obj(
-            "multicast",
-            vec![
-                ("entries".to_string(), Json::u64(entries as u64)),
-                ("low_bytes".to_string(), Json::u64(low_bytes as u64)),
-            ],
-        ),
-    }
-}
-
-fn scheme_from_json(j: &Json) -> Result<CompressionScheme, String> {
-    let kind = need_str(j, "kind")?;
-    match kind {
-        "none" => Ok(CompressionScheme::None),
-        "dbrc" => Ok(CompressionScheme::Dbrc {
-            entries: need_u64(j, "entries")? as usize,
-            low_bytes: need_u64(j, "low_bytes")? as usize,
-        }),
-        "stride" => Ok(CompressionScheme::Stride {
-            low_bytes: need_u64(j, "low_bytes")? as usize,
-        }),
-        "perfect" => Ok(CompressionScheme::Perfect {
-            low_bytes: need_u64(j, "low_bytes")? as usize,
-        }),
-        "multicast" => Ok(CompressionScheme::Multicast {
-            entries: need_u64(j, "entries")? as usize,
-            low_bytes: need_u64(j, "low_bytes")? as usize,
-        }),
-        other => Err(format!("unknown compression scheme `{other}`")),
-    }
-}
-
-fn interconnect_to_json(i: InterconnectChoice) -> Json {
-    match i {
-        InterconnectChoice::Baseline => {
-            Json::Obj(vec![("kind".to_string(), Json::str("baseline"))])
-        }
-        InterconnectChoice::Heterogeneous(vl) => Json::Obj(vec![
-            ("kind".to_string(), Json::str("heterogeneous")),
-            ("vl_bytes".to_string(), Json::u64(vl.bytes() as u64)),
-        ]),
-        InterconnectChoice::ReplyPartitioning => {
-            Json::Obj(vec![("kind".to_string(), Json::str("reply_partitioning"))])
-        }
-    }
-}
-
-fn interconnect_from_json(j: &Json) -> Result<InterconnectChoice, String> {
-    match need_str(j, "kind")? {
-        "baseline" => Ok(InterconnectChoice::Baseline),
-        "heterogeneous" => {
-            let bytes = need_u64(j, "vl_bytes")?;
-            VlWidth::ALL
-                .iter()
-                .copied()
-                .find(|w| w.bytes() as u64 == bytes)
-                .map(InterconnectChoice::Heterogeneous)
-                .ok_or_else(|| format!("no VL width of {bytes} bytes"))
-        }
-        "reply_partitioning" => Ok(InterconnectChoice::ReplyPartitioning),
-        other => Err(format!("unknown interconnect `{other}`")),
-    }
-}
-
-fn class_from_label(label: &str) -> Result<MessageClass, String> {
-    MessageClass::ALL
-        .iter()
-        .copied()
-        .find(|c| c.label() == label)
-        .ok_or_else(|| format!("unknown message class `{label}`"))
-}
-
-fn need<'a>(j: &'a Json, key: &str) -> Result<&'a Json, String> {
-    j.get(key).ok_or_else(|| format!("missing field `{key}`"))
-}
-
-fn need_str<'a>(j: &'a Json, key: &str) -> Result<&'a str, String> {
-    need(j, key)?
-        .as_str()
-        .ok_or_else(|| format!("field `{key}` is not a string"))
-}
-
-fn need_u64(j: &Json, key: &str) -> Result<u64, String> {
-    need(j, key)?
-        .as_u64()
-        .ok_or_else(|| format!("field `{key}` is not an unsigned integer"))
-}
-
-fn need_f64(j: &Json, key: &str) -> Result<f64, String> {
-    need(j, key)?
-        .as_f64()
-        .ok_or_else(|| format!("field `{key}` is not a number"))
-}
-
-fn need_joules(j: &Json, key: &str) -> Result<Joules, String> {
-    need_f64(j, key).map(Joules)
-}
-
-fn need_counter(j: &Json, key: &str) -> Result<Counter, String> {
-    need_u64(j, key).map(Counter)
-}
-
-/// Encode a run's result as a journal row.
+/// Encode a run's result as a journal row ([`SimResult`]'s field
+/// table, lossless both ways).
 pub fn result_to_json(r: &SimResult) -> Json {
-    let energy = Json::Obj(vec![
-        (
-            "core_dynamic".to_string(),
-            joules_json(r.energy.core_dynamic),
-        ),
-        ("core_static".to_string(), joules_json(r.energy.core_static)),
-        (
-            "link_dynamic".to_string(),
-            joules_json(r.energy.link_dynamic),
-        ),
-        ("link_static".to_string(), joules_json(r.energy.link_static)),
-        (
-            "router_dynamic".to_string(),
-            joules_json(r.energy.router_dynamic),
-        ),
-        (
-            "compression_dynamic".to_string(),
-            joules_json(r.energy.compression_dynamic),
-        ),
-        (
-            "compression_static".to_string(),
-            joules_json(r.energy.compression_static),
-        ),
-    ]);
-    let messages = Json::Arr(
-        r.messages
-            .iter()
-            .map(|c| {
-                Json::Obj(vec![
-                    ("class".to_string(), Json::str(c.class.label())),
-                    ("count".to_string(), Json::u64(c.count)),
-                    ("bytes".to_string(), Json::u64(c.bytes)),
-                    ("mean_latency".to_string(), Json::f64(c.mean_latency)),
-                ])
-            })
-            .collect(),
-    );
-    let probes = Json::Arr(
-        r.probe_coverages
-            .iter()
-            .map(|(scheme, coverage)| {
-                Json::Obj(vec![
-                    ("scheme".to_string(), scheme_to_json(*scheme)),
-                    ("coverage".to_string(), Json::f64(*coverage)),
-                ])
-            })
-            .collect(),
-    );
-    let faults = Json::Obj(vec![
-        ("drops".to_string(), Json::u64(r.fault_stats.drops.get())),
-        (
-            "duplicates".to_string(),
-            Json::u64(r.fault_stats.duplicates.get()),
-        ),
-        ("delays".to_string(), Json::u64(r.fault_stats.delays.get())),
-        (
-            "corruptions".to_string(),
-            Json::u64(r.fault_stats.corruptions.get()),
-        ),
-        (
-            "desyncs".to_string(),
-            Json::u64(r.fault_stats.desyncs.get()),
-        ),
-        (
-            "mem_replies".to_string(),
-            Json::u64(r.fault_stats.mem_replies.get()),
-        ),
-    ]);
-    let resync = Json::Obj(vec![
-        (
-            "desyncs_detected".to_string(),
-            Json::u64(r.resync.desyncs_detected),
-        ),
-        (
-            "resyncs_completed".to_string(),
-            Json::u64(r.resync.resyncs_completed),
-        ),
-        (
-            "fallback_msgs".to_string(),
-            Json::u64(r.resync.fallback_msgs),
-        ),
-    ]);
-    Json::Obj(vec![
-        ("app".to_string(), Json::str(&r.app)),
-        ("scheme".to_string(), scheme_to_json(r.scheme)),
-        (
-            "interconnect".to_string(),
-            interconnect_to_json(r.interconnect),
-        ),
-        ("cycles".to_string(), Json::u64(r.cycles)),
-        ("time_s".to_string(), Json::f64(r.time_s)),
-        ("energy".to_string(), energy),
-        ("coverage".to_string(), Json::f64(r.coverage)),
-        ("messages".to_string(), messages),
-        (
-            "network_messages".to_string(),
-            Json::u64(r.network_messages),
-        ),
-        ("instructions".to_string(), Json::u64(r.instructions)),
-        ("l1_miss_rate".to_string(), Json::f64(r.l1_miss_rate)),
-        (
-            "critical_latency".to_string(),
-            Json::f64(r.critical_latency),
-        ),
-        ("probe_coverages".to_string(), probes),
-        (
-            "mem_stall_cycles".to_string(),
-            Json::u64(r.mem_stall_cycles),
-        ),
-        (
-            "barrier_stall_cycles".to_string(),
-            Json::u64(r.barrier_stall_cycles),
-        ),
-        ("mem_reads".to_string(), Json::u64(r.mem_reads)),
-        ("l2_recalls".to_string(), Json::u64(r.l2_recalls)),
-        ("fault_stats".to_string(), faults),
-        ("resync".to_string(), resync),
-        (
-            "sanitizer_sweeps".to_string(),
-            Json::u64(r.sanitizer_sweeps),
-        ),
-    ])
+    r.to_json()
 }
 
 /// Decode a journal row back into the exact [`SimResult`] it encoded.
 pub fn result_from_json(j: &Json) -> Result<SimResult, String> {
-    let energy_obj = need(j, "energy")?;
-    let energy = EnergyBreakdown {
-        core_dynamic: need_joules(energy_obj, "core_dynamic")?,
-        core_static: need_joules(energy_obj, "core_static")?,
-        link_dynamic: need_joules(energy_obj, "link_dynamic")?,
-        link_static: need_joules(energy_obj, "link_static")?,
-        router_dynamic: need_joules(energy_obj, "router_dynamic")?,
-        compression_dynamic: need_joules(energy_obj, "compression_dynamic")?,
-        compression_static: need_joules(energy_obj, "compression_static")?,
-    };
-    let messages = need(j, "messages")?
-        .as_arr()
-        .ok_or_else(|| "field `messages` is not an array".to_string())?
-        .iter()
-        .map(|m| {
-            Ok(ClassCount {
-                class: class_from_label(need_str(m, "class")?)?,
-                count: need_u64(m, "count")?,
-                bytes: need_u64(m, "bytes")?,
-                mean_latency: need_f64(m, "mean_latency")?,
-            })
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let probe_coverages = need(j, "probe_coverages")?
-        .as_arr()
-        .ok_or_else(|| "field `probe_coverages` is not an array".to_string())?
-        .iter()
-        .map(|p| {
-            Ok((
-                scheme_from_json(need(p, "scheme")?)?,
-                need_f64(p, "coverage")?,
-            ))
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    let faults_obj = need(j, "fault_stats")?;
-    let fault_stats = FaultStats {
-        drops: need_counter(faults_obj, "drops")?,
-        duplicates: need_counter(faults_obj, "duplicates")?,
-        delays: need_counter(faults_obj, "delays")?,
-        corruptions: need_counter(faults_obj, "corruptions")?,
-        desyncs: need_counter(faults_obj, "desyncs")?,
-        mem_replies: need_counter(faults_obj, "mem_replies")?,
-    };
-    let resync_obj = need(j, "resync")?;
-    let resync = ResyncStats {
-        desyncs_detected: need_u64(resync_obj, "desyncs_detected")?,
-        resyncs_completed: need_u64(resync_obj, "resyncs_completed")?,
-        fallback_msgs: need_u64(resync_obj, "fallback_msgs")?,
-    };
-    Ok(SimResult {
-        app: need_str(j, "app")?.to_string(),
-        scheme: scheme_from_json(need(j, "scheme")?)?,
-        interconnect: interconnect_from_json(need(j, "interconnect")?)?,
-        cycles: need_u64(j, "cycles")?,
-        time_s: need_f64(j, "time_s")?,
-        energy,
-        coverage: need_f64(j, "coverage")?,
-        messages,
-        network_messages: need_u64(j, "network_messages")?,
-        instructions: need_u64(j, "instructions")?,
-        l1_miss_rate: need_f64(j, "l1_miss_rate")?,
-        critical_latency: need_f64(j, "critical_latency")?,
-        probe_coverages,
-        mem_stall_cycles: need_u64(j, "mem_stall_cycles")?,
-        barrier_stall_cycles: need_u64(j, "barrier_stall_cycles")?,
-        mem_reads: need_u64(j, "mem_reads")?,
-        l2_recalls: need_u64(j, "l2_recalls")?,
-        fault_stats,
-        resync,
-        sanitizer_sweeps: need_u64(j, "sanitizer_sweeps")?,
-    })
+    SimResult::from_json(j)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::experiment::ConfigSpec;
+    use crate::niface::InterconnectChoice;
+    use addr_compression::CompressionScheme;
+    use wire_model::wires::VlWidth;
 
     fn tiny_result() -> SimResult {
         let cfg = SimConfig::new(
@@ -1190,28 +860,104 @@ mod tests {
         assert_eq!(decoded.link_ed2p().to_bits(), r.link_ed2p().to_bits());
     }
 
+    /// The row format, byte for byte as the build before the field
+    /// tables wrote it (`sim_digest` and every journal hash this
+    /// rendering): every scheme and interconnect shape, non-empty
+    /// `messages` and `probe_coverages`, non-zero fault and resync
+    /// counters, integers above 2^53 and a 17-digit float.
     #[test]
-    fn scheme_codec_round_trips_every_variant() {
-        for scheme in [
-            CompressionScheme::None,
-            CompressionScheme::Dbrc {
-                entries: 16,
-                low_bytes: 1,
-            },
-            CompressionScheme::Stride { low_bytes: 2 },
-            CompressionScheme::Perfect { low_bytes: 2 },
-            CompressionScheme::Multicast {
+    fn result_row_bytes_are_pinned() {
+        use cmp_common::fault::FaultStats;
+        use cmp_common::stats::Counter;
+        use cmp_common::types::MessageClass;
+        use cmp_common::units::Joules;
+        use energy_model::breakdown::EnergyBreakdown;
+
+        let class = |class, count, bytes, mean_latency| crate::sim::ClassCount {
+            class,
+            count,
+            bytes,
+            mean_latency,
+        };
+        let full = SimResult {
+            app: "MP3D".into(),
+            scheme: CompressionScheme::Multicast {
                 entries: 4,
                 low_bytes: 2,
             },
+            interconnect: InterconnectChoice::Heterogeneous(VlWidth::FiveBytes),
+            cycles: (1 << 53) + 1,
+            time_s: 0.1 + 0.2,
+            energy: EnergyBreakdown {
+                core_dynamic: Joules(1.25),
+                core_static: Joules(0.5),
+                link_dynamic: Joules(0.012345678901234567),
+                link_static: Joules(1e-9),
+                router_dynamic: Joules(3.0e-4),
+                compression_dynamic: Joules(2.5e-7),
+                compression_static: Joules(0.0),
+            },
+            coverage: 0.8765432109876543,
+            messages: vec![
+                class(MessageClass::Request, 1200, 13200, 17.25),
+                class(MessageClass::ResponseData, 900, 60300, 31.5),
+                class(MessageClass::PartialReply, 3, 33, 9.0),
+            ],
+            network_messages: 2103,
+            instructions: u64::MAX,
+            l1_miss_rate: 0.03125,
+            critical_latency: 21.333333333333332,
+            probe_coverages: vec![
+                (CompressionScheme::Perfect { low_bytes: 2 }, 1.0),
+                (
+                    CompressionScheme::Dbrc {
+                        entries: 16,
+                        low_bytes: 1,
+                    },
+                    0.6543210987654321,
+                ),
+                (CompressionScheme::Stride { low_bytes: 1 }, 0.25),
+            ],
+            mem_stall_cycles: 123456,
+            barrier_stall_cycles: 7890,
+            mem_reads: 42,
+            l2_recalls: 7,
+            fault_stats: FaultStats {
+                drops: Counter(1),
+                duplicates: Counter(2),
+                delays: Counter(3),
+                corruptions: Counter(4),
+                desyncs: Counter(5),
+                mem_replies: Counter(6),
+            },
+            resync: crate::niface::ResyncStats {
+                desyncs_detected: 5,
+                resyncs_completed: 4,
+                fallback_msgs: 96,
+            },
+            sanitizer_sweeps: 11,
+        };
+        let bare = SimResult {
+            scheme: CompressionScheme::None,
+            interconnect: InterconnectChoice::ReplyPartitioning,
+            messages: vec![],
+            probe_coverages: vec![],
+            ..full.clone()
+        };
+        for (row, text) in [
+            (
+                full,
+                r#"{"app":"MP3D","scheme":{"kind":"multicast","entries":4,"low_bytes":2},"interconnect":{"kind":"heterogeneous","vl_bytes":5},"cycles":9007199254740993,"time_s":0.30000000000000004,"energy":{"core_dynamic":1.25,"core_static":0.5,"link_dynamic":0.012345678901234567,"link_static":1e-9,"router_dynamic":0.0003,"compression_dynamic":2.5e-7,"compression_static":0.0},"coverage":0.8765432109876543,"messages":[{"class":"request","count":1200,"bytes":13200,"mean_latency":17.25},{"class":"response+data","count":900,"bytes":60300,"mean_latency":31.5},{"class":"partial-reply","count":3,"bytes":33,"mean_latency":9.0}],"network_messages":2103,"instructions":18446744073709551615,"l1_miss_rate":0.03125,"critical_latency":21.333333333333332,"probe_coverages":[{"scheme":{"kind":"perfect","low_bytes":2},"coverage":1.0},{"scheme":{"kind":"dbrc","entries":16,"low_bytes":1},"coverage":0.6543210987654321},{"scheme":{"kind":"stride","low_bytes":1},"coverage":0.25}],"mem_stall_cycles":123456,"barrier_stall_cycles":7890,"mem_reads":42,"l2_recalls":7,"fault_stats":{"drops":1,"duplicates":2,"delays":3,"corruptions":4,"desyncs":5,"mem_replies":6},"resync":{"desyncs_detected":5,"resyncs_completed":4,"fallback_msgs":96},"sanitizer_sweeps":11}"#,
+            ),
+            (
+                bare,
+                r#"{"app":"MP3D","scheme":{"kind":"none"},"interconnect":{"kind":"reply_partitioning"},"cycles":9007199254740993,"time_s":0.30000000000000004,"energy":{"core_dynamic":1.25,"core_static":0.5,"link_dynamic":0.012345678901234567,"link_static":1e-9,"router_dynamic":0.0003,"compression_dynamic":2.5e-7,"compression_static":0.0},"coverage":0.8765432109876543,"messages":[],"network_messages":2103,"instructions":18446744073709551615,"l1_miss_rate":0.03125,"critical_latency":21.333333333333332,"probe_coverages":[],"mem_stall_cycles":123456,"barrier_stall_cycles":7890,"mem_reads":42,"l2_recalls":7,"fault_stats":{"drops":1,"duplicates":2,"delays":3,"corruptions":4,"desyncs":5,"mem_replies":6},"resync":{"desyncs_detected":5,"resyncs_completed":4,"fallback_msgs":96},"sanitizer_sweeps":11}"#,
+            ),
         ] {
-            let encoded = scheme_to_json(scheme).render();
-            let parsed = Json::parse(&encoded).expect("scheme JSON parses");
-            assert_eq!(
-                scheme_from_json(&parsed).expect("scheme decodes"),
-                scheme,
-                "round trip lost {scheme:?}"
-            );
+            assert_eq!(result_to_json(&row).render(), text);
+            let back = result_from_json(&Json::parse(text).expect("literal parses"))
+                .expect("literal decodes");
+            assert_eq!(format!("{back:?}"), format!("{row:?}"));
         }
     }
 

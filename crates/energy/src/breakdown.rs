@@ -33,6 +33,16 @@ pub struct EnergyBreakdown {
     pub compression_static: Joules,
 }
 
+cmp_common::json_record!(EnergyBreakdown {
+    core_dynamic,
+    core_static,
+    link_dynamic,
+    link_static,
+    router_dynamic,
+    compression_dynamic,
+    compression_static,
+});
+
 impl EnergyBreakdown {
     /// Energy attributed to the interconnect links — the numerator of
     /// Figure 6 (bottom). Router energy is counted with the interconnect,

@@ -1,7 +1,9 @@
 //! The wire protocol of the campaign service: line-delimited JSON over
-//! a local Unix socket, encoded with the journal's lossless [`Json`]
-//! codec (the same one that makes campaign journals round-trip
-//! bit-identically).
+//! a local Unix socket, carried by the journal's lossless
+//! [`Json`](cmp_common::journal::Json) value (the same one that makes
+//! campaign journals round-trip bit-identically). No message has
+//! encode or decode code of its own: each type is declared once, beside
+//! its definition, as a [`cmp_common::json`] field table.
 //!
 //! A connection carries exactly one [`Request`] line from the client,
 //! one [`Response`] line back, and — for `submit`/`attach` — a stream
@@ -12,7 +14,7 @@
 //! confused client always learns *why*.
 
 use cmp_common::config::DirectoryConfig;
-use cmp_common::journal::Json;
+use cmp_common::{json_as, json_record, json_tagged};
 
 /// Which figure's CSV set a campaign renders when it completes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,6 +44,11 @@ impl Figure {
     }
 }
 
+// On the wire a figure is its label.
+json_as!(Figure as String, |f| f.label().to_string(), |label| {
+    Figure::from_label(&label).ok_or_else(|| format!("unknown figure {label:?} (want fig6|fig7)"))
+});
+
 /// A campaign submission: the same knobs the figure binaries expose as
 /// flags, minus execution-local ones (`--jobs` belongs to the service's
 /// shared pool, not to any one campaign).
@@ -66,61 +73,18 @@ pub struct CampaignRequest {
     pub directory: DirectoryConfig,
 }
 
-impl CampaignRequest {
-    pub fn to_json(&self) -> Json {
-        obj(vec![
-            ("figure", Json::str(self.figure.label())),
-            ("apps", Json::Arr(self.apps.iter().map(Json::str).collect())),
-            ("seed", Json::u64(self.seed)),
-            ("scale", Json::f64(self.scale)),
-            ("perfect", Json::Bool(self.perfect)),
-            ("retries", Json::u64(u64::from(self.retries))),
-            ("deadline_s", self.deadline_s.map_or(Json::Null, Json::u64)),
-            ("directory", Json::str(self.directory.flag_label())),
-        ])
-    }
-
-    pub fn from_json(j: &Json) -> Result<CampaignRequest, String> {
-        let figure = need_str(j, "figure")?;
-        let figure = Figure::from_label(figure)
-            .ok_or_else(|| format!("unknown figure {figure:?} (want fig6|fig7)"))?;
-        let apps = j
-            .get("apps")
-            .and_then(Json::as_arr)
-            .ok_or("missing apps array")?
-            .iter()
-            .map(|a| {
-                a.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| "non-string app name".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(CampaignRequest {
-            figure,
-            apps,
-            seed: need_u64(j, "seed")?,
-            scale: j
-                .get("scale")
-                .and_then(Json::as_f64)
-                .ok_or("missing scale")?,
-            perfect: need_bool(j, "perfect")?,
-            retries: u32::try_from(need_u64(j, "retries")?)
-                .map_err(|_| "retries out of range".to_string())?,
-            deadline_s: match j.get("deadline_s") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(v.as_u64().ok_or("deadline_s must be a u64")?),
-            },
-            // Absent/null in campaign.json files persisted before the
-            // directory became a campaign knob: those ran full-map.
-            directory: match j.get("directory") {
-                None | Some(Json::Null) => DirectoryConfig::FullMap,
-                Some(v) => {
-                    DirectoryConfig::parse_flag(v.as_str().ok_or("directory must be a string")?)?
-                }
-            },
-        })
-    }
-}
+// `deadline_s` and `directory` may be absent: campaign.json files
+// persisted before the directory became a campaign knob ran full-map.
+json_record!(CampaignRequest {
+    figure,
+    apps,
+    seed,
+    scale,
+    perfect,
+    retries,
+    deadline_s = None,
+    directory = DirectoryConfig::FullMap,
+});
 
 /// What a client asks of the service.
 #[derive(Clone, Debug, PartialEq)]
@@ -135,35 +99,11 @@ pub enum Request {
     Status,
 }
 
-impl Request {
-    pub fn to_json(&self) -> Json {
-        match self {
-            Request::Submit(req) => {
-                let mut o = vec![("type".to_string(), Json::str("submit"))];
-                if let Json::Obj(fields) = req.to_json() {
-                    o.extend(fields);
-                }
-                Json::Obj(o)
-            }
-            Request::Attach { campaign } => obj(vec![
-                ("type", Json::str("attach")),
-                ("campaign", Json::str(campaign)),
-            ]),
-            Request::Status => obj(vec![("type", Json::str("status"))]),
-        }
-    }
-
-    pub fn from_json(j: &Json) -> Result<Request, String> {
-        match need_str(j, "type")? {
-            "submit" => Ok(Request::Submit(CampaignRequest::from_json(j)?)),
-            "attach" => Ok(Request::Attach {
-                campaign: need_str(j, "campaign")?.to_string(),
-            }),
-            "status" => Ok(Request::Status),
-            other => Err(format!("unknown request type {other:?}")),
-        }
-    }
-}
+json_tagged!(Request, "type" {
+    "submit" => Submit(..request),
+    "attach" => Attach { campaign },
+    "status" => Status,
+});
 
 /// Why a request was refused. Every variant is a *structured* refusal:
 /// overload, drain and bad input are expected operating conditions, not
@@ -194,57 +134,14 @@ pub enum RejectReason {
     Internal(String),
 }
 
-impl RejectReason {
-    fn to_json(&self) -> Json {
-        match self {
-            RejectReason::Overloaded {
-                queued,
-                bound,
-                requested,
-            } => obj(vec![
-                ("reason", Json::str("overloaded")),
-                ("queued", Json::u64(*queued as u64)),
-                ("bound", Json::u64(*bound as u64)),
-                ("requested", Json::u64(*requested as u64)),
-            ]),
-            RejectReason::Draining => obj(vec![("reason", Json::str("draining"))]),
-            RejectReason::UnknownApp(app) => obj(vec![
-                ("reason", Json::str("unknown_app")),
-                ("app", Json::str(app)),
-            ]),
-            RejectReason::UnknownCampaign(id) => obj(vec![
-                ("reason", Json::str("unknown_campaign")),
-                ("campaign", Json::str(id)),
-            ]),
-            RejectReason::Malformed(detail) => obj(vec![
-                ("reason", Json::str("malformed")),
-                ("detail", Json::str(detail)),
-            ]),
-            RejectReason::Internal(detail) => obj(vec![
-                ("reason", Json::str("internal")),
-                ("detail", Json::str(detail)),
-            ]),
-        }
-    }
-
-    fn from_json(j: &Json) -> Result<RejectReason, String> {
-        match need_str(j, "reason")? {
-            "overloaded" => Ok(RejectReason::Overloaded {
-                queued: need_u64(j, "queued")? as usize,
-                bound: need_u64(j, "bound")? as usize,
-                requested: need_u64(j, "requested")? as usize,
-            }),
-            "draining" => Ok(RejectReason::Draining),
-            "unknown_app" => Ok(RejectReason::UnknownApp(need_str(j, "app")?.to_string())),
-            "unknown_campaign" => Ok(RejectReason::UnknownCampaign(
-                need_str(j, "campaign")?.to_string(),
-            )),
-            "malformed" => Ok(RejectReason::Malformed(need_str(j, "detail")?.to_string())),
-            "internal" => Ok(RejectReason::Internal(need_str(j, "detail")?.to_string())),
-            other => Err(format!("unknown reject reason {other:?}")),
-        }
-    }
-}
+json_tagged!(RejectReason, "reason" {
+    "overloaded" => Overloaded { queued, bound, requested },
+    "draining" => Draining,
+    "unknown_app" => UnknownApp(app),
+    "unknown_campaign" => UnknownCampaign(campaign),
+    "malformed" => Malformed(detail),
+    "internal" => Internal(detail),
+});
 
 impl std::fmt::Display for RejectReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -277,6 +174,14 @@ pub struct CampaignStatus {
     pub finished: bool,
 }
 
+json_record!(CampaignStatus {
+    id,
+    cells,
+    done,
+    failed,
+    finished,
+});
+
 /// Checkpoint-cache counters in a status report. The first four are
 /// the merged warm-start view (memory + disk); the `disk_*` fields
 /// break out the durable tier and stay zero on a memory-only daemon.
@@ -292,6 +197,20 @@ pub struct CacheCounts {
     pub disk_evicted: u64,
     pub disk_resident_bytes: u64,
 }
+
+// The `disk_*` fields are absent on reports from pre-disk-tier daemons:
+// a newer client reads them as zero rather than refusing the report.
+json_record!(CacheCounts {
+    stores,
+    hits,
+    misses,
+    quarantined,
+    disk_stores = 0,
+    disk_hits = 0,
+    disk_quarantined = 0,
+    disk_evicted = 0,
+    disk_resident_bytes = 0,
+});
 
 /// What the service answers a request with.
 #[derive(Clone, Debug, PartialEq)]
@@ -321,134 +240,12 @@ pub enum Response {
     },
 }
 
-impl Response {
-    pub fn to_json(&self) -> Json {
-        match self {
-            Response::Submitted {
-                campaign,
-                cells,
-                resumed,
-            } => obj(vec![
-                ("type", Json::str("submitted")),
-                ("campaign", Json::str(campaign)),
-                ("cells", Json::u64(*cells as u64)),
-                ("resumed", Json::u64(*resumed as u64)),
-            ]),
-            Response::Attached {
-                campaign,
-                cells,
-                done,
-            } => obj(vec![
-                ("type", Json::str("attached")),
-                ("campaign", Json::str(campaign)),
-                ("cells", Json::u64(*cells as u64)),
-                ("done", Json::u64(*done as u64)),
-            ]),
-            Response::Rejected(reason) => {
-                let mut o = vec![("type".to_string(), Json::str("rejected"))];
-                if let Json::Obj(fields) = reason.to_json() {
-                    o.extend(fields);
-                }
-                Json::Obj(o)
-            }
-            Response::StatusReport {
-                queued,
-                draining,
-                campaigns,
-                cache,
-            } => obj(vec![
-                ("type", Json::str("status")),
-                ("queued", Json::u64(*queued as u64)),
-                ("draining", Json::Bool(*draining)),
-                (
-                    "campaigns",
-                    Json::Arr(
-                        campaigns
-                            .iter()
-                            .map(|c| {
-                                obj(vec![
-                                    ("id", Json::str(&c.id)),
-                                    ("cells", Json::u64(c.cells as u64)),
-                                    ("done", Json::u64(c.done as u64)),
-                                    ("failed", Json::u64(c.failed as u64)),
-                                    ("finished", Json::Bool(c.finished)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                (
-                    "cache",
-                    obj(vec![
-                        ("stores", Json::u64(cache.stores)),
-                        ("hits", Json::u64(cache.hits)),
-                        ("misses", Json::u64(cache.misses)),
-                        ("quarantined", Json::u64(cache.quarantined)),
-                        ("disk_stores", Json::u64(cache.disk_stores)),
-                        ("disk_hits", Json::u64(cache.disk_hits)),
-                        ("disk_quarantined", Json::u64(cache.disk_quarantined)),
-                        ("disk_evicted", Json::u64(cache.disk_evicted)),
-                        ("disk_resident_bytes", Json::u64(cache.disk_resident_bytes)),
-                    ]),
-                ),
-            ]),
-        }
-    }
-
-    pub fn from_json(j: &Json) -> Result<Response, String> {
-        match need_str(j, "type")? {
-            "submitted" => Ok(Response::Submitted {
-                campaign: need_str(j, "campaign")?.to_string(),
-                cells: need_u64(j, "cells")? as usize,
-                resumed: need_u64(j, "resumed")? as usize,
-            }),
-            "attached" => Ok(Response::Attached {
-                campaign: need_str(j, "campaign")?.to_string(),
-                cells: need_u64(j, "cells")? as usize,
-                done: need_u64(j, "done")? as usize,
-            }),
-            "rejected" => Ok(Response::Rejected(RejectReason::from_json(j)?)),
-            "status" => {
-                let campaigns = j
-                    .get("campaigns")
-                    .and_then(Json::as_arr)
-                    .ok_or("missing campaigns")?
-                    .iter()
-                    .map(|c| {
-                        Ok(CampaignStatus {
-                            id: need_str(c, "id")?.to_string(),
-                            cells: need_u64(c, "cells")? as usize,
-                            done: need_u64(c, "done")? as usize,
-                            failed: need_u64(c, "failed")? as usize,
-                            finished: need_bool(c, "finished")?,
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                let cache = j.get("cache").ok_or("missing cache")?;
-                Ok(Response::StatusReport {
-                    queued: need_u64(j, "queued")? as usize,
-                    draining: need_bool(j, "draining")?,
-                    campaigns,
-                    cache: CacheCounts {
-                        stores: need_u64(cache, "stores")?,
-                        hits: need_u64(cache, "hits")?,
-                        misses: need_u64(cache, "misses")?,
-                        quarantined: need_u64(cache, "quarantined")?,
-                        // Absent on reports from pre-disk-tier daemons:
-                        // a newer client reads them as zero rather than
-                        // refusing the whole report.
-                        disk_stores: opt_u64(cache, "disk_stores"),
-                        disk_hits: opt_u64(cache, "disk_hits"),
-                        disk_quarantined: opt_u64(cache, "disk_quarantined"),
-                        disk_evicted: opt_u64(cache, "disk_evicted"),
-                        disk_resident_bytes: opt_u64(cache, "disk_resident_bytes"),
-                    },
-                })
-            }
-            other => Err(format!("unknown response type {other:?}")),
-        }
-    }
-}
+json_tagged!(Response, "type" {
+    "submitted" => Submitted { campaign, cells, resumed },
+    "attached" => Attached { campaign, cells, done },
+    "rejected" => Rejected(..reason),
+    "status" => StatusReport { queued, draining, campaigns, cache },
+});
 
 /// Per-cell progress, streamed to submitters and attachers.
 #[derive(Clone, Debug, PartialEq)]
@@ -493,130 +290,20 @@ impl Event {
             Event::CampaignDone { .. } => None,
         }
     }
-
-    pub fn to_json(&self) -> Json {
-        match self {
-            Event::CellStart {
-                campaign,
-                index,
-                cell,
-            } => obj(vec![
-                ("type", Json::str("cell_start")),
-                ("campaign", Json::str(campaign)),
-                ("index", Json::u64(*index as u64)),
-                ("cell", Json::str(cell)),
-            ]),
-            Event::CellFinish {
-                campaign,
-                index,
-                cell,
-                cycles,
-                warm,
-            } => obj(vec![
-                ("type", Json::str("cell_finish")),
-                ("campaign", Json::str(campaign)),
-                ("index", Json::u64(*index as u64)),
-                ("cell", Json::str(cell)),
-                ("cycles", Json::u64(*cycles)),
-                ("warm", Json::str(warm)),
-            ]),
-            Event::CellFail {
-                campaign,
-                index,
-                cell,
-                attempts,
-                error,
-            } => obj(vec![
-                ("type", Json::str("cell_fail")),
-                ("campaign", Json::str(campaign)),
-                ("index", Json::u64(*index as u64)),
-                ("cell", Json::str(cell)),
-                ("attempts", Json::u64(u64::from(*attempts))),
-                ("error", Json::str(error)),
-            ]),
-            Event::CampaignDone {
-                campaign,
-                completed,
-                failed,
-            } => obj(vec![
-                ("type", Json::str("campaign_done")),
-                ("campaign", Json::str(campaign)),
-                ("completed", Json::u64(*completed as u64)),
-                ("failed", Json::u64(*failed as u64)),
-            ]),
-        }
-    }
-
-    pub fn from_json(j: &Json) -> Result<Event, String> {
-        let campaign = need_str(j, "campaign")?.to_string();
-        match need_str(j, "type")? {
-            "cell_start" => Ok(Event::CellStart {
-                campaign,
-                index: need_u64(j, "index")? as usize,
-                cell: need_str(j, "cell")?.to_string(),
-            }),
-            "cell_finish" => Ok(Event::CellFinish {
-                campaign,
-                index: need_u64(j, "index")? as usize,
-                cell: need_str(j, "cell")?.to_string(),
-                cycles: need_u64(j, "cycles")?,
-                warm: need_str(j, "warm")?.to_string(),
-            }),
-            "cell_fail" => Ok(Event::CellFail {
-                campaign,
-                index: need_u64(j, "index")? as usize,
-                cell: need_str(j, "cell")?.to_string(),
-                attempts: u32::try_from(need_u64(j, "attempts")?)
-                    .map_err(|_| "attempts out of range".to_string())?,
-                error: need_str(j, "error")?.to_string(),
-            }),
-            "campaign_done" => Ok(Event::CampaignDone {
-                campaign,
-                completed: need_u64(j, "completed")? as usize,
-                failed: need_u64(j, "failed")? as usize,
-            }),
-            other => Err(format!("unknown event type {other:?}")),
-        }
-    }
 }
 
-fn obj(fields: Vec<(&str, Json)>) -> Json {
-    Json::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
-
-fn need_str<'j>(j: &'j Json, key: &str) -> Result<&'j str, String> {
-    j.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing string field {key:?}"))
-}
-
-fn need_u64(j: &Json, key: &str) -> Result<u64, String> {
-    j.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing u64 field {key:?}"))
-}
-
-/// Lenient u64 read for fields added after the wire format shipped:
-/// absent (old peer) decodes as zero.
-fn opt_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn need_bool(j: &Json, key: &str) -> Result<bool, String> {
-    match j.get(key) {
-        Some(Json::Bool(b)) => Ok(*b),
-        _ => Err(format!("missing bool field {key:?}")),
-    }
-}
+json_tagged!(Event, "type" {
+    "cell_start" => CellStart { campaign, index, cell },
+    "cell_finish" => CellFinish { campaign, index, cell, cycles, warm },
+    "cell_fail" => CellFail { campaign, index, cell, attempts, error },
+    "campaign_done" => CampaignDone { campaign, completed, failed },
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmp_common::journal::Json;
+    use cmp_common::json::JsonCodec;
 
     fn round_trip_request(r: Request) {
         let line = r.to_json().render();
@@ -735,6 +422,15 @@ mod tests {
             }
             other => panic!("expected StatusReport, got {other:?}"),
         }
+        // Absent reads as zero; present and mistyped is refused, not
+        // read as zero.
+        let j = Json::parse(
+            r#"{"type":"status","queued":0,"draining":false,"campaigns":[],
+                "cache":{"stores":3,"hits":1,"misses":2,"quarantined":0,"disk_stores":"x"}}"#,
+        )
+        .unwrap();
+        let err = Response::from_json(&j).unwrap_err();
+        assert!(err.contains("disk_stores"), "{err}");
     }
 
     #[test]
@@ -771,6 +467,159 @@ mod tests {
         }
     }
 
+    /// Every wire line and `campaign.json`, byte for byte as the build
+    /// before the field tables wrote them, and back.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        fn pinned<T: JsonCodec + PartialEq + std::fmt::Debug>(value: T, line: &str) {
+            assert_eq!(value.to_json().render(), line);
+            assert_eq!(T::from_json(&Json::parse(line).unwrap()), Ok(value));
+        }
+        let request = || CampaignRequest {
+            figure: Figure::Fig7,
+            apps: vec!["FFT".into(), "MP3D".into()],
+            seed: (1 << 53) + 1,
+            scale: 0.015,
+            perfect: true,
+            retries: 2,
+            deadline_s: None,
+            directory: DirectoryConfig::Sparse { dir_mshrs: 32 },
+        };
+        pinned(
+            request(),
+            r#"{"figure":"fig7","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+        );
+        pinned(
+            Request::Submit(request()),
+            r#"{"type":"submit","figure":"fig7","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+        );
+        pinned(
+            Request::Attach {
+                campaign: "c0003".into(),
+            },
+            r#"{"type":"attach","campaign":"c0003"}"#,
+        );
+        pinned(Request::Status, r#"{"type":"status"}"#);
+        pinned(
+            Response::Submitted {
+                campaign: "c0001".into(),
+                cells: 12,
+                resumed: 3,
+            },
+            r#"{"type":"submitted","campaign":"c0001","cells":12,"resumed":3}"#,
+        );
+        pinned(
+            Response::Attached {
+                campaign: "c0001".into(),
+                cells: 12,
+                done: 7,
+            },
+            r#"{"type":"attached","campaign":"c0001","cells":12,"done":7}"#,
+        );
+        for (reason, line) in [
+            (
+                RejectReason::Overloaded {
+                    queued: 90,
+                    bound: 100,
+                    requested: 24,
+                },
+                r#"{"type":"rejected","reason":"overloaded","queued":90,"bound":100,"requested":24}"#,
+            ),
+            (
+                RejectReason::Draining,
+                r#"{"type":"rejected","reason":"draining"}"#,
+            ),
+            (
+                RejectReason::UnknownApp("NotAnApp".into()),
+                r#"{"type":"rejected","reason":"unknown_app","app":"NotAnApp"}"#,
+            ),
+            (
+                RejectReason::UnknownCampaign("c9999".into()),
+                r#"{"type":"rejected","reason":"unknown_campaign","campaign":"c9999"}"#,
+            ),
+            (
+                RejectReason::Malformed("no \"type\" field".into()),
+                r#"{"type":"rejected","reason":"malformed","detail":"no \"type\" field"}"#,
+            ),
+            (
+                RejectReason::Internal("disk full".into()),
+                r#"{"type":"rejected","reason":"internal","detail":"disk full"}"#,
+            ),
+        ] {
+            pinned(Response::Rejected(reason), line);
+        }
+        pinned(
+            Response::StatusReport {
+                queued: 5,
+                draining: true,
+                campaigns: vec![
+                    CampaignStatus {
+                        id: "c0001".into(),
+                        cells: 12,
+                        done: 7,
+                        failed: 1,
+                        finished: false,
+                    },
+                    CampaignStatus {
+                        id: "c0002".into(),
+                        cells: 6,
+                        done: 6,
+                        failed: 0,
+                        finished: true,
+                    },
+                ],
+                cache: CacheCounts {
+                    stores: 2,
+                    hits: 9,
+                    misses: 2,
+                    quarantined: 1,
+                    disk_stores: 4,
+                    disk_hits: 3,
+                    disk_quarantined: 1,
+                    disk_evicted: 2,
+                    disk_resident_bytes: 1 << 20,
+                },
+            },
+            r#"{"type":"status","queued":5,"draining":true,"campaigns":[{"id":"c0001","cells":12,"done":7,"failed":1,"finished":false},{"id":"c0002","cells":6,"done":6,"failed":0,"finished":true}],"cache":{"stores":2,"hits":9,"misses":2,"quarantined":1,"disk_stores":4,"disk_hits":3,"disk_quarantined":1,"disk_evicted":2,"disk_resident_bytes":1048576}}"#,
+        );
+        pinned(
+            Event::CellStart {
+                campaign: "c0001".into(),
+                index: 0,
+                cell: "FFT|baseline".into(),
+            },
+            r#"{"type":"cell_start","campaign":"c0001","index":0,"cell":"FFT|baseline"}"#,
+        );
+        pinned(
+            Event::CellFinish {
+                campaign: "c0001".into(),
+                index: 3,
+                cell: "FFT|stride-2B".into(),
+                cycles: 123_456,
+                warm: "warmed".into(),
+            },
+            r#"{"type":"cell_finish","campaign":"c0001","index":3,"cell":"FFT|stride-2B","cycles":123456,"warm":"warmed"}"#,
+        );
+        pinned(
+            Event::CellFail {
+                campaign: "c0001".into(),
+                index: 4,
+                cell: "MP3D|baseline".into(),
+                attempts: 3,
+                error: "watchdog: no forward progress".into(),
+            },
+            r#"{"type":"cell_fail","campaign":"c0001","index":4,"cell":"MP3D|baseline","attempts":3,"error":"watchdog: no forward progress"}"#,
+        );
+        pinned(
+            Event::CampaignDone {
+                campaign: "c0001".into(),
+                completed: 11,
+                failed: 1,
+            },
+            r#"{"type":"campaign_done","campaign":"c0001","completed":11,"failed":1}"#,
+        );
+    }
+
     #[test]
     fn malformed_inputs_are_structured_errors() {
         let j = Json::parse(r#"{"type":"submit","figure":"fig9"}"#).unwrap();
@@ -778,5 +627,27 @@ mod tests {
         assert!(err.contains("fig9"), "{err}");
         let j = Json::parse(r#"{"hello":1}"#).unwrap();
         assert!(Request::from_json(&j).is_err());
+        // Out-of-range and mistyped numbers are refused naming the field.
+        let good = r#"{"type":"submit","figure":"fig6","apps":[],"seed":1,"scale":0.01,"perfect":false,"retries":0,"deadline_s":null}"#;
+        assert!(Request::from_json(&Json::parse(good).unwrap()).is_ok());
+        for (field, was, forged) in [
+            ("retries", r#""retries":0"#, r#""retries":4294967296"#),
+            ("seed", r#""seed":1"#, r#""seed":-1"#),
+            (
+                "deadline_s",
+                r#""deadline_s":null"#,
+                r#""deadline_s":"soon""#,
+            ),
+        ] {
+            let line = good.replace(was, forged);
+            let err = Request::from_json(&Json::parse(&line).unwrap()).unwrap_err();
+            assert!(err.contains(field), "{err}");
+        }
+        let j = Json::parse(
+            r#"{"type":"cell_fail","campaign":"c1","index":0,"cell":"x","attempts":4294967296,"error":""}"#,
+        )
+        .unwrap();
+        let err = Event::from_json(&j).unwrap_err();
+        assert!(err.contains("attempts"), "{err}");
     }
 }

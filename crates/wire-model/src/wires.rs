@@ -77,6 +77,14 @@ impl VlWidth {
     }
 }
 
+// In JSON a VL width is its byte count.
+cmp_common::json_as!(VlWidth as usize, |w| w.bytes(), |bytes| {
+    VlWidth::ALL
+        .into_iter()
+        .find(|w| w.bytes() == bytes)
+        .ok_or_else(|| format!("no VL width of {bytes} bytes"))
+});
+
 /// The wire implementations considered in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum WireClass {

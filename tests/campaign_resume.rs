@@ -88,21 +88,21 @@ fn killed_and_resumed_sweep_is_bit_identical_to_an_uninterrupted_one() {
             Some(&mut journal),
         );
         assert_eq!(partial.results.iter().flatten().count(), 2);
+        // SIGKILL residue, first half: a cell that started but never
+        // finished. Written by the journal itself, as the dying process
+        // would have — a hand-written line carries no crc, and a record
+        // without one inside a checksummed journal is refused as damage.
+        journal
+            .record_start(&cell_key(&specs[2]), 1)
+            .expect("start record");
         // journal dropped here — the "process" is gone
     }
-    // SIGKILL residue: a cell that started but never finished, then a
-    // torn, half-written record at the tail of the journal.
+    // Second half: a torn, half-written record at the tail.
     {
         let mut f = OpenOptions::new()
             .append(true)
             .open(dir.join(tiled_cmp::common::journal::JOURNAL_FILE))
             .expect("journal exists");
-        writeln!(
-            f,
-            "{{\"event\":\"start\",\"cell\":\"{}\",\"attempt\":1}}",
-            cell_key(&specs[2])
-        )
-        .unwrap();
         write!(f, "{{\"event\":\"finish\",\"cell\":\"tor").unwrap();
     }
 
