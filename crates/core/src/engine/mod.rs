@@ -796,6 +796,7 @@ impl Engine {
         match next {
             Some(next) => {
                 self.now = next;
+                self.noc.advance_clock(next);
                 Ok(true)
             }
             None => {

@@ -137,10 +137,22 @@ impl<P> Noc<P> {
         self.release_held(now);
         for subnet in &mut self.subnets {
             if !subnet.has_work(now) {
+                subnet.set_clock(now);
                 continue;
             }
             subnet.tick(now);
             subnet.drain_delivered_into(out);
+        }
+    }
+
+    /// The caller's clock jumps to `next` without ticking the cycles in
+    /// between (the idle fast-forward, trusting
+    /// [`Noc::next_event_cycle`]). Flits that arrive in the skipped
+    /// cycles are buffered from then on — which a checkpoint taken
+    /// before the next tick must know.
+    pub fn advance_clock(&mut self, next: Cycle) {
+        for subnet in &mut self.subnets {
+            subnet.set_clock(next.saturating_sub(1));
         }
     }
 

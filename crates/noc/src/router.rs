@@ -4,13 +4,18 @@
 //! The switching logic lives in [`crate::subnet`]; this module owns the
 //! data structures and their invariants:
 //!
-//! * An **input VC** buffers flits in arrival order. The route and output
-//!   VC of the *current head message* are cached on the input VC and reset
-//!   when its tail flit departs — wormhole switching in the classic form.
+//! * An **input VC** buffers flits in arrival order, each stamped with
+//!   the cycle it arrives — which may still lie ahead: a flit granted
+//!   onto a link is pushed straight into its downstream VC stamped
+//!   `now + link_cycles`, so the buffer is also the link's delay line.
+//!   The route (output-port index) and output VC of the *current head
+//!   message* are cached on the input VC and reset when its tail flit
+//!   departs — wormhole switching in the classic form.
 //! * An **output VC** is owned by at most one (input port, input VC) at a
 //!   time, from the head flit's allocation until the tail flit traverses
-//!   the switch. Its credit counter mirrors the free buffer slots of the
-//!   downstream input VC.
+//!   the switch; a per-port `ovc_free` mask mirrors the unowned ones. Its
+//!   credit counter mirrors the free buffer slots of the downstream input
+//!   VC, counting flits still on the link as occupying their slot.
 //!
 //! ## Why flat arrays
 //!
@@ -37,16 +42,29 @@ pub const LOCAL: usize = 4;
 /// `out_vc` sentinel: no output VC allocated to the head message.
 const NO_OUT: u8 = u8::MAX;
 
-/// One flit. `msg` indexes the sub-network's in-flight message slab.
+/// `route` sentinel: no route cached for the head message.
+const NO_ROUTE: u8 = u8::MAX;
+
+/// One flit. `msg` indexes the sub-network's in-flight message slab;
+/// `dst` and `bytes` are copied from that message at injection, so
+/// routing and energy accounting never look the message up.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Flit {
     /// In-flight message slot.
     pub msg: u32,
     /// Position within the message (0 = head).
     pub seq: u32,
+    /// Destination tile of the message (the route input).
+    pub dst: u16,
+    /// Bytes of the message this flit carries on its channel (the
+    /// energy-table index).
+    pub bytes: u8,
     /// Whether this is the last flit of its message.
     pub tail: bool,
 }
+
+// The route inputs ride in what was padding: a flit is still 12 bytes.
+const _: () = assert!(std::mem::size_of::<Flit>() == 12);
 
 impl Flit {
     /// Head flits carry the routing information.
@@ -56,7 +74,7 @@ impl Flit {
     }
 }
 
-/// A buffered flit plus the cycle it entered this router.
+/// A buffered flit plus the cycle it enters (or entered) this router.
 #[derive(Clone, Copy, Debug)]
 pub struct BufferedFlit {
     pub flit: Flit,
@@ -77,13 +95,17 @@ pub struct RouterArray {
     len: Vec<u8>,
     /// Ring storage, `depth` slots per input VC.
     buf: Vec<BufferedFlit>,
-    /// Per input VC: cached route of the current head message.
-    route: Vec<Option<Direction>>,
+    /// Per input VC: cached route of the current head message, as an
+    /// output-port index ([`NO_ROUTE`] when none is cached).
+    route: Vec<u8>,
     /// Per input VC: output VC allocated to the current head message
     /// ([`NO_OUT`] when unallocated).
     out_vc: Vec<u8>,
     /// Per output VC: the (input port, input VC) currently sending.
     owner: Vec<Option<(u8, u8)>>,
+    /// Per (tile, output port): bitmap of the output VCs `owner` holds
+    /// no owner for — the candidates a head flit may claim.
+    ovc_free: Vec<u32>,
     /// Per output VC: free buffer slots downstream.
     credits: Vec<usize>,
     /// Per (tile, port): round-robin pointer over flat (input port,
@@ -106,6 +128,8 @@ impl RouterArray {
             flit: Flit {
                 msg: 0,
                 seq: 0,
+                dst: 0,
+                bytes: 0,
                 tail: false,
             },
             arrived: 0,
@@ -125,9 +149,10 @@ impl RouterArray {
             head: vec![0; vc_count],
             len: vec![0; vc_count],
             buf: vec![dead; vc_count * buf_flits],
-            route: vec![None; vc_count],
+            route: vec![NO_ROUTE; vc_count],
             out_vc: vec![NO_OUT; vc_count],
             owner: vec![None; vc_count],
+            ovc_free: vec![(1 << vcs) - 1; tiles * PORTS],
             credits,
             rr: vec![0; tiles * PORTS],
         }
@@ -178,9 +203,17 @@ impl RouterArray {
         Some(unsafe { self.buf.get_unchecked(i) })
     }
 
-    /// Push an arriving flit. Panics if the credit protocol was violated.
+    /// Flits of input VC `f` stamped at or before `clock` — those that
+    /// have arrived; the rest are still on the link. Stamps never
+    /// decrease along a ring, so they are a prefix.
+    pub fn arrived_len(&self, f: usize, clock: Cycle) -> usize {
+        self.flits(f).take_while(|bf| bf.arrived <= clock).count()
+    }
+
+    /// Push a flit that arrives at `arrived` (now, or after a link
+    /// traversal). Panics if the credit protocol was violated.
     #[inline]
-    pub fn push(&mut self, f: usize, flit: Flit, now: Cycle) {
+    pub fn push(&mut self, f: usize, flit: Flit, arrived: Cycle) {
         assert!(self.has_space(f), "input VC overflow: credit protocol bug");
         let mut slot = unsafe { *self.head.get_unchecked(f) } as usize + self.vc_len(f);
         if slot >= self.depth {
@@ -189,7 +222,7 @@ impl RouterArray {
         let i = f * self.depth + slot;
         debug_assert!(i < self.buf.len());
         unsafe {
-            *self.buf.get_unchecked_mut(i) = BufferedFlit { flit, arrived: now };
+            *self.buf.get_unchecked_mut(i) = BufferedFlit { flit, arrived };
             *self.len.get_unchecked_mut(f) += 1;
         }
     }
@@ -210,25 +243,27 @@ impl RouterArray {
         }
         if bf.flit.tail {
             unsafe {
-                *self.route.get_unchecked_mut(f) = None;
+                *self.route.get_unchecked_mut(f) = NO_ROUTE;
                 *self.out_vc.get_unchecked_mut(f) = NO_OUT;
             }
         }
         bf
     }
 
-    /// Cached route of input VC `f`'s head message.
+    /// Cached route (output-port index) of input VC `f`'s head message.
     #[inline]
-    pub fn route(&self, f: usize) -> Option<Direction> {
+    pub fn route(&self, f: usize) -> Option<usize> {
         debug_assert!(f < self.route.len());
-        unsafe { *self.route.get_unchecked(f) }
+        let r = unsafe { *self.route.get_unchecked(f) };
+        (r != NO_ROUTE).then_some(r as usize)
     }
 
-    /// Cache the head message's route on input VC `f`.
+    /// Cache the head message's route (output-port index `port`) on
+    /// input VC `f`.
     #[inline]
-    pub fn set_route(&mut self, f: usize, d: Direction) {
-        debug_assert!(f < self.route.len());
-        unsafe { *self.route.get_unchecked_mut(f) = Some(d) };
+    pub fn set_route(&mut self, f: usize, port: usize) {
+        debug_assert!(f < self.route.len() && port < PORTS);
+        unsafe { *self.route.get_unchecked_mut(f) = port as u8 };
     }
 
     /// Output VC allocated to input VC `f`'s head message.
@@ -253,11 +288,28 @@ impl RouterArray {
         unsafe { *self.owner.get_unchecked(f) }.map(|(p, v)| (p as usize, v as usize))
     }
 
-    /// Set or clear the owner of output VC `f`.
+    /// Output VCs of port group `group` (`tile·PORTS + port`) that no
+    /// input VC owns, as a bitmap (bit = VC).
     #[inline]
-    pub fn set_owner(&mut self, f: usize, o: Option<(usize, usize)>) {
-        debug_assert!(f < self.owner.len());
-        unsafe { *self.owner.get_unchecked_mut(f) = o.map(|(p, v)| (p as u8, v as u8)) };
+    pub fn free_out_vcs(&self, group: usize) -> u32 {
+        self.ovc_free[group]
+    }
+
+    /// Hand output VC `vc` of port group `group` to `owner` (input
+    /// port, input VC) until its message's tail leaves.
+    #[inline]
+    pub fn claim_out_vc(&mut self, group: usize, vc: usize, owner: (usize, usize)) {
+        let f = group * self.nvc + vc;
+        debug_assert!(self.owner[f].is_none());
+        self.owner[f] = Some((owner.0 as u8, owner.1 as u8));
+        self.ovc_free[group] &= !(1 << vc);
+    }
+
+    /// Free output VC `vc` of port group `group` (its owner's tail left).
+    #[inline]
+    pub fn release_out_vc(&mut self, group: usize, vc: usize) {
+        self.owner[group * self.nvc + vc] = None;
+        self.ovc_free[group] |= 1 << vc;
     }
 
     /// Free downstream buffer slots of output VC `f`.
@@ -297,27 +349,44 @@ impl RouterArray {
         unsafe { *self.rr.get_unchecked_mut(i) = v as u32 };
     }
 
-    /// Whether any input VC of `tile` holds flits.
-    pub fn tile_has_flits(&self, tile: usize) -> bool {
-        let base = self.vc_index(tile, 0, 0);
-        self.len[base..base + PORTS * self.nvc]
-            .iter()
-            .any(|&n| n > 0)
+    /// The flits of input VC `f`, oldest first (cold paths).
+    pub fn flits(&self, f: usize) -> impl Iterator<Item = &BufferedFlit> {
+        let ring = &self.buf[f * self.depth..(f + 1) * self.depth];
+        let (wrapped, from_head) = ring.split_at(self.head[f] as usize);
+        from_head.iter().chain(wrapped).take(self.vc_len(f))
     }
 
-    /// Earliest arrival stamp among `tile`'s buffered head flits (for
-    /// idle fast-forward).
-    pub fn earliest_head_arrival(&self, tile: usize) -> Option<Cycle> {
-        let base = self.vc_index(tile, 0, 0);
-        (base..base + PORTS * self.nvc)
-            .filter_map(|f| self.front(f).map(|bf| bf.arrived))
-            .min()
+    /// Mutable form of [`RouterArray::flits`] (state restore only).
+    pub fn flits_mut(&mut self, f: usize) -> impl Iterator<Item = &mut BufferedFlit> {
+        let n = self.vc_len(f);
+        let ring = &mut self.buf[f * self.depth..(f + 1) * self.depth];
+        let (wrapped, from_head) = ring.split_at_mut(self.head[f] as usize);
+        from_head.iter_mut().chain(wrapped).take(n)
     }
 }
 
-use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError, PersistState};
+use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError};
 
-cmp_common::impl_persist!(Flit { msg, seq, tail });
+/// A flit's checkpoint form is `(msg, seq, tail)`: `dst` and `bytes` are
+/// copies of its message's fields, so they load as zero and the owning
+/// sub-network re-derives them from its slab.
+impl Persist for Flit {
+    fn save(&self, w: &mut ByteWriter) {
+        w.u32(self.msg);
+        w.u32(self.seq);
+        w.bool(self.tail);
+    }
+    fn load(r: &mut ByteReader) -> Result<Self, PersistError> {
+        Ok(Flit {
+            msg: r.u32()?,
+            seq: r.u32()?,
+            dst: 0,
+            bytes: 0,
+            tail: r.bool()?,
+        })
+    }
+}
+
 cmp_common::impl_persist!(BufferedFlit { flit, arrived });
 
 /// Geometry (tiles × ports × VCs × depth) is configuration; the queues,
@@ -327,19 +396,20 @@ cmp_common::impl_persist!(BufferedFlit { flit, arrived });
 /// when the captured ring was mid-wrap. The stored VC count doubles as
 /// a shape check — a checkpoint from a differently-shaped network
 /// refuses to load — and every stored index or count is range-checked.
-impl PersistState for RouterArray {
-    fn save_state(&self, w: &mut ByteWriter) {
+impl RouterArray {
+    /// Save the router state as of `clock`: each VC's queue holds only
+    /// the flits that have arrived by then — those still on a link are
+    /// the owning sub-network's to write (see `SubNet::save_state`).
+    pub fn save_arrived(&self, w: &mut ByteWriter, clock: Cycle) {
         w.usize(self.len.len());
         for f in 0..self.len.len() {
-            w.usize(self.vc_len(f));
-            for i in 0..self.vc_len(f) {
-                let mut slot = self.head[f] as usize + i;
-                if slot >= self.depth {
-                    slot -= self.depth;
-                }
-                self.buf[f * self.depth + slot].save(w);
+            let arrived = self.arrived_len(f, clock);
+            w.usize(arrived);
+            for bf in self.flits(f).take(arrived) {
+                bf.save(w);
             }
-            self.route[f].save(w);
+            // the route's byte form is an `Option<Direction>`
+            self.route(f).map(|port| Direction::ALL[port]).save(w);
             w.u8(self.out_vc[f]);
             self.owner[f].save(w);
             w.usize(self.credits[f]);
@@ -347,7 +417,9 @@ impl PersistState for RouterArray {
         self.rr.save(w);
     }
 
-    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+    /// Load what [`RouterArray::save_arrived`] wrote (flits still on a
+    /// link are pushed afterwards by the owner).
+    pub fn load_arrived(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
         let n = r.usize()?;
         if n != self.len.len() {
             return Err(r.err("router VC count does not match machine shape"));
@@ -362,7 +434,8 @@ impl PersistState for RouterArray {
             for i in 0..occ {
                 self.buf[f * self.depth + i] = Persist::load(r)?;
             }
-            self.route[f] = Persist::load(r)?;
+            let route: Option<Direction> = Persist::load(r)?;
+            self.route[f] = route.map_or(NO_ROUTE, |d| d.index() as u8);
             // `out_vc`, `owner` and `credits` steer unchecked indexing
             // and the credit protocol: a value no run could have
             // produced must be refused here, not trusted there.
@@ -390,6 +463,14 @@ impl PersistState for RouterArray {
             return Err(r.err("round-robin pointer out of range"));
         }
         self.rr = rr;
+        for (group, free) in self.ovc_free.iter_mut().enumerate() {
+            let owners = &self.owner[group * self.nvc..(group + 1) * self.nvc];
+            *free = owners
+                .iter()
+                .enumerate()
+                .filter(|(_, o)| o.is_none())
+                .fold(0, |m, (v, _)| m | 1 << v);
+        }
         Ok(())
     }
 }
@@ -399,7 +480,24 @@ mod tests {
     use super::*;
 
     fn flit(msg: u32, seq: u32, tail: bool) -> Flit {
-        Flit { msg, seq, tail }
+        Flit {
+            msg,
+            seq,
+            dst: 0,
+            bytes: 0,
+            tail,
+        }
+    }
+
+    /// Save every flit (none is still on a link) and load into a fresh
+    /// array of the same geometry.
+    fn round_trip(r: &RouterArray, fresh: &mut RouterArray) -> Result<(), PersistError> {
+        let mut w = ByteWriter::new();
+        r.save_arrived(&mut w, Cycle::MAX);
+        let bytes = w.into_bytes();
+        let mut rd = ByteReader::new(&bytes);
+        fresh.load_arrived(&mut rd)?;
+        rd.finish()
     }
 
     #[test]
@@ -427,10 +525,10 @@ mod tests {
         let f = r.vc_index(0, 2, 0);
         r.push(f, flit(7, 0, false), 1);
         r.push(f, flit(7, 1, true), 2);
-        r.set_route(f, Direction::East);
+        r.set_route(f, Direction::East.index());
         r.set_out_vc(f, 1);
         r.pop_after_traversal(f);
-        assert_eq!(r.route(f), Some(Direction::East), "body pop keeps state");
+        assert_eq!(r.route(f), Some(0), "body pop keeps state");
         r.pop_after_traversal(f);
         assert_eq!(r.route(f), None, "tail pop clears route");
         assert_eq!(r.out_vc(f), None);
@@ -447,6 +545,8 @@ mod tests {
         assert_eq!(r.pop_after_traversal(f).flit.seq, 1);
         r.push(f, flit(1, 3, false), 10); // wraps the ring
         r.push(f, flit(1, 4, true), 11);
+        let seqs: Vec<u32> = r.flits(f).map(|bf| bf.flit.seq).collect();
+        assert_eq!(seqs, [2, 3, 4]);
         assert_eq!(r.pop_after_traversal(f).flit.seq, 2);
         assert_eq!(r.pop_after_traversal(f).flit.seq, 3);
         assert_eq!(r.pop_after_traversal(f).flit.seq, 4);
@@ -455,14 +555,16 @@ mod tests {
 
     #[test]
     fn router_reports_buffered_flits() {
+        // flits stamped in the future are still on the link
         let mut r = RouterArray::new(2, 2, 4);
-        assert!(!r.tile_has_flits(0));
-        assert_eq!(r.earliest_head_arrival(0), None);
         let f = r.vc_index(0, 0, 1);
-        r.push(f, flit(0, 0, true), 42);
-        assert!(r.tile_has_flits(0));
-        assert!(!r.tile_has_flits(1));
-        assert_eq!(r.earliest_head_arrival(0), Some(42));
+        assert_eq!(r.arrived_len(f, Cycle::MAX), 0);
+        r.push(f, flit(0, 0, false), 42);
+        r.push(f, flit(0, 1, true), 44);
+        assert_eq!(r.arrived_len(f, 41), 0);
+        assert_eq!(r.arrived_len(f, 43), 1);
+        assert_eq!(r.arrived_len(f, 44), 2);
+        assert_eq!(r.arrived_len(r.vc_index(1, 0, 1), Cycle::MAX), 0);
     }
 
     #[test]
@@ -470,6 +572,21 @@ mod tests {
         let r = RouterArray::new(2, 2, 4);
         assert!(r.credits(r.vc_index(1, LOCAL, 0)) > 1_000_000);
         assert_eq!(r.credits(r.vc_index(1, 0, 0)), 4);
+    }
+
+    #[test]
+    fn claimed_out_vcs_leave_the_free_mask_until_released() {
+        let mut r = RouterArray::new(2, 3, 2);
+        let group = PORTS + 2; // tile 1, port 2
+        assert_eq!(r.free_out_vcs(group), 0b111);
+        r.claim_out_vc(group, 0, (LOCAL, 1));
+        r.claim_out_vc(group, 2, (0, 0));
+        assert_eq!(r.free_out_vcs(group), 0b010);
+        assert_eq!(r.owner(r.vc_index(1, 2, 0)), Some((LOCAL, 1)));
+        r.release_out_vc(group, 0);
+        assert_eq!(r.free_out_vcs(group), 0b011);
+        assert_eq!(r.owner(r.vc_index(1, 2, 0)), None);
+        assert_eq!(r.free_out_vcs(group - 1), 0b111, "other ports untouched");
     }
 
     #[test]
@@ -481,41 +598,49 @@ mod tests {
         }
         r.pop_after_traversal(f);
         r.push(f, flit(5, 3, true), 110); // ring is now wrapped
-        r.set_route(f, Direction::South);
+        r.set_route(f, Direction::South.index());
         r.set_out_vc(f, 1);
         let o = r.vc_index(0, 2, 1);
-        r.set_owner(o, Some((3, 1)));
+        r.claim_out_vc(2, 1, (3, 1));
         r.spend_credit(o);
         r.set_rr(1, 2, 7);
-        let mut w = ByteWriter::new();
-        r.save_state(&mut w);
-        let bytes = w.into_bytes();
         let mut fresh = RouterArray::new(2, 2, 3);
-        let mut rd = ByteReader::new(&bytes);
-        fresh.load_state(&mut rd).expect("load");
-        rd.finish().expect("no trailing bytes");
+        round_trip(&r, &mut fresh).expect("load");
+        assert_eq!(fresh.route(f), Some(Direction::South.index()));
         for want_seq in [1, 2, 3] {
             assert_eq!(fresh.pop_after_traversal(f).flit.seq, want_seq);
         }
         assert_eq!(fresh.owner(o), Some((3, 1)));
+        assert_eq!(fresh.free_out_vcs(2), 0b01, "free mask rebuilt from owners");
         assert_eq!(fresh.credits(o), 2);
         assert_eq!(fresh.rr(1, 2), 7);
         // and a geometry mismatch is a structured error
         let mut wrong = RouterArray::new(3, 2, 3);
-        let mut rd = ByteReader::new(&bytes);
-        assert!(wrong.load_state(&mut rd).is_err());
+        assert!(round_trip(&r, &mut wrong).is_err());
+    }
+
+    #[test]
+    fn flits_on_the_link_are_left_out_of_the_saved_queues() {
+        let mut r = RouterArray::new(1, 1, 4);
+        let f = r.vc_index(0, 1, 0);
+        r.push(f, flit(2, 0, false), 10);
+        r.push(f, flit(2, 1, true), 12);
+        let mut w = ByteWriter::new();
+        r.save_arrived(&mut w, 11);
+        let bytes = w.into_bytes();
+        let mut fresh = RouterArray::new(1, 1, 4);
+        fresh
+            .load_arrived(&mut ByteReader::new(&bytes))
+            .expect("load");
+        let stamps: Vec<Cycle> = fresh.flits(f).map(|bf| bf.arrived).collect();
+        assert_eq!(stamps, [10]);
     }
 
     /// Save `patched` (a valid router array with one field set to a
     /// value no run produces) and load it into a fresh array of the same
     /// geometry: the error message, never a panic.
     fn load_error(patched: &RouterArray) -> String {
-        let mut w = ByteWriter::new();
-        patched.save_state(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = RouterArray::new(2, 2, 3);
-        fresh
-            .load_state(&mut ByteReader::new(&bytes))
+        round_trip(patched, &mut RouterArray::new(2, 2, 3))
             .expect_err("out-of-range field must be refused")
             .to_string()
     }
@@ -532,7 +657,7 @@ mod tests {
     fn out_of_range_owner_is_refused() {
         for owner in [(PORTS, 0), (0, 2)] {
             let mut r = RouterArray::new(2, 2, 3);
-            r.set_owner(r.vc_index(0, 3, 0), Some(owner));
+            r.claim_out_vc(3, 0, owner); // tile 0, port 3, VC 0
             let err = load_error(&r);
             assert!(err.contains("owner out of range"), "{owner:?}: {err}");
         }
@@ -545,11 +670,7 @@ mod tests {
         let err = load_error(&r);
         assert!(err.contains("credit count out of range"), "{err}");
         // the local port's effectively infinite pool is legal
-        let mut w = ByteWriter::new();
-        RouterArray::new(2, 2, 3).save_state(&mut w);
-        let bytes = w.into_bytes();
-        RouterArray::new(2, 2, 3)
-            .load_state(&mut ByteReader::new(&bytes))
+        round_trip(&RouterArray::new(2, 2, 3), &mut RouterArray::new(2, 2, 3))
             .expect("pristine array loads");
     }
 }

@@ -16,7 +16,7 @@
 //! mismatch means arbitration order, timing or energy accounting moved.
 
 use cmp_common::geometry::MeshShape;
-use cmp_common::hash::Fnv64;
+use cmp_common::hash::{fnv64, Fnv64};
 use cmp_common::persist::{ByteReader, ByteWriter, PersistState};
 use cmp_common::rng::SimRng;
 use cmp_common::types::{Cycle, MessageClass, TileId};
@@ -269,6 +269,43 @@ fn mid_burst_snapshots_resume_to_the_same_hash() {
     }
 }
 
+/// The checkpoint byte form, pinned: FNV-1a of `Noc::save_state` at
+/// three cuts of every scenario, ticking every cycle. The recorded values
+/// were produced by running this file, unchanged, on the commit before
+/// links became delay lines in the input buffers (`c216057`), whose link
+/// queue the byte form still spells out; a mismatch means a checkpoint
+/// no longer carries what that build's would at the same cycle.
+#[test]
+fn saved_bytes_at_three_cuts_match_the_parent() {
+    let mut got = Vec::new();
+    for sc in [&HOT_2VC_1FLIT, &UNIFORM_4VC_4FLIT, &LINE_1VC_EXPRESS] {
+        let schedule = sc.schedule();
+        let mut noc = sc.build();
+        let mut log = Log::new();
+        let mut from = 0;
+        for cut in [57, 200, 399] {
+            drive(&mut noc, &schedule, from, cut, &mut log);
+            from = cut;
+            assert!(!noc.is_idle(), "cycle {cut} must be mid-burst");
+            let mut w = ByteWriter::new();
+            noc.save_state(&mut w);
+            got.push(fnv64(&w.into_bytes()));
+        }
+    }
+    assert_eq!(got, EXPECTED_BYTES, "got {got:#018x?}");
+}
+
 const EXPECTED_HOT: u64 = 0x7960_ca54_ae16_2629;
 const EXPECTED_UNIFORM: u64 = 0x60e7_f4d8_d6c8_9c36;
 const EXPECTED_LINE: u64 = 0x42b9_b9b2_318d_1e17;
+const EXPECTED_BYTES: [u64; 9] = [
+    0x19f0_147e_7fb0_56d6,
+    0xab22_9da7_6622_dcb4,
+    0x526f_3edd_e953_bef9,
+    0xd3b7_285b_7f12_40a2,
+    0x8f2c_7554_be15_9475,
+    0x79d6_cd9b_7b1f_549c,
+    0x69fa_8a1e_e18e_a807,
+    0xe80b_b8a6_56aa_6389,
+    0xd734_95c1_a855_41fd,
+];

@@ -29,6 +29,9 @@ TCMP_SANITIZE=1 cargo test -q --workspace
 echo "== snapshot/restore round-trip smoke"
 cargo test -q --release --test snapshot_restore
 
+echo "== NoC under the optimized build (contention hashes, checkpoint byte goldens, next-event equivalence)"
+cargo test -q --release -p mesh-noc
+
 echo "== goldens under the sparse directory + multicast codec (non-golden paths sanitizer-clean)"
 cargo test -q --release --test determinism_golden \
     goldens_replay_bit_identically_under_the_sparse_directory
