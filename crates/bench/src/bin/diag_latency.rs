@@ -5,7 +5,7 @@ use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::sim::{CmpSimulator, SimConfig};
 use wire_model::wires::VlWidth;
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = cmp_bench::Options::parse();
     for app in opts.selected_apps() {
         for (label, cfg) in [
@@ -19,7 +19,9 @@ fn main() {
             ),
         ] {
             let mut sim = CmpSimulator::new(cfg, &app, opts.seed, opts.scale);
-            let r = sim.run().expect("run");
+            let r = sim
+                .run()
+                .map_err(|e| format!("{} {label}: {e}", app.name))?;
             let lat = |c: MessageClass| {
                 r.messages
                     .iter()
@@ -48,4 +50,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

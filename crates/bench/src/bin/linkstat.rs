@@ -35,7 +35,7 @@ fn print_heatmap(label: &str, counts: &[(usize, Direction, u64)], cycles: u64) {
     println!("total flit-hops: {total}");
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let opts = cmp_bench::Options::parse();
     let app = opts
         .selected_apps()
@@ -46,7 +46,9 @@ fn main() {
 
     // baseline: everything on the B channel
     let mut sim = CmpSimulator::new(SimConfig::baseline(), &app, opts.seed, opts.scale);
-    let r = sim.run().expect("baseline");
+    let r = sim
+        .run()
+        .map_err(|e| format!("{} baseline: {e}", app.name))?;
     print_heatmap(
         &format!("{} baseline (B channel)", app.name),
         &sim.link_flit_counts(ChannelKind::B),
@@ -62,7 +64,9 @@ fn main() {
         },
     );
     let mut sim = CmpSimulator::new(cfg, &app, opts.seed, opts.scale);
-    let r = sim.run().expect("proposal");
+    let r = sim
+        .run()
+        .map_err(|e| format!("{} proposal: {e}", app.name))?;
     print_heatmap(
         &format!("{} proposal (B channel)", app.name),
         &sim.link_flit_counts(ChannelKind::B),
@@ -73,4 +77,5 @@ fn main() {
         &sim.link_flit_counts(ChannelKind::Vl),
         r.cycles,
     );
+    Ok(())
 }

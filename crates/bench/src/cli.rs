@@ -9,8 +9,72 @@
 use std::path::{Path, PathBuf};
 
 use cmp_common::config::{CmpConfig, DirectoryConfig};
-use cmp_common::geometry::MeshShape;
-use tcmp_serve::proto::{CampaignRequest, Figure};
+use cmp_common::journal::JOURNAL_FILE;
+use tcmp_serve::proto::{CampaignRequest, Figure, FIGURES};
+
+use crate::tables::{Table, TABLES};
+
+/// What `tcmp-fig` is asked to produce: its first argument.
+#[derive(Clone, Copy, Debug)]
+pub enum Command {
+    /// One simulated figure, planned and run as a campaign.
+    Figure(Figure),
+    /// One analytic table: no plan, no journal, no stamp.
+    Table(Table),
+    /// Every table and figure, each into its own directory under
+    /// `--out DIR` (or continued under `--resume DIR`).
+    All,
+}
+
+/// [`try_parse_command`] on `std::env::args`, exiting as [`Options::parse`] does.
+pub fn parse_command() -> (Command, Options) {
+    try_parse_command(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        usage()
+    })
+}
+
+/// Parse and validate `<command> [flags]`. `--side N` (repeatable)
+/// belongs to `sensitivity` alone: it names the sides the figure sweeps.
+pub fn try_parse_command(
+    args: impl IntoIterator<Item = String>,
+) -> Result<(Command, Options), String> {
+    let mut args = args.into_iter();
+    let mut name = args.next().unwrap_or_default();
+    let (mut flags, mut sides) = (Vec::new(), Vec::new());
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--side" => sides.push(args.next().ok_or("--side needs a mesh side")?),
+            _ => flags.push(arg),
+        }
+    }
+    if !sides.is_empty() {
+        if name != "sensitivity" {
+            return Err("--side applies to sensitivity only".to_string());
+        }
+        name = format!("{name}:{}", sides.join(","));
+    }
+    let command = match TABLES.iter().find(|t| t.0 == name) {
+        Some(&table) => Command::Table(table),
+        None if name == "all" => Command::All,
+        None => Command::Figure(
+            Figure::from_label(&name).map_err(|e| match sides.is_empty() {
+                true => format!("unknown command {name:?}; want one of {}", commands()),
+                false => format!("--side: {e}"),
+            })?,
+        ),
+    };
+    let opts = Options::flags(flags)?;
+    opts.validate(matches!(command, Command::All))?;
+    Ok((command, opts))
+}
+
+/// Every `tcmp-fig` command, `|`-separated.
+fn commands() -> String {
+    let tables = TABLES.iter().map(|t| t.0).chain(["all"]);
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.0).chain(tables).collect();
+    names.join("|")
+}
 
 /// Options shared by every reproduction binary.
 #[derive(Clone, Debug)]
@@ -48,9 +112,6 @@ pub struct Options {
     /// `None` = the machine default (full-map). Wide meshes (beyond 64
     /// tiles) need `sparse`.
     pub directory: Option<DirectoryConfig>,
-    /// Mesh sides for sweep binaries (`--side N`, repeatable); empty =
-    /// the binary's default sweep.
-    pub sides: Vec<u16>,
 }
 
 impl Default for Options {
@@ -69,7 +130,6 @@ impl Default for Options {
             submit: None,
             attach: None,
             directory: None,
-            sides: Vec::new(),
         }
     }
 }
@@ -90,6 +150,13 @@ impl Options {
     /// Parse and validate an argument list. Every rejection names the
     /// offending flag and what it needs.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
+        let o = Options::flags(args)?;
+        o.validate(false)?;
+        Ok(o)
+    }
+
+    /// The flags, unvalidated.
+    fn flags(args: impl IntoIterator<Item = String>) -> Result<Options, String> {
         let mut o = Options::default();
         let mut args = args.into_iter();
         fn value(
@@ -154,24 +221,17 @@ impl Options {
                             .map_err(|e| format!("--directory: {e}"))?,
                     );
                 }
-                "--side" => {
-                    let side: u16 = value(&mut args, "--side", "a mesh side")?
-                        .parse()
-                        .map_err(|_| "--side needs an unsigned integer".to_string())?;
-                    if side == 0 {
-                        return Err("--side must be >= 1".to_string());
-                    }
-                    o.sides.push(side);
-                }
                 "--help" | "-h" => return Err("help requested".to_string()),
                 other => return Err(format!("unknown argument: {other}")),
             }
         }
-        o.validate()?;
         Ok(o)
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Check the flags against each other and the filesystem. `all`
+    /// takes `--out`/`--resume` as the directory its figures' campaign
+    /// directories live under.
+    fn validate(&self, all: bool) -> Result<(), String> {
         if self.scale.is_nan() || self.scale <= 0.0 {
             return Err("--scale must be positive".to_string());
         }
@@ -221,6 +281,13 @@ impl Options {
                  pass exactly one of them"
                 .to_string());
         }
+        if all && (self.submit.is_some() || self.csv.is_some() || self.campaign_dir().is_none()) {
+            return Err(
+                "all runs every figure here, into its own directory under --out DIR \
+                 (or continues them with --resume DIR): it takes neither --submit nor --csv"
+                    .to_string(),
+            );
+        }
         if let Some(dir) = &self.resume {
             if !dir.is_dir() {
                 return Err(format!(
@@ -228,17 +295,17 @@ impl Options {
                     dir.display()
                 ));
             }
-            if !dir.join(cmp_common::journal::JOURNAL_FILE).is_file() {
+            if !all && !dir.join(JOURNAL_FILE).is_file() {
                 return Err(format!(
                     "--resume {}: no {} found there — nothing to resume \
                      (use --out to start a fresh campaign)",
                     dir.display(),
-                    cmp_common::journal::JOURNAL_FILE
+                    JOURNAL_FILE
                 ));
             }
         }
         if let Some(dir) = &self.out {
-            if dir.join(cmp_common::journal::JOURNAL_FILE).is_file() {
+            if !all && dir.join(JOURNAL_FILE).is_file() {
                 return Err(format!(
                     "--out {}: already holds a campaign journal — \
                      use --resume {0} to continue it, or pick a fresh directory",
@@ -285,13 +352,6 @@ impl Options {
         self.directory.unwrap_or(CmpConfig::default().directory)
     }
 
-    /// The machine to simulate: Table 4 with `--directory` applied, on
-    /// a `side`×`side` mesh for the binaries that sweep mesh sizes
-    /// (`None` = the default 4×4), validated.
-    pub fn machine(&self, side: Option<u16>) -> Result<CmpConfig, String> {
-        tcmp_serve::plan::machine(self.directory_or_default(), side.map(MeshShape::square))
-    }
-
     /// The selected application profiles (all 13 when no filter given).
     /// Parsing already rejected unknown names; in a hand-built `Options`
     /// they select nothing.
@@ -335,7 +395,7 @@ fn usage<T>() -> T {
 mod tests {
     use super::*;
     use std::time::Duration;
-    use tcmp_serve::proto::Response;
+    use tcmp_serve::proto::{RejectReason, Response};
     use tcmp_serve::{CampaignPlan, ServeConfig, ServiceHandle};
 
     fn parse(args: &[&str]) -> Result<Options, String> {
@@ -390,14 +450,80 @@ mod tests {
         assert!(parse(&["--directory", "sparse:0"]).is_err());
     }
 
+    fn command(args: &[&str]) -> Result<(Command, Options), String> {
+        try_parse_command(args.iter().map(|s| s.to_string()))
+    }
+
     #[test]
-    fn side_flag_accumulates_and_rejects_zero() {
-        assert_eq!(
-            parse(&["--side", "16", "--side", "32"]).unwrap().sides,
-            vec![16, 32]
+    fn the_first_argument_names_a_figure_a_table_or_all() {
+        assert!(matches!(
+            command(&["fig5", "--app", "FFT"]).unwrap().0,
+            Command::Figure(Figure::Fig5)
+        ));
+        assert!(matches!(
+            command(&["table2"]).unwrap().0,
+            Command::Table(("table2", _))
+        ));
+        let dir = std::env::temp_dir().join("tcmp-fig-all-fresh");
+        let all = ["all", "--out", dir.to_str().unwrap()];
+        assert!(matches!(command(&all).unwrap().0, Command::All));
+        let err = command(&["fig9"]).unwrap_err();
+        assert!(
+            err.contains("fig2|fig5|fig6|fig7|ablation|sensitivity|table1|table2|table3|all"),
+            "{err}"
         );
-        assert!(parse(&["--side", "0"]).unwrap_err().contains("--side"));
-        assert!(parse(&["--side", "x"]).unwrap_err().contains("--side"));
+        assert!(command(&["all"]).unwrap_err().contains("--out DIR"));
+        let err = command(&[&all[..], &["--csv", "x.csv"]].concat()).unwrap_err();
+        assert!(err.contains("--csv"), "{err}");
+    }
+
+    #[test]
+    fn side_flag_builds_the_sensitivity_side_set() {
+        let (sensitivity, _) = command(&["sensitivity", "--side", "32", "--side", "16"]).unwrap();
+        match sensitivity {
+            Command::Figure(figure) => assert_eq!(figure.label(), "sensitivity:16,32"),
+            other => panic!("parsed as {other:?}"),
+        }
+        for bad in ["0", "65", "x"] {
+            let err = command(&["sensitivity", "--side", bad]).unwrap_err();
+            assert!(err.contains("--side"), "{err}");
+        }
+        let err = command(&["fig6", "--side", "16"]).unwrap_err();
+        assert!(err.contains("sensitivity only"), "{err}");
+        assert!(parse(&["--side", "16"]).unwrap_err().contains("unknown"));
+    }
+
+    /// A mesh the directory cannot describe is a malformed request —
+    /// refused by the plan before any cell runs, so the local door
+    /// exits 2 and the daemon answers `Rejected`.
+    #[test]
+    fn a_mesh_the_directory_cannot_carry_is_refused_before_any_cell_runs() {
+        let (cmd, opts) = command(&["sensitivity", "--side", "16", "--app", "FFT"]).unwrap();
+        let Command::Figure(figure) = cmd else {
+            panic!("parsed as {cmd:?}")
+        };
+        let why = match CampaignPlan::new(&opts.request(figure)) {
+            Err(RejectReason::Malformed(why)) => why,
+            Err(other) => panic!("refused as {other}"),
+            Ok(_) => panic!("a 16x16 full-map machine planned"),
+        };
+        assert!(why.contains("16x16") && why.contains("full-map"), "{why}");
+        assert_eq!(crate::matrix::run(cmd, &opts), 2);
+
+        let root = std::env::temp_dir().join(format!("tcmp-cli-reject-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let handle = ServiceHandle::start(ServeConfig {
+            root: root.clone(),
+            cell_limit: Some(0),
+            ..ServeConfig::default()
+        })
+        .expect("start");
+        assert_eq!(
+            handle.service().submit(opts.request(figure)),
+            Response::Rejected(RejectReason::Malformed(why))
+        );
+        handle.join();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     #[test]
@@ -474,20 +600,13 @@ mod tests {
         let args = ["--scale", "0.002", "--app", "FFT", "--no-perfect"];
         let full = parse(&args).unwrap();
         let sparse = parse(&[&args[..], &["--directory", "sparse"]].concat()).unwrap();
-        assert_eq!(
-            sparse.machine(None).unwrap().directory,
-            DirectoryConfig::sparse()
-        );
-        assert_eq!(
-            sparse.machine(Some(16)).unwrap().mesh,
-            MeshShape::square(16)
-        );
-        assert!(full.machine(Some(16)).unwrap_err().contains("full-map"));
-
         let plan = |o: &Options| CampaignPlan::new(&o.request(Figure::Fig6)).expect("plans");
         let (full_plan, sparse_plan) = (plan(&full), plan(&sparse));
         assert_eq!(sparse_plan.cmp.directory, DirectoryConfig::sparse());
-        assert_eq!(sparse_plan.cmp, sparse.machine(None).unwrap());
+        assert!(sparse_plan
+            .machines
+            .iter()
+            .all(|m| m.cmp == sparse_plan.cmp && m.probes.is_empty()));
         assert_ne!(sparse_plan.stamp(), full_plan.stamp());
 
         let root = std::env::temp_dir().join(format!("tcmp-cli-stamp-{}", std::process::id()));

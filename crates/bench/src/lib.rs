@@ -1,6 +1,6 @@
-//! Shared plumbing for the reproduction binaries: CLI options and the
-//! common run-matrix driver used by the Figure 6/7 binaries. (Throughput
-//! is measured by the repo benchmark, `benchmark/run.sh`.)
+//! The reproduction binaries: `tcmp-fig`'s command line, its local
+//! campaign door and the analytic tables, plus the daemon client.
+//! (Throughput is measured by the repo benchmark, `benchmark/run.sh`.)
 
 #![forbid(unsafe_code)]
 
@@ -8,5 +8,6 @@ pub mod cli;
 pub mod matrix;
 #[cfg(unix)]
 pub mod submit;
+pub mod tables;
 
 pub use cli::Options;

@@ -1,5 +1,5 @@
-//! The local front door of a figure campaign, shared by both
-//! reproduction binaries.
+//! The body of `tcmp-fig`: every simulated figure is a campaign, and
+//! this is its local front door.
 //!
 //! The flags become a [`tcmp_serve::proto::CampaignRequest`] and the
 //! request a [`CampaignPlan`] — exactly what `tcmp-serve` does with a
@@ -10,61 +10,98 @@
 //! cells re-run, and the assembled rows are bit-identical to an
 //! uninterrupted sweep.
 
-use cmp_common::journal::Journal;
-use tcmp_core::experiment::config_label;
-use tcmp_core::supervisor::run_matrix_supervised;
-use tcmp_serve::plan::CampaignPlan;
-use tcmp_serve::proto::Figure;
+use std::path::PathBuf;
 
-use crate::cli::Options;
+use cmp_common::journal::{write_atomic, Journal, JOURNAL_FILE};
+use tcmp_core::experiment::config_label;
+use tcmp_core::supervisor::run_cells;
+use tcmp_serve::plan::{CampaignPlan, Tables};
+use tcmp_serve::proto::{Figure, FIGURES};
+
+use crate::cli::{Command, Options};
+use crate::tables::{Table, TABLES};
+
+/// Where the table with a CSV file suffix is written, given how many
+/// tables the figure has (`None` = nowhere).
+type CsvPath<'a> = &'a dyn Fn(&str, usize) -> Option<PathBuf>;
+
+/// Run `command` as the options ask and return the process exit code:
+/// 0 when every cell completed and every file was written, 2 when the
+/// request does not plan, 1 otherwise.
+pub fn run(command: Command, opts: &Options) -> i32 {
+    match command {
+        Command::Figure(figure) => run_figure(opts, figure),
+        Command::Table(table) => run_table(table, &csv_flag(opts)).0,
+        Command::All => run_all(opts),
+    }
+}
+
+/// `--csv PATH`: the file of a figure's one table, or `PATH.<suffix>`
+/// for each of several.
+fn csv_flag(opts: &Options) -> impl Fn(&str, usize) -> Option<PathBuf> + '_ {
+    |suffix, tables| {
+        let csv = opts.csv.as_ref()?;
+        Some(match tables {
+            1 => csv.into(),
+            _ => format!("{csv}.{suffix}").into(),
+        })
+    }
+}
 
 /// Run `figure`'s sweep as the options ask — on the daemon named by
-/// `--submit`, else here — print its tables followed by the
-/// `landmarks` text, write the `--csv` files, and return the process
-/// exit code: 0 when every cell completed and every file was written,
-/// 1 otherwise. Cell failures are reported, not fatal: what completed
-/// is rendered and the rest is `n/a`.
-pub fn run_figure(opts: &Options, figure: Figure, landmarks: &str) -> i32 {
+/// `--submit`, else here — print its tables followed by its landmark
+/// text, write the `--csv` files, and return the process exit code (see
+/// [`run`]). Cell failures are reported, not fatal: what completed is
+/// rendered and the rest is `n/a`.
+pub fn run_figure(opts: &Options, figure: Figure) -> i32 {
     #[cfg(unix)]
     if opts.submit.is_some() {
         return crate::submit::run_remote(opts, figure);
     }
-    run_local(opts, figure, landmarks).unwrap_or_else(|why| {
-        eprintln!("{why}");
-        1
-    })
+    run_local(opts, figure, &csv_flag(opts)).0
 }
 
-fn run_local(opts: &Options, figure: Figure, landmarks: &str) -> Result<i32, String> {
-    let plan = CampaignPlan::new(&opts.request(figure))
-        .map_err(|reason| format!("cannot plan the sweep: {reason}"))?;
+/// Plan and run `figure` here, print its tables and landmarks, and
+/// write each table's stamped CSV to `csv`. Returns the exit code and
+/// the printed text.
+fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
+    let plan = match CampaignPlan::new(&opts.request(figure)) {
+        Ok(plan) => plan,
+        Err(reason) => {
+            eprintln!("error: cannot plan the {} sweep: {reason}", figure.label());
+            return (2, String::new());
+        }
+    };
     let cells = plan.specs.len();
     eprintln!("running {cells} simulations (scale {})...", opts.scale);
-    let mut journal = opts
-        .campaign_dir()
-        .map(|(dir, resuming)| {
-            if resuming {
-                Journal::resume(dir, &plan.meta)
-            } else {
-                Journal::create(dir, &plan.meta)
-            }
-            .map_err(|e| format!("campaign journal at {}: {e}", dir.display()))
-        })
-        .transpose()?;
+    let journal = opts.campaign_dir().map(|(dir, resuming)| {
+        if resuming {
+            Journal::resume(dir, &plan.meta)
+        } else {
+            Journal::create(dir, &plan.meta)
+        }
+        .map_err(|e| format!("campaign journal at {}: {e}", dir.display()))
+    });
+    let mut journal = match journal.transpose() {
+        Ok(journal) => journal,
+        Err(why) => {
+            eprintln!("{why}");
+            return (1, String::new());
+        }
+    };
     let replayed = journal.as_ref().map_or(0, |j| j.replay.skippable());
     if replayed > 0 {
         eprintln!("journal replays {replayed} finished cell(s); skipping them");
     }
 
-    let report = run_matrix_supervised(
-        &plan.cmp,
+    let report = run_cells(
+        &plan.machines,
         &plan.specs,
         opts.jobs,
         &plan.policy,
         journal.as_mut(),
     );
-    let results = report.completed();
-    for r in &results {
+    for r in report.results.iter().flatten() {
         eprintln!(
             "  {:<14} {:<22} {:>10} cycles, {:>8} msgs",
             r.app,
@@ -84,40 +121,104 @@ fn run_local(opts: &Options, figure: Figure, landmarks: &str) -> Result<i32, Str
     }
     eprintln!(
         "{} of {cells} cells completed ({} of them replayed from the journal), {} failed \
-         terminally (their columns render as n/a)",
-        results.len(),
+         terminally (their cells render as n/a)",
+        report.results.iter().flatten().count(),
         report.skipped,
         report.failures.len()
     );
-    if results.is_empty() {
-        return Err("no cell completed: nothing to report".to_string());
-    }
 
-    let mut unwritten = false;
-    for (suffix, table) in plan.render(&results) {
-        println!("{}", table.to_markdown());
-        let Some(csv) = &opts.csv else { continue };
-        // Figure 6 is two tables, so two files named after `--csv`;
-        // Figure 7's one table goes to the path itself.
-        let path = match figure {
-            Figure::Fig6 => format!("{csv}.{suffix}"),
-            Figure::Fig7 => csv.clone(),
-        };
-        match table.write_csv_stamped(&path, &plan.stamp()) {
-            Ok(()) => eprintln!("wrote {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                unwritten = true;
-            }
-        }
-    }
-    println!("{landmarks}");
-    if let (true, Some((dir, _))) = (unwritten, opts.campaign_dir()) {
+    let tables = plan.render(&report.results);
+    let (written, text) = publish(tables, plan.landmarks(), Some(&plan.stamp()), csv);
+    if let (false, Some((dir, _))) = (written, opts.campaign_dir()) {
         eprintln!(
             "the rows are safe in the journal: --resume {} --csv PATH renders them again \
              without re-running a cell",
             dir.display()
         );
     }
-    Ok(i32::from(unwritten || !report.failures.is_empty()))
+    (i32::from(!written || !report.failures.is_empty()), text)
+}
+
+/// Print an analytic table and its text, and write its unstamped CSV to
+/// `csv`. Returns the exit code and the printed text.
+fn run_table((_, render): Table, csv: CsvPath) -> (i32, String) {
+    let (table, text) = render();
+    let (written, text) = publish(vec![("csv", table)], &text, None, csv);
+    (i32::from(!written), text)
+}
+
+/// Print `tables` as markdown followed by `text`, and write each table
+/// as CSV to `csv` — first line `# stamp` when there is one. Returns
+/// whether every file was written, and the printed text.
+fn publish(tables: Tables, text: &str, stamp: Option<&str>, csv: CsvPath) -> (bool, String) {
+    let mut printed = String::new();
+    let mut written = true;
+    for (suffix, table) in &tables {
+        printed += &table.to_markdown();
+        printed.push('\n');
+        let Some(path) = csv(suffix, tables.len()) else {
+            continue;
+        };
+        let result = match stamp {
+            Some(stamp) => table.write_csv_stamped(&path, stamp),
+            None => table.write_csv(&path),
+        };
+        match result {
+            Ok(()) => eprintln!("wrote {}", path.display()),
+            Err(e) => {
+                eprintln!("cannot write {}: {e}", path.display());
+                written = false;
+            }
+        }
+    }
+    if !text.is_empty() {
+        printed += text;
+        printed.push('\n');
+    }
+    print!("{printed}");
+    (written, printed)
+}
+
+/// Every table and figure, each into its own directory under `--out`
+/// (or `--resume`) DIR laid out like a daemon campaign: `journal.jsonl`
+/// (figures), `results.<suffix>` CSVs and `results.md`, the printed
+/// text. A figure whose directory already holds a journal resumes it.
+fn run_all(opts: &Options) -> i32 {
+    let Some((root, _)) = opts.campaign_dir() else {
+        eprintln!("error: all needs --out DIR or --resume DIR");
+        return 2;
+    };
+    let mut code = 0;
+    let mut record = |name: &str, run: &dyn Fn(&Options, CsvPath) -> (i32, String)| {
+        let dir = root.join(name);
+        let resuming = dir.join(JOURNAL_FILE).is_file();
+        let opts = Options {
+            out: (!resuming).then(|| dir.clone()),
+            resume: resuming.then(|| dir.clone()),
+            ..opts.clone()
+        };
+        let md = dir.join("results.md");
+        let written = std::fs::create_dir_all(&dir).and_then(|()| {
+            let (run, text) = run(&opts, &|suffix, _| {
+                Some(dir.join(format!("results.{suffix}")))
+            });
+            code = code.max(run);
+            // a run that printed nothing (refused) leaves the last text
+            match text.is_empty() {
+                true => Ok(()),
+                false => write_atomic(&md, text),
+            }
+        });
+        if let Err(e) = written {
+            eprintln!("cannot write {}: {e}", md.display());
+            code = code.max(1);
+        }
+    };
+    for table in TABLES {
+        record(table.0, &|_, csv| run_table(table, csv));
+    }
+    for (name, figure) in FIGURES {
+        record(name, &|opts, csv| run_local(opts, figure, csv));
+    }
+    code
 }

@@ -1,4 +1,4 @@
-//! `--submit` mode of the figure binaries: hand the sweep to a running
+//! `--submit` mode of `tcmp-fig`: hand the sweep to a running
 //! `tcmp-serve` daemon and follow its event stream.
 //!
 //! The daemon owns the worker pool, the journal, and the result CSVs

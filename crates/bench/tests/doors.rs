@@ -1,7 +1,7 @@
-//! A figure campaign has two front doors — the figure binaries' local
-//! run and `--submit` to a `tcmp-serve` daemon — and one meaning: the
-//! same request renders the same bytes through either, stamp line
-//! included, and fails the same way when its machine starves.
+//! A figure campaign has two front doors — `tcmp-fig`'s local run and
+//! `--submit` to a `tcmp-serve` daemon — and one meaning: the same
+//! request renders the same bytes through either, stamp line included,
+//! and fails the same way when its machine starves.
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -15,11 +15,10 @@ use cmp_common::config::DirectoryConfig;
 use cmp_common::journal::JOURNAL_FILE;
 use tcmp_serve::client::Client;
 use tcmp_serve::daemon;
-use tcmp_serve::proto::{Event, Figure, Request, Response};
+use tcmp_serve::proto::{Event, Figure, Request, Response, Sides, FIGURES};
 use tcmp_serve::service::{ServeConfig, ServiceHandle};
+use tcmp_serve::CampaignPlan;
 
-/// One app over the six non-perfect Figure 6 configurations.
-const CELLS: usize = 6;
 const WAIT: Duration = Duration::from_secs(300);
 
 fn scratch_dir(tag: &str) -> PathBuf {
@@ -52,63 +51,106 @@ fn read(path: &Path) -> String {
     std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
 }
 
+/// Every figure, the mesh sweep on a 2×2 mesh only.
+fn every_figure() -> Vec<Figure> {
+    let side_2 = Sides::of(&[2]).expect("a valid side");
+    FIGURES
+        .iter()
+        .map(|&(_, figure)| match figure {
+            Figure::Sensitivity { .. } => Figure::Sensitivity { sides: side_2 },
+            other => other,
+        })
+        .collect()
+}
+
+/// The figure's cell count and, per table, the file the local door
+/// writes for `--csv` and the one the daemon finalises.
+fn files(opts: &Options, figure: Figure, campaign: &Path) -> (usize, Vec<(PathBuf, PathBuf)>) {
+    let plan = CampaignPlan::new(&opts.request(figure)).expect("plans");
+    let tables = plan.render(&vec![None; plan.specs.len()]);
+    let csv = opts.csv.as_ref().expect("--csv");
+    let files = tables
+        .iter()
+        .map(|(suffix, _)| {
+            let local = match tables.len() {
+                1 => csv.clone(),
+                _ => format!("{csv}.{suffix}"),
+            };
+            (local.into(), campaign.join(format!("results.{suffix}")))
+        })
+        .collect();
+    (plan.specs.len(), files)
+}
+
 /// Every CSV the daemon finalises for a request equals, byte for byte,
-/// the file the local driver writes for the same flags — under the
-/// full-map directory and under `--directory sparse` (which the local
-/// door used to drop), for both figures.
+/// the file the local door writes for the same flags — for every
+/// figure, under the full-map directory and under `--directory sparse`.
 #[test]
 fn both_doors_render_the_same_bytes() {
     let root = scratch_dir("doors-agree");
     let handle = ServiceHandle::start(serve_cfg(&root)).expect("start");
-    let mut stamps = Vec::new();
-    for (figure, suffixes) in [
-        (Figure::Fig6, &["exec_time.csv", "link_ed2p.csv"][..]),
-        (Figure::Fig7, &["chip_ed2p.csv"][..]),
-    ] {
+    let mut stamps = BTreeMap::new();
+    for figure in every_figure() {
         for directory in [None, Some(DirectoryConfig::sparse())] {
             let mut opts = tiny_options(directory);
-            let csv = root.join(format!("local-{}-{}", figure.label(), stamps.len()));
+            let csv = root.join(format!("local-{}-{}", figure.name(), stamps.len()));
             opts.csv = Some(csv.to_str().expect("utf-8 temp path").to_string());
-            assert_eq!(run_figure(&opts, figure, ""), 0, "the local run completes");
+            assert_eq!(run_figure(&opts, figure), 0, "the local run completes");
 
             let id = match handle.service().submit(opts.request(figure)) {
-                Response::Submitted {
-                    campaign, cells, ..
-                } => {
-                    assert_eq!(cells, CELLS);
-                    campaign
-                }
+                Response::Submitted { campaign, .. } => campaign,
                 other => panic!("expected Submitted, got {other:?}"),
             };
             assert!(handle.wait_campaign(&id, WAIT), "campaign {id} finishes");
-            for suffix in suffixes {
-                let local = read(&match figure {
-                    Figure::Fig6 => PathBuf::from(format!("{}.{suffix}", csv.display())),
-                    Figure::Fig7 => csv.clone(),
-                });
-                let served = read(
-                    &root
-                        .join("campaigns")
-                        .join(&id)
-                        .join(format!("results.{suffix}")),
-                );
+            let (_, files) = files(&opts, figure, &root.join("campaigns").join(&id));
+            for (local, served) in files {
+                let (local, served) = (read(&local), read(&served));
                 assert!(local.starts_with("# git_sha="), "stamped: {local}");
+                assert!(!local.contains("n/a"), "every cell completed: {local}");
                 assert_eq!(
                     local,
                     served,
-                    "{} {suffix} under {directory:?} differs between the doors",
+                    "{} under {directory:?} differs between the doors",
                     figure.label()
                 );
-                stamps.push(local.lines().next().expect("stamp line").to_string());
+                let stamp = local.lines().next().expect("stamp line").to_string();
+                stamps.insert((figure.name(), directory.is_some()), stamp);
             }
         }
     }
-    // fig6 full-map ×2, fig6 sparse ×2, fig7 full-map, fig7 sparse: the
-    // directory is part of the stamp, the figure is not.
-    assert_eq!(stamps[0], stamps[4]);
-    assert_eq!(stamps[2], stamps[5]);
-    assert_ne!(stamps[0], stamps[2]);
+    // The directory and the cells are part of the stamp, the rendering
+    // is not: Figures 6 and 7 are one sweep, Figures 2 and 5 are not.
+    for sparse in [false, true] {
+        assert_eq!(stamps[&("fig6", sparse)], stamps[&("fig7", sparse)]);
+        assert_ne!(stamps[&("fig2", sparse)], stamps[&("fig5", sparse)]);
+    }
+    assert_ne!(stamps[&("fig6", false)], stamps[&("fig6", true)]);
     handle.drain();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A journal carries its figure's identity: a Figure 5 `--out`
+/// directory is refused by `--resume` under Figure 2 (whose only
+/// difference is the probes riding along) and left untouched, and
+/// resumes under Figure 5 without re-running a cell.
+#[test]
+fn a_journal_resumes_only_under_the_figure_that_wrote_it() {
+    let root = scratch_dir("doors-resume");
+    let dir = root.join("fig5");
+    let out = Options {
+        out: Some(dir.clone()),
+        ..tiny_options(None)
+    };
+    assert_eq!(run_figure(&out, Figure::Fig5), 0);
+    let journal = read(&dir.join(JOURNAL_FILE));
+    let resume = Options {
+        resume: Some(dir.clone()),
+        ..tiny_options(None)
+    };
+    assert_eq!(run_figure(&resume, Figure::Fig2), 1, "fig2 refuses it");
+    assert_eq!(read(&dir.join(JOURNAL_FILE)), journal, "untouched");
+    assert_eq!(run_figure(&resume, Figure::Fig5), 0, "fig5 resumes it");
+    assert_eq!(read(&dir.join(JOURNAL_FILE)), journal, "nothing re-ran");
     let _ = std::fs::remove_dir_all(&root);
 }
 
@@ -135,39 +177,52 @@ fn follow(client: &mut Client) -> (BTreeMap<usize, u32>, (usize, usize)) {
 }
 
 /// A campaign whose machine starves (`sparse:1`: one directory MSHR)
-/// fails every cell through either door: the local run exits 1; the
-/// daemon streams six `CellFail`s carrying the real attempt count —
-/// live and again to a re-attaching client — ends `0 completed, 6
-/// failed`, makes the `--submit` client exit 1, and leaves the cells
-/// unfinished in the journal so a restarted service runs them again.
+/// fails every cell through either door: the local run exits 1 and
+/// renders what the daemon renders; the daemon streams one `CellFail` per cell carrying the
+/// real attempt count — live and again to a re-attaching client — ends
+/// `0 completed, N failed`, makes the `--submit` client exit 1, and
+/// leaves the cells unfinished in the journal so a restarted service
+/// runs them again. For Figure 6 and for Figure 5, whose binary used to
+/// panic here.
 #[test]
 fn a_starved_campaign_fails_every_cell_through_either_door() {
-    let root = scratch_dir("doors-starved");
+    for figure in [Figure::Fig6, Figure::Fig5] {
+        starve(figure);
+    }
+}
+
+fn starve(figure: Figure) {
+    let root = scratch_dir(&format!("doors-starved-{}", figure.name()));
     let socket = root.join("s");
     let mut opts = tiny_options(Some(DirectoryConfig::Sparse { dir_mshrs: 1 }));
     opts.retries = 1;
-    assert_eq!(run_figure(&opts, Figure::Fig6, ""), 1, "the local door");
+    opts.csv = Some(root.join("local.csv").to_str().expect("utf-8").to_string());
+    assert_eq!(run_figure(&opts, figure), 1, "the local door");
+    let (cells, files) = files(&opts, figure, &root.join("campaigns").join("c0001"));
+    opts.csv = None;
 
     let handle = ServiceHandle::start(serve_cfg(&root)).expect("start");
     let stop = AtomicBool::new(false);
-    let all_failed_twice: BTreeMap<usize, u32> = (0..CELLS).map(|i| (i, 2)).collect();
+    let all_failed_twice: BTreeMap<usize, u32> = (0..cells).map(|i| (i, 2)).collect();
     let id = std::thread::scope(|s| {
         let daemon = s.spawn(|| daemon::serve(handle.service(), &socket, &stop));
         let connect =
             || Client::connect_retry(&socket, 8, Duration::from_millis(20)).expect("connect");
 
         let mut client = connect();
-        let request = Request::Submit(opts.request(Figure::Fig6));
+        let request = Request::Submit(opts.request(figure));
         let id = match client.request(&request).expect("submit") {
             Response::Submitted {
-                campaign, cells, ..
+                campaign,
+                cells: queued,
+                ..
             } => {
-                assert_eq!(cells, CELLS);
+                assert_eq!(queued, cells);
                 campaign
             }
             other => panic!("expected Submitted, got {other:?}"),
         };
-        assert_eq!(follow(&mut client), (all_failed_twice.clone(), (0, CELLS)));
+        assert_eq!(follow(&mut client), (all_failed_twice.clone(), (0, cells)));
 
         // A re-attaching client is told the real attempt count.
         let mut client = connect();
@@ -175,16 +230,18 @@ fn a_starved_campaign_fails_every_cell_through_either_door() {
             campaign: id.clone(),
         };
         match client.request(&attach).expect("attach") {
-            Response::Attached { cells, done, .. } => assert_eq!((cells, done), (CELLS, CELLS)),
+            Response::Attached {
+                cells: total, done, ..
+            } => assert_eq!((total, done), (cells, cells)),
             other => panic!("expected Attached, got {other:?}"),
         }
-        assert_eq!(follow(&mut client), (all_failed_twice.clone(), (0, CELLS)));
+        assert_eq!(follow(&mut client), (all_failed_twice.clone(), (0, cells)));
 
         let submitting = Options {
             submit: Some(socket.clone()),
             ..opts.clone()
         };
-        assert_eq!(run_figure(&submitting, Figure::Fig6, ""), 1, "--submit");
+        assert_eq!(run_figure(&submitting, figure), 1, "--submit");
 
         stop.store(true, Ordering::SeqCst);
         daemon
@@ -194,9 +251,17 @@ fn a_starved_campaign_fails_every_cell_through_either_door() {
         id
     });
     handle.drain();
+    // Both doors render the failure the same way: the per-app figures
+    // show the app's row as n/a, Figure 6 drops it.
+    for (local, served) in &files {
+        assert_eq!(read(local), read(served), "{}", local.display());
+    }
+    if figure == Figure::Fig5 {
+        assert!(read(&files[0].0).contains("FFT,n/a,n/a"));
+    }
 
     let journal = read(&root.join("campaigns").join(&id).join(JOURNAL_FILE));
-    assert_eq!(journal.matches("\"event\":\"fail\"").count(), CELLS);
+    assert_eq!(journal.matches("\"event\":\"fail\"").count(), cells);
     assert!(!journal.contains("\"event\":\"finish\""), "{journal}");
 
     let handle = ServiceHandle::start(serve_cfg(&root)).expect("restart");
@@ -204,11 +269,11 @@ fn a_starved_campaign_fails_every_cell_through_either_door() {
     let (done, failed, _) = handle.service().attach(&id).expect("resumed").progress();
     assert_eq!(
         (done, failed),
-        (0, CELLS),
+        (0, cells),
         "every cell ran, and failed, again"
     );
     handle.drain();
     let journal = read(&root.join("campaigns").join(&id).join(JOURNAL_FILE));
-    assert_eq!(journal.matches("\"event\":\"fail\"").count(), 2 * CELLS);
+    assert_eq!(journal.matches("\"event\":\"fail\"").count(), 2 * cells);
     let _ = std::fs::remove_dir_all(&root);
 }

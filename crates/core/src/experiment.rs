@@ -70,39 +70,22 @@ pub fn paper_configs(include_perfect: bool) -> Vec<ConfigSpec> {
 
 /// The configurations plotted in Figure 6: the paper keeps only schemes
 /// "with a compression coverage over 80 %" as bars (plus the baseline
-/// and the perfect-compression solid lines). Shared by the figure
-/// binaries and the campaign service, which must agree on cell order
-/// for journals to transplant.
+/// and the perfect-compression solid lines), in [`paper_configs`] order.
 pub fn figure6_configs(include_perfect: bool) -> Vec<ConfigSpec> {
-    let mut v = vec![ConfigSpec::baseline()];
-    for scheme in [
-        CompressionScheme::Stride { low_bytes: 2 },
-        CompressionScheme::Dbrc {
-            entries: 4,
-            low_bytes: 2,
-        },
-        CompressionScheme::Dbrc {
-            entries: 16,
-            low_bytes: 1,
-        },
-        CompressionScheme::Dbrc {
-            entries: 16,
-            low_bytes: 2,
-        },
-        CompressionScheme::Dbrc {
-            entries: 64,
-            low_bytes: 2,
-        },
-    ] {
-        v.push(ConfigSpec::compressed(scheme));
-    }
-    if include_perfect {
-        for low in [1usize, 2] {
-            v.push(ConfigSpec::compressed(CompressionScheme::Perfect {
-                low_bytes: low,
-            }));
-        }
-    }
+    // below 80 %: 1-byte Stride and 4/64-entry DBRC with 1 low-order byte
+    let low = |s: &CompressionScheme| {
+        use CompressionScheme::{Dbrc, Stride};
+        matches!(
+            s,
+            Stride { low_bytes: 1 }
+                | Dbrc {
+                    entries: 4 | 64,
+                    low_bytes: 1
+                }
+        )
+    };
+    let mut v = paper_configs(include_perfect);
+    v.retain(|c| !low(&c.scheme));
     v
 }
 

@@ -44,6 +44,9 @@ pub mod report;
 pub mod sim;
 pub mod supervisor;
 
+/// What a cell's scheme and link are made of, for crates that configure
+/// cells without linking the model crates.
+pub use addr_compression::CompressionScheme;
 pub use checkpoint::{
     CacheLoad, CacheStats, CheckpointCache, DiskConfig, DiskCounters, DiskLoad, DiskStore, WarmKey,
 };
@@ -59,3 +62,4 @@ pub use supervisor::{
     supervise, warm_key, CellFailure, ForensicReport, MatrixReport, RunPolicy, SupervisedFailure,
     SweepState, WarmStart,
 };
+pub use wire_model::wires::VlWidth;

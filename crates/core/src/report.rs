@@ -135,7 +135,7 @@ impl TableBuilder {
 /// plotted ratio, a trailing `geomean` row, and `n/a` for cells that
 /// failed or were never attempted. Applications listed in
 /// `missing_baseline` render as all-`n/a` rows, so a partial matrix
-/// still shows its full shape. Shared by the figure binaries and the
+/// still shows its full shape. Shared by `tcmp-fig` and the
 /// campaign service, which must emit identical tables for identical
 /// results.
 pub fn figure_table(

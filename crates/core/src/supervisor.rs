@@ -17,9 +17,11 @@
 //!   cells, so a `SIGKILL`ed campaign resumes bit-identically (rows come
 //!   back through the lossless [`result_to_json`]/[`result_from_json`]
 //!   codec). The campaign service drives it from its long-lived queue.
-//! * [`run_matrix_supervised`] drives a [`SweepState`] from a scoped
-//!   worker pool over one spec list — the only matrix pool there is
-//!   ([`crate::experiment::run_matrix_jobs`] is this with the default
+//! * [`run_cells`] drives a [`SweepState`] from a scoped worker pool
+//!   over one spec list, each cell on its own [`CellMachine`] — the
+//!   only matrix pool there is ([`run_matrix_supervised`] is this with
+//!   one machine for every cell, and
+//!   [`crate::experiment::run_matrix_jobs`] that with the default
 //!   policy and no journal).
 //! * [`with_retries`]/[`reseed`] are the generic retry ladder, shared
 //!   with the fault-campaign driver: attempt 0 keeps the original seed
@@ -33,6 +35,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use addr_compression::CompressionScheme;
 use cmp_common::config::CmpConfig;
 use cmp_common::journal::{fingerprint, CampaignMeta, Journal, Json};
 use cmp_common::types::Cycle;
@@ -496,10 +499,24 @@ impl MatrixReport {
     pub fn is_complete(&self) -> bool {
         self.results.iter().all(Option::is_some)
     }
+}
 
-    /// The successful rows, in spec order.
-    pub fn completed(&self) -> Vec<SimResult> {
-        self.results.iter().flatten().cloned().collect()
+/// What a cell simulates besides its [`RunSpec`]: the machine, and the
+/// passive coverage probes riding along (Figure 2 measures every scheme
+/// on one baseline run).
+#[derive(Clone, Debug, PartialEq)]
+pub struct CellMachine {
+    pub cmp: CmpConfig,
+    pub probes: Vec<CompressionScheme>,
+}
+
+impl CellMachine {
+    /// `cmp` with no probes.
+    pub fn plain(cmp: &CmpConfig) -> Self {
+        CellMachine {
+            cmp: cmp.clone(),
+            probes: Vec::new(),
+        }
     }
 }
 
@@ -507,9 +524,10 @@ impl MatrixReport {
 /// matrix cell. Retries perturb only the fault-injector seed; the
 /// workload trace seed is part of the cell's identity and never
 /// changes.
-fn cell_config(cmp: &CmpConfig, spec: &RunSpec, attempt: u32) -> SimConfig {
+fn cell_config(machine: &CellMachine, spec: &RunSpec, attempt: u32) -> SimConfig {
     let mut cfg = SimConfig::new(spec.config.interconnect, spec.config.scheme);
-    cfg.cmp = cmp.clone();
+    cfg.cmp = machine.cmp.clone();
+    cfg.coverage_probes = machine.probes.clone();
     cfg.faults.seed = reseed(cfg.faults.seed, attempt);
     cfg
 }
@@ -533,7 +551,7 @@ pub type CellOutcome = Result<SimResult, CellFailure>;
 /// The run state of one sweep: its spec list, the journal it records
 /// into (when it has one) and one outcome slot per spec, in spec order.
 /// Both campaign front doors keep their progress here —
-/// [`run_matrix_supervised`] drives it from a scoped pool, the campaign
+/// [`run_cells`] drives it from a scoped pool, the campaign
 /// service from its long-lived queue — so journal replay, how a cell is
 /// run and recorded, and the assembled [`MatrixReport`] exist once.
 /// Cells are named by index into the spec list, nothing else.
@@ -625,7 +643,7 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
     /// does comes after every other call has returned.
     pub fn run_cell<R>(
         &self,
-        cmp: &CmpConfig,
+        machine: &CellMachine,
         index: usize,
         policy: &RunPolicy,
         cache: Option<(&CheckpointCache, Cycle)>,
@@ -639,7 +657,7 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
             // poisoned, or its journal entry dangling: it becomes a
             // failure like any other and is released by a fail record.
             catch_unwind(AssertUnwindSafe(|| {
-                let cfg = cell_config(cmp, spec, attempt);
+                let cfg = cell_config(machine, spec, attempt);
                 let cache = if attempt == 0 { cache } else { None };
                 run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, cache)
             }))
@@ -713,14 +731,9 @@ fn matrix_worker_threads(jobs: Option<usize>, pending: usize) -> usize {
     want.max(1).min(pending.max(1))
 }
 
-/// Execute `specs` on a worker pool under `policy`, recording every
-/// cell into `journal` when one is given.
-///
-/// With a journal, cells whose finish records replay from disk are
-/// *skipped* — so a campaign killed at any instant (including
-/// mid-append: a torn final line is tolerated) resumes with only the
-/// unfinished cells re-run, and the assembled result set is
-/// bit-identical to an uninterrupted sweep. See [`SweepState`].
+/// Execute `specs` on a worker pool under `policy`, every cell on
+/// `cmp`, recording every cell into `journal` when one is given: see
+/// [`run_cells`].
 pub fn run_matrix_supervised(
     cmp: &CmpConfig,
     specs: &[RunSpec],
@@ -728,6 +741,26 @@ pub fn run_matrix_supervised(
     policy: &RunPolicy,
     journal: Option<&mut Journal>,
 ) -> MatrixReport {
+    let machines = vec![CellMachine::plain(cmp); specs.len()];
+    run_cells(&machines, specs, jobs, policy, journal)
+}
+
+/// Execute `specs` on a worker pool under `policy`, cell `i` on
+/// `machines[i]`, recording every cell into `journal` when one is given.
+///
+/// With a journal, cells whose finish records replay from disk are
+/// *skipped* — so a campaign killed at any instant (including
+/// mid-append: a torn final line is tolerated) resumes with only the
+/// unfinished cells re-run, and the assembled result set is
+/// bit-identical to an uninterrupted sweep. See [`SweepState`].
+pub fn run_cells(
+    machines: &[CellMachine],
+    specs: &[RunSpec],
+    jobs: Option<usize>,
+    policy: &RunPolicy,
+    journal: Option<&mut Journal>,
+) -> MatrixReport {
+    assert_eq!(machines.len(), specs.len(), "one machine per cell");
     let state = SweepState::new(specs, journal);
     let mut pending = state.pending();
     if let Some(limit) = policy.cell_limit {
@@ -738,7 +771,7 @@ pub fn run_matrix_supervised(
         for _ in 0..matrix_worker_threads(jobs, pending.len()) {
             scope.spawn(|| {
                 while let Some(&i) = pending.get(next.fetch_add(1, Ordering::Relaxed)) {
-                    state.run_cell(cmp, i, policy, None, |_, _, _| ());
+                    state.run_cell(&machines[i], i, policy, None, |_, _, _| ());
                 }
             });
         }
@@ -1077,8 +1110,8 @@ mod tests {
         let replayed = resume();
         assert_eq!(replayed.skipped, 1, "the fresh row replays");
         assert_eq!(
-            result_to_json(&replayed.completed()[0]).render(),
-            result_to_json(&rerun.completed()[0]).render()
+            result_to_json(replayed.results[0].as_ref().unwrap()).render(),
+            result_to_json(rerun.results[0].as_ref().unwrap()).render()
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

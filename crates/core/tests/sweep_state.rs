@@ -6,14 +6,14 @@ use std::sync::Mutex;
 use cmp_common::config::CmpConfig;
 use cmp_common::journal::Journal;
 use tcmp_core::experiment::{ConfigSpec, RunSpec};
-use tcmp_core::supervisor::{RunPolicy, SweepState};
+use tcmp_core::supervisor::{CellMachine, RunPolicy, SweepState};
 
 /// Reports come in the order the outstanding count goes down, so
 /// whatever the sweep's last report triggers follows every other report
 /// — the campaign service hangs `CampaignDone` on that.
 #[test]
 fn outcome_reports_are_ordered_with_the_outstanding_count() {
-    let cmp = CmpConfig::default();
+    let machine = CellMachine::plain(&CmpConfig::default());
     let specs: Vec<RunSpec> = (0..4)
         .map(|seed| RunSpec {
             app: workloads::apps::fft(),
@@ -31,9 +31,9 @@ fn outcome_reports_are_ordered_with_the_outstanding_count() {
     let reports = Mutex::new(Vec::new());
     std::thread::scope(|scope| {
         for index in 0..specs.len() {
-            let (state, reports, cmp, policy) = (&state, &reports, &cmp, &policy);
+            let (state, reports, machine, policy) = (&state, &reports, &machine, &policy);
             scope.spawn(move || {
-                state.run_cell(cmp, index, policy, None, |outcome, _, outstanding| {
+                state.run_cell(machine, index, policy, None, |outcome, _, outstanding| {
                     assert!(outcome.is_err(), "the cycle cap fails the cell");
                     reports.lock().unwrap().push(outstanding);
                 })

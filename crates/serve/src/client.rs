@@ -1,5 +1,5 @@
 //! Blocking client for the campaign service (Unix only): one request,
-//! one response, then an event stream. Used by the figure binaries'
+//! one response, then an event stream. Used by `tcmp-fig`'s
 //! `--submit`/`--attach` modes and the integration tests.
 
 use std::io::{self, Write};

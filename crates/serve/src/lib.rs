@@ -25,8 +25,8 @@
 //!   corruption, falling back to a fresh simulation.
 //!
 //! [`proto`] defines the wire messages, [`plan`] what a campaign
-//! request means (machine, cell list, policy, stamp, tables — shared
-//! with the figure binaries' local run), [`service`] the queue, worker
+//! request means (cells and their machines, policy, stamp, tables — shared
+//! with `tcmp-fig`'s local run), [`service`] the queue, worker
 //! pool and campaigns, [`daemon`]/[`client`] the Unix-socket transport
 //! (Unix only), and [`wire`] the line framing.
 

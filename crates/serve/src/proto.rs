@@ -16,40 +16,116 @@
 use cmp_common::config::DirectoryConfig;
 use cmp_common::{json_as, json_record, json_tagged};
 
-/// Which figure's CSV set a campaign renders when it completes.
+/// Which figure a campaign sweeps and renders.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Figure {
+    /// Figure 2: address-compression coverage of every scheme, probed
+    /// passively on one baseline run per application.
+    Fig2,
+    /// Figure 5: the baseline's interconnect message breakdown.
+    Fig5,
     /// Figure 6: normalised execution time + link ED²P.
     Fig6,
     /// Figure 7: normalised full-CMP ED²P.
     Fig7,
+    /// Beyond the paper: where the proposal's win comes from.
+    Ablation,
+    /// Beyond the paper: the proposal against the baseline per mesh
+    /// side (empty = the directory's default sweep).
+    Sensitivity { sides: Sides },
 }
 
+/// Every figure's label, in the order `tcmp-fig all` runs them. The
+/// one table labels are printed from and parsed against.
+pub const FIGURES: [(&str, Figure); 6] = [
+    ("fig2", Figure::Fig2),
+    ("fig5", Figure::Fig5),
+    ("fig6", Figure::Fig6),
+    ("fig7", Figure::Fig7),
+    ("ablation", Figure::Ablation),
+    (
+        "sensitivity",
+        Figure::Sensitivity {
+            sides: Sides::EMPTY,
+        },
+    ),
+];
+
 impl Figure {
-    /// Stable wire/directory label.
-    pub fn label(self) -> &'static str {
+    /// The figure's name without its sides (`"sensitivity"`).
+    pub fn name(self) -> &'static str {
+        let same =
+            |f: &&(&str, Figure)| std::mem::discriminant(&f.1) == std::mem::discriminant(&self);
+        FIGURES.iter().find(same).map_or("", |f| f.0)
+    }
+
+    /// Stable wire/directory label: the name, plus `:16,32` for a
+    /// sensitivity sweep over explicit sides.
+    pub fn label(self) -> String {
         match self {
-            Figure::Fig6 => "fig6",
-            Figure::Fig7 => "fig7",
+            Figure::Sensitivity { sides } if sides != Sides::EMPTY => {
+                let sides: Vec<String> = sides.iter().map(|s| s.to_string()).collect();
+                format!("{}:{}", self.name(), sides.join(","))
+            }
+            _ => self.name().to_string(),
         }
     }
 
-    /// Parse a wire/directory label.
-    pub fn from_label(s: &str) -> Option<Figure> {
-        match s {
-            "fig6" => Some(Figure::Fig6),
-            "fig7" => Some(Figure::Fig7),
-            _ => None,
+    /// Parse a wire/directory label, naming every known figure when it
+    /// is not one.
+    pub fn from_label(label: &str) -> Result<Figure, String> {
+        let (name, sides) = label
+            .split_once(':')
+            .map_or((label, None), |(n, s)| (n, Some(s)));
+        match (FIGURES.iter().find(|f| f.0 == name).map(|f| f.1), sides) {
+            (Some(figure), None) => Ok(figure),
+            (Some(Figure::Sensitivity { .. }), Some(list)) => {
+                let sides: Result<Vec<u16>, _> = list.split(',').map(str::parse).collect();
+                let sides = sides.map_err(|_| format!("mesh sides {list:?} are not integers"))?;
+                Ok(Figure::Sensitivity {
+                    sides: Sides::of(&sides)?,
+                })
+            }
+            _ => {
+                let names: Vec<_> = FIGURES.iter().map(|f| f.0).collect();
+                Err(format!(
+                    "unknown figure {label:?} (want {}, sensitivity:N,...)",
+                    names.join("|")
+                ))
+            }
         }
     }
 }
 
 // On the wire a figure is its label.
-json_as!(Figure as String, |f| f.label().to_string(), |label| {
-    Figure::from_label(&label).ok_or_else(|| format!("unknown figure {label:?} (want fig6|fig7)"))
-});
+json_as!(Figure as String, |f| f.label(), |label| Figure::from_label(
+    &label
+));
 
-/// A campaign submission: the same knobs the figure binaries expose as
+/// A set of mesh sides from 1 to 64 (bit `s - 1` is side `s`).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Sides(u64);
+
+impl Sides {
+    pub const EMPTY: Sides = Sides(0);
+
+    /// The set of `sides`, refusing one outside `1..=64`.
+    pub fn of(sides: &[u16]) -> Result<Sides, String> {
+        sides
+            .iter()
+            .try_fold(Sides::EMPTY, |set, &side| match side {
+                1..=64 => Ok(Sides(set.0 | 1 << (side - 1))),
+                _ => Err(format!("mesh side {side} is outside 1..=64")),
+            })
+    }
+
+    /// The sides, ascending.
+    pub fn iter(self) -> impl Iterator<Item = u16> {
+        (1..=64).filter(move |side| self.0 >> (side - 1) & 1 == 1)
+    }
+}
+
+/// A campaign submission: the same knobs `tcmp-fig` exposes as
 /// flags, minus execution-local ones (`--jobs` belongs to the service's
 /// shared pool, not to any one campaign).
 #[derive(Clone, Debug, PartialEq)]
@@ -493,6 +569,39 @@ mod tests {
             Request::Submit(request()),
             r#"{"type":"submit","figure":"fig7","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
         );
+        let sides = Sides::of(&[32, 16]).unwrap();
+        for (figure, line) in [
+            (
+                Figure::Fig2,
+                r#"{"figure":"fig2","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+            ),
+            (
+                Figure::Fig5,
+                r#"{"figure":"fig5","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+            ),
+            (
+                Figure::Ablation,
+                r#"{"figure":"ablation","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+            ),
+            (
+                Figure::Sensitivity {
+                    sides: Sides::EMPTY,
+                },
+                r#"{"figure":"sensitivity","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+            ),
+            (
+                Figure::Sensitivity { sides },
+                r#"{"figure":"sensitivity:16,32","apps":["FFT","MP3D"],"seed":9007199254740993,"scale":0.015,"perfect":true,"retries":2,"deadline_s":null,"directory":"sparse:32"}"#,
+            ),
+        ] {
+            pinned(
+                CampaignRequest {
+                    figure,
+                    ..request()
+                },
+                line,
+            );
+        }
         pinned(
             Request::Attach {
                 campaign: "c0003".into(),
@@ -625,6 +734,18 @@ mod tests {
         let j = Json::parse(r#"{"type":"submit","figure":"fig9"}"#).unwrap();
         let err = Request::from_json(&j).unwrap_err();
         assert!(err.contains("fig9"), "{err}");
+        assert!(
+            err.contains("fig2|fig5|fig6|fig7|ablation|sensitivity"),
+            "{err}"
+        );
+        for forged in [
+            "fig6:16",
+            "sensitivity:",
+            "sensitivity:0",
+            "sensitivity:x,16",
+        ] {
+            assert!(Figure::from_label(forged).is_err(), "{forged}");
+        }
         let j = Json::parse(r#"{"hello":1}"#).unwrap();
         assert!(Request::from_json(&j).is_err());
         // Out-of-range and mistyped numbers are refused naming the field.

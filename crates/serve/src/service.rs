@@ -1,6 +1,6 @@
 //! The campaign service proper: a bounded queue of matrix cells from
 //! many campaigns, drained by one shared worker pool, with every
-//! robustness property the figure binaries have — and one they don't:
+//! robustness property `tcmp-fig`'s local run has — and one it lacks:
 //! campaigns outlive their submitters.
 //!
 //! * **Admission control.** The cell queue is bounded; a submission
@@ -10,7 +10,7 @@
 //!   load, never silently drops a campaign.
 //! * **Durability.** Every campaign persists its request
 //!   (`campaign.json`) and a cell journal (`journal.jsonl`, the same
-//!   fsync-per-record journal the figure binaries use) under
+//!   fsync-per-record journal `tcmp-fig` uses) under
 //!   `<root>/campaigns/<id>/`. A service killed at any instant —
 //!   SIGKILL included — replays every campaign on restart and re-queues
 //!   exactly the unfinished cells; the resumed CSVs are bit-identical
@@ -110,7 +110,7 @@ struct QueueState {
 /// One campaign as the service holds it: where it lives and who is
 /// listening. What its request *means* is its [`CampaignPlan`] and how
 /// far it has got is its [`SweepState`] — the same two things the
-/// figure binaries' local run is made of.
+/// `tcmp-fig`'s local run is made of.
 pub struct Campaign {
     pub id: String,
     plan: CampaignPlan,
@@ -167,7 +167,7 @@ impl Campaign {
     }
 
     /// The provenance line stamped into this campaign's CSVs
-    /// (identical to the figure binaries' stamp for the same sweep).
+    /// (identical to `tcmp-fig`'s stamp for the same sweep).
     pub fn stamp(&self) -> String {
         self.plan.stamp()
     }
@@ -243,10 +243,10 @@ impl Campaign {
     /// a resume that finds everything already done rewrites the same
     /// bytes.
     fn finalize(&self) {
-        let mut results: Vec<SimResult> = Vec::new();
+        let mut rows: Vec<Option<SimResult>> = vec![None; self.cells()];
         self.run
-            .for_each_outcome(|_, outcome| results.extend(outcome.as_ref().ok().cloned()));
-        for (suffix, table) in self.plan.render(&results) {
+            .for_each_outcome(|index, outcome| rows[index] = outcome.as_ref().ok().cloned());
+        for (suffix, table) in self.plan.render(&rows) {
             let file = format!("results.{suffix}");
             if let Err(e) =
                 table.write_csv_stamped_on(&self.fs, self.dir.join(&file), &self.stamp())
@@ -576,7 +576,7 @@ impl Service {
         // campaign's last outcome emits `CampaignDone` only after every
         // other cell's event is out.
         let last = c.run.run_cell(
-            &c.plan.cmp,
+            &c.plan.machines[index],
             index,
             &c.plan.policy,
             cache,

@@ -40,7 +40,7 @@ cargo test -q --release --test determinism_golden \
 cargo test -q --release --test directory_equivalence
 
 echo "== 16x16 sparse-directory smoke (proposal vs baseline, wall deadline)"
-timeout 300 target/release/sensitivity_mesh \
+timeout 300 target/release/tcmp-fig sensitivity \
     --app FFT --side 16 --directory sparse --scale 0.002 --seed 1025041 >/dev/null || {
     echo "16x16 sparse smoke: failed or blew the 300 s wall deadline"; exit 1; }
 echo "16x16 sparse smoke: completed under the deadline"
@@ -87,12 +87,12 @@ cargo run -q --release -p cmp-bench --bin fault_campaign -- \
 echo "== kill-and-resume smoke (SIGKILL mid-sweep, resume, diff CSVs)"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/tcmp-killsmoke-XXXXXX")"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
-FIG6="target/release/fig6_exec_time_ed2p"
+FIG6=(target/release/tcmp-fig fig6)
 FIG6_ARGS=(--scale 0.002 --app FFT --app MP3D --no-perfect --seed 1025041 --jobs 2)
 # reference: one uninterrupted journaled sweep
-"$FIG6" "${FIG6_ARGS[@]}" --out "$SMOKE_DIR/ref" --csv "$SMOKE_DIR/ref.csv" >/dev/null 2>&1
+"${FIG6[@]}" "${FIG6_ARGS[@]}" --out "$SMOKE_DIR/ref" --csv "$SMOKE_DIR/ref.csv" >/dev/null 2>&1
 # victim: start the same sweep, SIGKILL it mid-flight, then resume
-"$FIG6" "${FIG6_ARGS[@]}" --out "$SMOKE_DIR/victim" >/dev/null 2>&1 &
+"${FIG6[@]}" "${FIG6_ARGS[@]}" --out "$SMOKE_DIR/victim" >/dev/null 2>&1 &
 VICTIM_PID=$!
 # wait for the journal to hold at least one finished cell, then kill -9
 for _ in $(seq 1 200); do
@@ -103,7 +103,7 @@ kill -9 "$VICTIM_PID" 2>/dev/null || true
 wait "$VICTIM_PID" 2>/dev/null || true
 test -s "$SMOKE_DIR/victim/journal.jsonl" || {
     echo "kill-and-resume smoke: victim never journaled a cell"; exit 1; }
-"$FIG6" "${FIG6_ARGS[@]}" --resume "$SMOKE_DIR/victim" --csv "$SMOKE_DIR/resumed.csv" \
+"${FIG6[@]}" "${FIG6_ARGS[@]}" --resume "$SMOKE_DIR/victim" --csv "$SMOKE_DIR/resumed.csv" \
     >/dev/null 2>&1
 # the resumed sweep must reproduce the reference CSVs byte-for-byte
 # (modulo the provenance stamp line, which embeds the git SHA)
@@ -113,6 +113,20 @@ for suffix in exec_time.csv link_ed2p.csv; do
         echo "kill-and-resume smoke: resumed $suffix differs from reference"; exit 1; }
 done
 echo "kill-and-resume smoke: resumed CSVs are bit-identical"
+
+echo "== every-figure smoke (tcmp-fig all: each table and figure into its own directory)"
+ALL_DIR="$SMOKE_DIR/all"
+target/release/tcmp-fig all --scale 0.002 --app FFT --jobs 2 --out "$ALL_DIR" >/dev/null 2>&1 || {
+    echo "every-figure smoke: tcmp-fig all failed"; exit 1; }
+for f in table1/results.csv table2/results.csv table3/results.csv \
+         fig2/results.coverage.csv fig5/results.breakdown.csv \
+         fig6/results.exec_time.csv fig6/results.link_ed2p.csv fig7/results.chip_ed2p.csv \
+         ablation/results.ablation.csv sensitivity/results.sensitivity.csv; do
+    for g in "$f" "$(dirname "$f")/results.md"; do
+        test -s "$ALL_DIR/$g" || { echo "every-figure smoke: $g missing"; exit 1; }
+    done
+done
+echo "every-figure smoke: every table and figure written"
 
 echo "== tcmp-serve smoke (submit over the socket, SIGKILL the daemon, restart, diff CSVs)"
 SERVE="target/release/tcmp-serve"
@@ -137,18 +151,18 @@ REF_PID=$!
 wait_for 10 test -S "$SOCK_REF" || {
     echo "tcmp-serve smoke: reference daemon never bound its socket"
     cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
-"$FIG6" "${SUBMIT_ARGS[@]}" --submit "$SOCK_REF" >/dev/null 2>&1 || {
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_REF" >/dev/null 2>&1 || {
     echo "tcmp-serve smoke: reference campaign failed"
     cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
 # both doors, one meaning: the same flags run locally must write the
 # daemon's CSVs byte for byte — provenance stamp included, so whole
 # files are compared — under full-map (c0001) and under --directory
 # sparse (c0002), which the local door once dropped
-"$FIG6" "${SUBMIT_ARGS[@]}" --directory sparse --submit "$SOCK_REF" >/dev/null 2>&1 || {
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --directory sparse --submit "$SOCK_REF" >/dev/null 2>&1 || {
     echo "tcmp-serve smoke: sparse reference campaign failed"
     cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
-"$FIG6" "${SUBMIT_ARGS[@]}" --csv "$SMOKE_DIR/local-full.csv" >/dev/null 2>&1 &&
-"$FIG6" "${SUBMIT_ARGS[@]}" --directory sparse --csv "$SMOKE_DIR/local-sparse.csv" >/dev/null 2>&1 || {
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --csv "$SMOKE_DIR/local-full.csv" >/dev/null 2>&1 &&
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --directory sparse --csv "$SMOKE_DIR/local-sparse.csv" >/dev/null 2>&1 || {
     echo "tcmp-serve smoke: the local run of the reference request failed"; exit 1; }
 for suffix in exec_time.csv link_ed2p.csv; do
     cmp "$SMOKE_DIR/local-full.csv.$suffix" "$SERVE_REF/campaigns/c0001/results.$suffix" &&
@@ -172,7 +186,7 @@ KILL_PID=$!
 wait_for 10 test -S "$SOCK_KILL" || {
     echo "tcmp-serve smoke: victim daemon never bound its socket"
     cat "$SMOKE_DIR/serve-kill.log"; exit 1; }
-"$FIG6" "${SUBMIT_ARGS[@]}" --submit "$SOCK_KILL" >/dev/null 2>&1 &
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_KILL" >/dev/null 2>&1 &
 CLIENT_PID=$!
 wait_for 30 grep -q '"finish"' "$SERVE_KILL/campaigns/c0001/journal.jsonl" || {
     echo "tcmp-serve smoke: victim daemon never journaled a cell"
@@ -221,7 +235,7 @@ for _ in $(seq 1 8); do
     wait_for 10 test -S "$SOCK_DISK" || {
         echo "disk-tier smoke: daemon never bound its socket"
         cat "$SMOKE_DIR/serve-disk.log"; exit 1; }
-    "$FIG6" "${SUBMIT_ARGS[@]}" --submit "$SOCK_DISK" >/dev/null 2>&1 &
+    "${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_DISK" >/dev/null 2>&1 &
     DISK_CLIENT=$!
     DISK_DEADLINE=$(( SECONDS + 60 ))
     # an unmatched glob stays one literal word, so two words = two files
@@ -276,7 +290,7 @@ DISK_PID=$!
 wait_for 10 test -S "$SOCK_DISK" || {
     echo "disk-tier smoke: warm daemon never bound its socket"
     cat "$SMOKE_DIR/serve-disk.log"; exit 1; }
-"$FIG6" "${SUBMIT_ARGS[@]}" --submit "$SOCK_DISK" \
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_DISK" \
     >/dev/null 2>"$SMOKE_DIR/disk-warm-client.log" || {
     echo "disk-tier smoke: warm campaign failed"
     cat "$SMOKE_DIR/disk-warm-client.log"; exit 1; }
