@@ -41,6 +41,8 @@
 //! * [`units`] — thin newtypes for the physical quantities that cross crate
 //!   boundaries (picoseconds, watts, square millimetres, joules).
 
+#![forbid(unsafe_code)]
+
 pub mod addrmap;
 pub mod config;
 pub mod fault;

@@ -11,14 +11,14 @@
 //! simulator and keeps the implementation free of drop bookkeeping.
 
 use std::fmt;
-use std::mem::MaybeUninit;
 use std::ops::{Deref, DerefMut};
 
 /// A vector of `Copy` elements with inline storage for the first `N`.
 pub struct SmallVec<T: Copy, const N: usize> {
-    /// Number of initialized inline elements (0 once spilled).
+    /// Number of live inline elements (0 once spilled).
     inline_len: usize,
-    inline: [MaybeUninit<T>; N],
+    /// Inline storage, filled with copies of the first element pushed.
+    inline: Option<[T; N]>,
     /// Heap storage; once non-empty it holds *all* elements.
     spill: Vec<T>,
 }
@@ -29,7 +29,7 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
     pub fn new() -> Self {
         SmallVec {
             inline_len: 0,
-            inline: [MaybeUninit::uninit(); N],
+            inline: None,
             spill: Vec::new(),
         }
     }
@@ -61,7 +61,10 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
     pub fn push(&mut self, value: T) {
         if self.spill.is_empty() {
             if self.inline_len < N {
-                self.inline[self.inline_len].write(value);
+                match &mut self.inline {
+                    Some(inline) => inline[self.inline_len] = value,
+                    None => self.inline = Some([value; N]),
+                }
                 self.inline_len += 1;
                 return;
             }
@@ -96,9 +99,9 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         if self.spill.is_empty() {
-            // SAFETY: the first `inline_len` elements are initialized.
-            unsafe {
-                std::slice::from_raw_parts_mut(self.inline.as_mut_ptr() as *mut T, self.inline_len)
+            match &mut self.inline {
+                Some(inline) => &mut inline[..self.inline_len],
+                None => &mut [],
             }
         } else {
             &mut self.spill
@@ -107,8 +110,10 @@ impl<T: Copy, const N: usize> SmallVec<T, N> {
 
     #[inline]
     fn as_inline_slice(&self) -> &[T] {
-        // SAFETY: the first `inline_len` elements are initialized.
-        unsafe { std::slice::from_raw_parts(self.inline.as_ptr() as *const T, self.inline_len) }
+        match &self.inline {
+            Some(inline) => &inline[..self.inline_len],
+            None => &[],
+        }
     }
 }
 

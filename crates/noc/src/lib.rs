@@ -30,6 +30,8 @@
 //! collect delivered messages. `next_event_cycle` supports the idle
 //! fast-forward of the full-system simulator.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod energy;
 pub mod message;

@@ -39,7 +39,7 @@ use cmp_common::units::Joules;
 use crate::config::ChannelSpec;
 use crate::energy::{NocEnergy, RouterEnergyModel};
 use crate::message::{Delivered, Message};
-use crate::router::{Flit, RouterArray, LOCAL, PORTS};
+use crate::router::{Flit, RouterArray, LOCAL, NO_OUT, NO_ROUTE, PORTS};
 use crate::stats::NocStats;
 
 /// An in-flight message: payload parked while its flits traverse the mesh.
@@ -317,9 +317,8 @@ impl<P> SubNet<P> {
     /// with that output port and readies the router.
     fn arm_vc(&mut self, tile: usize, fvc: usize) {
         let f = self.routers.vc_index(tile, 0, 0) + fvc;
-        let out = match self.routers.route(f) {
-            Some(port) => port,
-            None => {
+        let out = match self.routers.inputs[f].route {
+            NO_ROUTE => {
                 let dst = self
                     .routers
                     .front(f)
@@ -327,9 +326,10 @@ impl<P> SubNet<P> {
                     .flit
                     .dst;
                 let port = self.route_port(tile, dst as usize);
-                self.routers.set_route(f, port);
+                self.routers.inputs[f].route = port as u8;
                 port
             }
+            port => port as usize,
         };
         self.req[tile * PORTS + out] |= 1 << fvc;
         self.out_req[tile] |= 1 << out;
@@ -446,7 +446,7 @@ impl<P> SubNet<P> {
                 while bits != 0 {
                     let fin = base_tile + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    sound &= self.routers.route(fin) == Some(out)
+                    sound &= self.routers.inputs[fin].route as usize == out
                         && self
                             .routers
                             .front(fin)
@@ -494,7 +494,9 @@ impl<P> SubNet<P> {
             let base = self.routers.vc_index(tile, LOCAL, 0);
             let vc = (0..self.spec.virtual_channels)
                 .filter(|&v| self.routers.has_space(base + v))
-                .max_by_key(|&v| self.routers.capacity() - self.routers.vc_len(base + v));
+                .max_by_key(|&v| {
+                    self.routers.capacity() - self.routers.inputs[base + v].len as usize
+                });
             let Some(vc) = vc else { return };
             self.inj_queues[tile].pop_front();
             self.inj_progress[tile] = Some(InjProgress {
@@ -519,7 +521,7 @@ impl<P> SubNet<P> {
             tail: p.next_seq + 1 == entry.flits_total,
         };
         self.routers.push(f, flit, now);
-        if self.routers.vc_len(f) == 1 {
+        if self.routers.inputs[f].len == 1 {
             let fvc = LOCAL * self.spec.virtual_channels + p.vc;
             self.schedule_head(tile, fvc, now + self.pipeline_wait, now);
         }
@@ -561,15 +563,15 @@ impl<P> SubNet<P> {
     /// provided a downstream buffer slot (credit) is left.
     #[inline]
     fn grantable_out_vc(&self, fin: usize, group: usize) -> Option<usize> {
-        let ovc = match self.routers.out_vc(fin) {
-            Some(v) => v,
-            None => match self.routers.free_out_vcs(group) {
+        let ovc = match self.routers.inputs[fin].out_vc {
+            NO_OUT => match self.routers.ports[group].ovc_free {
                 0 => return None,
                 free => free.trailing_zeros() as usize,
             },
+            v => v as usize,
         };
         let fout = group * self.spec.virtual_channels + ovc;
-        (self.routers.credits(fout) != 0).then_some(ovc)
+        (self.routers.outputs[fout].credits != 0).then_some(ovc)
     }
 
     /// Switch allocation and traversal at one router (see
@@ -609,7 +611,7 @@ impl<P> SubNet<P> {
             // --- round-robin selection among this port's requests ---
             // The first request at or after the pointer that can be
             // granted, wrapping to the ones below it.
-            let below_start = (1u32 << self.routers.rr(tile, out_idx)) - 1;
+            let below_start = (1u32 << self.routers.ports[group].rr) - 1;
             let mut grant: Option<(usize, usize)> = None; // (input flat VC, out_vc)
             'scan: for mut half in [requests & !below_start, requests & below_start] {
                 while half != 0 {
@@ -628,12 +630,8 @@ impl<P> SubNet<P> {
             };
             let in_port = self.flat_port[fvc] as usize;
             let in_vc = fvc - in_port * nvc;
-            let next_rr = fvc + 1;
-            self.routers.set_rr(
-                tile,
-                out_idx,
-                if next_rr == candidates { 0 } else { next_rr },
-            );
+            let next_rr = if fvc + 1 == candidates { 0 } else { fvc + 1 };
+            self.routers.ports[group].rr = next_rr as u32;
             used_inputs |= port_vcs << (in_port * nvc);
             let fin = base_tile + fvc;
             let flit = self.routers.pop_after_traversal(fin).flit;
@@ -642,7 +640,7 @@ impl<P> SubNet<P> {
             // and free it in this same grant, so it touches neither.
             match (flit.is_head(), flit.tail) {
                 (true, false) => {
-                    self.routers.set_out_vc(fin, ovc);
+                    self.routers.inputs[fin].out_vc = ovc as u8;
                     self.routers.claim_out_vc(group, ovc, (in_port, in_vc));
                 }
                 (false, true) => self.routers.release_out_vc(group, ovc),
@@ -675,15 +673,15 @@ impl<P> SubNet<P> {
             if in_port != LOCAL {
                 let upstream = self.neighbors[tile][in_port] as usize;
                 debug_assert_ne!(upstream, u32::MAX as usize, "flit from a real neighbor");
-                let up_out = OPPOSITE[in_port];
-                let fu = self.routers.vc_index(upstream, up_out, in_vc);
+                let up_group = upstream * PORTS + OPPOSITE[in_port];
+                let fu = up_group * nvc + in_vc;
                 // A 0→1 credit transition can unblock a parked upstream
                 // router, and only through a request for that output:
                 // ready it (a later-indexed upstream still acts this
                 // very cycle, exactly like the full scan). A return
                 // onto a non-empty credit pool cannot change any
                 // arbitration outcome.
-                if self.routers.credits(fu) == 0 && self.req[upstream * PORTS + up_out] != 0 {
+                if self.routers.outputs[fu].credits == 0 && self.req[up_group] != 0 {
                     set_bit(&mut self.router_ready, upstream);
                 }
                 self.routers.add_credit(fu);
@@ -720,7 +718,7 @@ impl<P> SubNet<P> {
                 let fvc_down = OPPOSITE[out_idx] * nvc + ovc;
                 let f_down = self.routers.vc_index(downstream, 0, 0) + fvc_down;
                 let arrives = now + self.link_cycles;
-                let exposed = self.routers.vc_len(f_down) == 0;
+                let exposed = self.routers.inputs[f_down].len == 0;
                 self.routers.push(f_down, flit, arrives);
                 if exposed {
                     self.schedule_head(downstream, fvc_down, arrives + self.pipeline_wait, now);
@@ -966,7 +964,7 @@ impl<P: Persist> PersistState for SubNet<P> {
             let base_tile = self.routers.vc_index(tile, 0, 0);
             let (mut occupied, mut buffered) = (0u32, 0usize);
             for fvc in 0..PORTS * nvc {
-                let len = self.routers.vc_len(base_tile + fvc);
+                let len = self.routers.inputs[base_tile + fvc].len as usize;
                 occupied |= u32::from(len > 0) << fvc;
                 buffered += len;
             }
@@ -1134,12 +1132,13 @@ impl<P> SubNet<P> {
         for (tile, ups) in self.neighbors.iter().enumerate() {
             for (port, &up) in ups.iter().enumerate() {
                 for vc in 0..self.spec.virtual_channels {
-                    let held = self.routers.vc_len(self.routers.vc_index(tile, port, vc));
+                    let held =
+                        self.routers.inputs[self.routers.vc_index(tile, port, vc)].len as usize;
                     let conserved = match up {
                         u32::MAX => held == 0,
                         up => {
                             let fu = self.routers.vc_index(up as usize, OPPOSITE[port], vc);
-                            self.routers.credits(fu) + held == depth
+                            self.routers.outputs[fu].credits as usize + held == depth
                         }
                     };
                     if !conserved {
@@ -1611,7 +1610,7 @@ mod tests {
     /// Flits of `net` stamped after its clock: on a link.
     fn on_links(net: &SubNet<u64>) -> usize {
         (0..VCS)
-            .map(|f| net.routers.vc_len(f) - net.routers.arrived_len(f, net.clock))
+            .map(|f| net.routers.inputs[f].len as usize - net.routers.arrived_len(f, net.clock))
             .sum()
     }
 
@@ -1922,11 +1921,11 @@ mod tests {
         // whole credit pool upstream
         let (tile, port, vc) = (0..16)
             .flat_map(|t| (0..LOCAL).flat_map(move |p| (0..4).map(move |v| (t, p, v))))
-            .find(|&(t, p, v)| net.routers.vc_len(net.routers.vc_index(t, p, v)) > 0)
+            .find(|&(t, p, v)| net.routers.inputs[net.routers.vc_index(t, p, v)].len > 0)
             .expect("a busy link VC");
         let up = net.neighbors[tile][port] as usize;
         let fu = net.routers.vc_index(up, OPPOSITE[port], vc);
-        while net.routers.credits(fu) < depth {
+        while (net.routers.outputs[fu].credits as usize) < depth {
             net.routers.add_credit(fu);
         }
         let err = load_error(&net);

@@ -30,6 +30,8 @@
 //! pool and campaigns, [`daemon`]/[`client`] the Unix-socket transport
 //! (Unix only), and [`wire`] the line framing.
 
+#![forbid(unsafe_code)]
+
 #[cfg(unix)]
 pub mod client;
 #[cfg(unix)]

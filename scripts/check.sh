@@ -7,6 +7,23 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check"
 cargo fmt --check
 
+echo "== unsafe gate (every library root forbids unsafe_code; the signal FFI is the one exception)"
+# A crate root without the attribute could grow unsafe silently, so the
+# attribute is required of every one, new crates included.
+for lib in crates/*/src/lib.rs src/lib.rs; do
+    grep -qx '#!\[forbid(unsafe_code)\]' "$lib" || {
+        echo "unsafe gate: $lib lacks #![forbid(unsafe_code)]"; exit 1; }
+done
+STRAY_UNSAFE=$(grep -rn '\bunsafe\b' --include=*.rs crates src tests |
+    grep -v ':#!\[forbid(unsafe_code)\]$' |
+    grep -v '^crates/serve/src/bin/tcmp-serve\.rs:' || true)
+if [ -n "$STRAY_UNSAFE" ]; then
+    echo "unsafe gate: unsafe outside crates/serve/src/bin/tcmp-serve.rs:"
+    echo "$STRAY_UNSAFE"
+    exit 1
+fi
+echo "unsafe gate: every library root forbids unsafe_code; only the signal FFI uses it"
+
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 

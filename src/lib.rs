@@ -44,6 +44,8 @@
 //! assert!(prop.cycles <= base.cycles);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use addr_compression as compression;
 pub use cmp_common as common;
 pub use coherence;
