@@ -421,8 +421,7 @@ fn run_fs_fault_campaigns(app: &AppProfile, args: &Args, scale: f64) -> (Vec<Str
                 .map_err(|e| format!("store open: {e}"))?;
             store.store(&key, &good);
 
-            // Load it back the way a restarted daemon (empty memory
-            // tier) would.
+            // Load it back the way a daemon warm-starting a cell would.
             let mut loaded = good.clone();
             let verdict: Result<&'static str, String> = match store.load_into(&key, &mut loaded) {
                 DiskLoad::Hit if loaded.save_bytes() == good.save_bytes() => Ok("warm-ok"),

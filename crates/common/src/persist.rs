@@ -1,9 +1,9 @@
 //! Panic-free binary state codec: the one description of captured
 //! machine state.
 //!
-//! A whole-machine snapshot *is* its encoded bytes — in-memory rewind,
-//! the checkpoint cache's memory tier and its disk tier all hold the
-//! same thing, so a component describes its mutable state exactly once,
+//! A whole-machine snapshot *is* its encoded bytes — in-memory rewind
+//! and the checkpoint store on disk hold the same thing, so a
+//! component describes its mutable state exactly once,
 //! here. This module is the byte layer: a little-endian,
 //! length-prefixed encoding with a bounds-checked reader whose every
 //! decode path returns a structured [`PersistError`] — corrupt or

@@ -1,14 +1,13 @@
-//! Content-addressed, self-verifying cache of warm-start checkpoints,
-//! with an optional durable disk tier.
+//! Content-addressed, self-verifying store of warm-start checkpoints.
 //!
 //! Every cell of a figure matrix begins with the same cold-start
 //! transient for a given (machine, app, seed, scale) tuple: caches
-//! filling, codecs training, cores marching to the first barrier. A
-//! [`CheckpointCache`] simulates that prefix once, stores the
-//! [`MachineSnapshot`] under a key derived from the *full* run
-//! configuration, and fast-forwards every later run sharing the prefix
-//! — repeated submissions of a figure, or a fig6 and a fig7 campaign
-//! over the same specs, skip straight to the warm point.
+//! filling, codecs training, cores marching to the first barrier. The
+//! first run to reach the warm point stores its [`MachineSnapshot`] in
+//! a [`DiskStore`] under a key derived from the *full* run
+//! configuration, and every later run sharing the prefix — repeated
+//! submissions of a figure, a fig6 and a fig7 campaign over the same
+//! specs, a restarted service — skips straight to the warm point.
 //!
 //! Robustness is the design driver, in the spirit of compressed caches
 //! that carry integrity metadata so a decode failure falls back to the
@@ -19,36 +18,26 @@
 //!   scheme, fault campaign, sanitizer, watchdog — everything that
 //!   shapes the prefix) plus the app, seed and scale. Two runs get the
 //!   same checkpoint only if their prefixes are provably the same
-//!   simulation.
+//!   simulation. The file name is derived from the key, so two
+//!   campaigns (or two service lifetimes) share one file.
 //! * **Verified at load.** A snapshot carries the checksum of its own
 //!   header and state ([`MachineSnapshot::digest`], recorded at
-//!   capture); [`CheckpointCache::load`] recomputes it in whichever
-//!   tier the checkpoint is found. A mismatch — a torn, bit-rotted or
-//!   deliberately corrupted checkpoint — quarantines the entry
-//!   (removed, counted in [`CacheStats::quarantined`]) and returns
-//!   [`CacheLoad::Quarantined`], so the cell transparently falls back
-//!   to a fresh simulation rather than producing wrong numbers.
-//! * **Bounded.** At most `capacity` checkpoints are held; beyond that
-//!   the oldest stored entry is evicted. A cache can degrade a warm
-//!   start into a fresh one, never grow without bound.
+//!   capture); [`DiskStore::load`] checks the file header and the key
+//!   and recomputes it. A file that fails *any* check — torn,
+//!   truncated, bit-flipped, renamed, from a different key — is moved
+//!   to a bounded quarantine directory (counted in
+//!   [`DiskCounters::quarantined`]) and the load returns
+//!   [`CacheLoad::Quarantined`], so the cell falls back to a fresh
+//!   simulation. Corruption can cost time, never numbers.
+//! * **Durable and bounded.** Files are written atomically (temp file →
+//!   fsync → rename) through the [`cmp_common::fsx`] seam and evicted
+//!   oldest-first beyond a byte budget.
 //!
-//! The disk tier ([`DiskStore`]) makes warm starts survive the process:
-//! every in-memory store is written through as a `.ckpt` file whose
-//! name is derived from the warm key, so a restarted service — or a
-//! *different* campaign sharing a cell's configuration — finds the
-//! prefix already simulated. Both tiers hold the same thing — a
-//! [`MachineSnapshot`], which is its own bytes — so a disk hit is
-//! promoted to memory by moving a value. Files carry a header (magic,
-//! version, store sequence, warm cycle, key fingerprint) in front of
-//! the self-checksummed snapshot and are written atomically (temp file
-//! → fsync → rename)
-//! through the [`cmp_common::fsx`] seam; a file that fails *any* check
-//! at load — torn, truncated, bit-flipped, renamed, from a different
-//! key — is moved to a bounded quarantine directory and the run falls
-//! back to a fresh simulation. Corruption can cost time, never numbers.
+//! The store is the only tier: loading a page-cached file costs within
+//! a tenth of a millisecond of copying a snapshot held in memory, on
+//! cells that run for tens of milliseconds.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -59,216 +48,20 @@ use cmp_common::types::Cycle;
 
 use crate::engine::MachineSnapshot;
 
-/// Cache key: (configuration fingerprint, warm-point cycle). Built by
+/// Store key: (configuration fingerprint, warm-point cycle). Built by
 /// [`crate::supervisor::warm_key`].
 pub type WarmKey = (String, Cycle);
 
-/// Outcome of a cache lookup.
+/// Outcome of [`DiskStore::load`].
 pub enum CacheLoad {
     /// A checkpoint whose checksum verified; restore it and go.
     Hit(Box<MachineSnapshot>),
-    /// Nothing cached under this key.
+    /// Nothing stored under this key.
     Miss,
-    /// A checkpoint was cached but failed verification: it has been
-    /// removed and counted; the caller must simulate fresh.
+    /// A checkpoint was stored but failed verification: it has been
+    /// quarantined and counted; the caller must simulate fresh.
     Quarantined,
 }
-
-/// Lifetime counters of one cache (the merged warm-start view across
-/// the memory and disk tiers; [`DiskCounters`] break down the disk
-/// tier's own operations).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Checkpoints stored.
-    pub stores: u64,
-    /// Loads that verified and fast-forwarded a run (memory or disk).
-    pub hits: u64,
-    /// Loads that found nothing in either tier.
-    pub misses: u64,
-    /// Loads that found a corrupt checkpoint and removed it.
-    pub quarantined: u64,
-    /// Stores that pushed out the oldest entry.
-    pub evicted: u64,
-}
-
-struct Inner {
-    map: HashMap<WarmKey, MachineSnapshot>,
-    /// Store order, oldest first (eviction order).
-    order: VecDeque<WarmKey>,
-    capacity: usize,
-    stats: CacheStats,
-}
-
-impl Inner {
-    fn insert_bounded(&mut self, key: WarmKey, snap: MachineSnapshot) {
-        self.map.insert(key.clone(), snap);
-        self.order.push_back(key);
-        while self.map.len() > self.capacity {
-            // order can hold keys already quarantined away; skip those.
-            match self.order.pop_front() {
-                Some(old) => {
-                    if self.map.remove(&old).is_some() {
-                        self.stats.evicted += 1;
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-}
-
-/// A shared, thread-safe checkpoint cache. One per service (or matrix
-/// driver); workers call [`CheckpointCache::load`] /
-/// [`CheckpointCache::store`] concurrently. With a disk tier attached
-/// ([`CheckpointCache::with_disk`]) every store is written through to
-/// disk and a memory miss probes the disk before giving up.
-pub struct CheckpointCache {
-    inner: Mutex<Inner>,
-    disk: Option<DiskStore>,
-}
-
-impl CheckpointCache {
-    /// A memory-only cache holding at most `capacity` checkpoints
-    /// (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        CheckpointCache {
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                order: VecDeque::new(),
-                capacity: capacity.max(1),
-                stats: CacheStats::default(),
-            }),
-            disk: None,
-        }
-    }
-
-    /// A cache backed by `disk`: stores write through, memory misses
-    /// probe the disk.
-    pub fn with_disk(capacity: usize, disk: DiskStore) -> Self {
-        let mut cache = CheckpointCache::new(capacity);
-        cache.disk = Some(disk);
-        cache
-    }
-
-    /// The disk tier, when one is attached.
-    pub fn disk(&self) -> Option<&DiskStore> {
-        self.disk.as_ref()
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Store `snap` under `key`. A key already present keeps its
-    /// existing entry (the first simulation of a prefix wins; both are
-    /// bit-identical by construction). Evicts the oldest entry beyond
-    /// capacity. With a disk tier the snapshot is spilled to disk first
-    /// (write-through); a spill failure is counted and logged but never
-    /// fails the store — the memory tier still serves this process.
-    pub fn store(&self, key: WarmKey, snap: MachineSnapshot) {
-        if let Some(disk) = &self.disk {
-            disk.store(&key, &snap);
-        }
-        let mut inner = self.lock();
-        if inner.map.contains_key(&key) {
-            return;
-        }
-        inner.stats.stores += 1;
-        inner.insert_bounded(key, snap);
-    }
-
-    /// Look up `key`, memory tier first, then the disk tier when one is
-    /// attached; a disk hit is promoted into memory for later sharers.
-    /// Whichever tier answers verifies the snapshot's checksum before
-    /// handing it out: a failure in memory removes the entry, any
-    /// disk-side failure (torn, bit-flipped, wrong key, unreadable)
-    /// quarantines the file, and both report
-    /// [`CacheLoad::Quarantined`]. Never panics, never returns
-    /// unverified state.
-    pub fn load(&self, key: &WarmKey) -> CacheLoad {
-        {
-            let mut inner = self.lock();
-            if let Some(snap) = inner.map.get(key) {
-                if snap.verify().is_err() {
-                    inner.map.remove(key);
-                    inner.stats.quarantined += 1;
-                    return CacheLoad::Quarantined;
-                }
-                let snap = Box::new(snap.clone());
-                inner.stats.hits += 1;
-                return CacheLoad::Hit(snap);
-            }
-        }
-        // Reading and checksumming the file happen outside the memory
-        // lock (the disk store has its own).
-        let outcome = match &self.disk {
-            Some(disk) if disk.contains(key) => disk.load(key),
-            _ => CacheLoad::Miss,
-        };
-        let mut inner = self.lock();
-        match &outcome {
-            CacheLoad::Hit(snap) => {
-                inner.stats.hits += 1;
-                if !inner.map.contains_key(key) {
-                    inner.insert_bounded(key.clone(), (**snap).clone());
-                }
-            }
-            CacheLoad::Miss => inner.stats.misses += 1,
-            CacheLoad::Quarantined => inner.stats.quarantined += 1,
-        }
-        outcome
-    }
-
-    /// Throw out the checkpoint under `key` in both tiers, counted like
-    /// a load-time quarantine: the caller was handed it as a verified
-    /// hit and it still would not restore
-    /// ([`crate::supervisor::run_supervised_cached`]).
-    pub(crate) fn quarantine(&self, key: &WarmKey, reason: &str) {
-        {
-            let mut inner = self.lock();
-            inner.map.remove(key);
-            inner.stats.quarantined += 1;
-        }
-        if let Some(disk) = self.disk.as_ref().filter(|d| d.contains(key)) {
-            disk.quarantine_key(key, reason);
-        }
-    }
-
-    /// Lifetime counters.
-    pub fn stats(&self) -> CacheStats {
-        self.lock().stats
-    }
-
-    /// Checkpoints currently held in memory.
-    pub fn len(&self) -> usize {
-        self.lock().map.len()
-    }
-
-    /// True when no checkpoints are held in memory.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Deliberately corrupt the checkpoint stored under `key` (via
-    /// [`MachineSnapshot::fault_corrupt`]), so the next load exercises
-    /// the quarantine path. Returns whether an entry was there to
-    /// corrupt. Test and campaign hook; never called on the clean path.
-    #[doc(hidden)]
-    pub fn fault_corrupt(&self, key: &WarmKey) -> bool {
-        let mut inner = self.lock();
-        match inner.map.get_mut(key) {
-            Some(snap) => {
-                snap.fault_corrupt();
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Disk tier
-// ---------------------------------------------------------------------------
 
 /// `"TCKP"` as a little-endian `u32`.
 const MAGIC: u32 = u32::from_le_bytes(*b"TCKP");
@@ -318,11 +111,12 @@ pub enum DiskLoad {
 pub struct DiskCounters {
     /// Checkpoint files written (tmp → fsync → rename completed).
     pub stores: u64,
-    /// Stores skipped because the key's file was already resident —
-    /// cross-campaign (and cross-restart) dedup by warm key.
+    /// Stores skipped because the key's file was already resident or
+    /// being written — cross-campaign (and cross-restart) dedup by warm
+    /// key.
     pub dedup_skips: u64,
     /// Spill attempts that failed (torn write, ENOSPC, rename crash);
-    /// the run continues from memory, the tmp residue is removed.
+    /// the run continues unaffected, the tmp residue is removed.
     pub store_errors: u64,
     /// Loads that verified end-to-end and returned a snapshot.
     pub hits: u64,
@@ -346,6 +140,9 @@ struct DiskEntry {
 
 struct DiskInner {
     index: HashMap<WarmKey, DiskEntry>,
+    /// Keys whose spill is in flight, reserved by the store that checked
+    /// them so a concurrent store of the same key is a dedup skip.
+    spilling: HashSet<WarmKey>,
     /// Store order by sequence number, oldest first.
     order: VecDeque<WarmKey>,
     next_seq: u64,
@@ -358,7 +155,7 @@ struct DiskInner {
     quarantine_warned: bool,
 }
 
-/// The durable checkpoint tier: content-addressed `.ckpt` files under
+/// The checkpoint store: content-addressed `.ckpt` files under
 /// one root directory, written atomically through the
 /// [`cmp_common::fsx`] seam, verified exhaustively at load, quarantined
 /// (bounded) on any mismatch, evicted FIFO under a byte budget.
@@ -466,6 +263,7 @@ impl DiskStore {
             cfg,
             inner: Mutex::new(DiskInner {
                 index: HashMap::new(),
+                spilling: HashSet::new(),
                 order: VecDeque::new(),
                 next_seq: 1,
                 resident_bytes: 0,
@@ -576,21 +374,20 @@ impl DiskStore {
 
     /// Spill `snap` under `key`: encode, write to a temp file, fsync,
     /// rename into place, then evict the oldest files beyond the byte
-    /// budget. A key already resident is a dedup skip (first simulation
-    /// of a configuration wins — across campaigns and restarts). Any
-    /// write-path failure removes the temp residue, counts a store
-    /// error and logs loudly; the caller's run is never failed by a
-    /// spill.
+    /// budget. A key already resident or being spilled is a dedup skip
+    /// (first simulation of a configuration wins — across campaigns,
+    /// concurrent workers and restarts). Any write-path failure removes
+    /// the temp residue, counts a store error and logs loudly; the
+    /// caller's run is never failed by a spill.
     pub fn store(&self, key: &WarmKey, snap: &MachineSnapshot) {
-        {
+        // Check and reserve the key under one lock: two workers missing
+        // the same cell at once must not both spill it.
+        let seq = {
             let mut inner = self.lock();
-            if inner.index.contains_key(key) {
+            if inner.index.contains_key(key) || !inner.spilling.insert(key.clone()) {
                 inner.counters.dedup_skips += 1;
                 return;
             }
-        }
-        let seq = {
-            let mut inner = self.lock();
             let seq = inner.next_seq;
             inner.next_seq += 1;
             seq
@@ -605,9 +402,16 @@ impl DiskStore {
             drop(f);
             self.fs.rename(&tmp, &path)
         })();
+        if spill.is_err() {
+            // Torn/ENOSPC residue must not look like a checkpoint
+            // later; a rename-then-crash leaves a *complete* file
+            // behind that the next scan will adopt — also fine.
+            let _ = self.fs.remove_file(&tmp);
+        }
+        let mut inner = self.lock();
+        inner.spilling.remove(key);
         match spill {
             Ok(()) => {
-                let mut inner = self.lock();
                 inner.counters.stores += 1;
                 inner.resident_bytes += bytes.len() as u64;
                 inner.order.push_back(key.clone());
@@ -621,27 +425,28 @@ impl DiskStore {
                 self.evict_to_budget();
             }
             Err(e) => {
-                // Torn/ENOSPC residue must not look like a checkpoint
-                // later; a rename-then-crash leaves a *complete* file
-                // behind that the next scan will adopt — also fine.
-                let _ = self.fs.remove_file(&tmp);
-                self.lock().counters.store_errors += 1;
+                inner.counters.store_errors += 1;
+                drop(inner);
                 eprintln!(
-                    "checkpoint spill failed for {} (run continues unwarmed on disk): {e}",
+                    "checkpoint spill failed for {} (run continues, nothing stored): {e}",
                     path.display()
                 );
             }
         }
     }
 
-    /// Probe the store for `key`. A hit has passed the file header,
-    /// the key match and the snapshot's checksum; on any verification
-    /// failure the file is quarantined first.
-    pub(crate) fn load(&self, key: &WarmKey) -> CacheLoad {
+    /// Look up `key`. A hit has passed the file header, the key match
+    /// and the snapshot's checksum; on any verification failure
+    /// (torn, bit-flipped, wrong key, unreadable) the file is
+    /// quarantined first. Never panics, never returns unverified state.
+    pub fn load(&self, key: &WarmKey) -> CacheLoad {
         let path = self.path_for(key);
-        if !self.lock().index.contains_key(key) {
-            self.lock().counters.misses += 1;
-            return CacheLoad::Miss;
+        {
+            let mut inner = self.lock();
+            if !inner.index.contains_key(key) {
+                inner.counters.misses += 1;
+                return CacheLoad::Miss;
+            }
         }
         // Reads go through the fault seam: short reads and bit flips
         // land here and must be caught below.
@@ -702,7 +507,11 @@ impl DiskStore {
         }
     }
 
-    fn quarantine_key(&self, key: &WarmKey, reason: &str) {
+    /// Throw out the checkpoint under `key`, counted like a load-time
+    /// quarantine. Loads call it on a failed check, and so does
+    /// [`crate::supervisor::run_supervised_cached`] when a verified hit
+    /// still will not restore.
+    pub fn quarantine_key(&self, key: &WarmKey, reason: &str) {
         let path = self.path_for(key);
         self.forget(key);
         self.lock().counters.quarantined += 1;
@@ -815,5 +624,41 @@ impl DiskStore {
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.root
+    }
+}
+
+/// A verifying in-memory map of snapshots. Nothing in the workspace
+/// uses it: it stays only because the frozen `benchmark/` package times
+/// its `load` for the `core.ckpt_mem_hit_us` ledger row. The next
+/// `benchmark` PR drops it together with that row.
+#[doc(hidden)]
+pub struct CheckpointCache {
+    map: Mutex<HashMap<WarmKey, MachineSnapshot>>,
+}
+
+impl CheckpointCache {
+    /// An empty map; `capacity` is ignored.
+    pub fn new(_capacity: usize) -> Self {
+        CheckpointCache {
+            map: Mutex::new(HashMap::new()),
+        }
+    }
+
+    /// Store `snap` under `key`; a key already present keeps its entry.
+    pub fn store(&self, key: WarmKey, snap: MachineSnapshot) {
+        self.lock().entry(key).or_insert(snap);
+    }
+
+    /// Verify and copy out the snapshot under `key`.
+    pub fn load(&self, key: &WarmKey) -> CacheLoad {
+        match self.lock().get(key) {
+            Some(snap) if snap.verify().is_ok() => CacheLoad::Hit(Box::new(snap.clone())),
+            Some(_) => CacheLoad::Quarantined,
+            None => CacheLoad::Miss,
+        }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<WarmKey, MachineSnapshot>> {
+        self.map.lock().unwrap_or_else(|p| p.into_inner())
     }
 }

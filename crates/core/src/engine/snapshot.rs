@@ -6,8 +6,8 @@
 //! interface), L2 banks, NoC, memory controller, barrier, event
 //! calendar, the engine's cached counters and the robustness layer's
 //! seeded state — and a [`MachineSnapshot`] is that encoding behind a
-//! small header. Rewind, the checkpoint cache and the disk store all
-//! hold the same bytes. Restoring into a simulator built from the same
+//! small header. Rewind and the checkpoint store both hold the same
+//! bytes. Restoring into a simulator built from the same
 //! configuration — fresh, or one that has since run on — reproduces the
 //! exact machine, so the remaining schedule is bit-identical to the
 //! uncheckpointed run's: same cycles, message counts and energy.
@@ -162,7 +162,7 @@ impl MachineSnapshot {
     /// Content digest of the snapshot as it is now: FNV-1a 64 over the
     /// header and every state byte. Recorded at capture and recomputed
     /// by whoever is about to trust the state ([`Engine::try_restore`],
-    /// the checkpoint cache, the disk store), so a checkpoint torn,
+    /// the checkpoint store), so a checkpoint torn,
     /// bit-rotted or deliberately corrupted in between is refused
     /// instead of fast-forwarding a cell into wrong numbers. Not
     /// cryptographic: it guards against corruption, not an adversary.

@@ -28,11 +28,10 @@
 //!   per-cell cycle/wall-clock budgets, retry-with-backoff, forensic
 //!   rewind-and-replay of watchdog aborts, and the journal-backed
 //!   matrix runner whose sweeps resume bit-identically after a kill.
-//! * [`checkpoint`] — the content-addressed, self-verifying cache of
-//!   warm-start [`MachineSnapshot`]s that lets campaigns sharing a
-//!   cold-start prefix skip it, with load-time checksum verification
-//!   quarantining torn or corrupted checkpoints; memory and disk tiers
-//!   hold the same value.
+//! * [`checkpoint`] — the content-addressed, self-verifying store of
+//!   warm-start [`MachineSnapshot`]s on disk that lets campaigns sharing
+//!   a cold-start prefix skip it, with load-time checksum verification
+//!   quarantining torn or corrupted checkpoints.
 
 #![forbid(unsafe_code)]
 
@@ -47,9 +46,7 @@ pub mod supervisor;
 /// What a cell's scheme and link are made of, for crates that configure
 /// cells without linking the model crates.
 pub use addr_compression::CompressionScheme;
-pub use checkpoint::{
-    CacheLoad, CacheStats, CheckpointCache, DiskConfig, DiskCounters, DiskLoad, DiskStore, WarmKey,
-};
+pub use checkpoint::{CacheLoad, DiskConfig, DiskCounters, DiskLoad, DiskStore, WarmKey};
 pub use engine::{MachineSnapshot, RestoreError};
 pub use experiment::{
     figure6_configs, normalize_partial, paper_configs, run_matrix, run_matrix_jobs, ConfigSpec,

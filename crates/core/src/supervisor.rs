@@ -42,7 +42,7 @@ use cmp_common::types::Cycle;
 use coherence::sanitizer::SanitizerConfig;
 use workloads::profile::AppProfile;
 
-use crate::checkpoint::{CacheLoad, CheckpointCache, WarmKey};
+use crate::checkpoint::{CacheLoad, DiskStore, WarmKey};
 use crate::engine::MachineSnapshot;
 use crate::experiment::RunSpec;
 use crate::sim::{CmpSimulator, SimConfig, SimError, SimResult};
@@ -143,19 +143,19 @@ pub fn run_supervised(
 /// How one supervised run crossed (or didn't) its warm-start point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WarmStart {
-    /// No checkpoint cache was offered.
+    /// No checkpoint store was offered.
     Disabled,
-    /// Cache miss: the prefix was simulated fresh and stored for later
+    /// Store miss: the prefix was simulated fresh and stored for later
     /// sharers of the same configuration.
     Stored,
-    /// Cache hit: the run fast-forwarded from a verified checkpoint.
+    /// Store hit: the run fast-forwarded from a verified checkpoint.
     Warmed,
-    /// The cached checkpoint failed verification (or, verified, still
+    /// The stored checkpoint failed verification (or, verified, still
     /// would not restore): it was quarantined and this run simulated
     /// fresh (then re-stored a clean checkpoint under the same key).
     Quarantined,
     /// The run completed before reaching the warm point; nothing was
-    /// cached.
+    /// stored.
     Finished,
 }
 
@@ -184,7 +184,7 @@ impl WarmStart {
     }
 }
 
-/// The checkpoint-cache key for one cell: a fingerprint of everything
+/// The checkpoint-store key for one cell: a fingerprint of everything
 /// that shapes its simulation prefix — the full [`SimConfig`] (machine,
 /// interconnect, scheme, fault campaign, sanitizer, watchdog and cycle
 /// cap, via its `Debug` rendering), the app, the trace seed and the
@@ -199,43 +199,43 @@ pub fn warm_key(cfg: &SimConfig, app: &AppProfile, seed: u64, scale: f64, warm: 
     (fingerprint(&desc), warm)
 }
 
-/// [`run_supervised`] with an optional warm-start checkpoint cache.
+/// [`run_supervised`] with an optional warm-start checkpoint store.
 ///
-/// With `cache = Some((cache, warm_cycles))`, the run first consults
-/// the cache for a checkpoint of its own configuration at the warm
-/// point: a verified hit is decoded straight into the freshly built
-/// simulator (fast-forward); a miss — or a corrupt entry, which is
+/// With `checkpoints = Some((store, warm_cycles))`, the run first
+/// consults the store for a checkpoint of its own configuration at the
+/// warm point: a verified hit is decoded straight into the freshly
+/// built simulator (fast-forward); a miss — or a corrupt file, which is
 /// quarantined — simulates the prefix fresh and stores a checkpoint at
 /// the first iteration boundary at or past `warm_cycles`. Either way
 /// the remainder runs under the normal supervision loop, and because
-/// snapshot/restore is bit-identical, the result is exactly that of an
-/// uncached run — the cache can only change wall-clock time, never
-/// numbers.
+/// snapshot/restore is bit-identical, the result is exactly that of a
+/// run without checkpoints — the store can only change wall-clock time,
+/// never numbers.
 pub fn run_supervised_cached(
     mut cfg: SimConfig,
     app: &AppProfile,
     seed: u64,
     scale: f64,
     policy: &RunPolicy,
-    cache: Option<(&CheckpointCache, Cycle)>,
+    checkpoints: Option<(&DiskStore, Cycle)>,
 ) -> Result<(SimResult, WarmStart), SupervisedFailure> {
     if let Some(budget) = policy.cycle_budget {
         cfg.max_cycles = cfg.max_cycles.min(budget);
     }
-    let Some((cache, warm_cycles)) = cache.filter(|&(_, w)| w > 0) else {
+    let Some((store, warm_cycles)) = checkpoints.filter(|&(_, w)| w > 0) else {
         let mut sim = CmpSimulator::new(cfg, app, seed, scale);
         return supervise(&mut sim, policy).map(|r| (r, WarmStart::Disabled));
     };
     let key = warm_key(&cfg, app, seed, scale, warm_cycles);
     let mut sim = CmpSimulator::new(cfg.clone(), app, seed, scale);
-    let warm = match cache.load(&key) {
+    let warm = match store.load(&key) {
         CacheLoad::Hit(snap) => match warm_restore(&mut sim, &snap) {
             Ok(()) => return supervise(&mut sim, policy).map(|r| (r, WarmStart::Warmed)),
             Err(reason) => {
                 // A verified hit that still would not restore: throw
                 // the checkpoint out and start over on a machine the
                 // failed decode has not touched.
-                cache.quarantine(&key, &reason);
+                store.quarantine_key(&key, &reason);
                 sim = CmpSimulator::new(cfg, app, seed, scale);
                 WarmStart::Quarantined
             }
@@ -259,11 +259,11 @@ pub fn run_supervised_cached(
             }
         }
     }
-    cache.store(key, sim.snapshot());
+    store.store(&key, &sim.snapshot());
     supervise(&mut sim, policy).map(|r| (r, warm))
 }
 
-/// Decode a cache hit into `sim` and check that it took: a snapshot
+/// Decode a store hit into `sim` and check that it took: a snapshot
 /// that verifies, fits and decodes cleanly yet is not the state that
 /// was stored shows as the restored machine re-encoding to different
 /// bytes. On `Err` the simulator may be partly overwritten.
@@ -630,10 +630,10 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
 
     /// Run cell `index` to its outcome and store it: a `start` record
     /// per attempt, panic isolation, the retry ladder reseeding only
-    /// the fault injector, a terminal `finish` or `fail` record. `cache`
-    /// is consulted only on attempt 0: a retry perturbs the fault seed,
-    /// which changes the configuration fingerprint, so caching retry
-    /// prefixes would only pollute it.
+    /// the fault injector, a terminal `finish` or `fail` record.
+    /// `checkpoints` is consulted only on attempt 0: a retry perturbs
+    /// the fault seed, which changes the configuration fingerprint, so
+    /// storing retry prefixes would only pollute the store.
     ///
     /// `on_outcome` is handed the stored outcome, how the cell crossed
     /// the warm point and how many cells are still without an outcome —
@@ -646,7 +646,7 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
         machine: &CellMachine,
         index: usize,
         policy: &RunPolicy,
-        cache: Option<(&CheckpointCache, Cycle)>,
+        checkpoints: Option<(&DiskStore, Cycle)>,
         on_outcome: impl FnOnce(&CellOutcome, WarmStart, usize) -> R,
     ) -> R {
         let spec = &self.specs[index];
@@ -658,8 +658,8 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
             // failure like any other and is released by a fail record.
             catch_unwind(AssertUnwindSafe(|| {
                 let cfg = cell_config(machine, spec, attempt);
-                let cache = if attempt == 0 { cache } else { None };
-                run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, cache)
+                let checkpoints = if attempt == 0 { checkpoints } else { None };
+                run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, checkpoints)
             }))
             .unwrap_or_else(|payload| {
                 Err(SupervisedFailure {
@@ -812,14 +812,14 @@ mod tests {
             .expect("tiny run completes")
     }
 
-    /// A checkpoint that passes the cache's checksum and still will not
+    /// A checkpoint that passes the store's checksum and still will not
     /// restore — here one whose state stops short, as a decoder bug or
-    /// a hash collision would present — is quarantined in both tiers,
-    /// and the cell runs fresh on a rebuilt simulator to exactly the
-    /// uncached result.
+    /// a hash collision would present — is quarantined, and the cell
+    /// runs fresh on a rebuilt simulator to exactly the result of a run
+    /// without checkpoints.
     #[test]
     fn verified_hit_that_fails_to_restore_is_quarantined_and_rerun_fresh() {
-        use crate::checkpoint::{DiskConfig, DiskStore};
+        use crate::checkpoint::DiskConfig;
         use cmp_common::fsx::Fs;
 
         let cfg = SimConfig::baseline();
@@ -838,20 +838,13 @@ mod tests {
         let root = std::env::temp_dir().join(format!("tcmp-warm-decode-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let disk = DiskStore::open(Fs::real(), &root, DiskConfig::default()).expect("open");
-        let cache = CheckpointCache::with_disk(2, disk);
         let key = warm_key(&cfg, &app, seed, scale, warm);
-        cache.store(key.clone(), cut);
+        disk.store(&key, &cut);
 
         let cached = |expect: WarmStart| {
-            let (r, w) = run_supervised_cached(
-                cfg.clone(),
-                &app,
-                seed,
-                scale,
-                &policy,
-                Some((&cache, warm)),
-            )
-            .expect("cached run");
+            let (r, w) =
+                run_supervised_cached(cfg.clone(), &app, seed, scale, &policy, Some((&disk, warm)))
+                    .expect("cached run");
             assert_eq!(w, expect);
             assert_eq!(
                 result_to_json(&r).render(),
@@ -860,8 +853,6 @@ mod tests {
             );
         };
         cached(WarmStart::Quarantined);
-        assert_eq!(cache.stats().quarantined, 1);
-        let disk = cache.disk().expect("disk tier");
         assert_eq!(disk.counters().quarantined, 1);
         assert_eq!(
             disk.quarantine_usage().0,

@@ -1,4 +1,4 @@
-//! The durability contract of the checkpoint disk tier, exercised
+//! The durability contract of the checkpoint store, exercised
 //! against the seeded fault seam ([`cmp_common::fsx`]) and against
 //! hand-corrupted files:
 //!
@@ -13,18 +13,17 @@
 //! * corruption is quarantined (kept for forensics) under hard count
 //!   and byte bounds, pruned oldest-first;
 //! * the byte budget evicts oldest-first and never the newest file;
-//! * one configuration spills once, however many campaigns or
-//!   restarts share it.
+//! * one configuration spills once, however many campaigns, concurrent
+//!   workers or restarts share it.
 
 use std::path::PathBuf;
+use std::sync::Barrier;
 use std::time::Duration;
 
 use addr_compression::CompressionScheme;
 use cmp_common::fsx::{Fs, FsFaultConfig};
 use tcmp_core::supervisor::{run_supervised_cached, warm_key, RunPolicy};
-use tcmp_core::{
-    CheckpointCache, CmpSimulator, DiskConfig, DiskLoad, DiskStore, InterconnectChoice, SimConfig,
-};
+use tcmp_core::{CmpSimulator, DiskConfig, DiskLoad, DiskStore, InterconnectChoice, SimConfig};
 use wire_model::wires::VlWidth;
 use workloads::profile::AppProfile;
 
@@ -88,34 +87,31 @@ fn warm_start_survives_restart_bit_identically() {
     // First lifetime: simulate the prefix, spill to disk.
     {
         let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).expect("open");
-        let cache = CheckpointCache::with_disk(4, store);
         let (first, _) = run_supervised_cached(
             cfg.clone(),
             &a,
             SEED,
             SCALE,
             &policy(),
-            Some((&cache, WARM)),
+            Some((&store, WARM)),
         )
         .expect("first run completes");
         assert_eq!(first.cycles, cold.cycles, "caching never changes numbers");
-        let d = cache.disk().expect("disk tier").counters();
+        let d = store.counters();
         assert_eq!(d.stores, 1, "one spill");
     }
 
-    // Second lifetime: empty memory tier, same root. The disk file
-    // must warm the run and the result must match the cold one bit
-    // for bit.
+    // Second lifetime, same root. The disk file must warm the run and
+    // the result must match the cold one bit for bit.
     let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).expect("reopen");
     assert!(store.contains(&key), "restart scan adopts the spill");
-    let cache = CheckpointCache::with_disk(4, store);
     let (second, warm) = run_supervised_cached(
         cfg.clone(),
         &a,
         SEED,
         SCALE,
         &policy(),
-        Some((&cache, WARM)),
+        Some((&store, WARM)),
     )
     .expect("second run completes");
     assert_eq!(
@@ -126,14 +122,14 @@ fn warm_start_survives_restart_bit_identically() {
     assert_eq!(second.cycles, cold.cycles);
     assert_eq!(second.time_s.to_bits(), cold.time_s.to_bits());
     assert_eq!(second.network_messages, cold.network_messages);
-    let d = cache.disk().expect("disk tier").counters();
+    let d = store.counters();
     assert_eq!((d.hits, d.quarantined), (1, 0));
     // The verified state also re-encodes to the digest it was stored
     // under: nothing drifted on the way through the file.
     let mut template = warm_snapshot(&cfg);
     let direct = warm_snapshot(&cfg);
     assert!(matches!(
-        cache.disk().unwrap().load_into(&key, &mut template),
+        store.load_into(&key, &mut template),
         DiskLoad::Hit
     ));
     assert_eq!(template.digest(), direct.digest());
@@ -429,6 +425,49 @@ fn spills_dedup_by_key_and_scan_sweeps_tmp_residue() {
     store.store(&key, &good);
     let c = store.counters();
     assert_eq!((c.stores, c.dedup_skips, c.resident_files), (0, 1, 1));
+}
+
+/// Concurrent stores of one key — two campaigns missing a shared cell
+/// at the same moment — spill it once: the others are dedup skips, the
+/// resident byte count is the one file's length, and no `.tmp` residue
+/// is left behind.
+#[test]
+fn concurrent_stores_of_one_key_spill_it_once() {
+    const THREADS: usize = 4;
+    let root = scratch_dir("race");
+    let cfg = tiny_cfg();
+    let key = warm_key(&cfg, &app(), SEED, SCALE, WARM);
+    let good = warm_snapshot(&cfg);
+    let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).unwrap();
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
+                store.store(&key, &good);
+            });
+        }
+    });
+    let c = store.counters();
+    assert_eq!(c.stores, 1, "one spill");
+    assert_eq!(
+        c.dedup_skips,
+        THREADS as u64 - 1,
+        "the rest are dedup skips"
+    );
+    assert_eq!(c.resident_files, 1);
+    let file = root.join(format!("{}-{:016x}.ckpt", key.0, key.1));
+    assert_eq!(
+        c.resident_bytes,
+        std::fs::metadata(&file).expect("the spilled file").len(),
+        "resident bytes count the one file once"
+    );
+    let residue: Vec<_> = std::fs::read_dir(&root)
+        .unwrap()
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+        .collect();
+    assert!(residue.is_empty(), "no .tmp residue: {residue:?}");
 }
 
 /// CSV finalisation through the seam is atomic under injected faults:

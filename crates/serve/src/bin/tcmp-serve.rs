@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! tcmp-serve --root DIR [--socket PATH] [--jobs N] [--queue-bound N]
-//!            [--warm-cycles N] [--cache-capacity N] [--checkpoint-bytes N]
+//!            [--warm-cycles N] [--checkpoint-bytes N]
 //! ```
 //!
 //! SIGTERM/SIGINT drain: in-flight cells finish and are journaled,
@@ -50,7 +50,7 @@ mod unix {
     fn usage() -> ! {
         eprintln!(
             "usage: tcmp-serve --root DIR [--socket PATH] [--jobs N] [--queue-bound N] \
-             [--warm-cycles N] [--cache-capacity N] [--checkpoint-bytes N]"
+             [--warm-cycles N] [--checkpoint-bytes N]"
         );
         std::process::exit(2)
     }
@@ -75,9 +75,6 @@ mod unix {
                 }
                 "--warm-cycles" => {
                     cfg.warm_cycles = parse(&value("--warm-cycles"), "--warm-cycles")
-                }
-                "--cache-capacity" => {
-                    cfg.cache_capacity = parse(&value("--cache-capacity"), "--cache-capacity")
                 }
                 "--checkpoint-bytes" => {
                     cfg.checkpoint_byte_budget =
@@ -115,8 +112,9 @@ mod unix {
             cfg.queue_bound,
             if cfg.warm_cycles > 0 {
                 format!(
-                    "{} cycles, {} checkpoints",
-                    cfg.warm_cycles, cfg.cache_capacity
+                    "{} cycles, checkpoints in {}",
+                    cfg.warm_cycles,
+                    cfg.root.join("checkpoints").display()
                 )
             } else {
                 "off".to_string()

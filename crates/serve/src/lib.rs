@@ -19,10 +19,10 @@
 //!   service, not the submitting connection; clients re-attach by
 //!   campaign id and catch up from journal-backed state.
 //! * **Self-verifying warm starts** — a shared
-//!   [`tcmp_core::checkpoint::CheckpointCache`] simulates each
-//!   distinct cold-start prefix once and fast-forwards cells sharing
-//!   it; checkpoints are digest-verified at load and quarantined on
-//!   corruption, falling back to a fresh simulation.
+//!   [`tcmp_core::checkpoint::DiskStore`] simulates each distinct
+//!   cold-start prefix once and fast-forwards cells sharing it, across
+//!   campaigns and restarts; checkpoints are digest-verified at load
+//!   and quarantined on corruption, falling back to a fresh simulation.
 //!
 //! [`proto`] defines the wire messages, [`plan`] what a campaign
 //! request means (cells and their machines, policy, stamp, tables — shared

@@ -258,9 +258,10 @@ json_record!(CampaignStatus {
     finished,
 });
 
-/// Checkpoint-cache counters in a status report. The first four are
-/// the merged warm-start view (memory + disk); the `disk_*` fields
-/// break out the durable tier and stay zero on a memory-only daemon.
+/// Checkpoint-store counters in a status report, all from the one
+/// store: the first four are the warm-start view, the `disk_*` fields
+/// repeat stores, hits and quarantines beside evictions and residency.
+/// All are zero when warm starts are off.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheCounts {
     pub stores: u64,

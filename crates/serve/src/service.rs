@@ -19,11 +19,13 @@
 //!   journal no longer parses (torn by a crash, written by different
 //!   code) is logged and skipped; the service still starts and every
 //!   healthy campaign still resumes.
-//! * **Shared warm-start cache.** One [`CheckpointCache`] spans all
-//!   campaigns: the cold-start prefix of a (config, app, seed, scale)
-//!   cell is simulated once and fast-forwarded into every later cell
-//!   sharing it, with load-time digest verification falling back to a
-//!   fresh simulation on corruption.
+//! * **Shared warm starts.** One [`DiskStore`] under
+//!   `<root>/checkpoints/` spans all campaigns and service lifetimes:
+//!   the cold-start prefix of a (config, app, seed, scale) cell is
+//!   simulated once and fast-forwarded into every later cell sharing
+//!   it, with load-time digest verification falling back to a fresh
+//!   simulation on corruption. A store that cannot open costs warm
+//!   starts, never the service: its cells run cold.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -37,7 +39,7 @@ use std::time::Duration;
 use cmp_common::fsx::Fs;
 use cmp_common::journal::{Journal, JournalError, Json};
 use cmp_common::types::Cycle;
-use tcmp_core::checkpoint::{CheckpointCache, DiskConfig, DiskStore};
+use tcmp_core::checkpoint::{DiskConfig, DiskStore};
 use tcmp_core::supervisor::{cell_key, CellOutcome, SweepState};
 use tcmp_core::SimResult;
 
@@ -60,14 +62,11 @@ pub struct ServeConfig {
     pub jobs: usize,
     /// Admission bound on queued (not yet claimed) cells.
     pub queue_bound: usize,
-    /// Warm-start point of the checkpoint cache in cycles; 0 disables
-    /// the cache entirely.
+    /// Warm-start point in cycles; 0 disables warm starts and the
+    /// checkpoint store entirely.
     pub warm_cycles: Cycle,
-    /// Checkpoints held at most in memory (each is a whole-machine
-    /// snapshot).
-    pub cache_capacity: usize,
-    /// Byte budget of the durable checkpoint tier under
-    /// `<root>/checkpoints/` (FIFO eviction beyond it). The tier
+    /// Byte budget of the checkpoint store under
+    /// `<root>/checkpoints/` (FIFO eviction beyond it). The store
     /// exists whenever `warm_cycles > 0`.
     pub checkpoint_byte_budget: u64,
     /// Stop claiming cells after this many attempts — the in-process
@@ -83,7 +82,6 @@ impl Default for ServeConfig {
             jobs: 2,
             queue_bound: 1024,
             warm_cycles: 0,
-            cache_capacity: 8,
             checkpoint_byte_budget: 2 << 30,
             cell_limit: None,
         }
@@ -258,7 +256,7 @@ impl Campaign {
     }
 }
 
-/// The service: shared queue + worker pool + campaigns + cache.
+/// The service: shared queue + worker pool + campaigns + checkpoints.
 /// Construct via [`ServiceHandle::start`].
 pub struct Service {
     cfg: ServeConfig,
@@ -266,7 +264,8 @@ pub struct Service {
     fs: Fs,
     state: Mutex<QueueState>,
     work: Condvar,
-    cache: CheckpointCache,
+    /// `Some` when `warm_cycles > 0` and the store opened.
+    checkpoints: Option<DiskStore>,
     campaigns: Mutex<BTreeMap<String, Arc<Campaign>>>,
     next_id: Mutex<u64>,
     draining: AtomicBool,
@@ -287,29 +286,26 @@ impl Service {
         let fs = Fs::from_env().map_err(io::Error::other)?;
         let campaigns_dir = cfg.root.join("campaigns");
         fs.create_dir_all(&campaigns_dir)?;
-        // The durable checkpoint tier lives beside the campaigns; a
-        // store that cannot open degrades the cache to memory-only
-        // (slower warm starts, never a dead service).
-        let cache = if cfg.warm_cycles > 0 {
+        // The checkpoint store lives beside the campaigns; one that
+        // cannot open turns warm starts off (cells run cold), never the
+        // service.
+        let checkpoints = if cfg.warm_cycles > 0 {
             let disk_cfg = DiskConfig {
                 byte_budget: cfg.checkpoint_byte_budget,
                 ..DiskConfig::default()
             };
             match DiskStore::open(fs.clone(), cfg.root.join("checkpoints"), disk_cfg) {
-                Ok(store) => CheckpointCache::with_disk(cfg.cache_capacity, store),
+                Ok(store) => Some(store),
                 Err(e) => {
-                    eprintln!(
-                        "checkpoint disk store failed to open (warm starts will not \
-                         survive restarts): {e}"
-                    );
-                    CheckpointCache::new(cfg.cache_capacity)
+                    eprintln!("checkpoint store failed to open (cells run cold): {e}");
+                    None
                 }
             }
         } else {
-            CheckpointCache::new(cfg.cache_capacity)
+            None
         };
         let service = Service {
-            cache,
+            checkpoints,
             fs,
             state: Mutex::new(QueueState {
                 tasks: VecDeque::new(),
@@ -494,17 +490,22 @@ impl Service {
                 }
             })
             .collect();
-        let stats = self.cache.stats();
-        let disk = self.cache.disk().map(|d| d.counters()).unwrap_or_default();
+        let disk = self
+            .checkpoints
+            .as_ref()
+            .map(DiskStore::counters)
+            .unwrap_or_default();
         Response::StatusReport {
             queued,
             draining: self.draining.load(Ordering::SeqCst),
             campaigns,
+            // One store, one counter set: the warm-start view and the
+            // `disk_*` fields report the same counts.
             cache: CacheCounts {
-                stores: stats.stores,
-                hits: stats.hits,
-                misses: stats.misses,
-                quarantined: stats.quarantined,
+                stores: disk.stores,
+                hits: disk.hits,
+                misses: disk.misses,
+                quarantined: disk.quarantined,
                 disk_stores: disk.stores,
                 disk_hits: disk.hits,
                 disk_quarantined: disk.quarantined,
@@ -514,9 +515,10 @@ impl Service {
         }
     }
 
-    /// The shared checkpoint cache (status/test introspection).
-    pub fn cache(&self) -> &CheckpointCache {
-        &self.cache
+    /// The shared checkpoint store, when warm starts are on
+    /// (status/test introspection).
+    pub fn checkpoints(&self) -> Option<&DiskStore> {
+        self.checkpoints.as_ref()
     }
 
     /// True once a drain has begun.
@@ -569,7 +571,10 @@ impl Service {
             index,
             cell: cell_key(&c.plan.specs[index]),
         });
-        let cache = (self.cfg.warm_cycles > 0).then_some((&self.cache, self.cfg.warm_cycles));
+        let checkpoints = self
+            .checkpoints
+            .as_ref()
+            .map(|store| (store, self.cfg.warm_cycles));
         // The cell's event goes out in the step that stores its outcome:
         // a client subscribing at any instant finds the cell in the
         // catch-up or on the live stream, and the worker that stores the
@@ -579,7 +584,7 @@ impl Service {
             &c.plan.machines[index],
             index,
             &c.plan.policy,
-            cache,
+            checkpoints,
             |outcome, warm, outstanding| {
                 c.emit(c.outcome_event(index, outcome, warm.label()));
                 outstanding == 0

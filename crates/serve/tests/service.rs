@@ -6,8 +6,9 @@
 //!   panics or silent drops;
 //! * a torn campaign directory is quarantined while healthy campaigns
 //!   keep working;
-//! * the shared checkpoint cache warms later campaigns without
-//!   changing a single bit;
+//! * the shared checkpoint store warms later campaigns without
+//!   changing a single bit, and a store that cannot open runs every
+//!   cell cold;
 //! * and over the real Unix socket: a campaign outlives its submitter
 //!   and a re-attaching client catches up to the end.
 #![cfg(unix)]
@@ -315,7 +316,7 @@ fn corrupt_campaign_directory_is_quarantined_not_fatal() {
     handle.drain();
 }
 
-/// One checkpoint cache spans all campaigns: the second submission of
+/// One checkpoint store spans all campaigns: the second submission of
 /// the same sweep fast-forwards every cell past the warm point and
 /// still renders byte-identical CSVs.
 #[test]
@@ -332,7 +333,10 @@ fn shared_cache_warms_a_second_campaign_bit_identically() {
     assert!(handle.wait_campaign(&second, WAIT));
     handle.drain();
 
-    let stats = service.cache().stats();
+    let stats = service
+        .checkpoints()
+        .expect("warm-cycles > 0 opens the store")
+        .counters();
     assert_eq!(
         stats.stores, CELLS as u64,
         "one checkpoint per config prefix"
@@ -347,8 +351,8 @@ fn shared_cache_warms_a_second_campaign_bit_identically() {
     }
 }
 
-/// The disk tier makes warm starts survive restarts: a second service
-/// lifetime on the same root — empty memory cache — warms every cell
+/// The store makes warm starts survive restarts: a second service
+/// lifetime on the same root warms every cell
 /// of a repeated sweep from the first lifetime's spilled checkpoints,
 /// renders byte-identical CSVs, and reports the disk traffic in its
 /// status counters.
@@ -363,16 +367,14 @@ fn disk_tier_warms_a_restarted_service_bit_identically() {
     assert!(handle.wait_campaign(&first, WAIT));
     let spilled = handle
         .service()
-        .cache()
-        .disk()
-        .expect("warm-cycles > 0 opens the disk tier")
+        .checkpoints()
+        .expect("warm-cycles > 0 opens the store")
         .counters();
     assert_eq!(spilled.stores, CELLS as u64, "one spill per configuration");
     assert_eq!(spilled.resident_files, CELLS as u64);
     handle.drain();
 
-    // New lifetime, same root: the memory tier starts empty, the disk
-    // tier is rebuilt by scan.
+    // New lifetime, same root: the store's index is rebuilt by scan.
     let handle = ServiceHandle::start(cfg).expect("restart");
     let second = submit_ok(&handle, tiny_request());
     assert!(handle.wait_campaign(&second, WAIT));
@@ -397,6 +399,61 @@ fn disk_tier_warms_a_restarted_service_bit_identically() {
         assert_eq!(
             a, b,
             "{file} differs between the cold and the disk-warmed lifetime"
+        );
+    }
+}
+
+/// A checkpoint store that cannot open (here `<root>/checkpoints` is a
+/// regular file) costs warm starts, never the service: it starts, every
+/// cell reports `disabled`, and the CSVs are byte-identical to those of
+/// a service with warm starts off.
+#[test]
+fn unopenable_checkpoint_store_runs_every_cell_cold() {
+    let cold_root = scratch_dir("serve-nostore-ref");
+    let handle = ServiceHandle::start(serve_cfg(cold_root.clone())).expect("start");
+    let reference = submit_ok(&handle, tiny_request());
+    assert!(handle.wait_campaign(&reference, WAIT));
+    handle.drain();
+
+    let root = scratch_dir("serve-nostore");
+    std::fs::write(root.join("checkpoints"), b"not a directory").expect("block the store");
+    let mut cfg = serve_cfg(root.clone());
+    cfg.warm_cycles = 50_000;
+    // One worker: the first campaign holds it while the second one is
+    // subscribed to, so every cell of the second is seen live.
+    cfg.jobs = 1;
+    let handle = ServiceHandle::start(cfg).expect("a blocked store must not stop the service");
+    assert!(handle.service().checkpoints().is_none());
+    let first = submit_ok(&handle, tiny_request());
+    let second = submit_ok(&handle, tiny_request());
+    let live = handle
+        .service()
+        .attach(&second)
+        .expect("attach")
+        .subscribe();
+    let mut warm = Vec::new();
+    loop {
+        match live.recv_timeout(WAIT).expect("live event") {
+            Event::CellFinish { warm: w, .. } => warm.push(w),
+            Event::CellFail { cell, error, .. } => panic!("cell {cell} failed: {error}"),
+            Event::CampaignDone { .. } => break,
+            Event::CellStart { .. } => {}
+        }
+    }
+    assert_eq!(warm, vec!["disabled"; CELLS], "every cell runs cold");
+    assert!(handle.wait_campaign(&first, WAIT));
+    match handle.service().status() {
+        Response::StatusReport { cache, .. } => assert_eq!(cache, Default::default()),
+        other => panic!("expected StatusReport, got {other:?}"),
+    }
+    handle.drain();
+
+    let cold = read_csvs(&cold_root, &reference);
+    for id in [&first, &second] {
+        assert_eq!(
+            read_csvs(&root, id),
+            cold,
+            "{id}: CSVs differ from the warm-start-off run"
         );
     }
 }

@@ -24,6 +24,19 @@ if [ -n "$STRAY_UNSAFE" ]; then
 fi
 echo "unsafe gate: every library root forbids unsafe_code; only the signal FFI uses it"
 
+echo "== one checkpoint store (CheckpointCache is the frozen benchmark's shim, nothing else's)"
+# DiskStore is the only checkpoint store. CheckpointCache survives only
+# because benchmark/ times it; nothing in the workspace may come to
+# depend on it again.
+STRAY_CACHE=$(grep -rn 'CheckpointCache' crates src tests |
+    grep -v '^crates/core/src/checkpoint\.rs:' || true)
+if [ -n "$STRAY_CACHE" ]; then
+    echo "checkpoint gate: CheckpointCache named outside crates/core/src/checkpoint.rs:"
+    echo "$STRAY_CACHE"
+    exit 1
+fi
+echo "checkpoint gate: CheckpointCache is named only where it is defined"
+
 echo "== cargo build --release --workspace"
 cargo build --release --workspace
 

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use cmp_common::config::CmpConfig;
     pub use cmp_common::journal::{CampaignMeta, Journal, Json};
     pub use cmp_common::types::{MessageClass, TileId};
-    pub use tcmp_core::checkpoint::{CacheLoad, CacheStats, CheckpointCache, WarmKey};
+    pub use tcmp_core::checkpoint::{CacheLoad, DiskConfig, DiskStore, WarmKey};
     pub use tcmp_core::engine::MachineSnapshot;
     pub use tcmp_core::experiment::{
         normalize, normalize_partial, paper_configs, run_matrix, run_matrix_jobs, ConfigSpec,

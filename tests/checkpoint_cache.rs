@@ -1,8 +1,11 @@
-//! The warm-start checkpoint cache, end to end through the public API:
-//! a cache can only ever change wall-clock time — never numbers — and
+//! The warm-start checkpoint store, end to end through the public API:
+//! a store can only ever change wall-clock time — never numbers — and
 //! a corrupted checkpoint is detected, quarantined and transparently
 //! replaced by a fresh simulation.
 
+use std::path::PathBuf;
+
+use tiled_cmp::common::fsx::Fs;
 use tiled_cmp::prelude::*;
 use tiled_cmp::sim::supervisor::result_to_json;
 
@@ -20,6 +23,14 @@ fn proposal_cfg() -> SimConfig {
     )
 }
 
+/// A fresh store in its own scratch directory.
+fn scratch_store(tag: &str) -> (DiskStore, PathBuf) {
+    let root = std::env::temp_dir().join(format!("tcmp-ckpt-cache-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    let store = DiskStore::open(Fs::real(), &root, DiskConfig::default()).expect("open store");
+    (store, root)
+}
+
 /// Byte-exact fingerprint: the rendered journal row round-trips raw
 /// number tokens, so equal strings ⇒ equal bits.
 fn fp(r: &SimResult) -> String {
@@ -32,7 +43,7 @@ fn fp(r: &SimResult) -> String {
 fn warm_start_is_bit_identical_to_a_cold_run() {
     let app = tiled_cmp::workloads::apps::fft();
     let policy = RunPolicy::default();
-    let cache = CheckpointCache::new(4);
+    let (cache, root) = scratch_store("bit-identical");
 
     let cold = run_supervised(proposal_cfg(), &app, SEED, SCALE, &policy).expect("cold run");
     let (first, warm1) = run_supervised_cached(
@@ -59,9 +70,10 @@ fn warm_start_is_bit_identical_to_a_cold_run() {
     assert_eq!(fp(&first), fp(&cold), "stored-path run matches cold run");
     assert_eq!(fp(&second), fp(&cold), "warmed run matches cold run");
 
-    let stats = cache.stats();
+    let stats = cache.counters();
     assert_eq!((stats.stores, stats.misses, stats.hits), (1, 1, 1));
     assert_eq!(stats.quarantined, 0);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A corrupted checkpoint fails digest verification at load: it is
@@ -72,7 +84,7 @@ fn warm_start_is_bit_identical_to_a_cold_run() {
 fn corrupted_checkpoint_is_quarantined_with_identical_results() {
     let app = tiled_cmp::workloads::apps::fft();
     let policy = RunPolicy::default();
-    let cache = CheckpointCache::new(4);
+    let (cache, root) = scratch_store("corrupt");
 
     let (reference, _) = run_supervised_cached(
         proposal_cfg(),
@@ -85,10 +97,11 @@ fn corrupted_checkpoint_is_quarantined_with_identical_results() {
     .expect("seeding run");
 
     let key = warm_key(&proposal_cfg(), &app, SEED, SCALE, WARM);
-    assert!(
-        cache.fault_corrupt(&key),
-        "the seeding run stored under the public warm_key"
-    );
+    let file = root.join(format!("{}-{:016x}.ckpt", key.0, key.1));
+    let mut bytes = std::fs::read(&file).expect("the seeding run stored under the public warm_key");
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&file, bytes).expect("corrupt the checkpoint file");
 
     let (recovered, warm) = run_supervised_cached(
         proposal_cfg(),
@@ -109,7 +122,7 @@ fn corrupted_checkpoint_is_quarantined_with_identical_results() {
         fp(&reference),
         "fallback to fresh simulation must not change a single bit"
     );
-    assert_eq!(cache.stats().quarantined, 1);
+    assert_eq!(cache.counters().quarantined, 1);
 
     // The quarantined entry was replaced by a clean checkpoint.
     let (again, warm) = run_supervised_cached(
@@ -123,48 +136,16 @@ fn corrupted_checkpoint_is_quarantined_with_identical_results() {
     .expect("run against the re-stored checkpoint");
     assert_eq!(warm, WarmStart::Warmed);
     assert_eq!(fp(&again), fp(&reference));
-}
-
-/// The cache is bounded: beyond capacity the oldest checkpoint is
-/// evicted (degrading its sharers to fresh simulation, never growing
-/// without bound), and distinct configurations never share an entry.
-#[test]
-fn capacity_bounds_the_cache_via_fifo_eviction() {
-    let app = tiled_cmp::workloads::apps::fft();
-    let policy = RunPolicy::default();
-    let cache = CheckpointCache::new(1);
-
-    let run = |cfg: SimConfig| {
-        run_supervised_cached(cfg, &app, SEED, SCALE, &policy, Some((&cache, WARM)))
-            .expect("cached run")
-    };
-    assert_eq!(run(proposal_cfg()).1, WarmStart::Stored);
-    // A different scheme is a different prefix: miss, store, evict the
-    // first entry.
-    assert_eq!(run(SimConfig::baseline()).1, WarmStart::Stored);
-    assert_eq!(cache.len(), 1, "capacity 1 holds one checkpoint");
-    assert_eq!(cache.stats().evicted, 1);
-    // The evicted configuration simulates fresh again (and, being the
-    // paper's point, still bit-identically).
-    let (_, warm) = run_supervised_cached(
-        proposal_cfg(),
-        &app,
-        SEED,
-        SCALE,
-        &policy,
-        Some((&cache, WARM)),
-    )
-    .expect("re-run after eviction");
-    assert_eq!(warm, WarmStart::Stored);
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// A run that completes before the warm point stores nothing and says
-/// so; a `warm_cycles` of 0 disables the cache entirely.
+/// so; a `warm_cycles` of 0 disables the store entirely.
 #[test]
 fn warm_point_edge_cases() {
     let app = tiled_cmp::workloads::apps::fft();
     let policy = RunPolicy::default();
-    let cache = CheckpointCache::new(4);
+    let (cache, root) = scratch_store("edges");
     let (_, warm) = run_supervised_cached(
         proposal_cfg(),
         &app,
@@ -175,7 +156,11 @@ fn warm_point_edge_cases() {
     )
     .expect("run finishing before its warm point");
     assert_eq!(warm, WarmStart::Finished);
-    assert!(cache.is_empty(), "nothing to cache past the end of the run");
+    assert_eq!(
+        cache.counters().resident_files,
+        0,
+        "nothing to store past the end of the run"
+    );
 
     let (_, warm) = run_supervised_cached(
         proposal_cfg(),
@@ -187,5 +172,6 @@ fn warm_point_edge_cases() {
     )
     .expect("run with the cache disabled");
     assert_eq!(warm, WarmStart::Disabled);
-    assert!(cache.is_empty());
+    assert_eq!(cache.counters().resident_files, 0);
+    let _ = std::fs::remove_dir_all(&root);
 }
