@@ -7,89 +7,191 @@
 //! address and inserts the base, evicting the LRU entry. The receiver's
 //! register file applies the same deterministic update rule, so both ends
 //! stay synchronised without extra traffic.
+//!
+//! The state lives in `DbrcLanes`, a struct-of-arrays table of many
+//! independent caches ("lanes"): the engine keeps one table per stream
+//! with a lane per destination, and [`Dbrc`] is the one-lane form of the
+//! same table.
 
+use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use cmp_common::types::Addr;
 
 use crate::scheme::AddressCodec;
 
-/// Sender-side DBRC state for one (destination, stream) pair.
+/// DBRC state for `lanes` independent (destination, stream) pairs.
+///
+/// Lane `l` owns entries `l·entries .. (l+1)·entries` of `bases` and
+/// `stamps`. A stamp of 0 marks an invalid entry: every install stamps
+/// with the lane's clock, which is ≥ 1 after the first encode, and the
+/// LRU rule already fills stamp-0 entries first.
 #[derive(Clone, Debug)]
-pub struct Dbrc {
-    /// Base values (line address >> 8·low_bytes). `None` = invalid entry.
-    bases: Vec<Option<u64>>,
-    /// LRU stamps, parallel to `bases`.
-    stamps: Vec<u64>,
-    /// Logical clock for LRU.
-    clock: u64,
+pub(crate) struct DbrcLanes {
+    entries: usize,
     /// Right-shift applied to line addresses to form a base.
     base_shift: u32,
     low_bytes: usize,
+    /// Base values (line address >> 8·low_bytes); meaningless where the
+    /// stamp is 0.
+    bases: Vec<u64>,
+    /// LRU stamps, parallel to `bases`; 0 = invalid entry.
+    stamps: Vec<u64>,
+    /// Per-lane logical clock for LRU.
+    clocks: Vec<u64>,
 }
+
+impl DbrcLanes {
+    pub(crate) fn new(lanes: usize, entries: usize, low_bytes: usize) -> Self {
+        assert!(entries > 0, "DBRC needs at least one entry");
+        assert!(
+            (1..=4).contains(&low_bytes),
+            "low-order bytes must be 1..=4, got {low_bytes}"
+        );
+        DbrcLanes {
+            entries,
+            base_shift: (8 * low_bytes) as u32,
+            low_bytes,
+            bases: vec![0; lanes * entries],
+            stamps: vec![0; lanes * entries],
+            clocks: vec![0; lanes],
+        }
+    }
+
+    pub(crate) fn lanes(&self) -> usize {
+        self.clocks.len()
+    }
+
+    fn row(&self, lane: usize) -> std::ops::Range<usize> {
+        lane * self.entries..(lane + 1) * self.entries
+    }
+
+    /// Whether `line_addr` would hit in `lane`, without mutating state.
+    pub(crate) fn peek(&self, lane: usize, line_addr: Addr) -> bool {
+        let base = line_addr >> self.base_shift;
+        let row = self.row(lane);
+        self.bases[row.clone()]
+            .iter()
+            .zip(&self.stamps[row])
+            .any(|(&b, &s)| s != 0 && b == base)
+    }
+
+    /// The DBRC update rule: look `line_addr`'s base up in `lane`,
+    /// refresh its stamp on a hit, install it over the LRU entry on a
+    /// miss.
+    pub(crate) fn encode(&mut self, lane: usize, line_addr: Addr) -> bool {
+        let row = self.row(lane);
+        let clock = &mut self.clocks[lane];
+        *clock += 1;
+        let now = *clock;
+        let base = line_addr >> self.base_shift;
+        let bases = &mut self.bases[row.clone()];
+        let stamps = &mut self.stamps[row];
+        if let Some(i) = (0..bases.len()).position(|i| stamps[i] != 0 && bases[i] == base) {
+            stamps[i] = now;
+            return true;
+        }
+        // Miss: install into the LRU slot (invalid entries have stamp 0
+        // and lose ties, so they fill first).
+        let victim = (0..stamps.len())
+            .min_by_key(|&i| stamps[i])
+            .expect("non-empty cache");
+        bases[victim] = base;
+        stamps[victim] = now;
+        false
+    }
+
+    pub(crate) fn resync(&mut self, lane: usize) {
+        let row = self.row(lane);
+        self.bases[row.clone()].fill(0);
+        self.stamps[row].fill(0);
+        self.clocks[lane] = 0;
+    }
+
+    /// One lane's snapshot bytes, in the layout of a standalone codec:
+    /// the bases as `Vec<Option<u64>>`, the stamps as `Vec<u64>`, then
+    /// the clock.
+    pub(crate) fn save_lane(&self, lane: usize, w: &mut ByteWriter) {
+        let row = self.row(lane);
+        w.usize(self.entries);
+        for i in row.clone() {
+            (self.stamps[i] != 0).then_some(self.bases[i]).save(w);
+        }
+        w.usize(self.entries);
+        for &stamp in &self.stamps[row] {
+            w.u64(stamp);
+        }
+        w.u64(self.clocks[lane]);
+    }
+
+    /// Overwrite one lane from [`DbrcLanes::save_lane`] bytes. Refuses
+    /// an entry count other than the machine's and an entry whose
+    /// validity disagrees with its stamp (`Some` base with stamp 0, or
+    /// `None` with a non-zero stamp): no encode can produce either.
+    pub(crate) fn load_lane(
+        &mut self,
+        lane: usize,
+        r: &mut ByteReader,
+    ) -> Result<(), PersistError> {
+        let row = self.row(lane);
+        if r.usize()? != self.entries {
+            return Err(r.err("DBRC entry count does not match machine shape"));
+        }
+        for i in row.clone() {
+            let base: Option<u64> = Persist::load(r)?;
+            self.bases[i] = base.unwrap_or(0);
+            // the validity bit waits in the stamp until the stamps arrive
+            self.stamps[i] = u64::from(base.is_some());
+        }
+        if r.usize()? != self.entries {
+            return Err(r.err("DBRC entry count does not match machine shape"));
+        }
+        for i in row {
+            let stamp = r.u64()?;
+            if (stamp != 0) != (self.stamps[i] != 0) {
+                return Err(r.err("DBRC entry validity disagrees with its LRU stamp"));
+            }
+            self.stamps[i] = stamp;
+        }
+        self.clocks[lane] = r.u64()?;
+        Ok(())
+    }
+}
+
+/// Sender-side DBRC state for one (destination, stream) pair: the
+/// one-lane form of the engine's DBRC lane table, sharing its code.
+#[derive(Clone, Debug)]
+pub struct Dbrc(DbrcLanes);
 
 impl Dbrc {
     /// A DBRC cache with `entries` bases, keeping `low_bytes` low-order
     /// bytes of the line address uncompressed. The paper evaluates 4, 16
     /// and 64 entries with 1–2 low-order bytes.
     pub fn new(entries: usize, low_bytes: usize) -> Self {
-        assert!(entries > 0, "DBRC needs at least one entry");
-        assert!(
-            (1..=4).contains(&low_bytes),
-            "low-order bytes must be 1..=4, got {low_bytes}"
-        );
-        Dbrc {
-            bases: vec![None; entries],
-            stamps: vec![0; entries],
-            clock: 0,
-            base_shift: (8 * low_bytes) as u32,
-            low_bytes,
-        }
+        Dbrc(DbrcLanes::new(1, entries, low_bytes))
     }
 
     /// Number of entries in the compression cache.
     pub fn entries(&self) -> usize {
-        self.bases.len()
+        self.0.entries
     }
 
     /// Uncompressed low-order bytes per message.
     pub fn low_bytes(&self) -> usize {
-        self.low_bytes
-    }
-
-    /// The base a line address maps to.
-    #[inline]
-    fn base_of(&self, line_addr: Addr) -> u64 {
-        line_addr >> self.base_shift
+        self.0.low_bytes
     }
 
     /// Whether `line_addr` would hit, without mutating state.
     pub fn peek(&self, line_addr: Addr) -> bool {
-        let base = self.base_of(line_addr);
-        self.bases.contains(&Some(base))
+        self.0.peek(0, line_addr)
     }
 }
 
 impl AddressCodec for Dbrc {
     fn encode(&mut self, line_addr: Addr) -> bool {
-        self.clock += 1;
-        let base = self.base_of(line_addr);
-        if let Some(idx) = self.bases.iter().position(|&b| b == Some(base)) {
-            self.stamps[idx] = self.clock;
-            return true;
-        }
-        // Miss: install into the LRU slot (invalid entries have stamp 0
-        // and lose ties, so they fill first).
-        let victim = (0..self.bases.len())
-            .min_by_key(|&i| self.stamps[i])
-            .expect("non-empty cache");
-        self.bases[victim] = Some(base);
-        self.stamps[victim] = self.clock;
-        false
+        self.0.encode(0, line_addr)
     }
 
     fn resync(&mut self) {
-        self.bases.fill(None);
-        self.stamps.fill(0);
-        self.clock = 0;
+        self.0.resync(0);
     }
 
     fn hw_entries(&self) -> usize {
@@ -98,27 +200,12 @@ impl AddressCodec for Dbrc {
 
     // entries/low_bytes are configuration; the learned bases, their LRU
     // stamps and the clock are the state.
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        use cmp_common::persist::Persist;
-        self.bases.save(w);
-        self.stamps.save(w);
-        w.u64(self.clock);
+    fn save_state(&self, w: &mut ByteWriter) {
+        self.0.save_lane(0, w);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        use cmp_common::persist::Persist;
-        let bases: Vec<Option<u64>> = Persist::load(r)?;
-        let stamps: Vec<u64> = Persist::load(r)?;
-        if bases.len() != self.bases.len() || stamps.len() != self.stamps.len() {
-            return Err(r.err("DBRC entry count does not match machine shape"));
-        }
-        self.bases = bases;
-        self.stamps = stamps;
-        self.clock = r.u64()?;
-        Ok(())
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+        self.0.load_lane(0, r)
     }
 }
 

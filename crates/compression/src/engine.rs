@@ -6,11 +6,21 @@
 //! commands* streams on separate structures. Receiver state mirrors the
 //! sender deterministically, so the simulator keeps a single logical state
 //! machine per directed pair and decides the on-wire size at send time.
+//!
+//! That state is O(tiles²) across the machine, so it is stored as data,
+//! not as objects: each stream is one struct-of-arrays lane table (a lane
+//! per destination; one shared lane for the multicast commands stream)
+//! whose update rule is the same code the standalone one-lane codecs
+//! run. No lane owns a heap block of its own.
 
+use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError, PersistState};
 use cmp_common::types::{Addr, CompressionStream, MessageClass, TileId};
 
 use crate::coverage::CoverageStats;
-use crate::scheme::{CodecBox, CompressionScheme};
+use crate::dbrc::DbrcLanes;
+use crate::multicast::MulticastCodec;
+use crate::scheme::{AddressCodec, CompressionScheme};
+use crate::stride::StrideLanes;
 
 /// The outcome of offering a message to the compression engine.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,15 +32,115 @@ pub struct CompressedSize {
     pub compressed: bool,
 }
 
+/// One stream's codec state for every lane of one engine.
+#[derive(Debug)]
+enum LaneTable {
+    /// `None` / `Perfect`: nothing is learned; every lane answers `hit`.
+    Stateless {
+        lanes: usize,
+        hit: bool,
+    },
+    Dbrc(DbrcLanes),
+    Stride(StrideLanes),
+    /// The multicast commands stream: one lane serves every destination.
+    Multicast(MulticastCodec),
+}
+
+impl LaneTable {
+    /// The table `scheme` gives `stream` on a `tiles`-tile machine. It
+    /// must hold, lane for lane, what [`CompressionScheme::build_codec`]
+    /// builds.
+    fn new(scheme: CompressionScheme, stream: CompressionStream, tiles: usize) -> Self {
+        match scheme {
+            CompressionScheme::None => LaneTable::Stateless {
+                lanes: tiles,
+                hit: false,
+            },
+            CompressionScheme::Perfect { .. } => LaneTable::Stateless {
+                lanes: tiles,
+                hit: true,
+            },
+            CompressionScheme::Dbrc { entries, low_bytes } => {
+                LaneTable::Dbrc(DbrcLanes::new(tiles, entries, low_bytes))
+            }
+            CompressionScheme::Stride { low_bytes } => {
+                LaneTable::Stride(StrideLanes::new(tiles, low_bytes))
+            }
+            CompressionScheme::Multicast { entries, low_bytes } => match stream {
+                CompressionStream::Requests => {
+                    LaneTable::Dbrc(DbrcLanes::new(tiles, entries, low_bytes))
+                }
+                CompressionStream::Commands => {
+                    LaneTable::Multicast(MulticastCodec::new(entries, low_bytes))
+                }
+            },
+        }
+    }
+
+    fn lanes(&self) -> usize {
+        match self {
+            LaneTable::Stateless { lanes, .. } => *lanes,
+            LaneTable::Dbrc(t) => t.lanes(),
+            LaneTable::Stride(t) => t.lanes(),
+            LaneTable::Multicast(_) => 1,
+        }
+    }
+
+    #[inline]
+    fn encode(&mut self, lane: usize, line_addr: Addr) -> bool {
+        match self {
+            LaneTable::Stateless { hit, .. } => *hit,
+            LaneTable::Dbrc(t) => t.encode(lane, line_addr),
+            LaneTable::Stride(t) => t.encode(lane, line_addr),
+            LaneTable::Multicast(m) => m.encode(line_addr),
+        }
+    }
+
+    fn resync(&mut self, lane: usize) {
+        match self {
+            LaneTable::Stateless { .. } => {}
+            LaneTable::Dbrc(t) => t.resync(lane),
+            LaneTable::Stride(t) => t.resync(lane),
+            LaneTable::Multicast(m) => m.resync(),
+        }
+    }
+}
+
+/// The lane count, then each lane's bytes in the layout its standalone
+/// codec saves (none for a stateless lane).
+impl PersistState for LaneTable {
+    fn save_state(&self, w: &mut ByteWriter) {
+        w.usize(self.lanes());
+        match self {
+            LaneTable::Stateless { .. } => {}
+            LaneTable::Dbrc(t) => (0..t.lanes()).for_each(|l| t.save_lane(l, w)),
+            LaneTable::Stride(t) => (0..t.lanes()).for_each(|l| t.save_lane(l, w)),
+            LaneTable::Multicast(m) => m.save_state(w),
+        }
+    }
+
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+        if r.usize()? != self.lanes() {
+            return Err(r.err("codec lane count does not match machine shape"));
+        }
+        match self {
+            LaneTable::Stateless { .. } => Ok(()),
+            LaneTable::Dbrc(t) => (0..t.lanes()).try_for_each(|l| t.load_lane(l, r)),
+            LaneTable::Stride(t) => (0..t.lanes()).try_for_each(|l| t.load_lane(l, r)),
+            LaneTable::Multicast(m) => m.load_state(r),
+        }
+    }
+}
+
 /// All compression state owned by one tile's network interface.
 #[derive(Debug)]
 pub struct CompressionEngine {
     scheme: CompressionScheme,
-    /// `codecs[stream][lane]`, where a lane is one destination — or, for
-    /// a stream the scheme shares across destinations (the multicast
-    /// commands stream), the single shared slot 0. See
-    /// [`CompressionEngine::lane`].
-    codecs: [Vec<CodecBox>; 2],
+    /// `lanes[stream]`: the stream's codec state, one lane per
+    /// destination — or, for a stream the scheme shares across
+    /// destinations (the multicast commands stream), the single shared
+    /// lane 0. See [`CompressionEngine::lane`].
+    lanes: [LaneTable; 2],
     /// `desynced[stream][lane]`: the receiver-side mirror of this codec
     /// no longer matches the sender (injected metadata corruption). The
     /// sender cannot see this directly — the NI detects it through the
@@ -42,40 +152,28 @@ pub struct CompressionEngine {
 }
 
 impl CompressionEngine {
-    /// Engine for a machine with `tiles` tiles. A codec is instantiated
-    /// per destination including self — matching the paper's hardware
+    /// Engine for a machine with `tiles` tiles. A codec lane exists per
+    /// destination including self — matching the paper's hardware
     /// sizing ("as many receiving structures as the number of cores") —
     /// though the simulator never routes self-messages through it.
-    /// Streams the scheme shares across destinations get one codec.
+    /// Streams the scheme shares across destinations get one lane.
     pub fn new(scheme: CompressionScheme, tiles: usize) -> Self {
-        let lanes = |stream: CompressionStream| {
-            if scheme.shared_across_destinations(stream) {
-                1
-            } else {
-                tiles
-            }
-        };
-        let bank = |stream: CompressionStream| {
-            (0..lanes(stream))
-                .map(|_| scheme.build_codec(stream))
-                .collect::<Vec<_>>()
-        };
+        let table = |stream| LaneTable::new(scheme, stream, tiles);
+        let lanes = [
+            table(CompressionStream::Requests),
+            table(CompressionStream::Commands),
+        ];
+        let desynced = [vec![false; lanes[0].lanes()], vec![false; lanes[1].lanes()]];
         CompressionEngine {
             scheme,
-            codecs: [
-                bank(CompressionStream::Requests),
-                bank(CompressionStream::Commands),
-            ],
-            desynced: [
-                vec![false; lanes(CompressionStream::Requests)],
-                vec![false; lanes(CompressionStream::Commands)],
-            ],
+            lanes,
+            desynced,
             stats: CoverageStats::new(),
         }
     }
 
-    /// Which codec (and desync flag) a (`stream`, `dest`) pair uses:
-    /// slot 0 when the stream's state is shared across destinations, the
+    /// Which lane (and desync flag) a (`stream`, `dest`) pair uses:
+    /// lane 0 when the stream's state is shared across destinations, the
     /// destination index otherwise.
     fn lane(&self, stream: CompressionStream, dest: TileId) -> usize {
         if self.scheme.shared_across_destinations(stream) {
@@ -117,8 +215,7 @@ impl CompressionEngine {
             };
         }
         let lane = self.lane(stream, dest);
-        let codec = &mut self.codecs[stream.index()][lane];
-        let hit = codec.encode(line_addr);
+        let hit = self.lanes[stream.index()].encode(lane, line_addr);
         self.stats.record(stream, hit);
         CompressedSize {
             wire_bytes: if hit {
@@ -168,45 +265,28 @@ impl CompressionEngine {
             return;
         };
         let lane = self.lane(stream, dest);
-        self.codecs[stream.index()][lane].resync();
+        self.lanes[stream.index()].resync(lane);
         self.desynced[stream.index()][lane] = false;
-    }
-
-    /// Forget all learned codec state and statistics.
-    pub fn reset(&mut self) {
-        for side in &mut self.codecs {
-            for codec in side {
-                codec.resync();
-            }
-        }
-        for side in &mut self.desynced {
-            side.fill(false);
-        }
-        self.stats = CoverageStats::new();
     }
 }
 
-/// The scheme (and therefore the codec bank shape) is configuration;
-/// each codec's learned state, the desync flags and the coverage
-/// counters travel as bytes.
-impl cmp_common::persist::PersistState for CompressionEngine {
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        use cmp_common::persist::Persist;
-        for bank in &self.codecs {
-            cmp_common::persist::save_state_slice(bank, w);
+/// The scheme (and therefore the lane-table shape) is configuration;
+/// each lane's learned state, the desync flags and the coverage counters
+/// travel as bytes — the same bytes a bank of standalone codecs, one per
+/// lane, would write.
+impl PersistState for CompressionEngine {
+    fn save_state(&self, w: &mut ByteWriter) {
+        for table in &self.lanes {
+            table.save_state(w);
         }
         for side in &self.desynced {
             side.save(w);
         }
         self.stats.save(w);
     }
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        use cmp_common::persist::Persist;
-        for bank in &mut self.codecs {
-            cmp_common::persist::load_state_slice(bank, r)?;
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+        for table in &mut self.lanes {
+            table.load_state(r)?;
         }
         for side in &mut self.desynced {
             let flags: Vec<bool> = Persist::load(r)?;
@@ -410,17 +490,79 @@ mod tests {
         assert!(!e.divergence(TileId(1), MessageClass::CoherenceCmd));
     }
 
+    /// Snapshot bytes of a one-tile, two-entry DBRC engine whose
+    /// requests lane is spelt out by hand (`lanes` lane records of it)
+    /// and whose commands lane is cold.
+    fn forged(lanes: usize, bases: &[Option<u64>], stamps: &[u64]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.usize(lanes);
+        for _ in 0..lanes {
+            bases.to_vec().save(&mut w);
+            stamps.to_vec().save(&mut w);
+            w.u64(7);
+        }
+        w.usize(1);
+        vec![None::<u64>; 2].save(&mut w);
+        vec![0u64; 2].save(&mut w);
+        w.u64(0);
+        for _ in 0..2 {
+            vec![false].save(&mut w);
+        }
+        CoverageStats::new().save(&mut w);
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<CompressionEngine, PersistError> {
+        let mut e = CompressionEngine::new(
+            CompressionScheme::Dbrc {
+                entries: 2,
+                low_bytes: 1,
+            },
+            1,
+        );
+        let mut r = ByteReader::new(bytes);
+        e.load_state(&mut r).and_then(|()| r.finish())?;
+        Ok(e)
+    }
+
+    fn refusal(bytes: &[u8]) -> String {
+        load(bytes)
+            .expect_err("forged codec state must be refused")
+            .to_string()
+    }
+
     #[test]
-    fn reset_restores_cold_state() {
-        let mut e = engine(CompressionScheme::Dbrc {
-            entries: 4,
-            low_bytes: 2,
-        });
-        e.process(TileId(1), MessageClass::Request, 100);
-        e.process(TileId(1), MessageClass::Request, 100);
-        e.reset();
-        let r = e.process(TileId(1), MessageClass::Request, 100);
-        assert!(!r.compressed);
-        assert_eq!(e.stats().accesses(), 1);
+    fn consistent_hand_written_state_loads_and_saves_back() {
+        let bytes = forged(1, &[Some(3), None], &[7, 0]);
+        let e = load(&bytes).expect("consistent state loads");
+        let mut w = ByteWriter::new();
+        e.save_state(&mut w);
+        assert_eq!(w.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn valid_base_with_stamp_zero_is_refused() {
+        let err = refusal(&forged(1, &[Some(3), None], &[0, 0]));
+        assert!(err.contains("validity disagrees"), "{err}");
+    }
+
+    #[test]
+    fn invalid_base_with_nonzero_stamp_is_refused() {
+        let err = refusal(&forged(1, &[Some(3), None], &[7, 5]));
+        assert!(err.contains("validity disagrees"), "{err}");
+    }
+
+    #[test]
+    fn lane_count_other_than_the_machines_is_refused() {
+        let err = refusal(&forged(2, &[Some(3), None], &[7, 0]));
+        assert!(err.contains("lane count"), "{err}");
+    }
+
+    #[test]
+    fn entry_count_other_than_the_machines_is_refused() {
+        let err = refusal(&forged(1, &[Some(3), None, None], &[7, 0, 0]));
+        assert!(err.contains("entry count"), "{err}");
+        let err = refusal(&forged(1, &[Some(3), None], &[7, 0, 0]));
+        assert!(err.contains("entry count"), "{err}");
     }
 }

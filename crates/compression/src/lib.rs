@@ -10,21 +10,24 @@
 //! * [`stride`] — a single base register per (sender, receiver, stream);
 //!   when the delta to the previous address fits the configured number of
 //!   bytes, only the delta travels.
-//! * [`scheme`] — the [`AddressCodec`] strategy seam every codec
-//!   implements (encode/decode/resync/snapshot/hw-cost), plus the
+//! * [`scheme`] — the [`AddressCodec`] strategy seam every standalone
+//!   codec implements (encode/decode/resync/snapshot/hw-cost), plus the
 //!   `Perfect` (always hits — the paper's solid upper-bound lines in
-//!   Figure 6) and `None` oracles. Codecs are built from configuration
-//!   values as boxed trait objects, not compile-time wiring.
+//!   Figure 6) and `None` oracles. Which codec runs is a configuration
+//!   value ([`CompressionScheme`]), not compile-time wiring.
 //! * [`multicast`] — a multicast-encoded commands codec (after arXiv
 //!   2411.11545): one sender-side base cache shared across all
 //!   destinations, so an invalidation fan-out carries one compressed
 //!   base plus a sharer-set encoding and pays at most one cold miss.
 //!
-//! [`engine`] instantiates one codec per (destination, stream) pair at each
+//! [`engine`] keeps one codec lane per (destination, stream) pair at each
 //! tile — the paper duplicates hardware for the *requests* and *coherence
 //! commands* streams to avoid destructive interference — and reports
-//! per-message wire sizes. [`hw_cost`] and [`cacti_lite`] model the silicon
-//! cost of that hardware (Table 1).
+//! per-message wire sizes. The lanes of a stream live in one flat
+//! struct-of-arrays table, not a heap object each: the machine holds
+//! O(tiles²) of them. [`Dbrc`], [`Stride`] and [`MulticastCodec`] are the
+//! one-lane forms of the same tables. [`hw_cost`] and [`cacti_lite`]
+//! model the silicon cost of that hardware (Table 1).
 //!
 //! ### Compression operates on line addresses
 //!

@@ -1,10 +1,13 @@
 //! The codec strategy seam and scheme configuration.
 //!
 //! [`AddressCodec`] is the compression layer's strategy trait: every
-//! sender-side codec — DBRC, Stride, the multicast commands codec, the
-//! oracles — implements the same encode/decode/resync/snapshot/hw-cost
-//! surface, and the engine holds them as boxed trait objects built from
-//! the [`CompressionScheme`] carried in the run configuration. Nothing
+//! standalone sender-side codec — DBRC, Stride, the multicast commands
+//! codec, the oracles — implements the same
+//! encode/decode/resync/snapshot/hw-cost surface, and
+//! [`CompressionScheme::build_codec`] builds one from the scheme value
+//! carried in the run configuration. The engine does not box codecs: it
+//! keeps each stream as a lane table built from the same scheme value
+//! and running the same update code (see [`crate::engine`]). Nothing
 //! about the codec choice is compile-time wiring: a scheme value decodes
 //! from a campaign journal and builds the same hardware.
 
@@ -121,10 +124,10 @@ impl CompressionScheme {
         matches!(self, CompressionScheme::Multicast { .. }) && stream == CompressionStream::Commands
     }
 
-    /// Build one sender-side codec for `stream`. This is the strategy
-    /// selection point: the engine stores the result as a boxed
-    /// [`AddressCodec`], so which hardware runs is decided by the
-    /// configuration value, not by compile-time wiring.
+    /// Build one standalone sender-side codec for `stream`: one lane of
+    /// what [`crate::CompressionEngine`] holds for the stream, boxed
+    /// behind the [`AddressCodec`] seam. Which hardware runs is decided
+    /// by the configuration value, not by compile-time wiring.
     pub fn build_codec(&self, stream: CompressionStream) -> CodecBox {
         match *self {
             CompressionScheme::None => CodecBox::new(NoneCodec),

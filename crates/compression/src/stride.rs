@@ -8,79 +8,122 @@
 //! (`a, a+s, a+2s, …`, the patterns of Sazeides & Smith) compress
 //! indefinitely.
 
+use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError};
 use cmp_common::types::Addr;
 
 use crate::scheme::AddressCodec;
 
-/// Sender-side stride-compression state for one (destination, stream)
-/// pair.
+/// Stride state for `lanes` independent (destination, stream) pairs:
+/// one base register and one valid bit per lane.
 #[derive(Clone, Debug)]
-pub struct Stride {
-    base: Option<Addr>,
+pub(crate) struct StrideLanes {
+    /// Last address exchanged per lane; meaningless where `valid` is
+    /// false.
+    bases: Vec<Addr>,
+    valid: Vec<bool>,
     low_bytes: usize,
     /// Largest delta magnitude representable: deltas live in
     /// `[-2^(8·low-1), 2^(8·low-1))`.
     max_pos: i64,
 }
 
-impl Stride {
-    /// Delta compression with `low_bytes` bytes of signed delta (the paper
-    /// evaluates 1 and 2).
-    pub fn new(low_bytes: usize) -> Self {
+impl StrideLanes {
+    pub(crate) fn new(lanes: usize, low_bytes: usize) -> Self {
         assert!(
             (1..=4).contains(&low_bytes),
             "delta bytes must be 1..=4, got {low_bytes}"
         );
-        Stride {
-            base: None,
+        StrideLanes {
+            bases: vec![0; lanes],
+            valid: vec![false; lanes],
             low_bytes,
             max_pos: 1i64 << (8 * low_bytes - 1),
         }
     }
 
+    pub(crate) fn lanes(&self) -> usize {
+        self.valid.len()
+    }
+
+    /// Whether `line_addr` would compress against `lane`'s base.
+    pub(crate) fn peek(&self, lane: usize, line_addr: Addr) -> bool {
+        let delta = line_addr.wrapping_sub(self.bases[lane]) as i64;
+        self.valid[lane] && delta >= -self.max_pos && delta < self.max_pos
+    }
+
+    /// The Stride update rule: compare against `lane`'s base, then
+    /// follow the address whether or not it compressed.
+    pub(crate) fn encode(&mut self, lane: usize, line_addr: Addr) -> bool {
+        let hit = self.peek(lane, line_addr);
+        self.bases[lane] = line_addr;
+        self.valid[lane] = true;
+        hit
+    }
+
+    pub(crate) fn resync(&mut self, lane: usize) {
+        self.bases[lane] = 0;
+        self.valid[lane] = false;
+    }
+
+    /// One lane's snapshot bytes: the base as an `Option<u64>`.
+    pub(crate) fn save_lane(&self, lane: usize, w: &mut ByteWriter) {
+        self.valid[lane].then_some(self.bases[lane]).save(w);
+    }
+
+    pub(crate) fn load_lane(
+        &mut self,
+        lane: usize,
+        r: &mut ByteReader,
+    ) -> Result<(), PersistError> {
+        let base: Option<Addr> = Persist::load(r)?;
+        self.bases[lane] = base.unwrap_or(0);
+        self.valid[lane] = base.is_some();
+        Ok(())
+    }
+}
+
+/// Sender-side stride-compression state for one (destination, stream)
+/// pair: the one-lane form of the engine's Stride lane table.
+#[derive(Clone, Debug)]
+pub struct Stride(StrideLanes);
+
+impl Stride {
+    /// Delta compression with `low_bytes` bytes of signed delta (the paper
+    /// evaluates 1 and 2).
+    pub fn new(low_bytes: usize) -> Self {
+        Stride(StrideLanes::new(1, low_bytes))
+    }
+
     /// Delta bytes per compressed message.
     pub fn low_bytes(&self) -> usize {
-        self.low_bytes
+        self.0.low_bytes
     }
 
     /// Whether `line_addr` would compress against the current base.
     pub fn peek(&self, line_addr: Addr) -> bool {
-        match self.base {
-            None => false,
-            Some(base) => {
-                let delta = line_addr.wrapping_sub(base) as i64;
-                delta >= -self.max_pos && delta < self.max_pos
-            }
-        }
+        self.0.peek(0, line_addr)
     }
 }
 
 impl AddressCodec for Stride {
     fn encode(&mut self, line_addr: Addr) -> bool {
-        let hit = self.peek(line_addr);
-        self.base = Some(line_addr);
-        hit
+        self.0.encode(0, line_addr)
     }
 
     fn resync(&mut self) {
-        self.base = None;
+        self.0.resync(0);
     }
 
     fn hw_entries(&self) -> usize {
         1
     }
 
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        use cmp_common::persist::Persist;
-        self.base.save(w);
+    fn save_state(&self, w: &mut ByteWriter) {
+        self.0.save_lane(0, w);
     }
 
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        self.base = cmp_common::persist::Persist::load(r)?;
-        Ok(())
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+        self.0.load_lane(0, r)
     }
 }
 

@@ -59,6 +59,13 @@ TCMP_SANITIZE=1 cargo test -q --workspace
 echo "== snapshot/restore round-trip smoke"
 cargo test -q --release --test snapshot_restore
 
+echo "== footprint gate (32x32 sparse proposal machine within its peak-RSS budget, own process)"
+# Ignored in the plain test runs: VmHWM is whole-process, so the test
+# gets a release binary of its own. One malloc arena, as the benchmark
+# runs: under libtest's per-thread arena the same machine reads about
+# half the peak, which would hide a regression.
+MALLOC_ARENA_MAX=1 cargo test -q --release -p tcmp-core --test footprint -- --ignored
+
 echo "== NoC under the optimized build (contention hashes, checkpoint byte goldens, next-event equivalence)"
 cargo test -q --release -p mesh-noc
 
