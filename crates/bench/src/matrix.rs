@@ -12,6 +12,7 @@
 
 use std::path::PathBuf;
 
+use cmp_common::fsx::Fs;
 use cmp_common::journal::{write_atomic, Journal, JOURNAL_FILE};
 use tcmp_core::experiment::config_label;
 use tcmp_core::supervisor::run_cells;
@@ -160,7 +161,7 @@ fn publish(tables: Tables, text: &str, stamp: Option<&str>, csv: CsvPath) -> (bo
             continue;
         };
         let result = match stamp {
-            Some(stamp) => table.write_csv_stamped(&path, stamp),
+            Some(stamp) => table.write_csv_stamped_on(&Fs::real(), &path, stamp),
             None => table.write_csv(&path),
         };
         match result {

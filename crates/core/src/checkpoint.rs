@@ -22,8 +22,9 @@
 //!   campaigns (or two service lifetimes) share one file.
 //! * **Verified at load.** A snapshot carries the checksum of its own
 //!   header and state ([`MachineSnapshot::digest`], recorded at
-//!   capture); [`DiskStore::load`] checks the file header and the key
-//!   and recomputes it. A file that fails *any* check — torn,
+//!   capture); [`DiskStore::load`] checks the file header and the key,
+//!   and parsing the snapshot recomputes the checksum — once, so the
+//!   restore that follows trusts it. A file that fails *any* check — torn,
 //!   truncated, bit-flipped, renamed, from a different key — is moved
 //!   to a bounded quarantine directory (counted in
 //!   [`DiskCounters::quarantined`]) and the load returns
@@ -54,7 +55,7 @@ pub type WarmKey = (String, Cycle);
 
 /// Outcome of [`DiskStore::load`].
 pub enum CacheLoad {
-    /// A checkpoint whose checksum verified; restore it and go.
+    /// A checkpoint that passed every check; restore it and go.
     Hit(Box<MachineSnapshot>),
     /// Nothing stored under this key.
     Miss,
@@ -179,10 +180,11 @@ struct DiskInner {
 /// |                |             | header, its FNV-64, its state        |
 ///
 /// The one checksum is the snapshot's own, over its header and every
-/// state byte: it catches arbitrary corruption (bit rot, torn writes,
-/// short reads) at scan and at load, *before* anything is decoded.
-/// Decoding happens where the state is used — in
-/// [`crate::sim::CmpSimulator::try_restore`], which refuses foreign
+/// state byte, and it is recomputed exactly once per read, where the
+/// snapshot's bytes are parsed: it catches arbitrary corruption (bit
+/// rot, torn writes, short reads) at scan and at load, *before*
+/// anything is decoded. Decoding happens where the state is used — in
+/// [`crate::CmpSimulator::try_restore`], which refuses foreign
 /// shapes with structured errors — and the warm-start path then
 /// re-encodes the restored machine and compares, which catches anything
 /// that decodes cleanly but is not the state that was stored. A failure
@@ -196,7 +198,7 @@ pub struct DiskStore {
     inner: Mutex<DiskInner>,
 }
 
-/// A parsed, checksum-verified `.ckpt` file.
+/// A parsed `.ckpt` file; its snapshot's checksum held when parsed.
 struct CkptFile {
     seq: u64,
     key: WarmKey,
@@ -214,8 +216,8 @@ fn encode_file(seq: u64, key: &WarmKey, snap: &MachineSnapshot) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Parse and checksum-verify a `.ckpt` file's bytes. Structured errors,
-/// never a panic, whatever the input.
+/// Parse a `.ckpt` file's bytes; parsing the snapshot verifies its
+/// checksum. Structured errors, never a panic, whatever the input.
 fn parse_file(bytes: &[u8]) -> Result<CkptFile, String> {
     let mut r = ByteReader::new(bytes);
     if r.u32().map_err(|e| e.to_string())? != MAGIC {
@@ -232,7 +234,6 @@ fn parse_file(bytes: &[u8]) -> Result<CkptFile, String> {
     let key_fp = r.string().map_err(|e| e.to_string())?;
     let snap = MachineSnapshot::load(&mut r).map_err(|e| e.to_string())?;
     r.finish().map_err(|e| e.to_string())?;
-    snap.verify().map_err(|e| e.to_string())?;
     Ok(CkptFile {
         seq,
         key: (key_fp, warm_cycle),
@@ -246,9 +247,9 @@ fn file_stem(key: &WarmKey) -> String {
 
 impl DiskStore {
     /// Open (or create) a store rooted at `root`. Scans existing
-    /// `.ckpt` files — header and checksum, again at each load —
-    /// rebuilding the index and
-    /// the FIFO order from their store sequences. Unparseable files are
+    /// `.ckpt` files — header and checksum, again at each load, since
+    /// the file may rot in between — rebuilding the index and the FIFO
+    /// order from their store sequences. Unparseable files are
     /// quarantined immediately; leftover `.tmp` spill residue from a
     /// crashed predecessor is deleted; the byte budget is enforced on
     /// what remains.
@@ -627,7 +628,7 @@ impl DiskStore {
     }
 }
 
-/// A verifying in-memory map of snapshots. Nothing in the workspace
+/// An in-memory map of snapshots. Nothing in the workspace
 /// uses it: it stays only because the frozen `benchmark/` package times
 /// its `load` for the `core.ckpt_mem_hit_us` ledger row. The next
 /// `benchmark` PR drops it together with that row.
@@ -649,11 +650,10 @@ impl CheckpointCache {
         self.lock().entry(key).or_insert(snap);
     }
 
-    /// Verify and copy out the snapshot under `key`.
+    /// Copy out the snapshot under `key`.
     pub fn load(&self, key: &WarmKey) -> CacheLoad {
         match self.lock().get(key) {
-            Some(snap) if snap.verify().is_ok() => CacheLoad::Hit(Box::new(snap.clone())),
-            Some(_) => CacheLoad::Quarantined,
+            Some(snap) => CacheLoad::Hit(Box::new(snap.clone())),
             None => CacheLoad::Miss,
         }
     }

@@ -7,15 +7,17 @@ use coherence::l1::L1State;
 use coherence::l2::DirState;
 use coherence::sanitizer::Invariant;
 
-use super::Engine;
+use super::CmpSimulator;
 
-impl Engine {
+impl CmpSimulator {
     /// Deterministically corrupt live coherence metadata so a sanitizer
     /// sweep (or the structured-error path) has a real violation of the
     /// given class to catch. Returns the `(tile, line)` it corrupted, or
     /// `None` when the machine holds no suitable line yet — campaigns
-    /// retry on a later iteration.
-    pub(crate) fn fault_inject_violation(&mut self, class: Invariant) -> Option<(TileId, Addr)> {
+    /// retry on a later iteration. Campaign/test hook; never called on
+    /// the clean path.
+    #[doc(hidden)]
+    pub fn fault_inject_violation(&mut self, class: Invariant) -> Option<(TileId, Addr)> {
         let tiles = self.cfg.cmp.tiles();
         // A line is a safe target only while its home transaction machinery
         // is idle — otherwise the sweep's in-flight exemption hides it.

@@ -1,7 +1,13 @@
-//! The simulation engine: per-tile components, trait seams and the
-//! scheduler that clocks them.
+//! The full-system tiled-CMP simulator: per-tile components, trait
+//! seams and the scheduler that clocks them.
 //!
-//! The engine decomposes the machine the way the hardware does:
+//! [`CmpSimulator`] is the one simulator type: build it with
+//! [`CmpSimulator::new`], then [`CmpSimulator::run`] it to completion,
+//! or [`CmpSimulator::step`] it iteration by iteration and
+//! [`CmpSimulator::finish`]. All components share the 4 GHz clock; the
+//! scheduler fast-forwards over idle stretches (compute bursts, memory
+//! waits) by jumping to the next interesting cycle. It decomposes the
+//! machine the way the hardware does:
 //!
 //! * [`tile::Tile`] — one node's private state: trace-driven core,
 //!   L1 controller and the compressing network interface
@@ -9,7 +15,7 @@
 //! * [`tile::L2Bank`] — one slice of the shared NUCA L2 with its
 //!   full-map directory, a sibling of the tile on the same switch;
 //! * the global pieces — flit-level NoC, memory controller, barrier —
-//!   owned directly by the [`Engine`];
+//!   owned directly by the [`CmpSimulator`];
 //! * [`calendar::Calendar`] — the event calendar: delayed protocol
 //!   sends plus the incremental core-readiness index;
 //! * [`ports::TilePorts`] — the typed outbound ports a controller's
@@ -19,9 +25,6 @@
 //! failures with machine dumps), [`stats`] (end-of-run accounting),
 //! [`snapshot`] (whole-machine checkpoint/restore), [`faults`]
 //! (campaign corruption hooks).
-//!
-//! The public façade is [`crate::sim::CmpSimulator`]; the engine is the
-//! machinery behind it.
 
 pub mod calendar;
 pub mod error;
@@ -148,7 +151,7 @@ pub(crate) fn parse_sanitize(v: &str) -> Result<bool, String> {
 
 /// True when a delivered message of this kind is handled by an L1
 /// controller (the remaining kinds go to an L2 slice). Mirrors the
-/// dispatch in [`Engine::deliver`]; used only for profile attribution.
+/// dispatch in [`CmpSimulator::deliver`]; used only for profile attribution.
 fn l1_bound(kind: &PKind) -> bool {
     matches!(
         kind,
@@ -204,9 +207,9 @@ fn sanitize_from_env() -> Option<SanitizerConfig> {
     on.then(SanitizerConfig::default)
 }
 
-/// The simulation engine: tiles, L2 banks and the global components,
-/// clocked by one scheduler.
-pub struct Engine {
+/// The full-system simulator: tiles, L2 banks and the global
+/// components, clocked by one scheduler.
+pub struct CmpSimulator {
     pub(crate) cfg: SimConfig,
     pub(crate) app_name: String,
     /// One per mesh node: core + L1 + network interface.
@@ -244,13 +247,13 @@ pub struct Engine {
     pub(crate) delivered_scratch: Vec<Delivered<ProtocolMsg>>,
     pub(crate) due_scratch: Vec<u32>,
     /// Per-phase wall-clock attribution; `None` unless enabled via
-    /// [`Engine::enable_profiling`] or `TCMP_PROFILE=1`. Host-side
+    /// [`CmpSimulator::enable_profiling`] or `TCMP_PROFILE=1`. Host-side
     /// measurement only — outside [`MachineSnapshot`].
     pub(crate) profile: Option<Box<PhaseProfile>>,
 }
 
-impl Engine {
-    /// Build an engine running `app` at `scale`, seeded with `seed`.
+impl CmpSimulator {
+    /// Build a simulator running `app` at `scale`, seeded with `seed`.
     pub fn new(cfg: SimConfig, app: &AppProfile, seed: u64, scale: f64) -> Self {
         cfg.cmp.validate().expect("valid machine config");
         cfg.interconnect
@@ -313,7 +316,7 @@ impl Engine {
             .then(|| FaultInjector::new(cfg.faults.clone()));
         let sanitizer = cfg.sanitizer.map(Sanitizer::new);
         let next_sweep = cfg.sanitizer.map_or(Cycle::MAX, |s| s.period);
-        Engine {
+        CmpSimulator {
             app_name: app.name.to_string(),
             tiles: tile_row,
             l2s,
@@ -338,8 +341,10 @@ impl Engine {
     }
 
     /// Turn on per-phase wall-clock attribution for the rest of the
-    /// run (see [`profile::PhaseProfile`]). Idempotent; already-elapsed
-    /// phases are simply not counted.
+    /// run (see [`profile::PhaseProfile`]; also enabled by
+    /// `TCMP_PROFILE=1`). Idempotent; already-elapsed phases are simply
+    /// not counted. Profiling never changes a run's simulated outcome —
+    /// only its wall-clock cost, by percents.
     pub fn enable_profiling(&mut self) {
         if self.profile.is_none() {
             self.profile = Some(Box::default());
@@ -352,8 +357,14 @@ impl Engine {
     }
 
     /// Current simulated cycle.
-    pub fn now(&self) -> Cycle {
+    pub fn cycle(&self) -> Cycle {
         self.now
+    }
+
+    /// Run to completion and report.
+    pub fn run(&mut self) -> Result<SimResult, SimError> {
+        while self.step()? {}
+        Ok(self.finish())
     }
 
     /// Route a controller's side effects through `tile`'s outbound ports.
@@ -413,8 +424,9 @@ impl Engine {
         }
     }
 
-    /// Instructions retired across all cores so far.
-    pub fn total_instructions(&self) -> u64 {
+    /// Instructions retired across all cores so far (the watchdog's
+    /// progress probe).
+    fn total_instructions(&self) -> u64 {
         self.tiles.iter().map(|t| t.core.stats().instructions).sum()
     }
 
@@ -740,8 +752,10 @@ impl Engine {
 
     /// One scheduler iteration: drain everything due at `self.now`, then
     /// jump the clock to the next interesting cycle. Returns `Ok(false)`
-    /// once the workload has fully drained.
-    pub fn step_iteration(&mut self) -> Result<bool, SimError> {
+    /// once the workload has fully drained. Public so fault-campaign
+    /// drivers and robustness tests can interleave corruption hooks with
+    /// the run; [`CmpSimulator::run`] is the normal entry point.
+    pub fn step(&mut self) -> Result<bool, SimError> {
         if self.all_done() {
             return Ok(false);
         }
@@ -898,7 +912,8 @@ impl Engine {
     /// shape, so a [`MachineSnapshot`] taken before arming is refused
     /// afterwards: forensic replay — rewind a watchdog-aborted cell to
     /// its last checkpoint and re-step with sweeps on — calls this
-    /// *after* the restore.
+    /// *after* the restore. Sweeps are read-only, so arming cannot
+    /// change a healthy run's outcome.
     pub fn arm_sanitizer(&mut self, cfg: SanitizerConfig) {
         self.sanitizer = Some(Sanitizer::new(cfg));
         self.next_sweep = self.now;
@@ -906,8 +921,10 @@ impl Engine {
 
     /// Enable/disable the synthetic livelock: whole-line data replies are
     /// silently lost at the sender NI (partial replies still flow), so
-    /// MSHRs pin and cores spin on blocked accesses. Campaign/test hook;
-    /// never touched on the clean path.
+    /// MSHRs pin and cores spin on blocked accesses, without the fault
+    /// injector's recovery accounting. Campaign/test hook for the
+    /// forward-progress watchdog; never touched on the clean path.
+    #[doc(hidden)]
     pub fn fault_drop_data_replies(&mut self, enable: bool) {
         self.drop_data_replies = enable;
     }

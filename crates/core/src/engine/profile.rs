@@ -3,7 +3,7 @@
 //!
 //! Profiling is a measurement mode, not an always-on counter: the
 //! engine holds an `Option<Box<PhaseProfile>>` that is `None` unless
-//! enabled via [`Engine::enable_profiling`] or the `TCMP_PROFILE`
+//! enabled via [`CmpSimulator::enable_profiling`] or the `TCMP_PROFILE`
 //! environment gate, so the clean path pays one branch per phase.
 //! When enabled, each scheduler phase is bracketed with
 //! `Instant::now()` and its elapsed time lands in one bucket:
@@ -25,7 +25,7 @@
 //! and L2 handler time can be told apart; that price is only paid in
 //! profile mode.
 //!
-//! [`Engine::enable_profiling`]: super::Engine::enable_profiling
+//! [`CmpSimulator::enable_profiling`]: super::CmpSimulator::enable_profiling
 
 use std::time::Instant;
 

@@ -2,7 +2,7 @@
 //! iteration boundary and resume bit-identically.
 //!
 //! There is one description of the machine's mutable state — the
-//! [`PersistState`] impl on [`Engine`]: tiles (core + L1 + network
+//! [`PersistState`] impl on [`CmpSimulator`]: tiles (core + L1 + network
 //! interface), L2 banks, NoC, memory controller, barrier, event
 //! calendar, the engine's cached counters and the robustness layer's
 //! seeded state — and a [`MachineSnapshot`] is that encoding behind a
@@ -15,6 +15,12 @@
 //! Snapshots are taken between scheduler iterations (the only boundary
 //! the public API exposes), where the scratch buffers are empty by
 //! construction — nothing transient needs to be captured.
+//!
+//! A snapshot's checksum is checked exactly once, where its bytes are
+//! parsed: [`MachineSnapshot`]'s [`Persist::load`] refuses a mismatch,
+//! and the only other way to get one is to capture it. So every
+//! `MachineSnapshot` value is intact by construction, and
+//! [`CmpSimulator::try_restore`] checks only that it fits the machine.
 
 use cmp_common::config::DirectoryConfig;
 use cmp_common::hash::{fnv64, Fnv64};
@@ -23,28 +29,30 @@ use cmp_common::persist::{
 };
 use cmp_common::types::Cycle;
 
-use super::Engine;
+use super::CmpSimulator;
 
 /// A checkpoint of the whole machine at an iteration boundary: a header
 /// saying which machine it fits, the encoded state, and a checksum over
-/// both. Opaque: capture with [`crate::sim::CmpSimulator::snapshot`],
-/// apply with [`crate::sim::CmpSimulator::try_restore`].
+/// both. Opaque: capture with [`CmpSimulator::snapshot`], apply with
+/// [`CmpSimulator::try_restore`]. Sealed at capture and verified when
+/// parsed, so a value of this type always holds what was captured.
 #[derive(Clone)]
 pub struct MachineSnapshot {
     now: Cycle,
     tiles: usize,
     directory: DirectoryConfig,
-    /// [`Engine::shape_fingerprint`] of the captured machine.
+    /// [`CmpSimulator::shape_fingerprint`] of the captured machine.
     shape: u64,
     /// [`MachineSnapshot::digest`] at capture time.
     checksum: u64,
-    /// [`Engine::encode_state`] at capture time.
-    pub(crate) state: Vec<u8>,
+    /// [`CmpSimulator::encode_state`] at capture time. Private, like
+    /// every field: the checksum must keep matching.
+    state: Vec<u8>,
 }
 
 /// Why a [`MachineSnapshot`] refuses to restore into a simulator. Every
 /// variant but [`RestoreError::Decode`] is decided from the snapshot's
-/// header and checksum, before the simulator is touched.
+/// header, before the simulator is touched.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RestoreError {
     /// The snapshot captured a machine with a different tile count.
@@ -74,16 +82,8 @@ pub enum RestoreError {
         /// Fingerprint recorded in the snapshot.
         snapshot: u64,
     },
-    /// The snapshot's header or state changed after capture (bit rot, a
-    /// torn copy, a deliberate test corruption).
-    ChecksumMismatch {
-        /// Checksum recorded at capture.
-        stored: u64,
-        /// Checksum of what the snapshot holds now.
-        computed: u64,
-    },
-    /// Header and checksum verified, yet the state did not decode into
-    /// this machine (a decoder bug, a hash collision). Decoding
+    /// The header fits, yet the state did not decode into this machine
+    /// (a decoder bug, a hash collision). Decoding
     /// overwrites the machine as it goes, so the simulator is now
     /// **partly restored and must be rebuilt**.
     Decode(PersistError),
@@ -119,11 +119,6 @@ impl std::fmt::Display for RestoreError {
                  has shape {simulator:016x}: machine description, interconnect, scheme, \
                  coverage probes and armed robustness components must all match"
             ),
-            RestoreError::ChecksumMismatch { stored, computed } => write!(
-                f,
-                "snapshot checksum mismatch (stored {stored:016x}, computed \
-                 {computed:016x}): torn, truncated or bit-rotted"
-            ),
             RestoreError::Decode(e) => {
                 write!(
                     f,
@@ -147,9 +142,9 @@ impl MachineSnapshot {
         self.tiles
     }
 
-    /// Directory organisation the captured L2 slices were running.
-    pub fn directory_config(&self) -> DirectoryConfig {
-        self.directory
+    /// The captured machine's encoded state.
+    pub(crate) fn state(&self) -> &[u8] {
+        &self.state
     }
 
     fn save_header(&self, w: &mut ByteWriter) {
@@ -159,13 +154,12 @@ impl MachineSnapshot {
         w.u64(self.shape);
     }
 
-    /// Content digest of the snapshot as it is now: FNV-1a 64 over the
-    /// header and every state byte. Recorded at capture and recomputed
-    /// by whoever is about to trust the state ([`Engine::try_restore`],
-    /// the checkpoint store), so a checkpoint torn,
-    /// bit-rotted or deliberately corrupted in between is refused
-    /// instead of fast-forwarding a cell into wrong numbers. Not
-    /// cryptographic: it guards against corruption, not an adversary.
+    /// Content digest of the snapshot: FNV-1a 64 over the header and
+    /// every state byte. Recorded at capture and recomputed once, when
+    /// the snapshot's bytes are parsed, so a checkpoint torn, bit-rotted
+    /// or deliberately corrupted in between is refused instead of
+    /// fast-forwarding a cell into wrong numbers. Not cryptographic: it
+    /// guards against corruption, not an adversary.
     pub fn digest(&self) -> u64 {
         let mut header = ByteWriter::new();
         self.save_header(&mut header);
@@ -181,32 +175,6 @@ impl MachineSnapshot {
         self
     }
 
-    /// `Ok` when the snapshot still is what was captured.
-    pub(crate) fn verify(&self) -> Result<(), RestoreError> {
-        let computed = self.digest();
-        if computed == self.checksum {
-            Ok(())
-        } else {
-            Err(RestoreError::ChecksumMismatch {
-                stored: self.checksum,
-                computed,
-            })
-        }
-    }
-
-    /// Deliberately perturb the captured state — one flipped bit in the
-    /// middle of the encoding, the kind of damage a torn or rotted
-    /// checkpoint carries — so load-time verification has something
-    /// real to catch. Test and campaign hook; never called on the clean
-    /// path.
-    #[doc(hidden)]
-    pub fn fault_corrupt(&mut self) {
-        let mid = self.state.len() / 2;
-        if let Some(byte) = self.state.get_mut(mid) {
-            *byte ^= 0x10;
-        }
-    }
-
     /// The snapshot as bytes (header, checksum, state), as the disk
     /// store writes it. Only mutable state is in there: immutable
     /// structure — mesh shape, codec schemes, latencies — is rebuilt by
@@ -220,9 +188,9 @@ impl MachineSnapshot {
 
     /// Replace this snapshot with one parsed from
     /// [`MachineSnapshot::save_bytes`] output. Truncated input, trailing
-    /// bytes and an unreadable header are structured errors, never a
-    /// panic; the state is adopted as is and checked where it is used
-    /// ([`crate::sim::CmpSimulator::try_restore`]).
+    /// bytes, an unreadable header and a checksum mismatch are
+    /// structured errors, never a panic; on `Err` this snapshot is
+    /// unchanged.
     pub fn load_bytes(&mut self, bytes: &[u8]) -> Result<(), PersistError> {
         let mut r = ByteReader::new(bytes);
         let parsed = MachineSnapshot::load(&mut r)?;
@@ -252,24 +220,30 @@ impl Persist for MachineSnapshot {
         w.u64(self.checksum);
         w.bytes(&self.state);
     }
+    /// Parse a snapshot and verify its checksum: the one place a
+    /// snapshot's digest is recomputed.
     fn load(r: &mut ByteReader) -> Result<Self, PersistError> {
         let now = r.u64()?;
         let tiles = r.usize()?;
         let directory = DirectoryConfig::parse_flag(&r.string()?)
             .map_err(|_| r.err("unknown directory organisation"))?;
-        Ok(MachineSnapshot {
+        let snap = MachineSnapshot {
             now,
             tiles,
             directory,
             shape: r.u64()?,
             checksum: r.u64()?,
             state: r.bytes()?.to_vec(),
-        })
+        };
+        if snap.digest() != snap.checksum {
+            return Err(r.err("snapshot checksum mismatch: torn, truncated or bit-rotted"));
+        }
+        Ok(snap)
     }
 }
 
 /// The machine's mutable state, field by field: the only such list.
-impl PersistState for Engine {
+impl PersistState for CmpSimulator {
     fn save_state(&self, w: &mut ByteWriter) {
         w.u64(self.now);
         save_state_slice(&self.tiles, w);
@@ -337,7 +311,7 @@ impl PersistState for Engine {
     }
 }
 
-impl Engine {
+impl CmpSimulator {
     /// Fingerprint of everything that fixes the *shape* of the encoded
     /// state: the machine description, the interconnect, the codec
     /// scheme, the coverage probes, and which optional robustness
@@ -368,6 +342,12 @@ impl Engine {
     }
 
     /// Checkpoint the whole machine at the current iteration boundary.
+    ///
+    /// Restoring the snapshot — into this simulator, however far it has
+    /// run since, or into another one built from the same configuration
+    /// and application — resumes the run bit-identically: the remaining
+    /// schedule, message counts and energy are exactly those of an
+    /// uncheckpointed run.
     pub fn snapshot(&self) -> MachineSnapshot {
         MachineSnapshot {
             now: self.now,
@@ -380,10 +360,23 @@ impl Engine {
         .sealed()
     }
 
-    /// Rewind the machine to `snap`. Header (tile count, directory,
-    /// shape fingerprint) and checksum are checked first, and a refusal
-    /// on any of them leaves the machine untouched; only then is the
-    /// state decoded in place ([`RestoreError::Decode`] past that point).
+    /// Rewind the machine to a previously captured [`MachineSnapshot`].
+    ///
+    /// The snapshot must come from a simulator with the same
+    /// configuration (panics otherwise; see
+    /// [`CmpSimulator::try_restore`] for the non-panicking form).
+    pub fn restore(&mut self, snap: &MachineSnapshot) {
+        self.try_restore(snap)
+            .expect("snapshot matches this machine");
+    }
+
+    /// Rewind the machine to `snap`, refusing with a structured error
+    /// when it does not fit: the header's tile count, directory
+    /// organisation and shape fingerprint are checked first, and a
+    /// refusal on any of them leaves the machine untouched; only then is
+    /// the state decoded in place ([`RestoreError::Decode`] past that
+    /// point). The checksum is not recomputed: it was checked when the
+    /// snapshot was parsed.
     pub fn try_restore(&mut self, snap: &MachineSnapshot) -> Result<(), RestoreError> {
         if snap.tiles != self.tiles.len() {
             return Err(RestoreError::TileCountMismatch {
@@ -404,7 +397,6 @@ impl Engine {
                 snapshot: snap.shape,
             });
         }
-        snap.verify()?;
         let mut r = ByteReader::new(&snap.state);
         self.load_state(&mut r)
             .and_then(|()| r.finish())

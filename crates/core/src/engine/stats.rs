@@ -7,7 +7,7 @@ use cmp_common::types::{Cycle, MessageClass};
 use energy_model::breakdown::EnergyBreakdown;
 use energy_model::core_power::CoreEnergyModel;
 
-use super::Engine;
+use super::CmpSimulator;
 use crate::niface::{InterconnectChoice, ResyncStats};
 
 /// Per-class message accounting (network messages only, as in Figure 5).
@@ -146,9 +146,11 @@ impl SimResult {
     }
 }
 
-impl Engine {
-    /// Fold every component's counters into the run's report.
-    pub(crate) fn collect(&mut self) -> SimResult {
+impl CmpSimulator {
+    /// Fold every component's counters into the run's report: the end
+    /// of [`CmpSimulator::run`], or of a manually-stepped run once
+    /// [`CmpSimulator::step`] has returned `Ok(false)`.
+    pub fn finish(&mut self) -> SimResult {
         // Close any resync window still open at end-of-run: the handshake
         // completes in the drained network.
         let now = self.now;

@@ -4,8 +4,6 @@ use cmp_common::types::MessageClass;
 use wire_model::wires::VlWidth;
 use workloads::synthetic;
 
-use crate::sim::CmpSimulator;
-
 const SEED: u64 = 0xC0FFEE;
 
 fn run_app(app: &AppProfile, cfg: SimConfig, scale: f64) -> SimResult {
@@ -207,10 +205,10 @@ fn event_calendar_matches_brute_force_scans() {
                 },
             )
         };
-        let mut engine = Engine::new(cfg, &app, rng.next_u64(), 1.0);
+        let mut engine = CmpSimulator::new(cfg, &app, rng.next_u64(), 1.0);
         let mut iters = 0u64;
         loop {
-            let more = engine.step_iteration().expect("run must not deadlock");
+            let more = engine.step().expect("run must not deadlock");
             let unfinished = engine.tiles.iter().filter(|t| !t.core.is_done()).count();
             assert_eq!(engine.cores_unfinished, unfinished, "done counter drifted");
             let busy = engine
@@ -399,24 +397,24 @@ fn engine_snapshot_round_trips_mid_run() {
     let cfg = compressed_cfg();
 
     // Straight run for the reference result.
-    let mut straight = Engine::new(cfg.clone(), &app, SEED, 1.0);
-    while straight.step_iteration().expect("clean run") {}
-    let reference = straight.collect();
+    let mut straight = CmpSimulator::new(cfg.clone(), &app, SEED, 1.0);
+    while straight.step().expect("clean run") {}
+    let reference = straight.finish();
 
     // Checkpoint partway, run to completion, then rewind and re-run.
-    let mut engine = Engine::new(cfg, &app, SEED, 1.0);
+    let mut engine = CmpSimulator::new(cfg, &app, SEED, 1.0);
     for _ in 0..200 {
-        assert!(engine.step_iteration().expect("clean run"));
+        assert!(engine.step().expect("clean run"));
     }
     let snap = engine.snapshot();
-    assert_eq!(snap.cycle(), engine.now());
-    while engine.step_iteration().expect("clean run") {}
-    let first = engine.collect();
+    assert_eq!(snap.cycle(), engine.cycle());
+    while engine.step().expect("clean run") {}
+    let first = engine.finish();
 
     engine.try_restore(&snap).expect("rewind");
-    assert_eq!(engine.now(), snap.cycle());
-    while engine.step_iteration().expect("clean run") {}
-    let second = engine.collect();
+    assert_eq!(engine.cycle(), snap.cycle());
+    while engine.step().expect("clean run") {}
+    let second = engine.finish();
 
     for r in [&first, &second] {
         assert_eq!(r.cycles, reference.cycles, "restore perturbed the run");
@@ -448,24 +446,24 @@ fn byte_encoded_snapshot_resumes_bit_identically() {
     let app = synthetic::hotspot(1_500, 64);
     let cfg = compressed_cfg();
 
-    let mut original = Engine::new(cfg.clone(), &app, SEED, 1.0);
+    let mut original = CmpSimulator::new(cfg.clone(), &app, SEED, 1.0);
     for _ in 0..200 {
-        assert!(original.step_iteration().expect("clean run"));
+        assert!(original.step().expect("clean run"));
     }
     let snap = original.snapshot();
     let bytes = snap.save_bytes();
 
-    let mut resumed = Engine::new(cfg.clone(), &app, SEED, 1.0);
+    let mut resumed = CmpSimulator::new(cfg.clone(), &app, SEED, 1.0);
     let mut parsed = resumed.snapshot();
     parsed.load_bytes(&bytes).expect("parse");
     assert_eq!(parsed.digest(), snap.digest(), "parsed snapshot is a copy");
     assert_eq!(parsed.cycle(), snap.cycle());
     resumed.try_restore(&parsed).expect("restore");
-    assert_eq!(resumed.encode_state(), snap.state);
+    assert_eq!(resumed.encode_state(), snap.state());
 
-    let finish = |e: &mut Engine| {
-        while e.step_iteration().expect("clean run") {}
-        e.collect()
+    let finish = |e: &mut CmpSimulator| {
+        while e.step().expect("clean run") {}
+        e.finish()
     };
     let (a, b) = (finish(&mut original), finish(&mut resumed));
     assert_eq!(a.cycles, b.cycles);
@@ -479,25 +477,25 @@ fn byte_encoded_snapshot_resumes_bit_identically() {
 }
 
 /// Damaged snapshot bytes never panic and never restore: each is
-/// refused either by the header parser (`load_bytes`) or by
-/// `try_restore`'s header and checksum checks, and in both cases the
-/// target machine — here one that has run on past the checkpoint — is
-/// left exactly as it was.
+/// refused by the parser (`load_bytes`: framing and checksum) or by
+/// `try_restore`'s header checks, and in both cases the target
+/// machine — here one that has run on past the checkpoint — is left
+/// exactly as it was.
 #[test]
 fn corrupt_snapshot_bytes_are_structured_errors_never_panics() {
     let app = synthetic::hotspot(800, 64);
-    let mut engine = Engine::new(compressed_cfg(), &app, SEED, 1.0);
+    let mut engine = CmpSimulator::new(compressed_cfg(), &app, SEED, 1.0);
     for _ in 0..100 {
-        assert!(engine.step_iteration().expect("clean run"));
+        assert!(engine.step().expect("clean run"));
     }
     let snap = engine.snapshot();
     let bytes = snap.save_bytes();
     for _ in 0..50 {
-        assert!(engine.step_iteration().expect("clean run"));
+        assert!(engine.step().expect("clean run"));
     }
     let untouched = engine.encode_state();
 
-    let restore_from = |engine: &mut Engine, bytes: &[u8]| -> Result<(), String> {
+    let restore_from = |engine: &mut CmpSimulator, bytes: &[u8]| -> Result<(), String> {
         let mut parsed = snap.clone();
         parsed.load_bytes(bytes).map_err(|e| e.to_string())?;
         engine.try_restore(&parsed).map_err(|e| e.to_string())
@@ -542,7 +540,7 @@ fn corrupt_snapshot_bytes_are_structured_errors_never_panics() {
     }
     // The intact bytes still rewind the machine.
     restore_from(&mut engine, &bytes).expect("intact bytes restore");
-    assert!(engine.encode_state() == snap.state);
+    assert!(engine.encode_state() == snap.state());
 }
 
 /// Past the header and checksum a decode failure is still a structured
@@ -551,19 +549,19 @@ fn corrupt_snapshot_bytes_are_structured_errors_never_panics() {
 #[test]
 fn validly_checksummed_garbage_is_a_structured_decode_error() {
     let app = synthetic::hotspot(800, 64);
-    let mut engine = Engine::new(compressed_cfg(), &app, SEED, 1.0);
+    let mut engine = CmpSimulator::new(compressed_cfg(), &app, SEED, 1.0);
     for _ in 0..100 {
-        assert!(engine.step_iteration().expect("clean run"));
+        assert!(engine.step().expect("clean run"));
     }
     let good = engine.snapshot();
-    for keep in [0, 8, good.state.len() / 2, good.state.len() - 1] {
-        let bad = good.with_state(good.state[..keep].to_vec());
+    for keep in [0, 8, good.state().len() / 2, good.state().len() - 1] {
+        let bad = good.with_state(good.state()[..keep].to_vec());
         match engine.try_restore(&bad) {
             Err(RestoreError::Decode(PersistError { .. })) => {}
             other => panic!("state cut to {keep} bytes: expected Decode, got {other:?}"),
         }
     }
-    let mut padded = good.state.clone();
+    let mut padded = good.state().to_vec();
     padded.push(0);
     assert!(matches!(
         engine.try_restore(&good.with_state(padded)),
@@ -572,7 +570,7 @@ fn validly_checksummed_garbage_is_a_structured_decode_error() {
     // "Must be rebuilt" is the contract; a good snapshot of the same
     // shape is as good as a rebuild, because decoding is total.
     engine.try_restore(&good).expect("good snapshot restores");
-    assert!(engine.encode_state() == good.state);
+    assert!(engine.encode_state() == good.state());
 }
 
 #[test]
@@ -580,23 +578,62 @@ fn snapshot_digest_detects_corruption_and_matches_reruns() {
     let app = synthetic::hotspot(1_500, 64);
     let cfg = compressed_cfg();
 
-    let mut engine = Engine::new(cfg.clone(), &app, SEED, 1.0);
+    let mut engine = CmpSimulator::new(cfg.clone(), &app, SEED, 1.0);
     for _ in 0..200 {
-        assert!(engine.step_iteration().expect("clean run"));
+        assert!(engine.step().expect("clean run"));
     }
     let snap = engine.snapshot();
     let digest = snap.digest();
     assert_eq!(snap.digest(), digest, "digest is a pure function");
 
     // The same prefix re-simulated yields the same digest.
-    let mut again = Engine::new(cfg, &app, SEED, 1.0);
+    let mut again = CmpSimulator::new(cfg, &app, SEED, 1.0);
     for _ in 0..200 {
-        assert!(again.step_iteration().expect("clean run"));
+        assert!(again.step().expect("clean run"));
     }
     assert_eq!(again.snapshot().digest(), digest);
 
     // Any perturbation of the captured machine changes it.
-    let mut torn = snap.clone();
-    torn.fault_corrupt();
-    assert_ne!(torn.digest(), digest);
+    let mut torn = snap.state().to_vec();
+    let mid = torn.len() / 2;
+    torn[mid] ^= 0x10;
+    assert_ne!(snap.with_state(torn).digest(), digest);
+}
+
+/// The checksum is checked where a snapshot's bytes are parsed, so rot
+/// never yields a `MachineSnapshot` at all: every single-bit flip in
+/// the header (every bit of every byte before the state) and along a
+/// stride through the state is refused by `load_bytes` itself, which
+/// leaves its target unchanged.
+#[test]
+fn load_bytes_refuses_single_bit_rot_anywhere() {
+    let app = synthetic::hotspot(800, 64);
+    let mut engine = CmpSimulator::new(compressed_cfg(), &app, SEED, 1.0);
+    for _ in 0..100 {
+        assert!(engine.step().expect("clean run"));
+    }
+    let snap = engine.snapshot();
+    let bytes = snap.save_bytes();
+    let header = bytes.len() - snap.state().len();
+    let header_flips = (0..header).flat_map(|at| (0..8).map(move |bit| (at, bit)));
+    let state_flips = (header..bytes.len())
+        .step_by(bytes.len() / 97 + 1)
+        .enumerate()
+        .map(|(i, at)| (at, i % 8));
+    let mut target = CmpSimulator::new(compressed_cfg(), &app, SEED, 1.0).snapshot();
+    let before = target.digest();
+    for (at, bit) in header_flips.chain(state_flips) {
+        let mut rotted = bytes.clone();
+        rotted[at] ^= 1 << bit;
+        target
+            .load_bytes(&rotted)
+            .expect_err(&format!("bit {bit} of byte {at} flipped must not parse"));
+        assert_eq!(
+            target.digest(),
+            before,
+            "a refused parse changed its target"
+        );
+    }
+    target.load_bytes(&bytes).expect("intact bytes parse");
+    assert_eq!(target.digest(), snap.digest());
 }

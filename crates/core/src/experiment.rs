@@ -11,8 +11,8 @@ use cmp_common::config::CmpConfig;
 use wire_model::wires::VlWidth;
 use workloads::profile::AppProfile;
 
+use crate::engine::{SimError, SimResult};
 use crate::niface::InterconnectChoice;
-use crate::sim::{SimError, SimResult};
 use crate::supervisor::{run_matrix_supervised, RunPolicy};
 
 /// One (interconnect, scheme) configuration of the matrix.
@@ -327,7 +327,7 @@ pub fn geomean(xs: impl IntoIterator<Item = f64>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{CmpSimulator, SimConfig};
+    use crate::engine::{CmpSimulator, SimConfig};
     use workloads::synthetic;
 
     #[test]

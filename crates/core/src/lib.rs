@@ -9,16 +9,15 @@
 //!   coherence commands, then send every critical message that fits the
 //!   3–5-byte VL channel on the very-low-latency wires and everything
 //!   else on the (narrowed) B-Wire channel.
-//! * [`engine`] — the simulation machinery: per-tile components
+//! * [`engine`] — [`CmpSimulator`], the one simulator type:
+//!   trace-driven cores + L1/L2 MESI coherence + flit-level heterogeneous
+//!   NoC + memory, advanced on one 4 GHz clock with idle fast-forward,
+//!   with full energy accounting. Its machinery: per-tile components
 //!   ([`engine::Tile`], [`engine::L2Bank`]), the event calendar, typed
 //!   ports, structured errors and whole-machine snapshot/restore — one
 //!   state-capture path: a [`MachineSnapshot`] is the machine's encoded
-//!   state behind a self-checking header, for rewind, cache and disk
-//!   alike.
-//! * [`sim`] — [`sim::CmpSimulator`], the façade over the engine:
-//!   trace-driven cores + L1/L2 MESI coherence + flit-level heterogeneous
-//!   NoC + memory, advanced on one 4 GHz clock with idle fast-forward,
-//!   with full energy accounting.
+//!   state behind a self-checking header, for rewind and disk alike.
+//! * [`sim`] — the `tcmp_core::sim::…` paths of the run-facing types.
 //! * [`experiment`] — the run matrix of the evaluation (baseline, the
 //!   Stride/DBRC configurations of Figures 6/7, and the
 //!   perfect-compression bound), executed in parallel and normalised
@@ -30,8 +29,8 @@
 //!   matrix runner whose sweeps resume bit-identically after a kill.
 //! * [`checkpoint`] — the content-addressed, self-verifying store of
 //!   warm-start [`MachineSnapshot`]s on disk that lets campaigns sharing
-//!   a cold-start prefix skip it, with load-time checksum verification
-//!   quarantining torn or corrupted checkpoints.
+//!   a cold-start prefix skip it, quarantining torn or corrupted
+//!   checkpoints when they fail their checks at load.
 
 #![forbid(unsafe_code)]
 
@@ -47,13 +46,15 @@ pub mod supervisor;
 /// cells without linking the model crates.
 pub use addr_compression::CompressionScheme;
 pub use checkpoint::{CacheLoad, DiskConfig, DiskCounters, DiskLoad, DiskStore, WarmKey};
-pub use engine::{MachineSnapshot, RestoreError};
+pub use engine::{
+    CmpSimulator, MachineSnapshot, RestoreError, SimConfig, SimError, SimResult, StateDump,
+    TileDump,
+};
 pub use experiment::{
     figure6_configs, normalize_partial, paper_configs, run_matrix, run_matrix_jobs, ConfigSpec,
     MatrixError, MissingBaseline, NormalizedRow, PartialNormalization, RunFailure, RunSpec,
 };
 pub use niface::{map_channel, InterconnectChoice, ResyncStats, ResyncTracker};
-pub use sim::{CmpSimulator, SimConfig, SimError, SimResult, StateDump, TileDump};
 pub use supervisor::{
     campaign_meta, cell_key, run_matrix_supervised, run_supervised, run_supervised_cached,
     supervise, warm_key, CellFailure, ForensicReport, MatrixReport, RunPolicy, SupervisedFailure,

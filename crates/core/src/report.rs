@@ -109,16 +109,12 @@ impl TableBuilder {
     /// [`TableBuilder::write_csv`] with a `#`-comment provenance line
     /// first — the binaries stamp every emitted CSV with the producing
     /// git SHA and configuration fingerprint, so result files from
-    /// different builds or sweeps are distinguishable after the fact.
-    pub fn write_csv_stamped(&self, path: impl AsRef<Path>, stamp: &str) -> io::Result<()> {
-        cmp_common::journal::write_atomic(path, format!("# {stamp}\n{}", self.to_csv()))
-    }
-
-    /// [`TableBuilder::write_csv_stamped`] through an explicit
-    /// [`cmp_common::fsx::Fs`] handle, so a service running under an
-    /// armed fault seam exercises its CSV finalisation path too. Same
-    /// atomicity: any injected fault leaves the target holding one
-    /// complete version, old or new.
+    /// different builds or sweeps are distinguishable after the fact —
+    /// through an explicit [`cmp_common::fsx::Fs`] handle
+    /// ([`cmp_common::fsx::Fs::real`] for the plain filesystem), so a
+    /// service running under an armed fault seam exercises its CSV
+    /// finalisation path too. Same atomicity: any injected fault leaves
+    /// the target holding one complete version, old or new.
     pub fn write_csv_stamped_on(
         &self,
         fs: &cmp_common::fsx::Fs,

@@ -43,9 +43,8 @@ use coherence::sanitizer::SanitizerConfig;
 use workloads::profile::AppProfile;
 
 use crate::checkpoint::{CacheLoad, DiskStore, WarmKey};
-use crate::engine::MachineSnapshot;
+use crate::engine::{CmpSimulator, MachineSnapshot, SimConfig, SimError, SimResult};
 use crate::experiment::RunSpec;
-use crate::sim::{CmpSimulator, SimConfig, SimError, SimResult};
 
 /// How often the supervisor polls the wall clock and the snapshot
 /// schedule, in scheduler iterations. `Instant::now` is tens of
@@ -269,7 +268,7 @@ pub fn run_supervised_cached(
 /// bytes. On `Err` the simulator may be partly overwritten.
 fn warm_restore(sim: &mut CmpSimulator, snap: &MachineSnapshot) -> Result<(), String> {
     sim.try_restore(snap).map_err(|e| e.to_string())?;
-    if sim.engine.encode_state() != snap.state {
+    if sim.encode_state() != snap.state() {
         return Err("the restored machine does not re-encode to the stored state".to_string());
     }
     Ok(())
@@ -833,7 +832,7 @@ mod tests {
             assert!(sim.step().expect("prefix steps"));
         }
         let good = sim.snapshot();
-        let cut = good.with_state(good.state[..good.state.len() / 2].to_vec());
+        let cut = good.with_state(good.state()[..good.state().len() / 2].to_vec());
 
         let root = std::env::temp_dir().join(format!("tcmp-warm-decode-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
@@ -897,7 +896,7 @@ mod tests {
         use cmp_common::units::Joules;
         use energy_model::breakdown::EnergyBreakdown;
 
-        let class = |class, count, bytes, mean_latency| crate::sim::ClassCount {
+        let class = |class, count, bytes, mean_latency| crate::engine::ClassCount {
             class,
             count,
             bytes,
