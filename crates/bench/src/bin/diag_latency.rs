@@ -8,7 +8,7 @@ use wire_model::wires::VlWidth;
 fn main() -> Result<(), String> {
     let opts = cmp_bench::Options::parse();
     for app in opts.selected_apps() {
-        for (label, cfg) in [
+        for (label, mut cfg) in [
             ("baseline", SimConfig::baseline()),
             (
                 "proposal",
@@ -18,6 +18,7 @@ fn main() -> Result<(), String> {
                 ),
             ),
         ] {
+            cfg.cmp.directory = opts.directory_or_default();
             let mut sim = CmpSimulator::new(cfg, &app, opts.seed, opts.scale);
             let r = sim
                 .run()

@@ -44,8 +44,14 @@ fn main() -> Result<(), String> {
         .filter(|_| !opts.apps.is_empty())
         .unwrap_or_else(workloads::apps::mp3d);
 
+    let on_directory = |mut cfg: SimConfig| {
+        cfg.cmp.directory = opts.directory_or_default();
+        cfg
+    };
+
     // baseline: everything on the B channel
-    let mut sim = CmpSimulator::new(SimConfig::baseline(), &app, opts.seed, opts.scale);
+    let cfg = on_directory(SimConfig::baseline());
+    let mut sim = CmpSimulator::new(cfg, &app, opts.seed, opts.scale);
     let r = sim
         .run()
         .map_err(|e| format!("{} baseline: {e}", app.name))?;
@@ -56,13 +62,13 @@ fn main() -> Result<(), String> {
     );
 
     // proposal: load split across B and VL
-    let cfg = SimConfig::new(
+    let cfg = on_directory(SimConfig::new(
         InterconnectChoice::Heterogeneous(VlWidth::FiveBytes),
         CompressionScheme::Dbrc {
             entries: 4,
             low_bytes: 2,
         },
-    );
+    ));
     let mut sim = CmpSimulator::new(cfg, &app, opts.seed, opts.scale);
     let r = sim
         .run()

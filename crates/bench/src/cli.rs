@@ -469,12 +469,21 @@ mod tests {
         assert!(matches!(command(&all).unwrap().0, Command::All));
         let err = command(&["fig9"]).unwrap_err();
         assert!(
-            err.contains("fig2|fig5|fig6|fig7|ablation|sensitivity|table1|table2|table3|all"),
+            err.contains(
+                "fig2|fig5|fig6|fig7|ablation|sensitivity|faults|table1|table2|table3|all"
+            ),
             "{err}"
         );
         assert!(command(&["all"]).unwrap_err().contains("--out DIR"));
         let err = command(&[&all[..], &["--csv", "x.csv"]].concat()).unwrap_err();
         assert!(err.contains("--csv"), "{err}");
+    }
+
+    #[test]
+    fn faults_is_a_figure_command() {
+        let (cmd, opts) = command(&["faults", "--app", "FFT", "--scale", "0.005"]).unwrap();
+        assert!(matches!(cmd, Command::Figure(Figure::Faults)), "{cmd:?}");
+        assert_eq!(opts.request(Figure::Faults).figure.label(), "faults");
     }
 
     #[test]

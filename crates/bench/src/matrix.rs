@@ -16,7 +16,7 @@ use cmp_common::fsx::Fs;
 use cmp_common::journal::{write_atomic, Journal, JOURNAL_FILE};
 use tcmp_core::experiment::config_label;
 use tcmp_core::supervisor::run_cells;
-use tcmp_serve::plan::{CampaignPlan, Tables};
+use tcmp_serve::plan::{CampaignPlan, Outcome, Tables};
 use tcmp_serve::proto::{Figure, FIGURES};
 
 use crate::cli::{Command, Options};
@@ -27,8 +27,8 @@ use crate::tables::{Table, TABLES};
 type CsvPath<'a> = &'a dyn Fn(&str, usize) -> Option<PathBuf>;
 
 /// Run `command` as the options ask and return the process exit code:
-/// 0 when every cell completed and every file was written, 2 when the
-/// request does not plan, 1 otherwise.
+/// 0 when every cell ended as its figure expects and every file was
+/// written, 2 when the request does not plan, 1 otherwise.
 pub fn run(command: Command, opts: &Options) -> i32 {
     match command {
         Command::Figure(figure) => run_figure(opts, figure),
@@ -52,8 +52,8 @@ fn csv_flag(opts: &Options) -> impl Fn(&str, usize) -> Option<PathBuf> + '_ {
 /// Run `figure`'s sweep as the options ask — on the daemon named by
 /// `--submit`, else here — print its tables followed by its landmark
 /// text, write the `--csv` files, and return the process exit code (see
-/// [`run`]). Cell failures are reported, not fatal: what completed is
-/// rendered and the rest is `n/a`.
+/// [`run`]). Cell failures are reported, not fatal: every outcome is
+/// rendered, and a figure without faults shows a failed cell as `n/a`.
 pub fn run_figure(opts: &Options, figure: Figure) -> i32 {
     #[cfg(unix)]
     if opts.submit.is_some() {
@@ -111,24 +111,31 @@ fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
             r.network_messages
         );
     }
-    for f in &report.failures {
+    let (completed, skipped) = (report.results.iter().flatten().count(), report.skipped);
+    let mut outcomes: Vec<Outcome> = report.results.into_iter().map(|r| r.map(Ok)).collect();
+    for f in report.failures {
+        let verdict = match plan.expected(f.index, Err(&f.error)) {
+            true => "expected",
+            false => "FAILED",
+        };
         eprintln!(
-            "  FAILED {} / {} after {} attempt(s): {}",
+            "  {verdict} {} / {} after {} attempt(s): {}",
             f.app,
             f.config,
             f.attempts,
             f.error.brief()
         );
+        outcomes[f.index] = Some(Err(f.error));
     }
+    let unexpected = (0..cells)
+        .filter(|&i| matches!(&outcomes[i], Some(o) if !plan.expected(i, o.as_ref())))
+        .count();
     eprintln!(
-        "{} of {cells} cells completed ({} of them replayed from the journal), {} failed \
-         terminally (their cells render as n/a)",
-        report.results.iter().flatten().count(),
-        report.skipped,
-        report.failures.len()
+        "{completed} of {cells} cells completed ({skipped} of them replayed from the journal), \
+         {unexpected} ended otherwise than the figure expects"
     );
 
-    let tables = plan.render(&report.results);
+    let tables = plan.render(&outcomes);
     let (written, text) = publish(tables, plan.landmarks(), Some(&plan.stamp()), csv);
     if let (false, Some((dir, _))) = (written, opts.campaign_dir()) {
         eprintln!(
@@ -137,7 +144,7 @@ fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
             dir.display()
         );
     }
-    (i32::from(!written || !report.failures.is_empty()), text)
+    (i32::from(!written || unexpected > 0), text)
 }
 
 /// Print an analytic table and its text, and write its unstamped CSV to

@@ -165,7 +165,7 @@ impl std::fmt::Display for StateDump {
 }
 
 /// Why a run failed.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub enum SimError {
     /// No component can make progress but the workload is unfinished.
     Deadlock {

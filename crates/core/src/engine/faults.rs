@@ -13,9 +13,10 @@ impl CmpSimulator {
     /// Deterministically corrupt live coherence metadata so a sanitizer
     /// sweep (or the structured-error path) has a real violation of the
     /// given class to catch. Returns the `(tile, line)` it corrupted, or
-    /// `None` when the machine holds no suitable line yet — campaigns
-    /// retry on a later iteration. Campaign/test hook; never called on
-    /// the clean path.
+    /// `None` when the machine holds no suitable line yet — the caller
+    /// steps on and asks again, as a fault-campaign cell planting a
+    /// violation does after every step. Campaign/test hook; never
+    /// called on the clean path.
     #[doc(hidden)]
     pub fn fault_inject_violation(&mut self, class: Invariant) -> Option<(TileId, Addr)> {
         let tiles = self.cfg.cmp.tiles();

@@ -46,6 +46,7 @@ pub mod supervisor;
 /// cells without linking the model crates.
 pub use addr_compression::CompressionScheme;
 pub use checkpoint::{CacheLoad, DiskConfig, DiskCounters, DiskLoad, DiskStore, WarmKey};
+pub use coherence::sanitizer::Invariant;
 pub use engine::{
     CmpSimulator, MachineSnapshot, RestoreError, SimConfig, SimError, SimResult, StateDump,
     TileDump,

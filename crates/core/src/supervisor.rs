@@ -22,11 +22,11 @@
 //!   only matrix pool there is ([`run_matrix_supervised`] is this with
 //!   one machine for every cell, and
 //!   [`crate::experiment::run_matrix_jobs`] that with the default
-//!   policy and no journal).
-//! * [`with_retries`]/[`reseed`] are the generic retry ladder, shared
-//!   with the fault-campaign driver: attempt 0 keeps the original seed
-//!   so deterministic results stay deterministic, later attempts
-//!   perturb only the *fault* seed, never the workload trace.
+//!   policy and no journal). A [`CellMachine`] may carry a
+//!   [`CellFault`], which is how a fault campaign is one more sweep.
+//! * Every cell retries on the same ladder: attempt 0 keeps the
+//!   original seed so deterministic results stay deterministic, later
+//!   attempts perturb only the *fault* seed, never the workload trace.
 
 use std::borrow::{Borrow, BorrowMut};
 use std::io;
@@ -37,9 +37,10 @@ use std::time::{Duration, Instant};
 
 use addr_compression::CompressionScheme;
 use cmp_common::config::CmpConfig;
+use cmp_common::fault::FaultConfig;
 use cmp_common::journal::{fingerprint, CampaignMeta, Journal, Json};
 use cmp_common::types::Cycle;
-use coherence::sanitizer::SanitizerConfig;
+use coherence::sanitizer::{Invariant, SanitizerConfig};
 use workloads::profile::AppProfile;
 
 use crate::checkpoint::{CacheLoad, DiskStore, WarmKey};
@@ -381,7 +382,7 @@ fn forensic_replay(
 /// extra attempts are exhausted, sleeping `backoff · 2ⁿ` between
 /// attempts. On terminal failure returns the total attempt count with
 /// the last error.
-pub fn with_retries<T, E>(
+fn with_retries<T, E>(
     retries: u32,
     backoff: Duration,
     mut attempt: impl FnMut(u32) -> Result<T, E>,
@@ -407,7 +408,7 @@ pub fn with_retries<T, E>(
 /// failure only makes sense with fresh fault timing, but the *first*
 /// run must use exactly the configured seed. SplitMix64 finalizer, so
 /// nearby attempts get unrelated streams.
-pub fn reseed(seed: u64, attempt: u32) -> u64 {
+fn reseed(seed: u64, attempt: u32) -> u64 {
     if attempt == 0 {
         return seed;
     }
@@ -500,24 +501,41 @@ impl MatrixReport {
     }
 }
 
-/// What a cell simulates besides its [`RunSpec`]: the machine, and the
+/// What a cell simulates besides its [`RunSpec`]: the machine, the
 /// passive coverage probes riding along (Figure 2 measures every scheme
-/// on one baseline run).
+/// on one baseline run), and the fault it suffers, if any.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellMachine {
     pub cmp: CmpConfig,
     pub probes: Vec<CompressionScheme>,
+    pub fault: Option<CellFault>,
 }
 
 impl CellMachine {
-    /// `cmp` with no probes.
+    /// `cmp` with no probes and no fault.
     pub fn plain(cmp: &CmpConfig) -> Self {
         CellMachine {
             cmp: cmp.clone(),
             probes: Vec::new(),
+            fault: None,
         }
     }
 }
+
+/// The fault a cell runs under on purpose.
+#[derive(Clone, Debug, PartialEq)]
+pub enum CellFault {
+    /// Inject faults into the traffic. The seed is attempt 0's fault
+    /// seed; retries reseed it.
+    Inject(FaultConfig),
+    /// Corrupt live coherence metadata of this invariant class as soon
+    /// as the machine holds a line to corrupt, with the sanitizer armed
+    /// to catch it. Such a cell never stores or loads a checkpoint.
+    Plant(Invariant),
+}
+
+/// Sanitizer sweep period of a cell that plants a violation.
+const PLANT_SWEEP_PERIOD: u64 = 256;
 
 /// The simulator configuration of attempt `attempt` (0-based) of one
 /// matrix cell. Retries perturb only the fault-injector seed; the
@@ -527,8 +545,48 @@ fn cell_config(machine: &CellMachine, spec: &RunSpec, attempt: u32) -> SimConfig
     let mut cfg = SimConfig::new(spec.config.interconnect, spec.config.scheme);
     cfg.cmp = machine.cmp.clone();
     cfg.coverage_probes = machine.probes.clone();
+    match &machine.fault {
+        Some(CellFault::Inject(faults)) => cfg.faults = faults.clone(),
+        Some(CellFault::Plant(_)) => {
+            cfg.sanitizer = Some(SanitizerConfig {
+                period: PLANT_SWEEP_PERIOD,
+            })
+        }
+        None => {}
+    }
     cfg.faults.seed = reseed(cfg.faults.seed, attempt);
     cfg
+}
+
+/// Step a fresh machine until a violation of `class` is planted (after
+/// each step, as soon as one can be), then supervise the rest of the
+/// run under `policy`. A run that finishes before any line could be
+/// corrupted completes normally.
+fn run_planted(
+    mut cfg: SimConfig,
+    spec: &RunSpec,
+    class: Invariant,
+    policy: &RunPolicy,
+) -> Result<SimResult, SupervisedFailure> {
+    if let Some(budget) = policy.cycle_budget {
+        cfg.max_cycles = cfg.max_cycles.min(budget);
+    }
+    let mut sim = CmpSimulator::new(cfg, &spec.app, spec.seed, spec.scale);
+    loop {
+        match sim.step() {
+            Ok(true) => {}
+            Ok(false) => return Ok(sim.finish()),
+            Err(error) => {
+                return Err(SupervisedFailure {
+                    error,
+                    forensics: None,
+                })
+            }
+        }
+        if sim.fault_inject_violation(class).is_some() {
+            return supervise(&mut sim, policy);
+        }
+    }
 }
 
 /// Render an unwind payload into the message carried by
@@ -632,7 +690,8 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
     /// the fault injector, a terminal `finish` or `fail` record.
     /// `checkpoints` is consulted only on attempt 0: a retry perturbs
     /// the fault seed, which changes the configuration fingerprint, so
-    /// storing retry prefixes would only pollute the store.
+    /// storing retry prefixes would only pollute the store. A cell that
+    /// plants a violation never consults it.
     ///
     /// `on_outcome` is handed the stored outcome, how the cell crossed
     /// the warm point and how many cells are still without an outcome —
@@ -657,6 +716,9 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
             // failure like any other and is released by a fail record.
             catch_unwind(AssertUnwindSafe(|| {
                 let cfg = cell_config(machine, spec, attempt);
+                if let Some(CellFault::Plant(class)) = machine.fault {
+                    return run_planted(cfg, spec, class, policy).map(|r| (r, WarmStart::Disabled));
+                }
                 let checkpoints = if attempt == 0 { checkpoints } else { None };
                 run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, checkpoints)
             }))

@@ -52,10 +52,14 @@ fn app() -> AppProfile {
     workloads::apps::fft()
 }
 
-/// A simulator advanced to the warm point, plus its snapshot there.
+/// FFT's snapshot at the warm point.
 fn warm_snapshot(cfg: &SimConfig) -> tcmp_core::MachineSnapshot {
-    let a = app();
-    let mut sim = CmpSimulator::new(cfg.clone(), &a, SEED, SCALE);
+    warm_snapshot_of(cfg, &app())
+}
+
+/// `a`'s simulator advanced to the warm point, snapshotted there.
+fn warm_snapshot_of(cfg: &SimConfig, a: &AppProfile) -> tcmp_core::MachineSnapshot {
+    let mut sim = CmpSimulator::new(cfg.clone(), a, SEED, SCALE);
     while sim.cycle() < WARM {
         assert!(sim.step().expect("prefix steps"), "prefix must not finish");
     }
@@ -137,17 +141,14 @@ fn warm_start_survives_restart_bit_identically() {
 }
 
 /// The fault matrix: each injectable class, armed at certainty, against
-/// the spill and load sites. The invariant under every fault is the
-/// same — no panic, and either a verified bit-identical hit or a
-/// structured fallback (store error, quarantine, miss) that leaves the
-/// store usable.
+/// the spill and load sites, for FFT and MP3D. The invariant under
+/// every fault is the same — no panic, and either a verified
+/// bit-identical hit or a structured fallback that leaves the store
+/// usable: a faulted spill is a counted store error, a faulted read a
+/// counted quarantine.
 #[test]
 fn every_fault_class_degrades_to_structured_fallback_never_panic() {
     let cfg = tiny_cfg();
-    let a = app();
-    let key = warm_key(&cfg, &a, SEED, SCALE, WARM);
-    let good = warm_snapshot(&cfg);
-
     // (spec, expect_spill_to_fail)
     let classes: &[(&str, bool)] = &[
         ("seed=1,torn=1,max=1", true),
@@ -159,75 +160,84 @@ fn every_fault_class_degrades_to_structured_fallback_never_panic() {
         ("seed=4,short=1,max=1", false),
         ("seed=5,flip=1,max=1", false),
     ];
-    for (spec, spill_fails) in classes {
-        let root = scratch_dir(&format!(
-            "fault-{}",
-            spec.split(',').nth(1).unwrap().replace('=', "")
-        ));
-        let fs = Fs::faulty(FsFaultConfig::parse(spec).expect("spec parses"));
-        let store = DiskStore::open(fs, &root, DiskConfig::default())
-            .unwrap_or_else(|e| panic!("{spec}: open must survive an armed seam: {e}"));
+    for a in [app(), workloads::apps::mp3d()] {
+        let key = warm_key(&cfg, &a, SEED, SCALE, WARM);
+        let good = warm_snapshot_of(&cfg, &a);
+        for (spec, spill_fails) in classes {
+            let root = scratch_dir(&format!(
+                "fault-{}-{}",
+                a.name,
+                spec.split(',').nth(1).unwrap().replace('=', "")
+            ));
+            let fs = Fs::faulty(FsFaultConfig::parse(spec).expect("spec parses"));
+            let spec = format!("{spec} on {}", a.name);
+            let store = DiskStore::open(fs, &root, DiskConfig::default())
+                .unwrap_or_else(|e| panic!("{spec}: open must survive an armed seam: {e}"));
 
-        store.store(&key, &good);
-        let c = store.counters();
-        if *spill_fails {
-            assert_eq!(
-                (c.stores, c.store_errors),
-                (0, 1),
-                "{spec}: the faulted spill is a counted store error"
-            );
-            assert!(
-                !root.join(format!("{}-{:016x}.ckpt", key.0, key.1)).exists()
-                    || *spec == "seed=3,rename=1,max=1",
-                "{spec}: no torn checkpoint may be left in place"
-            );
-        } else {
-            assert_eq!((c.stores, c.store_errors), (1, 0), "{spec}: spill is clean");
-        }
-
-        // Load through the (possibly exhausted) seam. With max=1 the
-        // fault budget is spent on the write classes, so those see
-        // either a miss (nothing persisted) or, for rename-crash, a
-        // miss now and an orphan adopted at next scan; the read classes
-        // (short, flip) corrupt this read and MUST quarantine.
-        let mut template = warm_snapshot(&cfg);
-        match store.load_into(&key, &mut template) {
-            DiskLoad::Hit => {
+            store.store(&key, &good);
+            let c = store.counters();
+            if *spill_fails {
                 assert_eq!(
-                    template.digest(),
-                    good.digest(),
-                    "{spec}: a hit must be bit-identical"
+                    (c.stores, c.store_errors),
+                    (0, 1),
+                    "{spec}: the faulted spill is a counted store error"
                 );
-            }
-            DiskLoad::Miss => assert!(
-                *spill_fails,
-                "{spec}: a clean spill must not be lost on load"
-            ),
-            DiskLoad::Quarantined => {
-                let c = store.counters();
-                assert_eq!(c.quarantined, 1, "{spec}: quarantine is counted");
-                let (files, bytes) = store.quarantine_usage();
                 assert!(
-                    files == 1 && bytes > 0,
-                    "{spec}: the corrupt artifact is preserved for forensics"
+                    !root.join(format!("{}-{:016x}.ckpt", key.0, key.1)).exists()
+                        || spec.contains("rename"),
+                    "{spec}: no torn checkpoint may be left in place"
                 );
+            } else {
+                assert_eq!((c.stores, c.store_errors), (1, 0), "{spec}: spill is clean");
             }
-        }
 
-        // After the fault budget is spent the store must work: spill
-        // and warm a fresh key end to end.
-        store.store(&key, &good);
-        let mut template = warm_snapshot(&cfg);
-        match store.load_into(&key, &mut template) {
-            DiskLoad::Hit => assert_eq!(template.digest(), good.digest()),
-            other => panic!(
-                "{spec}: post-budget store+load must hit, got {}",
-                match other {
-                    DiskLoad::Miss => "miss",
-                    DiskLoad::Quarantined => "quarantined",
-                    DiskLoad::Hit => unreachable!(),
+            // Load through the (possibly exhausted) seam. With max=1 the
+            // fault budget is spent on the write classes, so those see
+            // either a miss (nothing persisted) or, for rename-crash, a
+            // miss now and an orphan adopted at next scan; the read
+            // classes (short, flip) corrupt this read and MUST
+            // quarantine.
+            let mut template = warm_snapshot_of(&cfg, &a);
+            match store.load_into(&key, &mut template) {
+                DiskLoad::Hit => {
+                    assert!(*spill_fails, "{spec}: a faulted read must not hit");
+                    assert_eq!(
+                        template.save_bytes(),
+                        good.save_bytes(),
+                        "{spec}: a hit must be bit-identical"
+                    );
                 }
-            ),
+                DiskLoad::Miss => assert!(
+                    *spill_fails,
+                    "{spec}: a clean spill must not be lost on load"
+                ),
+                DiskLoad::Quarantined => {
+                    let c = store.counters();
+                    assert_eq!(c.quarantined, 1, "{spec}: quarantine is counted");
+                    let (files, bytes) = store.quarantine_usage();
+                    assert!(
+                        files == 1 && bytes > 0,
+                        "{spec}: the corrupt artifact is preserved for forensics"
+                    );
+                }
+            }
+
+            // After the fault budget is spent the store must work: spill
+            // and warm a fresh key end to end.
+            store.store(&key, &good);
+            let mut template = warm_snapshot_of(&cfg, &a);
+            match store.load_into(&key, &mut template) {
+                DiskLoad::Hit => assert_eq!(template.digest(), good.digest()),
+                other => panic!(
+                    "{spec}: post-budget store+load must hit, got {}",
+                    match other {
+                        DiskLoad::Miss => "miss",
+                        DiskLoad::Quarantined => "quarantined",
+                        DiskLoad::Hit => unreachable!(),
+                    }
+                ),
+            }
+            let _ = std::fs::remove_dir_all(&root);
         }
     }
 }

@@ -5,8 +5,11 @@
 //!
 //! Every simulated figure is one entry of a table ([`FigureDef`]): the
 //! cells each application runs, the applications it runs by default and
-//! how its rows render. The sweep around them — apps × cells, the
-//! journal, the supervised runner — is the same for all of them.
+//! how its cells' outcomes render. The sweep around them — apps ×
+//! cells, the journal, the supervised runner — is the same for all of
+//! them, the fault campaigns included: a fault is cell data
+//! ([`CellFault`]), and [`CampaignPlan::expected`] judges which
+//! outcomes a figure expects.
 //!
 //! Both front doors plan here — `tcmp-fig`'s local run and
 //! [`crate::service::Service`] — so a request means the same sweep and
@@ -17,6 +20,7 @@ use std::collections::HashSet;
 use std::time::Duration;
 
 use cmp_common::config::{CmpConfig, DirectoryConfig};
+use cmp_common::fault::FaultConfig;
 use cmp_common::geometry::MeshShape;
 use cmp_common::journal::CampaignMeta;
 use cmp_common::types::MessageClass;
@@ -25,8 +29,8 @@ use tcmp_core::experiment::{
 };
 use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::report::{figure_table, fmt_pct, fmt_ratio, TableBuilder};
-use tcmp_core::supervisor::{campaign_meta, cell_key, CellMachine, RunPolicy};
-use tcmp_core::{CompressionScheme, SimResult, VlWidth};
+use tcmp_core::supervisor::{campaign_meta, cell_key, CellFault, CellMachine, RunPolicy};
+use tcmp_core::{CompressionScheme, Invariant, SimError, SimResult, VlWidth};
 use workloads::profile::AppProfile;
 
 use crate::proto::{CampaignRequest, Figure, RejectReason, Sides};
@@ -48,6 +52,10 @@ pub fn machine(directory: DirectoryConfig, mesh: Option<MeshShape>) -> Result<Cm
 /// The tables of a figure as `(CSV file suffix, table)`.
 pub type Tables = Vec<(&'static str, TableBuilder)>;
 
+/// What became of one cell, as a figure renders it: its row, the error
+/// it ended in, or `None` when it has not run.
+pub type Outcome = Option<Result<SimResult, SimError>>;
+
 type Cells = Result<Vec<(ConfigSpec, CellMachine)>, RejectReason>;
 
 /// One simulated figure, as data.
@@ -57,9 +65,10 @@ struct FigureDef {
     cells: fn(&CampaignRequest, &CmpConfig) -> Cells,
     /// The applications a request naming none runs.
     default_apps: fn() -> Vec<AppProfile>,
-    /// The tables, from the rows index-aligned with the plan's cells
-    /// (`None` = failed or not run, rendered `n/a`).
-    render: fn(&CampaignPlan, &[Option<SimResult>]) -> Tables,
+    /// The tables, from the outcomes index-aligned with the plan's
+    /// cells. Every figure but the fault campaigns renders a cell that
+    /// failed or has not run as `n/a`.
+    render: fn(&CampaignPlan, &[Outcome]) -> Tables,
     /// What the paper (or the expectation) says, printed under the tables.
     landmarks: &'static str,
 }
@@ -72,6 +81,7 @@ fn def(figure: Figure) -> &'static FigureDef {
         Figure::Fig7 => &FIG7,
         Figure::Ablation => &ABLATION,
         Figure::Sensitivity { .. } => &SENSITIVITY,
+        Figure::Faults => &FAULTS,
     }
 }
 
@@ -95,7 +105,7 @@ static FIG2: FigureDef = FigureDef {
         )])
     },
     default_apps: workloads::apps::all_apps,
-    render: |plan, rows| {
+    render: |plan, outcomes| {
         let title = "Figure 2 — address compression coverage (16-core tiled CMP)";
         let schemes = CompressionScheme::paper_matrix();
         let headers = schemes.iter().map(|s| s.label()).collect();
@@ -106,7 +116,7 @@ static FIG2: FigureDef = FigureDef {
         let geomean: fn(&[f64]) -> f64 = |c| geomean(c.iter().map(|x| x.max(1e-6)));
         let t = per_app(
             plan,
-            rows,
+            outcomes,
             (title, headers),
             coverages,
             ("geomean", geomean, fmt_pct),
@@ -122,7 +132,7 @@ static FIG2: FigureDef = FigureDef {
 static FIG5: FigureDef = FigureDef {
     cells: |_, cmp| Ok(on(cmp, vec![ConfigSpec::baseline()])),
     default_apps: workloads::apps::all_apps,
-    render: |plan, rows| {
+    render: |plan, outcomes| {
         let title = "Figure 5 — interconnect message breakdown (baseline, 16-core CMP)";
         let classes = MessageClass::ALL;
         let headers = classes.iter().map(|c| c.label().into());
@@ -141,7 +151,7 @@ static FIG5: FigureDef = FigureDef {
         let mean: fn(&[f64]) -> f64 = |c| c.iter().sum::<f64>() / c.len() as f64;
         let t = per_app(
             plan,
-            rows,
+            outcomes,
             (title, headers),
             fractions,
             ("average", mean, fmt_pct),
@@ -156,7 +166,7 @@ static FIG5: FigureDef = FigureDef {
 static FIG6: FigureDef = FigureDef {
     cells: |request, cmp| Ok(on(cmp, figure6_configs(request.perfect))),
     default_apps: workloads::apps::all_apps,
-    render: |_, rows| normalized(FIG6_TABLES, rows),
+    render: |_, outcomes| normalized(FIG6_TABLES, outcomes),
     landmarks: "paper landmarks: 4-entry DBRC (2B LO) averages ~0.92 execution time\n\
          (potential ~0.90), ranging from ~0.98-0.99 on Water/LU to ~0.75-0.78\n\
          on MP3D/Unstructured; link ED2P averages ~0.70, down to ~0.35 on the\n\
@@ -164,7 +174,7 @@ static FIG6: FigureDef = FigureDef {
 };
 
 static FIG7: FigureDef = FigureDef {
-    render: |_, rows| normalized(FIG7_TABLES, rows),
+    render: |_, outcomes| normalized(FIG7_TABLES, outcomes),
     landmarks: "paper landmarks: average full-CMP ED2P improves 21% (2-byte Stride)\n\
          to 26% (4-entry DBRC); larger DBRC caches do WORSE at chip level\n\
          because their area/power overhead outgrows the execution-time gain.\n",
@@ -174,7 +184,7 @@ static FIG7: FigureDef = FigureDef {
 static ABLATION: FigureDef = FigureDef {
     cells: |_, cmp| Ok(on(cmp, ablation_configs())),
     default_apps: workloads::apps::all_apps,
-    render: |plan, rows| {
+    render: |plan, outcomes| {
         let title = "Ablation — component contributions";
         let configs = ablation_configs();
         let headers = configs[1..].iter().flat_map(|c| {
@@ -196,7 +206,7 @@ static ABLATION: FigureDef = FigureDef {
         };
         let geomean: fn(&[f64]) -> f64 = |c| geomean(c.iter().copied());
         let summary = ("geomean", geomean, fmt_ratio as fn(f64) -> String);
-        let t = per_app(plan, rows, (title, headers.collect()), ratios, summary);
+        let t = per_app(plan, outcomes, (title, headers.collect()), ratios, summary);
         vec![("ablation.csv", t)]
     },
     landmarks: "",
@@ -208,6 +218,17 @@ static SENSITIVITY: FigureDef = FigureDef {
     render: render_sensitivity,
     landmarks: "expectation: bigger meshes mean more hops per message, so the\n\
          VL-Wire latency advantage compounds and the proposal's win grows.\n",
+};
+
+static FAULTS: FigureDef = FigureDef {
+    cells: fault_cells,
+    default_apps: workloads::apps::all_apps,
+    render: render_faults,
+    landmarks: "expectation: every detected desync is recovered (the NI falls back to\n\
+         uncompressed B-Wires and resynchronises), a dropped message ends in a\n\
+         structured deadlock, a corrupted address in a protocol rejection or a\n\
+         deadlock, every planted violation is caught under both directory\n\
+         organisations, and nothing panics.\n",
 };
 
 /// Every config of `configs` on `cmp`, without probes.
@@ -298,7 +319,170 @@ fn sensitivity_cells(request: &CampaignRequest, _: &CmpConfig) -> Cells {
     Ok(cells)
 }
 
-fn render_sensitivity(plan: &CampaignPlan, rows: &[Option<SimResult>]) -> Tables {
+/// The invariant classes a fault campaign plants, one cell each per
+/// directory organisation.
+const INVARIANTS: [Invariant; 4] = [
+    Invariant::SingleOwner,
+    Invariant::SharerAgreement,
+    Invariant::MshrConsistency,
+    Invariant::DirectoryInclusion,
+];
+
+/// A fault campaign's cells, all on the proposal machine (16-entry DBRC
+/// with one low-order byte over the 4-byte VL channel) and all seeded by
+/// the request: codec desyncs (1 % of messages, at most 25), one dropped
+/// message and one corrupted address on the request's directory, then a
+/// planted violation of each invariant class on the full-map and on the
+/// sparse directory — the sanitizer asserts through the directory seam,
+/// so both organisations are swept whichever one the request names.
+fn fault_cells(request: &CampaignRequest, cmp: &CmpConfig) -> Cells {
+    let config = |label: String| ConfigSpec {
+        label,
+        interconnect: InterconnectChoice::Heterogeneous(VlWidth::FourBytes),
+        scheme: CompressionScheme::Dbrc {
+            entries: 16,
+            low_bytes: 1,
+        },
+    };
+    let cell = |label: String, cmp: &CmpConfig, fault| {
+        let machine = CellMachine {
+            fault: Some(fault),
+            ..CellMachine::plain(cmp)
+        };
+        (config(label), machine)
+    };
+    let once = FaultConfig {
+        seed: request.seed,
+        max_faults: Some(1),
+        ..FaultConfig::none()
+    };
+    let injected = [
+        ("desync", FaultConfig::desync_only(request.seed, 0.01, 25)),
+        ("drop", FaultConfig { drop: 1.0, ..once }),
+        (
+            "corrupt",
+            FaultConfig {
+                corrupt: 1.0,
+                ..once
+            },
+        ),
+    ];
+    let mut cells: Vec<_> = injected
+        .into_iter()
+        .map(|(label, faults)| cell(label.to_string(), cmp, CellFault::Inject(faults)))
+        .collect();
+    for directory in [DirectoryConfig::FullMap, DirectoryConfig::sparse()] {
+        let cmp = machine(directory, None).map_err(RejectReason::Malformed)?;
+        for class in INVARIANTS {
+            let label = format!("sanitizer {class:?} {}", directory.label());
+            cells.push(cell(label, &cmp, CellFault::Plant(class)));
+        }
+    }
+    Ok(cells)
+}
+
+/// The fault campaigns' table — per application the desync counts
+/// (injected / detected / recovered), how the drop and corrupt cells
+/// ended, the planted violations caught and the panics — and their
+/// totals.
+fn render_faults(plan: &CampaignPlan, outcomes: &[Outcome]) -> Tables {
+    let directory = plan.cmp.directory.label();
+    let mut t = TableBuilder::new(
+        format!(
+            "Fault campaigns — proposal configuration (16-entry DBRC, 4B VL, {directory} directory)"
+        ),
+        &[
+            "application",
+            "desync inj/det/rec",
+            "drop",
+            "corrupt",
+            "sanitizer",
+            "panics",
+        ],
+    );
+    // the desync cells' injected, detected, recovered and fallback
+    // messages; then counts over every cell
+    let mut desync = [0; 4];
+    let (mut fatal, mut benign, mut caught, mut anomalies, mut panics) = (0, 0, 0, 0, 0);
+    let block = outcomes.len() / plan.apps;
+    for (first, cells) in (0..).step_by(block).zip(outcomes.chunks(block)) {
+        let mut row = vec![plan.specs[first].app.name.to_string()];
+        let (caught_before, panics_before) = (caught, panics);
+        for (j, outcome) in cells.iter().enumerate() {
+            let Some(outcome) = outcome else {
+                row.extend((j < 3).then(|| "n/a".to_string()));
+                continue;
+            };
+            let expected = plan.expected(first + j, outcome.as_ref());
+            anomalies += u64::from(!expected && !matches!(outcome, Err(SimError::Panic { .. })));
+            let text = match (j, outcome) {
+                (_, Err(SimError::Panic { .. })) => {
+                    panics += 1;
+                    "PANIC".to_string()
+                }
+                (0, Ok(r)) => desync_counts(r, &mut desync),
+                (0, Err(_)) => "ABORTED".to_string(),
+                _ if !expected => "unexpected".to_string(),
+                (1 | 2, Ok(_)) => {
+                    benign += 1;
+                    "benign".to_string()
+                }
+                (1 | 2, Err(e)) => {
+                    fatal += 1;
+                    match e {
+                        SimError::Protocol { .. } => "rejected".to_string(),
+                        _ => "deadlock(dump)".to_string(),
+                    }
+                }
+                _ => {
+                    caught += 1;
+                    continue;
+                }
+            };
+            row.extend((j < 3).then_some(text));
+        }
+        row.push(format!("{}/{} caught", caught - caught_before, block - 3));
+        row.push((panics - panics_before).to_string());
+        t.row(row);
+    }
+    let mut sums = TableBuilder::new(
+        "Fault campaigns — totals",
+        &[
+            "desyncs injected",
+            "detected",
+            "recovered",
+            "fallback messages",
+            "structured fatal",
+            "benign",
+            "sanitizer catches",
+            "anomalies",
+            "panics",
+        ],
+    );
+    let totals = desync
+        .into_iter()
+        .chain([fatal, benign, caught, anomalies, panics]);
+    sums.row(totals.map(|n| n.to_string()).collect());
+    vec![("faults.csv", t), ("fault_totals.csv", sums)]
+}
+
+/// A completed desync cell's `injected/detected/recovered`, its counts
+/// and fallback messages added to `totals`.
+fn desync_counts(r: &SimResult, totals: &mut [u64; 4]) -> String {
+    let counts = [
+        r.fault_stats.desyncs.get(),
+        r.resync.desyncs_detected,
+        r.resync.resyncs_completed,
+        r.resync.fallback_msgs,
+    ];
+    for (total, n) in totals.iter_mut().zip(counts) {
+        *total += n;
+    }
+    format!("{}/{}/{}", counts[0], counts[1], counts[2])
+}
+
+fn render_sensitivity(plan: &CampaignPlan, outcomes: &[Outcome]) -> Tables {
+    let rows = rows(outcomes);
     let directory = plan.cmp.directory.label();
     let mut t = TableBuilder::new(
         format!(
@@ -360,10 +544,11 @@ const FIG7_TABLES: &[FigureTable] = &[(
     |r| r.chip_ed2p,
 )];
 
-/// Figure 6/7 `tables` of the completed `rows`, normalised to each
+/// Figure 6/7 `tables` of the completed cells, normalised to each
 /// application's baseline.
-fn normalized(tables: &[FigureTable], rows: &[Option<SimResult>]) -> Tables {
-    let n = normalize_partial(&rows.iter().flatten().cloned().collect::<Vec<_>>());
+fn normalized(tables: &[FigureTable], outcomes: &[Outcome]) -> Tables {
+    let completed = outcomes.iter().flatten().flatten().cloned();
+    let n = normalize_partial(&completed.collect::<Vec<_>>());
     tables
         .iter()
         .map(|&(title, suffix, metric)| {
@@ -377,12 +562,18 @@ fn normalized(tables: &[FigureTable], rows: &[Option<SimResult>]) -> Tables {
 /// label, the summary of a column, the format of a value.
 type Summary = (&'static str, fn(&[f64]) -> f64, fn(f64) -> String);
 
+/// The completed cells' rows (`None` where a cell failed or has not run).
+fn rows(outcomes: &[Outcome]) -> Vec<Option<SimResult>> {
+    let row = |outcome: &Outcome| outcome.as_ref()?.as_ref().ok().cloned();
+    outcomes.iter().map(row).collect()
+}
+
 /// A table of one row per application — its name, then `values` of its
-/// block of cells (`n/a` where missing) — and a last row summarising
-/// each column (`n/a` where every value is).
+/// block of completed rows (`n/a` where missing) — and a last row
+/// summarising each column (`n/a` where every value is).
 fn per_app(
     plan: &CampaignPlan,
-    rows: &[Option<SimResult>],
+    outcomes: &[Outcome],
     (title, headers): (&str, Vec<String>),
     values: impl Fn(&[Option<SimResult>]) -> Vec<Option<f64>>,
     (label, summary, fmt): Summary,
@@ -391,11 +582,11 @@ fn per_app(
         .chain(headers.iter().map(String::as_str))
         .collect();
     let mut t = TableBuilder::new(title, &headers);
-    let block = rows.len() / plan.apps;
+    let block = outcomes.len() / plan.apps;
     let mut columns = vec![Vec::new(); headers.len() - 1];
-    for (specs, cells) in plan.specs.chunks(block).zip(rows.chunks(block)) {
+    for (specs, cells) in plan.specs.chunks(block).zip(outcomes.chunks(block)) {
         let mut row = vec![specs[0].app.name.to_string()];
-        for (column, value) in columns.iter_mut().zip(values(cells)) {
+        for (column, value) in columns.iter_mut().zip(values(&rows(cells))) {
             column.extend(value);
             row.push(value.map_or("n/a".to_string(), fmt));
         }
@@ -497,10 +688,43 @@ impl CampaignPlan {
         )
     }
 
-    /// The figure's tables, rendered from `rows` — index-aligned with
-    /// `specs`; failed or missing cells render as `n/a`.
-    pub fn render(&self, rows: &[Option<SimResult>]) -> Tables {
-        (def(self.figure).render)(self, rows)
+    /// The figure's tables, rendered from `outcomes` — index-aligned
+    /// with `specs`.
+    pub fn render(&self, outcomes: &[Outcome]) -> Tables {
+        (def(self.figure).render)(self, outcomes)
+    }
+
+    /// Whether cell `index` ended as its figure expects — what a sweep's
+    /// exit code and its daemon's failure count go by. A cell without a
+    /// fault must complete. A fault cell must end as its fault should:
+    ///
+    /// * injected desyncs: the run completes, every detected divergence
+    ///   recovered;
+    /// * a dropped message: benign (the run completes) or a structured
+    ///   deadlock;
+    /// * a corrupted address: benign, a protocol rejection or a
+    ///   structured deadlock;
+    /// * a planted violation: a sanitizer abort naming its class.
+    ///
+    /// A panic is never expected.
+    pub fn expected(&self, index: usize, outcome: Result<&SimResult, &SimError>) -> bool {
+        let inject = |f: &FaultConfig, outcome: Result<&SimResult, &SimError>| match outcome {
+            Ok(r) if f.desync > 0.0 => r.resync.resyncs_completed == r.resync.desyncs_detected,
+            Ok(_) => true,
+            Err(_) if f.desync > 0.0 => false,
+            Err(SimError::Deadlock { .. }) => true,
+            Err(SimError::Protocol { .. }) => f.corrupt > 0.0,
+            Err(_) => false,
+        };
+        match (&self.machines[index].fault, outcome) {
+            (_, Err(SimError::Panic { .. })) => false,
+            (None, outcome) => outcome.is_ok(),
+            (Some(CellFault::Inject(f)), outcome) => inject(f, outcome),
+            (Some(CellFault::Plant(class)), Err(SimError::Sanitizer { violations, .. })) => {
+                violations.iter().any(|v| v.invariant == *class)
+            }
+            (Some(CellFault::Plant(_)), _) => false,
+        }
     }
 
     /// The text printed under the figure's tables (may be empty).
@@ -586,6 +810,131 @@ mod tests {
             Err(other) => panic!("refused as {other}"),
             Ok(_) => panic!("planned a sweep running FFT twice"),
         }
+    }
+
+    /// The judge, on synthetic outcomes of one application's fault
+    /// cells: a planted violation must be caught naming its class, a
+    /// dropped message may not end in a protocol rejection, a desync
+    /// must be recovered, and a panic is never expected — it renders
+    /// `PANIC` and is counted. A figure without faults expects its
+    /// cells to complete.
+    #[test]
+    fn the_judge_expects_only_what_each_fault_explains() {
+        use cmp_common::types::TileId;
+        use coherence::error::ProtocolError;
+        use coherence::sanitizer::Violation;
+        use tcmp_core::{CmpSimulator, SimConfig, StateDump};
+
+        let faults = CampaignPlan::new(&CampaignRequest {
+            apps: vec!["FFT".into()],
+            ..request(Figure::Faults, DirectoryConfig::FullMap)
+        })
+        .unwrap();
+        let labels: Vec<&str> = faults
+            .specs
+            .iter()
+            .map(|s| s.config.label.as_str())
+            .collect();
+        assert_eq!(labels.len(), 11);
+        assert_eq!(
+            labels[..4],
+            [
+                "desync",
+                "drop",
+                "corrupt",
+                "sanitizer SingleOwner full-map"
+            ]
+        );
+        assert_eq!(labels[10], "sanitizer DirectoryInclusion sparse(64)");
+
+        let dump = || {
+            Box::new(StateDump {
+                cycle: 9,
+                tiles: Vec::new(),
+                mem_reads: Vec::new(),
+                delayed_events: 0,
+                held_messages: 0,
+                live_messages: 0,
+            })
+        };
+        let caught = |invariant| SimError::Sanitizer {
+            cycle: 9,
+            violations: vec![Violation {
+                cycle: 9,
+                tile: TileId(0),
+                line: 0x40,
+                invariant,
+                detail: String::new(),
+            }],
+            dump: dump(),
+        };
+        let deadlock = SimError::Deadlock {
+            cycle: 9,
+            diagnostics: String::new(),
+            dump: dump(),
+        };
+        let rejected = SimError::Protocol {
+            cycle: 9,
+            error: ProtocolError {
+                tile: TileId(0),
+                line: 0x40,
+                kind: None,
+                detail: String::new(),
+            },
+            dump: dump(),
+        };
+        let panic = SimError::Panic {
+            message: "boom".into(),
+        };
+        let app = workloads::apps::fft();
+        let row = CmpSimulator::new(SimConfig::baseline(), &app, 1, 0.002)
+            .run()
+            .expect("a tiny clean run");
+        let (desync, drop, corrupt, single_owner) = (0, 1, 2, 3);
+
+        assert!(faults.expected(single_owner, Err(&caught(Invariant::SingleOwner))));
+        assert!(
+            !faults.expected(single_owner, Ok(&row)),
+            "a sanitizer cell that completes"
+        );
+        let other = caught(Invariant::SharerAgreement);
+        assert!(
+            !faults.expected(single_owner, Err(&other)),
+            "another class caught"
+        );
+        assert!(faults.expected(drop, Ok(&row)) && faults.expected(drop, Err(&deadlock)));
+        assert!(
+            !faults.expected(drop, Err(&rejected)),
+            "a drop cell rejected"
+        );
+        assert!(
+            faults.expected(corrupt, Err(&rejected)) && faults.expected(corrupt, Err(&deadlock))
+        );
+        assert!(!faults.expected(desync, Err(&deadlock)));
+        let mut unrecovered = row.clone();
+        unrecovered.resync.desyncs_detected = 2;
+        unrecovered.resync.resyncs_completed = 1;
+        assert!(!faults.expected(desync, Ok(&unrecovered)));
+        assert!(
+            (0..11).all(|i| !faults.expected(i, Err(&panic))),
+            "a panic anywhere"
+        );
+
+        let mut outcomes: Vec<Outcome> = vec![None; 11];
+        outcomes[drop] = Some(Err(panic.clone()));
+        outcomes[single_owner] = Some(Err(panic.clone()));
+        let tables = faults.render(&outcomes);
+        let csv = tables[0].1.to_csv();
+        assert!(csv.contains("FFT,n/a,PANIC,n/a,0/8 caught,2"), "{csv}");
+        let totals = tables[1].1.to_csv();
+        assert!(
+            totals.ends_with(",0,2\n"),
+            "no anomalies, two panics: {totals}"
+        );
+
+        let fig6 = CampaignPlan::new(&request(Figure::Fig6, DirectoryConfig::FullMap)).unwrap();
+        assert!(fig6.expected(0, Ok(&row)));
+        assert!(!fig6.expected(0, Err(&deadlock)) && !fig6.expected(0, Err(&panic)));
     }
 
     /// Journals and stamps written by the Figure 6/7 binaries before

@@ -33,11 +33,15 @@ pub enum Figure {
     /// Beyond the paper: the proposal against the baseline per mesh
     /// side (empty = the directory's default sweep).
     Sensitivity { sides: Sides },
+    /// Beyond the paper: seeded fault campaigns on the proposal —
+    /// codec desync, a dropped message, a corrupted address, and a
+    /// planted violation of each sanitizer invariant.
+    Faults,
 }
 
 /// Every figure's label, in the order `tcmp-fig all` runs them. The
 /// one table labels are printed from and parsed against.
-pub const FIGURES: [(&str, Figure); 6] = [
+pub const FIGURES: [(&str, Figure); 7] = [
     ("fig2", Figure::Fig2),
     ("fig5", Figure::Fig5),
     ("fig6", Figure::Fig6),
@@ -49,6 +53,7 @@ pub const FIGURES: [(&str, Figure); 6] = [
             sides: Sides::EMPTY,
         },
     ),
+    ("faults", Figure::Faults),
 ];
 
 impl Figure {

@@ -41,9 +41,8 @@ use cmp_common::journal::{Journal, JournalError, Json};
 use cmp_common::types::Cycle;
 use tcmp_core::checkpoint::{DiskConfig, DiskStore};
 use tcmp_core::supervisor::{cell_key, CellOutcome, SweepState};
-use tcmp_core::SimResult;
 
-use crate::plan::CampaignPlan;
+use crate::plan::{CampaignPlan, Outcome};
 use crate::proto::{CacheCounts, CampaignRequest, CampaignStatus, Event, RejectReason, Response};
 
 /// File holding a campaign's request, next to its journal.
@@ -154,12 +153,17 @@ impl Campaign {
         self.plan.specs.len()
     }
 
-    /// `(completed, failed, finished)` right now.
+    /// `(completed, failed, finished)` right now: cells that ended as
+    /// the figure expects ([`CampaignPlan::expected`]) and cells that
+    /// did not.
     pub fn progress(&self) -> (usize, usize, bool) {
         let (mut done, mut failed) = (0, 0);
-        self.run.for_each_outcome(|_, outcome| match outcome {
-            Ok(_) => done += 1,
-            Err(_) => failed += 1,
+        self.run.for_each_outcome(|index, outcome| {
+            let outcome = outcome.as_ref().map_err(|f| &f.error);
+            match self.plan.expected(index, outcome) {
+                true => done += 1,
+                false => failed += 1,
+            }
         });
         (done, failed, self.finished.load(Ordering::SeqCst))
     }
@@ -236,15 +240,15 @@ impl Campaign {
         });
     }
 
-    /// Render and atomically write this campaign's figure CSVs from
-    /// whatever completed (failed cells render as `n/a`). Idempotent:
-    /// a resume that finds everything already done rewrites the same
-    /// bytes.
+    /// Render and atomically write this campaign's figure CSVs from its
+    /// cells' outcomes. Idempotent: a resume that finds everything
+    /// already done rewrites the same bytes.
     fn finalize(&self) {
-        let mut rows: Vec<Option<SimResult>> = vec![None; self.cells()];
-        self.run
-            .for_each_outcome(|index, outcome| rows[index] = outcome.as_ref().ok().cloned());
-        for (suffix, table) in self.plan.render(&rows) {
+        let mut outcomes: Vec<Outcome> = vec![None; self.cells()];
+        self.run.for_each_outcome(|index, outcome| {
+            outcomes[index] = Some(outcome.as_ref().cloned().map_err(|f| f.error.clone()))
+        });
+        for (suffix, table) in self.plan.render(&outcomes) {
             let file = format!("results.{suffix}");
             if let Err(e) =
                 table.write_csv_stamped_on(&self.fs, self.dir.join(&file), &self.stamp())

@@ -117,10 +117,6 @@ echo "== campaign journal + resume tests"
 cargo test -q --release -p cmp-common journal
 cargo test -q --release --test campaign_resume
 
-echo "== fault-campaign smoke run (protocol + filesystem fault sweeps)"
-cargo run -q --release -p cmp-bench --bin fault_campaign -- \
-    --smoke --fs-faults --seed 1025041 --jobs 2
-
 echo "== kill-and-resume smoke (SIGKILL mid-sweep, resume, diff CSVs)"
 SMOKE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/tcmp-killsmoke-XXXXXX")"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
@@ -151,6 +147,26 @@ for suffix in exec_time.csv link_ed2p.csv; do
 done
 echo "kill-and-resume smoke: resumed CSVs are bit-identical"
 
+echo "== fault-campaign smoke (desync, drop, corrupt and planted violations through tcmp-fig)"
+# The filesystem fault classes are asserted by crates/core/tests/fs_faults.rs
+# in both cargo test passes above.
+FAULTS=(target/release/tcmp-fig faults --app FFT --app MP3D --scale 0.005 --seed 1025041)
+"${FAULTS[@]}" --jobs 2 --out "$SMOKE_DIR/faults" --csv "$SMOKE_DIR/faults.csv" \
+    >"$SMOKE_DIR/faults.md" 2>"$SMOKE_DIR/faults.log" || {
+    echo "fault-campaign smoke: an outcome was not the one its fault expects"
+    cat "$SMOKE_DIR/faults.md" "$SMOKE_DIR/faults.log"; exit 1; }
+# the journaled path: a resume replays the completed cells, re-runs the
+# failed ones (expected failures are not journaled as rows) and must
+# print and write the first run's tables byte for byte
+"${FAULTS[@]}" --resume "$SMOKE_DIR/faults" --csv "$SMOKE_DIR/resumed-faults.csv" \
+    >"$SMOKE_DIR/resumed-faults.md" 2>/dev/null || {
+    echo "fault-campaign smoke: the resumed campaign failed"; exit 1; }
+for f in faults.md faults.csv.faults.csv faults.csv.fault_totals.csv; do
+    cmp "$SMOKE_DIR/$f" "$SMOKE_DIR/resumed-$f" || {
+        echo "fault-campaign smoke: resumed $f differs from the first run's"; exit 1; }
+done
+echo "fault-campaign smoke: every outcome expected; the resumed tables are identical"
+
 echo "== every-figure smoke (tcmp-fig all: each table and figure into its own directory)"
 ALL_DIR="$SMOKE_DIR/all"
 target/release/tcmp-fig all --scale 0.002 --app FFT --jobs 2 --out "$ALL_DIR" >/dev/null 2>&1 || {
@@ -158,7 +174,8 @@ target/release/tcmp-fig all --scale 0.002 --app FFT --jobs 2 --out "$ALL_DIR" >/
 for f in table1/results.csv table2/results.csv table3/results.csv \
          fig2/results.coverage.csv fig5/results.breakdown.csv \
          fig6/results.exec_time.csv fig6/results.link_ed2p.csv fig7/results.chip_ed2p.csv \
-         ablation/results.ablation.csv sensitivity/results.sensitivity.csv; do
+         ablation/results.ablation.csv sensitivity/results.sensitivity.csv \
+         faults/results.faults.csv faults/results.fault_totals.csv; do
     for g in "$f" "$(dirname "$f")/results.md"; do
         test -s "$ALL_DIR/$g" || { echo "every-figure smoke: $g missing"; exit 1; }
     done

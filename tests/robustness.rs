@@ -1,7 +1,8 @@
 //! End-to-end robustness tests: seeded fault campaigns against the full
 //! simulator, exercising the detect → fall back → resynchronise path of
 //! the compressed NI and the structured-error path of the protocol
-//! layer. Companion to the `fault_campaign` bench binary.
+//! layer. Companion to `tcmp-fig faults`, which runs the same fault
+//! classes as a campaign over every application.
 
 use tiled_cmp::coherence::sanitizer::{Invariant, SanitizerConfig};
 use tiled_cmp::common::fault::FaultConfig;
