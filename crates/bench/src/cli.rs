@@ -22,7 +22,8 @@ pub enum Command {
     /// One analytic table: no plan, no journal, no stamp.
     Table(Table),
     /// Every table and figure, each into its own directory under
-    /// `--out DIR` (or continued under `--resume DIR`).
+    /// `--out DIR` (or continued under `--resume DIR`), the figures as
+    /// one sweep journaled in `DIR/journal.jsonl`.
     All,
 }
 
@@ -229,8 +230,7 @@ impl Options {
     }
 
     /// Check the flags against each other and the filesystem. `all`
-    /// takes `--out`/`--resume` as the directory its figures' campaign
-    /// directories live under.
+    /// needs `--out` or `--resume`, checked as a figure's are.
     fn validate(&self, all: bool) -> Result<(), String> {
         if self.scale.is_nan() || self.scale <= 0.0 {
             return Err("--scale must be positive".to_string());
@@ -283,8 +283,8 @@ impl Options {
         }
         if all && (self.submit.is_some() || self.csv.is_some() || self.campaign_dir().is_none()) {
             return Err(
-                "all runs every figure here, into its own directory under --out DIR \
-                 (or continues them with --resume DIR): it takes neither --submit nor --csv"
+                "all runs every figure here as one campaign under --out DIR \
+                 (or continues it with --resume DIR): it takes neither --submit nor --csv"
                     .to_string(),
             );
         }
@@ -295,7 +295,7 @@ impl Options {
                     dir.display()
                 ));
             }
-            if !all && !dir.join(JOURNAL_FILE).is_file() {
+            if !dir.join(JOURNAL_FILE).is_file() {
                 return Err(format!(
                     "--resume {}: no {} found there — nothing to resume \
                      (use --out to start a fresh campaign)",
@@ -305,7 +305,7 @@ impl Options {
             }
         }
         if let Some(dir) = &self.out {
-            if !all && dir.join(JOURNAL_FILE).is_file() {
+            if dir.join(JOURNAL_FILE).is_file() {
                 return Err(format!(
                     "--out {}: already holds a campaign journal — \
                      use --resume {0} to continue it, or pick a fresh directory",
@@ -477,6 +477,27 @@ mod tests {
         assert!(command(&["all"]).unwrap_err().contains("--out DIR"));
         let err = command(&[&all[..], &["--csv", "x.csv"]].concat()).unwrap_err();
         assert!(err.contains("--csv"), "{err}");
+    }
+
+    /// `all` checks `--out` and `--resume` as a figure does: a directory
+    /// holding a journal is no fresh campaign, and one without a journal
+    /// at its root (as `all` wrote them when each figure kept its own)
+    /// has nothing to resume.
+    #[test]
+    fn all_checks_its_directory_as_a_figure_does() {
+        let dir = std::env::temp_dir().join(format!("tcmp-all-dir-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("fig6")).unwrap();
+        std::fs::write(dir.join("fig6").join(JOURNAL_FILE), "").unwrap();
+        let path = dir.to_str().unwrap();
+        let err = command(&["all", "--resume", path]).unwrap_err();
+        assert!(err.contains("nothing to resume"), "{err}");
+        assert!(command(&["all", "--out", path]).is_ok());
+        std::fs::write(dir.join(JOURNAL_FILE), "").unwrap();
+        let err = command(&["all", "--out", path]).unwrap_err();
+        assert!(err.contains("already holds a campaign journal"), "{err}");
+        assert!(command(&["all", "--resume", path]).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -4,19 +4,21 @@
 //! The flags become a [`tcmp_serve::proto::CampaignRequest`] and the
 //! request a [`CampaignPlan`] — exactly what `tcmp-serve` does with a
 //! `--submit`ted one — and the plan's cells run under the supervisor.
-//! With `--out`/`--resume` the run is journaled: every finished cell is
-//! fsynced to `<dir>/journal.jsonl` before the sweep moves on, so a
-//! campaign killed at any instant resumes with only the unfinished
-//! cells re-run, and the assembled rows are bit-identical to an
-//! uninterrupted sweep.
+//! `all` runs the union of every figure's cells as one sweep, so a
+//! simulation several figures read runs once; a single figure is the
+//! same path with one plan. With `--out`/`--resume` the run is
+//! journaled: every finished cell is fsynced to `<dir>/journal.jsonl`
+//! before the sweep moves on, so a campaign killed at any instant
+//! resumes with only the unfinished cells re-run, and the assembled
+//! rows are bit-identical to an uninterrupted sweep.
 
 use std::path::PathBuf;
 
 use cmp_common::fsx::Fs;
-use cmp_common::journal::{write_atomic, Journal, JOURNAL_FILE};
+use cmp_common::journal::{write_atomic, Journal};
 use tcmp_core::experiment::config_label;
 use tcmp_core::supervisor::run_cells;
-use tcmp_serve::plan::{CampaignPlan, Outcome, Tables};
+use tcmp_serve::plan::{union, CampaignPlan, Outcome, Tables};
 use tcmp_serve::proto::{Figure, FIGURES};
 
 use crate::cli::{Command, Options};
@@ -25,6 +27,9 @@ use crate::tables::{Table, TABLES};
 /// Where the table with a CSV file suffix is written, given how many
 /// tables the figure has (`None` = nowhere).
 type CsvPath<'a> = &'a dyn Fn(&str, usize) -> Option<PathBuf>;
+
+/// [`CsvPath`] of each of several plans, by index.
+type CsvPaths<'a> = &'a dyn Fn(usize, &str, usize) -> Option<PathBuf>;
 
 /// Run `command` as the options ask and return the process exit code:
 /// 0 when every cell ended as its figure expects and every file was
@@ -59,27 +64,38 @@ pub fn run_figure(opts: &Options, figure: Figure) -> i32 {
     if opts.submit.is_some() {
         return crate::submit::run_remote(opts, figure);
     }
-    run_local(opts, figure, &csv_flag(opts)).0
+    let Some(plan) = plan(opts, figure) else {
+        return 2;
+    };
+    let csv = csv_flag(opts);
+    run_local(opts, &[plan], &|_, suffix, tables| csv(suffix, tables)).0
 }
 
-/// Plan and run `figure` here, print its tables and landmarks, and
-/// write each table's stamped CSV to `csv`. Returns the exit code and
-/// the printed text.
-fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
-    let plan = match CampaignPlan::new(&opts.request(figure)) {
-        Ok(plan) => plan,
-        Err(reason) => {
-            eprintln!("error: cannot plan the {} sweep: {reason}", figure.label());
-            return (2, String::new());
-        }
-    };
-    let cells = plan.specs.len();
+/// `figure` planned as the options ask; a request that does not plan is
+/// reported.
+fn plan(opts: &Options, figure: Figure) -> Option<CampaignPlan> {
+    let plan = CampaignPlan::new(&opts.request(figure));
+    if let Err(reason) = &plan {
+        eprintln!("error: cannot plan the {} sweep: {reason}", figure.label());
+    }
+    plan.ok()
+}
+
+/// Run `plans` (at least one) here as one sweep — each distinct
+/// simulation once, through one journal under `--out`/`--resume` —
+/// then, plan by plan, render its cells' outcomes, print its tables and
+/// landmarks and write each table's CSV, stamped with the plan's own
+/// stamp, to `csv(plan index, suffix, tables)`. Returns the exit code
+/// and each plan's printed text.
+fn run_local(opts: &Options, plans: &[CampaignPlan], csv: CsvPaths) -> (i32, Vec<String>) {
+    let sweep = union(plans);
+    let cells = sweep.specs.len();
     eprintln!("running {cells} simulations (scale {})...", opts.scale);
     let journal = opts.campaign_dir().map(|(dir, resuming)| {
         if resuming {
-            Journal::resume(dir, &plan.meta)
+            Journal::resume(dir, &sweep.meta)
         } else {
-            Journal::create(dir, &plan.meta)
+            Journal::create(dir, &sweep.meta)
         }
         .map_err(|e| format!("campaign journal at {}: {e}", dir.display()))
     });
@@ -87,7 +103,7 @@ fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
         Ok(journal) => journal,
         Err(why) => {
             eprintln!("{why}");
-            return (1, String::new());
+            return (1, Vec::new());
         }
     };
     let replayed = journal.as_ref().map_or(0, |j| j.replay.skippable());
@@ -96,10 +112,10 @@ fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
     }
 
     let report = run_cells(
-        &plan.machines,
-        &plan.specs,
+        &sweep.machines,
+        &sweep.specs,
         opts.jobs,
-        &plan.policy,
+        &plans[0].policy,
         journal.as_mut(),
     );
     for r in report.results.iter().flatten() {
@@ -113,10 +129,23 @@ fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
     }
     let (completed, skipped) = (report.results.iter().flatten().count(), report.skipped);
     let mut outcomes: Vec<Outcome> = report.results.into_iter().map(|r| r.map(Ok)).collect();
-    for f in report.failures {
-        let verdict = match plan.expected(f.index, Err(&f.error)) {
-            true => "expected",
-            false => "FAILED",
+    for f in &report.failures {
+        outcomes[f.index] = Some(Err(f.error.clone()));
+    }
+    // A cell ends otherwise than expected when a figure it serves does
+    // not expect its outcome.
+    let mut unexpected = vec![false; cells];
+    for (plan, indices) in plans.iter().zip(&sweep.cells) {
+        for (i, &cell) in indices.iter().enumerate() {
+            if let Some(outcome) = &outcomes[cell] {
+                unexpected[cell] |= !plan.expected(i, outcome.as_ref());
+            }
+        }
+    }
+    for f in &report.failures {
+        let verdict = match unexpected[f.index] {
+            true => "FAILED",
+            false => "expected",
         };
         eprintln!(
             "  {verdict} {} / {} after {} attempt(s): {}",
@@ -125,26 +154,31 @@ fn run_local(opts: &Options, figure: Figure, csv: CsvPath) -> (i32, String) {
             f.attempts,
             f.error.brief()
         );
-        outcomes[f.index] = Some(Err(f.error));
     }
-    let unexpected = (0..cells)
-        .filter(|&i| matches!(&outcomes[i], Some(o) if !plan.expected(i, o.as_ref())))
-        .count();
+    let unexpected = unexpected.into_iter().filter(|&u| u).count();
     eprintln!(
         "{completed} of {cells} cells completed ({skipped} of them replayed from the journal), \
          {unexpected} ended otherwise than the figure expects"
     );
 
-    let tables = plan.render(&outcomes);
-    let (written, text) = publish(tables, plan.landmarks(), Some(&plan.stamp()), csv);
-    if let (false, Some((dir, _))) = (written, opts.campaign_dir()) {
+    let mut all_written = true;
+    let mut texts = Vec::with_capacity(plans.len());
+    for (p, (plan, indices)) in plans.iter().zip(&sweep.cells).enumerate() {
+        let outcomes: Vec<Outcome> = indices.iter().map(|&cell| outcomes[cell].clone()).collect();
+        let tables = plan.render(&outcomes);
+        let csv = |suffix: &str, tables| csv(p, suffix, tables);
+        let (written, text) = publish(tables, plan.landmarks(), Some(&plan.stamp()), &csv);
+        all_written &= written;
+        texts.push(text);
+    }
+    if let (false, Some((dir, _))) = (all_written, opts.campaign_dir()) {
         eprintln!(
-            "the rows are safe in the journal: --resume {} --csv PATH renders them again \
-             without re-running a cell",
+            "the rows are safe in the journal: --resume {} (with --csv PATH for a figure) \
+             renders them again without re-running a cell",
             dir.display()
         );
     }
-    (i32::from(!written || unexpected > 0), text)
+    (i32::from(!all_written || unexpected > 0), texts)
 }
 
 /// Print an analytic table and its text, and write its unstamped CSV to
@@ -187,46 +221,54 @@ fn publish(tables: Tables, text: &str, stamp: Option<&str>, csv: CsvPath) -> (bo
     (written, printed)
 }
 
-/// Every table and figure, each into its own directory under `--out`
-/// (or `--resume`) DIR laid out like a daemon campaign: `journal.jsonl`
-/// (figures), `results.<suffix>` CSVs and `results.md`, the printed
-/// text. A figure whose directory already holds a journal resumes it.
+/// Every table and figure under `--out` (or `--resume`) DIR, laid out
+/// like a daemon campaign: the figures run as one sweep journaled in
+/// `DIR/journal.jsonl`, and each table and figure writes its
+/// `results.<suffix>` CSVs and `results.md`, the printed text, into
+/// `DIR/<name>/`. A figure that does not plan is reported and left out.
 fn run_all(opts: &Options) -> i32 {
     let Some((root, _)) = opts.campaign_dir() else {
         eprintln!("error: all needs --out DIR or --resume DIR");
         return 2;
     };
     let mut code = 0;
-    let mut record = |name: &str, run: &dyn Fn(&Options, CsvPath) -> (i32, String)| {
-        let dir = root.join(name);
-        let resuming = dir.join(JOURNAL_FILE).is_file();
-        let opts = Options {
-            out: (!resuming).then(|| dir.clone()),
-            resume: resuming.then(|| dir.clone()),
-            ..opts.clone()
-        };
-        let md = dir.join("results.md");
-        let written = std::fs::create_dir_all(&dir).and_then(|()| {
-            let (run, text) = run(&opts, &|suffix, _| {
-                Some(dir.join(format!("results.{suffix}")))
-            });
-            code = code.max(run);
-            // a run that printed nothing (refused) leaves the last text
-            match text.is_empty() {
-                true => Ok(()),
-                false => write_atomic(&md, text),
-            }
+    let names = TABLES
+        .iter()
+        .map(|t| t.0)
+        .chain(FIGURES.iter().map(|f| f.0));
+    for dir in names.map(|name| root.join(name)) {
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            code = 1;
+        }
+    }
+    let results = |name: &str, suffix: &str| root.join(name).join(format!("results.{suffix}"));
+    let mut printed = Vec::new();
+    for table in TABLES {
+        let (run, text) = run_table(table, &|suffix, _| Some(results(table.0, suffix)));
+        code = code.max(run);
+        printed.push((table.0, text));
+    }
+    let (names, plans): (Vec<&str>, Vec<CampaignPlan>) = FIGURES
+        .iter()
+        .filter_map(|&(name, figure)| Some((name, plan(opts, figure)?)))
+        .unzip();
+    if plans.len() < FIGURES.len() {
+        code = code.max(2);
+    }
+    if !plans.is_empty() {
+        let (run, texts) = run_local(opts, &plans, &|p, suffix, _| {
+            Some(results(names[p], suffix))
         });
-        if let Err(e) = written {
+        code = code.max(run);
+        printed.extend(names.into_iter().zip(texts));
+    }
+    for (name, text) in printed {
+        let md = results(name, "md");
+        if let Err(e) = write_atomic(&md, text) {
             eprintln!("cannot write {}: {e}", md.display());
             code = code.max(1);
         }
-    };
-    for table in TABLES {
-        record(table.0, &|_, csv| run_table(table, csv));
-    }
-    for (name, figure) in FIGURES {
-        record(name, &|opts, csv| run_local(opts, figure, csv));
     }
     code
 }

@@ -253,8 +253,8 @@ impl SimError {
     }
 
     /// Stable one-word classification of the failure, used by the run
-    /// journal and the supervisor's forensic verdicts (the full `Display`
-    /// form can run to hundreds of lines of state dump).
+    /// journal (the full `Display` form can run to hundreds of lines of
+    /// state dump).
     pub fn kind(&self) -> &'static str {
         match self {
             SimError::Deadlock { .. } => "deadlock",

@@ -907,18 +907,6 @@ impl CmpSimulator {
         self.injector.as_ref().map(|i| i.stats())
     }
 
-    /// Arm (or re-arm) the periodic protocol sanitizer mid-run, with the
-    /// first sweep due immediately. Arming is part of the machine's
-    /// shape, so a [`MachineSnapshot`] taken before arming is refused
-    /// afterwards: forensic replay — rewind a watchdog-aborted cell to
-    /// its last checkpoint and re-step with sweeps on — calls this
-    /// *after* the restore. Sweeps are read-only, so arming cannot
-    /// change a healthy run's outcome.
-    pub fn arm_sanitizer(&mut self, cfg: SanitizerConfig) {
-        self.sanitizer = Some(Sanitizer::new(cfg));
-        self.next_sweep = self.now;
-    }
-
     /// Enable/disable the synthetic livelock: whole-line data replies are
     /// silently lost at the sender NI (partial replies still flow), so
     /// MSHRs pin and cores spin on blocked accesses, without the fault

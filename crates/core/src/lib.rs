@@ -24,9 +24,9 @@
 //!   against the baseline exactly as the paper normalises.
 //! * [`report`] — Markdown/CSV emission for the reproduction binaries.
 //! * [`supervisor`] — supervised, crash-resumable campaign execution:
-//!   per-cell cycle/wall-clock budgets, retry-with-backoff, forensic
-//!   rewind-and-replay of watchdog aborts, and the journal-backed
-//!   matrix runner whose sweeps resume bit-identically after a kill.
+//!   per-cell cycle/wall-clock budgets, retry-with-backoff, the
+//!   journal-backed matrix runner whose sweeps resume bit-identically
+//!   after a kill, and the key that names what a cell simulates.
 //! * [`checkpoint`] — the content-addressed, self-verifying store of
 //!   warm-start [`MachineSnapshot`]s on disk that lets campaigns sharing
 //!   a cold-start prefix skip it, quarantining torn or corrupted
@@ -58,7 +58,6 @@ pub use experiment::{
 pub use niface::{map_channel, InterconnectChoice, ResyncStats, ResyncTracker};
 pub use supervisor::{
     campaign_meta, cell_key, run_matrix_supervised, run_supervised, run_supervised_cached,
-    supervise, warm_key, CellFailure, ForensicReport, MatrixReport, RunPolicy, SupervisedFailure,
-    SweepState, WarmStart,
+    supervise, warm_key, CellFailure, MatrixReport, RunPolicy, SweepState, WarmStart,
 };
 pub use wire_model::wires::VlWidth;

@@ -5,10 +5,7 @@
 //! dying (OOM kill, pre-emption, ctrl-C) cost a cell, not the campaign:
 //!
 //! * [`RunPolicy`] bounds each cell — a cycle budget, a wall-clock
-//!   deadline, bounded retry-with-backoff — and opts into periodic
-//!   in-process snapshots so an aborted cell can be *rewound* and
-//!   re-stepped with the protocol sanitizer armed, turning "the
-//!   watchdog fired" into a forensic verdict ([`ForensicReport`]).
+//!   deadline, bounded retry-with-backoff.
 //! * [`run_supervised`] runs one cell under a policy.
 //! * [`SweepState`] is the run state of one sweep — the durable
 //!   [`Journal`] it records into (when it has one) and one outcome slot
@@ -24,6 +21,8 @@
 //!   [`crate::experiment::run_matrix_jobs`] that with the default
 //!   policy and no journal). A [`CellMachine`] may carry a
 //!   [`CellFault`], which is how a fault campaign is one more sweep.
+//!   [`simulation_key`] names what a cell simulates, so cells of
+//!   several figures that run the same simulation run it once.
 //! * Every cell retries on the same ladder: attempt 0 keeps the
 //!   original seed so deterministic results stay deterministic, later
 //!   attempts perturb only the *fault* seed, never the workload trace.
@@ -47,9 +46,9 @@ use crate::checkpoint::{CacheLoad, DiskStore, WarmKey};
 use crate::engine::{CmpSimulator, MachineSnapshot, SimConfig, SimError, SimResult};
 use crate::experiment::RunSpec;
 
-/// How often the supervisor polls the wall clock and the snapshot
-/// schedule, in scheduler iterations. `Instant::now` is tens of
-/// nanoseconds; at this cadence the overhead is unmeasurable.
+/// How often the supervisor polls the wall clock, in scheduler
+/// iterations. `Instant::now` is tens of nanoseconds; at this cadence
+/// the overhead is unmeasurable.
 const SUPERVISE_EVERY_ITERS: u64 = 2048;
 
 /// Per-cell resource limits and failure handling for supervised runs.
@@ -65,13 +64,6 @@ pub struct RunPolicy {
     pub retries: u32,
     /// Sleep before the first retry; doubles on each further retry.
     pub backoff: Duration,
-    /// Checkpoint the machine every this many cycles so an aborted
-    /// cell can be rewound for forensics (`None` = no snapshots).
-    pub snapshot_period: Option<Cycle>,
-    /// On a forward-progress abort, rewind to the last checkpoint and
-    /// re-step with the protocol sanitizer armed, attaching a
-    /// [`ForensicReport`] to the failure.
-    pub forensics: bool,
     /// Stop claiming new cells after this many have been attempted —
     /// the in-process analogue of killing the campaign mid-flight,
     /// used by the resume tests (`None` = run everything).
@@ -85,58 +77,20 @@ impl Default for RunPolicy {
             wall_deadline: None,
             retries: 0,
             backoff: Duration::from_millis(100),
-            snapshot_period: None,
-            forensics: false,
             cell_limit: None,
         }
     }
 }
 
-/// What the rewind-and-replay pass learned about an aborted cell.
-#[derive(Clone, Debug)]
-pub struct ForensicReport {
-    /// Cycle of the checkpoint the machine was rewound to.
-    pub rewound_to: Cycle,
-    /// Cycle the sanitized replay reached before stopping.
-    pub replayed_to: Cycle,
-    /// Human-readable conclusion (sanitizer verdict or reproduction).
-    pub verdict: String,
-}
-
-/// A supervised cell that failed terminally, with any forensics.
-#[derive(Debug)]
-pub struct SupervisedFailure {
-    pub error: SimError,
-    pub forensics: Option<ForensicReport>,
-}
-
-impl std::fmt::Display for SupervisedFailure {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.error)?;
-        if let Some(fr) = &self.forensics {
-            write!(
-                f,
-                "\nforensics: rewound to cycle {}, replayed to cycle {}: {}",
-                fr.rewound_to, fr.replayed_to, fr.verdict
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for SupervisedFailure {}
-
 /// Run one cell under `policy`: step the simulator with periodic
-/// wall-clock checks and (optionally) rolling snapshots; on a
-/// forward-progress abort, optionally rewind and replay with the
-/// sanitizer armed to classify the failure.
+/// wall-clock checks.
 pub fn run_supervised(
     cfg: SimConfig,
     app: &AppProfile,
     seed: u64,
     scale: f64,
     policy: &RunPolicy,
-) -> Result<SimResult, SupervisedFailure> {
+) -> Result<SimResult, SimError> {
     run_supervised_cached(cfg, app, seed, scale, policy, None).map(|(result, _)| result)
 }
 
@@ -218,7 +172,7 @@ pub fn run_supervised_cached(
     scale: f64,
     policy: &RunPolicy,
     checkpoints: Option<(&DiskStore, Cycle)>,
-) -> Result<(SimResult, WarmStart), SupervisedFailure> {
+) -> Result<(SimResult, WarmStart), SimError> {
     if let Some(budget) = policy.cycle_budget {
         cfg.max_cycles = cfg.max_cycles.min(budget);
     }
@@ -248,15 +202,8 @@ pub fn run_supervised_cached(
     // point; the prefix is short by construction, so running it without
     // wall-clock polling is fine.
     while sim.cycle() < warm_cycles {
-        match sim.step() {
-            Ok(true) => {}
-            Ok(false) => return Ok((sim.finish(), WarmStart::Finished)),
-            Err(error) => {
-                return Err(SupervisedFailure {
-                    error,
-                    forensics: None,
-                })
-            }
+        if !sim.step()? {
+            return Ok((sim.finish(), WarmStart::Finished));
         }
     }
     store.store(&key, &sim.snapshot());
@@ -279,102 +226,25 @@ fn warm_restore(sim: &mut CmpSimulator, snap: &MachineSnapshot) -> Result<(), St
 /// (and possibly instrumented with campaign hooks). The policy's
 /// `cycle_budget` is not applied here — it tightens the config, which
 /// is fixed once the machine exists.
-pub fn supervise(
-    sim: &mut CmpSimulator,
-    policy: &RunPolicy,
-) -> Result<SimResult, SupervisedFailure> {
+pub fn supervise(sim: &mut CmpSimulator, policy: &RunPolicy) -> Result<SimResult, SimError> {
     let started = Instant::now();
-    let mut checkpoint = None;
-    let mut next_snapshot = policy.snapshot_period.unwrap_or(Cycle::MAX);
     let mut iters: u64 = 0;
     loop {
-        match sim.step() {
-            Ok(true) => {}
-            Ok(false) => return Ok(sim.finish()),
-            Err(error) => {
-                let wants_forensics = policy.forensics
-                    && matches!(
-                        error,
-                        SimError::NoForwardProgress { .. } | SimError::Watchdog { .. }
-                    );
-                let forensics = if wants_forensics {
-                    checkpoint
-                        .as_ref()
-                        .map(|snap| forensic_replay(sim, snap, error.cycle()))
-                } else {
-                    None
-                };
-                return Err(SupervisedFailure { error, forensics });
-            }
+        if !sim.step()? {
+            return Ok(sim.finish());
         }
         iters += 1;
         if iters % SUPERVISE_EVERY_ITERS != 0 {
             continue;
         }
-        if sim.cycle() >= next_snapshot {
-            checkpoint = Some(sim.snapshot());
-            // period is Some whenever next_snapshot is reachable
-            next_snapshot = sim.cycle() + policy.snapshot_period.unwrap_or(Cycle::MAX);
-        }
         if let Some(deadline) = policy.wall_deadline {
             if started.elapsed() >= deadline {
-                return Err(SupervisedFailure {
-                    error: SimError::WallDeadline {
-                        cycle: sim.cycle(),
-                        limit_ms: deadline.as_millis() as u64,
-                    },
-                    forensics: None,
+                return Err(SimError::WallDeadline {
+                    cycle: sim.cycle(),
+                    limit_ms: deadline.as_millis() as u64,
                 });
             }
         }
-    }
-}
-
-/// Rewind to `snap`, arm the sanitizer, and re-step until the replay
-/// either reproduces a failure or passes `abort_cycle`. Deterministic
-/// replay re-trips the same abort, so the loop is bounded by the
-/// original stall window.
-fn forensic_replay(
-    sim: &mut CmpSimulator,
-    snap: &MachineSnapshot,
-    abort_cycle: Cycle,
-) -> ForensicReport {
-    let rewound_to = snap.cycle();
-    sim.restore(snap);
-    sim.arm_sanitizer(SanitizerConfig::default());
-    let verdict = loop {
-        match sim.step() {
-            Ok(true) => {
-                if sim.cycle() > abort_cycle {
-                    break "replay ran past the abort cycle without failing \
-                           (the abort did not reproduce from the checkpoint)"
-                        .to_string();
-                }
-            }
-            Ok(false) => break "replay ran to completion".to_string(),
-            Err(SimError::Sanitizer {
-                cycle, violations, ..
-            }) => {
-                break format!(
-                    "sanitizer found {} coherence violation(s) at cycle {cycle}: \
-                     the stall follows metadata corruption, not a scheduling loop",
-                    violations.len()
-                );
-            }
-            Err(e) => {
-                break format!(
-                    "replay reproduced the failure ({}); sanitizer sweeps up to that \
-                     point found the coherence state consistent — genuine \
-                     forward-progress loss, not metadata corruption",
-                    e.brief()
-                );
-            }
-        }
-    };
-    ForensicReport {
-        rewound_to,
-        replayed_to: sim.cycle(),
-        verdict,
     }
 }
 
@@ -477,7 +347,6 @@ pub struct CellFailure {
     /// Attempts made (1 = no retries were left or needed).
     pub attempts: u32,
     pub error: SimError,
-    pub forensics: Option<ForensicReport>,
 }
 
 /// Outcome of a supervised matrix: one slot per spec, in spec order —
@@ -558,6 +427,26 @@ fn cell_config(machine: &CellMachine, spec: &RunSpec, attempt: u32) -> SimConfig
     cfg
 }
 
+/// What cell `spec` simulates on `machine`, fingerprinted as
+/// [`warm_key`] does: equal keys are one simulation, however the cells
+/// are labelled. It covers the app, seed and scale, and the `Debug`
+/// renderings of attempt 0's [`SimConfig`] and of the machine (which
+/// adds the invariant class a cell plants), both without coverage
+/// probes, which only observe a run. Rendering whole structs means a
+/// field added to either cannot be missed.
+pub fn simulation_key(machine: &CellMachine, spec: &RunSpec) -> String {
+    let machine = CellMachine {
+        probes: Vec::new(),
+        ..machine.clone()
+    };
+    let cfg = cell_config(&machine, spec, 0);
+    let desc = format!(
+        "{cfg:?}|{machine:?}|app={}|seed={:#x}|scale={:?}",
+        spec.app.name, spec.seed, spec.scale
+    );
+    fingerprint(&desc)
+}
+
 /// Step a fresh machine until a violation of `class` is planted (after
 /// each step, as soon as one can be), then supervise the rest of the
 /// run under `policy`. A run that finishes before any line could be
@@ -567,21 +456,14 @@ fn run_planted(
     spec: &RunSpec,
     class: Invariant,
     policy: &RunPolicy,
-) -> Result<SimResult, SupervisedFailure> {
+) -> Result<SimResult, SimError> {
     if let Some(budget) = policy.cycle_budget {
         cfg.max_cycles = cfg.max_cycles.min(budget);
     }
     let mut sim = CmpSimulator::new(cfg, &spec.app, spec.seed, spec.scale);
     loop {
-        match sim.step() {
-            Ok(true) => {}
-            Ok(false) => return Ok(sim.finish()),
-            Err(error) => {
-                return Err(SupervisedFailure {
-                    error,
-                    forensics: None,
-                })
-            }
+        if !sim.step()? {
+            return Ok(sim.finish());
         }
         if sim.fault_inject_violation(class).is_some() {
             return supervise(&mut sim, policy);
@@ -723,11 +605,8 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
                 run_supervised_cached(cfg, &spec.app, spec.seed, spec.scale, policy, checkpoints)
             }))
             .unwrap_or_else(|payload| {
-                Err(SupervisedFailure {
-                    error: SimError::Panic {
-                        message: panic_message(payload),
-                    },
-                    forensics: None,
+                Err(SimError::Panic {
+                    message: panic_message(payload),
                 })
             })
         };
@@ -738,17 +617,16 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
                 });
                 (warm, Ok(result))
             }
-            Err((attempts, failure)) => {
+            Err((attempts, error)) => {
                 self.record("fail", &key, |j| {
-                    j.record_fail(&key, attempts, &failure.error.brief())
+                    j.record_fail(&key, attempts, &error.brief())
                 });
                 let failure = CellFailure {
                     index,
                     app: spec.app.name.to_string(),
                     config: spec.config.label.clone(),
                     attempts,
-                    error: failure.error,
-                    forensics: failure.forensics,
+                    error,
                 };
                 (WarmStart::Disabled, Err(failure))
             }
@@ -1100,7 +978,7 @@ mod tests {
         };
         let err = run_supervised(cfg, &app, 0xD5A1_F00D, 0.01, &policy)
             .expect_err("a zero deadline must expire");
-        match err.error {
+        match err {
             SimError::WallDeadline { limit_ms, .. } => assert_eq!(limit_ms, 0),
             other => panic!("expected WallDeadline, got {other}"),
         }
@@ -1118,7 +996,7 @@ mod tests {
         };
         let err = run_supervised(cfg, &app, 0xD5A1_F00D, 0.01, &policy)
             .expect_err("a 1000-cycle budget cannot finish fft");
-        match err.error {
+        match err {
             SimError::Watchdog { cycle } => assert!(cycle >= 1_000),
             other => panic!("expected the cycle cap, got {other}"),
         }

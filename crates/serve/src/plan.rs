@@ -14,9 +14,12 @@
 //! Both front doors plan here — `tcmp-fig`'s local run and
 //! [`crate::service::Service`] — so a request means the same sweep and
 //! renders the same bytes whichever door it came in by, and a knob
-//! added to the request cannot be honoured by one door only.
+//! added to the request cannot be honoured by one door only. Figures
+//! read the same few simulations (Figure 2's coverage is measured on
+//! the baseline run Figures 5–7 normalise to), so [`union`] merges
+//! several plans into one [`Sweep`] that runs each simulation once.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use cmp_common::config::{CmpConfig, DirectoryConfig};
@@ -29,7 +32,9 @@ use tcmp_core::experiment::{
 };
 use tcmp_core::niface::InterconnectChoice;
 use tcmp_core::report::{figure_table, fmt_pct, fmt_ratio, TableBuilder};
-use tcmp_core::supervisor::{campaign_meta, cell_key, CellFault, CellMachine, RunPolicy};
+use tcmp_core::supervisor::{
+    campaign_meta, cell_key, simulation_key, CellFault, CellMachine, RunPolicy,
+};
 use tcmp_core::{CompressionScheme, Invariant, SimError, SimResult, VlWidth};
 use workloads::profile::AppProfile;
 
@@ -733,6 +738,55 @@ impl CampaignPlan {
     }
 }
 
+/// One sweep running the cells of several plans, each distinct
+/// simulation once.
+pub struct Sweep {
+    /// The distinct cells in first-seen order: plan by plan, each plan's
+    /// in its own order. A shared cell keeps the spec, and so the cell
+    /// key, of its first occurrence.
+    pub specs: Vec<RunSpec>,
+    /// What each cell runs on, index-aligned with `specs`. A shared
+    /// cell carries the coverage probes a member asks for.
+    pub machines: Vec<CellMachine>,
+    /// The sweep's journal identity.
+    pub meta: CampaignMeta,
+    /// For each plan, the sweep index of each of its cells.
+    pub cells: Vec<Vec<usize>>,
+}
+
+/// The sweep of `plans` — at least one, all planned from one request's
+/// flags, so they share a machine and a run policy. Cells are one
+/// simulation when their [`simulation_key`]s are equal; labels are
+/// only presentation. The union of one plan is that plan: the same
+/// cells, machines and journal identity.
+pub fn union(plans: &[CampaignPlan]) -> Sweep {
+    let mut first_seen = HashMap::new();
+    let (mut specs, mut machines) = (Vec::new(), Vec::new());
+    let mut cells = Vec::with_capacity(plans.len());
+    for plan in plans {
+        let mut indices = Vec::with_capacity(plan.specs.len());
+        for (spec, machine) in plan.specs.iter().zip(&plan.machines) {
+            let index = *first_seen
+                .entry(simulation_key(machine, spec))
+                .or_insert(specs.len());
+            if index == specs.len() {
+                specs.push(spec.clone());
+                machines.push(machine.clone());
+            } else if machines[index].probes.is_empty() {
+                machines[index].probes = machine.probes.clone();
+            }
+            indices.push(index);
+        }
+        cells.push(indices);
+    }
+    Sweep {
+        meta: campaign_meta(&plans[0].cmp, &specs),
+        specs,
+        machines,
+        cells,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,6 +989,82 @@ mod tests {
         let fig6 = CampaignPlan::new(&request(Figure::Fig6, DirectoryConfig::FullMap)).unwrap();
         assert!(fig6.expected(0, Ok(&row)));
         assert!(!fig6.expected(0, Err(&deadlock)) && !fig6.expected(0, Err(&panic)));
+    }
+
+    /// A single figure's sweep is its plan — the same cell keys,
+    /// machines and journal identity — so single-figure journals and
+    /// stamps are what they were before sweeps were merged.
+    #[test]
+    fn the_union_of_one_plan_is_that_plan() {
+        let keys = |specs: &[RunSpec]| specs.iter().map(cell_key).collect::<Vec<_>>();
+        for directory in [DirectoryConfig::FullMap, DirectoryConfig::sparse()] {
+            for &(name, figure) in &FIGURES {
+                let plan = CampaignPlan::new(&request(figure, directory)).unwrap();
+                let sweep = union(std::slice::from_ref(&plan));
+                assert_eq!(keys(&sweep.specs), keys(&plan.specs), "{name}");
+                assert_eq!(sweep.machines, plan.machines, "{name}");
+                assert_eq!(sweep.meta.config_hash, plan.meta.config_hash, "{name}");
+                assert_eq!(sweep.cells, [Vec::from_iter(0..plan.specs.len())], "{name}");
+            }
+        }
+    }
+
+    /// `all` for one application: the seven figures' 42 cells are 27
+    /// simulations. One baseline serves Figures 2, 5, 6 and 7, the
+    /// ablation and the 4×4 sensitivity cell, and carries Figure 2's
+    /// probes; Figure 7 re-scores Figure 6's cells; the ablation's
+    /// `both` columns and the 4×4 proposal are Figure 6's cells.
+    #[test]
+    fn all_runs_each_simulation_once() {
+        let plans: Vec<CampaignPlan> = FIGURES
+            .iter()
+            .map(|&(_, figure)| {
+                CampaignPlan::new(&CampaignRequest {
+                    apps: vec!["FFT".into()],
+                    ..request(figure, DirectoryConfig::FullMap)
+                })
+                .unwrap()
+            })
+            .collect();
+        let sweep = union(&plans);
+        assert_eq!(plans.iter().map(|p| p.specs.len()).sum::<usize>(), 42);
+        assert_eq!(sweep.specs.len(), 27);
+        assert_eq!(sweep.machines.len(), 27);
+        let keys: HashSet<_> = sweep.specs.iter().map(cell_key).collect();
+        assert_eq!(keys.len(), 27, "every sweep key is unique");
+
+        let figure = |name| FIGURES.iter().position(|f| f.0 == name).unwrap();
+        // the sweep index of the cell of figure `name` labelled `label`
+        let cell = |name, label: &str| {
+            let f = figure(name);
+            let i = plans[f].specs.iter().position(|s| s.config.label == label);
+            sweep.cells[f][i.unwrap_or_else(|| panic!("{name} has no cell {label}"))]
+        };
+        assert_eq!(sweep.cells[figure("fig7")], sweep.cells[figure("fig6")]);
+        let baseline = cell("fig6", "baseline");
+        assert_eq!(cell("fig2", "coverage probes"), baseline);
+        assert_eq!(cell("fig5", "baseline"), baseline);
+        assert_eq!(cell("ablation", "baseline"), baseline);
+        assert_eq!(
+            sweep.machines[baseline].probes,
+            CompressionScheme::paper_matrix()
+        );
+        let proposal = cell("fig6", "4-entry DBRC (2B LO)");
+        assert_eq!(cell("ablation", "both (proposal)"), proposal);
+        assert_eq!(
+            cell("ablation", "both (perfect)"),
+            cell("fig6", "perfect (5B msg)")
+        );
+        assert_eq!(cell("sensitivity", "baseline @ 4x4"), baseline);
+        assert_eq!(cell("sensitivity", "4-entry DBRC (2B LO) @ 4x4"), proposal);
+        assert!(
+            sweep
+                .machines
+                .iter()
+                .filter(|m| !m.probes.is_empty())
+                .count()
+                == 1
+        );
     }
 
     /// Journals and stamps written by the Figure 6/7 binaries before

@@ -167,10 +167,11 @@ for f in faults.md faults.csv.faults.csv faults.csv.fault_totals.csv; do
 done
 echo "fault-campaign smoke: every outcome expected; the resumed tables are identical"
 
-echo "== every-figure smoke (tcmp-fig all: each table and figure into its own directory)"
+echo "== every-figure smoke (tcmp-fig all: one sweep, each table and figure into its own directory)"
 ALL_DIR="$SMOKE_DIR/all"
-target/release/tcmp-fig all --scale 0.002 --app FFT --jobs 2 --out "$ALL_DIR" >/dev/null 2>&1 || {
-    echo "every-figure smoke: tcmp-fig all failed"; exit 1; }
+ALL_ARGS=(--scale 0.002 --app FFT --jobs 2)
+target/release/tcmp-fig all "${ALL_ARGS[@]}" --out "$ALL_DIR" >/dev/null 2>"$SMOKE_DIR/all.log" || {
+    echo "every-figure smoke: tcmp-fig all failed"; cat "$SMOKE_DIR/all.log"; exit 1; }
 for f in table1/results.csv table2/results.csv table3/results.csv \
          fig2/results.coverage.csv fig5/results.breakdown.csv \
          fig6/results.exec_time.csv fig6/results.link_ed2p.csv fig7/results.chip_ed2p.csv \
@@ -180,7 +181,43 @@ for f in table1/results.csv table2/results.csv table3/results.csv \
         test -s "$ALL_DIR/$g" || { echo "every-figure smoke: $g missing"; exit 1; }
     done
 done
-echo "every-figure smoke: every table and figure written"
+# the figures' 42 cells are 27 distinct simulations, run once, journaled
+# at the root; the figure directories hold no journal
+grep -q "running 27 simulations" "$SMOKE_DIR/all.log" || {
+    echo "every-figure smoke: expected one sweep of 27 simulations"; cat "$SMOKE_DIR/all.log"; exit 1; }
+[ "$(find "$ALL_DIR" -name journal.jsonl)" = "$ALL_DIR/journal.jsonl" ] || {
+    echo "every-figure smoke: $ALL_DIR/journal.jsonl must be the only journal"; exit 1; }
+echo "every-figure smoke: every table and figure written from one 27-cell sweep"
+# a resume over the finished directory replays every completed cell,
+# re-runs only the fault cells that ended in expected errors (they are
+# not journaled as rows) and rewrites every file byte for byte
+cp -r "$ALL_DIR" "$SMOKE_DIR/all-first"
+EXPECTED_ERRORS=$(grep -c '^  expected ' "$SMOKE_DIR/all.log" || true)
+target/release/tcmp-fig all "${ALL_ARGS[@]}" --resume "$ALL_DIR" >/dev/null 2>"$SMOKE_DIR/all-resume.log" || {
+    echo "every-figure smoke: the resumed all failed"; cat "$SMOKE_DIR/all-resume.log"; exit 1; }
+grep -q "journal replays $((27 - EXPECTED_ERRORS)) finished cell(s)" "$SMOKE_DIR/all-resume.log" || {
+    echo "every-figure smoke: the resume should replay all but the $EXPECTED_ERRORS expected errors"
+    cat "$SMOKE_DIR/all-resume.log"; exit 1; }
+for f in $(cd "$SMOKE_DIR/all-first" && find . -name 'results.*'); do
+    cmp "$SMOKE_DIR/all-first/$f" "$ALL_DIR/$f" || {
+        echo "every-figure smoke: resumed $f differs from the first pass"; exit 1; }
+done
+# a figure run alone renders what all renders for it, stamp line
+# included: fig5's cell carries Figure 2's probes in the sweep, and the
+# ablation's cells are Figure 6's
+target/release/tcmp-fig fig5 "${ALL_ARGS[@]}" --csv "$SMOKE_DIR/alone-fig5.csv" >/dev/null 2>&1 || {
+    echo "every-figure smoke: fig5 alone failed"; exit 1; }
+cmp "$SMOKE_DIR/alone-fig5.csv" "$ALL_DIR/fig5/results.breakdown.csv" || {
+    echo "every-figure smoke: fig5 alone differs from all's"; exit 1; }
+target/release/tcmp-fig ablation "${ALL_ARGS[@]}" --csv "$SMOKE_DIR/alone-ablation.csv" >/dev/null 2>&1 || {
+    echo "every-figure smoke: ablation alone failed"; exit 1; }
+cmp "$SMOKE_DIR/alone-ablation.csv" "$ALL_DIR/ablation/results.ablation.csv" || {
+    echo "every-figure smoke: ablation alone differs from all's"; exit 1; }
+# --out promises a fresh campaign: a finished directory is refused
+if target/release/tcmp-fig all "${ALL_ARGS[@]}" --out "$ALL_DIR" >/dev/null 2>&1; then
+    echo "every-figure smoke: all --out over a finished campaign was not refused"; exit 1
+fi
+echo "every-figure smoke: the resume and the figures run alone are byte-identical; --out refuses a finished directory"
 
 echo "== tcmp-serve smoke (submit over the socket, SIGKILL the daemon, restart, diff CSVs)"
 SERVE="target/release/tcmp-serve"

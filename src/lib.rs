@@ -72,8 +72,7 @@ pub mod prelude {
     pub use tcmp_core::sim::{CmpSimulator, SimConfig, SimError, SimResult, WatchdogConfig};
     pub use tcmp_core::supervisor::{
         campaign_meta, cell_key, run_matrix_supervised, run_supervised, run_supervised_cached,
-        supervise, warm_key, CellFailure, ForensicReport, MatrixReport, RunPolicy,
-        SupervisedFailure, SweepState, WarmStart,
+        supervise, warm_key, CellFailure, MatrixReport, RunPolicy, SweepState, WarmStart,
     };
     pub use wire_model::wires::{VlWidth, WireClass};
     pub use workloads::profile::AppProfile;

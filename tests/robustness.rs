@@ -7,7 +7,6 @@
 use tiled_cmp::coherence::sanitizer::{Invariant, SanitizerConfig};
 use tiled_cmp::common::fault::FaultConfig;
 use tiled_cmp::prelude::*;
-use tiled_cmp::sim::supervisor::supervise;
 use tiled_cmp::sim::SimError;
 
 const SEED: u64 = 0xD5A1_F00D;
@@ -238,52 +237,6 @@ fn livelock_reproducer_trips_the_watchdog_with_diagnostics() {
         }
         other => panic!("expected NoForwardProgress, got: {other}"),
     }
-}
-
-/// Forensic supervision of the livelock: with periodic snapshots and
-/// forensics on, a watchdog abort comes back with a rewind-and-replay
-/// report — the machine was rewound to the last checkpoint, re-stepped
-/// with the protocol sanitizer armed, and the abort reproduced with the
-/// coherence state found consistent (a genuine scheduling livelock,
-/// not metadata corruption).
-#[test]
-fn watchdog_abort_under_forensics_yields_a_rewind_and_replay_report() {
-    let app = tiled_cmp::workloads::apps::fft();
-    let mut cfg = SimConfig::new(
-        InterconnectChoice::ReplyPartitioning,
-        CompressionScheme::None,
-    );
-    cfg.watchdog = Some(WatchdogConfig {
-        stall_iterations: 50_000,
-    });
-    let mut sim = CmpSimulator::new(cfg, &app, SEED, SCALE);
-    sim.fault_drop_data_replies(true);
-    let policy = RunPolicy {
-        snapshot_period: Some(10_000),
-        forensics: true,
-        ..RunPolicy::default()
-    };
-    let failure = supervise(&mut sim, &policy).expect_err("the livelock must abort");
-    assert!(matches!(failure.error, SimError::NoForwardProgress { .. }));
-    let rendered = format!("{failure}");
-    assert!(rendered.contains("forensics:"), "{rendered}");
-    let forensics = failure
-        .forensics
-        .expect("snapshots were taken, so forensics must run");
-    assert!(forensics.rewound_to > 0, "a checkpoint existed");
-    assert!(
-        forensics.rewound_to < failure.error.cycle(),
-        "the rewind goes backwards"
-    );
-    assert!(
-        forensics.replayed_to >= forensics.rewound_to,
-        "the replay steps forward again"
-    );
-    assert!(
-        forensics.verdict.contains("reproduced"),
-        "deterministic replay reproduces the abort: {}",
-        forensics.verdict
-    );
 }
 
 /// The fault injector now also covers the memory-controller response
