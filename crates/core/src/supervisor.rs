@@ -22,7 +22,10 @@
 //!   policy and no journal). A [`CellMachine`] may carry a
 //!   [`CellFault`], which is how a fault campaign is one more sweep.
 //!   [`simulation_key`] names what a cell simulates, so cells of
-//!   several figures that run the same simulation run it once.
+//!   several figures that run the same simulation run it once;
+//!   [`reuse_key`] names what it puts in its row, so the campaign
+//!   service answers a cell from another campaign's finished row
+//!   ([`SweepState::adopt`]).
 //! * Every cell retries on the same ladder: attempt 0 keeps the
 //!   original seed so deterministic results stay deterministic, later
 //!   attempts perturb only the *fault* seed, never the workload trace.
@@ -31,7 +34,7 @@ use std::borrow::{Borrow, BorrowMut};
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use addr_compression::CompressionScheme;
@@ -299,22 +302,28 @@ pub fn cell_key(spec: &RunSpec) -> String {
 }
 
 /// Git revision stamped into campaign journals: `TCMP_GIT_SHA` when
-/// set (CI), else `git rev-parse`, else `"unknown"`.
+/// set (CI), else `git rev-parse`, else `"unknown"`. Read once per
+/// process, so every sweep of one process (each campaign of one daemon
+/// lifetime included) carries the same revision, and `git` runs once.
 pub fn build_git_sha() -> String {
-    if let Ok(sha) = std::env::var("TCMP_GIT_SHA") {
-        if !sha.is_empty() {
-            return sha;
+    static SHA: OnceLock<String> = OnceLock::new();
+    SHA.get_or_init(|| {
+        if let Ok(sha) = std::env::var("TCMP_GIT_SHA") {
+            if !sha.is_empty() {
+                return sha;
+            }
         }
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+        std::process::Command::new("git")
+            .args(["rev-parse", "--short=12", "HEAD"])
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+            .filter(|s| !s.is_empty())
+            .unwrap_or_else(|| "unknown".to_string())
+    })
+    .clone()
 }
 
 /// The identity stamp of a sweep: build SHA plus a fingerprint of the
@@ -443,6 +452,27 @@ pub fn simulation_key(machine: &CellMachine, spec: &RunSpec) -> String {
     let desc = format!(
         "{cfg:?}|{machine:?}|app={}|seed={:#x}|scale={:?}",
         spec.app.name, spec.seed, spec.scale
+    );
+    fingerprint(&desc)
+}
+
+/// What cell `spec` on `machine` under `policy` puts in its row: its
+/// [`simulation_key`], plus the machine's coverage probes (their
+/// coverages are in the row) and the policy (a retry reseeds the
+/// faults, a cycle budget tightens the cap), fingerprinted from their
+/// `Debug` renderings. Two cells with equal keys that both finish
+/// finish with equal rows, so one's row may stand for the other's.
+///
+/// The whole policy is keyed on purpose, though a row that finished on
+/// its first attempt depends only on the cycle budget: a field added
+/// to [`RunPolicy`] later cannot be left out, and a request that
+/// differs only in deadline, backoff or retries simulates again — the
+/// safe side of the trade.
+pub fn reuse_key(machine: &CellMachine, spec: &RunSpec, policy: &RunPolicy) -> String {
+    let desc = format!(
+        "{}|{:?}|{policy:?}",
+        simulation_key(machine, spec),
+        machine.probes
     );
     fingerprint(&desc)
 }
@@ -611,16 +641,8 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
             })
         };
         let (warm, outcome) = match with_retries(policy.retries, policy.backoff, attempt) {
-            Ok((result, warm)) => {
-                self.record("finish", &key, |j| {
-                    j.record_finish(&key, result_to_json(&result))
-                });
-                (warm, Ok(result))
-            }
+            Ok((result, warm)) => (warm, Ok(result)),
             Err((attempts, error)) => {
-                self.record("fail", &key, |j| {
-                    j.record_fail(&key, attempts, &error.brief())
-                });
                 let failure = CellFailure {
                     index,
                     app: spec.app.name.to_string(),
@@ -631,11 +653,52 @@ impl<J: BorrowMut<Journal>> SweepState<J> {
                 (WarmStart::Disabled, Err(failure))
             }
         };
+        self.settle(index, outcome, |outcome, outstanding| {
+            on_outcome(outcome, warm, outstanding)
+        })
+    }
+
+    /// Store `result` as cell `index`'s outcome without running it —
+    /// the row of a cell elsewhere that simulated the same thing (equal
+    /// [`reuse_key`]s) — journaled as a `finish` record, as if the cell
+    /// had run to it. `on_outcome` is [`SweepState::run_cell`]'s, less
+    /// the warm-start crossing there was none of.
+    pub fn adopt<R>(
+        &self,
+        index: usize,
+        result: SimResult,
+        on_outcome: impl FnOnce(&CellOutcome, usize) -> R,
+    ) -> R {
+        self.settle(index, Ok(result), on_outcome)
+    }
+
+    /// The row of cell `index`, if it finished.
+    pub fn row(&self, index: usize) -> Option<SimResult> {
+        self.slots()[index].as_ref()?.as_ref().ok().cloned()
+    }
+
+    /// The tail of every cell: its terminal journal record, then its
+    /// slot and `on_outcome` in one locked step.
+    fn settle<R>(
+        &self,
+        index: usize,
+        outcome: CellOutcome,
+        on_outcome: impl FnOnce(&CellOutcome, usize) -> R,
+    ) -> R {
+        let key = cell_key(&self.specs[index]);
+        match &outcome {
+            Ok(result) => self.record("finish", &key, |j| {
+                j.record_finish(&key, result_to_json(result))
+            }),
+            Err(failure) => self.record("fail", &key, |j| {
+                j.record_fail(&key, failure.attempts, &failure.error.brief())
+            }),
+        }
         let mut slots = self.slots();
         let outstanding = (0..slots.len())
             .filter(|&i| i != index && slots[i].is_none())
             .count();
-        on_outcome(slots[index].insert(outcome), warm, outstanding)
+        on_outcome(slots[index].insert(outcome), outstanding)
     }
 
     /// The sweep as it stands: rows and failures in spec order.
@@ -1044,6 +1107,52 @@ mod tests {
             result_to_json(rerun.results[0].as_ref().unwrap()).render()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One cell's row may stand for another's only when everything that
+    /// shapes the row is equal: the label does not, the coverage probes
+    /// and the run policy do (though neither changes the simulation).
+    #[test]
+    fn reuse_key_tracks_probes_and_policy_not_labels() {
+        let plain = CellMachine::plain(&CmpConfig::default());
+        let spec = RunSpec {
+            app: workloads::apps::fft(),
+            config: ConfigSpec::baseline(),
+            seed: 0xD5A1_F00D,
+            scale: 0.002,
+        };
+        let policy = RunPolicy::default();
+        let key = reuse_key(&plain, &spec, &policy);
+        let relabelled = RunSpec {
+            config: ConfigSpec {
+                label: "coverage probes".to_string(),
+                ..ConfigSpec::baseline()
+            },
+            ..spec.clone()
+        };
+        assert_eq!(reuse_key(&plain, &relabelled, &policy), key);
+
+        let probed = CellMachine {
+            probes: CompressionScheme::paper_matrix(),
+            ..plain.clone()
+        };
+        assert_eq!(
+            simulation_key(&probed, &spec),
+            simulation_key(&plain, &spec)
+        );
+        assert_ne!(reuse_key(&probed, &spec, &policy), key);
+        for other in [
+            RunPolicy {
+                retries: 1,
+                ..RunPolicy::default()
+            },
+            RunPolicy {
+                cycle_budget: Some(1_000),
+                ..RunPolicy::default()
+            },
+        ] {
+            assert_ne!(reuse_key(&plain, &spec, &other), key, "{other:?}");
+        }
     }
 
     #[test]

@@ -22,8 +22,12 @@ use crate::proto::{Event, RejectReason, Request, Response};
 use crate::service::{Campaign, Service};
 use crate::wire::{LineReader, ReadLine};
 
-/// Accept-loop poll interval (and per-handler read timeout).
-const POLL: Duration = Duration::from_millis(25);
+/// Accept-loop poll interval: a connection waits half of it on
+/// average before it is accepted, so it is kept short (an idle daemon
+/// wakes 500 times a second).
+const POLL: Duration = Duration::from_millis(2);
+/// Per-handler read and event-wait timeout: how long a handler may
+/// take to notice the daemon closing.
 const HANDLER_POLL: Duration = Duration::from_millis(200);
 
 /// Run the accept loop on `socket` until `stop` becomes true, then

@@ -343,8 +343,9 @@ pub enum Event {
         cell: String,
         cycles: u64,
         /// [`tcmp_core::supervisor::WarmStart`] label of how the cell
-        /// crossed the warm point (`"journal"` for rows replayed from
-        /// a resumed journal's catch-up stream).
+        /// crossed the warm point, or `"journal"` for a row it did not
+        /// simulate: one replayed in the catch-up stream, or one taken
+        /// from a cell another campaign finished.
         warm: String,
     },
     CellFail {

@@ -26,27 +26,61 @@
 //!   it, with load-time digest verification falling back to a fresh
 //!   simulation on corruption. A store that cannot open costs warm
 //!   starts, never the service: its cells run cold.
+//! * **Each simulation once.** A worker that claims a cell first looks
+//!   its [`reuse_key`] up among the cells every campaign has finished
+//!   (this lifetime's, and the rows resumed campaigns replayed). On a
+//!   hit the cell simulates nothing: the finished row is journaled into
+//!   its own campaign and reported with the `"journal"` label. So a
+//!   resubmitted request, or Figure 7 after Figure 6, costs no
+//!   simulation. Only finished rows are taken; a cell that failed runs
+//!   again, and a duplicate claimed while its original still runs
+//!   simulates too. A resumed campaign's rows are taken only when its
+//!   [`BUILD_FILE`] names the running binary: the journal's git SHA
+//!   cannot tell a binary rebuilt from an uncommitted tree from the old
+//!   one. Warm starts serve the cells no row answers.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use cmp_common::fsx::Fs;
-use cmp_common::journal::{Journal, JournalError, Json};
+use cmp_common::journal::{fingerprint, Journal, JournalError, Json};
 use cmp_common::types::Cycle;
 use tcmp_core::checkpoint::{DiskConfig, DiskStore};
-use tcmp_core::supervisor::{cell_key, CellOutcome, SweepState};
+use tcmp_core::supervisor::{cell_key, reuse_key, CellOutcome, SweepState};
+use tcmp_core::SimResult;
 
 use crate::plan::{CampaignPlan, Outcome};
 use crate::proto::{CacheCounts, CampaignRequest, CampaignStatus, Event, RejectReason, Response};
 
 /// File holding a campaign's request, next to its journal.
 pub const CAMPAIGN_FILE: &str = "campaign.json";
+
+/// File naming the binary that made every row in a campaign's journal
+/// (a fingerprint of its path, size and modification time); absent
+/// when no single binary can be named.
+pub const BUILD_FILE: &str = "build.id";
+
+/// The identity of the running binary: a fingerprint of its path, size
+/// and modification time, read once per process. A rebuild rewrites
+/// the binary, so a daemon rebuilt from the same commit — an
+/// uncommitted edit included — is another build. `None` when the
+/// binary cannot be inspected; then no earlier lifetime's row is taken.
+fn build_id() -> Option<&'static str> {
+    static ID: OnceLock<Option<String>> = OnceLock::new();
+    ID.get_or_init(|| {
+        let exe = std::env::current_exe().ok()?;
+        let meta = std::fs::metadata(&exe).ok()?;
+        let desc = format!("{exe:?}|{}|{:?}", meta.len(), meta.modified().ok()?);
+        Some(fingerprint(&desc))
+    })
+    .as_deref()
+}
 
 /// How many events a subscriber may fall behind before it is dropped
 /// (it can re-attach and catch up from the campaign's slots).
@@ -117,6 +151,11 @@ pub struct Campaign {
     fs: Fs,
     /// The journal and one outcome slot per cell.
     run: SweepState<Journal>,
+    /// Each cell's [`reuse_key`], index-aligned with the plan's cells.
+    reuse_keys: Vec<String>,
+    /// Whether the running binary made every row the journal replayed
+    /// (its [`BUILD_FILE`] names it), so other cells may take them.
+    rows_of_this_build: bool,
     finished: AtomicBool,
     subscribers: Mutex<Vec<SyncSender<Event>>>,
 }
@@ -129,17 +168,37 @@ impl Campaign {
     /// byte alike. The plan is fingerprinted into the journal meta, so
     /// a journal written under a different directory organisation is a
     /// detected mismatch, not a silent re-run on the wrong machine.
+    ///
+    /// A new journal's [`BUILD_FILE`] names the running binary. A
+    /// resumed one whose file names another binary loses the file: its
+    /// rows are not this build's, and the rows this lifetime adds would
+    /// leave it naming no single build.
     fn open(fs: &Fs, id: &str, dir: &Path, plan: CampaignPlan) -> Result<Arc<Campaign>, String> {
-        let journal = match Journal::resume_on(fs, dir, &plan.meta) {
-            Ok(j) => j,
-            Err(JournalError::Missing(_)) => {
-                Journal::create_on(fs, dir, &plan.meta).map_err(|e| e.to_string())?
-            }
+        let (journal, fresh) = match Journal::resume_on(fs, dir, &plan.meta) {
+            Ok(j) => (j, false),
+            Err(JournalError::Missing(_)) => (
+                Journal::create_on(fs, dir, &plan.meta).map_err(|e| e.to_string())?,
+                true,
+            ),
             Err(e) => return Err(e.to_string()),
         };
+        let build_file = dir.join(BUILD_FILE);
+        let rows_of_this_build = match build_id() {
+            Some(build) if fresh => fs.write_atomic(&build_file, build).is_ok(),
+            Some(build) => fs.read_to_string(&build_file).is_ok_and(|s| s == build),
+            None => false,
+        };
+        if !rows_of_this_build {
+            let _ = fs.remove_file(&build_file);
+        }
+        let reuse_keys = (plan.machines.iter().zip(&plan.specs))
+            .map(|(machine, spec)| reuse_key(machine, spec, &plan.policy))
+            .collect();
         Ok(Arc::new(Campaign {
             id: id.to_string(),
             run: SweepState::new(&plan.specs, Some(journal)),
+            reuse_keys,
+            rows_of_this_build,
             plan,
             dir: dir.to_path_buf(),
             fs: fs.clone(),
@@ -271,6 +330,10 @@ pub struct Service {
     /// `Some` when `warm_cycles > 0` and the store opened.
     checkpoints: Option<DiskStore>,
     campaigns: Mutex<BTreeMap<String, Arc<Campaign>>>,
+    /// Where each finished row is, by [`reuse_key`]: the campaign and
+    /// cell holding it (the first to finish it). Rows stay in their
+    /// campaigns' slots; this holds no copy.
+    finished_rows: Mutex<HashMap<String, (Arc<Campaign>, usize)>>,
     next_id: Mutex<u64>,
     draining: AtomicBool,
 }
@@ -318,6 +381,7 @@ impl Service {
             }),
             work: Condvar::new(),
             campaigns: Mutex::new(BTreeMap::new()),
+            finished_rows: Mutex::new(HashMap::new()),
             next_id: Mutex::new(1),
             draining: AtomicBool::new(false),
             cfg,
@@ -358,6 +422,13 @@ impl Service {
                         campaign.cells() - pending.len(),
                         campaign.cells()
                     );
+                    if campaign.rows_of_this_build {
+                        campaign.run.for_each_outcome(|index, outcome| {
+                            if outcome.is_ok() {
+                                self.index_finished(&campaign, index)
+                            }
+                        });
+                    }
                     if pending.is_empty() {
                         // Killed after the last cell but before (or
                         // during) the CSV write: finalise now.
@@ -568,32 +639,61 @@ impl Service {
         }
     }
 
+    /// Note that cell `index` of `campaign` holds a finished row. A row
+    /// already indexed under the same key stays the one handed out.
+    fn index_finished(&self, campaign: &Arc<Campaign>, index: usize) {
+        lock(&self.finished_rows)
+            .entry(campaign.reuse_keys[index].clone())
+            .or_insert_with(|| (Arc::clone(campaign), index));
+    }
+
+    /// The finished row that answers cell `index` of `campaign`, if any
+    /// campaign holds one (read from the holder's slot once the index
+    /// lock is released).
+    fn finished_row(&self, campaign: &Campaign, index: usize) -> Option<SimResult> {
+        let holder = lock(&self.finished_rows)
+            .get(&campaign.reuse_keys[index])
+            .cloned();
+        holder.and_then(|(holder, at)| holder.run.row(at))
+    }
+
     fn run_task(&self, task: CellTask) {
         let (c, index) = (&task.campaign, task.index);
-        c.emit(Event::CellStart {
-            campaign: c.id.clone(),
-            index,
-            cell: cell_key(&c.plan.specs[index]),
-        });
-        let checkpoints = self
-            .checkpoints
-            .as_ref()
-            .map(|store| (store, self.cfg.warm_cycles));
         // The cell's event goes out in the step that stores its outcome:
         // a client subscribing at any instant finds the cell in the
         // catch-up or on the live stream, and the worker that stores the
         // campaign's last outcome emits `CampaignDone` only after every
         // other cell's event is out.
-        let last = c.run.run_cell(
-            &c.plan.machines[index],
-            index,
-            &c.plan.policy,
-            checkpoints,
-            |outcome, warm, outstanding| {
-                c.emit(c.outcome_event(index, outcome, warm.label()));
-                outstanding == 0
-            },
-        );
+        let tell = |outcome: &CellOutcome, warm: &str, outstanding: usize| {
+            c.emit(c.outcome_event(index, outcome, warm));
+            (outstanding == 0, outcome.is_ok())
+        };
+        let (last, ok) = match self.finished_row(c, index) {
+            Some(row) => c.run.adopt(index, row, |outcome, outstanding| {
+                tell(outcome, "journal", outstanding)
+            }),
+            None => {
+                c.emit(Event::CellStart {
+                    campaign: c.id.clone(),
+                    index,
+                    cell: cell_key(&c.plan.specs[index]),
+                });
+                let checkpoints = self
+                    .checkpoints
+                    .as_ref()
+                    .map(|store| (store, self.cfg.warm_cycles));
+                c.run.run_cell(
+                    &c.plan.machines[index],
+                    index,
+                    &c.plan.policy,
+                    checkpoints,
+                    |outcome, warm, outstanding| tell(outcome, warm.label(), outstanding),
+                )
+            }
+        };
+        if ok {
+            self.index_finished(c, index);
+        }
         if last {
             c.finalize();
             c.emit(c.done_event());

@@ -9,6 +9,10 @@
 //! * the shared checkpoint store warms later campaigns without
 //!   changing a single bit, and a store that cannot open runs every
 //!   cell cold;
+//! * a cell whose row another campaign has finished simulates nothing:
+//!   the row is journaled into its own campaign, byte for byte, across
+//!   restarts and kills too — and only a cell that would produce that
+//!   very row takes it;
 //! * and over the real Unix socket: a campaign outlives its submitter
 //!   and a re-attaching client catches up to the end.
 #![cfg(unix)]
@@ -16,6 +20,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -24,7 +29,7 @@ use cmp_common::journal::JOURNAL_FILE;
 use tcmp_serve::client::Client;
 use tcmp_serve::daemon;
 use tcmp_serve::proto::{CampaignRequest, Event, Figure, RejectReason, Request, Response};
-use tcmp_serve::service::{ServeConfig, ServiceHandle};
+use tcmp_serve::service::{ServeConfig, ServiceHandle, BUILD_FILE};
 
 const SEED: u64 = 0xD5A1_F00D;
 const SCALE: f64 = 0.002;
@@ -52,6 +57,17 @@ fn tiny_request() -> CampaignRequest {
     }
 }
 
+/// The tiny request under a wall deadline that has passed by the first
+/// poll of the clock: every cell simulates to the warm point, stores
+/// its checkpoint and then fails, so it leaves checkpoints for the
+/// tiny request's cells but no row any cell could take.
+fn expiring_request() -> CampaignRequest {
+    CampaignRequest {
+        deadline_s: Some(0),
+        ..tiny_request()
+    }
+}
+
 fn serve_cfg(root: PathBuf) -> ServeConfig {
     ServeConfig {
         root,
@@ -70,6 +86,49 @@ fn submit_ok(handle: &ServiceHandle, request: CampaignRequest) -> String {
         }
         other => panic!("expected Submitted, got {other:?}"),
     }
+}
+
+/// The labels of `live`'s `CellFinish` events, in arrival order, up to
+/// `CampaignDone`; panics on a failed cell, and on a cell that started
+/// a simulation when `simulates` is false.
+fn live_labels(live: &Receiver<Event>, simulates: bool) -> Vec<String> {
+    let mut labels = Vec::new();
+    loop {
+        match live.recv_timeout(WAIT).expect("live event") {
+            Event::CellFinish { warm, .. } => labels.push(warm),
+            Event::CellFail { cell, error, .. } => panic!("cell {cell} failed: {error}"),
+            Event::CampaignDone { .. } => return labels,
+            Event::CellStart { cell, .. } => assert!(simulates, "cell {cell} simulated"),
+        }
+    }
+}
+
+/// The records of campaign `id`'s journal of one `kind`, sorted.
+fn journal_records(root: &Path, id: &str, kind: &str) -> Vec<String> {
+    let path = root.join("campaigns").join(id).join(JOURNAL_FILE);
+    let text = std::fs::read_to_string(&path)
+        .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    let tag = format!("{{\"event\":\"{kind}\"");
+    let mut records: Vec<String> = text
+        .lines()
+        .filter(|l| l.starts_with(&tag))
+        .map(str::to_string)
+        .collect();
+    records.sort();
+    records
+}
+
+/// The CSVs of `request` run by a service with warm starts off, on a
+/// root of its own.
+fn cold_csvs(tag: &str, request: CampaignRequest) -> Vec<(String, String)> {
+    let root = scratch_dir(tag);
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
+    let id = submit_ok(&handle, request);
+    assert!(handle.wait_campaign(&id, WAIT));
+    handle.drain();
+    let csvs = read_csvs(&root, &id);
+    let _ = std::fs::remove_dir_all(&root);
+    csvs
 }
 
 fn read_csvs(root: &Path, id: &str) -> Vec<(String, String)> {
@@ -316,9 +375,10 @@ fn corrupt_campaign_directory_is_quarantined_not_fatal() {
     handle.drain();
 }
 
-/// One checkpoint store spans all campaigns: the second submission of
-/// the same sweep fast-forwards every cell past the warm point and
-/// still renders byte-identical CSVs.
+/// One checkpoint store spans all campaigns: a first campaign whose
+/// cells fail after the warm point finishes no row, so a second
+/// submission of the sweep fast-forwards every cell from the first
+/// one's checkpoints and still renders byte-identical CSVs.
 #[test]
 fn shared_cache_warms_a_second_campaign_bit_identically() {
     let root = scratch_dir("serve-cache");
@@ -327,8 +387,10 @@ fn shared_cache_warms_a_second_campaign_bit_identically() {
     let handle = ServiceHandle::start(cfg).expect("start");
     let service = Arc::clone(handle.service());
 
-    let first = submit_ok(&handle, tiny_request());
+    let first = submit_ok(&handle, expiring_request());
     assert!(handle.wait_campaign(&first, WAIT));
+    let (done, failed, _) = service.attach(&first).expect("attach").progress();
+    assert_eq!((done, failed), (0, CELLS), "every cell outran its deadline");
     let second = submit_ok(&handle, tiny_request());
     assert!(handle.wait_campaign(&second, WAIT));
     handle.drain();
@@ -344,18 +406,20 @@ fn shared_cache_warms_a_second_campaign_bit_identically() {
     assert_eq!(stats.hits, CELLS as u64, "every second-campaign cell warms");
     assert_eq!(stats.quarantined, 0);
 
-    let cold = read_csvs(&root, &first);
+    let cold = cold_csvs("serve-cache-ref", tiny_request());
     let warmed = read_csvs(&root, &second);
     for ((file, a), (_, b)) in cold.iter().zip(&warmed) {
         assert_eq!(a, b, "{file} differs between cold and warmed campaigns");
     }
 }
 
-/// The store makes warm starts survive restarts: a second service
-/// lifetime on the same root warms every cell
-/// of a repeated sweep from the first lifetime's spilled checkpoints,
-/// renders byte-identical CSVs, and reports the disk traffic in its
-/// status counters.
+/// The store makes warm starts survive restarts, and rows do not
+/// survive a rebuild: a second service lifetime on the same root, whose
+/// binary is not the one that made the first campaign's rows (its
+/// [`BUILD_FILE`] names another build), takes none of them. It warms
+/// every cell of the repeated sweep from the first lifetime's spilled
+/// checkpoints, renders byte-identical CSVs, and reports the disk
+/// traffic in its status counters.
 #[test]
 fn disk_tier_warms_a_restarted_service_bit_identically() {
     let root = scratch_dir("serve-disk");
@@ -374,8 +438,16 @@ fn disk_tier_warms_a_restarted_service_bit_identically() {
     assert_eq!(spilled.resident_files, CELLS as u64);
     handle.drain();
 
-    // New lifetime, same root: the store's index is rebuilt by scan.
+    // New lifetime, same root: the store's index is rebuilt by scan,
+    // and the first campaign's rows are another build's.
+    let build_file = root.join("campaigns").join(&first).join(BUILD_FILE);
+    assert!(build_file.exists(), "a new campaign names its build");
+    std::fs::write(&build_file, "another build").expect("rewrite the build file");
     let handle = ServiceHandle::start(cfg).expect("restart");
+    assert!(
+        !build_file.exists(),
+        "a resumed campaign of another build names none"
+    );
     let second = submit_ok(&handle, tiny_request());
     assert!(handle.wait_campaign(&second, WAIT));
     match handle.service().status() {
@@ -392,6 +464,11 @@ fn disk_tier_warms_a_restarted_service_bit_identically() {
         other => panic!("expected StatusReport, got {other:?}"),
     }
     handle.drain();
+    assert_eq!(
+        journal_records(&root, &second, "start").len(),
+        CELLS,
+        "every cell simulated"
+    );
 
     let cold = read_csvs(&root, &first);
     let warmed = read_csvs(&root, &second);
@@ -403,17 +480,201 @@ fn disk_tier_warms_a_restarted_service_bit_identically() {
     }
 }
 
+/// A resubmitted request simulates nothing: every cell is answered from
+/// the row the first campaign finished — even queued right behind it —
+/// with the `journal` label, the checkpoint store untouched, `finish`
+/// records byte-equal to the first campaign's and no `start` record,
+/// and byte-equal CSVs. After a restart, a third submission is answered
+/// the same way from the resumed campaigns' rows.
+#[test]
+fn an_identical_resubmission_is_answered_from_the_finished_rows() {
+    let root = scratch_dir("serve-reuse");
+    let mut cfg = serve_cfg(root.clone());
+    cfg.warm_cycles = 50_000;
+    // One worker: the second campaign queues behind the first, and is
+    // subscribed to before any of its cells is claimed.
+    cfg.jobs = 1;
+    let handle = ServiceHandle::start(cfg.clone()).expect("start");
+    let first = submit_ok(&handle, tiny_request());
+    let second = submit_ok(&handle, tiny_request());
+    let live = handle
+        .service()
+        .attach(&second)
+        .expect("attach")
+        .subscribe();
+    assert_eq!(live_labels(&live, false), vec!["journal"; CELLS]);
+    assert!(handle.wait_campaign(&first, WAIT));
+    let counters = handle.service().checkpoints().expect("store").counters();
+    assert_eq!(
+        (counters.stores, counters.hits, counters.misses),
+        (CELLS as u64, 0, CELLS as u64),
+        "only the first campaign used the store"
+    );
+    handle.drain();
+
+    let finished = journal_records(&root, &first, "finish");
+    assert_eq!(finished.len(), CELLS);
+    let handle = ServiceHandle::start(cfg).expect("restart");
+    let third = submit_ok(&handle, tiny_request());
+    assert!(handle.wait_campaign(&third, WAIT));
+    let counters = handle.service().checkpoints().expect("store").counters();
+    assert_eq!((counters.stores, counters.hits, counters.misses), (0, 0, 0));
+    handle.drain();
+
+    let csvs = read_csvs(&root, &first);
+    for id in [&second, &third] {
+        assert_eq!(journal_records(&root, id, "finish"), finished, "{id}");
+        assert!(journal_records(&root, id, "start").is_empty(), "{id}");
+        assert_eq!(read_csvs(&root, id), csvs, "{id}");
+    }
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Figure 7 re-scores Figure 6's runs: submitted right after Figure 6,
+/// every one of its cells is answered from Figure 6's rows.
+#[test]
+fn figure_7_after_figure_6_is_answered_in_full() {
+    let root = scratch_dir("serve-fig7");
+    let mut cfg = serve_cfg(root.clone());
+    cfg.jobs = 1;
+    let handle = ServiceHandle::start(cfg).expect("start");
+    let fig6 = submit_ok(&handle, tiny_request());
+    let fig7 = submit_ok(
+        &handle,
+        CampaignRequest {
+            figure: Figure::Fig7,
+            ..tiny_request()
+        },
+    );
+    let live = handle.service().attach(&fig7).expect("attach").subscribe();
+    assert_eq!(live_labels(&live, false), vec!["journal"; CELLS]);
+    assert!(handle.wait_campaign(&fig6, WAIT));
+    handle.drain();
+    assert_eq!(
+        journal_records(&root, &fig7, "finish"),
+        journal_records(&root, &fig6, "finish")
+    );
+    assert!(journal_records(&root, &fig7, "start").is_empty());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Only a cell that would produce the very row takes it: Figure 2's
+/// baseline carries coverage probes Figure 5's lacks, and a retrying
+/// policy may reseed faults, so neither takes Figure 5's row — while a
+/// plain repeat of Figure 5 does.
+#[test]
+fn a_row_is_taken_only_by_a_cell_that_would_produce_it() {
+    let root = scratch_dir("serve-noreuse");
+    let mut cfg = serve_cfg(root.clone());
+    cfg.jobs = 1;
+    let handle = ServiceHandle::start(cfg).expect("start");
+    let submit = |request: CampaignRequest| match handle.service().submit(request) {
+        Response::Submitted {
+            campaign, cells, ..
+        } => {
+            assert_eq!(cells, 1, "one FFT cell");
+            campaign
+        }
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    let fig5 = || CampaignRequest {
+        figure: Figure::Fig5,
+        ..tiny_request()
+    };
+    let _first = submit(fig5());
+    let cases = [
+        (
+            CampaignRequest {
+                figure: Figure::Fig2,
+                ..tiny_request()
+            },
+            "disabled",
+        ),
+        (
+            CampaignRequest {
+                retries: 1,
+                ..fig5()
+            },
+            "disabled",
+        ),
+        (fig5(), "journal"),
+    ];
+    let lives: Vec<_> = cases
+        .iter()
+        .map(|(request, _)| {
+            let id = submit(request.clone());
+            handle.service().attach(&id).expect("attach").subscribe()
+        })
+        .collect();
+    for ((request, want), live) in cases.iter().zip(&lives) {
+        let simulates = *want != "journal";
+        assert_eq!(
+            live_labels(live, simulates),
+            vec![*want],
+            "{:?} with {} retries",
+            request.figure,
+            request.retries
+        );
+    }
+    handle.drain();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A campaign answered from finished rows is journaled like any other:
+/// killed (the `cell_limit` analogue of SIGKILL) two cells in, it
+/// resumes on restart — its two taken rows replayed, the rest taken
+/// from the resumed first campaign — to the first campaign's CSVs.
+#[test]
+fn a_killed_campaign_of_taken_rows_resumes_to_the_same_csvs() {
+    let root = scratch_dir("serve-reuse-kill");
+    let mut cfg = serve_cfg(root.clone());
+    cfg.cell_limit = Some(CELLS + 2);
+    let handle = ServiceHandle::start(cfg).expect("start");
+    let first = submit_ok(&handle, tiny_request());
+    assert!(handle.wait_campaign(&first, WAIT));
+    let second = submit_ok(&handle, tiny_request());
+    handle.join();
+    assert_eq!(journal_records(&root, &second, "finish").len(), 2);
+    assert!(
+        !root
+            .join("campaigns")
+            .join(&second)
+            .join("results.exec_time.csv")
+            .exists(),
+        "the killed service must not have finalised"
+    );
+
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("restart");
+    assert!(
+        handle.wait_campaign(&second, WAIT),
+        "resumed campaign finishes"
+    );
+    handle.drain();
+    assert_eq!(
+        journal_records(&root, &second, "finish"),
+        journal_records(&root, &first, "finish")
+    );
+    assert!(journal_records(&root, &second, "start").is_empty());
+    assert_eq!(read_csvs(&root, &second), read_csvs(&root, &first));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A checkpoint store that cannot open (here `<root>/checkpoints` is a
 /// regular file) costs warm starts, never the service: it starts, every
 /// cell reports `disabled`, and the CSVs are byte-identical to those of
 /// a service with warm starts off.
 #[test]
 fn unopenable_checkpoint_store_runs_every_cell_cold() {
-    let cold_root = scratch_dir("serve-nostore-ref");
-    let handle = ServiceHandle::start(serve_cfg(cold_root.clone())).expect("start");
-    let reference = submit_ok(&handle, tiny_request());
-    assert!(handle.wait_campaign(&reference, WAIT));
-    handle.drain();
+    // The second campaign runs under another trace seed: other
+    // simulations, so it takes none of the first campaign's rows.
+    let reseeded = CampaignRequest {
+        seed: SEED + 1,
+        ..tiny_request()
+    };
+    let references = [
+        cold_csvs("serve-nostore-ref", tiny_request()),
+        cold_csvs("serve-nostore-ref2", reseeded.clone()),
+    ];
 
     let root = scratch_dir("serve-nostore");
     std::fs::write(root.join("checkpoints"), b"not a directory").expect("block the store");
@@ -425,7 +686,7 @@ fn unopenable_checkpoint_store_runs_every_cell_cold() {
     let handle = ServiceHandle::start(cfg).expect("a blocked store must not stop the service");
     assert!(handle.service().checkpoints().is_none());
     let first = submit_ok(&handle, tiny_request());
-    let second = submit_ok(&handle, tiny_request());
+    let second = submit_ok(&handle, reseeded);
     let live = handle
         .service()
         .attach(&second)
@@ -448,10 +709,9 @@ fn unopenable_checkpoint_store_runs_every_cell_cold() {
     }
     handle.drain();
 
-    let cold = read_csvs(&cold_root, &reference);
-    for id in [&first, &second] {
+    for (id, cold) in [&first, &second].into_iter().zip(&references) {
         assert_eq!(
-            read_csvs(&root, id),
+            &read_csvs(&root, id),
             cold,
             "{id}: CSVs differ from the warm-start-off run"
         );

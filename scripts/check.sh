@@ -263,6 +263,21 @@ done
 cmp -s "$SMOKE_DIR/local-full.csv.exec_time.csv" "$SMOKE_DIR/local-sparse.csv.exec_time.csv" && {
     echo "tcmp-serve smoke: --directory sparse did not reach the stamp"; exit 1; }
 echo "tcmp-serve smoke: local run and daemon wrote identical CSVs (full-map and sparse)"
+# each simulation once: the reference request resubmitted (c0003)
+# simulates nothing; every cell is answered from c0001's finished rows
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_REF" >/dev/null 2>"$SMOKE_DIR/serve-again.log" || {
+    echo "tcmp-serve smoke: resubmitted reference campaign failed"
+    cat "$SMOKE_DIR/serve-again.log"; exit 1; }
+TAKEN=$(grep -c "warm-start: journal" "$SMOKE_DIR/serve-again.log" || true)
+test "$TAKEN" -eq 6 || {
+    echo "tcmp-serve smoke: expected all 6 resubmitted cells from finished rows, saw $TAKEN"
+    cat "$SMOKE_DIR/serve-again.log"; exit 1; }
+for suffix in exec_time.csv link_ed2p.csv; do
+    cmp <(grep -v '^#' "$SERVE_REF/campaigns/c0001/results.$suffix") \
+        <(grep -v '^#' "$SERVE_REF/campaigns/c0003/results.$suffix") || {
+        echo "tcmp-serve smoke: resubmitted $suffix differs from c0001's"; exit 1; }
+done
+echo "tcmp-serve smoke: the resubmitted request took all 6 rows and wrote identical CSVs"
 kill -TERM "$REF_PID"
 wait "$REF_PID" || {
     echo "tcmp-serve smoke: reference daemon did not drain cleanly (exit $?)"
@@ -373,9 +388,15 @@ for f in results.exec_time.csv results.link_ed2p.csv; do
         echo "disk-tier smoke: faulted-restart $f differs from the reference"
         exit 1; }
 done
-# lifetime 3: a clean restart re-submits the same sweep; every cell must
-# warm-start from the surviving + re-spilled checkpoints and the CSVs
-# must still be bit-identical to the cold reference.
+# lifetime 3: a clean restart re-submits the same sweep. c0001's
+# build.id is rewritten first, standing in for a daemon rebuilt from
+# another tree: its rows are then another build's and no cell takes
+# them, so every cell must warm-start from the surviving + re-spilled
+# checkpoints and the CSVs must still be bit-identical to the cold
+# reference.
+test -f "$SERVE_DISK/campaigns/c0001/build.id" || {
+    echo "disk-tier smoke: c0001 names no build"; exit 1; }
+echo "another build" >"$SERVE_DISK/campaigns/c0001/build.id"
 "$SERVE" "${DISK_ARGS[@]}" >>"$SMOKE_DIR/serve-disk.log" 2>&1 &
 DISK_PID=$!
 wait_for 10 test -S "$SOCK_DISK" || {
