@@ -8,7 +8,7 @@
 //! Layout is struct-of-arrays: the tags of a set are contiguous, so
 //! the hit check — the single hottest loop in the simulator — scans
 //! one cache line of packed `u64` tags without touching payloads or
-//! LRU stamps. Invalid ways carry the reserved tag [`INVALID_TAG`];
+//! LRU stamps. Invalid ways carry the reserved tag `INVALID_TAG`;
 //! stamps and values live in parallel side arrays indexed by the same
 //! slot number and are only read on a hit or during victim selection.
 

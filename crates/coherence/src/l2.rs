@@ -1,8 +1,8 @@
 //! The home L2 slice: inclusive shared-cache bank plus its directory.
 //!
-//! Sharer bookkeeping is behind the [`DirectoryRepr`] strategy seam
-//! (full-map or sparse tagged entries, chosen by
-//! [`DirectoryConfig`]); the protocol below manipulates only the
+//! Sharer bookkeeping is behind the
+//! [`DirectoryRepr`](crate::DirectoryRepr) strategy seam (full-map or
+//! sparse tagged entries, chosen by [`DirectoryConfig`]); the protocol below manipulates only the
 //! repr-independent [`DirState`] view, so both organisations produce
 //! byte-identical message schedules.
 //!
@@ -13,7 +13,7 @@
 //! L1-side deferral of overtaking commands, makes the protocol correct on
 //! a network that does not preserve ordering across channels.
 //!
-//! L2 misses allocate through [`Fill`] records: memory is read (400
+//! L2 misses allocate through `Fill` records: memory is read (400
 //! cycles away), a victim way is chosen when the data returns, and — the
 //! L2 being inclusive — a victim still cached above is first *recalled*
 //! (`Inv` to sharers, `RecallData` to an owner).

@@ -22,10 +22,10 @@
 //!   into the hole (and fixes its slot), which keeps the order
 //!   deterministic without tombstones.
 //!
-//! The [`Persist`](crate::persist::Persist) encoding writes entries in
-//! iteration order, so a map restored from a checkpoint iterates
-//! exactly like the captured one — snapshot digests can walk live maps
-//! directly instead of sorting defensive copies.
+//! The [`Persist`] encoding writes entries in iteration order, so a map
+//! restored from a checkpoint iterates exactly like the captured one —
+//! snapshot digests can walk live maps directly instead of sorting
+//! defensive copies.
 
 use crate::persist::{ByteReader, ByteWriter, Persist, PersistError};
 

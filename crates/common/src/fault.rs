@@ -16,7 +16,7 @@
 //!   deadlock report, never a hang or a panic.
 //! * **Corrupt** — flips bits of the carried line address, modelling a
 //!   soft error in an NI buffer. The receiving controller must reject
-//!   the impossible message with a [`ProtocolError`]-style finding.
+//!   the impossible message with a `ProtocolError`-style finding.
 //! * **Desync** — silently corrupts the *receiver* half of an address
 //!   codec pair (DBRC register file / Stride base), modelling the
 //!   compression-metadata corruption failure mode. The NI must detect

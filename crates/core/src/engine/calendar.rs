@@ -1,20 +1,24 @@
 //! The engine's event calendar: delayed protocol sends plus the
 //! incremental core-readiness index.
 //!
-//! Two structures, neither scanned by the hot loop:
+//! Two timing wheels, neither scanned by the hot loop:
 //!
-//! * a timing wheel of [`DelayedEvent`]s — protocol messages charged a
-//!   local array-access latency before injection/delivery, fired in
+//! * a wheel of `DelayedEvent`s — protocol messages charged a local
+//!   array-access latency before injection/delivery, fired in
 //!   `(cycle, sequence)` order so ties break deterministically. Every
-//!   delay is below [`WHEEL_SLOTS`] (the longest, `L2_DATA_DELAY`, is
+//!   delay is below `WHEEL_SLOTS` (the longest, `L2_DATA_DELAY`, is
 //!   8), and the scheduler never runs past a pending send, so the
 //!   pending sends span fewer cycles than the wheel has slots: slot
 //!   `at % WHEEL_SLOTS` holds the sends due at `at` alone, FIFO in
 //!   sequence order;
-//! * a lazily-invalidated min-heap over `(ready_at, tile)` with a cached
-//!   `core_next` array as the source of truth — stale entries are
-//!   discarded on pop, so re-scheduling a core is O(log n) with no
-//!   delete-from-heap.
+//! * a bitmap wheel of core wake-ups with a cached `core_next` array as
+//!   the source of truth: slot `c % 64` is a tile bitmap of the cores
+//!   ready at `c`, and a `u64` mask marks the occupied slots, so the
+//!   earliest wake-up is a rotate and a `trailing_zeros`, and the cores
+//!   due now come out of one slot in ascending tile order. Wake-ups 64
+//!   or more cycles out (compute bursts reach 2,048) wait in a
+//!   lazily-invalidated overflow heap and move onto the wheel once
+//!   they come within its span.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -52,24 +56,42 @@ pub struct Calendar {
     /// they were scheduled, which the determinism goldens depend on.
     seq: u64,
     /// Cached ready cycle per core (`Cycle::MAX` when blocked or done),
-    /// the source of truth the heap entries are validated against.
+    /// the source of truth the wake-up wheel is derived from.
     pub(crate) core_next: Vec<Cycle>,
-    /// Lazily-invalidated min-heap over `(ready_at, tile)`: an entry is
-    /// live iff it matches `core_next`; stale entries are discarded on pop.
-    core_heap: BinaryHeap<Reverse<(Cycle, u32)>>,
+    /// The core wake-up wheel: slot `s` is the `tile_words`-word tile
+    /// bitmap at `core_wheel[s * tile_words..]` of the cores ready at
+    /// the one cycle `c ≥ now` with `c % CORE_SLOTS == s`.
+    core_wheel: Vec<u64>,
+    /// Bit `s` set iff wheel slot `s` holds a core.
+    core_slots: u64,
+    /// Words per wheel slot: `tiles.div_ceil(64)`.
+    tile_words: usize,
+    /// Wake-ups at least [`CORE_SLOTS`] cycles out when scheduled, as
+    /// `(ready_at, tile)`. An entry is live iff it matches `core_next`;
+    /// stale ones are discarded when they reach the wheel's span.
+    core_overflow: BinaryHeap<Reverse<(Cycle, u32)>>,
 }
+
+/// Slots of the core wake-up wheel: one per bit of its occupancy mask.
+const CORE_SLOTS: u64 = 64;
 
 impl Calendar {
     /// A calendar for `tiles` cores, all ready at cycle 0.
     pub(crate) fn new(tiles: usize) -> Self {
-        Calendar {
+        let tile_words = tiles.div_ceil(64);
+        let mut cal = Calendar {
             wheel: vec![VecDeque::new(); WHEEL_SLOTS],
             delayed: 0,
             head: 0,
             seq: 0,
             core_next: vec![0; tiles],
-            core_heap: (0..tiles as u32).map(|t| Reverse((0, t))).collect(),
-        }
+            core_wheel: vec![0; CORE_SLOTS as usize * tile_words],
+            core_slots: 0,
+            tile_words,
+            core_overflow: BinaryHeap::new(),
+        };
+        cal.rederive_cores();
+        cal
     }
 
     /// Schedule a protocol send to fire `delay` cycles after `now`.
@@ -139,47 +161,131 @@ impl Calendar {
         self.delayed
     }
 
+    /// Re-derive the wake-up wheel from `core_next`: every live entry
+    /// goes to the overflow heap, which the next query moves onto the
+    /// wheel. Used at construction and after a load, which does not
+    /// see the clock.
+    fn rederive_cores(&mut self) {
+        self.core_wheel.fill(0);
+        self.core_slots = 0;
+        self.core_overflow = (self.core_next.iter().enumerate())
+            .filter(|&(_, &at)| at != Cycle::MAX)
+            .map(|(t, &at)| Reverse((at, t as u32)))
+            .collect();
+    }
+
     /// Re-cache core `t`'s ready cycle after its state may have changed.
-    pub(crate) fn set_core_ready(&mut self, t: usize, ready: Cycle) {
-        if ready != self.core_next[t] {
-            self.core_next[t] = ready;
-            if ready != Cycle::MAX {
-                self.core_heap.push(Reverse((ready, t as u32)));
+    /// `ready` is `Cycle::MAX` or at least `now`; the clock never passes
+    /// a pending wake-up without draining it (see
+    /// [`Calendar::drain_cores_due`]).
+    pub(crate) fn set_core_ready(&mut self, t: usize, ready: Cycle, now: Cycle) {
+        let old = self.core_next[t];
+        if ready == old {
+            return;
+        }
+        debug_assert!(ready >= now, "core {t} wakes at {ready}, before {now}");
+        self.core_next[t] = ready;
+        if old != Cycle::MAX {
+            // a no-op when the old wake-up is drained or still overflowed
+            self.unmark_core(t, old);
+        }
+        if ready == Cycle::MAX {
+            return;
+        }
+        if ready - now < CORE_SLOTS {
+            self.mark_core(t, ready);
+        } else {
+            self.core_overflow.push(Reverse((ready, t as u32)));
+        }
+    }
+
+    /// Index of tile `t`'s word in the wheel slot of cycle `at`, and
+    /// its bit there.
+    #[inline]
+    fn core_bit(&self, t: usize, at: Cycle) -> (usize, u64) {
+        let slot = (at % CORE_SLOTS) as usize;
+        (slot * self.tile_words + t / 64, 1 << (t % 64))
+    }
+
+    fn mark_core(&mut self, t: usize, at: Cycle) {
+        let (word, bit) = self.core_bit(t, at);
+        self.core_wheel[word] |= bit;
+        self.core_slots |= 1 << (at % CORE_SLOTS);
+    }
+
+    /// Clear `t`'s bit in the slot of `at`, if set, and the slot's
+    /// occupancy bit once the slot is empty.
+    fn unmark_core(&mut self, t: usize, at: Cycle) {
+        let (word, bit) = self.core_bit(t, at);
+        if self.core_wheel[word] & bit == 0 {
+            return;
+        }
+        self.core_wheel[word] &= !bit;
+        let slot = (at % CORE_SLOTS) as usize;
+        let words = &self.core_wheel[slot * self.tile_words..][..self.tile_words];
+        if words.iter().all(|&w| w == 0) {
+            self.core_slots &= !(1 << slot);
+        }
+    }
+
+    /// Move the live overflow wake-ups within the wheel's span of `now`
+    /// onto the wheel, discarding stale ones. A core re-set to a cycle
+    /// it had already overflowed to is on the heap twice; marking is
+    /// idempotent, so it lands on the wheel once.
+    fn promote_overflow(&mut self, now: Cycle) {
+        while let Some(&Reverse((at, t))) = self.core_overflow.peek() {
+            if at >= now + CORE_SLOTS {
+                break;
+            }
+            self.core_overflow.pop();
+            if self.core_next[t as usize] == at {
+                debug_assert!(at >= now, "core {t} woke at {at}, passed at {now}");
+                self.mark_core(t as usize, at);
             }
         }
     }
 
-    /// Earliest live core-ready cycle; pops stale heap entries on the way.
-    pub(crate) fn earliest_ready_core(&mut self) -> Option<Cycle> {
-        while let Some(&Reverse((at, t))) = self.core_heap.peek() {
+    /// Earliest pending core wake-up (`None` when every core is blocked
+    /// or done).
+    pub(crate) fn earliest_ready_core(&mut self, now: Cycle) -> Option<Cycle> {
+        self.promote_overflow(now);
+        if self.core_slots != 0 {
+            let ahead = self.core_slots.rotate_right((now % CORE_SLOTS) as u32);
+            return Some(now + Cycle::from(ahead.trailing_zeros()));
+        }
+        // the wheel is empty: the heap's first live entry is the answer
+        while let Some(&Reverse((at, t))) = self.core_overflow.peek() {
             if self.core_next[t as usize] == at {
                 return Some(at);
             }
-            self.core_heap.pop();
+            self.core_overflow.pop();
         }
         None
     }
 
-    /// Collect the tiles whose cores are due at/before `now` into `due`,
-    /// deduplicated and in ascending tile order. Stale heap entries
-    /// (cache mismatch) are dropped; live duplicates carry identical
-    /// `(at, t)` pairs, so a sort + dedup leaves each due tile once.
-    /// Ascending tile order — not heap order — reproduces the original
-    /// full scan exactly, keeping delayed-event sequencing (and therefore
-    /// the determinism goldens) bit-identical.
+    /// Collect the tiles whose cores are due at `now` into `due`, in
+    /// ascending tile order: one wheel slot, walked bit by bit.
+    /// Ascending tile order reproduces the original full scan exactly,
+    /// keeping delayed-event sequencing (and therefore the determinism
+    /// goldens) bit-identical. No pending wake-up may lie before `now`,
+    /// which the engine guarantees by never jumping past
+    /// [`Calendar::earliest_ready_core`].
     pub(crate) fn drain_cores_due(&mut self, now: Cycle, due: &mut Vec<u32>) {
         due.clear();
-        while let Some(&Reverse((at, t))) = self.core_heap.peek() {
-            if at > now {
-                break;
-            }
-            self.core_heap.pop();
-            if self.core_next[t as usize] == at {
-                due.push(t);
+        self.promote_overflow(now);
+        let slot = (now % CORE_SLOTS) as usize;
+        if self.core_slots & 1 << slot == 0 {
+            return;
+        }
+        self.core_slots &= !(1 << slot);
+        let words = &mut self.core_wheel[slot * self.tile_words..][..self.tile_words];
+        for (w, word) in words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                due.push((w * 64) as u32 + bits.trailing_zeros());
+                bits &= bits - 1;
             }
         }
-        due.sort_unstable();
-        due.dedup();
     }
 }
 
@@ -191,13 +297,11 @@ cmp_common::impl_persist!(DelayedEvent {
     msg,
 });
 
-/// Both schedules are encoded as sorted vectors: [`DelayedEvent`]s by
-/// `(at, seq)` and the core index entries by `(ready, tile)`, so pop
-/// order — and therefore the replayed schedule — is independent of the
-/// in-memory layout. The wheel is refilled in that order, and the core
-/// heap is re-derived from `core_next` at load (stale entries are
-/// discarded on pop anyway, so the canonical rebuild is behaviourally
-/// identical).
+/// The delayed sends are encoded as a vector sorted by `(at, seq)`, so
+/// pop order — and therefore the replayed schedule — is independent of
+/// the in-memory layout; the wheel is refilled in that order. Of the
+/// core index only `core_next` is persisted: the wake-up wheel is
+/// re-derived from it at load.
 impl cmp_common::persist::PersistState for Calendar {
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
         use cmp_common::persist::Persist;
@@ -233,13 +337,7 @@ impl cmp_common::persist::PersistState for Calendar {
             self.push(ev);
         }
         self.core_next = core_next;
-        self.core_heap = self
-            .core_next
-            .iter()
-            .enumerate()
-            .filter(|&(_, &at)| at != Cycle::MAX)
-            .map(|(t, &at)| Reverse((at, t as u32)))
-            .collect();
+        self.rederive_cores();
         Ok(())
     }
 }
@@ -360,15 +458,147 @@ mod tests {
     #[test]
     fn core_index_discards_stale_entries() {
         let mut cal = Calendar::new(3);
-        assert_eq!(cal.earliest_ready_core(), Some(0));
-        cal.set_core_ready(0, 10);
-        cal.set_core_ready(1, 4);
-        cal.set_core_ready(2, Cycle::MAX); // blocked
-        assert_eq!(cal.earliest_ready_core(), Some(4));
+        assert_eq!(cal.earliest_ready_core(0), Some(0));
+        cal.set_core_ready(0, 100, 0); // overflowed
+        cal.set_core_ready(1, 4, 0);
+        cal.set_core_ready(2, Cycle::MAX, 0); // blocked
+        assert_eq!(cal.earliest_ready_core(0), Some(4));
         let mut due = Vec::new();
         cal.drain_cores_due(4, &mut due);
         assert_eq!(due, vec![1]);
-        cal.set_core_ready(1, Cycle::MAX);
-        assert_eq!(cal.earliest_ready_core(), Some(10));
+        cal.set_core_ready(1, Cycle::MAX, 4);
+        assert_eq!(cal.earliest_ready_core(4), Some(100));
+        cal.set_core_ready(0, 10, 4); // the overflow entry goes stale
+        assert_eq!(cal.earliest_ready_core(4), Some(10));
+        cal.drain_cores_due(10, &mut due);
+        assert_eq!(due, vec![0]);
+        cal.set_core_ready(0, Cycle::MAX, 10);
+        assert_eq!(cal.earliest_ready_core(10), None);
+    }
+
+    /// The core index the wake-up wheel replaced: a min-heap over
+    /// `(ready_at, tile)` validated against `core_next`, stale entries
+    /// discarded on pop, re-derived from `core_next` on load.
+    struct LazyHeap {
+        core_next: Vec<Cycle>,
+        heap: BinaryHeap<Reverse<(Cycle, u32)>>,
+    }
+
+    impl LazyHeap {
+        fn new(core_next: Vec<Cycle>) -> Self {
+            let heap = (core_next.iter().enumerate())
+                .filter(|&(_, &at)| at != Cycle::MAX)
+                .map(|(t, &at)| Reverse((at, t as u32)))
+                .collect();
+            LazyHeap { core_next, heap }
+        }
+
+        fn set(&mut self, t: usize, ready: Cycle) {
+            if ready != self.core_next[t] {
+                self.core_next[t] = ready;
+                if ready != Cycle::MAX {
+                    self.heap.push(Reverse((ready, t as u32)));
+                }
+            }
+        }
+
+        fn earliest(&mut self) -> Option<Cycle> {
+            while let Some(&Reverse((at, t))) = self.heap.peek() {
+                if self.core_next[t as usize] == at {
+                    return Some(at);
+                }
+                self.heap.pop();
+            }
+            None
+        }
+
+        fn drain(&mut self, now: Cycle) -> Vec<u32> {
+            let mut due = Vec::new();
+            while let Some(&Reverse((at, t))) = self.heap.peek() {
+                if at > now {
+                    break;
+                }
+                self.heap.pop();
+                if self.core_next[t as usize] == at {
+                    due.push(t);
+                }
+            }
+            due.sort_unstable();
+            due.dedup();
+            due
+        }
+    }
+
+    #[test]
+    fn core_wheel_agrees_with_a_lazy_heap_under_random_schedules() {
+        use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistState};
+        use cmp_common::randtest::{run_cases, u64_in, usize_in};
+        // Driven as the engine drives it: wake-ups set before the drain
+        // (deliveries, at `now` or later), the drain, every drained core
+        // re-set past `now`, more sets (barrier releases), then a jump
+        // that never passes the earliest pending wake-up. Wake-ups land
+        // 0..4,096 cycles out — on both sides of the wheel's 64-slot
+        // span — and include equal re-sets and `Cycle::MAX`; tile counts
+        // cross the bitmap's 64-tile words; a save/load lands mid-run.
+        /// A wake-up at or after `now`; `current` is the core's cached
+        /// one, re-set unchanged now and then.
+        fn wake(rng: &mut cmp_common::rng::SimRng, now: Cycle, current: Cycle) -> Cycle {
+            match rng.index(8) {
+                0 => Cycle::MAX,
+                1 if current != Cycle::MAX && current >= now => current,
+                2 => now + [62, 63, 64, 65, 127, 128][rng.index(6)],
+                3 => now + u64_in(rng, 2_048, 4_096),
+                _ => now + u64_in(rng, 0, 12),
+            }
+        }
+        run_cases("core_wheel_vs_lazy_heap", 24, |rng| {
+            let tiles = [1, 3, 16, 64, 65, 130][rng.index(6)];
+            let mut cal = Calendar::new(tiles);
+            let mut heap = LazyHeap::new(vec![0; tiles]);
+            let mut now = 0;
+            let mut due = Vec::new();
+            for _ in 0..usize_in(rng, 50, 400) {
+                for _ in 0..usize_in(rng, 0, 3) {
+                    let t = rng.index(tiles);
+                    let ready = wake(rng, now, heap.core_next[t]);
+                    cal.set_core_ready(t, ready, now);
+                    heap.set(t, ready);
+                }
+                cal.drain_cores_due(now, &mut due);
+                assert_eq!(due, heap.drain(now), "cores due at {now}");
+                for &t in &due {
+                    let ready = wake(rng, now + 1, Cycle::MAX);
+                    cal.set_core_ready(t as usize, ready, now);
+                    heap.set(t as usize, ready);
+                }
+                for _ in 0..usize_in(rng, 0, 3) {
+                    let t = rng.index(tiles);
+                    let ready = wake(rng, now + 1, heap.core_next[t]);
+                    cal.set_core_ready(t, ready, now);
+                    heap.set(t, ready);
+                }
+                assert_eq!(cal.core_next, heap.core_next);
+                let earliest = heap.earliest();
+                assert_eq!(cal.earliest_ready_core(now), earliest, "at {now}");
+                if rng.chance(0.1) {
+                    let mut w = ByteWriter::new();
+                    cal.save_state(&mut w);
+                    let bytes = w.into_bytes();
+                    let mut want = ByteWriter::new();
+                    Vec::<DelayedEvent>::new().save(&mut want);
+                    want.u64(0);
+                    heap.core_next.save(&mut want);
+                    assert_eq!(bytes, want.into_bytes());
+                    cal = Calendar::new(tiles);
+                    cal.load_state(&mut ByteReader::new(&bytes)).expect("load");
+                    heap = LazyHeap::new(heap.core_next);
+                }
+                now = match earliest {
+                    Some(at) if rng.chance(0.5) => at.max(now + 1),
+                    Some(at) => u64_in(rng, now + 1, at.max(now + 1) + 1),
+                    None => now + u64_in(rng, 1, 100),
+                };
+            }
+        });
     }
 }

@@ -375,7 +375,7 @@ impl CmpSimulator {
     /// Re-cache core `t`'s ready cycle after its state may have changed.
     fn refresh_core(&mut self, t: usize) {
         let r = self.tiles[t].core.ready_at().unwrap_or(Cycle::MAX);
-        self.calendar.set_core_ready(t, r);
+        self.calendar.set_core_ready(t, r, self.now);
     }
 
     /// Re-cache L2 bank `d`'s busy flag after it handled work.
@@ -718,7 +718,7 @@ impl CmpSimulator {
 
     fn next_interesting(&mut self) -> Option<Cycle> {
         let mut next = Cycle::MAX;
-        if let Some(r) = self.calendar.earliest_ready_core() {
+        if let Some(r) = self.calendar.earliest_ready_core(self.now) {
             next = next.min(r);
         }
         if let Some(n) = self.noc.next_event_cycle(self.now) {
@@ -752,9 +752,11 @@ impl CmpSimulator {
 
     /// One scheduler iteration: drain everything due at `self.now`, then
     /// jump the clock to the next interesting cycle. Returns `Ok(false)`
-    /// once the workload has fully drained. Public so fault-campaign
-    /// drivers and robustness tests can interleave corruption hooks with
-    /// the run; [`CmpSimulator::run`] is the normal entry point.
+    /// once the workload has fully drained. Public so callers can stop
+    /// between iterations — the supervisor's wall deadline, its
+    /// warm-point checkpoint and planted-violation fault cells, and
+    /// robustness tests that interleave corruption hooks with the run;
+    /// [`CmpSimulator::run`] is the normal entry point.
     pub fn step(&mut self) -> Result<bool, SimError> {
         if self.all_done() {
             return Ok(false);

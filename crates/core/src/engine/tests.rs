@@ -229,7 +229,7 @@ fn event_calendar_matches_brute_force_scans() {
             }
             let brute = engine.tiles.iter().filter_map(|t| t.core.ready_at()).min();
             assert_eq!(
-                engine.calendar.earliest_ready_core(),
+                engine.calendar.earliest_ready_core(engine.now),
                 brute,
                 "calendar head"
             );

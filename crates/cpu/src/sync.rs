@@ -53,11 +53,12 @@ impl BarrierState {
 
     /// Core `core` arrived at barrier `id`. Returns `true` when this was
     /// the last arrival — the caller must then release every core and the
-    /// state resets for the next epoch.
+    /// state resets for the next epoch. Panics on a second arrival of
+    /// `core` or an arrival at another epoch's barrier.
     pub fn arrive(&mut self, core: usize, id: u32) -> bool {
-        debug_assert_eq!(id, self.epoch, "core {core} at wrong barrier epoch");
+        assert_eq!(id, self.epoch, "core {core} at wrong barrier epoch");
         let (word, bit) = (core / 64, 1u64 << (core % 64));
-        debug_assert_eq!(self.arrived[word] & bit, 0, "double arrival of core {core}");
+        assert_eq!(self.arrived[word] & bit, 0, "double arrival of core {core}");
         self.arrived[word] |= bit;
         self.waiting += 1;
         if self.waiting as usize == self.participants {

@@ -180,11 +180,16 @@ impl<P> Noc<P> {
     /// Earliest cycle at which any sub-network can make progress
     /// (`None` when idle).
     pub fn next_event_cycle(&self, now: Cycle) -> Option<Cycle> {
-        self.subnets
-            .iter()
-            .filter_map(|s| s.next_event_cycle(now))
-            .chain(self.held.iter().map(|(at, _)| (*at).max(now + 1)))
-            .min()
+        let mut next = Cycle::MAX;
+        for subnet in &self.subnets {
+            if let Some(at) = subnet.next_event_cycle(now) {
+                next = next.min(at);
+            }
+        }
+        for (at, _) in &self.held {
+            next = next.min((*at).max(now + 1));
+        }
+        (next != Cycle::MAX).then_some(next)
     }
 
     /// Per-tile congestion snapshot summed over sub-networks:

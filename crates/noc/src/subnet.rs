@@ -146,13 +146,22 @@ pub struct SubNet<P> {
     /// grants nothing or leaves nothing armed. A router off the bitmap
     /// cannot grant: its state only changes through those two events.
     router_ready: Vec<u64>,
-    /// Head-maturation calendar: slot `cycle % len` holds the
+    /// Head-maturation calendar: slot `cycle & (len − 1)` holds the
     /// (tile, flat VC) pairs whose head flit leaves the router pipeline
-    /// at `cycle`. Length `pipeline + link_cycles`, so every pending
-    /// maturation — at most a link traversal plus `pipeline_wait`
-    /// cycles out — has a distinct slot. An immature head cannot pop or
-    /// be displaced, so entries are never stale.
+    /// at `cycle`. Length `pipeline + link_cycles` rounded up to a power
+    /// of two (at most 64), so every pending maturation — at most a
+    /// link traversal plus `pipeline_wait` cycles out — has a distinct
+    /// slot. An immature head cannot pop or be displaced, so entries are
+    /// never stale.
     mature_ring: Vec<Vec<(u32, u32)>>,
+    /// Occupied maturation slots, replicated across the word: bit
+    /// `cycle & 63` is set iff slot `cycle & (len − 1)` is non-empty,
+    /// so the next occupied slot after any cycle is one rotate and a
+    /// `trailing_zeros`.
+    mature_mask: u64,
+    /// One bit every `len` positions from bit 0: shifted left by a
+    /// slot index, the `mature_mask` bits that stand for that slot.
+    mature_stride: u64,
     /// False after a state restore until [`SubNet::tick`] has rebuilt
     /// `req`, `out_req`, `router_ready` and `mature_ring` (they depend
     /// on the clock, which `load_state` does not see).
@@ -215,6 +224,11 @@ impl<P> SubNet<P> {
             *port = (flat / spec.virtual_channels) as u8;
         }
         let flit_sizes = 0..=spec.channel.width_bytes;
+        let ring_len = ((pipeline_cycles + link_cycles) as usize).next_power_of_two();
+        assert!(
+            ring_len <= 64,
+            "maturation ring spans at most 64 cycles (router pipeline plus link)"
+        );
         SubNet {
             spec,
             mesh,
@@ -233,7 +247,9 @@ impl<P> SubNet<P> {
             req: vec![0; tiles * PORTS],
             out_req: vec![0; tiles],
             router_ready: vec![0; bitmap_words],
-            mature_ring: vec![Vec::new(); (pipeline_cycles + link_cycles) as usize],
+            mature_ring: vec![Vec::new(); ring_len],
+            mature_mask: 0,
+            mature_stride: (0..64).step_by(ring_len).fold(0, |m, b| m | 1 << b),
             eligibility_fresh: true,
             inj_queues: (0..tiles).map(|_| VecDeque::new()).collect(),
             inj_progress: vec![None; tiles],
@@ -354,17 +370,25 @@ impl<P> SubNet<P> {
             self.arm_vc(tile, fvc);
         } else {
             debug_assert!(at - now < self.mature_ring.len() as u64);
-            let slot = (at % self.mature_ring.len() as u64) as usize;
+            let slot = at as usize & (self.mature_ring.len() - 1);
             self.mature_ring[slot].push((tile as u32, fvc as u32));
+            self.mature_mask |= self.mature_stride << slot;
         }
+    }
+
+    /// Whether a head matures at `now`.
+    #[inline]
+    fn matures_at(&self, now: Cycle) -> bool {
+        self.mature_mask & 1 << (now & 63) != 0
     }
 
     /// Arm every VC whose head flit matures this cycle.
     fn drain_matured(&mut self, now: Cycle) {
-        let slot = (now % self.mature_ring.len() as u64) as usize;
-        if self.mature_ring[slot].is_empty() {
+        if !self.matures_at(now) {
             return;
         }
+        let slot = now as usize & (self.mature_ring.len() - 1);
+        self.mature_mask &= !(self.mature_stride << slot);
         let mut due = std::mem::take(&mut self.mature_ring[slot]);
         for &(tile, fvc) in &due {
             self.arm_vc(tile as usize, fvc as usize);
@@ -383,6 +407,7 @@ impl<P> SubNet<P> {
         for ring in &mut self.mature_ring {
             ring.clear();
         }
+        self.mature_mask = 0;
         self.req.fill(0);
         self.out_req.fill(0);
         self.router_ready.fill(0);
@@ -778,7 +803,7 @@ impl<P> SubNet<P> {
     /// flits held, so a sub-network that only waits — on its links or
     /// its router pipelines — is skipped entirely.
     pub fn has_work(&self, now: Cycle) -> bool {
-        self.busy() || !self.mature_ring[(now % self.mature_ring.len() as u64) as usize].is_empty()
+        self.busy() || self.matures_at(now)
     }
 
     /// The next cycle at which `tick` makes progress, given the state
@@ -797,10 +822,13 @@ impl<P> SubNet<P> {
         if self.busy() {
             return Some(now + 1);
         }
-        let len = self.mature_ring.len() as u64;
-        let matures =
-            (now + 1..now + len).find(|at| !self.mature_ring[(at % len) as usize].is_empty());
-        Some(matures.unwrap_or(now + 1))
+        // distance from `now + 1` to the next occupied slot; 64 (no
+        // slot occupied) only costs a visit next cycle, as above
+        let ahead = self
+            .mature_mask
+            .rotate_right((now + 1) as u32)
+            .trailing_zeros();
+        Some(now + 1 + Cycle::from(ahead % 64))
     }
 
     /// Flits sent on the outgoing link of `tile` in `dir` so far.
@@ -1449,6 +1477,64 @@ mod tests {
         let ds = run_until_delivered(&mut slow, 200);
         // 6 hops: express saves (pipeline-1) x (hops+1) = 2 x 7 cycles
         assert_eq!(ds[0].latency() - df[0].latency(), 14);
+    }
+
+    #[test]
+    fn next_event_cycle_agrees_with_a_ring_scan_after_every_tick() {
+        use cmp_common::randtest::{run_cases, usize_in};
+        // The occupancy mask must answer what scanning the maturation
+        // ring slot by slot answers, after every tick, for 1- to 3-stage
+        // routers on 1-cycle (VL) and 2-cycle (B) links: ring lengths 2
+        // to 5 before rounding, so both exact and rounded-up rings.
+        run_cases("next_event_vs_ring_scan", 12, |rng| {
+            for (base, link) in [(vl_spec(), 1), (b_spec(34), 2)] {
+                for pipeline in 1..=3 {
+                    let spec = ChannelSpec {
+                        router_pipeline_cycles: pipeline,
+                        ..base
+                    };
+                    let mut net = subnet(spec, MeshShape::square(4));
+                    assert_eq!(net.link_cycles(), link);
+                    let len = net.mature_ring.len() as u64;
+                    assert!(len.is_power_of_two() && len >= pipeline + link);
+                    let rate = 0.01 + rng.f64() * 0.2;
+                    let inject_until = usize_in(rng, 20, 300) as u64;
+                    for now in 0..inject_until + 2_000 {
+                        if now < inject_until {
+                            for src in 0..16usize {
+                                if rng.chance(rate) {
+                                    let dst = (src + 1 + rng.index(15)) % 16;
+                                    net.inject(now, msg(src, dst, [4, 11, 67][rng.index(3)]));
+                                }
+                            }
+                        }
+                        net.tick(now);
+                        net.drain_delivered();
+                        let occupied = (net.mature_ring.iter().enumerate())
+                            .filter(|(_, ring)| !ring.is_empty())
+                            .flat_map(|(slot, _)| (slot..64).step_by(len as usize))
+                            .fold(0u64, |m, bit| m | 1 << bit);
+                        assert_eq!(net.mature_mask, occupied, "occupancy at {now}");
+                        let scan = (now + 1..now + len)
+                            .find(|&at| !net.mature_ring[(at % len) as usize].is_empty());
+                        let brute = if net.is_idle() {
+                            None
+                        } else if net.busy() {
+                            Some(now + 1)
+                        } else {
+                            Some(scan.unwrap_or(now + 1))
+                        };
+                        assert_eq!(net.next_event_cycle(now), brute, "at {now}");
+                        let due = !net.mature_ring[((now + 1) % len) as usize].is_empty();
+                        assert_eq!(net.has_work(now + 1), net.busy() || due, "at {now}");
+                        if now >= inject_until && net.is_idle() {
+                            break;
+                        }
+                    }
+                    assert!(net.is_idle(), "traffic must drain");
+                }
+            }
+        });
     }
 
     #[test]

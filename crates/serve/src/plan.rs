@@ -3,7 +3,7 @@
 //! and the machine each runs on, the run policy, the journal identity,
 //! the provenance stamp and the figure's tables.
 //!
-//! Every simulated figure is one entry of a table ([`FigureDef`]): the
+//! Every simulated figure is one entry of a table (`FigureDef`): the
 //! cells each application runs, the applications it runs by default and
 //! how its cells' outcomes render. The sweep around them — apps ×
 //! cells, the journal, the supervised runner — is the same for all of

@@ -43,8 +43,8 @@ cargo build --release --workspace
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== cargo doc --no-deps (warnings are errors)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+echo "== cargo doc --workspace --no-deps (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 echo "== cargo check (frozen benchmark package against this tree's API)"
 CARGO_TARGET_DIR=benchmark/target \
