@@ -4,27 +4,28 @@
 //! binaries use [`Options::parse`], which prints the error plus usage
 //! and exits. Validation happens here, before any simulation starts:
 //! a sweep that would die hours in because `--csv` points into a
-//! missing directory dies in milliseconds instead.
+//! missing directory dies in milliseconds instead. A campaign directory
+//! is a campaign service's state root (`DIR/campaigns/<id>/`), whether
+//! `tcmp-fig` made it here with `--out` or a daemon made it.
 
 use std::path::{Path, PathBuf};
 
 use cmp_common::config::{CmpConfig, DirectoryConfig};
 use cmp_common::journal::JOURNAL_FILE;
 use tcmp_serve::proto::{CampaignRequest, Figure, FIGURES};
+use tcmp_serve::service::CAMPAIGNS_DIR;
 
 use crate::tables::{Table, TABLES};
 
 /// What `tcmp-fig` is asked to produce: its first argument.
 #[derive(Clone, Copy, Debug)]
 pub enum Command {
-    /// One simulated figure, planned and run as a campaign.
+    /// One simulated figure, or `all` of them ([`Figure::All`]: every
+    /// table and figure, each into its own directory of the campaign),
+    /// planned and run as a campaign.
     Figure(Figure),
     /// One analytic table: no plan, no journal, no stamp.
     Table(Table),
-    /// Every table and figure, each into its own directory under
-    /// `--out DIR` (or continued under `--resume DIR`), the figures as
-    /// one sweep journaled in `DIR/journal.jsonl`.
-    All,
 }
 
 /// [`try_parse_command`] on `std::env::args`, exiting as [`Options::parse`] does.
@@ -57,7 +58,6 @@ pub fn try_parse_command(
     }
     let command = match TABLES.iter().find(|t| t.0 == name) {
         Some(&table) => Command::Table(table),
-        None if name == "all" => Command::All,
         None => Command::Figure(
             Figure::from_label(&name).map_err(|e| match sides.is_empty() {
                 true => format!("unknown command {name:?}; want one of {}", commands()),
@@ -66,7 +66,7 @@ pub fn try_parse_command(
         ),
     };
     let opts = Options::flags(flags)?;
-    opts.validate(matches!(command, Command::All))?;
+    opts.validate(matches!(command, Command::Figure(Figure::All)))?;
     Ok((command, opts))
 }
 
@@ -92,11 +92,12 @@ pub struct Options {
     pub perfect: bool,
     /// Cap on matrix worker threads (`--jobs N`); `None` = all cores.
     pub jobs: Option<usize>,
-    /// Start a *fresh* journaled campaign in this directory (created if
-    /// absent; refused if it already holds a journal).
+    /// Start a *fresh* journaled campaign in this directory, laid out
+    /// as a campaign service's state root (created if absent; refused
+    /// if it already holds a campaign).
     pub out: Option<PathBuf>,
-    /// Resume a journaled campaign from this directory, skipping cells
-    /// whose rows are already on disk.
+    /// Resume the campaign these flags started under this directory,
+    /// skipping cells whose rows are already on disk.
     pub resume: Option<PathBuf>,
     /// Extra attempts per failed cell (`--retries N`).
     pub retries: u32,
@@ -230,7 +231,8 @@ impl Options {
     }
 
     /// Check the flags against each other and the filesystem. `all`
-    /// needs `--out` or `--resume`, checked as a figure's are.
+    /// needs `--out`, `--resume` or `--submit`, checked as a figure's
+    /// are.
     fn validate(&self, all: bool) -> Result<(), String> {
         if self.scale.is_nan() || self.scale <= 0.0 {
             return Err("--scale must be positive".to_string());
@@ -281,13 +283,17 @@ impl Options {
                  pass exactly one of them"
                 .to_string());
         }
-        if all && (self.submit.is_some() || self.csv.is_some() || self.campaign_dir().is_none()) {
+        let dir = self.out.as_ref().or(self.resume.as_ref());
+        if all && (self.csv.is_some() || dir.or(self.submit.as_ref()).is_none()) {
             return Err(
-                "all runs every figure here as one campaign under --out DIR \
-                 (or continues it with --resume DIR): it takes neither --submit nor --csv"
+                "all writes every table and figure into its campaign directory: \
+                 it needs --out DIR, --resume DIR or --submit SOCKET, and takes no --csv"
                     .to_string(),
             );
         }
+        let holds_campaigns = |dir: &Path| {
+            std::fs::read_dir(dir.join(CAMPAIGNS_DIR)).is_ok_and(|mut d| d.next().is_some())
+        };
         if let Some(dir) = &self.resume {
             if !dir.is_dir() {
                 return Err(format!(
@@ -295,19 +301,26 @@ impl Options {
                     dir.display()
                 ));
             }
-            if !dir.join(JOURNAL_FILE).is_file() {
+            if !dir.join(CAMPAIGNS_DIR).is_dir() && dir.join(JOURNAL_FILE).is_file() {
                 return Err(format!(
-                    "--resume {}: no {} found there — nothing to resume \
+                    "--resume {}: its {JOURNAL_FILE} sits at the top, where tcmp-fig kept \
+                     campaigns before they moved under {CAMPAIGNS_DIR}/: this build cannot \
+                     resume it (use --out to start a fresh campaign)",
+                    dir.display()
+                ));
+            }
+            if !holds_campaigns(dir) {
+                return Err(format!(
+                    "--resume {}: no {CAMPAIGNS_DIR}/ found there — nothing to resume \
                      (use --out to start a fresh campaign)",
-                    dir.display(),
-                    JOURNAL_FILE
+                    dir.display()
                 ));
             }
         }
         if let Some(dir) = &self.out {
-            if dir.join(JOURNAL_FILE).is_file() {
+            if holds_campaigns(dir) || dir.join(JOURNAL_FILE).is_file() {
                 return Err(format!(
-                    "--out {}: already holds a campaign journal — \
+                    "--out {}: already holds a campaign — \
                      use --resume {0} to continue it, or pick a fresh directory",
                     dir.display()
                 ));
@@ -320,19 +333,9 @@ impl Options {
         Ok(())
     }
 
-    /// The journal directory and whether it resumes an existing
-    /// campaign, when the run is journaled at all.
-    pub fn campaign_dir(&self) -> Option<(&Path, bool)> {
-        match (&self.out, &self.resume) {
-            (Some(dir), None) => Some((dir, false)),
-            (None, Some(dir)) => Some((dir, true)),
-            _ => None,
-        }
-    }
-
-    /// What these flags ask of a figure sweep — the request both
-    /// front doors plan from ([`tcmp_serve::plan::CampaignPlan`]): the
-    /// local run directly, `--submit` by sending it to the daemon.
+    /// What these flags ask of a figure sweep: the request the local
+    /// door submits to its in-process service, and `--submit` sends to
+    /// the daemon.
     pub fn request(&self, figure: Figure) -> CampaignRequest {
         CampaignRequest {
             figure,
@@ -466,7 +469,10 @@ mod tests {
         ));
         let dir = std::env::temp_dir().join("tcmp-fig-all-fresh");
         let all = ["all", "--out", dir.to_str().unwrap()];
-        assert!(matches!(command(&all).unwrap().0, Command::All));
+        assert!(matches!(
+            command(&all).unwrap().0,
+            Command::Figure(Figure::All)
+        ));
         let err = command(&["fig9"]).unwrap_err();
         assert!(
             err.contains(
@@ -480,9 +486,10 @@ mod tests {
     }
 
     /// `all` checks `--out` and `--resume` as a figure does: a directory
-    /// holding a journal is no fresh campaign, and one without a journal
-    /// at its root (as `all` wrote them when each figure kept its own)
-    /// has nothing to resume.
+    /// holding a campaign is no fresh one, one holding none has nothing
+    /// to resume, and one with a journal at its root (as `tcmp-fig` laid
+    /// campaigns out before they moved under `campaigns/`) is refused
+    /// both ways.
     #[test]
     fn all_checks_its_directory_as_a_figure_does() {
         let dir = std::env::temp_dir().join(format!("tcmp-all-dir-{}", std::process::id()));
@@ -494,8 +501,14 @@ mod tests {
         assert!(err.contains("nothing to resume"), "{err}");
         assert!(command(&["all", "--out", path]).is_ok());
         std::fs::write(dir.join(JOURNAL_FILE), "").unwrap();
+        let err = command(&["all", "--resume", path]).unwrap_err();
+        assert!(err.contains("cannot resume it"), "{err}");
         let err = command(&["all", "--out", path]).unwrap_err();
-        assert!(err.contains("already holds a campaign journal"), "{err}");
+        assert!(err.contains("already holds a campaign"), "{err}");
+        std::fs::remove_file(dir.join(JOURNAL_FILE)).unwrap();
+        std::fs::create_dir_all(dir.join(CAMPAIGNS_DIR).join("c0001")).unwrap();
+        let err = command(&["all", "--out", path]).unwrap_err();
+        assert!(err.contains("already holds a campaign"), "{err}");
         assert!(command(&["all", "--resume", path]).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -611,9 +624,7 @@ mod tests {
         assert_eq!(o.scale, 0.05);
         assert_eq!(o.retries, 3);
         assert_eq!(o.deadline_s, Some(60));
-        let (d, resuming) = o.campaign_dir().unwrap();
-        assert_eq!(d, out.as_path());
-        assert!(!resuming);
+        assert_eq!(o.out, Some(out));
         let p = CampaignPlan::new(&o.request(Figure::Fig6))
             .expect("a parsed command line plans")
             .policy;
@@ -653,7 +664,12 @@ mod tests {
             other => panic!("expected Submitted, got {other:?}"),
         };
         assert_eq!(
-            handle.service().attach(&id).expect("campaign").stamp(),
+            handle
+                .service()
+                .attach(&id)
+                .expect("campaign")
+                .plan()
+                .stamp(),
             sparse_plan.stamp()
         );
         handle.join();

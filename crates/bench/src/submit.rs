@@ -1,23 +1,22 @@
-//! `--submit` mode of `tcmp-fig`: hand the sweep to a running
+//! `--submit` mode of `tcmp-fig`: hand the campaign to a running
 //! `tcmp-serve` daemon and follow its event stream.
 //!
 //! The daemon owns the worker pool, the journal, and the result CSVs
 //! (under its `--root`, in the campaign's directory); this client only
-//! narrates progress. It can disconnect at any point — the campaign
-//! keeps running — and `--attach ID` re-joins it later, receiving
-//! catch-up events for everything already done. Catch-up and live
-//! streams may overlap, so cell events are deduplicated by index here.
-
-use std::collections::HashSet;
+//! narrates progress, with the printer the local door uses
+//! ([`crate::matrix::follow`]). It can disconnect at any point — the
+//! campaign keeps running — and `--attach ID` re-joins it later,
+//! receiving catch-up events for everything already done.
 
 use tcmp_serve::client::Client;
-use tcmp_serve::proto::{Event, Figure, Request, Response};
+use tcmp_serve::proto::{Figure, Request, Response};
 
 use crate::cli::Options;
+use crate::matrix::follow;
 
 /// Submit (or re-attach to) a figure campaign on the daemon named by
 /// `--submit`, stream its events, and return the process exit code:
-/// 0 when the campaign completed with no failed cells, 1 otherwise.
+/// 0 when every cell ended as the figure expects, 1 otherwise.
 pub fn run_remote(opts: &Options, figure: Figure) -> i32 {
     let socket = opts.submit.as_ref().expect("--submit checked by caller");
     // A daemon mid-restart (or not yet listening) looks like NotFound /
@@ -67,52 +66,23 @@ pub fn run_remote(opts: &Options, figure: Figure) -> i32 {
             return 1;
         }
     };
-    let mut settled: HashSet<usize> = HashSet::new();
-    loop {
-        match client.next_event() {
-            Ok(Some(event)) => {
-                // Catch-up + live streams overlap by design: a cell's
-                // terminal event can arrive twice. First one wins.
-                if matches!(event, Event::CellFinish { .. } | Event::CellFail { .. }) {
-                    if let Some(index) = event.index() {
-                        if !settled.insert(index) {
-                            continue;
-                        }
-                    }
-                }
-                match event {
-                    Event::CellStart { cell, .. } => eprintln!("  start  {cell}"),
-                    Event::CellFinish {
-                        cell, cycles, warm, ..
-                    } => eprintln!("  done   {cell}  ({cycles} cycles, warm-start: {warm})"),
-                    Event::CellFail {
-                        cell,
-                        attempts,
-                        error,
-                        ..
-                    } => eprintln!("  FAILED {cell} after {attempts} attempt(s): {error}"),
-                    Event::CampaignDone {
-                        completed, failed, ..
-                    } => {
-                        eprintln!(
-                            "campaign {campaign} done: {completed} completed, {failed} failed; \
-                             CSVs are in the daemon's campaigns/{campaign}/ directory"
-                        );
-                        return i32::from(failed > 0);
-                    }
-                }
-            }
-            Ok(None) => {
-                eprintln!(
-                    "daemon closed the stream before campaign {campaign} finished \
-                     (draining?); re-attach later with --submit ... --attach {campaign}"
-                );
-                return 1;
-            }
-            Err(e) => {
-                eprintln!("event stream from the daemon broke: {e}");
-                return 1;
-            }
+    let events = std::iter::from_fn(|| {
+        (client.next_event()).unwrap_or_else(|e| {
+            eprintln!("event stream from the daemon broke: {e}");
+            None
+        })
+    });
+    match follow(&campaign, events) {
+        Some((_, failed)) => {
+            eprintln!("CSVs are in the daemon's campaigns/{campaign}/ directory");
+            i32::from(failed > 0)
+        }
+        None => {
+            eprintln!(
+                "the stream ended before campaign {campaign} finished \
+                 (daemon draining?); re-attach later with --submit ... --attach {campaign}"
+            );
+            1
         }
     }
 }

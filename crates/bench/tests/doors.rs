@@ -1,7 +1,8 @@
-//! A figure campaign has two front doors — `tcmp-fig`'s local run and
-//! `--submit` to a `tcmp-serve` daemon — and one meaning: the same
-//! request renders the same bytes through either, stamp line included,
-//! and fails the same way when its machine starves.
+//! `tcmp-fig` runs every figure campaign on a campaign service — one
+//! it starts in-process, or with `--submit` a `tcmp-serve` daemon — so
+//! a request has one meaning whichever way it goes: the same bytes,
+//! stamp line included, for one figure or for `all`, and the same
+//! failure when its machine starves.
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -142,15 +143,67 @@ fn a_journal_resumes_only_under_the_figure_that_wrote_it() {
         ..tiny_options(None)
     };
     assert_eq!(run_figure(&out, Figure::Fig5), 0);
-    let journal = read(&dir.join(JOURNAL_FILE));
+    let journal_file = dir.join("campaigns").join("c0001").join(JOURNAL_FILE);
+    let journal = read(&journal_file);
     let resume = Options {
         resume: Some(dir.clone()),
         ..tiny_options(None)
     };
     assert_eq!(run_figure(&resume, Figure::Fig2), 1, "fig2 refuses it");
-    assert_eq!(read(&dir.join(JOURNAL_FILE)), journal, "untouched");
+    assert_eq!(read(&journal_file), journal, "untouched");
     assert_eq!(run_figure(&resume, Figure::Fig5), 0, "fig5 resumes it");
-    assert_eq!(read(&dir.join(JOURNAL_FILE)), journal, "nothing re-ran");
+    assert_eq!(read(&journal_file), journal, "nothing re-ran");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// `all` through `--submit` writes every figure's directory — its CSVs
+/// and `results.md` — byte for byte as a local `all --out` does, and
+/// the local door adds the analytic tables beside them.
+#[test]
+fn all_writes_the_same_figure_directories_through_either_door() {
+    let root = scratch_dir("doors-all");
+    let local = root.join("local");
+    let out = Options {
+        out: Some(local.clone()),
+        ..tiny_options(None)
+    };
+    assert_eq!(run_figure(&out, Figure::All), 0, "the local door");
+
+    let socket = root.join("s");
+    let served = root.join("served");
+    let handle = ServiceHandle::start(serve_cfg(&served)).expect("start");
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let daemon = s.spawn(|| daemon::serve(handle.service(), &socket, &stop));
+        let _ = Client::connect_retry(&socket, 8, Duration::from_millis(20)).expect("connect");
+        let submit = Options {
+            submit: Some(socket.clone()),
+            ..tiny_options(None)
+        };
+        assert_eq!(run_figure(&submit, Figure::All), 0, "--submit");
+        stop.store(true, Ordering::SeqCst);
+        daemon.join().expect("daemon thread").expect("daemon exits");
+    });
+    handle.drain();
+
+    let campaign = |root: &Path| root.join("campaigns").join("c0001");
+    let (local, served) = (campaign(&local), campaign(&served));
+    let mut compared = 0;
+    for &(name, _) in &FIGURES {
+        let files = std::fs::read_dir(served.join(name)).expect("a figure directory");
+        for file in files {
+            let file = file.expect("a directory entry").file_name();
+            let (ours, theirs) = (local.join(name).join(&file), served.join(name).join(&file));
+            assert_eq!(read(&ours), read(&theirs), "{}", theirs.display());
+            compared += 1;
+        }
+    }
+    // Nine CSVs and seven results.md.
+    assert_eq!(compared, 16);
+    for table in ["table1", "table2", "table3"] {
+        assert!(local.join(table).join("results.csv").is_file(), "{table}");
+        assert!(!served.join(table).exists(), "the daemon writes no {table}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

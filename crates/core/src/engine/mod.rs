@@ -892,9 +892,11 @@ impl CmpSimulator {
         // 4. cores due now, in ascending tile order (reproduces the
         // original full scan exactly, keeping delayed-event sequencing —
         // and therefore the determinism goldens — bit-identical).
+        // The mark opens before the drain, so the wake-up wheel's
+        // bookkeeping is the cores phase's, not unattributed time.
+        let m = profile::Mark::start(profiling);
         let mut due = std::mem::take(&mut self.due_scratch);
         self.calendar.drain_cores_due(self.now, &mut due);
-        let m = profile::Mark::start(profiling);
         for &t in &due {
             self.step_core(t as usize);
             self.refresh_core(t as usize);

@@ -16,7 +16,8 @@
 //!   invalidations, forwards).
 //! * `l2_deliver` — delivered messages handled by an L2 slice, which
 //!   includes all directory work (requests, acks, writebacks).
-//! * `cores` — core stepping, including the L1 `core_access` path.
+//! * `cores` — draining the cores due from the wake-up wheel, then
+//!   core stepping, including the L1 `core_access` path.
 //! * `advance` — the next-interesting-cycle scan.
 //!
 //! The split is deliberately coarse — phase-level, not per-call — so
@@ -45,7 +46,8 @@ pub struct PhaseProfile {
     /// Phase 3b: delivered messages handled by L2 slices (incl. all
     /// directory lookups/updates).
     pub l2_deliver_ns: u64,
-    /// Phase 4: cores due now (core model + L1 core_access).
+    /// Phase 4: cores due now — the wake-up wheel's drain, the core
+    /// model and L1 core_access.
     pub cores_ns: u64,
     /// Phase 5: the next-interesting-cycle scan.
     pub advance_ns: u64,

@@ -131,22 +131,17 @@ impl std::fmt::Display for MatrixError {
 
 impl std::error::Error for MatrixError {}
 
-/// Execute the matrix on all available cores, preserving input order.
+/// Execute the matrix on up to `jobs` worker threads (`None` = all
+/// available cores), preserving input order. `Some(1)` runs the matrix
+/// sequentially on the calling thread's schedule — useful for
+/// benchmarking and for keeping memory bounded on small machines.
 ///
-/// A failing run no longer takes the whole matrix down: every spec is
+/// A failing run does not take the whole matrix down: every spec is
 /// attempted, and if any fail the returned [`MatrixError`] names each
 /// failing (app, config) pair with its [`SimError`]. A run that
 /// *panics* (a simulator bug, not a structured failure) is likewise
 /// caught and reported as [`SimError::Panic`] instead of poisoning the
 /// shared result set and aborting the whole sweep.
-pub fn run_matrix(cmp: &CmpConfig, specs: &[RunSpec]) -> Result<Vec<SimResult>, MatrixError> {
-    run_matrix_jobs(cmp, specs, None)
-}
-
-/// [`run_matrix`] with an explicit cap on worker threads (`None` = all
-/// available cores). `Some(1)` runs the matrix sequentially on the
-/// calling thread's schedule — useful for benchmarking and for keeping
-/// memory bounded on small machines.
 ///
 /// This is [`run_matrix_supervised`] under the default policy with no
 /// journal, for callers that want all rows or the failure list.
@@ -378,7 +373,7 @@ mod tests {
             scale: 1.0,
         })
         .collect();
-        let results = run_matrix(&cmp, &specs).expect("matrix runs cleanly");
+        let results = run_matrix_jobs(&cmp, &specs, None).expect("matrix runs cleanly");
         assert_eq!(results.len(), 3);
         let rows = normalize(&results).expect("baseline present");
         assert_eq!(rows.len(), 2);
@@ -440,7 +435,7 @@ mod tests {
             seed: 7,
             scale: 1.0,
         }];
-        let err = run_matrix(&cmp, &specs).expect_err("panic must surface as an error");
+        let err = run_matrix_jobs(&cmp, &specs, None).expect_err("panic must surface as an error");
         assert_eq!(err.failures.len(), 1);
         match &err.failures[0].error {
             SimError::Panic { message } => {
@@ -474,7 +469,7 @@ mod tests {
             scale: 1.0,
         })
         .collect();
-        let parallel = run_matrix(&cmp, &specs).expect("parallel matrix");
+        let parallel = run_matrix_jobs(&cmp, &specs, None).expect("parallel matrix");
         let serial = run_matrix_jobs(&cmp, &specs, Some(1)).expect("serial matrix");
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
@@ -493,7 +488,7 @@ mod tests {
             seed: 7,
             scale: 1.0,
         }];
-        let results = run_matrix(&cmp, &specs).expect("run succeeds");
+        let results = run_matrix_jobs(&cmp, &specs, None).expect("run succeeds");
         let err = normalize(&results).expect_err("no baseline in the set");
         assert_eq!(err.app, "hotspot");
         let msg = err.to_string();

@@ -52,8 +52,8 @@ pub use engine::{
     TileDump,
 };
 pub use experiment::{
-    figure6_configs, normalize_partial, paper_configs, run_matrix, run_matrix_jobs, ConfigSpec,
-    MatrixError, MissingBaseline, NormalizedRow, PartialNormalization, RunFailure, RunSpec,
+    figure6_configs, normalize_partial, paper_configs, run_matrix_jobs, ConfigSpec, MatrixError,
+    MissingBaseline, NormalizedRow, PartialNormalization, RunFailure, RunSpec,
 };
 pub use niface::{map_channel, InterconnectChoice, ResyncStats, ResyncTracker};
 pub use supervisor::{

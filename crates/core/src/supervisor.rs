@@ -15,16 +15,17 @@
 //!   back through the lossless [`result_to_json`]/[`result_from_json`]
 //!   codec). The campaign service drives it from its long-lived queue.
 //! * [`run_cells`] drives a [`SweepState`] from a scoped worker pool
-//!   over one spec list, each cell on its own [`CellMachine`] — the
-//!   only matrix pool there is ([`run_matrix_supervised`] is this with
+//!   over one spec list, each cell on its own [`CellMachine`], for the
+//!   library's matrix runners ([`run_matrix_supervised`] is this with
 //!   one machine for every cell, and
 //!   [`crate::experiment::run_matrix_jobs`] that with the default
-//!   policy and no journal). A [`CellMachine`] may carry a
+//!   policy and no journal); figure campaigns run on the campaign
+//!   service's pool instead. A [`CellMachine`] may carry a
 //!   [`CellFault`], which is how a fault campaign is one more sweep.
 //!   [`simulation_key`] names what a cell simulates, so cells of
 //!   several figures that run the same simulation run it once;
 //!   [`reuse_key`] names what it puts in its row, so the campaign
-//!   service answers a cell from another campaign's finished row
+//!   service answers a cell from another cell's finished row
 //!   ([`SweepState::adopt`]).
 //! * Every cell retries on the same ladder: attempt 0 keeps the
 //!   original seed so deterministic results stay deterministic, later
@@ -519,11 +520,11 @@ pub type CellOutcome = Result<SimResult, CellFailure>;
 
 /// The run state of one sweep: its spec list, the journal it records
 /// into (when it has one) and one outcome slot per spec, in spec order.
-/// Both campaign front doors keep their progress here —
-/// [`run_cells`] drives it from a scoped pool, the campaign
-/// service from its long-lived queue — so journal replay, how a cell is
-/// run and recorded, and the assembled [`MatrixReport`] exist once.
-/// Cells are named by index into the spec list, nothing else.
+/// The campaign service keeps every campaign's progress here — both of
+/// `tcmp-fig`'s doors run on one — and [`run_cells`] drives it from a
+/// scoped pool, so journal replay, how a cell is run and recorded, and
+/// the assembled [`MatrixReport`] exist once. Cells are named by index
+/// into the spec list, nothing else.
 ///
 /// `J` is the journal as the driver holds it: owned, or `&mut`.
 pub struct SweepState<J> {

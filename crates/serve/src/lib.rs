@@ -25,10 +25,10 @@
 //!   and quarantined on corruption, falling back to a fresh simulation.
 //!
 //! [`proto`] defines the wire messages, [`plan`] what a campaign
-//! request means (cells and their machines, policy, stamp, tables — shared
-//! with `tcmp-fig`'s local run), [`service`] the queue, worker
-//! pool and campaigns, [`daemon`]/[`client`] the Unix-socket transport
-//! (Unix only), and [`wire`] the line framing.
+//! request means (cells and their machines, policy, stamp, tables),
+//! [`service`] the queue, worker pool and campaigns — which `tcmp-fig`
+//! also starts in-process for a local run — [`daemon`]/[`client`] the
+//! Unix-socket transport (Unix only), and [`wire`] the line framing.
 
 #![forbid(unsafe_code)]
 

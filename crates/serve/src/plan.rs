@@ -11,13 +11,16 @@
 //! ([`CellFault`]), and [`CampaignPlan::expected`] judges which
 //! outcomes a figure expects.
 //!
-//! Both front doors plan here — `tcmp-fig`'s local run and
-//! [`crate::service::Service`] — so a request means the same sweep and
+//! Every campaign is planned here and run by
+//! [`crate::service::Service`] — the daemon's and the one `tcmp-fig`
+//! starts in-process alike — so a request means the same sweep and
 //! renders the same bytes whichever door it came in by, and a knob
 //! added to the request cannot be honoured by one door only. Figures
 //! read the same few simulations (Figure 2's coverage is measured on
-//! the baseline run Figures 5–7 normalise to), so [`union`] merges
-//! several plans into one [`Sweep`] that runs each simulation once.
+//! the baseline run Figures 5–7 normalise to), so [`Figure::All`]
+//! folds every figure's plan into one sweep that runs each simulation
+//! once, and each figure renders its own cells of it
+//! ([`CampaignPlan::figures`]).
 
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -38,7 +41,7 @@ use tcmp_core::supervisor::{
 use tcmp_core::{CompressionScheme, Invariant, SimError, SimResult, VlWidth};
 use workloads::profile::AppProfile;
 
-use crate::proto::{CampaignRequest, Figure, RejectReason, Sides};
+use crate::proto::{CampaignRequest, Figure, RejectReason, Sides, FIGURES};
 
 /// The Table 4 machine under `directory`, on `mesh` when the caller
 /// sweeps mesh sizes (`None` = the default 4×4), validated against the
@@ -63,6 +66,12 @@ pub type Outcome = Option<Result<SimResult, SimError>>;
 
 type Cells = Result<Vec<(ConfigSpec, CellMachine)>, RejectReason>;
 
+/// A sweep's cells and the machine each runs on, index-aligned.
+type Sweep = (Vec<RunSpec>, Vec<CellMachine>);
+
+/// Each figure's plan, and the index in the sweep of each of its cells.
+type Members = Vec<(CampaignPlan, Vec<usize>)>;
+
 /// One simulated figure, as data.
 struct FigureDef {
     /// The cells every application runs, in column order, each with the
@@ -80,6 +89,7 @@ struct FigureDef {
 
 fn def(figure: Figure) -> &'static FigureDef {
     match figure {
+        Figure::All => &ALL,
         Figure::Fig2 => &FIG2,
         Figure::Fig5 => &FIG5,
         Figure::Fig6 => &FIG6,
@@ -89,6 +99,15 @@ fn def(figure: Figure) -> &'static FigureDef {
         Figure::Faults => &FAULTS,
     }
 }
+
+// `all` has no cells or tables of its own: they are its members'
+// (`CampaignPlan::new` folds them, `CampaignPlan::figures` splits them).
+static ALL: FigureDef = FigureDef {
+    cells: |_, _| Ok(Vec::new()),
+    default_apps: Vec::new,
+    render: |_, _| Vec::new(),
+    landmarks: "",
+};
 
 static FIG2: FigureDef = FigureDef {
     // One baseline run per application with all eight schemes attached
@@ -628,6 +647,9 @@ pub struct CampaignPlan {
     /// Journal identity; [`cmp_common::journal::Journal::resume`]
     /// refuses a directory written under another one.
     pub meta: CampaignMeta,
+    /// `all`'s figures: each one's own plan, and the index in `specs`
+    /// of each of its cells. Empty for a single figure.
+    members: Members,
 }
 
 impl CampaignPlan {
@@ -635,54 +657,46 @@ impl CampaignPlan {
     /// a machine the directory organisation cannot carry, or a sweep
     /// that would run one cell twice.
     pub fn new(request: &CampaignRequest) -> Result<CampaignPlan, RejectReason> {
-        let def = def(request.figure);
-        let apps = if request.apps.is_empty() {
-            (def.default_apps)()
-        } else {
-            request
-                .apps
-                .iter()
-                .map(|name| {
-                    workloads::apps::app_by_name(name)
-                        .ok_or_else(|| RejectReason::UnknownApp(name.clone()))
-                })
-                .collect::<Result<Vec<_>, _>>()?
-        };
         let cmp = machine(request.directory, None).map_err(RejectReason::Malformed)?;
-        let cells = (def.cells)(request, &cmp)?;
-        let mut specs = Vec::with_capacity(apps.len() * cells.len());
-        let mut machines = Vec::with_capacity(specs.capacity());
-        for app in &apps {
-            for (config, machine) in &cells {
-                specs.push(RunSpec {
-                    app: app.clone(),
-                    config: config.clone(),
-                    seed: request.seed,
-                    scale: request.scale,
-                });
-                machines.push(machine.clone());
-            }
-        }
-        // Journal replay and the daemon's cell events go by cell key.
+        let ((specs, machines), members) = match request.figure {
+            Figure::All => fold(request)?,
+            _ => (sweep(request, &cmp)?, Vec::new()),
+        };
+        // Journal replay and the service's cell events go by cell key.
         let mut keys = HashSet::new();
         if let Some(key) = specs.iter().map(cell_key).find(|k| !keys.insert(k.clone())) {
             return Err(RejectReason::Malformed(format!(
                 "cell {key} would run twice in one sweep"
             )));
         }
+        let apps: HashSet<&str> = specs.iter().map(|s| s.app.name).collect();
         Ok(CampaignPlan {
             figure: request.figure,
             meta: campaign_meta(&cmp, &specs),
+            apps: apps.len(),
             cmp,
             specs,
             machines,
-            apps: apps.len(),
             policy: RunPolicy {
                 retries: request.retries,
                 wall_deadline: request.deadline_s.map(Duration::from_secs),
                 ..RunPolicy::default()
             },
+            members,
         })
+    }
+
+    /// The figures this plan renders — itself, or each member of
+    /// `all` — each with its own cells' outcomes, taken from `outcomes`
+    /// (index-aligned with `specs`).
+    pub fn figures(&self, outcomes: &[Outcome]) -> Vec<(&CampaignPlan, Vec<Outcome>)> {
+        if self.members.is_empty() {
+            return vec![(self, outcomes.to_vec())];
+        }
+        let own = |cells: &[usize]| cells.iter().map(|&c| outcomes[c].clone()).collect();
+        (self.members.iter())
+            .map(|(plan, cells)| (plan, own(cells)))
+            .collect()
     }
 
     /// The provenance line stamped into every CSV of this sweep.
@@ -694,7 +708,8 @@ impl CampaignPlan {
     }
 
     /// The figure's tables, rendered from `outcomes` — index-aligned
-    /// with `specs`.
+    /// with `specs`. `all` has none of its own: it renders through
+    /// [`CampaignPlan::figures`].
     pub fn render(&self, outcomes: &[Outcome]) -> Tables {
         (def(self.figure).render)(self, outcomes)
     }
@@ -711,7 +726,9 @@ impl CampaignPlan {
     ///   structured deadlock;
     /// * a planted violation: a sanitizer abort naming its class.
     ///
-    /// A panic is never expected.
+    /// A panic is never expected. The judge reads only the cell's fault,
+    /// which is part of what the cell simulates, so `all` judges a cell
+    /// as every figure it serves does.
     pub fn expected(&self, index: usize, outcome: Result<&SimResult, &SimError>) -> bool {
         let inject = |f: &FaultConfig, outcome: Result<&SimResult, &SimError>| match outcome {
             Ok(r) if f.desync > 0.0 => r.resync.resyncs_completed == r.resync.desyncs_detected,
@@ -738,33 +755,54 @@ impl CampaignPlan {
     }
 }
 
-/// One sweep running the cells of several plans, each distinct
-/// simulation once.
-pub struct Sweep {
-    /// The distinct cells in first-seen order: plan by plan, each plan's
-    /// in its own order. A shared cell keeps the spec, and so the cell
-    /// key, of its first occurrence.
-    pub specs: Vec<RunSpec>,
-    /// What each cell runs on, index-aligned with `specs`. A shared
-    /// cell carries the coverage probes a member asks for.
-    pub machines: Vec<CellMachine>,
-    /// The sweep's journal identity.
-    pub meta: CampaignMeta,
-    /// For each plan, the sweep index of each of its cells.
-    pub cells: Vec<Vec<usize>>,
+/// One figure's cells: its cells for every application, app-major.
+fn sweep(request: &CampaignRequest, cmp: &CmpConfig) -> Result<Sweep, RejectReason> {
+    let def = def(request.figure);
+    let apps = if request.apps.is_empty() {
+        (def.default_apps)()
+    } else {
+        request
+            .apps
+            .iter()
+            .map(|name| {
+                workloads::apps::app_by_name(name)
+                    .ok_or_else(|| RejectReason::UnknownApp(name.clone()))
+            })
+            .collect::<Result<Vec<_>, _>>()?
+    };
+    let cells = (def.cells)(request, cmp)?;
+    let mut specs = Vec::with_capacity(apps.len() * cells.len());
+    let mut machines = Vec::with_capacity(specs.capacity());
+    for app in &apps {
+        for (config, machine) in &cells {
+            specs.push(RunSpec {
+                app: app.clone(),
+                config: config.clone(),
+                seed: request.seed,
+                scale: request.scale,
+            });
+            machines.push(machine.clone());
+        }
+    }
+    Ok((specs, machines))
 }
 
-/// The sweep of `plans` — at least one, all planned from one request's
-/// flags, so they share a machine and a run policy. Cells are one
-/// simulation when their [`simulation_key`]s are equal; labels are
-/// only presentation. The union of one plan is that plan: the same
-/// cells, machines and journal identity.
-pub fn union(plans: &[CampaignPlan]) -> Sweep {
+/// `all`'s cells: every figure of [`FIGURES`] planned from the request's
+/// flags, folded into one sweep. Cells are one simulation when their
+/// [`simulation_key`]s are equal; labels are only presentation. A
+/// shared cell keeps the spec, and so the cell key, of its first
+/// occurrence, figure by figure, and carries the coverage probes a
+/// member asks for. Each member keeps its own plan, and so its stamp.
+fn fold(request: &CampaignRequest) -> Result<(Sweep, Members), RejectReason> {
     let mut first_seen = HashMap::new();
     let (mut specs, mut machines) = (Vec::new(), Vec::new());
-    let mut cells = Vec::with_capacity(plans.len());
-    for plan in plans {
-        let mut indices = Vec::with_capacity(plan.specs.len());
+    let mut members = Vec::with_capacity(FIGURES.len());
+    for &(_, figure) in &FIGURES {
+        let plan = CampaignPlan::new(&CampaignRequest {
+            figure,
+            ..request.clone()
+        })?;
+        let mut cells = Vec::with_capacity(plan.specs.len());
         for (spec, machine) in plan.specs.iter().zip(&plan.machines) {
             let index = *first_seen
                 .entry(simulation_key(machine, spec))
@@ -775,16 +813,26 @@ pub fn union(plans: &[CampaignPlan]) -> Sweep {
             } else if machines[index].probes.is_empty() {
                 machines[index].probes = machine.probes.clone();
             }
-            indices.push(index);
+            cells.push(index);
         }
-        cells.push(indices);
+        members.push((plan, cells));
     }
-    Sweep {
-        meta: campaign_meta(&plans[0].cmp, &specs),
-        specs,
-        machines,
-        cells,
+    Ok(((specs, machines), members))
+}
+
+/// A figure or an analytic table as printed: each table as markdown,
+/// then `text` when there is any, each followed by a blank line.
+pub fn markdown(tables: &Tables, text: &str) -> String {
+    let mut printed = String::new();
+    for (_, table) in tables {
+        printed += &table.to_markdown();
+        printed.push('\n');
     }
+    if !text.is_empty() {
+        printed += text;
+        printed.push('\n');
+    }
+    printed
 }
 
 #[cfg(test)]
@@ -991,20 +1039,21 @@ mod tests {
         assert!(!fig6.expected(0, Err(&deadlock)) && !fig6.expected(0, Err(&panic)));
     }
 
-    /// A single figure's sweep is its plan — the same cell keys,
-    /// machines and journal identity — so single-figure journals and
-    /// stamps are what they were before sweeps were merged.
+    /// Every member of `all` is its figure planned alone — the same cell
+    /// keys, machines and journal identity — so a figure's stamp is the
+    /// same whether it runs alone or in `all`.
     #[test]
-    fn the_union_of_one_plan_is_that_plan() {
+    fn every_member_of_all_is_its_figure_planned_alone() {
         let keys = |specs: &[RunSpec]| specs.iter().map(cell_key).collect::<Vec<_>>();
         for directory in [DirectoryConfig::FullMap, DirectoryConfig::sparse()] {
-            for &(name, figure) in &FIGURES {
-                let plan = CampaignPlan::new(&request(figure, directory)).unwrap();
-                let sweep = union(std::slice::from_ref(&plan));
-                assert_eq!(keys(&sweep.specs), keys(&plan.specs), "{name}");
-                assert_eq!(sweep.machines, plan.machines, "{name}");
-                assert_eq!(sweep.meta.config_hash, plan.meta.config_hash, "{name}");
-                assert_eq!(sweep.cells, [Vec::from_iter(0..plan.specs.len())], "{name}");
+            let all = CampaignPlan::new(&request(Figure::All, directory)).unwrap();
+            assert_eq!(all.members.len(), FIGURES.len());
+            for (&(name, figure), (member, cells)) in FIGURES.iter().zip(&all.members) {
+                let alone = CampaignPlan::new(&request(figure, directory)).unwrap();
+                assert_eq!(keys(&member.specs), keys(&alone.specs), "{name}");
+                assert_eq!(member.machines, alone.machines, "{name}");
+                assert_eq!(member.stamp(), alone.stamp(), "{name}");
+                assert_eq!(cells.len(), alone.specs.len(), "{name}");
             }
         }
     }
@@ -1016,37 +1065,32 @@ mod tests {
     /// `both` columns and the 4×4 proposal are Figure 6's cells.
     #[test]
     fn all_runs_each_simulation_once() {
-        let plans: Vec<CampaignPlan> = FIGURES
-            .iter()
-            .map(|&(_, figure)| {
-                CampaignPlan::new(&CampaignRequest {
-                    apps: vec!["FFT".into()],
-                    ..request(figure, DirectoryConfig::FullMap)
-                })
-                .unwrap()
-            })
-            .collect();
-        let sweep = union(&plans);
-        assert_eq!(plans.iter().map(|p| p.specs.len()).sum::<usize>(), 42);
-        assert_eq!(sweep.specs.len(), 27);
-        assert_eq!(sweep.machines.len(), 27);
-        let keys: HashSet<_> = sweep.specs.iter().map(cell_key).collect();
+        let all = CampaignPlan::new(&CampaignRequest {
+            apps: vec!["FFT".into()],
+            ..request(Figure::All, DirectoryConfig::FullMap)
+        })
+        .unwrap();
+        let planned: usize = all.members.iter().map(|(p, _)| p.specs.len()).sum();
+        assert_eq!(planned, 42);
+        assert_eq!(all.specs.len(), 27);
+        assert_eq!(all.machines.len(), 27);
+        let keys: HashSet<_> = all.specs.iter().map(cell_key).collect();
         assert_eq!(keys.len(), 27, "every sweep key is unique");
 
         let figure = |name| FIGURES.iter().position(|f| f.0 == name).unwrap();
         // the sweep index of the cell of figure `name` labelled `label`
         let cell = |name, label: &str| {
-            let f = figure(name);
-            let i = plans[f].specs.iter().position(|s| s.config.label == label);
-            sweep.cells[f][i.unwrap_or_else(|| panic!("{name} has no cell {label}"))]
+            let (plan, cells) = &all.members[figure(name)];
+            let i = plan.specs.iter().position(|s| s.config.label == label);
+            cells[i.unwrap_or_else(|| panic!("{name} has no cell {label}"))]
         };
-        assert_eq!(sweep.cells[figure("fig7")], sweep.cells[figure("fig6")]);
+        assert_eq!(all.members[figure("fig7")].1, all.members[figure("fig6")].1);
         let baseline = cell("fig6", "baseline");
         assert_eq!(cell("fig2", "coverage probes"), baseline);
         assert_eq!(cell("fig5", "baseline"), baseline);
         assert_eq!(cell("ablation", "baseline"), baseline);
         assert_eq!(
-            sweep.machines[baseline].probes,
+            all.machines[baseline].probes,
             CompressionScheme::paper_matrix()
         );
         let proposal = cell("fig6", "4-entry DBRC (2B LO)");
@@ -1057,14 +1101,19 @@ mod tests {
         );
         assert_eq!(cell("sensitivity", "baseline @ 4x4"), baseline);
         assert_eq!(cell("sensitivity", "4-entry DBRC (2B LO) @ 4x4"), proposal);
-        assert!(
-            sweep
-                .machines
-                .iter()
-                .filter(|m| !m.probes.is_empty())
-                .count()
-                == 1
-        );
+        assert!(all.machines.iter().filter(|m| !m.probes.is_empty()).count() == 1);
+        // Each figure renders its own cells of the sweep.
+        let figures = all.figures(&vec![None; all.specs.len()]);
+        let labels: Vec<String> = figures.iter().map(|(p, _)| p.figure.label()).collect();
+        assert_eq!(labels, FIGURES.map(|f| f.0));
+        assert!(figures.iter().all(|(p, o)| o.len() == p.specs.len()));
+        // The judge reads a cell's fault, so a shared cell is judged
+        // alike by `all` and by every figure it serves.
+        for (plan, cells) in &all.members {
+            for (machine, &cell) in plan.machines.iter().zip(cells) {
+                assert_eq!(machine.fault, all.machines[cell].fault);
+            }
+        }
     }
 
     /// Journals and stamps written by the Figure 6/7 binaries before

@@ -37,10 +37,14 @@ pub enum Figure {
     /// codec desync, a dropped message, a corrupted address, and a
     /// planted violation of each sanitizer invariant.
     Faults,
+    /// Every figure of [`FIGURES`] as one campaign, each distinct
+    /// simulation run once.
+    All,
 }
 
-/// Every figure's label, in the order `tcmp-fig all` runs them. The
-/// one table labels are printed from and parsed against.
+/// Every figure's label, in the order `all` plans and renders them.
+/// The one table labels are printed from and parsed against (`all`
+/// aside).
 pub const FIGURES: [(&str, Figure); 7] = [
     ("fig2", Figure::Fig2),
     ("fig5", Figure::Fig5),
@@ -59,6 +63,9 @@ pub const FIGURES: [(&str, Figure); 7] = [
 impl Figure {
     /// The figure's name without its sides (`"sensitivity"`).
     pub fn name(self) -> &'static str {
+        if self == Figure::All {
+            return "all";
+        }
         let same =
             |f: &&(&str, Figure)| std::mem::discriminant(&f.1) == std::mem::discriminant(&self);
         FIGURES.iter().find(same).map_or("", |f| f.0)
@@ -83,6 +90,7 @@ impl Figure {
             .split_once(':')
             .map_or((label, None), |(n, s)| (n, Some(s)));
         match (FIGURES.iter().find(|f| f.0 == name).map(|f| f.1), sides) {
+            (None, None) if name == "all" => Ok(Figure::All),
             (Some(figure), None) => Ok(figure),
             (Some(Figure::Sensitivity { .. }), Some(list)) => {
                 let sides: Result<Vec<u16>, _> = list.split(',').map(str::parse).collect();
@@ -94,7 +102,7 @@ impl Figure {
             _ => {
                 let names: Vec<_> = FIGURES.iter().map(|f| f.0).collect();
                 Err(format!(
-                    "unknown figure {label:?} (want {}, sensitivity:N,...)",
+                    "unknown figure {label:?} (want {}|all, sensitivity:N,...)",
                     names.join("|")
                 ))
             }

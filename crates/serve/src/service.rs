@@ -1,7 +1,6 @@
 //! The campaign service proper: a bounded queue of matrix cells from
-//! many campaigns, drained by one shared worker pool, with every
-//! robustness property `tcmp-fig`'s local run has — and one it lacks:
-//! campaigns outlive their submitters.
+//! many campaigns, drained by one shared worker pool, with campaigns
+//! that outlive their submitters.
 //!
 //! * **Admission control.** The cell queue is bounded; a submission
 //!   that would overflow it is refused with a structured
@@ -9,12 +8,11 @@
 //!   to back off. The service never queues unboundedly, never panics on
 //!   load, never silently drops a campaign.
 //! * **Durability.** Every campaign persists its request
-//!   (`campaign.json`) and a cell journal (`journal.jsonl`, the same
-//!   fsync-per-record journal `tcmp-fig` uses) under
-//!   `<root>/campaigns/<id>/`. A service killed at any instant —
-//!   SIGKILL included — replays every campaign on restart and re-queues
-//!   exactly the unfinished cells; the resumed CSVs are bit-identical
-//!   to an uninterrupted run's.
+//!   (`campaign.json`) and a cell journal (`journal.jsonl`, fsynced
+//!   per record) under `<root>/campaigns/<id>/`. A service killed at
+//!   any instant — SIGKILL included — replays every campaign on restart
+//!   and re-queues exactly the unfinished cells; the resumed CSVs are
+//!   bit-identical to an uninterrupted run's.
 //! * **Quarantine, don't crash.** A campaign directory whose request or
 //!   journal no longer parses (torn by a crash, written by different
 //!   code) is logged and skipped; the service still starts and every
@@ -32,13 +30,20 @@
 //!   hit the cell simulates nothing: the finished row is journaled into
 //!   its own campaign and reported with the `"journal"` label. So a
 //!   resubmitted request, or Figure 7 after Figure 6, costs no
-//!   simulation. Only finished rows are taken; a cell that failed runs
-//!   again, and a duplicate claimed while its original still runs
-//!   simulates too. A resumed campaign's rows are taken only when its
-//!   [`BUILD_FILE`] names the running binary: the journal's git SHA
-//!   cannot tell a binary rebuilt from an uncommitted tree from the old
-//!   one. Warm starts serve the cells no row answers.
+//!   simulation. A cell whose key is running right now is parked on
+//!   that run, holding no worker: it takes the row when the run
+//!   finishes, and goes back to the queue when the run fails. Only
+//!   finished rows are taken, so a cell that failed runs again. A
+//!   resumed campaign's rows are taken only when its [`BUILD_FILE`]
+//!   names the running binary: the journal's git SHA cannot tell a
+//!   binary rebuilt from an uncommitted tree from the old one. Warm
+//!   starts serve the cells no row answers.
+//!
+//! `tcmp-fig` runs every campaign on a service too — the daemon's over
+//! `--submit`, or one it starts in-process on its `--out` directory —
+//! so there is one worker pool and one claim path.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -53,10 +58,14 @@ use cmp_common::journal::{fingerprint, Journal, JournalError, Json};
 use cmp_common::types::Cycle;
 use tcmp_core::checkpoint::{DiskConfig, DiskStore};
 use tcmp_core::supervisor::{cell_key, reuse_key, CellOutcome, SweepState};
-use tcmp_core::SimResult;
 
-use crate::plan::{CampaignPlan, Outcome};
-use crate::proto::{CacheCounts, CampaignRequest, CampaignStatus, Event, RejectReason, Response};
+use crate::plan::{markdown, CampaignPlan, Outcome};
+use crate::proto::{
+    CacheCounts, CampaignRequest, CampaignStatus, Event, Figure, RejectReason, Response,
+};
+
+/// Directory under the state root holding one directory per campaign.
+pub const CAMPAIGNS_DIR: &str = "campaigns";
 
 /// File holding a campaign's request, next to its journal.
 pub const CAMPAIGN_FILE: &str = "campaign.json";
@@ -89,7 +98,8 @@ const SUBSCRIBER_BUFFER: usize = 1024;
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServeConfig {
-    /// State root; campaigns live under `<root>/campaigns/<id>/`.
+    /// State root; campaigns live under `<root>/campaigns/<id>/`
+    /// ([`CAMPAIGNS_DIR`]).
     pub root: PathBuf,
     /// Worker threads draining the shared cell queue.
     pub jobs: usize,
@@ -140,8 +150,7 @@ struct QueueState {
 
 /// One campaign as the service holds it: where it lives and who is
 /// listening. What its request *means* is its [`CampaignPlan`] and how
-/// far it has got is its [`SweepState`] — the same two things the
-/// `tcmp-fig`'s local run is made of.
+/// far it has got is its [`SweepState`].
 pub struct Campaign {
     pub id: String,
     plan: CampaignPlan,
@@ -212,6 +221,26 @@ impl Campaign {
         self.plan.specs.len()
     }
 
+    /// What the campaign's request means.
+    pub fn plan(&self) -> &CampaignPlan {
+        &self.plan
+    }
+
+    /// Where the campaign lives: `<root>/campaigns/<id>/`.
+    pub fn dir(&self) -> &Path {
+        &self.dir
+    }
+
+    /// Every cell's outcome as it stands, index-aligned with the plan's
+    /// cells (`None` where a cell has none yet).
+    pub fn outcomes(&self) -> Vec<Outcome> {
+        let mut outcomes: Vec<Outcome> = vec![None; self.cells()];
+        self.run.for_each_outcome(|index, outcome| {
+            outcomes[index] = Some(outcome.as_ref().cloned().map_err(|f| f.error.clone()))
+        });
+        outcomes
+    }
+
     /// `(completed, failed, finished)` right now: cells that ended as
     /// the figure expects ([`CampaignPlan::expected`]) and cells that
     /// did not.
@@ -225,12 +254,6 @@ impl Campaign {
             }
         });
         (done, failed, self.finished.load(Ordering::SeqCst))
-    }
-
-    /// The provenance line stamped into this campaign's CSVs
-    /// (identical to `tcmp-fig`'s stamp for the same sweep).
-    pub fn stamp(&self) -> String {
-        self.plan.stamp()
     }
 
     /// Subscribe to this campaign's live events. The channel is
@@ -300,19 +323,34 @@ impl Campaign {
     }
 
     /// Render and atomically write this campaign's figure CSVs from its
-    /// cells' outcomes. Idempotent: a resume that finds everything
-    /// already done rewrites the same bytes.
+    /// cells' outcomes: `results.<suffix>` in its directory, or for
+    /// `all` each figure's, with the printed text as `results.md`, in
+    /// `<figure>/` under it. Each figure's CSVs carry its own stamp.
+    /// Idempotent: a resume that finds everything already done
+    /// rewrites the same bytes.
     fn finalize(&self) {
-        let mut outcomes: Vec<Outcome> = vec![None; self.cells()];
-        self.run.for_each_outcome(|index, outcome| {
-            outcomes[index] = Some(outcome.as_ref().cloned().map_err(|f| f.error.clone()))
-        });
-        for (suffix, table) in self.plan.render(&outcomes) {
-            let file = format!("results.{suffix}");
-            if let Err(e) =
-                table.write_csv_stamped_on(&self.fs, self.dir.join(&file), &self.stamp())
-            {
-                eprintln!("campaign {}: writing {file}: {e}", self.id);
+        let all = self.plan.figure == Figure::All;
+        let outcomes = self.outcomes();
+        for (plan, outcomes) in self.plan.figures(&outcomes) {
+            let tables = plan.render(&outcomes);
+            let dir = match all {
+                true => self.dir.join(plan.figure.name()),
+                false => self.dir.clone(),
+            };
+            if all {
+                let md = dir.join("results.md");
+                let text = markdown(&tables, plan.landmarks());
+                let written =
+                    (self.fs.create_dir_all(&dir)).and_then(|()| self.fs.write_atomic(&md, text));
+                if let Err(e) = written {
+                    eprintln!("campaign {}: writing {}: {e}", self.id, md.display());
+                }
+            }
+            for (suffix, table) in &tables {
+                let file = dir.join(format!("results.{suffix}"));
+                if let Err(e) = table.write_csv_stamped_on(&self.fs, &file, &plan.stamp()) {
+                    eprintln!("campaign {}: writing {}: {e}", self.id, file.display());
+                }
             }
         }
         self.finished.store(true, Ordering::SeqCst);
@@ -330,12 +368,22 @@ pub struct Service {
     /// `Some` when `warm_cycles > 0` and the store opened.
     checkpoints: Option<DiskStore>,
     campaigns: Mutex<BTreeMap<String, Arc<Campaign>>>,
-    /// Where each finished row is, by [`reuse_key`]: the campaign and
-    /// cell holding it (the first to finish it). Rows stay in their
-    /// campaigns' slots; this holds no copy.
-    finished_rows: Mutex<HashMap<String, (Arc<Campaign>, usize)>>,
+    rows: Mutex<Rows>,
     next_id: Mutex<u64>,
     draining: AtomicBool,
+}
+
+/// The rows that exist or are being made, by [`reuse_key`]. One lock
+/// holds both maps, so a claimed cell sees a run either in flight or
+/// finished, never neither.
+#[derive(Default)]
+struct Rows {
+    /// Where each finished row is: the campaign and cell holding it
+    /// (the first to finish it). Rows stay in their campaigns' slots;
+    /// this holds no copy.
+    finished: HashMap<String, (Arc<Campaign>, usize)>,
+    /// Each key being simulated, with the cells parked on that run.
+    running: HashMap<String, Vec<CellTask>>,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -351,7 +399,7 @@ impl Service {
         // fault campaign that silently ran without faults would report
         // false confidence.
         let fs = Fs::from_env().map_err(io::Error::other)?;
-        let campaigns_dir = cfg.root.join("campaigns");
+        let campaigns_dir = cfg.root.join(CAMPAIGNS_DIR);
         fs.create_dir_all(&campaigns_dir)?;
         // The checkpoint store lives beside the campaigns; one that
         // cannot open turns warm starts off (cells run cold), never the
@@ -381,7 +429,7 @@ impl Service {
             }),
             work: Condvar::new(),
             campaigns: Mutex::new(BTreeMap::new()),
-            finished_rows: Mutex::new(HashMap::new()),
+            rows: Mutex::new(Rows::default()),
             next_id: Mutex::new(1),
             draining: AtomicBool::new(false),
             cfg,
@@ -393,17 +441,13 @@ impl Service {
     /// Replay `<root>/campaigns/*`: rebuild each campaign from its
     /// persisted request, resume its journal, and queue what is left.
     fn resume_existing(&self, campaigns_dir: &Path) {
-        let mut dirs: Vec<PathBuf> = match std::fs::read_dir(campaigns_dir) {
-            Ok(rd) => rd
-                .filter_map(|e| e.ok().map(|e| e.path()))
-                .filter(|p| p.is_dir())
-                .collect(),
+        let dirs = match campaign_dirs(campaigns_dir) {
+            Ok(dirs) => dirs,
             Err(e) => {
                 eprintln!("cannot scan {}: {e}", campaigns_dir.display());
                 return;
             }
         };
-        dirs.sort();
         for dir in dirs {
             let id = dir
                 .file_name()
@@ -446,11 +490,7 @@ impl Service {
     }
 
     fn resume_one(&self, dir: &Path, id: &str) -> Result<Arc<Campaign>, String> {
-        let text = self
-            .fs
-            .read_to_string(dir.join(CAMPAIGN_FILE))
-            .map_err(|e| format!("reading {CAMPAIGN_FILE}: {e}"))?;
-        let request = CampaignRequest::from_json(&Json::parse(&text)?)?;
+        let request = read_request(&self.fs, dir)?;
         let plan = CampaignPlan::new(&request).map_err(|reason| reason.to_string())?;
         Campaign::open(&self.fs, id, dir, plan)
     }
@@ -525,7 +565,7 @@ impl Service {
             *next += 1;
             id
         };
-        let dir = self.cfg.root.join("campaigns").join(&id);
+        let dir = self.cfg.root.join(CAMPAIGNS_DIR).join(&id);
         // Request first, journal second: a kill in between resumes as
         // a fresh campaign; a kill before the request leaves an empty
         // directory that is quarantined, never half-run.
@@ -642,22 +682,30 @@ impl Service {
     /// Note that cell `index` of `campaign` holds a finished row. A row
     /// already indexed under the same key stays the one handed out.
     fn index_finished(&self, campaign: &Arc<Campaign>, index: usize) {
-        lock(&self.finished_rows)
+        lock(&self.rows)
+            .finished
             .entry(campaign.reuse_keys[index].clone())
             .or_insert_with(|| (Arc::clone(campaign), index));
     }
 
-    /// The finished row that answers cell `index` of `campaign`, if any
-    /// campaign holds one (read from the holder's slot once the index
-    /// lock is released).
-    fn finished_row(&self, campaign: &Campaign, index: usize) -> Option<SimResult> {
-        let holder = lock(&self.finished_rows)
-            .get(&campaign.reuse_keys[index])
-            .cloned();
-        holder.and_then(|(holder, at)| holder.run.row(at))
-    }
-
+    /// Settle a claimed cell one of three ways, decided under one look
+    /// at the rows: take the finished row of its [`reuse_key`], park on
+    /// the run of that key in flight, or be that run — and then hand
+    /// the row to the cells parked on it, or put them back in the queue
+    /// when it failed.
     fn run_task(&self, task: CellTask) {
+        let key = task.campaign.reuse_keys[task.index].clone();
+        let row = {
+            let mut rows = lock(&self.rows);
+            let finished = (rows.finished.get(&key)).and_then(|(holder, at)| holder.run.row(*at));
+            if finished.is_none() {
+                match rows.running.entry(key.clone()) {
+                    Entry::Occupied(mut parked) => return parked.get_mut().push(task),
+                    Entry::Vacant(run) => drop(run.insert(Vec::new())),
+                }
+            }
+            finished
+        };
         let (c, index) = (&task.campaign, task.index);
         // The cell's event goes out in the step that stores its outcome:
         // a client subscribing at any instant finds the cell in the
@@ -668,7 +716,8 @@ impl Service {
             c.emit(c.outcome_event(index, outcome, warm));
             (outstanding == 0, outcome.is_ok())
         };
-        let (last, ok) = match self.finished_row(c, index) {
+        let ran = row.is_none();
+        let (last, ok) = match row {
             Some(row) => c.run.adopt(index, row, |outcome, outstanding| {
                 tell(outcome, "journal", outstanding)
             }),
@@ -698,7 +747,44 @@ impl Service {
             c.finalize();
             c.emit(c.done_event());
         }
+        if ran {
+            // Indexed first: a cell claimed in between takes the row.
+            let parked = lock(&self.rows).running.remove(&key).unwrap_or_default();
+            match ok {
+                true => parked.into_iter().for_each(|task| self.run_task(task)),
+                false => {
+                    lock(&self.state).tasks.extend(parked);
+                    self.work.notify_all();
+                }
+            }
+        }
     }
+}
+
+/// The request persisted in campaign directory `dir`.
+fn read_request(fs: &Fs, dir: &Path) -> Result<CampaignRequest, String> {
+    let text = fs
+        .read_to_string(dir.join(CAMPAIGN_FILE))
+        .map_err(|e| format!("reading {CAMPAIGN_FILE}: {e}"))?;
+    CampaignRequest::from_json(&Json::parse(&text)?)
+}
+
+/// Every campaign directory in `campaigns_dir`, in id order.
+fn campaign_dirs(campaigns_dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let entries = std::fs::read_dir(campaigns_dir)?.filter_map(|e| e.ok().map(|e| e.path()));
+    let mut dirs: Vec<PathBuf> = entries.filter(|p| p.is_dir()).collect();
+    dirs.sort();
+    Ok(dirs)
+}
+
+/// The id of the first campaign under state root `root` whose persisted
+/// request is `request`: the one a service started on `root` resumes
+/// for it.
+pub fn find_campaign(root: &Path, request: &CampaignRequest) -> Option<String> {
+    let dirs = campaign_dirs(&root.join(CAMPAIGNS_DIR)).ok()?;
+    let dir =
+        (dirs.iter()).find(|dir| read_request(&Fs::real(), dir).is_ok_and(|r| r == *request))?;
+    Some(dir.file_name()?.to_string_lossy().into_owned())
 }
 
 /// A running service: the shared [`Service`] plus its worker pool.
@@ -749,7 +835,7 @@ impl ServiceHandle {
     }
 
     /// Block until `campaign` finishes or `timeout` elapses; true on
-    /// finish. Polling, for tests and the drain path of the daemon.
+    /// finish. Polling, for tests.
     pub fn wait_campaign(&self, campaign: &str, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
         loop {

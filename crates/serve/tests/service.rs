@@ -12,7 +12,8 @@
 //! * a cell whose row another campaign has finished simulates nothing:
 //!   the row is journaled into its own campaign, byte for byte, across
 //!   restarts and kills too — and only a cell that would produce that
-//!   very row takes it;
+//!   very row takes it; a cell whose twin is still running waits for
+//!   that run, and runs itself if the run fails;
 //! * and over the real Unix socket: a campaign outlives its submitter
 //!   and a re-attaching client catches up to the end.
 #![cfg(unix)]
@@ -131,16 +132,24 @@ fn cold_csvs(tag: &str, request: CampaignRequest) -> Vec<(String, String)> {
     csvs
 }
 
+/// Every `results.*` file of campaign `id`, by name.
 fn read_csvs(root: &Path, id: &str) -> Vec<(String, String)> {
-    ["results.exec_time.csv", "results.link_ed2p.csv"]
-        .iter()
-        .map(|file| {
-            let path = root.join("campaigns").join(id).join(file);
+    let dir = root.join("campaigns").join(id);
+    let entries = std::fs::read_dir(&dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display()));
+    let mut csvs: Vec<(String, String)> = entries
+        .map(|entry| entry.expect("a directory entry").file_name())
+        .filter_map(|name| name.into_string().ok())
+        .filter(|name| name.starts_with("results."))
+        .map(|name| {
+            let path = dir.join(&name);
             let text = std::fs::read_to_string(&path)
                 .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
-            (file.to_string(), text)
+            (name, text)
         })
-        .collect()
+        .collect();
+    csvs.sort();
+    assert!(!csvs.is_empty(), "campaign {id} wrote no CSV");
+    csvs
 }
 
 /// The headline acceptance criterion: kill the service mid-campaign
@@ -210,8 +219,8 @@ fn sparse_directory_campaigns_run_and_fingerprint_differently() {
     );
     assert!(handle.wait_campaign(&full, WAIT), "full-map finishes");
     assert!(handle.wait_campaign(&sparse, WAIT), "sparse finishes");
-    let stamp_full = handle.service().attach(&full).unwrap().stamp();
-    let stamp_sparse = handle.service().attach(&sparse).unwrap().stamp();
+    let stamp_full = handle.service().attach(&full).unwrap().plan().stamp();
+    let stamp_sparse = handle.service().attach(&sparse).unwrap().plan().stamp();
     assert_ne!(
         stamp_full, stamp_sparse,
         "the directory organisation must be part of the journal fingerprint"
@@ -555,6 +564,81 @@ fn figure_7_after_figure_6_is_answered_in_full() {
         journal_records(&root, &fig6, "finish")
     );
     assert!(journal_records(&root, &fig7, "start").is_empty());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Figures 6 and 7 submitted back to back on two workers run each of
+/// their six shared simulations once: a Figure 7 cell claimed while
+/// its Figure 6 twin still runs waits for that run instead of
+/// simulating it again. Both campaigns render what each renders alone.
+#[test]
+fn figures_6_and_7_submitted_together_simulate_each_cell_once() {
+    let fig7 = CampaignRequest {
+        figure: Figure::Fig7,
+        ..tiny_request()
+    };
+    let (fig6_alone, fig7_alone) = (
+        cold_csvs("serve-fig6-alone", tiny_request()),
+        cold_csvs("serve-fig7-alone", fig7.clone()),
+    );
+    let root = scratch_dir("serve-fig6-fig7");
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
+    let fig6 = submit_ok(&handle, tiny_request());
+    let fig7 = submit_ok(&handle, fig7);
+    assert!(handle.wait_campaign(&fig6, WAIT) && handle.wait_campaign(&fig7, WAIT));
+    handle.drain();
+    let starts =
+        journal_records(&root, &fig6, "start").len() + journal_records(&root, &fig7, "start").len();
+    assert_eq!(starts, CELLS, "each simulation started once");
+    assert_eq!(read_csvs(&root, &fig6), fig6_alone);
+    assert_eq!(read_csvs(&root, &fig7), fig7_alone);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A cell parked on a run that fails takes no row from it: it goes back
+/// to the queue and runs itself, once that run has failed. Here one
+/// starved cell (`sparse:1`: one directory MSHR) is submitted twice to
+/// two idle workers, so the second copy is claimed while the first
+/// runs — for at least the 100 ms backoff before its one retry.
+#[test]
+fn a_cell_parked_on_a_failing_run_runs_once_that_run_fails() {
+    let starved = CampaignRequest {
+        figure: Figure::Fig5,
+        directory: DirectoryConfig::Sparse { dir_mshrs: 1 },
+        retries: 1,
+        ..tiny_request()
+    };
+    let root = scratch_dir("serve-parked-fail");
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
+    let submit = |request| match handle.service().submit(request) {
+        Response::Submitted {
+            campaign, cells, ..
+        } => {
+            assert_eq!(cells, 1);
+            campaign
+        }
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    let first = submit(starved.clone());
+    let second = submit(starved);
+    let live = handle
+        .service()
+        .attach(&second)
+        .expect("attach")
+        .subscribe();
+    match live.recv_timeout(WAIT).expect("an event") {
+        Event::CellStart { .. } => {}
+        other => panic!("the second copy did not wait for the first: {other:?}"),
+    }
+    let (_, failed, _) = handle.service().attach(&first).expect("first").progress();
+    assert_eq!(failed, 1, "the second copy started before the first failed");
+    assert!(handle.wait_campaign(&second, WAIT));
+    handle.drain();
+    for id in [&first, &second] {
+        assert_eq!(journal_records(&root, id, "start").len(), 2, "{id}");
+        assert_eq!(journal_records(&root, id, "fail").len(), 1, "{id}");
+        assert!(journal_records(&root, id, "finish").is_empty(), "{id}");
+    }
     let _ = std::fs::remove_dir_all(&root);
 }
 

@@ -29,7 +29,7 @@ fn main() {
         .collect();
 
     eprintln!("running {} configurations of {} ...", specs.len(), app.name);
-    let results = run_matrix(&cmp, &specs).expect("design-space matrix runs cleanly");
+    let results = run_matrix_jobs(&cmp, &specs, None).expect("design-space matrix runs cleanly");
     let rows = normalize(&results).expect("baseline run present in the matrix");
 
     println!(

@@ -128,13 +128,16 @@ FIG6_ARGS=(--scale 0.002 --app FFT --app MP3D --no-perfect --seed 1025041 --jobs
 "${FIG6[@]}" "${FIG6_ARGS[@]}" --out "$SMOKE_DIR/victim" >/dev/null 2>&1 &
 VICTIM_PID=$!
 # wait for the journal to hold at least one finished cell, then kill -9
+# (--out DIR is a campaign service's state root: the sweep is campaign
+# c0001 under DIR/campaigns/)
+VICTIM_JOURNAL="$SMOKE_DIR/victim/campaigns/c0001/journal.jsonl"
 for _ in $(seq 1 200); do
-    if grep -q '"finish"' "$SMOKE_DIR/victim/journal.jsonl" 2>/dev/null; then break; fi
+    if grep -q '"finish"' "$VICTIM_JOURNAL" 2>/dev/null; then break; fi
     sleep 0.05
 done
 kill -9 "$VICTIM_PID" 2>/dev/null || true
 wait "$VICTIM_PID" 2>/dev/null || true
-test -s "$SMOKE_DIR/victim/journal.jsonl" || {
+test -s "$VICTIM_JOURNAL" || {
     echo "kill-and-resume smoke: victim never journaled a cell"; exit 1; }
 "${FIG6[@]}" "${FIG6_ARGS[@]}" --resume "$SMOKE_DIR/victim" --csv "$SMOKE_DIR/resumed.csv" \
     >/dev/null 2>&1
@@ -167,9 +170,12 @@ for f in faults.md faults.csv.faults.csv faults.csv.fault_totals.csv; do
 done
 echo "fault-campaign smoke: every outcome expected; the resumed tables are identical"
 
-echo "== every-figure smoke (tcmp-fig all: one sweep, each table and figure into its own directory)"
+echo "== every-figure smoke (tcmp-fig all: one campaign, each table and figure into its own directory)"
 ALL_DIR="$SMOKE_DIR/all"
+ALL_CAMPAIGN="$ALL_DIR/campaigns/c0001"
 ALL_ARGS=(--scale 0.002 --app FFT --jobs 2)
+ALL_FIGURES=(fig2 fig5 fig6 fig7 ablation sensitivity faults)
+starts() { grep -c '"event":"start"' "$ALL_CAMPAIGN/journal.jsonl" || true; }
 target/release/tcmp-fig all "${ALL_ARGS[@]}" --out "$ALL_DIR" >/dev/null 2>"$SMOKE_DIR/all.log" || {
     echo "every-figure smoke: tcmp-fig all failed"; cat "$SMOKE_DIR/all.log"; exit 1; }
 for f in table1/results.csv table2/results.csv table3/results.csv \
@@ -178,24 +184,26 @@ for f in table1/results.csv table2/results.csv table3/results.csv \
          ablation/results.ablation.csv sensitivity/results.sensitivity.csv \
          faults/results.faults.csv faults/results.fault_totals.csv; do
     for g in "$f" "$(dirname "$f")/results.md"; do
-        test -s "$ALL_DIR/$g" || { echo "every-figure smoke: $g missing"; exit 1; }
+        test -s "$ALL_CAMPAIGN/$g" || { echo "every-figure smoke: $g missing"; exit 1; }
     done
 done
-# the figures' 42 cells are 27 distinct simulations, run once, journaled
-# at the root; the figure directories hold no journal
-grep -q "running 27 simulations" "$SMOKE_DIR/all.log" || {
-    echo "every-figure smoke: expected one sweep of 27 simulations"; cat "$SMOKE_DIR/all.log"; exit 1; }
-[ "$(find "$ALL_DIR" -name journal.jsonl)" = "$ALL_DIR/journal.jsonl" ] || {
-    echo "every-figure smoke: $ALL_DIR/journal.jsonl must be the only journal"; exit 1; }
-echo "every-figure smoke: every table and figure written from one 27-cell sweep"
+# the figures' 42 cells are 27 distinct simulations, each started once
+# (no retries), journaled in the one campaign; the figure directories
+# hold no journal
+[ "$(starts)" -eq 27 ] || {
+    echo "every-figure smoke: expected 27 simulations started, saw $(starts)"
+    cat "$SMOKE_DIR/all.log"; exit 1; }
+[ "$(find "$ALL_DIR" -name journal.jsonl)" = "$ALL_CAMPAIGN/journal.jsonl" ] || {
+    echo "every-figure smoke: $ALL_CAMPAIGN/journal.jsonl must be the only journal"; exit 1; }
+echo "every-figure smoke: every table and figure written from one campaign of 27 simulations"
 # a resume over the finished directory replays every completed cell,
 # re-runs only the fault cells that ended in expected errors (they are
-# not journaled as rows) and rewrites every file byte for byte
+# journaled as failures, not rows) and rewrites every file byte for byte
 cp -r "$ALL_DIR" "$SMOKE_DIR/all-first"
-EXPECTED_ERRORS=$(grep -c '^  expected ' "$SMOKE_DIR/all.log" || true)
+EXPECTED_ERRORS=$(grep -c '"event":"fail"' "$ALL_CAMPAIGN/journal.jsonl" || true)
 target/release/tcmp-fig all "${ALL_ARGS[@]}" --resume "$ALL_DIR" >/dev/null 2>"$SMOKE_DIR/all-resume.log" || {
     echo "every-figure smoke: the resumed all failed"; cat "$SMOKE_DIR/all-resume.log"; exit 1; }
-grep -q "journal replays $((27 - EXPECTED_ERRORS)) finished cell(s)" "$SMOKE_DIR/all-resume.log" || {
+[ "$(starts)" -eq $((27 + EXPECTED_ERRORS)) ] || {
     echo "every-figure smoke: the resume should replay all but the $EXPECTED_ERRORS expected errors"
     cat "$SMOKE_DIR/all-resume.log"; exit 1; }
 for f in $(cd "$SMOKE_DIR/all-first" && find . -name 'results.*'); do
@@ -207,17 +215,27 @@ done
 # ablation's cells are Figure 6's
 target/release/tcmp-fig fig5 "${ALL_ARGS[@]}" --csv "$SMOKE_DIR/alone-fig5.csv" >/dev/null 2>&1 || {
     echo "every-figure smoke: fig5 alone failed"; exit 1; }
-cmp "$SMOKE_DIR/alone-fig5.csv" "$ALL_DIR/fig5/results.breakdown.csv" || {
+cmp "$SMOKE_DIR/alone-fig5.csv" "$ALL_CAMPAIGN/fig5/results.breakdown.csv" || {
     echo "every-figure smoke: fig5 alone differs from all's"; exit 1; }
 target/release/tcmp-fig ablation "${ALL_ARGS[@]}" --csv "$SMOKE_DIR/alone-ablation.csv" >/dev/null 2>&1 || {
     echo "every-figure smoke: ablation alone failed"; exit 1; }
-cmp "$SMOKE_DIR/alone-ablation.csv" "$ALL_DIR/ablation/results.ablation.csv" || {
+cmp "$SMOKE_DIR/alone-ablation.csv" "$ALL_CAMPAIGN/ablation/results.ablation.csv" || {
     echo "every-figure smoke: ablation alone differs from all's"; exit 1; }
 # --out promises a fresh campaign: a finished directory is refused
 if target/release/tcmp-fig all "${ALL_ARGS[@]}" --out "$ALL_DIR" >/dev/null 2>&1; then
     echo "every-figure smoke: all --out over a finished campaign was not refused"; exit 1
 fi
-echo "every-figure smoke: the resume and the figures run alone are byte-identical; --out refuses a finished directory"
+# a directory laid out before campaigns moved under campaigns/ (its
+# journal at the top) is refused by --resume, not re-run
+mkdir "$SMOKE_DIR/all-old-layout"
+cp "$ALL_CAMPAIGN/journal.jsonl" "$SMOKE_DIR/all-old-layout/"
+if target/release/tcmp-fig all "${ALL_ARGS[@]}" --resume "$SMOKE_DIR/all-old-layout" \
+    >/dev/null 2>"$SMOKE_DIR/all-old.log"; then
+    echo "every-figure smoke: --resume of a pre-campaigns/ directory was not refused"; exit 1
+fi
+grep -q "cannot resume it" "$SMOKE_DIR/all-old.log" || {
+    echo "every-figure smoke: the old-layout refusal does not say why"; cat "$SMOKE_DIR/all-old.log"; exit 1; }
+echo "every-figure smoke: the resume and the figures run alone are byte-identical; --out refuses a finished directory, --resume an old-layout one"
 
 echo "== tcmp-serve smoke (submit over the socket, SIGKILL the daemon, restart, diff CSVs)"
 SERVE="target/release/tcmp-serve"
@@ -278,6 +296,19 @@ for suffix in exec_time.csv link_ed2p.csv; do
         echo "tcmp-serve smoke: resubmitted $suffix differs from c0001's"; exit 1; }
 done
 echo "tcmp-serve smoke: the resubmitted request took all 6 rows and wrote identical CSVs"
+# all through the daemon (c0004) writes every figure directory byte for
+# byte as the local all --out above did
+target/release/tcmp-fig all --scale 0.002 --app FFT --submit "$SOCK_REF" >/dev/null 2>&1 || {
+    echo "tcmp-serve smoke: all through the daemon failed"
+    cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
+ALL_FILES=$(cd "$ALL_CAMPAIGN" && find "${ALL_FIGURES[@]}" -name 'results.*')
+[ "$(echo "$ALL_FILES" | wc -w)" -eq 16 ] || {
+    echo "tcmp-serve smoke: expected 16 figure files (9 CSVs, 7 results.md):" $ALL_FILES; exit 1; }
+for f in $ALL_FILES; do
+    cmp "$ALL_CAMPAIGN/$f" "$SERVE_REF/campaigns/c0004/$f" || {
+        echo "tcmp-serve smoke: all's $f differs between the local door and the daemon"; exit 1; }
+done
+echo "tcmp-serve smoke: all through the daemon wrote the local door's figure directories"
 kill -TERM "$REF_PID"
 wait "$REF_PID" || {
     echo "tcmp-serve smoke: reference daemon did not drain cleanly (exit $?)"

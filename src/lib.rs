@@ -65,8 +65,8 @@ pub mod prelude {
     pub use tcmp_core::checkpoint::{CacheLoad, DiskConfig, DiskStore, WarmKey};
     pub use tcmp_core::engine::MachineSnapshot;
     pub use tcmp_core::experiment::{
-        normalize, normalize_partial, paper_configs, run_matrix, run_matrix_jobs, ConfigSpec,
-        MatrixError, PartialNormalization, RunFailure, RunSpec,
+        normalize, normalize_partial, paper_configs, run_matrix_jobs, ConfigSpec, MatrixError,
+        PartialNormalization, RunFailure, RunSpec,
     };
     pub use tcmp_core::niface::InterconnectChoice;
     pub use tcmp_core::sim::{CmpSimulator, SimConfig, SimError, SimResult, WatchdogConfig};

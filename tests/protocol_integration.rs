@@ -147,7 +147,7 @@ fn matrix_and_normalisation() {
         scale: 0.005,
     })
     .collect();
-    let results = run_matrix(&cmp, &specs).expect("matrix runs cleanly");
+    let results = run_matrix_jobs(&cmp, &specs, None).expect("matrix runs cleanly");
     let rows = normalize(&results).expect("baseline run present in the matrix");
     assert_eq!(rows.len(), 1);
     assert!(rows[0].exec_time > 0.5 && rows[0].exec_time <= 1.05);
