@@ -128,11 +128,11 @@ fn run_local(opts: &Options, plan: &CampaignPlan, request: CampaignRequest, root
         }
     };
     let service = handle.service();
-    let id = match resume {
-        Some(id) => id,
-        None => match service.submit(request) {
-            Response::Submitted { campaign, .. } => campaign,
-            refused => {
+    let (id, watched) = match resume {
+        Some(id) => (id, None),
+        None => match service.submit_watched(request) {
+            (Response::Submitted { campaign, .. }, Some(live)) => (campaign, Some(live)),
+            (refused, _) => {
                 eprintln!("error: the campaign was not queued: {refused:?}");
                 handle.drain();
                 return 1;
@@ -152,8 +152,14 @@ fn run_local(opts: &Options, plan: &CampaignPlan, request: CampaignRequest, root
         plan.specs.len(),
         opts.scale
     );
-    let live = campaign.subscribe();
-    let events = campaign.catchup().into_iter();
+    // A submitted campaign is watched from before its first cell was
+    // queued; a resumed one was queued at start and catches up on the
+    // outcomes it holds.
+    let (live, caught_up) = match watched {
+        Some(live) => (live, Vec::new()),
+        None => (campaign.subscribe(), campaign.catchup()),
+    };
+    let events = caught_up.into_iter();
     let followed = follow(&id, events.chain(std::iter::from_fn(|| live.recv().ok())));
     handle.drain();
     let Some((_, unexpected)) = followed else {

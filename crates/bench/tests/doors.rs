@@ -330,3 +330,31 @@ fn starve(figure: Figure) {
     assert_eq!(journal.matches("\"event\":\"fail\"").count(), 2 * cells);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// The local door prints a `start` line for every cell it simulates,
+/// the first cells its workers claim included: one per `start` record
+/// in the campaign's journal.
+#[test]
+fn the_local_door_prints_every_cells_start() {
+    let root = scratch_dir("doors-starts");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tcmp-fig"))
+        .args(["fig6", "--scale", "0.002", "--app", "FFT", "--no-perfect"])
+        .args(["--jobs", "2", "--out"])
+        .arg(&root)
+        .output()
+        .expect("run tcmp-fig");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "tcmp-fig failed:\n{stderr}");
+    let printed = stderr.lines().filter(|l| l.starts_with("  start ")).count();
+    let journal = read(&root.join("campaigns").join("c0001").join(JOURNAL_FILE));
+    let started = journal
+        .lines()
+        .filter(|l| l.starts_with("{\"event\":\"start\""))
+        .count();
+    assert_eq!(started, 6, "every cell simulated:\n{journal}");
+    assert_eq!(
+        printed, started,
+        "one start line per simulated cell:\n{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}

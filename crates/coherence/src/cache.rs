@@ -8,10 +8,16 @@
 //! Layout is struct-of-arrays: the tags of a set are contiguous, so
 //! the hit check — the single hottest loop in the simulator — scans
 //! one cache line of packed `u64` tags without touching payloads or
-//! LRU stamps. Invalid ways carry the reserved tag `INVALID_TAG`;
-//! stamps and values live in parallel side arrays indexed by the same
+//! LRU ages. Invalid ways carry the reserved tag `INVALID_TAG`; LRU
+//! ages and values live in parallel side arrays indexed by the same
 //! slot number and are only read on a hit or during victim selection.
+//!
+//! Recency is exact LRU in one byte per way ([`cmp_common::recency`]):
+//! a way's age is the number of valid ways in its set used more
+//! recently, so the valid ways of a set hold the ages `0..valid` and
+//! the victim is the evictable way with the largest age.
 
+use cmp_common::recency::{self, INVALID};
 use cmp_common::types::Addr;
 
 /// Reserved tag for an invalid way. Line addresses are byte addresses
@@ -29,12 +35,12 @@ pub struct CacheArray<V> {
     index_shift: u32,
     /// Packed per-slot tags; [`INVALID_TAG`] marks a free way.
     tags: Vec<u64>,
-    /// Per-slot LRU stamps (parallel to `tags`).
-    stamps: Vec<u64>,
+    /// Per-slot LRU ages (parallel to `tags`; [`INVALID`] iff the tag
+    /// is invalid).
+    ages: Vec<u8>,
     /// Per-slot payloads (parallel to `tags`; `None` iff the tag is
     /// invalid).
     values: Vec<Option<V>>,
-    clock: u64,
 }
 
 /// Result of asking for a victim way.
@@ -49,18 +55,22 @@ pub enum VictimSlot {
 }
 
 impl<V> CacheArray<V> {
-    /// Array with `sets` × `ways` lines. `sets` must be a power of two.
+    /// Array with `sets` × `ways` lines. `sets` must be a power of two
+    /// and `ways` at most [`recency::MAX_WAYS`].
     pub fn new(sets: usize, ways: usize, index_shift: u32) -> Self {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
-        assert!(ways > 0);
+        assert!(
+            (1..=recency::MAX_WAYS).contains(&ways),
+            "ways must be 1..={}, got {ways}",
+            recency::MAX_WAYS
+        );
         CacheArray {
             sets,
             ways,
             index_shift,
             tags: vec![INVALID_TAG; sets * ways],
-            stamps: vec![0; sets * ways],
+            ages: vec![INVALID; sets * ways],
             values: (0..sets * ways).map(|_| None).collect(),
-            clock: 0,
         }
     }
 
@@ -69,18 +79,31 @@ impl<V> CacheArray<V> {
         ((line >> self.index_shift) as usize) & (self.sets - 1)
     }
 
-    /// Slot of `line` if resident: a branch-free scan over the set's
-    /// packed tags.
+    /// First slot of `line`'s set.
     #[inline]
-    fn find(&self, line: Addr) -> Option<usize> {
-        let base = self.set_of(line) * self.ways;
+    fn base_of(&self, line: Addr) -> usize {
+        self.set_of(line) * self.ways
+    }
+
+    /// First slot of `line`'s set, and `line`'s way in it if resident:
+    /// a branch-free scan over the set's packed tags.
+    #[inline]
+    fn locate(&self, line: Addr) -> (usize, Option<usize>) {
+        let base = self.base_of(line);
         let mut found = usize::MAX;
         for (i, &t) in self.tags[base..base + self.ways].iter().enumerate() {
             if t == line {
-                found = base + i;
+                found = i;
             }
         }
-        (found != usize::MAX).then_some(found)
+        (base, (found != usize::MAX).then_some(found))
+    }
+
+    /// Slot of `line` if resident.
+    #[inline]
+    fn find(&self, line: Addr) -> Option<usize> {
+        let (base, way) = self.locate(line);
+        way.map(|way| base + way)
     }
 
     /// Shared view of a resident line (no LRU update).
@@ -90,50 +113,37 @@ impl<V> CacheArray<V> {
             .map(|s| self.values[s].as_ref().expect("tag/value in sync"))
     }
 
-    /// Mutable view of a resident line, updating LRU.
+    /// Mutable view of a resident line, making it the most recent.
     #[inline]
     pub fn get_mut(&mut self, line: Addr) -> Option<&mut V> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.find(line).map(|s| {
-            self.stamps[s] = clock;
-            self.values[s].as_mut().expect("tag/value in sync")
-        })
+        let (base, way) = self.locate(line);
+        let way = way?;
+        recency::touch(&mut self.ages[base..base + self.ways], way);
+        Some(self.values[base + way].as_mut().expect("tag/value in sync"))
     }
 
-    /// Touch a line's LRU stamp.
+    /// Make a resident line the most recent in its set.
     pub fn touch(&mut self, line: Addr) {
         let _ = self.get_mut(line);
     }
 
     /// Remove a line, returning its payload.
     pub fn remove(&mut self, line: Addr) -> Option<V> {
-        let slot = self.find(line)?;
-        self.tags[slot] = INVALID_TAG;
-        self.values[slot].take()
+        let (base, way) = self.locate(line);
+        let way = way?;
+        recency::remove(&mut self.ages[base..base + self.ways], way);
+        self.tags[base + way] = INVALID_TAG;
+        self.values[base + way].take()
     }
 
     /// What inserting `line` would displace: a free way, the LRU line
     /// among those `evictable` allows, or nothing.
-    pub fn victim_for(
-        &self,
-        line: Addr,
-        mut evictable: impl FnMut(Addr, &V) -> bool,
-    ) -> VictimSlot {
-        let base = self.set_of(line) * self.ways;
-        let mut lru: Option<(u64, Addr)> = None;
-        for s in base..base + self.ways {
-            let tag = self.tags[s];
-            if tag == INVALID_TAG {
-                return VictimSlot::Free;
-            }
-            let value = self.values[s].as_ref().expect("tag/value in sync");
-            if evictable(tag, value) && lru.is_none_or(|(stamp, _)| self.stamps[s] < stamp) {
-                lru = Some((self.stamps[s], tag));
-            }
+    pub fn victim_for(&self, line: Addr, evictable: impl FnMut(Addr, &V) -> bool) -> VictimSlot {
+        if self.free_ways(line) > 0 {
+            return VictimSlot::Free;
         }
-        match lru {
-            Some((_, addr)) => VictimSlot::Evict(addr),
+        match self.lru_resident(line, evictable) {
+            Some(addr) => VictimSlot::Evict(addr),
             None => VictimSlot::None,
         }
     }
@@ -146,7 +156,7 @@ impl<V> CacheArray<V> {
 
     /// Number of invalid (free) ways in `line`'s set.
     pub fn free_ways(&self, line: Addr) -> usize {
-        let base = self.set_of(line) * self.ways;
+        let base = self.base_of(line);
         self.tags[base..base + self.ways]
             .iter()
             .filter(|&&t| t == INVALID_TAG)
@@ -161,16 +171,16 @@ impl<V> CacheArray<V> {
         line: Addr,
         mut evictable: impl FnMut(Addr, &V) -> bool,
     ) -> Option<Addr> {
-        let base = self.set_of(line) * self.ways;
-        let mut lru: Option<(u64, Addr)> = None;
+        let base = self.base_of(line);
+        let mut lru: Option<(u8, Addr)> = None;
         for s in base..base + self.ways {
             let tag = self.tags[s];
             if tag == INVALID_TAG {
                 continue;
             }
             let value = self.values[s].as_ref().expect("tag/value in sync");
-            if evictable(tag, value) && lru.is_none_or(|(stamp, _)| self.stamps[s] < stamp) {
-                lru = Some((self.stamps[s], tag));
+            if evictable(tag, value) && lru.is_none_or(|(age, _)| self.ages[s] > age) {
+                lru = Some((self.ages[s], tag));
             }
         }
         lru.map(|(_, addr)| addr)
@@ -184,17 +194,18 @@ impl<V> CacheArray<V> {
     pub fn insert(&mut self, line: Addr, value: V) -> Result<(), V> {
         debug_assert!(line != INVALID_TAG, "line aliases the invalid tag");
         debug_assert!(self.peek(line).is_none(), "double insert of {line:#x}");
-        self.clock += 1;
-        let base = self.set_of(line) * self.ways;
-        for s in base..base + self.ways {
-            if self.tags[s] == INVALID_TAG {
-                self.tags[s] = line;
-                self.stamps[s] = self.clock;
-                self.values[s] = Some(value);
-                return Ok(());
-            }
-        }
-        Err(value)
+        let base = self.base_of(line);
+        let set = base..base + self.ways;
+        let Some(way) = self.tags[set.clone()]
+            .iter()
+            .position(|&t| t == INVALID_TAG)
+        else {
+            return Err(value);
+        };
+        recency::insert(&mut self.ages[set], way);
+        self.tags[base + way] = line;
+        self.values[base + way] = Some(value);
+        Ok(())
     }
 
     /// Number of resident lines (O(capacity); for tests/stats).
@@ -219,11 +230,11 @@ impl<V> CacheArray<V> {
 }
 
 /// Geometry (sets/ways/shift) is configuration; the resident lines and
-/// the LRU clock are the state. The encoding is slot-by-slot (the byte
-/// layout predates the struct-of-arrays split and is kept stable:
-/// presence bool, then line/value/stamp); the stored slot count doubles
-/// as a shape check — a checkpoint from a differently-sized array
-/// refuses to load.
+/// their LRU ages are the state. The encoding is slot-by-slot: presence
+/// bool, then line/value/age. The stored slot count doubles as a shape
+/// check — a checkpoint from a differently-sized array refuses to load
+/// — and a set whose ages are not a permutation of `0..valid` is
+/// refused too: no sequence of operations leaves one.
 impl<V: cmp_common::persist::Persist> cmp_common::persist::PersistState for CacheArray<V> {
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
         w.usize(self.tags.len());
@@ -234,10 +245,9 @@ impl<V: cmp_common::persist::Persist> cmp_common::persist::PersistState for Cach
                 w.bool(true);
                 w.u64(self.tags[s]);
                 self.values[s].as_ref().expect("tag/value in sync").save(w);
-                w.u64(self.stamps[s]);
+                w.u8(self.ages[s]);
             }
         }
-        w.u64(self.clock);
     }
     fn load_state(
         &mut self,
@@ -247,22 +257,30 @@ impl<V: cmp_common::persist::Persist> cmp_common::persist::PersistState for Cach
         if n != self.tags.len() {
             return Err(r.err("slice length does not match machine shape"));
         }
-        for s in 0..n {
-            if r.bool()? {
-                let line = r.u64()?;
-                if line == INVALID_TAG {
-                    return Err(r.err("resident line aliases the invalid tag"));
+        for base in (0..n).step_by(self.ways) {
+            let set = base..base + self.ways;
+            for s in set.clone() {
+                if r.bool()? {
+                    let line = r.u64()?;
+                    if line == INVALID_TAG {
+                        return Err(r.err("resident line aliases the invalid tag"));
+                    }
+                    self.tags[s] = line;
+                    self.values[s] = Some(cmp_common::persist::Persist::load(r)?);
+                    self.ages[s] = r.u8()?;
+                    if self.ages[s] == INVALID {
+                        return Err(r.err("resident line carries the invalid LRU age"));
+                    }
+                } else {
+                    self.tags[s] = INVALID_TAG;
+                    self.values[s] = None;
+                    self.ages[s] = INVALID;
                 }
-                self.tags[s] = line;
-                self.values[s] = Some(cmp_common::persist::Persist::load(r)?);
-                self.stamps[s] = r.u64()?;
-            } else {
-                self.tags[s] = INVALID_TAG;
-                self.values[s] = None;
-                self.stamps[s] = 0;
+            }
+            if !recency::is_recency_order(&self.ages[set]) {
+                return Err(r.err("cache set LRU ages are not a recency order"));
             }
         }
-        self.clock = r.u64()?;
         Ok(())
     }
 }
@@ -370,12 +388,64 @@ mod tests {
         assert_eq!(fresh.peek(4), None);
         assert_eq!(fresh.occupancy(), 1);
         // LRU history survives: inserting into the freed way then asking
-        // for a victim must evict by the restored stamps
+        // for a victim must evict by the restored ages
         fresh.insert(4, 1).unwrap();
         assert_eq!(fresh.victim_for(8, |_, _| true), VictimSlot::Evict(0));
         // and a geometry mismatch is a structured error
         let mut wrong: CacheArray<u32> = CacheArray::new(8, 2, 0);
         let mut r = ByteReader::new(&bytes);
         assert!(wrong.load_state(&mut r).is_err());
+    }
+
+    /// State bytes of the 4 × 2 array with set 0 holding lines 0 and 4
+    /// at the given ages and every other set empty.
+    fn forged(ages: [u8; 2]) -> Vec<u8> {
+        use cmp_common::persist::{ByteWriter, Persist};
+        let mut w = ByteWriter::new();
+        w.usize(8);
+        for (line, age) in [0u64, 4].into_iter().zip(ages) {
+            w.bool(true);
+            w.u64(line);
+            7u32.save(&mut w);
+            w.u8(age);
+        }
+        (2..8).for_each(|_| w.bool(false));
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<CacheArray<u32>, cmp_common::persist::PersistError> {
+        use cmp_common::persist::{ByteReader, PersistState};
+        let mut c = small();
+        let mut r = ByteReader::new(bytes);
+        c.load_state(&mut r).and_then(|()| r.finish())?;
+        Ok(c)
+    }
+
+    #[test]
+    fn consistent_forged_ages_load_and_pick_the_oldest_victim() {
+        let c = load(&forged([1, 0])).expect("a recency order loads");
+        assert_eq!(c.victim_for(8, |_, _| true), VictimSlot::Evict(0));
+        let c = load(&forged([0, 1])).expect("a recency order loads");
+        assert_eq!(c.victim_for(8, |_, _| true), VictimSlot::Evict(4));
+    }
+
+    #[test]
+    fn duplicate_age_in_a_set_is_refused() {
+        let err = load(&forged([0, 0]))
+            .expect_err("duplicate age")
+            .to_string();
+        assert!(err.contains("recency order"), "{err}");
+    }
+
+    #[test]
+    fn age_at_or_past_the_valid_count_is_refused() {
+        let err = load(&forged([0, 2]))
+            .expect_err("age past the valid count")
+            .to_string();
+        assert!(err.contains("recency order"), "{err}");
+        let err = load(&forged([0, INVALID]))
+            .expect_err("invalid age on a line")
+            .to_string();
+        assert!(err.contains("invalid LRU age"), "{err}");
     }
 }

@@ -596,8 +596,8 @@ impl L2Slice {
 
     fn set_dir(&mut self, line: Addr, dir: DirState) {
         // The presence vector used to live in the cache payload, so
-        // every directory write refreshed the line's LRU stamp; keep
-        // that stamp schedule repr-independent — the determinism
+        // every directory write made the line the most recent; keep
+        // that recency schedule repr-independent — the determinism
         // goldens encode it.
         self.array.touch(line);
         self.dir.update(line, dir);

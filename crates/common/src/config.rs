@@ -41,6 +41,13 @@ impl CacheConfig {
         if self.ways == 0 {
             return Err("associativity must be >= 1".into());
         }
+        if self.ways > crate::recency::MAX_WAYS {
+            return Err(format!(
+                "associativity {} over the {} ways one-byte LRU ages can order",
+                self.ways,
+                crate::recency::MAX_WAYS
+            ));
+        }
         if self.size_bytes % (self.ways * self.line_bytes) != 0 {
             return Err(format!(
                 "capacity {} not divisible by ways*line = {}",
@@ -352,6 +359,14 @@ mod tests {
         let mut c = CmpConfig::default();
         c.l1.ways = 0;
         assert!(c.validate().is_err());
+
+        // 256 ways of 64 B: a power-of-two set count, but past what a
+        // one-byte LRU age orders
+        let mut c = CmpConfig::default();
+        c.l2_slice.ways = 256;
+        c.l2_slice.size_bytes = 256 * 64 * 4;
+        let err = c.validate().expect_err("256 ways");
+        assert!(err.contains("LRU"), "{err}");
 
         let mut c = CmpConfig::default();
         c.l1.line_bytes = 48; // not a power of two

@@ -37,6 +37,8 @@
 //! * [`json`] — the declarative codec layer over that value: wire
 //!   messages, journal records and result rows are each declared once
 //!   as a field table beside their type.
+//! * [`recency`] — exact per-set LRU order in one byte per way, shared
+//!   by the cache arrays and the DBRC base registers.
 //! * [`smallvec`] — an inline-first vector for hot-path message plumbing.
 //! * [`units`] — thin newtypes for the physical quantities that cross crate
 //!   boundaries (picoseconds, watts, square millimetres, joules).
@@ -53,6 +55,7 @@ pub mod journal;
 pub mod json;
 pub mod persist;
 pub mod randtest;
+pub mod recency;
 pub mod rng;
 pub mod smallvec;
 pub mod stats;

@@ -11,9 +11,12 @@
 //! The state lives in `DbrcLanes`, a struct-of-arrays table of many
 //! independent caches ("lanes"): the engine keeps one table per stream
 //! with a lane per destination, and [`Dbrc`] is the one-lane form of the
-//! same table.
+//! same table. LRU is exact and costs one byte per base register: each
+//! entry holds its age ([`cmp_common::recency`]), the log2(entries)
+//! bits of recency the hardware keeps, and no lane keeps a clock.
 
-use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError};
+use cmp_common::persist::{ByteReader, ByteWriter, PersistError};
+use cmp_common::recency::{self, INVALID};
 use cmp_common::types::Addr;
 
 use crate::scheme::AddressCodec;
@@ -21,9 +24,8 @@ use crate::scheme::AddressCodec;
 /// DBRC state for `lanes` independent (destination, stream) pairs.
 ///
 /// Lane `l` owns entries `l·entries .. (l+1)·entries` of `bases` and
-/// `stamps`. A stamp of 0 marks an invalid entry: every install stamps
-/// with the lane's clock, which is ≥ 1 after the first encode, and the
-/// LRU rule already fills stamp-0 entries first.
+/// `ages`. An entry aged [`INVALID`] holds no base; a miss fills the
+/// lowest-index invalid entry, or else the least recent one.
 #[derive(Clone, Debug)]
 pub(crate) struct DbrcLanes {
     entries: usize,
@@ -31,17 +33,20 @@ pub(crate) struct DbrcLanes {
     base_shift: u32,
     low_bytes: usize,
     /// Base values (line address >> 8·low_bytes); meaningless where the
-    /// stamp is 0.
+    /// entry is invalid.
     bases: Vec<u64>,
-    /// LRU stamps, parallel to `bases`; 0 = invalid entry.
-    stamps: Vec<u64>,
-    /// Per-lane logical clock for LRU.
-    clocks: Vec<u64>,
+    /// LRU ages, parallel to `bases`.
+    ages: Vec<u8>,
 }
 
 impl DbrcLanes {
     pub(crate) fn new(lanes: usize, entries: usize, low_bytes: usize) -> Self {
         assert!(entries > 0, "DBRC needs at least one entry");
+        assert!(
+            entries <= recency::MAX_WAYS,
+            "DBRC holds at most {} entries, got {entries}",
+            recency::MAX_WAYS
+        );
         assert!(
             (1..=4).contains(&low_bytes),
             "low-order bytes must be 1..=4, got {low_bytes}"
@@ -51,13 +56,12 @@ impl DbrcLanes {
             base_shift: (8 * low_bytes) as u32,
             low_bytes,
             bases: vec![0; lanes * entries],
-            stamps: vec![0; lanes * entries],
-            clocks: vec![0; lanes],
+            ages: vec![INVALID; lanes * entries],
         }
     }
 
     pub(crate) fn lanes(&self) -> usize {
-        self.clocks.len()
+        self.ages.len() / self.entries
     }
 
     fn row(&self, lane: usize) -> std::ops::Range<usize> {
@@ -70,88 +74,76 @@ impl DbrcLanes {
         let row = self.row(lane);
         self.bases[row.clone()]
             .iter()
-            .zip(&self.stamps[row])
-            .any(|(&b, &s)| s != 0 && b == base)
+            .zip(&self.ages[row])
+            .any(|(&b, &a)| a != INVALID && b == base)
     }
 
     /// The DBRC update rule: look `line_addr`'s base up in `lane`,
-    /// refresh its stamp on a hit, install it over the LRU entry on a
-    /// miss.
+    /// make it the most recent on a hit, install it over the lowest
+    /// invalid or else the least recent entry on a miss.
     pub(crate) fn encode(&mut self, lane: usize, line_addr: Addr) -> bool {
         let row = self.row(lane);
-        let clock = &mut self.clocks[lane];
-        *clock += 1;
-        let now = *clock;
         let base = line_addr >> self.base_shift;
         let bases = &mut self.bases[row.clone()];
-        let stamps = &mut self.stamps[row];
-        if let Some(i) = (0..bases.len()).position(|i| stamps[i] != 0 && bases[i] == base) {
-            stamps[i] = now;
+        let ages = &mut self.ages[row];
+        if let Some(i) = (0..bases.len()).position(|i| ages[i] != INVALID && bases[i] == base) {
+            recency::touch(ages, i);
             return true;
         }
-        // Miss: install into the LRU slot (invalid entries have stamp 0
-        // and lose ties, so they fill first).
-        let victim = (0..stamps.len())
-            .min_by_key(|&i| stamps[i])
-            .expect("non-empty cache");
+        let victim = recency::victim(ages).expect("non-empty cache");
+        match ages[victim] {
+            INVALID => recency::insert(ages, victim),
+            // A full lane's least recent entry takes the new base and
+            // becomes the most recent.
+            _ => recency::touch(ages, victim),
+        }
         bases[victim] = base;
-        stamps[victim] = now;
         false
     }
 
     pub(crate) fn resync(&mut self, lane: usize) {
         let row = self.row(lane);
-        self.bases[row.clone()].fill(0);
-        self.stamps[row].fill(0);
-        self.clocks[lane] = 0;
+        self.ages[row].fill(INVALID);
     }
 
     /// One lane's snapshot bytes, in the layout of a standalone codec:
-    /// the bases as `Vec<Option<u64>>`, the stamps as `Vec<u64>`, then
-    /// the clock.
+    /// every entry's age ([`INVALID`] for an empty entry), then the base
+    /// of each valid entry in entry order. The entry count is machine
+    /// shape, not lane state: the snapshot header's shape fingerprint
+    /// covers the scheme.
     pub(crate) fn save_lane(&self, lane: usize, w: &mut ByteWriter) {
         let row = self.row(lane);
-        w.usize(self.entries);
-        for i in row.clone() {
-            (self.stamps[i] != 0).then_some(self.bases[i]).save(w);
+        for &age in &self.ages[row.clone()] {
+            w.u8(age);
         }
-        w.usize(self.entries);
-        for &stamp in &self.stamps[row] {
-            w.u64(stamp);
+        for i in row {
+            if self.ages[i] != INVALID {
+                w.u64(self.bases[i]);
+            }
         }
-        w.u64(self.clocks[lane]);
     }
 
     /// Overwrite one lane from [`DbrcLanes::save_lane`] bytes. Refuses
-    /// an entry count other than the machine's and an entry whose
-    /// validity disagrees with its stamp (`Some` base with stamp 0, or
-    /// `None` with a non-zero stamp): no encode can produce either.
+    /// valid ages that are not a permutation of `0..valid`: no encode
+    /// can produce them.
     pub(crate) fn load_lane(
         &mut self,
         lane: usize,
         r: &mut ByteReader,
     ) -> Result<(), PersistError> {
         let row = self.row(lane);
-        if r.usize()? != self.entries {
-            return Err(r.err("DBRC entry count does not match machine shape"));
-        }
         for i in row.clone() {
-            let base: Option<u64> = Persist::load(r)?;
-            self.bases[i] = base.unwrap_or(0);
-            // the validity bit waits in the stamp until the stamps arrive
-            self.stamps[i] = u64::from(base.is_some());
+            self.ages[i] = r.u8()?;
         }
-        if r.usize()? != self.entries {
-            return Err(r.err("DBRC entry count does not match machine shape"));
+        if !recency::is_recency_order(&self.ages[row.clone()]) {
+            return Err(r.err("DBRC LRU ages are not a recency order"));
         }
         for i in row {
-            let stamp = r.u64()?;
-            if (stamp != 0) != (self.stamps[i] != 0) {
-                return Err(r.err("DBRC entry validity disagrees with its LRU stamp"));
-            }
-            self.stamps[i] = stamp;
+            self.bases[i] = match self.ages[i] {
+                INVALID => 0,
+                _ => r.u64()?,
+            };
         }
-        self.clocks[lane] = r.u64()?;
         Ok(())
     }
 }
@@ -198,8 +190,8 @@ impl AddressCodec for Dbrc {
         self.entries()
     }
 
-    // entries/low_bytes are configuration; the learned bases, their LRU
-    // stamps and the clock are the state.
+    // entries/low_bytes are configuration; the learned bases and their
+    // LRU ages are the state.
     fn save_state(&self, w: &mut ByteWriter) {
         self.0.save_lane(0, w);
     }
@@ -299,6 +291,98 @@ mod tests {
         d.resync();
         assert!(!d.peek(42));
         assert!(!d.encode(42));
+    }
+
+    /// The stamp-and-clock lane the ages replaced: a per-lane clock, a
+    /// `u64` stamp per entry (0 = invalid), a hit restamps, a miss fills
+    /// the entry with the smallest stamp.
+    struct StampLane {
+        bases: Vec<u64>,
+        stamps: Vec<u64>,
+        clock: u64,
+    }
+
+    impl StampLane {
+        fn encode(&mut self, base: u64) -> bool {
+            self.clock += 1;
+            let hit =
+                (0..self.bases.len()).position(|i| self.stamps[i] != 0 && self.bases[i] == base);
+            let i = hit.unwrap_or_else(|| {
+                (0..self.stamps.len())
+                    .min_by_key(|&i| self.stamps[i])
+                    .expect("non-empty")
+            });
+            self.bases[i] = base;
+            self.stamps[i] = self.clock;
+            hit.is_some()
+        }
+    }
+
+    #[test]
+    fn ages_give_the_hits_and_misses_of_stamp_and_clock_lanes() {
+        use cmp_common::persist::{ByteReader, ByteWriter};
+        use cmp_common::randtest::{run_cases, usize_in};
+        run_cases("dbrc_ages_vs_stamps", 48, |rng| {
+            let lanes = usize_in(rng, 1, 8);
+            let entries = [1, 2, 3, 4, 16, 64][rng.index(6)];
+            let low_bytes = usize_in(rng, 1, 2);
+            let shift = 8 * low_bytes as u32;
+            let mut ages = DbrcLanes::new(lanes, entries, low_bytes);
+            let mut stamps: Vec<StampLane> = (0..lanes)
+                .map(|_| StampLane {
+                    bases: vec![0; entries],
+                    stamps: vec![0; entries],
+                    clock: 0,
+                })
+                .collect();
+            // Twice as many bases as entries: hits, misses and evictions.
+            let pool = 2 * entries as u64;
+            let steps = 2000;
+            let reload_at = rng.index(steps);
+            for step in 0..steps {
+                let lane = rng.index(lanes);
+                if rng.chance(0.02) {
+                    ages.resync(lane);
+                    stamps[lane].stamps.fill(0);
+                    stamps[lane].clock = 0;
+                } else {
+                    let line = (rng.below(pool) << shift) | rng.below(1 << shift);
+                    let want = stamps[lane].encode(line >> shift);
+                    assert_eq!(ages.encode(lane, line), want, "step {step} lane {lane}");
+                }
+                // Entry for entry: the same bases in the same places, the
+                // same recency order.
+                let (row, lane_ref) = (ages.row(lane), &stamps[lane]);
+                for (i, a) in row.clone().enumerate() {
+                    let valid = lane_ref.stamps[i] != 0;
+                    assert_eq!(ages.ages[a] != INVALID, valid, "step {step}: entry {i}");
+                    if valid {
+                        assert_eq!(ages.bases[a], lane_ref.bases[i], "step {step}: entry {i}");
+                    }
+                    for (j, b) in row.clone().enumerate() {
+                        if valid && lane_ref.stamps[j] != 0 {
+                            let older = ages.ages[a] > ages.ages[b];
+                            assert_eq!(older, lane_ref.stamps[i] < lane_ref.stamps[j]);
+                        }
+                    }
+                }
+                let probe = rng.below(pool) << shift;
+                let want = (0..entries)
+                    .any(|i| lane_ref.stamps[i] != 0 && lane_ref.bases[i] == probe >> shift);
+                assert_eq!(ages.peek(lane, probe), want, "step {step}: peek");
+                if step == reload_at {
+                    let mut w = ByteWriter::new();
+                    (0..lanes).for_each(|l| ages.save_lane(l, &mut w));
+                    let bytes = w.into_bytes();
+                    ages = DbrcLanes::new(lanes, entries, low_bytes);
+                    let mut r = ByteReader::new(&bytes);
+                    for l in 0..lanes {
+                        ages.load_lane(l, &mut r).expect("saved lanes load");
+                    }
+                    r.finish().expect("every byte read");
+                }
+            }
+        });
     }
 
     #[test]

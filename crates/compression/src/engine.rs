@@ -303,6 +303,7 @@ impl PersistState for CompressionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmp_common::recency::INVALID;
 
     fn engine(scheme: CompressionScheme) -> CompressionEngine {
         CompressionEngine::new(scheme, 16)
@@ -491,20 +492,17 @@ mod tests {
     }
 
     /// Snapshot bytes of a one-tile, two-entry DBRC engine whose
-    /// requests lane is spelt out by hand (`lanes` lane records of it)
-    /// and whose commands lane is cold.
-    fn forged(lanes: usize, bases: &[Option<u64>], stamps: &[u64]) -> Vec<u8> {
+    /// requests lane is spelt out by hand (`lanes` lane records of it:
+    /// each entry's age, then `bases`) and whose commands lane is cold.
+    fn forged(lanes: usize, ages: &[u8], bases: &[u64]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.usize(lanes);
         for _ in 0..lanes {
-            bases.to_vec().save(&mut w);
-            stamps.to_vec().save(&mut w);
-            w.u64(7);
+            ages.iter().for_each(|&a| w.u8(a));
+            bases.iter().for_each(|&b| w.u64(b));
         }
         w.usize(1);
-        vec![None::<u64>; 2].save(&mut w);
-        vec![0u64; 2].save(&mut w);
-        w.u64(0);
+        [INVALID; 2].iter().for_each(|&a| w.u8(a));
         for _ in 0..2 {
             vec![false].save(&mut w);
         }
@@ -533,36 +531,56 @@ mod tests {
 
     #[test]
     fn consistent_hand_written_state_loads_and_saves_back() {
-        let bytes = forged(1, &[Some(3), None], &[7, 0]);
-        let e = load(&bytes).expect("consistent state loads");
-        let mut w = ByteWriter::new();
-        e.save_state(&mut w);
-        assert_eq!(w.into_bytes(), bytes);
+        for (ages, bases) in [
+            (&[0, INVALID][..], &[3][..]),
+            (&[INVALID, 0], &[3]),
+            (&[1, 0], &[3, 9]),
+            (&[INVALID; 2], &[]),
+        ] {
+            let bytes = forged(1, ages, bases);
+            let e = load(&bytes).expect("consistent state loads");
+            let mut w = ByteWriter::new();
+            e.save_state(&mut w);
+            assert_eq!(w.into_bytes(), bytes, "{ages:?}");
+        }
     }
 
     #[test]
-    fn valid_base_with_stamp_zero_is_refused() {
-        let err = refusal(&forged(1, &[Some(3), None], &[0, 0]));
-        assert!(err.contains("validity disagrees"), "{err}");
+    fn duplicate_age_is_refused() {
+        let err = refusal(&forged(1, &[0, 0], &[3, 9]));
+        assert!(err.contains("recency order"), "{err}");
     }
 
     #[test]
-    fn invalid_base_with_nonzero_stamp_is_refused() {
-        let err = refusal(&forged(1, &[Some(3), None], &[7, 5]));
-        assert!(err.contains("validity disagrees"), "{err}");
+    fn age_at_or_past_the_valid_count_is_refused() {
+        let err = refusal(&forged(1, &[1, INVALID], &[3]));
+        assert!(err.contains("recency order"), "{err}");
+        let err = refusal(&forged(1, &[0, 2], &[3, 9]));
+        assert!(err.contains("recency order"), "{err}");
     }
 
     #[test]
-    fn lane_count_other_than_the_machines_is_refused() {
-        let err = refusal(&forged(2, &[Some(3), None], &[7, 0]));
+    fn base_on_an_entry_aged_invalid_is_refused() {
+        // An invalid entry carries no base: the stray one is read as the
+        // commands table's lane count.
+        let err = refusal(&forged(1, &[0, INVALID], &[3, 9]));
         assert!(err.contains("lane count"), "{err}");
     }
 
     #[test]
-    fn entry_count_other_than_the_machines_is_refused() {
-        let err = refusal(&forged(1, &[Some(3), None, None], &[7, 0, 0]));
-        assert!(err.contains("entry count"), "{err}");
-        let err = refusal(&forged(1, &[Some(3), None], &[7, 0, 0]));
-        assert!(err.contains("entry count"), "{err}");
+    fn lane_count_other_than_the_machines_is_refused() {
+        let err = refusal(&forged(2, &[0, INVALID], &[3]));
+        assert!(err.contains("lane count"), "{err}");
+    }
+
+    #[test]
+    fn lanes_of_another_entry_count_are_refused() {
+        // Lane bytes carry no entry count (the snapshot header's shape
+        // fingerprint covers the scheme): a lane of another size reads
+        // out of step and is refused, never loaded.
+        let err = refusal(&forged(1, &[0, INVALID, INVALID], &[3]));
+        assert!(err.contains("lane count"), "{err}");
+        let err = refusal(&forged(1, &[0], &[3]));
+        assert!(err.contains("recency order"), "{err}");
     }
 }

@@ -70,8 +70,10 @@ const MAGIC: u32 = u32::from_le_bytes(*b"TCKP");
 /// Bump on any change to the on-disk layout; a version mismatch
 /// quarantines the file rather than guessing at its layout. (1: machine
 /// digest + payload checksum + headerless state; 2: the
-/// self-checksummed [`MachineSnapshot`] encoding.)
-const VERSION: u32 = 2;
+/// self-checksummed [`MachineSnapshot`] encoding; 3: one-byte LRU ages
+/// instead of clock stamps in cache arrays and DBRC lanes, and resync
+/// windows written as held, empty until first used.)
+pub const VERSION: u32 = 3;
 
 /// Sizing and quarantine bounds of one [`DiskStore`].
 #[derive(Clone, Debug)]

@@ -142,10 +142,16 @@ pub struct ResyncStats {
 /// a [`RESYNC_WINDOW_CYCLES`]-cycle window modelling the handshake that
 /// clears the receiver mirror; the pair resumes compressed (cold) when
 /// the window closes.
+///
+/// Only fault campaigns ever open a window, so a stream's window vector
+/// stays empty until its first [`ResyncTracker::begin_resync`]: a clean
+/// run allocates none of the O(tiles²) table.
 #[derive(Clone, Debug)]
 pub struct ResyncTracker {
+    tiles: usize,
     /// `windows[stream][dest]`: cycle at which the pair's handshake
-    /// completes (0 = no handshake running).
+    /// completes (0 = no handshake running); empty until the stream's
+    /// first resync.
     windows: [Vec<Cycle>; 2],
     stats: ResyncStats,
 }
@@ -154,7 +160,8 @@ impl ResyncTracker {
     /// Tracker for one tile of a `tiles`-tile machine.
     pub fn new(tiles: usize) -> Self {
         ResyncTracker {
-            windows: [vec![0; tiles], vec![0; tiles]],
+            tiles,
+            windows: [Vec::new(), Vec::new()],
             stats: ResyncStats::default(),
         }
     }
@@ -171,7 +178,9 @@ impl ResyncTracker {
             return;
         };
         self.stats.desyncs_detected += 1;
-        self.windows[stream.index()][dest.index()] = now + RESYNC_WINDOW_CYCLES;
+        let side = &mut self.windows[stream.index()];
+        side.resize(self.tiles, 0);
+        side[dest.index()] = now + RESYNC_WINDOW_CYCLES;
     }
 
     /// Whether (`dest`, `class`) must send uncompressed at `now`.
@@ -181,7 +190,9 @@ impl ResyncTracker {
         let Some(stream) = class.compression_stream() else {
             return false;
         };
-        let w = &mut self.windows[stream.index()][dest.index()];
+        let Some(w) = self.windows[stream.index()].get_mut(dest.index()) else {
+            return false;
+        };
         if *w == 0 {
             return false;
         }
@@ -220,7 +231,8 @@ cmp_common::json_record!(ResyncStats {
     fallback_msgs,
 });
 
-/// Window vectors are sized by the tile count — machine shape, checked at
+/// Window vectors are written as held: empty until the stream's first
+/// resync, then sized by the tile count — machine shape, checked at
 /// load.
 impl cmp_common::persist::PersistState for ResyncTracker {
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
@@ -237,7 +249,7 @@ impl cmp_common::persist::PersistState for ResyncTracker {
         use cmp_common::persist::Persist;
         for side in &mut self.windows {
             let loaded: Vec<Cycle> = Persist::load(r)?;
-            if loaded.len() != side.len() {
+            if !loaded.is_empty() && loaded.len() != self.tiles {
                 return Err(r.err("resync window count does not match machine shape"));
             }
             *side = loaded;
@@ -370,6 +382,42 @@ mod tests {
         // non-compressible classes never open or consult windows
         t.begin_resync(0, TileId(3), MessageClass::ResponseData);
         assert_eq!(t.stats().desyncs_detected, 2);
+    }
+
+    #[test]
+    fn windows_are_allocated_on_first_resync_and_saved_as_held() {
+        use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistState};
+        let bytes = |t: &ResyncTracker| {
+            let mut w = ByteWriter::new();
+            t.save_state(&mut w);
+            w.into_bytes()
+        };
+        let load = |bytes: &[u8]| {
+            let mut t = ResyncTracker::new(16);
+            let mut r = ByteReader::new(bytes);
+            t.load_state(&mut r).and_then(|()| r.finish()).map(|()| t)
+        };
+        let mut t = ResyncTracker::new(16);
+        assert!(!t.in_window(5, TileId(3), MessageClass::Request));
+        t.settle(5);
+        let clean = bytes(&t);
+        assert!(
+            t.windows.iter().all(Vec::is_empty),
+            "a clean run allocates nothing"
+        );
+        t.begin_resync(10, TileId(3), MessageClass::Request);
+        assert_eq!((t.windows[0].len(), t.windows[1].len()), (16, 0));
+        assert!(clean.len() < bytes(&t).len());
+        let mut back = load(&bytes(&t)).expect("a lazily sized tracker loads");
+        assert!(back.in_window(11, TileId(3), MessageClass::Request));
+        assert_eq!(bytes(&load(&clean).expect("a clean tracker loads")), clean);
+        // a window vector of any length but 0 or the tile count is refused
+        let mut w = ByteWriter::new();
+        vec![0 as Cycle; 15].save(&mut w);
+        Vec::<Cycle>::new().save(&mut w);
+        ResyncStats::default().save(&mut w);
+        let err = load(&w.into_bytes()).expect_err("a short window vector");
+        assert!(err.to_string().contains("machine shape"), "{err}");
     }
 
     #[test]

@@ -128,18 +128,6 @@ impl WarmStart {
             WarmStart::Finished => "finished",
         }
     }
-
-    /// Parse a [`WarmStart::label`] back.
-    pub fn from_label(s: &str) -> Option<WarmStart> {
-        Some(match s {
-            "disabled" => WarmStart::Disabled,
-            "stored" => WarmStart::Stored,
-            "warmed" => WarmStart::Warmed,
-            "quarantined" => WarmStart::Quarantined,
-            "finished" => WarmStart::Finished,
-            _ => return None,
-        })
-    }
 }
 
 /// The checkpoint-store key for one cell: a fingerprint of everything

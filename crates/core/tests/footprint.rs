@@ -17,10 +17,12 @@ use cmp_common::config::{CmpConfig, DirectoryConfig};
 use cmp_common::geometry::MeshShape;
 use tcmp_core::{CmpSimulator, CompressionScheme, InterconnectChoice, SimConfig, VlWidth};
 
-/// Budget for `VmHWM` after building the machine. The codec lane tables
-/// are 2 × 1024 × 1024 lanes of 72 bytes (≈ 151 MB) of it; one boxed
-/// codec per lane put the machine at ≈ 550 MB.
-const BUDGET_MB: f64 = 320.0;
+/// Budget for `VmHWM` after building the machine (≈ 116 MB measured).
+/// The codec lane tables are 2 × 1024 × 1024 lanes of 36 bytes — four
+/// `u64` bases and four one-byte LRU ages — (≈ 75 MB) of it; `u64`
+/// clock stamps put the machine at ≈ 244 MB, and one boxed codec per
+/// lane at ≈ 550 MB.
+const BUDGET_MB: f64 = 160.0;
 
 /// Peak resident set size of this process in MB, from
 /// `/proc/self/status`.

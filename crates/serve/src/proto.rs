@@ -323,6 +323,7 @@ pub enum Response {
     Rejected(RejectReason),
     /// One status snapshot.
     StatusReport {
+        /// Cells waiting to run: queued, or parked on a twin's run.
         queued: usize,
         draining: bool,
         campaigns: Vec<CampaignStatus>,

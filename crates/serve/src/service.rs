@@ -511,15 +511,22 @@ impl Service {
     /// Submit a campaign: plan, admission-check, persist, queue.
     /// Returns the response the daemon sends back verbatim.
     pub fn submit(&self, request: CampaignRequest) -> Response {
+        self.submit_watched(request).0
+    }
+
+    /// [`Service::submit`], subscribed to the campaign before its cells
+    /// are queued, so the events include every cell's `CellStart`.
+    /// `None` when the request was refused.
+    pub fn submit_watched(&self, request: CampaignRequest) -> (Response, Option<Receiver<Event>>) {
         if self.draining.load(Ordering::SeqCst) {
-            return Response::Rejected(RejectReason::Draining);
+            return (Response::Rejected(RejectReason::Draining), None);
         }
         // Plan before anything is admitted or persisted: a request that
         // names an unknown app or a machine that does not validate is
         // refused with nothing left behind.
         let plan = match CampaignPlan::new(&request) {
             Ok(plan) => plan,
-            Err(reason) => return Response::Rejected(reason),
+            Err(reason) => return (Response::Rejected(reason), None),
         };
         let requested = plan.specs.len();
         // Admit under the lock (reserving our cells), create the
@@ -530,11 +537,12 @@ impl Service {
             let mut st = lock(&self.state);
             let queued = st.tasks.len() + st.reserved;
             if queued + requested > self.cfg.queue_bound {
-                return Response::Rejected(RejectReason::Overloaded {
+                let reason = RejectReason::Overloaded {
                     queued,
                     bound: self.cfg.queue_bound,
                     requested,
-                });
+                };
+                return (Response::Rejected(reason), None);
             }
             st.reserved += requested;
         }
@@ -542,16 +550,18 @@ impl Service {
             Ok(c) => c,
             Err(e) => {
                 lock(&self.state).reserved -= requested;
-                return Response::Rejected(RejectReason::Internal(e));
+                return (Response::Rejected(RejectReason::Internal(e)), None);
             }
         };
         lock(&self.campaigns).insert(campaign.id.clone(), Arc::clone(&campaign));
+        let live = campaign.subscribe();
         self.enqueue(&campaign, campaign.run.pending(), requested);
-        Response::Submitted {
+        let submitted = Response::Submitted {
             campaign: campaign.id.clone(),
             cells: requested,
             resumed: 0,
-        }
+        };
+        (submitted, Some(live))
     }
 
     fn create_campaign(
@@ -586,12 +596,16 @@ impl Service {
             .ok_or_else(|| RejectReason::UnknownCampaign(id.to_string()))
     }
 
-    /// One status snapshot.
+    /// One status snapshot. `queued` counts every cell waiting to run:
+    /// queued, reserved by a submission in flight, or parked on a twin's
+    /// run.
     pub fn status(&self) -> Response {
         let queued = {
             let st = lock(&self.state);
             st.tasks.len() + st.reserved
         };
+        let parked: usize = lock(&self.rows).running.values().map(Vec::len).sum();
+        let queued = queued + parked;
         let campaigns = lock(&self.campaigns)
             .values()
             .map(|c| {

@@ -642,6 +642,48 @@ fn a_cell_parked_on_a_failing_run_runs_once_that_run_fails() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A cell parked on its twin's run is still waiting to run, so the
+/// status report counts it as queued until that run settles. The
+/// starved cell of the test above keeps its first copy running for at
+/// least its 100 ms retry backoff; the second copy, submitted once the
+/// first is claimed, is claimed by the idle worker and parked.
+#[test]
+fn status_counts_a_cell_parked_on_its_twins_run() {
+    let starved = CampaignRequest {
+        figure: Figure::Fig5,
+        directory: DirectoryConfig::Sparse { dir_mshrs: 1 },
+        retries: 1,
+        ..tiny_request()
+    };
+    let root = scratch_dir("serve-parked-status");
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
+    let queued = || match handle.service().status() {
+        Response::StatusReport { queued, .. } => queued,
+        other => panic!("expected StatusReport, got {other:?}"),
+    };
+    let submit = |request| match handle.service().submit(request) {
+        Response::Submitted { campaign, .. } => campaign,
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    let first = submit(starved.clone());
+    while queued() > 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let second = submit(starved);
+    std::thread::sleep(Duration::from_millis(30));
+    let parked = queued();
+    let (_, failed, _) = handle.service().attach(&first).expect("first").progress();
+    assert_eq!(
+        failed, 0,
+        "the first copy failed before the status was taken"
+    );
+    assert_eq!(parked, 1, "the parked copy is counted");
+    assert!(handle.wait_campaign(&second, WAIT));
+    assert_eq!(queued(), 0);
+    handle.drain();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Only a cell that would produce the very row takes it: Figure 2's
 /// baseline carries coverage probes Figure 5's lacks, and a retrying
 /// policy may reseed faults, so neither takes Figure 5's row — while a

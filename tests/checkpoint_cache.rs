@@ -175,3 +175,49 @@ fn warm_point_edge_cases() {
     assert_eq!(cache.counters().resident_files, 0);
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A checkpoint written in the previous layout (version 2: `u64` clock
+/// stamps where layout 3 holds one-byte LRU ages) is never read as this
+/// one: the load quarantines it, counted, and the cell runs cold to the
+/// same bits, storing a layout-3 checkpoint in its place.
+#[test]
+fn a_layout_2_checkpoint_is_a_counted_quarantine_and_the_cell_runs_cold() {
+    use tiled_cmp::sim::checkpoint::VERSION;
+    assert_eq!(VERSION, 3);
+    let app = tiled_cmp::workloads::apps::fft();
+    let policy = RunPolicy::default();
+    let (cache, root) = scratch_store("layout-2");
+    let run = || {
+        run_supervised_cached(
+            proposal_cfg(),
+            &app,
+            SEED,
+            SCALE,
+            &policy,
+            Some((&cache, WARM)),
+        )
+        .expect("a run")
+    };
+    let (reference, _) = run();
+
+    let key = warm_key(&proposal_cfg(), &app, SEED, SCALE, WARM);
+    let file = root.join(format!("{}-{:016x}.ckpt", key.0, key.1));
+    let mut bytes = std::fs::read(&file).expect("the seeding run stored a checkpoint");
+    // The header is the magic, then the layout version.
+    assert_eq!(bytes[4..8], VERSION.to_le_bytes());
+    bytes[4..8].copy_from_slice(&2u32.to_le_bytes());
+    std::fs::write(&file, bytes).expect("stamp the checkpoint as layout 2");
+
+    let (cold, warm) = run();
+    assert_eq!(
+        warm,
+        WarmStart::Quarantined,
+        "a layout-2 file is not restored"
+    );
+    assert_eq!(fp(&cold), fp(&reference));
+    assert_eq!(cache.counters().quarantined, 1);
+    let (again, warm) = run();
+    assert_eq!(warm, WarmStart::Warmed, "the cold run stored layout 3");
+    assert_eq!(fp(&again), fp(&reference));
+    let _ = std::fs::remove_dir_all(&root);
+}

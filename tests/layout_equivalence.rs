@@ -1,6 +1,7 @@
 //! The flat hot-state stores are *layout* changes, not behaviour
-//! changes: the struct-of-arrays [`CacheArray`] must agree with a naive
-//! per-set reference model under randomized operation streams, and
+//! changes: the struct-of-arrays [`CacheArray`], with its one-byte LRU
+//! ages, must agree with a naive per-set stamp-and-clock reference model
+//! under randomized operation streams (across a checkpoint, too), and
 //! [`AddrMap`] must agree with `std::collections::HashMap` on contents
 //! while adding the determinism contract the HashMap lacks — iteration
 //! order a pure function of the operation history, preserved exactly
@@ -12,7 +13,7 @@ use std::collections::HashMap;
 
 use tiled_cmp::coherence::cache::{CacheArray, VictimSlot};
 use tiled_cmp::common::addrmap::AddrMap;
-use tiled_cmp::common::persist::{ByteReader, ByteWriter, Persist};
+use tiled_cmp::common::persist::{ByteReader, ByteWriter, Persist, PersistState};
 use tiled_cmp::common::randtest::{run_cases, usize_in};
 use tiled_cmp::common::rng::SimRng;
 use tiled_cmp::common::types::Addr;
@@ -134,7 +135,19 @@ fn cache_array_agrees_with_reference_model_under_random_ops() {
         let index_shift = (rng.index(3) * 2) as u32;
         let mut soa: CacheArray<u64> = CacheArray::new(sets, ways, index_shift);
         let mut reference = RefCache::new(sets, ways, index_shift);
-        for _ in 0..600 {
+        let reload_at = rng.index(600);
+        for step in 0..600 {
+            if step == reload_at {
+                // The LRU ages travel through a checkpoint: a fresh array
+                // loaded from the saved bytes keeps agreeing with the model.
+                let mut w = ByteWriter::new();
+                soa.save_state(&mut w);
+                let bytes = w.into_bytes();
+                soa = CacheArray::new(sets, ways, index_shift);
+                let mut r = ByteReader::new(&bytes);
+                soa.load_state(&mut r).expect("saved array loads");
+                r.finish().expect("every byte read");
+            }
             let line = pick_line(rng, index_shift);
             match rng.index(7) {
                 0 => {
