@@ -72,8 +72,9 @@ const MAGIC: u32 = u32::from_le_bytes(*b"TCKP");
 /// digest + payload checksum + headerless state; 2: the
 /// self-checksummed [`MachineSnapshot`] encoding; 3: one-byte LRU ages
 /// instead of clock stamps in cache arrays and DBRC lanes, and resync
-/// windows written as held, empty until first used.)
-pub const VERSION: u32 = 3;
+/// windows written as held, empty until first used; 4: NoC input rings
+/// written as held, flits on links included, with no link queue.)
+pub const VERSION: u32 = 4;
 
 /// Sizing and quarantine bounds of one [`DiskStore`].
 #[derive(Clone, Debug)]

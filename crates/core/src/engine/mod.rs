@@ -396,7 +396,7 @@ impl CmpSimulator {
                 l2_busy: self.l2s[t].slice.busy_lines().collect(),
                 l2_fills: self.l2s[t].slice.fill_lines().collect(),
                 l2_pending: self.l2s[t].slice.queued_requests(),
-                ni_backlog: self.noc.tile_backlog(t),
+                ni_backlog: self.noc.tile_backlog(t, self.now),
             })
             .collect();
         StateDump {
@@ -439,7 +439,7 @@ impl CmpSimulator {
                 tile: TileId::from(t),
                 core: self.tiles[t].core.describe(),
                 mshrs_in_use: self.tiles[t].l1.mshr_lines().count(),
-                ni_backlog: self.noc.tile_backlog(t),
+                ni_backlog: self.noc.tile_backlog(t, self.now),
             })
             .collect();
         SimError::NoForwardProgress {
@@ -812,7 +812,6 @@ impl CmpSimulator {
         match next {
             Some(next) => {
                 self.now = next;
-                self.noc.advance_clock(next);
                 Ok(true)
             }
             None => {

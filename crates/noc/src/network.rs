@@ -137,22 +137,10 @@ impl<P> Noc<P> {
         self.release_held(now);
         for subnet in &mut self.subnets {
             if !subnet.has_work(now) {
-                subnet.set_clock(now);
                 continue;
             }
             subnet.tick(now);
             subnet.drain_delivered_into(out);
-        }
-    }
-
-    /// The caller's clock jumps to `next` without ticking the cycles in
-    /// between (the idle fast-forward, trusting
-    /// [`Noc::next_event_cycle`]). Flits that arrive in the skipped
-    /// cycles are buffered from then on — which a checkpoint taken
-    /// before the next tick must know.
-    pub fn advance_clock(&mut self, next: Cycle) {
-        for subnet in &mut self.subnets {
-            subnet.set_clock(next.saturating_sub(1));
         }
     }
 
@@ -192,12 +180,12 @@ impl<P> Noc<P> {
         (next != Cycle::MAX).then_some(next)
     }
 
-    /// Per-tile congestion snapshot summed over sub-networks:
-    /// `(messages queued at the NI, flits buffered in the router)`.
+    /// Per-tile congestion snapshot at `now` summed over sub-networks:
+    /// `(messages queued at the NI, flits arrived in the router)`.
     /// Read-only; used for deadlock/violation dumps.
-    pub fn tile_backlog(&self, tile: usize) -> (usize, u32) {
+    pub fn tile_backlog(&self, tile: usize, now: Cycle) -> (usize, u32) {
         self.subnets.iter().fold((0, 0), |(q, f), s| {
-            (q + s.inj_queue_depth(tile), f + s.buffered_flits(tile))
+            (q + s.inj_queue_depth(tile), f + s.buffered_flits(tile, now))
         })
     }
 

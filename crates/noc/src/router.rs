@@ -39,11 +39,10 @@
 //! [`Port::ovc_free`] in step with the owners) and credits
 //! ([`RouterArray::spend_credit`] / [`RouterArray::add_credit`]).
 
-use cmp_common::geometry::Direction;
 use cmp_common::types::Cycle;
 
 /// Router ports: the four mesh directions plus the local inject/eject
-/// port. Indexed by [`Direction::index`].
+/// port. Indexed by [`Direction::index`](cmp_common::geometry::Direction::index).
 pub const PORTS: usize = 5;
 
 /// Index of the local port.
@@ -58,9 +57,6 @@ pub const NO_OUT: u8 = u8::MAX;
 /// [`OutVc::credits`] of an ejection (local-port) output VC: the network
 /// interface always drains, so its pool is never spent.
 pub const EJECT_CREDITS: u16 = u16::MAX;
-
-/// The checkpoint form of [`EJECT_CREDITS`].
-const EJECT_CREDITS_SAVED: usize = usize::MAX / 2;
 
 /// One flit. `msg` indexes the sub-network's in-flight message slab;
 /// `dst` and `bytes` are copied from that message at injection, so
@@ -316,7 +312,7 @@ impl RouterArray {
     }
 }
 
-use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError};
+use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError, PersistState};
 
 /// A flit's checkpoint form is `(msg, seq, tail)`: `dst` and `bytes` are
 /// copies of its message's fields, so they load as zero and the owning
@@ -340,93 +336,92 @@ impl Persist for Flit {
 
 cmp_common::impl_persist!(BufferedFlit { flit, arrived });
 
-/// Geometry (tiles × ports × VCs × depth) is configuration; the queues,
+/// Geometry (tiles × ports × VCs × depth) is configuration; the rings,
 /// the per-message wormhole state, ownership, credits and round-robin
-/// pointers are checkpointed, field by field in a byte form independent
-/// of the in-memory records. Queues are encoded front-to-back, so the
-/// restored ring layout (`head = 0`) is behaviourally identical even
-/// when the captured ring was mid-wrap. The stored VC count doubles as
-/// a shape check — a checkpoint from a differently-shaped network
-/// refuses to load — and every stored index or count is range-checked.
-impl RouterArray {
-    /// Save the router state as of `clock`: each VC's queue holds only
-    /// the flits that have arrived by then — those still on a link are
-    /// the owning sub-network's to write (see `SubNet::save_state`).
-    pub fn save_arrived(&self, w: &mut ByteWriter, clock: Cycle) {
+/// pointers are checkpointed as held. After the VC count (a shape check:
+/// a checkpoint from a differently-shaped network refuses to load), each
+/// input VC writes its ring front-to-back — `len: u8`, then each
+/// buffered flit with its stamp, flits still on a link included — then
+/// `route: u8`, `out_vc: u8`, the owner and `credits: u16` of the output
+/// VC with the same index; then each port's `rr: u32`. The restored ring
+/// starts at `head = 0`, which is behaviourally identical to a captured
+/// ring that was mid-wrap. A load refuses any value no run produces: a
+/// ring longer than its buffer or whose stamps decrease, an index out of
+/// range, link credits above the depth, an ejection pool other than
+/// [`EJECT_CREDITS`]. `ovc_free` is re-derived from the owners.
+impl PersistState for RouterArray {
+    fn save_state(&self, w: &mut ByteWriter) {
         w.usize(self.inputs.len());
         for (f, (vc, out)) in self.inputs.iter().zip(&self.outputs).enumerate() {
-            let arrived = self.arrived_len(f, clock);
-            w.usize(arrived);
-            for bf in self.flits(f).take(arrived) {
+            w.u8(vc.len);
+            for bf in self.flits(f) {
                 bf.save(w);
             }
-            // the route's byte form is an `Option<Direction>`
-            let route = (vc.route != NO_ROUTE).then(|| Direction::ALL[vc.route as usize]);
-            route.save(w);
+            w.u8(vc.route);
             w.u8(vc.out_vc);
             out.owner.save(w);
-            w.usize(match out.credits {
-                EJECT_CREDITS => EJECT_CREDITS_SAVED,
-                credits => credits as usize,
-            });
+            w.u16(out.credits);
         }
-        // the round-robin pointers' byte form is a `Vec<u32>`
-        w.usize(self.ports.len());
         for port in &self.ports {
             w.u32(port.rr);
         }
     }
 
-    /// Load what [`RouterArray::save_arrived`] wrote (flits still on a
-    /// link are pushed afterwards by the owner).
-    pub fn load_arrived(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
-        let n = r.usize()?;
-        if n != self.inputs.len() {
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+        if r.usize()? != self.inputs.len() {
             return Err(r.err("router VC count does not match machine shape"));
         }
-        for f in 0..n {
-            let occ = r.usize()?;
-            if occ > self.depth {
-                return Err(r.err("input VC occupancy exceeds buffer capacity"));
+        for f in 0..self.inputs.len() {
+            let len = r.u8()?;
+            if len as usize > self.depth {
+                return Err(r.err("input VC ring longer than its buffer"));
             }
-            for i in 0..occ {
-                self.buf[f * self.depth + i] = Persist::load(r)?;
+            let mut stamp = 0;
+            for slot in &mut self.buf[f * self.depth..][..len as usize] {
+                *slot = Persist::load(r)?;
+                // `arrived_len` takes the arrived flits to be a prefix
+                if slot.arrived < stamp {
+                    return Err(r.err("input VC ring stamps decrease"));
+                }
+                stamp = slot.arrived;
             }
-            let route: Option<Direction> = Persist::load(r)?;
-            // `out_vc`, `owner` and `credits` steer indexing and the
-            // credit protocol: a value no run could have produced must
-            // be refused here, not trusted there.
+            // the route, `out_vc`, `owner` and `credits` steer indexing
+            // and the credit protocol: a value no run could have
+            // produced must be refused here, not trusted there
+            let route = r.u8()?;
+            if route != NO_ROUTE && route as usize >= PORTS {
+                return Err(r.err("cached route out of range"));
+            }
             let out_vc = r.u8()?;
             if out_vc != NO_OUT && out_vc as usize >= self.nvc {
                 return Err(r.err("allocated output VC out of range"));
             }
             self.inputs[f] = InVc {
                 head: 0,
-                len: occ as u8,
-                route: route.map_or(NO_ROUTE, |d| d.index() as u8),
+                len,
+                route,
                 out_vc,
             };
             let owner: Option<(u8, u8)> = Persist::load(r)?;
             if owner.is_some_and(|(p, v)| p as usize >= PORTS || v as usize >= self.nvc) {
                 return Err(r.err("output VC owner out of range"));
             }
-            let credits = match (r.usize()?, (f / self.nvc) % PORTS == LOCAL) {
-                (EJECT_CREDITS_SAVED, true) => EJECT_CREDITS,
-                (_, true) => return Err(r.err("ejection credit count out of range")),
-                (c, false) if c <= self.depth => c as u16,
-                (_, false) => return Err(r.err("link-port credit count out of range")),
-            };
+            let credits = r.u16()?;
+            if (f / self.nvc) % PORTS == LOCAL {
+                if credits != EJECT_CREDITS {
+                    return Err(r.err("ejection credit count out of range"));
+                }
+            } else if credits as usize > self.depth {
+                return Err(r.err("link-port credit count out of range"));
+            }
             self.outputs[f] = OutVc { owner, credits };
         }
-        let rr: Vec<u32> = Persist::load(r)?;
-        if rr.len() != self.ports.len() {
-            return Err(r.err("round-robin pointer count does not match machine shape"));
-        }
-        if rr.iter().any(|&p| p as usize >= PORTS * self.nvc) {
-            return Err(r.err("round-robin pointer out of range"));
-        }
         let nvc = self.nvc;
-        for (group, (port, rr)) in self.ports.iter_mut().zip(rr).enumerate() {
+        for (group, port) in self.ports.iter_mut().enumerate() {
+            let rr = r.u32()?;
+            if rr as usize >= PORTS * nvc {
+                return Err(r.err("round-robin pointer out of range"));
+            }
             let owners = &self.outputs[group * nvc..(group + 1) * nvc];
             *port = Port {
                 ovc_free: owners
@@ -446,6 +441,8 @@ mod tests {
     use super::*;
     use std::collections::VecDeque;
 
+    use cmp_common::geometry::Direction;
+
     use cmp_common::randtest::{run_cases, usize_in};
     use cmp_common::rng::SimRng;
 
@@ -459,23 +456,14 @@ mod tests {
         }
     }
 
-    /// Save every flit (none is still on a link) and load into a fresh
-    /// array of the same geometry.
+    /// Save `r` and load it into `fresh` (an array of the same
+    /// geometry, or one whose rings have moved on).
     fn round_trip(r: &RouterArray, fresh: &mut RouterArray) -> Result<(), PersistError> {
-        round_trip_at(r, fresh, Cycle::MAX)
-    }
-
-    /// Save the flits arrived by `clock` and load into `fresh`.
-    fn round_trip_at(
-        r: &RouterArray,
-        fresh: &mut RouterArray,
-        clock: Cycle,
-    ) -> Result<(), PersistError> {
         let mut w = ByteWriter::new();
-        r.save_arrived(&mut w, clock);
+        r.save_state(&mut w);
         let bytes = w.into_bytes();
         let mut rd = ByteReader::new(&bytes);
-        fresh.load_arrived(&mut rd)?;
+        fresh.load_state(&mut rd)?;
         rd.finish()
     }
 
@@ -609,18 +597,6 @@ mod tests {
         assert!(round_trip(&r, &mut wrong).is_err());
     }
 
-    #[test]
-    fn flits_on_the_link_are_left_out_of_the_saved_queues() {
-        let mut r = RouterArray::new(1, 1, 4);
-        let f = r.vc_index(0, 1, 0);
-        r.push(f, flit(2, 0, false), 10);
-        r.push(f, flit(2, 1, true), 12);
-        let mut fresh = RouterArray::new(1, 1, 4);
-        round_trip_at(&r, &mut fresh, 11).expect("load");
-        let stamps: Vec<Cycle> = fresh.flits(f).map(|bf| bf.arrived).collect();
-        assert_eq!(stamps, [10]);
-    }
-
     /// Save `patched` (a valid router array with one field set to a
     /// value no run produces) and load it into a fresh array of the same
     /// geometry: the error message, never a panic.
@@ -637,6 +613,15 @@ mod tests {
         r.inputs[f].out_vc = 2; // only VCs 0 and 1 exist
         let err = load_error(&r);
         assert!(err.contains("output VC out of range"), "{err}");
+    }
+
+    #[test]
+    fn out_of_range_route_is_refused() {
+        let mut r = RouterArray::new(2, 2, 3);
+        let f = r.vc_index(0, 2, 0);
+        r.inputs[f].route = PORTS as u8; // ports 0..=4, or no route
+        let err = load_error(&r);
+        assert!(err.contains("cached route out of range"), "{err}");
     }
 
     #[test]
@@ -687,7 +672,7 @@ mod tests {
         route: Vec<Option<usize>>,
         out_vc: Vec<Option<usize>>,
         owner: Vec<Option<(usize, usize)>>,
-        /// `usize::MAX / 2` on the ejection port.
+        /// [`EJECT_CREDITS`] on the ejection port.
         credits: Vec<usize>,
         rr: Vec<usize>,
     }
@@ -704,7 +689,13 @@ mod tests {
                 out_vc: vec![None; vcs],
                 owner: vec![None; vcs],
                 credits: (0..vcs)
-                    .map(|f| if eject(f) { usize::MAX / 2 } else { depth })
+                    .map(|f| {
+                        if eject(f) {
+                            EJECT_CREDITS as usize
+                        } else {
+                            depth
+                        }
+                    })
                     .collect(),
                 rr: vec![0; tiles * PORTS],
             }
@@ -720,13 +711,11 @@ mod tests {
             (f / self.nvc) % PORTS != LOCAL
         }
 
-        /// The state a checkpoint taken at `clock` restores: each queue
-        /// cut to its arrived prefix, flits without the fields their
-        /// message supplies.
-        fn as_saved(&self, clock: Cycle) -> Model {
+        /// The state a checkpoint restores: every queue whole, its flits
+        /// without the fields their message supplies.
+        fn as_saved(&self) -> Model {
             let mut m = self.clone();
             for q in &mut m.queues {
-                q.retain(|bf| bf.arrived <= clock);
                 for bf in q {
                     bf.flit.dst = 0;
                     bf.flit.bytes = 0;
@@ -759,11 +748,10 @@ mod tests {
             );
             let owner = out.owner.map(|(p, v)| (p as usize, v as usize));
             assert_eq!(owner, m.owner[f], "{ctx}: owner of VC {f}");
-            let credits = match out.credits {
-                EJECT_CREDITS => usize::MAX / 2,
-                c => c as usize,
-            };
-            assert_eq!(credits, m.credits[f], "{ctx}: credits of VC {f}");
+            assert_eq!(
+                out.credits as usize, m.credits[f],
+                "{ctx}: credits of VC {f}"
+            );
         }
         for (group, port) in r.ports.iter().enumerate() {
             assert_eq!(
@@ -878,13 +866,8 @@ mod tests {
                 } else {
                     r.clone()
                 };
-                round_trip_at(&r, &mut loaded, clock).expect("a reachable state loads");
-                assert_agrees(
-                    &loaded,
-                    &m.as_saved(clock),
-                    clock,
-                    &format!("{ctx}, reloaded"),
-                );
+                round_trip(&r, &mut loaded).expect("a reachable state loads");
+                assert_agrees(&loaded, &m.as_saved(), clock, &format!("{ctx}, reloaded"));
             }
         });
     }

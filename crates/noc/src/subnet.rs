@@ -26,9 +26,9 @@
 //! interface injection, (b) arming the VCs whose head matures now, (c)
 //! switch allocation and traversal, link included.
 //!
-//! Checkpoints keep the byte form of the link queue this replaced (see
-//! the [`PersistState`] impl): a flit stamped after `clock` — the last
-//! cycle the caller's clock has passed — is written as a wire flit.
+//! Checkpoints write the rings as held, flits still on a link included
+//! (see the [`PersistState`] impl), so the bytes do not depend on the
+//! caller's clock.
 
 use std::collections::VecDeque;
 
@@ -100,11 +100,6 @@ pub struct SubNet<P> {
     /// Input buffers, which double as the links' delay lines: a flit
     /// stamped after the current cycle is still on its link.
     routers: RouterArray,
-    /// The cycle before the caller's next one: flits stamped after it
-    /// are on a link. Set by [`SubNet::tick`] and by
-    /// [`SubNet::set_clock`] (for a skipped cycle, or the caller's
-    /// fast-forward); read only by checkpoints and diagnostics.
-    clock: Cycle,
     // --- hot-path caches derived from `mesh` (configuration, never
     // persisted) ---
     /// Row-major (x, y) of every tile: `MeshShape::coord` without the
@@ -235,7 +230,6 @@ impl<P> SubNet<P> {
             pipeline_wait: pipeline_cycles - 1,
             link_cycles,
             routers: RouterArray::new(tiles, spec.virtual_channels, spec.vc_buffer_flits),
-            clock: 0,
             coords,
             neighbors,
             flat_port,
@@ -272,13 +266,6 @@ impl<P> SubNet<P> {
     /// Link traversal latency in cycles.
     pub fn link_cycles(&self) -> Cycle {
         self.link_cycles
-    }
-
-    /// Record that the caller's clock has passed `clock` without a
-    /// [`SubNet::tick`] (nothing was due): checkpoints from here on
-    /// count a flit stamped at or before it as arrived.
-    pub(crate) fn set_clock(&mut self, clock: Cycle) {
-        self.clock = clock;
     }
 
     /// Queue a message for injection at its source tile.
@@ -432,7 +419,6 @@ impl<P> SubNet<P> {
     // ~2.5 % slower (interleaved pairs, 10 of 11 and 6 of 6).
     #[inline(never)]
     pub fn tick(&mut self, now: Cycle) {
-        self.clock = now;
         if !self.eligibility_fresh {
             self.rebuild_eligibility(now);
         }
@@ -842,12 +828,12 @@ impl<P> SubNet<P> {
         self.inj_queues[tile].len() + usize::from(self.inj_progress[tile].is_some())
     }
 
-    /// Flits buffered in `tile`'s router — arrived, not on a link
-    /// (diagnostic snapshot; walks the tile's buffers).
-    pub fn buffered_flits(&self, tile: usize) -> u32 {
+    /// Flits buffered in `tile`'s router at `now` — arrived, not on a
+    /// link (diagnostic snapshot; walks the tile's buffers).
+    pub fn buffered_flits(&self, tile: usize, now: Cycle) -> u32 {
         let base = self.routers.vc_index(tile, 0, 0);
         (base..base + PORTS * self.spec.virtual_channels)
-            .map(|f| self.routers.arrived_len(f, self.clock) as u32)
+            .map(|f| self.routers.arrived_len(f, now) as u32)
             .sum()
     }
 
@@ -897,66 +883,16 @@ impl<P: Persist> Persist for InFlight<P> {
 
 cmp_common::impl_persist!(InjProgress { slot, vc, next_seq });
 
-/// A flit on a link in the checkpoint's byte form: `(flit, arrival,
-/// dst_tile, dst_port, vc)` — the record of the link queue the buffers
-/// replaced.
-fn save_wire_flit(
-    w: &mut ByteWriter,
-    flit: &Flit,
-    arrival: Cycle,
-    (tile, port, vc): (usize, usize, usize),
-) {
-    flit.save(w);
-    w.u64(arrival);
-    w.usize(tile);
-    w.usize(port);
-    w.usize(vc);
-}
-
 /// Spec, mesh and derived timing are configuration; everything that moves
-/// — router buffers, flits on links, injection queues, the in-flight slab
-/// and the accumulators — is checkpointed. Per-tile vectors load through
-/// the slice helpers, so bytes from a different mesh shape are a
-/// structured error, never a silently resized machine; stored tile, port,
-/// VC and slab indices are range-checked for the same reason, and the
-/// counts, stamps and credits must agree with each other as in any run.
-///
-/// The byte form is that of the link queue the buffers replaced: router
-/// queues hold the flits stamped at or before `clock`, followed by
-/// per-tile buffered counts, occupancy bitmaps and the flits still on a
-/// link as wire flits in that queue's order — by arrival, then sending
-/// tile, then output port, which is the order one grant per output and
-/// ascending router visits pushed them in.
+/// — router rings (flits on links included), injection queues, the
+/// in-flight slab and the accumulators — is checkpointed. Per-tile vectors
+/// load through the slice helpers, so bytes from a different mesh shape
+/// are a structured error, never a silently resized machine; stored VC and
+/// slab indices are range-checked for the same reason, and credits and
+/// counters must agree with the state they count, as in any run.
 impl<P: Persist> PersistState for SubNet<P> {
     fn save_state(&self, w: &mut ByteWriter) {
-        let tiles = self.mesh.tiles();
-        let nvc = self.spec.virtual_channels;
-        self.routers.save_arrived(w, self.clock);
-        let mut flits_buffered = vec![0u32; tiles];
-        let mut vc_occupied = vec![0u32; tiles];
-        // (arrival, sending tile, output port, flit, (tile, port, vc))
-        let mut wire = Vec::new();
-        for tile in 0..tiles {
-            for fvc in 0..PORTS * nvc {
-                let f = self.routers.vc_index(tile, 0, 0) + fvc;
-                let arrived = self.routers.arrived_len(f, self.clock);
-                flits_buffered[tile] += arrived as u32;
-                vc_occupied[tile] |= u32::from(arrived > 0) << fvc;
-                let port = self.flat_port[fvc] as usize;
-                for bf in self.routers.flits(f).skip(arrived) {
-                    let from = self.neighbors[tile][port];
-                    let dst = (tile, port, fvc - port * nvc);
-                    wire.push((bf.arrived, from, OPPOSITE[port], bf.flit, dst));
-                }
-            }
-        }
-        wire.sort_unstable_by_key(|&(arrival, from, out, ..)| (arrival, from, out));
-        flits_buffered.save(w);
-        vc_occupied.save(w);
-        w.usize(wire.len());
-        for (arrival, _, _, flit, dst) in &wire {
-            save_wire_flit(w, flit, *arrival, *dst);
-        }
+        self.routers.save_state(w);
         w.u64(self.inj_queues.len() as u64);
         for q in &self.inj_queues {
             q.save(w);
@@ -969,72 +905,13 @@ impl<P: Persist> PersistState for SubNet<P> {
         self.delivered.save(w);
         self.energy.save(w);
         self.stats.save_state(w);
-        w.u64(flits_buffered.iter().map(|&n| n as u64).sum());
         self.inject_pending.save(w);
     }
 
     fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
         let tiles = self.mesh.tiles();
         let nvc = self.spec.virtual_channels;
-        let vcs = tiles * PORTS * nvc;
-        self.routers.load_arrived(r)?;
-        let flits_buffered: Vec<u32> = Persist::load(r)?;
-        if flits_buffered.len() != tiles {
-            return Err(r.err("per-tile flit counts do not match machine shape"));
-        }
-        let vc_occupied: Vec<u32> = Persist::load(r)?;
-        if vc_occupied.len() != tiles {
-            return Err(r.err("VC occupancy bitmap count does not match machine shape"));
-        }
-        // The occupancy bitmap and per-tile counts must describe the
-        // rings just loaded, exactly.
-        for tile in 0..tiles {
-            let base_tile = self.routers.vc_index(tile, 0, 0);
-            let (mut occupied, mut buffered) = (0u32, 0usize);
-            for fvc in 0..PORTS * nvc {
-                let len = self.routers.inputs[base_tile + fvc].len as usize;
-                occupied |= u32::from(len > 0) << fvc;
-                buffered += len;
-            }
-            if vc_occupied[tile] != occupied {
-                return Err(r.err("VC occupancy bitmap disagrees with buffered flits"));
-            }
-            if flits_buffered[tile] as usize != buffered {
-                return Err(r.err("per-tile flit count disagrees with buffered flits"));
-            }
-        }
-        // Flits on links go back into the buffers they are bound for,
-        // in arrival order, after every flit that has arrived.
-        let last_arrived = (0..vcs)
-            .flat_map(|f| self.routers.flits(f))
-            .map(|bf| bf.arrived)
-            .max();
-        let in_flight = r.len_prefix()?;
-        let mut first_in_flight = None;
-        // no flit comes off a link before cycle 1
-        let mut prev_arrival = 1;
-        for _ in 0..in_flight {
-            let flit = Flit::load(r)?;
-            let arrival = r.u64()?;
-            let (tile, port, vc) = (r.usize()?, r.usize()?, r.usize()?);
-            if tile >= tiles || port >= LOCAL || vc >= nvc {
-                return Err(r.err("wire flit destination out of range"));
-            }
-            if arrival < prev_arrival {
-                return Err(r.err("wire flits out of arrival order"));
-            }
-            if last_arrived.is_some_and(|a| a >= arrival) {
-                return Err(r.err("buffered flit stamped after an in-flight one"));
-            }
-            prev_arrival = arrival;
-            first_in_flight.get_or_insert(arrival);
-            let f = self.routers.vc_index(tile, port, vc);
-            if !self.routers.has_space(f) {
-                return Err(r.err("wire flits overflow their input VC buffer"));
-            }
-            self.routers.push(f, flit, arrival);
-        }
-        self.clock = first_in_flight.map_or(Cycle::MAX, |a| a - 1);
+        self.routers.load_state(r)?;
         let nq = r.len_prefix()?;
         if nq != tiles {
             return Err(r.err("injection queue count does not match machine shape"));
@@ -1061,13 +938,9 @@ impl<P: Persist> PersistState for SubNet<P> {
         self.delivered = Persist::load(r)?;
         self.energy = Persist::load(r)?;
         self.stats.load_state(r)?;
-        let buffered_total = r.u64()?;
         self.inject_pending = Persist::load(r)?;
         // Cross-checks mirroring the tick()-time invariants: corrupt
         // state must surface here, not as a panic or a wedged run.
-        if buffered_total != flits_buffered.iter().map(|&n| n as u64).sum::<u64>() {
-            return Err(r.err("buffered-flit total disagrees with per-tile counts"));
-        }
         if self.inject_pending
             != self.inj_queues.iter().map(|q| q.len()).sum::<usize>()
                 + self.inj_progress.iter().filter(|p| p.is_some()).count()
@@ -1078,7 +951,7 @@ impl<P: Persist> PersistState for SubNet<P> {
         // Every held flit names a live message and a flit position in
         // it; take its route inputs from there.
         let width = self.spec.channel.width_bytes;
-        for f in 0..vcs {
+        for f in 0..tiles * PORTS * nvc {
             for bf in self.routers.flits_mut(f) {
                 let (seq, tail) = (bf.flit.seq, bf.flit.tail);
                 let named = self
@@ -1601,8 +1474,6 @@ mod tests {
                 if skip.has_work(now) {
                     skip.tick(now);
                     ticks += 1;
-                } else {
-                    skip.set_clock(now);
                 }
                 log(&mut skip, &mut skip_log);
                 let injects = schedule.get(next).map(|&(at, _)| at);
@@ -1622,50 +1493,73 @@ mod tests {
 
     #[test]
     fn mid_flight_checkpoint_resumes_bit_identically() {
-        let mesh = MeshShape::square(4);
-        let mut net = subnet(b_spec(34), mesh);
-        let mut rng = cmp_common::rng::SimRng::new(99);
-        // Load the network up and advance into the thick of it.
-        for now in 0..40u64 {
-            for src in 0..16usize {
-                if rng.chance(0.4) {
-                    let dst = (src + 1 + rng.index(15)) % 16;
-                    net.inject(now, msg(src, dst, 67));
+        // 1- to 3-stage routers on 2-cycle B links and 1-cycle VL links
+        for (base, link) in [(b_spec(34), 2), (vl_spec(), 1)] {
+            for pipeline in 1..=3 {
+                let spec = ChannelSpec {
+                    router_pipeline_cycles: pipeline,
+                    ..base
+                };
+                let ctx = format!("{:?} link {link}, pipeline {pipeline}", spec.kind);
+                let mesh = MeshShape::square(4);
+                let mut net = subnet(spec, mesh);
+                assert_eq!(net.link_cycles(), link, "{ctx}");
+                let mut rng = cmp_common::rng::SimRng::new(99);
+                // Load the network up and advance into the thick of it.
+                for now in 0..40u64 {
+                    for src in 0..16usize {
+                        if rng.chance(0.4) {
+                            let dst = (src + 1 + rng.index(15)) % 16;
+                            net.inject(now, msg(src, dst, 67));
+                        }
+                    }
+                    net.tick(now);
                 }
+                assert!(
+                    !net.is_idle() && on_links(&net, 39) > 0,
+                    "{ctx}: checkpoint must capture flits on links"
+                );
+                let bytes = saved(&net);
+                let mut resumed: SubNet<u64> = subnet(spec, mesh);
+                let mut r = ByteReader::new(&bytes);
+                resumed.load_state(&mut r).expect("load");
+                r.finish().expect("no trailing bytes");
+                assert_eq!(
+                    saved(&resumed),
+                    bytes,
+                    "{ctx}: a restore re-encodes to its bytes"
+                );
+                // Both copies must now produce the same deliveries at the
+                // same cycles, down to the drained payloads.
+                let drain = |n: &mut SubNet<u64>| {
+                    let mut log = Vec::new();
+                    for now in 40..100_000u64 {
+                        n.tick(now);
+                        for d in n.drain_delivered() {
+                            log.push((
+                                d.message.src,
+                                d.message.dst,
+                                d.message.payload,
+                                d.delivered_at,
+                            ));
+                        }
+                        if n.is_idle() {
+                            break;
+                        }
+                    }
+                    log
+                };
+                let (a, b) = (drain(&mut net), drain(&mut resumed));
+                assert!(!a.is_empty(), "{ctx}");
+                assert_eq!(a, b, "{ctx}");
+                assert_eq!(
+                    net.stats().delivered(),
+                    resumed.stats().delivered(),
+                    "{ctx}"
+                );
+                assert_eq!(saved(&resumed), saved(&net), "{ctx}: drained alike");
             }
-            net.tick(now);
         }
-        assert!(!net.is_idle(), "checkpoint must capture in-flight traffic");
-        let bytes = saved(&net);
-        let mut resumed: SubNet<u64> = subnet(b_spec(34), mesh);
-        let mut r = ByteReader::new(&bytes);
-        resumed.load_state(&mut r).expect("load");
-        r.finish().expect("no trailing bytes");
-        assert_eq!(saved(&resumed), bytes, "a restore re-encodes to its bytes");
-        // Both copies must now produce the same deliveries at the same
-        // cycles, down to the drained payloads.
-        let drain = |n: &mut SubNet<u64>| {
-            let mut log = Vec::new();
-            for now in 40..100_000u64 {
-                n.tick(now);
-                for d in n.drain_delivered() {
-                    log.push((
-                        d.message.src,
-                        d.message.dst,
-                        d.message.payload,
-                        d.delivered_at,
-                    ));
-                }
-                if n.is_idle() {
-                    break;
-                }
-            }
-            log
-        };
-        let (a, b) = (drain(&mut net), drain(&mut resumed));
-        assert!(!a.is_empty());
-        assert_eq!(a, b);
-        assert_eq!(net.stats().delivered(), resumed.stats().delivered());
     }
 
     #[test]
@@ -1693,12 +1587,15 @@ mod tests {
     /// Input VCs of the 4×4 test networks.
     const VCS: usize = 16 * PORTS * 4;
 
-    /// Flits of `net` stamped after its clock: on a link.
-    fn on_links(net: &SubNet<u64>) -> usize {
+    /// Flits of `net` stamped after `now`: on a link.
+    fn on_links(net: &SubNet<u64>, now: Cycle) -> usize {
         (0..VCS)
-            .map(|f| net.routers.inputs[f].len as usize - net.routers.arrived_len(f, net.clock))
+            .map(|f| net.routers.inputs[f].len as usize - net.routers.arrived_len(f, now))
             .sum()
     }
+
+    /// The last cycle [`mid_burst_net`] ticks.
+    const MID_BURST: Cycle = 6;
 
     /// A network caught mid-burst: flits on links, in buffers and
     /// mid-injection, so every checkpointed field is populated.
@@ -1711,19 +1608,20 @@ mod tests {
         }
         // Eight flits per tile, seven cycles: the last two-flit message
         // of every tile is half injected.
-        for now in 0..7 {
+        for now in 0..=MID_BURST {
             net.tick(now);
         }
-        assert!(on_links(&net) > 0 && (0..16).any(|t| net.buffered_flits(t) > 0));
+        assert!(on_links(&net, MID_BURST) > 0);
+        assert!((0..16).any(|t| net.buffered_flits(t, MID_BURST) > 0));
         assert!(net.inj_progress.iter().any(|p| p.is_some()));
         net
     }
 
-    /// Load `bytes` (a valid mid-burst state with one field set to a
-    /// value no run produces) into a fresh network: the error message,
+    /// Load `bytes` (a valid state with one field set to a value no run
+    /// produces) into a fresh network of `spec`: the error message,
     /// never a panic.
-    fn bytes_error(bytes: &[u8]) -> String {
-        subnet(b_spec(34), MeshShape::square(4))
+    fn bytes_error(spec: ChannelSpec, bytes: &[u8]) -> String {
+        subnet(spec, MeshShape::square(4))
             .load_state(&mut ByteReader::new(bytes))
             .expect_err("a state no run produces must be refused")
             .to_string()
@@ -1731,95 +1629,46 @@ mod tests {
 
     /// [`bytes_error`] of `patched`'s saved state.
     fn load_error(patched: &SubNet<u64>) -> String {
-        bytes_error(&saved(patched))
+        bytes_error(patched.spec, &saved(patched))
     }
 
-    /// Byte offsets of the fields after the router queues in
-    /// [`mid_burst_net`]'s saved state: the per-tile buffered counts and
-    /// occupancy bitmaps (first value of each), and the first wire flit.
-    struct Layout {
-        flits_buffered: usize,
-        vc_occupied: usize,
-        wire: usize,
-    }
+    /// Bytes of a saved flit: msg u32, seq u32, tail u8, stamp u64.
+    const FLIT_BYTES: usize = 17;
 
-    fn layout(net: &SubNet<u64>) -> Layout {
-        let mut w = ByteWriter::new();
-        net.routers.save_arrived(&mut w, net.clock);
-        let flits_buffered = w.len() + 8; // past the length prefix
-        let vc_occupied = flits_buffered + 4 * 16 + 8;
-        Layout {
-            flits_buffered,
-            vc_occupied,
-            wire: vc_occupied + 4 * 16 + 8,
-        }
-    }
-
-    /// Wire flit record: msg u32, seq u32, tail u8, arrival u64, then
-    /// tile, port and VC as u64s.
-    const WIRE_ARRIVAL: usize = 9;
-    const WIRE_TILE: usize = 17;
-    const WIRE_PORT: usize = 25;
-    const WIRE_VC: usize = 33;
-
-    fn put_u64(bytes: &mut [u8], at: usize, v: u64) {
-        bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
-    }
-
-    fn get_u32(bytes: &[u8], at: usize) -> u32 {
-        u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"))
-    }
-
-    fn put_u32(bytes: &mut [u8], at: usize, v: u32) {
-        bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    /// Byte offset of input VC `f`'s record in `net`'s saved state: past
+    /// the VC count and every record before it — ring length, flits,
+    /// route, output VC, owner (a tag, plus two bytes when owned) and
+    /// `u16` credits.
+    fn vc_record_at(net: &SubNet<u64>, f: usize) -> usize {
+        let record = |g: usize| {
+            let owner = if net.routers.outputs[g].owner.is_some() {
+                3
+            } else {
+                1
+            };
+            1 + FLIT_BYTES * net.routers.inputs[g].len as usize + 2 + owner + 2
+        };
+        8 + (0..f).map(record).sum::<usize>()
     }
 
     #[test]
-    fn saved_bytes_keep_the_link_queue_form() {
-        // the wire's length prefix counts the flits on links, and every
-        // one of them reloads into the ring it is bound for
+    fn saved_rings_hold_every_flit_as_stamped() {
+        // a ring is written whole, flits on the link included, and a
+        // load gives back each flit's stamp
         let net = mid_burst_net();
+        let f = (0..VCS)
+            .find(|&f| net.routers.arrived_len(f, MID_BURST) < net.routers.inputs[f].len as usize)
+            .expect("a flit on a link");
         let bytes = saved(&net);
-        let wire_len = u64::from_le_bytes(bytes[layout(&net).wire - 8..][..8].try_into().unwrap());
-        assert_eq!(wire_len as usize, on_links(&net));
+        let at = vc_record_at(&net, f);
+        assert_eq!(bytes[at], net.routers.inputs[f].len);
         let mut resumed = subnet(b_spec(34), MeshShape::square(4));
         resumed
             .load_state(&mut ByteReader::new(&bytes))
             .expect("load");
-        assert!(
-            resumed.clock >= net.clock,
-            "clock set to the first arrival − 1"
-        );
-        assert_eq!(on_links(&resumed), on_links(&net));
+        assert!(resumed.routers.flits(f).eq(net.routers.flits(f)));
+        assert_eq!(on_links(&resumed, MID_BURST), on_links(&net, MID_BURST));
         assert_eq!(saved(&resumed), bytes);
-    }
-
-    #[test]
-    fn wire_flit_with_out_of_range_tile_is_refused() {
-        let net = mid_burst_net();
-        let mut bytes = saved(&net);
-        put_u64(&mut bytes, layout(&net).wire + WIRE_TILE, 16);
-        let err = bytes_error(&bytes);
-        assert!(err.contains("wire flit destination out of range"), "{err}");
-    }
-
-    #[test]
-    fn wire_flit_with_out_of_range_port_is_refused() {
-        let net = mid_burst_net();
-        let mut bytes = saved(&net);
-        // links end at link ports only
-        put_u64(&mut bytes, layout(&net).wire + WIRE_PORT, LOCAL as u64);
-        let err = bytes_error(&bytes);
-        assert!(err.contains("wire flit destination out of range"), "{err}");
-    }
-
-    #[test]
-    fn wire_flit_with_out_of_range_vc_is_refused() {
-        let net = mid_burst_net();
-        let mut bytes = saved(&net);
-        put_u64(&mut bytes, layout(&net).wire + WIRE_VC, 4); // VCs 0..=3 exist
-        let err = bytes_error(&bytes);
-        assert!(err.contains("wire flit destination out of range"), "{err}");
     }
 
     #[test]
@@ -1836,49 +1685,13 @@ mod tests {
     }
 
     #[test]
-    fn vc_occupancy_disagreeing_with_the_rings_is_refused() {
-        // a set bit over an empty ring, a clear bit over a full one, and
-        // a bit past the last VC
-        let net = mid_burst_net();
-        let (bytes, at) = (saved(&net), layout(&net).vc_occupied);
-        let occupied = get_u32(&bytes, at);
-        assert!(occupied != 0 && occupied != (1 << 20) - 1);
-        for patch in [(1u32 << 20) - 1, 0, occupied | 1 << 31] {
-            let mut bytes = bytes.clone();
-            put_u32(&mut bytes, at, patch);
-            let err = bytes_error(&bytes);
-            assert!(
-                err.contains("occupancy bitmap disagrees"),
-                "{patch:#x}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn per_tile_flit_count_disagreeing_with_the_rings_is_refused() {
-        // keep the total right, so only the per-tile check can object
-        let net = mid_burst_net();
-        let (mut bytes, at) = (saved(&net), layout(&net).flits_buffered);
-        let first = get_u32(&bytes, at);
-        put_u32(&mut bytes, at, first + 1);
-        let donor = (1..16)
-            .map(|t| at + 4 * t)
-            .find(|&d| get_u32(&bytes, d) > 0)
-            .expect("another busy tile");
-        let donated = get_u32(&bytes, donor);
-        put_u32(&mut bytes, donor, donated - 1);
-        let err = bytes_error(&bytes);
-        assert!(err.contains("per-tile flit count disagrees"), "{err}");
-    }
-
-    #[test]
     fn flit_naming_no_in_flight_message_is_refused() {
         // an out-of-range slot, a freed slot and a position past the
         // message's last flit, on a link and in a link-port buffer
         for on_link in [true, false] {
             for patch in 0..3 {
                 let mut net = mid_burst_net();
-                let (clock, slots) = (net.clock, net.slab.len() as u32);
+                let (clock, slots) = (MID_BURST, net.slab.len() as u32);
                 let f = (0..VCS)
                     .filter(|f| (f / 4) % PORTS != LOCAL)
                     .find(|&f| {
@@ -1912,24 +1725,26 @@ mod tests {
     }
 
     #[test]
-    fn wire_flit_stamps_out_of_order_are_refused() {
-        let net = mid_burst_net();
-        let at = layout(&net).wire + WIRE_ARRIVAL;
-        // before cycle 1, and before a flit that has already arrived
-        for (arrival, want) in [
-            (0, "out of arrival order"),
-            (1, "stamped after an in-flight one"),
-        ] {
-            let mut bytes = saved(&net);
-            put_u64(&mut bytes, at, arrival);
-            let err = bytes_error(&bytes);
-            assert!(err.contains(want), "{arrival}: {err}");
-        }
+    fn ring_stamps_out_of_order_are_refused() {
+        // a flit stamped before the one ahead of it in its ring
+        let mut net = mid_burst_net();
+        let f = (0..VCS)
+            .find(|&f| net.routers.inputs[f].len >= 2)
+            .expect("a ring holding two flits");
+        let ahead = net.routers.front(f).expect("non-empty").arrived;
+        assert!(ahead > 0);
+        net.routers
+            .flits_mut(f)
+            .nth(1)
+            .expect("second flit")
+            .arrived = ahead - 1;
+        let err = load_error(&net);
+        assert!(err.contains("ring stamps decrease"), "{err}");
     }
 
     #[test]
-    fn wire_flit_overflowing_its_buffer_is_refused() {
-        // one-flit buffers: a VC holding an arrived flit is full
+    fn ring_longer_than_its_buffer_is_refused() {
+        // one-flit buffers: a full ring written with a second flit
         let mut spec = b_spec(34);
         spec.vc_buffer_flits = 1;
         let mut net = subnet(spec, MeshShape::square(4));
@@ -1938,27 +1753,25 @@ mod tests {
                 net.inject(0, msg(src, (src + hop) % 16, 67));
             }
         }
-        let full_vc = |n: &SubNet<u64>| {
-            (0..16)
-                .flat_map(|t| (0..LOCAL).flat_map(move |p| (0..4).map(move |v| (t, p, v))))
-                .find(|&(t, p, v)| n.routers.arrived_len(n.routers.vc_index(t, p, v), n.clock) == 1)
+        let full_link_vc = |n: &SubNet<u64>| {
+            (0..VCS)
+                .filter(|f| (f / 4) % PORTS != LOCAL)
+                .find(|&f| n.routers.inputs[f].len == 1)
         };
         let mut now = 0;
-        while full_vc(&net).is_none() || on_links(&net) == 0 {
+        while full_link_vc(&net).is_none() {
             net.tick(now);
             now += 1;
         }
-        let full = full_vc(&net).expect("loop condition");
+        let f = full_link_vc(&net).expect("loop condition");
         let mut bytes = saved(&net);
-        let at = layout(&net).wire;
-        put_u64(&mut bytes, at + WIRE_TILE, full.0 as u64);
-        put_u64(&mut bytes, at + WIRE_PORT, full.1 as u64);
-        put_u64(&mut bytes, at + WIRE_VC, full.2 as u64);
-        let err = subnet(spec, MeshShape::square(4))
-            .load_state(&mut ByteReader::new(&bytes))
-            .expect_err("a wire flit into a full buffer")
-            .to_string();
-        assert!(err.contains("overflow"), "{err}");
+        let at = vc_record_at(&net, f);
+        assert_eq!(bytes[at], 1);
+        bytes[at] = 2;
+        let flit: Vec<u8> = bytes[at + 1..][..FLIT_BYTES].to_vec();
+        bytes.splice(at + 1..at + 1, flit);
+        let err = bytes_error(spec, &bytes);
+        assert!(err.contains("ring longer than its buffer"), "{err}");
     }
 
     #[test]
@@ -2025,6 +1838,6 @@ mod tests {
         assert!(net.is_idle());
         assert!(!net.has_work(10));
         assert_eq!(net.next_event_cycle(10), None);
-        assert!((0..4).all(|t| net.buffered_flits(t) == 0));
+        assert!((0..4).all(|t| net.buffered_flits(t, 10) == 0));
     }
 }

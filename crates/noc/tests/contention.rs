@@ -231,54 +231,70 @@ fn express_line_with_one_vc_matches_the_parent() {
     check(&LINE_1VC_EXPRESS, EXPECTED_LINE);
 }
 
-/// Snapshot in the thick of the hot-destination burst, by clone and by
+/// Every scenario with the hash its uninterrupted run records: 3- and
+/// 1-stage routers, buffers of 1, 4 and 2 flits.
+fn scenarios() -> [(&'static Scenario, u64); 3] {
+    [
+        (&HOT_2VC_1FLIT, EXPECTED_HOT),
+        (&UNIFORM_4VC_4FLIT, EXPECTED_UNIFORM),
+        (&LINE_1VC_EXPRESS, EXPECTED_LINE),
+    ]
+}
+
+/// `noc`'s checkpoint bytes.
+fn saved(noc: &Noc<u64>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    noc.save_state(&mut w);
+    w.into_bytes()
+}
+
+/// Snapshot in the thick of each scenario's burst, by clone and by
 /// bytes: both resumed networks must finish with the uninterrupted
 /// run's hash. The derived masks (armed VCs, request words, the ready
 /// bitmap) are not in the bytes, so this is what checks their rebuild.
 #[test]
 fn mid_burst_snapshots_resume_to_the_same_hash() {
-    let sc = &HOT_2VC_1FLIT;
-    let schedule = sc.schedule();
-    for cut in [57, 200, 399] {
-        let mut noc = sc.build();
-        let mut log = Log::new();
-        drive(&mut noc, &schedule, 0, cut, &mut log);
-        assert!(!noc.is_idle(), "cycle {cut} must be mid-burst");
+    for (sc, expected) in scenarios() {
+        let schedule = sc.schedule();
+        for cut in [57, 200, 399] {
+            let ctx = format!("{:?} at {cut}", sc.dims);
+            let mut noc = sc.build();
+            let mut log = Log::new();
+            drive(&mut noc, &schedule, 0, cut, &mut log);
+            assert!(!noc.is_idle(), "{ctx} must be mid-burst");
 
-        let mut cloned = noc.clone();
-        let mut cloned_log = log.clone();
-        drive(&mut cloned, &schedule, cut, LIMIT, &mut cloned_log);
-        assert_eq!(
-            fingerprint(&cloned, &cloned_log),
-            EXPECTED_HOT,
-            "clone at {cut}"
-        );
+            let mut cloned = noc.clone();
+            let mut cloned_log = log.clone();
+            drive(&mut cloned, &schedule, cut, LIMIT, &mut cloned_log);
+            assert_eq!(fingerprint(&cloned, &cloned_log), expected, "clone, {ctx}");
 
-        // By bytes, loaded over the network they were taken from after it
-        // has moved on: what it then holds in derived masks is stale
-        // and must be rebuilt, not trusted.
-        let mut w = ByteWriter::new();
-        noc.save_state(&mut w);
-        let bytes = w.into_bytes();
-        drive(&mut noc, &schedule, cut, cut + 41, &mut log.clone());
-        let mut r = ByteReader::new(&bytes);
-        noc.load_state(&mut r).expect("checkpoint loads");
-        r.finish().expect("no trailing bytes");
-        drive(&mut noc, &schedule, cut, LIMIT, &mut log);
-        assert_eq!(fingerprint(&noc, &log), EXPECTED_HOT, "bytes at {cut}");
+            // By bytes, loaded over the network they were taken from after
+            // it has moved on: what it then holds in derived masks is stale
+            // and must be rebuilt, not trusted.
+            let bytes = saved(&noc);
+            drive(&mut noc, &schedule, cut, cut + 41, &mut log.clone());
+            let mut r = ByteReader::new(&bytes);
+            noc.load_state(&mut r).expect("checkpoint loads");
+            r.finish().expect("no trailing bytes");
+            drive(&mut noc, &schedule, cut, LIMIT, &mut log);
+            assert_eq!(fingerprint(&noc, &log), expected, "bytes, {ctx}");
+        }
     }
 }
 
 /// The checkpoint byte form, pinned: FNV-1a of `Noc::save_state` at
-/// three cuts of every scenario, ticking every cycle. The recorded values
-/// were produced by running this file, unchanged, on the commit before
-/// links became delay lines in the input buffers (`c216057`), whose link
-/// queue the byte form still spells out; a mismatch means a checkpoint
-/// no longer carries what that build's would at the same cycle.
+/// three cuts of every scenario, ticking every cycle, and each a fixed
+/// point — loaded into a freshly built network, it saves back to the
+/// same bytes. The recorded values are checkpoint layout 4's, produced
+/// by running this file on the build that introduced that layout (input
+/// rings written as held, flits on links included), once its behaviour
+/// hashes above and the resume test had passed unedited; a mismatch
+/// means a checkpoint no longer carries what a layout-4 build's would at
+/// the same cycle.
 #[test]
 fn saved_bytes_at_three_cuts_match_the_parent() {
     let mut got = Vec::new();
-    for sc in [&HOT_2VC_1FLIT, &UNIFORM_4VC_4FLIT, &LINE_1VC_EXPRESS] {
+    for (sc, _) in scenarios() {
         let schedule = sc.schedule();
         let mut noc = sc.build();
         let mut log = Log::new();
@@ -287,9 +303,18 @@ fn saved_bytes_at_three_cuts_match_the_parent() {
             drive(&mut noc, &schedule, from, cut, &mut log);
             from = cut;
             assert!(!noc.is_idle(), "cycle {cut} must be mid-burst");
-            let mut w = ByteWriter::new();
-            noc.save_state(&mut w);
-            got.push(fnv64(&w.into_bytes()));
+            let bytes = saved(&noc);
+            let mut fresh = sc.build();
+            let mut r = ByteReader::new(&bytes);
+            fresh.load_state(&mut r).expect("checkpoint loads");
+            r.finish().expect("no trailing bytes");
+            assert_eq!(
+                saved(&fresh),
+                bytes,
+                "{:?} at {cut}: a fixed point",
+                sc.dims
+            );
+            got.push(fnv64(&bytes));
         }
     }
     assert_eq!(got, EXPECTED_BYTES, "got {got:#018x?}");
@@ -299,13 +324,13 @@ const EXPECTED_HOT: u64 = 0x7960_ca54_ae16_2629;
 const EXPECTED_UNIFORM: u64 = 0x60e7_f4d8_d6c8_9c36;
 const EXPECTED_LINE: u64 = 0x42b9_b9b2_318d_1e17;
 const EXPECTED_BYTES: [u64; 9] = [
-    0x19f0_147e_7fb0_56d6,
-    0xab22_9da7_6622_dcb4,
-    0x526f_3edd_e953_bef9,
-    0xd3b7_285b_7f12_40a2,
-    0x8f2c_7554_be15_9475,
-    0x79d6_cd9b_7b1f_549c,
-    0x69fa_8a1e_e18e_a807,
-    0xe80b_b8a6_56aa_6389,
-    0xd734_95c1_a855_41fd,
+    0x76cd_ddaf_ed53_f96a,
+    0xfd2c_dc81_5a2f_4209,
+    0x31e1_d724_0c15_6590,
+    0xaf18_e19e_f4cf_7ff7,
+    0x48e9_4b1b_4255_7e03,
+    0xa2cb_a961_2a28_3c7e,
+    0x6074_a108_32a0_4b04,
+    0xb5ef_6f1b_d4eb_9fd9,
+    0xf460_5589_69e4_bf18,
 ];

@@ -114,19 +114,16 @@ fn handle(service: &Arc<Service>, stream: UnixStream, closing: &AtomicBool) -> i
         Err(reason) => write_line(&mut writer, Response::Rejected(reason).to_json()),
         Ok(Request::Status) => write_line(&mut writer, service.status().to_json()),
         Ok(Request::Submit(req)) => {
-            let response = service.submit(req);
+            // Subscribed before the cells are queued, so the stream
+            // carries every cell's `CellStart`, the first claimed too.
+            let (response, live) = service.submit_watched(req);
             let campaign = match &response {
-                Response::Submitted { campaign, .. } => Some(campaign.clone()),
+                Response::Submitted { campaign, .. } => service.attach(campaign).ok(),
                 _ => None,
             };
             write_line(&mut writer, response.to_json())?;
-            if let Some(id) = campaign {
-                // Subscribe after the fact exactly like attach does:
-                // catch-up covers anything that finished in between,
-                // and the client deduplicates by index.
-                if let Ok(c) = service.attach(&id) {
-                    stream_events(&c, &mut writer, closing)?;
-                }
+            if let (Some(c), Some(rx)) = (campaign, live) {
+                stream_events(&c, rx, &mut writer, closing)?;
             }
             Ok(())
         }
@@ -143,24 +140,24 @@ fn handle(service: &Arc<Service>, stream: UnixStream, closing: &AtomicBool) -> i
                     }
                     .to_json(),
                 )?;
-                stream_events(&c, &mut writer, closing)?;
+                stream_events(&c, c.subscribe(), &mut writer, closing)?;
                 Ok(())
             }
         },
     }
 }
 
-/// Subscribe, replay catch-up events, then relay live events until the
+/// Replay catch-up events, then relay `rx`'s live events until the
 /// campaign finishes, the client disconnects, or the daemon closes.
+/// `rx` must be subscribed before this call snapshots the catch-up set
+/// so no event can fall between them; the overlap is resolved by
+/// client-side deduplication.
 fn stream_events(
     campaign: &Arc<Campaign>,
+    rx: Receiver<Event>,
     writer: &mut UnixStream,
     closing: &AtomicBool,
 ) -> io::Result<()> {
-    // Subscribe before snapshotting the catch-up set so no event can
-    // fall between them; the overlap is resolved by client-side
-    // deduplication.
-    let rx: Receiver<Event> = campaign.subscribe();
     let mut done = false;
     for event in campaign.catchup() {
         done |= matches!(event, Event::CampaignDone { .. });

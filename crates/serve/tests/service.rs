@@ -14,8 +14,9 @@
 //!   restarts and kills too — and only a cell that would produce that
 //!   very row takes it; a cell whose twin is still running waits for
 //!   that run, and runs itself if the run fails;
-//! * and over the real Unix socket: a campaign outlives its submitter
-//!   and a re-attaching client catches up to the end.
+//! * and over the real Unix socket: a submitter sees every simulated
+//!   cell start, a campaign outlives its submitter and a re-attaching
+//!   client catches up to the end.
 #![cfg(unix)]
 
 use std::collections::HashSet;
@@ -938,6 +939,70 @@ fn socket_submitter_can_vanish_and_reattach() {
     });
     assert!(!socket.exists(), "the daemon removes its socket on exit");
     handle.drain();
+}
+
+/// A `--submit` client over the socket sees a `CellStart` for every cell
+/// the campaign simulates, the cells the workers claim before the
+/// daemon answers included: one per `start` record in the journal.
+#[test]
+fn socket_submitter_sees_every_simulated_cells_start() {
+    let root = scratch_dir("serve-socket-starts");
+    let socket = root.join("serve.sock");
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
+    let stop = AtomicBool::new(false);
+
+    // Events are gathered inside the scope and judged after it: a panic
+    // there would leave the scope waiting on the daemon forever.
+    let (response, mut started, ended) = std::thread::scope(|s| {
+        let service = Arc::clone(handle.service());
+        let daemon_socket = socket.clone();
+        let daemon_stop = &stop;
+        let daemon = s.spawn(move || daemon::serve(&service, &daemon_socket, daemon_stop));
+
+        let mut client = connect_retrying(&socket);
+        let response = client.request(&Request::Submit(tiny_request()));
+        let mut started: Vec<usize> = Vec::new();
+        let mut ended = None;
+        while let Ok(Some(event)) = client.next_event() {
+            match event {
+                Event::CellStart { index, .. } => started.push(index),
+                Event::CellFail { cell, error, .. } => {
+                    ended = Some(format!("cell {cell} failed: {error}"));
+                    break;
+                }
+                Event::CampaignDone { .. } => {
+                    ended = Some("done".to_string());
+                    break;
+                }
+                Event::CellFinish { .. } => {}
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        daemon
+            .join()
+            .expect("daemon thread")
+            .expect("daemon exits cleanly");
+        (response, started, ended)
+    });
+    let id = match response.expect("submit") {
+        Response::Submitted { campaign, .. } => campaign,
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    assert_eq!(
+        ended.as_deref(),
+        Some("done"),
+        "the stream ends at campaign_done"
+    );
+    started.sort_unstable();
+    let journaled = journal_records(&root, &id, "start").len();
+    assert_eq!(journaled, CELLS, "every cell simulated");
+    assert_eq!(
+        started,
+        (0..CELLS).collect::<Vec<_>>(),
+        "one CellStart per simulated cell"
+    );
+    handle.drain();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 fn connect_retrying(socket: &Path) -> Client {

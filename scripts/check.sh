@@ -66,7 +66,7 @@ echo "== footprint gate (32x32 sparse proposal machine within its peak-RSS budge
 # half the peak, which would hide a regression.
 MALLOC_ARENA_MAX=1 cargo test -q --release -p tcmp-core --test footprint -- --ignored
 
-echo "== NoC under the optimized build (contention hashes, checkpoint byte goldens, next-event equivalence)"
+echo "== NoC under the optimized build (contention hashes, layout-4 checkpoint byte pin, next-event equivalence)"
 cargo test -q --release -p mesh-noc
 
 echo "== goldens under the sparse directory + multicast codec (non-golden paths sanitizer-clean)"
@@ -260,9 +260,14 @@ REF_PID=$!
 wait_for 10 test -S "$SOCK_REF" || {
     echo "tcmp-serve smoke: reference daemon never bound its socket"
     cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
-"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_REF" >/dev/null 2>&1 || {
+"${FIG6[@]}" "${SUBMIT_ARGS[@]}" --submit "$SOCK_REF" >/dev/null 2>"$SMOKE_DIR/serve-submit.log" || {
     echo "tcmp-serve smoke: reference campaign failed"
-    cat "$SMOKE_DIR/serve-ref.log"; exit 1; }
+    cat "$SMOKE_DIR/serve-submit.log" "$SMOKE_DIR/serve-ref.log"; exit 1; }
+# the submitter hears every cell start, the first ones claimed included
+STARTS=$(grep -c "^  start  " "$SMOKE_DIR/serve-submit.log" || true)
+test "$STARTS" -eq 6 || {
+    echo "tcmp-serve smoke: --submit printed $STARTS start lines for 6 simulated cells"
+    cat "$SMOKE_DIR/serve-submit.log"; exit 1; }
 # both doors, one meaning: the same flags run locally must write the
 # daemon's CSVs byte for byte — provenance stamp included, so whole
 # files are compared — under full-map (c0001) and under --directory
