@@ -258,8 +258,8 @@ impl<V: cmp_common::persist::Persist> cmp_common::persist::PersistState for Cach
             return Err(r.err("slice length does not match machine shape"));
         }
         for base in (0..n).step_by(self.ways) {
-            let set = base..base + self.ways;
-            for s in set.clone() {
+            let mut order = recency::OrderCheck::default();
+            for s in base..base + self.ways {
                 if r.bool()? {
                     let line = r.u64()?;
                     if line == INVALID_TAG {
@@ -271,13 +271,16 @@ impl<V: cmp_common::persist::Persist> cmp_common::persist::PersistState for Cach
                     if self.ages[s] == INVALID {
                         return Err(r.err("resident line carries the invalid LRU age"));
                     }
+                    if !order.see(self.ages[s]) {
+                        return Err(r.err("cache set LRU ages are not a recency order"));
+                    }
                 } else {
                     self.tags[s] = INVALID_TAG;
                     self.values[s] = None;
                     self.ages[s] = INVALID;
                 }
             }
-            if !recency::is_recency_order(&self.ages[set]) {
+            if !order.holds() {
                 return Err(r.err("cache set LRU ages are not a recency order"));
             }
         }

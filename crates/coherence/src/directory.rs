@@ -1,48 +1,75 @@
-//! Pluggable directory representations: the strategy seam behind the
-//! home slice's sharer bookkeeping.
+//! The home slice's sharer bookkeeping: one packed store of exact
+//! entries for the lines some L1 holds.
 //!
-//! The protocol in [`crate::l2`] manipulates directory state only
-//! through the repr-independent [`DirState`] view and the
-//! [`DirectoryRepr`] trait, so the *organisation* of that state is a
-//! configuration choice ([`DirectoryConfig`]):
+//! The protocol in [`crate::l2`] reads and writes directory state only
+//! through the [`DirState`] view. [`DirectoryStore`] keeps that state for
+//! every organisation [`cmp_common::config::DirectoryConfig`] names:
+//! the full map and the sparse directory differ only in whether the
+//! slice meters its in-flight transactions (`dir_mshrs`), which
+//! [`crate::L2Slice`] does itself, so both keep the same entries and
+//! every simulated outcome is the same under either.
 //!
-//! * [`FullMapDir`] — the paper's machine: one presence vector per
-//!   L2-resident line, kept exactly (64-bit wide here, so at most 64
-//!   tiles). Transaction state is co-located with the line, so the
-//!   number of in-flight directory transactions is unbounded.
-//! * [`SparseDir`] — tagged entries allocated only for lines with a
-//!   tracked L1 copy, plus a *bounded* budget of in-flight transaction
-//!   slots per home slice ("directory MSHRs"). Sharer sets are exact
-//!   (unbounded tag lists), so protocol behaviour — and therefore every
-//!   simulated outcome — is identical to the full map; only capacity
-//!   metering and storage scaling differ. This is the representation
-//!   that unlocks 16×16 and 32×32 meshes.
+//! A tracked line costs one `u64` beside its address (see
+//! [`DirectoryStore`] for the packing): an owner, or up to three
+//! sharers inline. A line shared more widely keeps a
+//! `Spilled` marker and its sorted tile list in a second map.
 //!
-//! Invariants every implementation must keep:
+//! Invariants:
 //!
-//! * `lookup` returns [`DirState::Invalid`] for untracked lines — the
-//!   caller cannot distinguish "no entry" from "entry with no sharers",
-//!   and the protocol never needs to.
+//! * `lookup` returns [`DirState::Invalid`] for untracked lines;
+//!   `Invalid` and an empty sharer set are both "no entry", and the
+//!   protocol never needs to tell them apart.
 //! * Sharer iteration is **ascending by tile id**. Invalidation fan-out
 //!   sends in iteration order, so this is part of the determinism
-//!   contract: both representations must produce byte-identical message
-//!   schedules.
-//! * `load_state` overwrites all state — into a fresh representation
-//!   or one that has since moved on — so a machine restored from
-//!   `save_state` bytes replays bit-identically.
+//!   contract.
+//! * Every entry has one form: inline if and only if it has at most
+//!   three tiles. `load_state` refuses any entry the store
+//!   cannot produce, and overwrites all state, so a machine restored
+//!   from `save_state` bytes replays bit-identically.
 
 use cmp_common::addrmap::AddrMap;
-use cmp_common::config::{DirectoryConfig, FULL_MAP_MAX_TILES};
+use cmp_common::persist::{ByteReader, ByteWriter, Persist, PersistError, PersistState};
 use cmp_common::types::{Addr, TileId};
+
+/// Most sharers a [`SharerSet`] or a packed entry holds inline.
+const INLINE_SHARERS: usize = 3;
+
+/// Sharer tiles in one canonical form, so the derived equality is set
+/// equality.
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Tiles {
+    /// Up to [`INLINE_SHARERS`] tiles, ascending; slots past `len` are 0.
+    Inline {
+        len: u8,
+        tiles: [u16; INLINE_SHARERS],
+    },
+    /// More than [`INLINE_SHARERS`] tiles, ascending.
+    Spilled(Vec<u16>),
+}
+
+impl Tiles {
+    /// The inline form of at most [`INLINE_SHARERS`] sorted tiles.
+    fn inline(sorted: &[u16]) -> Tiles {
+        let mut tiles = [0; INLINE_SHARERS];
+        tiles[..sorted.len()].copy_from_slice(sorted);
+        Tiles::Inline {
+            len: sorted.len() as u8,
+            tiles,
+        }
+    }
+}
 
 /// An exact set of sharer tiles, iterated in ascending tile order.
 ///
-/// This is the *view* type both representations translate to and from;
-/// protocol code never sees masks or tag lists directly.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct SharerSet {
-    /// Sorted ascending, no duplicates.
-    tiles: Vec<u16>,
+/// The view the protocol reads and writes; it allocates only past
+/// three tiles.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct SharerSet(Tiles);
+
+impl Default for SharerSet {
+    fn default() -> Self {
+        SharerSet(Tiles::inline(&[]))
+    }
 }
 
 impl SharerSet {
@@ -53,7 +80,7 @@ impl SharerSet {
 
     /// A one-tile set.
     pub fn singleton(t: TileId) -> Self {
-        SharerSet { tiles: vec![t.0] }
+        SharerSet(Tiles::inline(&[t.0]))
     }
 
     /// A two-tile set (revision completion: old owner + requestor).
@@ -63,38 +90,71 @@ impl SharerSet {
         s
     }
 
+    fn tiles(&self) -> &[u16] {
+        match &self.0 {
+            Tiles::Inline { len, tiles } => &tiles[..usize::from(*len)],
+            Tiles::Spilled(v) => v,
+        }
+    }
+
     /// Add a tile (idempotent).
     pub fn insert(&mut self, t: TileId) {
-        if let Err(at) = self.tiles.binary_search(&t.0) {
-            self.tiles.insert(at, t.0);
+        let Err(at) = self.tiles().binary_search(&t.0) else {
+            return;
+        };
+        match &mut self.0 {
+            Tiles::Inline { len, tiles } if usize::from(*len) < INLINE_SHARERS => {
+                tiles.copy_within(at..usize::from(*len), at + 1);
+                tiles[at] = t.0;
+                *len += 1;
+            }
+            Tiles::Inline { tiles, .. } => {
+                let mut v = tiles.to_vec();
+                v.insert(at, t.0);
+                self.0 = Tiles::Spilled(v);
+            }
+            Tiles::Spilled(v) => v.insert(at, t.0),
         }
     }
 
     /// Remove a tile if present.
     pub fn remove(&mut self, t: TileId) {
-        if let Ok(at) = self.tiles.binary_search(&t.0) {
-            self.tiles.remove(at);
+        let Ok(at) = self.tiles().binary_search(&t.0) else {
+            return;
+        };
+        match &mut self.0 {
+            Tiles::Inline { len, tiles } => {
+                tiles.copy_within(at + 1.., at);
+                tiles[INLINE_SHARERS - 1] = 0;
+                *len -= 1;
+            }
+            Tiles::Spilled(v) => {
+                v.remove(at);
+                if v.len() == INLINE_SHARERS {
+                    self.0 = Tiles::inline(v);
+                }
+            }
         }
     }
 
     /// Whether `t` is a sharer.
     pub fn contains(&self, t: TileId) -> bool {
-        self.tiles.binary_search(&t.0).is_ok()
+        self.tiles().binary_search(&t.0).is_ok()
     }
 
     /// Number of sharers.
     pub fn len(&self) -> usize {
-        self.tiles.len()
+        self.tiles().len()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.tiles.is_empty()
+        self.tiles().is_empty()
     }
 
     /// Sharers in ascending tile order (the invalidation send order).
     pub fn iter(&self) -> impl Iterator<Item = TileId> + '_ {
-        self.tiles.iter().map(|&t| TileId(t))
+        self.tiles().iter().map(|&t| TileId(t))
     }
 
     /// The set minus one tile (the "everyone but the requestor" fan-out).
@@ -126,415 +186,221 @@ pub enum DirState {
     Owned(TileId),
 }
 
-/// The strategy seam over a home slice's sharer bookkeeping.
+/// Bit position of an entry's two-bit tag.
+const TAG_SHIFT: u32 = 62;
+/// Tag of `Owned(t)`: the tile in the low 16 bits.
+const OWNED: u64 = 0;
+/// Tag of an inline sharer set: tiles at bits 0, 16 and 32, the count at
+/// [`COUNT_SHIFT`].
+const INLINE: u64 = 1;
+/// Tag of a line whose tiles live in the spill map.
+const SPILLED_TAG: u64 = 2;
+/// The whole entry of a spilled line: the tag, nothing else set.
+const SPILLED: u64 = SPILLED_TAG << TAG_SHIFT;
+/// Bit position of an inline entry's sharer count.
+const COUNT_SHIFT: u32 = 48;
+
+/// The packed entry of an inline sharer set.
+fn pack_inline(len: u8, tiles: [u16; INLINE_SHARERS]) -> u64 {
+    let slots = tiles
+        .iter()
+        .enumerate()
+        .fold(0, |w, (i, &t)| w | u64::from(t) << (16 * i));
+    INLINE << TAG_SHIFT | u64::from(len) << COUNT_SHIFT | slots
+}
+
+/// The tiles of an inline entry, in its slot order.
+fn unpack_inline(word: u64) -> [u16; INLINE_SHARERS] {
+    std::array::from_fn(|i| (word >> (16 * i)) as u16)
+}
+
+/// Sharer state of one home slice: a packed `u64` per tracked line.
 ///
-/// One instance per L2 slice. The slice guarantees `update`/`evict` are
-/// called only for lines it actually hosts, mirroring residency: a line
-/// gets an `update(line, Invalid)` when installed and an `evict(line)`
-/// when it leaves the slice.
-pub trait DirectoryRepr: std::fmt::Debug + Send {
-    /// The tracked state of `line` (`Invalid` when untracked).
-    fn lookup(&self, line: Addr) -> DirState;
-
-    /// Record a new state for a resident line.
-    fn update(&mut self, line: Addr, state: DirState);
-
-    /// The line left the slice entirely: forget it.
-    fn evict(&mut self, line: Addr);
-
-    /// Every line tracked in a non-`Invalid` state, sorted by address
-    /// (sanitizer sweeps and state dumps — never the protocol hot path).
-    fn entries(&self) -> Vec<(Addr, DirState)>;
-
-    /// In-flight transaction slots this organisation provides, or
-    /// `None` when transaction state is co-located with the lines and
-    /// therefore unbounded (full map).
-    fn transaction_capacity(&self) -> Option<usize>;
-
-    /// Append this representation's tracked entries to a whole-machine
-    /// snapshot. The matching [`DirectoryRepr::load_state`] always runs
-    /// on a representation built from the same configuration.
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter);
-
-    /// Overwrite *all* of this representation's tracked entries from
-    /// snapshot bytes, whatever it held before.
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError>;
-}
-
-/// An owned, dynamically-dispatched directory representation.
-#[derive(Debug)]
-pub struct DirBox(Box<dyn DirectoryRepr + Send>);
-
-impl DirBox {
-    /// Box a representation.
-    pub fn new(repr: impl DirectoryRepr + 'static) -> Self {
-        DirBox(Box::new(repr))
-    }
-}
-
-impl std::ops::Deref for DirBox {
-    type Target = dyn DirectoryRepr + Send;
-    fn deref(&self) -> &Self::Target {
-        self.0.as_ref()
-    }
-}
-
-impl std::ops::DerefMut for DirBox {
-    fn deref_mut(&mut self) -> &mut Self::Target {
-        self.0.as_mut()
-    }
-}
-
-impl cmp_common::persist::PersistState for DirBox {
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        self.0.save_state(w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        self.0.load_state(r)
-    }
-}
-
-/// Build the representation a configuration asks for.
-pub fn build_directory(cfg: DirectoryConfig, tiles: usize) -> DirBox {
-    match cfg {
-        DirectoryConfig::FullMap => DirBox::new(FullMapDir::new(tiles)),
-        DirectoryConfig::Sparse { dir_mshrs } => DirBox::new(SparseDir::new(dir_mshrs)),
-    }
-}
-
-// ----------------------------------------------------------------------
-// Full map
-// ----------------------------------------------------------------------
-
-/// One full-map entry: a presence vector or an owner pointer.
-#[derive(Clone, Copy, Debug)]
-enum FmEntry {
-    Invalid,
-    Shared(u64),
-    Owned(u16),
-}
-
-/// The paper's full-map directory: an exact 64-bit presence vector per
-/// resident line (one entry per line, `Invalid` included — the vector
-/// is co-located with the tag in hardware).
+/// An entry's top two bits are its tag. `Owned(t)` keeps `t` in the low
+/// 16 bits. An inline `Shared` set keeps 1–3 tiles, ascending, in bits
+/// 0–47 (unused slots 0) and their count in bits 48–49. `Spilled` is the
+/// tag alone: the line's tiles, more than three and sorted, live in
+/// `spill`. Untracked lines, and lines with no sharers, have no entry.
 #[derive(Clone, Debug)]
-pub struct FullMapDir {
+pub struct DirectoryStore {
+    /// Tile count of the machine: every stored tile is below it.
     tiles: usize,
-    entries: AddrMap<FmEntry>,
+    entries: AddrMap<u64>,
+    spill: AddrMap<Vec<u16>>,
 }
 
-impl FullMapDir {
-    /// A full map for a `tiles`-tile machine. Panics past the vector
-    /// width — [`cmp_common::config::CmpConfig::validate`] refuses such
-    /// machines before any slice is built.
+impl DirectoryStore {
+    /// An empty store for a `tiles`-tile machine.
     pub fn new(tiles: usize) -> Self {
-        assert!(
-            tiles <= FULL_MAP_MAX_TILES,
-            "full-map directory is limited to {FULL_MAP_MAX_TILES} tiles, got {tiles}"
-        );
-        FullMapDir {
+        DirectoryStore {
             tiles,
             entries: AddrMap::new(),
+            spill: AddrMap::new(),
         }
     }
 
-    fn to_state(&self, e: FmEntry) -> DirState {
-        match e {
-            FmEntry::Invalid => DirState::Invalid,
-            FmEntry::Owned(t) => DirState::Owned(TileId(t)),
-            FmEntry::Shared(mask) => DirState::Shared(
-                (0..self.tiles as u16)
-                    .filter(|t| mask & (1u64 << t) != 0)
-                    .map(TileId)
-                    .collect(),
-            ),
+    /// The tracked state of `line` (`Invalid` when untracked).
+    pub fn lookup(&self, line: Addr) -> DirState {
+        let Some(&word) = self.entries.get(line) else {
+            return DirState::Invalid;
+        };
+        match word >> TAG_SHIFT {
+            OWNED => DirState::Owned(TileId(word as u16)),
+            INLINE => DirState::Shared(SharerSet(Tiles::Inline {
+                len: (word >> COUNT_SHIFT) as u8,
+                tiles: unpack_inline(word),
+            })),
+            _ => DirState::Shared(SharerSet(Tiles::Spilled(
+                self.spill
+                    .get(line)
+                    .expect("a spilled entry has its list")
+                    .clone(),
+            ))),
         }
     }
-}
 
-impl DirectoryRepr for FullMapDir {
-    fn lookup(&self, line: Addr) -> DirState {
-        self.entries
-            .get(line)
-            .map(|&e| self.to_state(e))
-            .unwrap_or(DirState::Invalid)
-    }
-
-    fn update(&mut self, line: Addr, state: DirState) {
-        let entry = match state {
-            DirState::Invalid => FmEntry::Invalid,
-            DirState::Owned(t) => FmEntry::Owned(t.0),
-            DirState::Shared(s) => {
-                let mut mask = 0u64;
-                for t in s.iter() {
-                    debug_assert!(t.index() < self.tiles);
-                    mask |= 1u64 << t.index();
-                }
-                FmEntry::Shared(mask)
+    /// Record a new state for `line`.
+    pub fn update(&mut self, line: Addr, state: DirState) {
+        let word = match state {
+            DirState::Invalid => return self.evict(line),
+            DirState::Owned(t) => {
+                debug_assert!(t.index() < self.tiles);
+                // OWNED is tag 0: the entry is the tile.
+                u64::from(t.0)
+            }
+            DirState::Shared(SharerSet(Tiles::Inline { len: 0, .. })) => return self.evict(line),
+            DirState::Shared(SharerSet(Tiles::Inline { len, tiles })) => {
+                debug_assert!(usize::from(tiles[usize::from(len) - 1]) < self.tiles);
+                pack_inline(len, tiles)
+            }
+            DirState::Shared(SharerSet(Tiles::Spilled(v))) => {
+                debug_assert!(v.last().is_some_and(|&t| usize::from(t) < self.tiles));
+                self.spill.insert(line, v);
+                SPILLED
             }
         };
-        self.entries.insert(line, entry);
-    }
-
-    fn evict(&mut self, line: Addr) {
-        self.entries.remove(line);
-    }
-
-    fn entries(&self) -> Vec<(Addr, DirState)> {
-        let mut v: Vec<(Addr, DirState)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| !matches!(e, FmEntry::Invalid))
-            .map(|(&line, &e)| (line, self.to_state(e)))
-            .collect();
-        v.sort_by_key(|&(line, _)| line);
-        v
-    }
-
-    fn transaction_capacity(&self) -> Option<usize> {
-        None
-    }
-
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        cmp_common::persist::Persist::save(&self.entries, w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        self.entries = cmp_common::persist::Persist::load(r)?;
-        Ok(())
-    }
-}
-
-impl cmp_common::persist::Persist for FmEntry {
-    fn save(&self, w: &mut cmp_common::persist::ByteWriter) {
-        match *self {
-            FmEntry::Invalid => w.u8(0),
-            FmEntry::Shared(mask) => {
-                w.u8(1);
-                w.u64(mask);
-            }
-            FmEntry::Owned(t) => {
-                w.u8(2);
-                w.u16(t);
-            }
-        }
-    }
-    fn load(
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<Self, cmp_common::persist::PersistError> {
-        Ok(match r.u8()? {
-            0 => FmEntry::Invalid,
-            1 => FmEntry::Shared(r.u64()?),
-            2 => FmEntry::Owned(r.u16()?),
-            _ => return Err(r.err("invalid full-map entry tag")),
-        })
-    }
-}
-
-// ----------------------------------------------------------------------
-// Sparse tagged entries
-// ----------------------------------------------------------------------
-
-/// One sparse entry: allocated only while the line has a tracked copy.
-#[derive(Clone, Debug)]
-enum SpEntry {
-    Shared(Vec<u16>),
-    Owned(u16),
-}
-
-/// Sparse tagged-entry directory: entries exist only for lines some L1
-/// actually holds, sharer lists are exact (so behaviour matches the
-/// full map bit-for-bit), and the number of in-flight transactions per
-/// slice is bounded by `dir_mshrs`.
-#[derive(Clone, Debug)]
-pub struct SparseDir {
-    dir_mshrs: usize,
-    entries: AddrMap<SpEntry>,
-}
-
-impl SparseDir {
-    /// A sparse directory with `dir_mshrs` transaction slots.
-    pub fn new(dir_mshrs: usize) -> Self {
-        assert!(dir_mshrs > 0, "sparse directory needs at least one MSHR");
-        SparseDir {
-            dir_mshrs,
-            entries: AddrMap::new(),
+        if self.entries.insert(line, word) == Some(SPILLED) && word != SPILLED {
+            self.spill.remove(line);
         }
     }
 
-    /// Tagged entries currently allocated (diagnostics).
-    pub fn tags_in_use(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-impl DirectoryRepr for SparseDir {
-    fn lookup(&self, line: Addr) -> DirState {
-        match self.entries.get(line) {
-            None => DirState::Invalid,
-            Some(SpEntry::Owned(t)) => DirState::Owned(TileId(*t)),
-            Some(SpEntry::Shared(ts)) => DirState::Shared(ts.iter().map(|&t| TileId(t)).collect()),
+    /// The line left the slice, or no L1 holds it any more: forget it.
+    pub fn evict(&mut self, line: Addr) {
+        if self.entries.remove(line) == Some(SPILLED) {
+            self.spill.remove(line);
         }
     }
 
-    fn update(&mut self, line: Addr, state: DirState) {
-        match state {
-            // Tagged organisation: an untracked line has no entry.
-            DirState::Invalid => {
-                self.entries.remove(line);
+    /// Every tracked line with its state, sorted by address (sanitizer
+    /// sweeps and state dumps — never the protocol hot path).
+    pub fn entries(&self) -> Vec<(Addr, DirState)> {
+        let mut lines: Vec<Addr> = self.entries.keys().copied().collect();
+        lines.sort_unstable();
+        lines
+            .into_iter()
+            .map(|line| (line, self.lookup(line)))
+            .collect()
+    }
+
+    /// Why `sorted` is not a sharer list this store holds, if it is not.
+    fn refuse_sharers(&self, sorted: &[u16]) -> Option<&'static str> {
+        if sorted.windows(2).any(|p| p[0] >= p[1]) {
+            Some("directory sharers not strictly ascending")
+        } else if sorted.last().is_some_and(|&t| usize::from(t) >= self.tiles) {
+            Some("directory sharer beyond the machine")
+        } else {
+            None
+        }
+    }
+
+    /// One entry from its record: the tag byte, then the owner, or the
+    /// inline count and tiles, or nothing for a spilled line.
+    fn load_entry(&self, r: &mut ByteReader) -> Result<u64, PersistError> {
+        match u64::from(r.u8()?) {
+            OWNED => {
+                let t = r.u16()?;
+                if usize::from(t) >= self.tiles {
+                    return Err(r.err("directory owner beyond the machine"));
+                }
+                Ok(u64::from(t))
             }
-            DirState::Owned(t) => {
-                self.entries.insert(line, SpEntry::Owned(t.0));
-            }
-            DirState::Shared(s) => {
-                if s.is_empty() {
-                    self.entries.remove(line);
-                } else {
-                    self.entries
-                        .insert(line, SpEntry::Shared(s.iter().map(|t| t.0).collect()));
+            INLINE => {
+                let len = r.u8()?;
+                let n = usize::from(len);
+                if !(1..=INLINE_SHARERS).contains(&n) {
+                    return Err(r.err("inline sharer count outside 1..=3"));
+                }
+                let mut tiles = [0; INLINE_SHARERS];
+                for t in &mut tiles[..n] {
+                    *t = r.u16()?;
+                }
+                match self.refuse_sharers(&tiles[..n]) {
+                    Some(what) => Err(r.err(what)),
+                    None => Ok(pack_inline(len, tiles)),
                 }
             }
+            SPILLED_TAG => Ok(SPILLED),
+            _ => Err(r.err("unknown directory entry tag")),
         }
-    }
-
-    fn evict(&mut self, line: Addr) {
-        self.entries.remove(line);
-    }
-
-    fn entries(&self) -> Vec<(Addr, DirState)> {
-        let mut v: Vec<(Addr, DirState)> = self
-            .entries
-            .keys()
-            .map(|&line| (line, self.lookup(line)))
-            .collect();
-        v.sort_by_key(|&(line, _)| line);
-        v
-    }
-
-    fn transaction_capacity(&self) -> Option<usize> {
-        Some(self.dir_mshrs)
-    }
-
-    fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
-        cmp_common::persist::Persist::save(&self.entries, w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<(), cmp_common::persist::PersistError> {
-        self.entries = cmp_common::persist::Persist::load(r)?;
-        Ok(())
     }
 }
 
-impl cmp_common::persist::Persist for SpEntry {
-    fn save(&self, w: &mut cmp_common::persist::ByteWriter) {
-        match self {
-            SpEntry::Shared(ts) => {
-                w.u8(0);
-                ts.save(w);
-            }
-            SpEntry::Owned(t) => {
-                w.u8(1);
-                w.u16(*t);
+/// The tile count is configuration; the entries and spill lists are the
+/// state, each map in its iteration order (layout 5: one record form for
+/// every directory organisation). An entry travels as its line, its tag
+/// byte and the tiles it holds inline, not as the whole packed word.
+impl PersistState for DirectoryStore {
+    fn save_state(&self, w: &mut ByteWriter) {
+        w.usize(self.entries.len());
+        for (&line, &word) in self.entries.iter() {
+            w.u64(line);
+            let tag = word >> TAG_SHIFT;
+            w.u8(tag as u8);
+            match tag {
+                OWNED => w.u16(word as u16),
+                INLINE => {
+                    let len = (word >> COUNT_SHIFT) as u8;
+                    w.u8(len);
+                    for &t in &unpack_inline(word)[..usize::from(len)] {
+                        w.u16(t);
+                    }
+                }
+                _ => {}
             }
         }
+        self.spill.save(w);
     }
-    fn load(
-        r: &mut cmp_common::persist::ByteReader,
-    ) -> Result<Self, cmp_common::persist::PersistError> {
-        Ok(match r.u8()? {
-            0 => SpEntry::Shared(<Vec<u16> as cmp_common::persist::Persist>::load(r)?),
-            1 => SpEntry::Owned(r.u16()?),
-            _ => return Err(r.err("invalid sparse entry tag")),
-        })
+
+    fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
+        let n = r.len_prefix()?;
+        let mut entries = AddrMap::new();
+        for _ in 0..n {
+            let line = r.u64()?;
+            let word = self.load_entry(r)?;
+            if entries.insert(line, word).is_some() {
+                return Err(r.err("directory entry for a line twice"));
+            }
+        }
+        let spill: AddrMap<Vec<u16>> = Persist::load(r)?;
+        for (&line, list) in spill.iter() {
+            if entries.get(line) != Some(&SPILLED) {
+                return Err(r.err("spill list without a Spilled entry"));
+            }
+            if list.len() <= INLINE_SHARERS {
+                return Err(r.err("spill list short enough to be inline"));
+            }
+            if let Some(what) = self.refuse_sharers(list) {
+                return Err(r.err(what));
+            }
+        }
+        if entries.values().filter(|&&w| w == SPILLED).count() != spill.len() {
+            return Err(r.err("Spilled entry without a spill list"));
+        }
+        self.entries = entries;
+        self.spill = spill;
+        Ok(())
     }
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn both(tiles: usize) -> [DirBox; 2] {
-        [
-            build_directory(DirectoryConfig::FullMap, tiles),
-            build_directory(DirectoryConfig::sparse(), tiles),
-        ]
-    }
-
-    #[test]
-    fn sharer_sets_stay_sorted_and_deduplicated() {
-        let mut s = SharerSet::new();
-        for t in [5u16, 1, 9, 5, 1] {
-            s.insert(TileId(t));
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(
-            s.iter().map(|t| t.index()).collect::<Vec<_>>(),
-            vec![1, 5, 9]
-        );
-        assert!(s.contains(TileId(5)) && !s.contains(TileId(2)));
-        s.remove(TileId(5));
-        assert_eq!(s.len(), 2);
-        let w = SharerSet::pair(TileId(3), TileId(7)).without(TileId(3));
-        assert_eq!(w, SharerSet::singleton(TileId(7)));
-    }
-
-    #[test]
-    fn both_reprs_agree_on_the_protocol_views() {
-        for mut dir in both(16) {
-            assert_eq!(dir.lookup(0x40), DirState::Invalid);
-            dir.update(0x40, DirState::Owned(TileId(3)));
-            assert_eq!(dir.lookup(0x40), DirState::Owned(TileId(3)));
-            dir.update(
-                0x40,
-                DirState::Shared(SharerSet::pair(TileId(3), TileId(9))),
-            );
-            let DirState::Shared(s) = dir.lookup(0x40) else {
-                panic!("expected Shared");
-            };
-            assert_eq!(
-                s.iter().map(|t| t.index()).collect::<Vec<_>>(),
-                vec![3, 9],
-                "ascending iteration is part of the determinism contract"
-            );
-            dir.update(0x80, DirState::Invalid);
-            assert_eq!(dir.lookup(0x80), DirState::Invalid);
-            assert_eq!(dir.entries().len(), 1, "Invalid lines are not reported");
-            dir.evict(0x40);
-            assert_eq!(dir.lookup(0x40), DirState::Invalid);
-            assert!(dir.entries().is_empty());
-        }
-    }
-
-    #[test]
-    fn capacity_is_a_sparse_only_concept() {
-        let [full, sparse] = both(16);
-        assert_eq!(full.transaction_capacity(), None);
-        assert_eq!(sparse.transaction_capacity(), Some(64));
-    }
-
-    #[test]
-    fn sparse_scales_past_the_full_map_vector() {
-        let mut dir = build_directory(DirectoryConfig::sparse(), 1024);
-        let s: SharerSet = (0..1024).step_by(97).map(TileId::from).collect();
-        dir.update(0x40, DirState::Shared(s.clone()));
-        assert_eq!(dir.lookup(0x40), DirState::Shared(s));
-    }
-
-    #[test]
-    #[should_panic(expected = "full-map directory is limited")]
-    fn full_map_refuses_wide_meshes() {
-        FullMapDir::new(256);
-    }
-}
+mod tests;

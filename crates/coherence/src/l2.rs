@@ -1,10 +1,11 @@
 //! The home L2 slice: inclusive shared-cache bank plus its directory.
 //!
-//! Sharer bookkeeping is behind the
-//! [`DirectoryRepr`](crate::DirectoryRepr) strategy seam (full-map or
-//! sparse tagged entries, chosen by [`DirectoryConfig`]); the protocol below manipulates only the
-//! repr-independent [`DirState`] view, so both organisations produce
-//! byte-identical message schedules.
+//! Sharer bookkeeping lives in one packed [`DirectoryStore`] whatever
+//! the [`DirectoryConfig`]; the protocol below manipulates only its
+//! [`DirState`] view. The organisations differ only in transaction
+//! metering: a sparse directory's `dir_mshrs` bound the busy lines and
+//! fills a slice may hold at once, a full map has no bound. Both
+//! therefore produce byte-identical message schedules.
 //!
 //! The directory is *blocking per line*: while a transaction is in flight
 //! (waiting for a revision, invalidation acks, a racing writeback or an
@@ -26,14 +27,14 @@ use cmp_common::stats::Counter;
 use cmp_common::types::{Addr, TileId};
 
 use crate::cache::{CacheArray, VictimSlot};
-use crate::directory::{build_directory, DirBox};
+use crate::directory::DirectoryStore;
 use crate::error::ProtocolError;
 use crate::msg::{OutVec, Outgoing, PKind, ProtocolMsg};
 
 pub use crate::directory::{DirState, SharerSet};
 
 /// Cache payload of an L2 line (sharer tracking lives in the
-/// directory representation, not the cache array).
+/// directory store, not the cache array).
 #[derive(Clone, Copy, Debug)]
 pub struct L2Line {
     /// Dirty with respect to memory.
@@ -99,7 +100,10 @@ pub struct L2Slice {
     tile: TileId,
     tiles: usize,
     array: CacheArray<L2Line>,
-    dir: DirBox,
+    dir: DirectoryStore,
+    /// Transaction slots a sparse directory meters; `None` for a full
+    /// map, whose transaction state is co-located with its lines.
+    dir_mshrs: Option<usize>,
     busy: AddrMap<Busy>,
     pending: AddrMap<VecDeque<(TileId, PKind)>>,
     fills: AddrMap<Fill>,
@@ -190,9 +194,9 @@ cmp_common::impl_persist!(L2Stats {
     data_served,
 });
 
-/// tile/tiles and the array/directory geometry are configuration; the
-/// resident lines, directory contents, transaction state and counters
-/// travel as bytes.
+/// tile/tiles, the array geometry and the transaction budget are
+/// configuration; the resident lines, directory contents, transaction
+/// state and counters travel as bytes.
 impl cmp_common::persist::PersistState for L2Slice {
     fn save_state(&self, w: &mut cmp_common::persist::ByteWriter) {
         use cmp_common::persist::Persist;
@@ -235,9 +239,9 @@ impl L2Slice {
         Self::with_directory(tile, sets, ways, tiles, DirectoryConfig::FullMap)
     }
 
-    /// A slice whose sharer bookkeeping uses the given directory
-    /// organisation. `index_shift` is `log2(tiles)` so set selection
-    /// skips the home-interleave bits.
+    /// A slice of the given directory organisation, which decides
+    /// whether its transactions are metered. Set selection skips the
+    /// `log2(tiles)` home-interleave bits.
     pub fn with_directory(
         tile: TileId,
         sets: usize,
@@ -250,7 +254,11 @@ impl L2Slice {
             tile,
             tiles,
             array: CacheArray::new(sets, ways, tiles.trailing_zeros()),
-            dir: build_directory(directory, tiles),
+            dir: DirectoryStore::new(tiles),
+            dir_mshrs: match directory {
+                DirectoryConfig::FullMap => None,
+                DirectoryConfig::Sparse { dir_mshrs } => Some(dir_mshrs),
+            },
             busy: AddrMap::new(),
             pending: AddrMap::new(),
             fills: AddrMap::new(),
@@ -339,6 +347,13 @@ impl L2Slice {
         if self.array.get_mut(line).is_some() {
             self.dir.update(line, dir);
         }
+    }
+
+    /// The slice's directory store, for store tests that build it the
+    /// way each organisation does.
+    #[cfg(test)]
+    pub(crate) fn into_directory(self) -> DirectoryStore {
+        self.dir
     }
 
     /// Fault hook: silently drop a resident line (inclusion violation).
@@ -572,7 +587,7 @@ impl L2Slice {
     /// per slice and exhaustion is a hard, knob-naming error rather
     /// than silent misbehaviour.
     fn reserve_slot(&mut self, line: Addr) -> Result<(), ProtocolError> {
-        let Some(cap) = self.dir.transaction_capacity() else {
+        let Some(cap) = self.dir_mshrs else {
             return Ok(());
         };
         if self.busy.contains_key(line) || self.fills.contains_key(line) {
@@ -939,7 +954,7 @@ impl L2Slice {
                 "fill into a full set: victim selection was skipped",
             ));
         }
-        self.dir.update(line, DirState::Invalid);
+        debug_assert_eq!(self.dir.lookup(line), DirState::Invalid);
         for (src, kind) in fill.waiters {
             self.request_inner(src, kind, line, out)?;
         }
@@ -1327,6 +1342,20 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("dir_mshrs"), "error must name the knob: {msg}");
         assert!(msg.contains("1 of 1"), "error reports occupancy: {msg}");
+    }
+
+    /// Transaction metering is what the organisations differ in: 64
+    /// concurrent fills exhaust a default sparse slice, never a full map.
+    #[test]
+    fn capacity_is_a_sparse_only_concept() {
+        for (mut s, bounded) in [(slice(), false), (sparse_slice(64), true)] {
+            for i in 0..64u64 {
+                s.handle_request(TileId(1), PKind::GetS, L + 16 * i)
+                    .expect("within any budget");
+            }
+            let more = s.handle_request(TileId(1), PKind::GetS, L + 16 * 64);
+            assert_eq!(more.is_err(), bounded, "{:?}", more.err());
+        }
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   (a blocking directory: races are resolved by serialisation at the
 //!   home node), L2 fills from memory and inclusion-recalls of victim
 //!   lines.
-//! * [`directory`] — the [`directory::DirectoryRepr`] strategy seam the
-//!   L2 keeps its sharer bookkeeping behind: the paper's full-map
-//!   presence vectors, or sparse tagged entries with a bounded budget
-//!   of directory MSHRs (the organisation that scales past 64 tiles).
+//! * [`directory`] — the [`directory::DirectoryStore`] each L2 slice
+//!   keeps its sharer bookkeeping in: one packed, exact entry per
+//!   tracked line, for the paper's full map and for the sparse
+//!   organisation alike (the slice meters the sparse directory's
+//!   bounded budget of directory MSHRs itself).
 //! * [`memctrl`] — fixed-latency (400-cycle) memory interface.
 //! * [`error`] — structured [`ProtocolError`] reporting for states a
 //!   controller cannot legally reach, used by the fault-injection
@@ -52,7 +53,7 @@ pub mod msg;
 pub mod sanitizer;
 
 pub use cache::CacheArray;
-pub use directory::{build_directory, DirBox, DirState, DirectoryRepr, SharerSet};
+pub use directory::{DirState, SharerSet};
 pub use error::ProtocolError;
 pub use l1::{CoreAccess, L1Cache, L1Result};
 pub use l2::L2Slice;

@@ -22,11 +22,11 @@
 //!   being filled/recalled) at its home L2 slice, and — dually — every
 //!   line the home's directory tracks is resident or in flight there.
 //!
-//! The sweep reads directory state only through the repr-independent
-//! [`DirState`] view and [`crate::L2Slice::directory_entries`], so all
-//! four invariant classes run unchanged against every
-//! [`crate::directory::DirectoryRepr`] implementation (full-map or
-//! sparse).
+//! The sweep reads directory state only through the [`DirState`] view
+//! and [`crate::L2Slice::directory_entries`], so all four invariant
+//! classes run unchanged against either directory organisation
+//! (full-map or sparse), which keep the same
+//! [`crate::directory::DirectoryStore`].
 //!
 //! Violations are returned as structured [`Violation`] findings naming
 //! the cycle, tile, line and invariant class; the simulator aborts the

@@ -8,8 +8,8 @@
 //! larger the age, the smaller the stamp), held in a byte instead of a
 //! `u64` and with no clock.
 //!
-//! [`crate::persist`] state written from ages is checked with
-//! [`is_recency_order`] at load, so a forged or rotted set cannot seed
+//! [`crate::persist`] state written from ages is checked with an
+//! [`OrderCheck`] as it is read, so a forged or rotted set cannot seed
 //! an order no sequence of operations reaches.
 
 /// The age of an invalid way.
@@ -65,17 +65,39 @@ pub fn victim(ages: &[u8]) -> Option<usize> {
         .or_else(|| (0..ages.len()).max_by_key(|&i| ages[i]))
 }
 
-/// Whether the valid ages in `ages` are a permutation of `0..valid`.
-pub fn is_recency_order(ages: &[u8]) -> bool {
-    let valid = ages.iter().filter(|&&a| a != INVALID).count();
-    // A bit per age: checkpoint loads run this on every set.
-    let mut seen = [0u64; MAX_WAYS.div_ceil(64)];
-    ages.iter().filter(|&&a| a != INVALID).all(|&a| {
-        let (word, bit) = (usize::from(a) / 64, 1 << (a % 64));
-        let fresh = usize::from(a) < valid && seen[word] & bit == 0;
-        seen[word] |= bit;
+/// Checks, one way at a time as a set is read, that its valid ages are
+/// a permutation of `0..valid`: no age twice, none at or past the count
+/// of valid ways. A fresh check per set or lane.
+#[derive(Default)]
+pub struct OrderCheck {
+    /// A bit per age seen.
+    seen: [u64; MAX_WAYS.div_ceil(64)],
+    valid: usize,
+    /// One past the oldest age seen.
+    span: usize,
+}
+
+impl OrderCheck {
+    /// Take the next way's age ([`INVALID`] for an empty way); false
+    /// when a valid age repeats.
+    #[inline]
+    pub fn see(&mut self, age: u8) -> bool {
+        if age == INVALID {
+            return true;
+        }
+        let (word, bit) = (usize::from(age) / 64, 1 << (age % 64));
+        let fresh = self.seen[word] & bit == 0;
+        self.seen[word] |= bit;
+        self.valid += 1;
+        self.span = self.span.max(usize::from(age) + 1);
         fresh
-    })
+    }
+
+    /// Whether the distinct ages seen are a permutation of `0..valid`.
+    #[inline]
+    pub fn holds(&self) -> bool {
+        self.span <= self.valid
+    }
 }
 
 #[cfg(test)]
@@ -151,6 +173,12 @@ mod tests {
         });
     }
 
+    /// Every age of `ages` through one [`OrderCheck`].
+    fn is_recency_order(ages: &[u8]) -> bool {
+        let mut order = OrderCheck::default();
+        ages.iter().all(|&a| order.see(a)) && order.holds()
+    }
+
     #[test]
     fn recency_order_refuses_duplicates_gaps_and_overflow() {
         assert!(is_recency_order(&[]));
@@ -158,5 +186,12 @@ mod tests {
         assert!(!is_recency_order(&[0, 0]), "duplicate age");
         assert!(!is_recency_order(&[0, 2]), "age at or past the valid count");
         assert!(!is_recency_order(&[1, INVALID]), "gap");
+        assert!(
+            !is_recency_order(&[3, 0, 1]),
+            "age past the valid count, seen first"
+        );
+        assert!(is_recency_order(&[2, INVALID, 0, 1]));
+        let full: Vec<u8> = (0..MAX_WAYS as u8).rev().collect();
+        assert!(is_recency_order(&full), "every age of the widest set");
     }
 }

@@ -132,10 +132,14 @@ impl DbrcLanes {
         r: &mut ByteReader,
     ) -> Result<(), PersistError> {
         let row = self.row(lane);
+        let mut order = recency::OrderCheck::default();
         for i in row.clone() {
             self.ages[i] = r.u8()?;
+            if !order.see(self.ages[i]) {
+                return Err(r.err("DBRC LRU ages are not a recency order"));
+            }
         }
-        if !recency::is_recency_order(&self.ages[row.clone()]) {
+        if !order.holds() {
             return Err(r.err("DBRC LRU ages are not a recency order"));
         }
         for i in row {

@@ -73,8 +73,10 @@ const MAGIC: u32 = u32::from_le_bytes(*b"TCKP");
 /// self-checksummed [`MachineSnapshot`] encoding; 3: one-byte LRU ages
 /// instead of clock stamps in cache arrays and DBRC lanes, and resync
 /// windows written as held, empty until first used; 4: NoC input rings
-/// written as held, flits on links included, with no link queue.)
-pub const VERSION: u32 = 4;
+/// written as held, flits on links included, with no link queue; 5: one
+/// directory record form for both organisations, a packed `u64` per
+/// tracked line plus spill lists.)
+pub const VERSION: u32 = 5;
 
 /// Sizing and quarantine bounds of one [`DiskStore`].
 #[derive(Clone, Debug)]

@@ -39,6 +39,18 @@ const SCALE: f64 = 0.002;
 const CELLS: usize = 6;
 const WAIT: Duration = Duration::from_secs(300);
 
+/// Sets a daemon's stop flag when dropped. Taken right after the
+/// daemon thread is spawned inside a `thread::scope`, it ends the daemon
+/// when an assertion in the scope fails, so the test fails instead of
+/// the scope waiting on the daemon forever.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 fn scratch_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("tcmp-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -861,6 +873,7 @@ fn socket_submitter_can_vanish_and_reattach() {
         let daemon_socket = socket.clone();
         let daemon_stop = &stop;
         let daemon = s.spawn(move || daemon::serve(&service, &daemon_socket, daemon_stop));
+        let stop_daemon = StopOnDrop(&stop);
 
         let mut client = connect_retrying(&socket);
         let id = match client
@@ -931,7 +944,7 @@ fn socket_submitter_can_vanish_and_reattach() {
             other => panic!("expected StatusReport, got {other:?}"),
         }
 
-        stop.store(true, Ordering::SeqCst);
+        drop(stop_daemon);
         daemon
             .join()
             .expect("daemon thread")
@@ -951,13 +964,14 @@ fn socket_submitter_sees_every_simulated_cells_start() {
     let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
     let stop = AtomicBool::new(false);
 
-    // Events are gathered inside the scope and judged after it: a panic
-    // there would leave the scope waiting on the daemon forever.
+    // Events are gathered inside the scope and judged after the daemon
+    // is joined.
     let (response, mut started, ended) = std::thread::scope(|s| {
         let service = Arc::clone(handle.service());
         let daemon_socket = socket.clone();
         let daemon_stop = &stop;
         let daemon = s.spawn(move || daemon::serve(&service, &daemon_socket, daemon_stop));
+        let stop_daemon = StopOnDrop(&stop);
 
         let mut client = connect_retrying(&socket);
         let response = client.request(&Request::Submit(tiny_request()));
@@ -977,7 +991,7 @@ fn socket_submitter_sees_every_simulated_cells_start() {
                 Event::CellFinish { .. } => {}
             }
         }
-        stop.store(true, Ordering::SeqCst);
+        drop(stop_daemon);
         daemon
             .join()
             .expect("daemon thread")

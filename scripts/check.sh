@@ -59,12 +59,16 @@ TCMP_SANITIZE=1 cargo test -q --workspace
 echo "== snapshot/restore round-trip smoke"
 cargo test -q --release --test snapshot_restore
 
-echo "== footprint gate (32x32 sparse proposal machine within its peak-RSS budget, own process)"
-# Ignored in the plain test runs: VmHWM is whole-process, so the test
-# gets a release binary of its own. One malloc arena, as the benchmark
+echo "== footprint gates (32x32 sparse proposal machine built, 16x16 sparse proposal cell run; each in its own process)"
+# Ignored in the plain test runs: VmHWM is whole-process, so each test
+# gets a release process of its own. One malloc arena, as the benchmark
 # runs: under libtest's per-thread arena the same machine reads about
 # half the peak, which would hide a regression.
-MALLOC_ARENA_MAX=1 cargo test -q --release -p tcmp-core --test footprint -- --ignored
+for gate in a_32x32_sparse_proposal_machine_fits_its_rss_budget \
+    a_16x16_sparse_proposal_run_fits_its_rss_budget; do
+    MALLOC_ARENA_MAX=1 cargo test -q --release -p tcmp-core --test footprint -- \
+        --ignored --exact "$gate"
+done
 
 echo "== NoC under the optimized build (contention hashes, layout-4 checkpoint byte pin, next-event equivalence)"
 cargo test -q --release -p mesh-noc

@@ -176,18 +176,19 @@ fn warm_point_edge_cases() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// A checkpoint written in the previous layout (version 3: NoC queues
-/// cut at the sub-network's clock, with the flits on links in a link
-/// queue where layout 4 writes each input ring as held) is never read as
+/// A checkpoint written in the previous layout (version 4: a full-map
+/// directory recorded every resident line, `Invalid` included, and a
+/// sparse one its sharer lists in records of its own, where layout 5
+/// writes one packed entry per tracked line for both) is never read as
 /// this one: the load quarantines it, counted, and the cell runs cold to
-/// the same bits, storing a layout-4 checkpoint in its place.
+/// the same bits, storing a layout-5 checkpoint in its place.
 #[test]
-fn a_layout_3_checkpoint_is_a_counted_quarantine_and_the_cell_runs_cold() {
+fn a_layout_4_checkpoint_is_a_counted_quarantine_and_the_cell_runs_cold() {
     use tiled_cmp::sim::checkpoint::VERSION;
-    assert_eq!(VERSION, 4);
+    assert_eq!(VERSION, 5);
     let app = tiled_cmp::workloads::apps::fft();
     let policy = RunPolicy::default();
-    let (cache, root) = scratch_store("layout-3");
+    let (cache, root) = scratch_store("layout-4");
     let run = || {
         run_supervised_cached(
             proposal_cfg(),
@@ -206,19 +207,19 @@ fn a_layout_3_checkpoint_is_a_counted_quarantine_and_the_cell_runs_cold() {
     let mut bytes = std::fs::read(&file).expect("the seeding run stored a checkpoint");
     // The header is the magic, then the layout version.
     assert_eq!(bytes[4..8], VERSION.to_le_bytes());
-    bytes[4..8].copy_from_slice(&3u32.to_le_bytes());
-    std::fs::write(&file, bytes).expect("stamp the checkpoint as layout 3");
+    bytes[4..8].copy_from_slice(&4u32.to_le_bytes());
+    std::fs::write(&file, bytes).expect("stamp the checkpoint as layout 4");
 
     let (cold, warm) = run();
     assert_eq!(
         warm,
         WarmStart::Quarantined,
-        "a layout-3 file is not restored"
+        "a layout-4 file is not restored"
     );
     assert_eq!(fp(&cold), fp(&reference));
     assert_eq!(cache.counters().quarantined, 1);
     let (again, warm) = run();
-    assert_eq!(warm, WarmStart::Warmed, "the cold run stored layout 4");
+    assert_eq!(warm, WarmStart::Warmed, "the cold run stored layout 5");
     assert_eq!(fp(&again), fp(&reference));
     let _ = std::fs::remove_dir_all(&root);
 }
