@@ -154,10 +154,10 @@ fn run_local(opts: &Options, plan: &CampaignPlan, request: CampaignRequest, root
     );
     // A submitted campaign is watched from before its first cell was
     // queued; a resumed one was queued at start and catches up on the
-    // outcomes it holds.
-    let (live, caught_up) = match watched {
-        Some(live) => (live, Vec::new()),
-        None => (campaign.subscribe(), campaign.catchup()),
+    // starts and outcomes it holds.
+    let (caught_up, live) = match watched {
+        Some(live) => (Vec::new(), live),
+        None => campaign.watch(),
     };
     let events = caught_up.into_iter();
     let followed = follow(&id, events.chain(std::iter::from_fn(|| live.recv().ok())));

@@ -80,7 +80,7 @@ pub fn run_remote(opts: &Options, figure: Figure) -> i32 {
         None => {
             eprintln!(
                 "the stream ended before campaign {campaign} finished \
-                 (daemon draining?); re-attach later with --submit ... --attach {campaign}"
+                 (daemon stopped?); re-attach later with --submit ... --attach {campaign}"
             );
             1
         }

@@ -358,3 +358,42 @@ fn the_local_door_prints_every_cells_start() {
     );
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// A local `--resume` prints a `start` line for every cell it runs, the
+/// ones its workers claim before it subscribes included: a campaign
+/// stopped two cells in resumes its four others at `--jobs 2`.
+#[test]
+fn a_local_resume_prints_every_cells_start() {
+    let root = scratch_dir("doors-resume-starts");
+    let opts = tiny_options(None);
+    let handle = ServiceHandle::start(ServeConfig {
+        cell_limit: Some(2),
+        ..serve_cfg(&root)
+    })
+    .expect("start");
+    match handle.service().submit(opts.request(Figure::Fig6)) {
+        Response::Submitted { cells, .. } => assert_eq!(cells, 6),
+        other => panic!("expected Submitted, got {other:?}"),
+    }
+    handle.join();
+    let journal = root.join("campaigns").join("c0001").join(JOURNAL_FILE);
+    let starts = || {
+        (read(&journal).lines())
+            .filter(|l| l.starts_with("{\"event\":\"start\""))
+            .count()
+    };
+    assert_eq!(starts(), 2, "the stopped service ran two cells");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tcmp-fig"))
+        .args(["fig6", "--scale", "0.002", "--app", "FFT", "--no-perfect"])
+        .args(["--seed", &opts.seed.to_string(), "--jobs", "2", "--resume"])
+        .arg(&root)
+        .output()
+        .expect("run tcmp-fig");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "tcmp-fig failed:\n{stderr}");
+    let printed = stderr.lines().filter(|l| l.starts_with("  start ")).count();
+    assert_eq!(starts(), 6, "the resume ran the other four:\n{stderr}");
+    assert_eq!(printed, 4, "one start line per resumed cell:\n{stderr}");
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -65,6 +65,14 @@ impl ByteWriter {
         ByteWriter::default()
     }
 
+    /// Fresh writer with room for `bytes` bytes, for output whose size
+    /// is known up front.
+    pub fn with_capacity(bytes: usize) -> Self {
+        ByteWriter {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     /// Bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -134,15 +142,36 @@ impl ByteWriter {
 
 /// Bounds-checked reader over a byte slice. Every accessor returns a
 /// [`PersistError`] instead of panicking on truncated input.
+///
+/// The reader also carries the cycle the state being read resumes at,
+/// so a layer can refuse a stored cycle its own timing rules out
+/// without any trait changing shape: the engine sets it once it has
+/// read its clock; a bare load reads at cycle 0 unless its caller sets
+/// another.
 pub struct ByteReader<'a> {
     buf: &'a [u8],
     pos: usize,
+    cycle: u64,
 }
 
 impl<'a> ByteReader<'a> {
-    /// Read from the start of `buf`.
+    /// Read from the start of `buf`, at cycle 0.
     pub fn new(buf: &'a [u8]) -> Self {
-        ByteReader { buf, pos: 0 }
+        ByteReader {
+            buf,
+            pos: 0,
+            cycle: 0,
+        }
+    }
+
+    /// The cycle the state being read resumes at.
+    pub fn cycle(&self) -> u64 {
+        self.cycle
+    }
+
+    /// Read the rest of the state as resuming at `cycle`.
+    pub fn set_cycle(&mut self, cycle: u64) {
+        self.cycle = cycle;
     }
 
     /// Current offset (for error reporting).

@@ -24,11 +24,13 @@
 //! Cross-cutting concerns live in submodules: [`error`] (structured
 //! failures with machine dumps), [`stats`] (end-of-run accounting),
 //! [`snapshot`] (whole-machine checkpoint/restore), [`faults`]
-//! (campaign corruption hooks).
+//! (campaign corruption hooks), [`identity`] (which keys each field of
+//! [`SimConfig`] enters).
 
 pub mod calendar;
 pub mod error;
 pub mod faults;
+pub mod identity;
 pub mod ports;
 pub mod profile;
 pub mod snapshot;
@@ -38,6 +40,7 @@ pub mod watchdog;
 
 pub use calendar::Calendar;
 pub use error::{OldestInFlight, SimError, StateDump, TileDump, TileStall};
+pub use identity::{Class, Input, Key};
 pub use ports::TilePorts;
 pub use profile::PhaseProfile;
 pub use snapshot::{MachineSnapshot, RestoreError};
@@ -97,13 +100,9 @@ pub struct SimConfig {
     /// [`SimError::NoForwardProgress`] instead of spinning to
     /// `max_cycles`.
     pub watchdog: Option<WatchdogConfig>,
-    /// Ignored. The engine has one, single-threaded scheduler; nothing
-    /// reads this field and [`SimConfig::new`] sets it to `None`. It
-    /// stays because the frozen `benchmark/` package assigns it and
-    /// because the supervisor's `warm_key` hashes this struct's `Debug`
-    /// rendering, so removing it would silently orphan every on-disk
-    /// checkpoint. The next `benchmark` PR drops it together with the
-    /// `core.epoch_t2_ratio` ledger row.
+    /// Ignored: the engine has one, single-threaded scheduler, and no key
+    /// hashes this field. It stays while the frozen `benchmark/` package
+    /// assigns it.
     pub sim_threads: Option<usize>,
 }
 

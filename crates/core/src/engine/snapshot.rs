@@ -23,12 +23,13 @@
 //! [`CmpSimulator::try_restore`] checks only that it fits the machine.
 
 use cmp_common::config::DirectoryConfig;
-use cmp_common::hash::{fnv64, Fnv64};
+use cmp_common::hash::Fnv64;
 use cmp_common::persist::{
     load_state_slice, save_state_slice, ByteReader, ByteWriter, Persist, PersistError, PersistState,
 };
 use cmp_common::types::Cycle;
 
+use super::identity::{key_hash, Key};
 use super::CmpSimulator;
 
 /// A checkpoint of the whole machine at an iteration boundary: a header
@@ -181,7 +182,10 @@ impl MachineSnapshot {
     /// the target simulator's constructor and pinned by the header's
     /// shape fingerprint.
     pub fn save_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        // Sized to the snapshot: four header words and the directory
+        // label, the checksum, the state and its length.
+        let header = 48 + self.directory.flag_label().len();
+        let mut w = ByteWriter::with_capacity(header + self.state.len());
         self.save(&mut w);
         w.into_bytes()
     }
@@ -273,6 +277,7 @@ impl PersistState for CmpSimulator {
     }
     fn load_state(&mut self, r: &mut ByteReader) -> Result<(), PersistError> {
         self.now = r.u64()?;
+        r.set_cycle(self.now);
         load_state_slice(&mut self.tiles, r)?;
         load_state_slice(&mut self.l2s, r)?;
         self.noc.load_state(r)?;
@@ -312,33 +317,21 @@ impl PersistState for CmpSimulator {
 }
 
 impl CmpSimulator {
-    /// Fingerprint of everything that fixes the *shape* of the encoded
-    /// state: the machine description, the interconnect, the codec
-    /// scheme, the coverage probes, and which optional robustness
-    /// components are armed. State encoded on a machine of one shape
-    /// decodes only into a machine of the same shape.
+    /// The shape key of the configuration ([`super::identity`]): state
+    /// encoded on a machine of one shape decodes only into a machine of
+    /// the same shape.
     fn shape_fingerprint(&self) -> u64 {
-        let cfg = &self.cfg;
-        fnv64(
-            format!(
-                "{:?}|{:?}|{:?}|{:?}|injector={} sanitizer={} watchdog={}",
-                cfg.cmp,
-                cfg.interconnect,
-                cfg.scheme,
-                cfg.coverage_probes,
-                self.injector.is_some(),
-                self.sanitizer.is_some(),
-                self.watchdog.is_some(),
-            )
-            .as_bytes(),
-        )
+        key_hash(&self.cfg.inputs(), Key::Shape)
     }
 
     /// The machine's mutable state as bytes.
     pub(crate) fn encode_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         self.save_state(&mut w);
-        w.into_bytes()
+        // The writer grew by doubling: a held snapshot keeps no slack.
+        let mut state = w.into_bytes();
+        state.shrink_to_fit();
+        state
     }
 
     /// Checkpoint the whole machine at the current iteration boundary.

@@ -26,7 +26,9 @@
 //!   several figures that run the same simulation run it once;
 //!   [`reuse_key`] names what it puts in its row, so the campaign
 //!   service answers a cell from another cell's finished row
-//!   ([`SweepState::adopt`]).
+//!   ([`SweepState::adopt`]). Both, and [`warm_key`], are projections
+//!   of one classification of every input of a cell
+//!   ([`crate::engine::identity`]).
 //! * Every cell retries on the same ladder: attempt 0 keeps the
 //!   original seed so deterministic results stay deterministic, later
 //!   attempts perturb only the *fault* seed, never the workload trace.
@@ -47,8 +49,9 @@ use coherence::sanitizer::{Invariant, SanitizerConfig};
 use workloads::profile::AppProfile;
 
 use crate::checkpoint::{CacheLoad, DiskStore, WarmKey};
+use crate::engine::identity::{key_hash, Class, Input, Key};
 use crate::engine::{CmpSimulator, MachineSnapshot, SimConfig, SimError, SimResult};
-use crate::experiment::RunSpec;
+use crate::experiment::{ConfigSpec, RunSpec};
 
 /// How often the supervisor polls the wall clock, in scheduler
 /// iterations. `Instant::now` is tens of nanoseconds; at this cadence
@@ -68,10 +71,6 @@ pub struct RunPolicy {
     pub retries: u32,
     /// Sleep before the first retry; doubles on each further retry.
     pub backoff: Duration,
-    /// Stop claiming new cells after this many have been attempted —
-    /// the in-process analogue of killing the campaign mid-flight,
-    /// used by the resume tests (`None` = run everything).
-    pub cell_limit: Option<usize>,
 }
 
 impl Default for RunPolicy {
@@ -81,7 +80,6 @@ impl Default for RunPolicy {
             wall_deadline: None,
             retries: 0,
             backoff: Duration::from_millis(100),
-            cell_limit: None,
         }
     }
 }
@@ -130,19 +128,28 @@ impl WarmStart {
     }
 }
 
-/// The checkpoint-store key for one cell: a fingerprint of everything
-/// that shapes its simulation prefix — the full [`SimConfig`] (machine,
-/// interconnect, scheme, fault campaign, sanitizer, watchdog and cycle
-/// cap, via its `Debug` rendering), the app, the trace seed and the
-/// scale — paired with the warm-point cycle. The inert
-/// [`SimConfig::sim_threads`] field is nulled first, so a caller's
-/// assignment to it cannot change the key and keys keep matching the
-/// checkpoints already on disk.
+/// The checkpoint-store key for one run: the warm key of its inputs
+/// ([`crate::engine::identity`]) — what shapes its state, coverage
+/// probes included — paired with the warm-point cycle.
 pub fn warm_key(cfg: &SimConfig, app: &AppProfile, seed: u64, scale: f64, warm: Cycle) -> WarmKey {
-    let mut kc = cfg.clone();
-    kc.sim_threads = None;
-    let desc = format!("{kc:?}|app={}|seed={seed:#x}|scale={scale:?}", app.name);
-    (fingerprint(&desc), warm)
+    let mut inputs = cfg.inputs();
+    inputs.extend(run_inputs(app, seed, scale));
+    (hex(key_hash(&inputs, Key::Warm)), warm)
+}
+
+/// A run's inputs besides its configuration, classified: the
+/// application, trace seed and scale shape its state.
+fn run_inputs(app: &AppProfile, seed: u64, scale: f64) -> [Input; 3] {
+    [
+        Input::new("app", Class::State, &app.name),
+        Input::new("seed", Class::State, &seed),
+        Input::new("scale", Class::State, &scale),
+    ]
+}
+
+/// A key as the journal's fingerprints are written.
+fn hex(key: u64) -> String {
+    format!("{key:016x}")
 }
 
 /// [`run_supervised`] with an optional warm-start checkpoint store.
@@ -150,7 +157,8 @@ pub fn warm_key(cfg: &SimConfig, app: &AppProfile, seed: u64, scale: f64, warm: 
 /// With `checkpoints = Some((store, warm_cycles))`, the run first
 /// consults the store for a checkpoint of its own configuration at the
 /// warm point: a verified hit is decoded straight into the freshly
-/// built simulator (fast-forward); a miss — or a corrupt file, which is
+/// built simulator (fast-forward) when the run's cycle cap lets it reach
+/// that point (the cap is not in the key); a miss — or a corrupt file, which is
 /// quarantined — simulates the prefix fresh and stores a checkpoint at
 /// the first iteration boundary at or past `warm_cycles`. Either way
 /// the remainder runs under the normal supervision loop, and because
@@ -158,23 +166,25 @@ pub fn warm_key(cfg: &SimConfig, app: &AppProfile, seed: u64, scale: f64, warm: 
 /// run without checkpoints — the store can only change wall-clock time,
 /// never numbers.
 pub fn run_supervised_cached(
-    mut cfg: SimConfig,
+    cfg: SimConfig,
     app: &AppProfile,
     seed: u64,
     scale: f64,
     policy: &RunPolicy,
     checkpoints: Option<(&DiskStore, Cycle)>,
 ) -> Result<(SimResult, WarmStart), SimError> {
-    if let Some(budget) = policy.cycle_budget {
-        cfg.max_cycles = cfg.max_cycles.min(budget);
-    }
+    let cfg = capped(cfg, policy);
     let Some((store, warm_cycles)) = checkpoints.filter(|&(_, w)| w > 0) else {
         let mut sim = CmpSimulator::new(cfg, app, seed, scale);
         return supervise(&mut sim, policy).map(|r| (r, WarmStart::Disabled));
     };
     let key = warm_key(&cfg, app, seed, scale, warm_cycles);
     let mut sim = CmpSimulator::new(cfg.clone(), app, seed, scale);
-    let warm = match store.load(&key) {
+    let load = match cfg.max_cycles >= warm_cycles {
+        true => store.load(&key),
+        false => CacheLoad::Miss,
+    };
+    let warm = match load {
         CacheLoad::Hit(snap) => match warm_restore(&mut sim, &snap) {
             Ok(()) => return supervise(&mut sim, policy).map(|r| (r, WarmStart::Warmed)),
             Err(reason) => {
@@ -212,6 +222,14 @@ fn warm_restore(sim: &mut CmpSimulator, snap: &MachineSnapshot) -> Result<(), St
         return Err("the restored machine does not re-encode to the stored state".to_string());
     }
     Ok(())
+}
+
+/// `cfg` with its cycle cap tightened to `policy`'s cycle budget.
+fn capped(mut cfg: SimConfig, policy: &RunPolicy) -> SimConfig {
+    if let Some(budget) = policy.cycle_budget {
+        cfg.max_cycles = cfg.max_cycles.min(budget);
+    }
+    cfg
 }
 
 /// [`run_supervised`] for a simulator the caller has already built
@@ -352,8 +370,7 @@ pub struct CellFailure {
 /// scheduling or which attempt finally succeeded.
 #[derive(Debug, Default)]
 pub struct MatrixReport {
-    /// Index-aligned with the spec list; `None` where the cell failed
-    /// or was never attempted (`cell_limit`).
+    /// Index-aligned with the spec list; `None` where the cell failed.
     pub results: Vec<Option<SimResult>>,
     /// Terminal failures, sorted by cell index.
     pub failures: Vec<CellFailure>,
@@ -425,45 +442,67 @@ fn cell_config(machine: &CellMachine, spec: &RunSpec, attempt: u32) -> SimConfig
     cfg
 }
 
-/// What cell `spec` simulates on `machine`, fingerprinted as
-/// [`warm_key`] does: equal keys are one simulation, however the cells
-/// are labelled. It covers the app, seed and scale, and the `Debug`
-/// renderings of attempt 0's [`SimConfig`] and of the machine (which
-/// adds the invariant class a cell plants), both without coverage
-/// probes, which only observe a run. Rendering whole structs means a
-/// field added to either cannot be missed.
-pub fn simulation_key(machine: &CellMachine, spec: &RunSpec) -> String {
-    let machine = CellMachine {
-        probes: Vec::new(),
-        ..machine.clone()
+/// Every input of cell `spec` on `machine` under `policy`, classified:
+/// attempt 0's [`SimConfig`] as the engine classifies it, then what only
+/// the supervisor knows. The machine, its probes and an injected fault
+/// reach the keys through that configuration; so do the interconnect
+/// and scheme of the spec.
+fn cell_inputs(machine: &CellMachine, spec: &RunSpec, policy: &RunPolicy) -> Vec<Input> {
+    let CellMachine {
+        cmp: _,
+        probes: _,
+        fault,
+    } = machine;
+    let RunSpec {
+        app,
+        config:
+            ConfigSpec {
+                label,
+                interconnect: _,
+                scheme: _,
+            },
+        seed,
+        scale,
+    } = spec;
+    let RunPolicy {
+        cycle_budget,
+        wall_deadline,
+        retries,
+        backoff,
+    } = policy;
+    let planted = match fault {
+        Some(CellFault::Plant(class)) => Some(class),
+        _ => None,
     };
-    let cfg = cell_config(&machine, spec, 0);
-    let desc = format!(
-        "{cfg:?}|{machine:?}|app={}|seed={:#x}|scale={:?}",
-        spec.app.name, spec.seed, spec.scale
-    );
-    fingerprint(&desc)
+    let mut inputs = cell_config(machine, spec, 0).inputs();
+    inputs.extend(run_inputs(app, *seed, *scale));
+    inputs.extend([
+        Input::new("label", Class::Presentation, label),
+        Input::new("planted", Class::Result, &planted),
+        Input::new("cycle_budget", Class::Result, cycle_budget),
+        // A retry reseeds the faults.
+        Input::new("retries", Class::Result, retries),
+        Input::new("wall_deadline", Class::Schedules, wall_deadline),
+        Input::new("backoff", Class::Schedules, backoff),
+    ]);
+    inputs
+}
+
+/// What cell `spec` on `machine` under `policy` simulates: equal keys
+/// are one simulation, however the cells are labelled.
+pub fn simulation_key(machine: &CellMachine, spec: &RunSpec, policy: &RunPolicy) -> String {
+    hex(key_hash(
+        &cell_inputs(machine, spec, policy),
+        Key::Simulation,
+    ))
 }
 
 /// What cell `spec` on `machine` under `policy` puts in its row: its
-/// [`simulation_key`], plus the machine's coverage probes (their
-/// coverages are in the row) and the policy (a retry reseeds the
-/// faults, a cycle budget tightens the cap), fingerprinted from their
-/// `Debug` renderings. Two cells with equal keys that both finish
-/// finish with equal rows, so one's row may stand for the other's.
-///
-/// The whole policy is keyed on purpose, though a row that finished on
-/// its first attempt depends only on the cycle budget: a field added
-/// to [`RunPolicy`] later cannot be left out, and a request that
-/// differs only in deadline, backoff or retries simulates again — the
-/// safe side of the trade.
+/// simulation, and the coverage probes that fill the row. Two cells
+/// with equal keys that both finish finish with equal rows, so one's
+/// row may stand for the other's.
 pub fn reuse_key(machine: &CellMachine, spec: &RunSpec, policy: &RunPolicy) -> String {
-    let desc = format!(
-        "{}|{:?}|{policy:?}",
-        simulation_key(machine, spec),
-        machine.probes
-    );
-    fingerprint(&desc)
+    hex(key_hash(&cell_inputs(machine, spec, policy), Key::Reuse))
 }
 
 /// Step a fresh machine until a violation of `class` is planted (after
@@ -471,15 +510,12 @@ pub fn reuse_key(machine: &CellMachine, spec: &RunSpec, policy: &RunPolicy) -> S
 /// run under `policy`. A run that finishes before any line could be
 /// corrupted completes normally.
 fn run_planted(
-    mut cfg: SimConfig,
+    cfg: SimConfig,
     spec: &RunSpec,
     class: Invariant,
     policy: &RunPolicy,
 ) -> Result<SimResult, SimError> {
-    if let Some(budget) = policy.cycle_budget {
-        cfg.max_cycles = cfg.max_cycles.min(budget);
-    }
-    let mut sim = CmpSimulator::new(cfg, &spec.app, spec.seed, spec.scale);
+    let mut sim = CmpSimulator::new(capped(cfg, policy), &spec.app, spec.seed, spec.scale);
     loop {
         if !sim.step()? {
             return Ok(sim.finish());
@@ -753,10 +789,7 @@ pub fn run_cells(
 ) -> MatrixReport {
     assert_eq!(machines.len(), specs.len(), "one machine per cell");
     let state = SweepState::new(specs, journal);
-    let mut pending = state.pending();
-    if let Some(limit) = policy.cell_limit {
-        pending.truncate(limit);
-    }
+    let pending = state.pending();
     let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..matrix_worker_threads(jobs, pending.len()) {
@@ -1098,12 +1131,106 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// One cell's row may stand for another's only when everything that
-    /// shapes the row is equal: the label does not, the coverage probes
-    /// and the run policy do (though neither changes the simulation).
+    /// Every input of a cell, perturbed in turn, changes exactly the
+    /// keys its class enters: `[shape, warm, simulation, reuse]`, as in
+    /// the table of `engine::identity`. The configuration's own fields
+    /// first, as the engine classifies them (what they add to each key),
+    /// then the cell's, through the keys the supervisor builds.
     #[test]
-    fn reuse_key_tracks_probes_and_policy_not_labels() {
-        let plain = CellMachine::plain(&CmpConfig::default());
+    fn each_input_changes_exactly_the_keys_its_class_enters() {
+        use crate::engine::WatchdogConfig;
+        use coherence::sanitizer::Invariant;
+
+        const ALL: [bool; 4] = [true; 4];
+        const NOT_SHAPE: [bool; 4] = [false, true, true, true];
+        const OBSERVES: [bool; 4] = [true, true, false, true];
+        const RESULT: [bool; 4] = [false, false, true, true];
+        const NONE: [bool; 4] = [false; 4];
+        const KEYS: [Key; 4] = [Key::Shape, Key::Warm, Key::Simulation, Key::Reuse];
+        let changed = |a: &[String; 4], b: &[String; 4]| std::array::from_fn(|k| a[k] != b[k]);
+
+        let config_keys = |cfg: &SimConfig| KEYS.map(|key| hex(key_hash(&cfg.inputs(), key)));
+        let faulty = FaultConfig::desync_only(7, 0.01, 10);
+        // (what, the configuration before, the change, keys changed)
+        type Tweak = fn(&mut SimConfig);
+        let unchanged: Tweak = |_| {};
+        let config_cases: [(&str, Tweak, Tweak, [bool; 4]); 12] = [
+            ("cmp", unchanged, |c| c.cmp.l2_slice.ways *= 2, ALL),
+            (
+                "interconnect",
+                unchanged,
+                |c| c.interconnect = InterconnectChoice::ReplyPartitioning,
+                ALL,
+            ),
+            (
+                "scheme",
+                unchanged,
+                |c| c.scheme = CompressionScheme::Stride { low_bytes: 1 },
+                ALL,
+            ),
+            (
+                "faults armed",
+                unchanged,
+                |c| c.faults = FaultConfig::desync_only(7, 0.01, 10),
+                ALL,
+            ),
+            (
+                "faults reseeded",
+                |c| c.faults = FaultConfig::desync_only(7, 0.01, 10),
+                |c| c.faults.seed ^= 1,
+                NOT_SHAPE,
+            ),
+            (
+                "sanitizer armed",
+                unchanged,
+                |c| c.sanitizer = Some(SanitizerConfig { period: 64 }),
+                ALL,
+            ),
+            (
+                "sanitizer retuned",
+                |c| c.sanitizer = Some(SanitizerConfig { period: 64 }),
+                |c| c.sanitizer = Some(SanitizerConfig { period: 32 }),
+                NOT_SHAPE,
+            ),
+            ("watchdog disarmed", unchanged, |c| c.watchdog = None, ALL),
+            (
+                "watchdog retuned",
+                unchanged,
+                |c| {
+                    c.watchdog = Some(WatchdogConfig {
+                        stall_iterations: 1,
+                    })
+                },
+                NOT_SHAPE,
+            ),
+            (
+                "coverage_probes",
+                unchanged,
+                |c| c.coverage_probes = CompressionScheme::paper_matrix(),
+                OBSERVES,
+            ),
+            ("max_cycles", unchanged, |c| c.max_cycles = 1_000, RESULT),
+            ("sim_threads", unchanged, |c| c.sim_threads = Some(2), NONE),
+        ];
+        for (what, setup, change, expected) in config_cases {
+            let mut cfg = SimConfig::new(InterconnectChoice::Baseline, CompressionScheme::None);
+            cfg.sanitizer = None;
+            setup(&mut cfg);
+            let before = config_keys(&cfg);
+            change(&mut cfg);
+            assert_eq!(changed(&before, &config_keys(&cfg)), expected, "{what}");
+        }
+
+        let cell_keys = |m: &CellMachine, s: &RunSpec, p: &RunPolicy| {
+            let cfg = capped(cell_config(m, s, 0), p);
+            [
+                hex(key_hash(&cfg.inputs(), Key::Shape)),
+                warm_key(&cfg, &s.app, s.seed, s.scale, 50_000).0,
+                simulation_key(m, s, p),
+                reuse_key(m, s, p),
+            ]
+        };
+        let machine = CellMachine::plain(&CmpConfig::default());
         let spec = RunSpec {
             app: workloads::apps::fft(),
             config: ConfigSpec::baseline(),
@@ -1111,36 +1238,221 @@ mod tests {
             scale: 0.002,
         };
         let policy = RunPolicy::default();
-        let key = reuse_key(&plain, &spec, &policy);
-        let relabelled = RunSpec {
-            config: ConfigSpec {
-                label: "coverage probes".to_string(),
-                ..ConfigSpec::baseline()
-            },
-            ..spec.clone()
+        let env_sanitizer = cell_config(&machine, &spec, 0).sanitizer;
+        let planted = |class| CellMachine {
+            fault: Some(CellFault::Plant(class)),
+            ..machine.clone()
         };
-        assert_eq!(reuse_key(&plain, &relabelled, &policy), key);
-
-        let probed = CellMachine {
-            probes: CompressionScheme::paper_matrix(),
-            ..plain.clone()
-        };
-        assert_eq!(
-            simulation_key(&probed, &spec),
-            simulation_key(&plain, &spec)
-        );
-        assert_ne!(reuse_key(&probed, &spec, &policy), key);
-        for other in [
-            RunPolicy {
-                retries: 1,
-                ..RunPolicy::default()
-            },
-            RunPolicy {
-                cycle_budget: Some(1_000),
-                ..RunPolicy::default()
-            },
-        ] {
-            assert_ne!(reuse_key(&plain, &spec, &other), key, "{other:?}");
+        type Cell = (CellMachine, RunSpec, RunPolicy);
+        let base = (machine.clone(), spec.clone(), policy.clone());
+        let cell_cases: [(&str, Cell, Cell, [bool; 4]); 15] = [
+            (
+                "machine",
+                base.clone(),
+                (
+                    CellMachine::plain(&CmpConfig {
+                        l1_mshrs: 4,
+                        ..CmpConfig::default()
+                    }),
+                    spec.clone(),
+                    policy.clone(),
+                ),
+                ALL,
+            ),
+            (
+                "probes",
+                base.clone(),
+                (
+                    CellMachine {
+                        probes: CompressionScheme::paper_matrix(),
+                        ..machine.clone()
+                    },
+                    spec.clone(),
+                    policy.clone(),
+                ),
+                OBSERVES,
+            ),
+            (
+                "injected fault",
+                base.clone(),
+                (
+                    CellMachine {
+                        fault: Some(CellFault::Inject(faulty.clone())),
+                        ..machine.clone()
+                    },
+                    spec.clone(),
+                    policy.clone(),
+                ),
+                ALL,
+            ),
+            // The plant arms the sanitizer, unless the environment did.
+            (
+                "planted fault",
+                base.clone(),
+                (
+                    planted(Invariant::SingleOwner),
+                    spec.clone(),
+                    policy.clone(),
+                ),
+                [env_sanitizer.is_none(), true, true, true],
+            ),
+            (
+                "planted class",
+                (
+                    planted(Invariant::SingleOwner),
+                    spec.clone(),
+                    policy.clone(),
+                ),
+                (
+                    planted(Invariant::SharerAgreement),
+                    spec.clone(),
+                    policy.clone(),
+                ),
+                RESULT,
+            ),
+            (
+                "app",
+                base.clone(),
+                (
+                    machine.clone(),
+                    RunSpec {
+                        app: workloads::apps::mp3d(),
+                        ..spec.clone()
+                    },
+                    policy.clone(),
+                ),
+                NOT_SHAPE,
+            ),
+            (
+                "seed",
+                base.clone(),
+                (
+                    machine.clone(),
+                    RunSpec {
+                        seed: 1,
+                        ..spec.clone()
+                    },
+                    policy.clone(),
+                ),
+                NOT_SHAPE,
+            ),
+            (
+                "scale",
+                base.clone(),
+                (
+                    machine.clone(),
+                    RunSpec {
+                        scale: 0.004,
+                        ..spec.clone()
+                    },
+                    policy.clone(),
+                ),
+                NOT_SHAPE,
+            ),
+            (
+                "label",
+                base.clone(),
+                (
+                    machine.clone(),
+                    RunSpec {
+                        config: ConfigSpec {
+                            label: "coverage probes".to_string(),
+                            ..ConfigSpec::baseline()
+                        },
+                        ..spec.clone()
+                    },
+                    policy.clone(),
+                ),
+                NONE,
+            ),
+            (
+                "interconnect",
+                base.clone(),
+                (
+                    machine.clone(),
+                    RunSpec {
+                        config: ConfigSpec {
+                            interconnect: InterconnectChoice::ReplyPartitioning,
+                            ..ConfigSpec::baseline()
+                        },
+                        ..spec.clone()
+                    },
+                    policy.clone(),
+                ),
+                ALL,
+            ),
+            (
+                "scheme",
+                base.clone(),
+                (
+                    machine.clone(),
+                    RunSpec {
+                        config: ConfigSpec {
+                            scheme: CompressionScheme::Stride { low_bytes: 1 },
+                            ..ConfigSpec::baseline()
+                        },
+                        ..spec.clone()
+                    },
+                    policy.clone(),
+                ),
+                ALL,
+            ),
+            (
+                "cycle budget",
+                base.clone(),
+                (
+                    machine.clone(),
+                    spec.clone(),
+                    RunPolicy {
+                        cycle_budget: Some(1_000),
+                        ..policy.clone()
+                    },
+                ),
+                RESULT,
+            ),
+            (
+                "retries",
+                base.clone(),
+                (
+                    machine.clone(),
+                    spec.clone(),
+                    RunPolicy {
+                        retries: 1,
+                        ..policy.clone()
+                    },
+                ),
+                RESULT,
+            ),
+            (
+                "wall deadline",
+                base.clone(),
+                (
+                    machine.clone(),
+                    spec.clone(),
+                    RunPolicy {
+                        wall_deadline: Some(Duration::from_secs(5)),
+                        ..policy.clone()
+                    },
+                ),
+                NONE,
+            ),
+            (
+                "backoff",
+                base.clone(),
+                (
+                    machine.clone(),
+                    spec.clone(),
+                    RunPolicy {
+                        backoff: Duration::ZERO,
+                        ..policy.clone()
+                    },
+                ),
+                NONE,
+            ),
+        ];
+        for (what, (m0, s0, p0), (m1, s1, p1), expected) in cell_cases {
+            let (before, after) = (cell_keys(&m0, &s0, &p0), cell_keys(&m1, &s1, &p1));
+            assert_eq!(changed(&before, &after), expected, "{what}");
         }
     }
 

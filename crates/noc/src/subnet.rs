@@ -949,10 +949,17 @@ impl<P: Persist> PersistState for SubNet<P> {
         }
         self.check_slab(r)?;
         // Every held flit names a live message and a flit position in
-        // it; take its route inputs from there.
+        // it; take its route inputs from there. Its stamp is at most one
+        // link traversal past the last tick, which came before the cycle
+        // the state resumes at: a later one would calendar its head
+        // beyond the maturation ring.
         let width = self.spec.channel.width_bytes;
+        let latest = r.cycle().saturating_add(self.link_cycles);
         for f in 0..tiles * PORTS * nvc {
             for bf in self.routers.flits_mut(f) {
+                if bf.arrived > latest {
+                    return Err(r.err("buffered flit stamped past its link from the restore cycle"));
+                }
                 let (seq, tail) = (bf.flit.seq, bf.flit.tail);
                 let named = self
                     .slab
@@ -1522,6 +1529,7 @@ mod tests {
                 let bytes = saved(&net);
                 let mut resumed: SubNet<u64> = subnet(spec, mesh);
                 let mut r = ByteReader::new(&bytes);
+                r.set_cycle(40);
                 resumed.load_state(&mut r).expect("load");
                 r.finish().expect("no trailing bytes");
                 assert_eq!(
@@ -1617,12 +1625,19 @@ mod tests {
         net
     }
 
+    /// A reader of `bytes` resuming the cycle after [`MID_BURST`].
+    fn after_mid_burst(bytes: &[u8]) -> ByteReader<'_> {
+        let mut r = ByteReader::new(bytes);
+        r.set_cycle(MID_BURST + 1);
+        r
+    }
+
     /// Load `bytes` (a valid state with one field set to a value no run
-    /// produces) into a fresh network of `spec`: the error message,
-    /// never a panic.
+    /// produces) into a fresh network of `spec`, resuming after
+    /// [`MID_BURST`]: the error message, never a panic.
     fn bytes_error(spec: ChannelSpec, bytes: &[u8]) -> String {
         subnet(spec, MeshShape::square(4))
-            .load_state(&mut ByteReader::new(bytes))
+            .load_state(&mut after_mid_burst(bytes))
             .expect_err("a state no run produces must be refused")
             .to_string()
     }
@@ -1664,7 +1679,7 @@ mod tests {
         assert_eq!(bytes[at], net.routers.inputs[f].len);
         let mut resumed = subnet(b_spec(34), MeshShape::square(4));
         resumed
-            .load_state(&mut ByteReader::new(&bytes))
+            .load_state(&mut after_mid_burst(&bytes))
             .expect("load");
         assert!(resumed.routers.flits(f).eq(net.routers.flits(f)));
         assert_eq!(on_links(&resumed, MID_BURST), on_links(&net, MID_BURST));
@@ -1722,6 +1737,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn ring_stamps_past_the_restore_cycle_are_refused() {
+        // every stamp of one ring 1,000 cycles late: loaded, its head
+        // would be calendared beyond the maturation ring
+        let mut net = mid_burst_net();
+        let f = (0..VCS)
+            .find(|&f| net.routers.inputs[f].len > 0)
+            .expect("a held flit");
+        for bf in net.routers.flits_mut(f) {
+            bf.arrived += 1_000;
+        }
+        let err = load_error(&net);
+        assert!(err.contains("stamped past its link"), "{err}");
     }
 
     #[test]

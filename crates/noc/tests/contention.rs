@@ -274,6 +274,8 @@ fn mid_burst_snapshots_resume_to_the_same_hash() {
             let bytes = saved(&noc);
             drive(&mut noc, &schedule, cut, cut + 41, &mut log.clone());
             let mut r = ByteReader::new(&bytes);
+            // The state resumes at `cut`, where the next `drive` starts.
+            r.set_cycle(cut);
             noc.load_state(&mut r).expect("checkpoint loads");
             r.finish().expect("no trailing bytes");
             drive(&mut noc, &schedule, cut, LIMIT, &mut log);
@@ -306,6 +308,7 @@ fn saved_bytes_at_three_cuts_match_the_parent() {
             let bytes = saved(&noc);
             let mut fresh = sc.build();
             let mut r = ByteReader::new(&bytes);
+            r.set_cycle(cut);
             fresh.load_state(&mut r).expect("checkpoint loads");
             r.finish().expect("no trailing bytes");
             assert_eq!(

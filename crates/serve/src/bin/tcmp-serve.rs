@@ -1,16 +1,17 @@
 //! The `tcmp-serve` daemon: queued figure campaigns over a Unix
-//! socket, with journal-backed crash resume and a graceful SIGTERM
-//! drain.
+//! socket, with journal-backed crash resume.
 //!
 //! ```text
 //! tcmp-serve --root DIR [--socket PATH] [--jobs N] [--queue-bound N]
 //!            [--warm-cycles N] [--checkpoint-bytes N]
 //! ```
 //!
-//! SIGTERM/SIGINT drain: in-flight cells finish and are journaled,
-//! queued cells stay durable for the next start, exit status 0.
-//! SIGKILL is survivable by design: restart with the same `--root` and
-//! every interrupted campaign resumes bit-identically.
+//! Crash-only: stopping is crashing, starting is recovering. SIGTERM
+//! and SIGINT take their default action, as SIGKILL does; restart with
+//! the same `--root` and every interrupted campaign resumes
+//! bit-identically, re-running at most the `--jobs` cells in flight.
+
+#![forbid(unsafe_code)]
 
 #[cfg(unix)]
 fn main() {
@@ -26,26 +27,10 @@ fn main() {
 #[cfg(unix)]
 mod unix {
     use std::path::PathBuf;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::AtomicBool;
 
     use tcmp_serve::daemon;
     use tcmp_serve::service::{ServeConfig, ServiceHandle};
-
-    /// Set from the signal handler; polled by the accept loop.
-    static DRAIN: AtomicBool = AtomicBool::new(false);
-
-    extern "C" fn on_signal(_signum: i32) {
-        // An atomic store is async-signal-safe; everything else
-        // happens on the main thread when it notices the flag.
-        DRAIN.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
-    }
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
 
     fn usage() -> ! {
         eprintln!(
@@ -89,11 +74,6 @@ mod unix {
         }
         let socket = socket.unwrap_or_else(|| cfg.root.join("serve.sock"));
 
-        unsafe {
-            signal(SIGTERM, on_signal);
-            signal(SIGINT, on_signal);
-        }
-
         let handle = match ServiceHandle::start(cfg.clone()) {
             Ok(h) => h,
             Err(e) => {
@@ -120,13 +100,11 @@ mod unix {
                 "off".to_string()
             }
         );
-        if let Err(e) = daemon::serve(handle.service(), &socket, &DRAIN) {
+        // Nothing sets the stop flag: the daemon ends by being killed.
+        if let Err(e) = daemon::serve(handle.service(), &socket, &AtomicBool::new(false)) {
             eprintln!("tcmp-serve: {e}");
-            std::process::exit(1);
         }
-        eprintln!("tcmp-serve: draining — finishing in-flight cells");
-        handle.drain();
-        eprintln!("tcmp-serve: drained cleanly");
+        std::process::exit(1);
     }
 
     fn parse<T: std::str::FromStr>(v: &str, flag: &str) -> T {

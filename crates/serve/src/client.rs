@@ -89,7 +89,7 @@ impl Client {
     }
 
     /// Read the next event; `None` when the service closes the stream
-    /// (campaign done, or daemon drained).
+    /// (campaign done, or daemon gone).
     pub fn next_event(&mut self) -> io::Result<Option<Event>> {
         let Some(line) = self.reader.read_line()? else {
             return Ok(None);

@@ -2,11 +2,13 @@
 //! line each, answer, and stream campaign events until the campaign
 //! finishes, the client goes away, or the daemon is asked to stop.
 //!
-//! The accept loop is non-blocking and polls a stop flag (set by the
-//! SIGTERM handler), so a drain request is honoured within one poll
-//! interval; connection handlers poll the same flag between reads and
-//! writes, so every handler thread exits boundedly and the daemon can
-//! join them all before returning.
+//! The accept loop is non-blocking and polls a stop flag, so a stop is
+//! honoured within one poll interval; connection handlers poll the same
+//! flag between reads and writes, so every handler thread exits
+//! boundedly and the daemon can join them all before returning. The
+//! `tcmp-serve` binary sets no flag: it is crash-only, stopped by a
+//! signal's default action and recovered from its journals on restart.
+//! In-process callers (tests, the benchmark) set it to end the loop.
 
 use std::io::{self, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -19,7 +21,7 @@ use std::time::Duration;
 use cmp_common::journal::Json;
 
 use crate::proto::{Event, RejectReason, Request, Response};
-use crate::service::{Campaign, Service};
+use crate::service::Service;
 use crate::wire::{LineReader, ReadLine};
 
 /// Accept-loop poll interval: a connection waits half of it on
@@ -123,7 +125,7 @@ fn handle(service: &Arc<Service>, stream: UnixStream, closing: &AtomicBool) -> i
             };
             write_line(&mut writer, response.to_json())?;
             if let (Some(c), Some(rx)) = (campaign, live) {
-                stream_events(&c, rx, &mut writer, closing)?;
+                stream_events(c.catchup(), rx, &mut writer, closing)?;
             }
             Ok(())
         }
@@ -140,7 +142,8 @@ fn handle(service: &Arc<Service>, stream: UnixStream, closing: &AtomicBool) -> i
                     }
                     .to_json(),
                 )?;
-                stream_events(&c, c.subscribe(), &mut writer, closing)?;
+                let (told, live) = c.watch();
+                stream_events(told, live, &mut writer, closing)?;
                 Ok(())
             }
         },
@@ -149,17 +152,17 @@ fn handle(service: &Arc<Service>, stream: UnixStream, closing: &AtomicBool) -> i
 
 /// Replay catch-up events, then relay `rx`'s live events until the
 /// campaign finishes, the client disconnects, or the daemon closes.
-/// `rx` must be subscribed before this call snapshots the catch-up set
-/// so no event can fall between them; the overlap is resolved by
+/// `rx` must be subscribed before the catch-up set was snapshotted so
+/// no event can fall between them; the overlap is resolved by
 /// client-side deduplication.
 fn stream_events(
-    campaign: &Arc<Campaign>,
+    catchup: Vec<Event>,
     rx: Receiver<Event>,
     writer: &mut UnixStream,
     closing: &AtomicBool,
 ) -> io::Result<()> {
     let mut done = false;
-    for event in campaign.catchup() {
+    for event in catchup {
         done |= matches!(event, Event::CampaignDone { .. });
         write_line(writer, event.to_json())?;
     }

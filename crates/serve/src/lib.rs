@@ -10,11 +10,12 @@
 //! * **Admission control** — the cell queue is bounded; overflow is a
 //!   structured `Overloaded` rejection, never an OOM, a panic, or a
 //!   silent drop.
-//! * **Graceful drain** — SIGTERM finishes in-flight cells, journals
-//!   everything, and exits 0.
-//! * **Crash resume** — after SIGKILL, a restart replays every
-//!   campaign journal and resumes exactly the unfinished cells; the
-//!   final CSVs are bit-identical to an uninterrupted run's.
+//! * **Crash-only** — the daemon has no shutdown path of its own:
+//!   SIGTERM, SIGINT and SIGKILL all kill it, and a restart replays
+//!   every campaign journal and resumes exactly the unfinished cells
+//!   (at most `--jobs` in flight are re-run); the final CSVs are
+//!   bit-identical to an uninterrupted run's. An in-process service
+//!   still drains ([`ServiceHandle::drain`]) to end a local run.
 //! * **Client-disconnect tolerance** — a campaign belongs to the
 //!   service, not the submitting connection; clients re-attach by
 //!   campaign id and catch up from journal-backed state.

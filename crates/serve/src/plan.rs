@@ -805,7 +805,7 @@ fn fold(request: &CampaignRequest) -> Result<(Sweep, Members), RejectReason> {
         let mut cells = Vec::with_capacity(plan.specs.len());
         for (spec, machine) in plan.specs.iter().zip(&plan.machines) {
             let index = *first_seen
-                .entry(simulation_key(machine, spec))
+                .entry(simulation_key(machine, spec, &plan.policy))
                 .or_insert(specs.len());
             if index == specs.len() {
                 specs.push(spec.clone());

@@ -209,8 +209,8 @@ pub enum RejectReason {
         /// Cells this campaign would have added.
         requested: usize,
     },
-    /// The service is draining (SIGTERM): finishing in-flight cells,
-    /// accepting nothing new.
+    /// The service is draining ([`crate::ServiceHandle::drain`]):
+    /// finishing in-flight cells, accepting nothing new.
     Draining,
     /// An application name the workload suite does not know.
     UnknownApp(String),

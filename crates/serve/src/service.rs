@@ -166,7 +166,29 @@ pub struct Campaign {
     /// (its [`BUILD_FILE`] names it), so other cells may take them.
     rows_of_this_build: bool,
     finished: AtomicBool,
-    subscribers: Mutex<Vec<SyncSender<Event>>>,
+    listeners: Mutex<Listeners>,
+}
+
+/// Who is listening to a campaign, and which of its cells started
+/// simulating in this service lifetime: one lock, so each start reaches
+/// a subscriber once, caught up or live.
+#[derive(Default)]
+struct Listeners {
+    subscribers: Vec<SyncSender<Event>>,
+    started: Vec<usize>,
+}
+
+impl Listeners {
+    fn send(&mut self, event: Event) {
+        self.subscribers
+            .retain(|tx| match tx.try_send(event.clone()) {
+                Ok(()) => true,
+                // A full buffer or a vanished client both mean "this
+                // subscriber is no longer keeping up": drop it. The
+                // campaign itself is unaffected.
+                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => false,
+            });
+    }
 }
 
 impl Campaign {
@@ -212,7 +234,7 @@ impl Campaign {
             dir: dir.to_path_buf(),
             fs: fs.clone(),
             finished: AtomicBool::new(false),
-            subscribers: Mutex::new(Vec::new()),
+            listeners: Mutex::default(),
         }))
     }
 
@@ -256,13 +278,47 @@ impl Campaign {
         (done, failed, self.finished.load(Ordering::SeqCst))
     }
 
-    /// Subscribe to this campaign's live events. The channel is
-    /// bounded: a subscriber that stops reading is dropped, not waited
-    /// on (it can re-attach).
+    /// Subscribe to this campaign's live events, the `CellStart` of
+    /// every cell already started in this lifetime first. The channel
+    /// is bounded: a subscriber that stops reading is dropped, not
+    /// waited on (it can re-attach).
     pub fn subscribe(&self) -> Receiver<Event> {
-        let (tx, rx) = std::sync::mpsc::sync_channel(SUBSCRIBER_BUFFER);
-        lock(&self.subscribers).push(tx);
+        let mut listeners = lock(&self.listeners);
+        let started = listeners.started.len();
+        let (tx, rx) = std::sync::mpsc::sync_channel(SUBSCRIBER_BUFFER + started);
+        for &index in &listeners.started {
+            let _ = tx.try_send(self.start_event(index));
+        }
+        listeners.subscribers.push(tx);
         rx
+    }
+
+    /// [`Campaign::subscribe`] and [`Campaign::catchup`] in the order a
+    /// watcher joining now reads them: the starts already made, every
+    /// outcome so far, then the live stream.
+    pub fn watch(&self) -> (Vec<Event>, Receiver<Event>) {
+        let live = self.subscribe();
+        let (mut told, rest): (Vec<Event>, Vec<Event>) =
+            (live.try_iter()).partition(|e| matches!(e, Event::CellStart { .. }));
+        told.extend(self.catchup());
+        told.extend(rest);
+        (told, live)
+    }
+
+    fn start_event(&self, index: usize) -> Event {
+        Event::CellStart {
+            campaign: self.id.clone(),
+            index,
+            cell: cell_key(&self.plan.specs[index]),
+        }
+    }
+
+    /// Note that cell `index` starts simulating, and tell every
+    /// subscriber.
+    fn start(&self, index: usize) {
+        let mut listeners = lock(&self.listeners);
+        listeners.started.push(index);
+        listeners.send(self.start_event(index));
     }
 
     /// The terminal event of cell `index` given its outcome; `warm`
@@ -313,13 +369,7 @@ impl Campaign {
     }
 
     fn emit(&self, event: Event) {
-        lock(&self.subscribers).retain(|tx| match tx.try_send(event.clone()) {
-            Ok(()) => true,
-            // A full buffer or a vanished client both mean "this
-            // subscriber is no longer keeping up": drop it. The
-            // campaign itself is unaffected.
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => false,
-        });
+        lock(&self.listeners).send(event);
     }
 
     /// Render and atomically write this campaign's figure CSVs from its
@@ -736,11 +786,7 @@ impl Service {
                 tell(outcome, "journal", outstanding)
             }),
             None => {
-                c.emit(Event::CellStart {
-                    campaign: c.id.clone(),
-                    index,
-                    cell: cell_key(&c.plan.specs[index]),
-                });
+                c.start(index);
                 let checkpoints = self
                     .checkpoints
                     .as_ref()

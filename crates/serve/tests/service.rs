@@ -552,6 +552,35 @@ fn an_identical_resubmission_is_answered_from_the_finished_rows() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A request that differs from a finished one only in its wall
+/// deadline, which schedules a run but never shapes its row, is answered
+/// in full from the finished rows: the `journal` label, no `CellStart`,
+/// no `start` record, the first campaign's `finish` records.
+#[test]
+fn a_resubmission_with_another_deadline_is_answered_from_the_finished_rows() {
+    let root = scratch_dir("serve-deadline");
+    let handle = ServiceHandle::start(serve_cfg(root.clone())).expect("start");
+    let first = submit_ok(&handle, tiny_request());
+    assert!(handle.wait_campaign(&first, WAIT));
+    let (response, live) = handle.service().submit_watched(CampaignRequest {
+        deadline_s: Some(3600),
+        ..tiny_request()
+    });
+    let second = match response {
+        Response::Submitted { campaign, .. } => campaign,
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    let live = live.expect("a submitted campaign is watched");
+    assert_eq!(live_labels(&live, false), vec!["journal"; CELLS]);
+    handle.drain();
+    assert_eq!(
+        journal_records(&root, &second, "finish"),
+        journal_records(&root, &first, "finish")
+    );
+    assert!(journal_records(&root, &second, "start").is_empty());
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// Figure 7 re-scores Figure 6's runs: submitted right after Figure 6,
 /// every one of its cells is answered from Figure 6's rows.
 #[test]

@@ -8,7 +8,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use tiled_cmp::prelude::*;
-use tiled_cmp::sim::supervisor::result_to_json;
+use tiled_cmp::sim::supervisor::{result_to_json, CellMachine};
 
 const SEED: u64 = 0xD5A1_F00D;
 const SCALE: f64 = 0.002;
@@ -72,22 +72,19 @@ fn killed_and_resumed_sweep_is_bit_identical_to_an_uninterrupted_one() {
     let reference = run_matrix_supervised(&cmp, &specs, Some(2), &policy, None);
     assert!(reference.is_complete(), "reference sweep must complete");
 
-    // Interrupted campaign: run only the first two cells, then "die".
+    // Interrupted campaign: run only the first two cells, then "die" —
+    // the sweep's run state is dropped with the rest never claimed.
     let dir = scratch_dir("resume");
     let meta = campaign_meta(&cmp, &specs);
     {
         let mut journal = Journal::create(&dir, &meta).expect("fresh journal");
-        let partial = run_matrix_supervised(
-            &cmp,
-            &specs,
-            Some(1),
-            &RunPolicy {
-                cell_limit: Some(2),
-                ..RunPolicy::default()
-            },
-            Some(&mut journal),
-        );
-        assert_eq!(partial.results.iter().flatten().count(), 2);
+        let partial = SweepState::new(&specs, Some(&mut journal));
+        let machine = CellMachine::plain(&cmp);
+        for index in 0..2 {
+            partial.run_cell(&machine, index, &policy, None, |_, _, _| ());
+        }
+        assert_eq!(partial.pending(), (2..specs.len()).collect::<Vec<_>>());
+        drop(partial);
         // SIGKILL residue, first half: a cell that started but never
         // finished. Written by the journal itself, as the dying process
         // would have — a hand-written line carries no crc, and a record
